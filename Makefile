@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff experiments examples soak server-smoke crash-drill clean
+.PHONY: all build test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff bench-e2e experiments examples soak server-smoke crash-drill clean
 
 all: build vet lint test
 
@@ -71,6 +71,24 @@ bench:
 # from the new baseline is itself a failure.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff BENCH_PR9.json BENCH_PR10.json -threshold 50
+
+# The repository benchmark (BENCHMARK.json, bench/README.md) on the two
+# replay workloads: one untraced run (end-to-end metrics) and one traced run
+# (per-layer metrics and the counts that must repeat exactly) of each into
+# E2E_OUT, then -compare against the same runs saved from the parent commit:
+#   in a checkout of the parent:  make bench-e2e E2E_OUT=/tmp/parent.jsonl
+#   in the change:                make bench-e2e PARENT=/tmp/parent.jsonl
+# A claim needs ten alternated pairs (bench/README.md); this is the quick look.
+E2E_OUT ?= bench/out/e2e.jsonl
+PARENT ?=
+bench-e2e:
+	rm -f $(E2E_OUT)
+	for w in replay-oo7 replay-gcheavy; do for t in 0 1; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 15 --trace $$t --out $(E2E_OUT) || exit 1; \
+	done; done
+ifneq ($(PARENT),)
+	bash bench/run.sh -compare $(PARENT) $(E2E_OUT)
+endif
 
 # Full paper regeneration: every table and figure, 10 seeded runs per data
 # point, CSV series under results/.

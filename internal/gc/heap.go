@@ -15,8 +15,8 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
-	"slices"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/storage"
@@ -29,23 +29,30 @@ type Heap struct {
 	store *objstore.Store
 	disk  *storage.Manager
 
-	// remset[p][dst][src] counts pointer slots in object src (placed
-	// outside partition p) that reference object dst (placed in p).
-	remset map[storage.PartitionID]map[objstore.OID]map[objstore.OID]int
+	// ext[dst] counts the pointer slots, in objects placed outside dst's
+	// partition, that reference dst: the remembered sets, reduced to the one
+	// question the mutator and the collector ask of them (is this object a
+	// partition root?). The (partition, target, source) entries themselves
+	// are a function of the graph and the placement; externalRefs derives
+	// them for the snapshot, the invariant sweep and the fixup ablation.
+	ext objstore.Table[int32]
 
 	// po[p] counts pointer overwrites whose old target lay in partition p
 	// since p was last collected (the paper's FGS state; also drives
-	// UPDATEDPOINTER selection).
-	po map[storage.PartitionID]int
+	// UPDATEDPOINTER selection). poTotal is their sum.
+	po      []int
+	poTotal int
 
 	// totalOverwrites is the SAGA clock: every non-initializing pointer
 	// overwrite ticks it once.
 	totalOverwrites uint64
 
 	// Oracle ledger. oracleDead holds objects known unreachable but not yet
-	// reclaimed; oracleDeadBytes indexes their bytes by partition.
-	oracleDead       map[objstore.OID]struct{}
-	oracleDeadBytes  map[storage.PartitionID]int
+	// reclaimed; oracleDeadBytes indexes their bytes by partition and
+	// garbage is the sum over partitions, sampled at every trace event.
+	oracleDead       objstore.Table[bool]
+	oracleDeadBytes  []int
+	garbage          int
 	totalGarbage     uint64 // cumulative bytes of garbage ever created
 	totalCollected   uint64 // cumulative bytes reclaimed by the collector
 	totalCollections uint64
@@ -77,43 +84,45 @@ type Heap struct {
 	// boundaries, so a crash can only lose whole uncommitted batches.
 	durable storage.Backend
 
-	// scratch holds Collect's per-collection working sets, reused across
-	// collections so steady-state collection stops allocating. Valid only
-	// within one Collect call.
-	scratch collectScratch
-}
+	// mark holds the collector's trace marks. An object is marked when its
+	// entry equals epoch, and every collection starts a new epoch, so marks
+	// are never cleared: a survivor's stale mark is harmless and a reclaimed
+	// object's is deleted with it.
+	mark  objstore.Table[uint32]
+	epoch uint32
 
-// collectScratch is the collector's reusable working memory: the maps are
-// cleared and the slices truncated at the start of every collection.
-type collectScratch struct {
-	memberSet map[objstore.OID]struct{}
-	seen      map[objstore.OID]struct{}
-	liveSize  map[objstore.OID]int
-	fixups    map[objstore.OID]struct{}
-	members   []objstore.OID
-	queue     []objstore.OID // doubles as the root list: roots are its prefix
-	live      []objstore.OID
-	deadList  []objstore.OID
-	fixupList []objstore.OID
+	// scratch holds Collect's per-collection lists, truncated and reused so
+	// steady-state collection stops allocating. Valid only within one
+	// Collect call.
+	scratch struct {
+		members  []objstore.OID
+		queue    []objstore.OID // partition roots first, then the rest of the live set in copy order
+		deadList []objstore.OID
+	}
 }
 
 // NewHeap wraps a store and a storage manager. Both must start empty or the
 // heap's incremental bookkeeping will not match their contents.
 func NewHeap(store *objstore.Store, disk *storage.Manager) *Heap {
-	return &Heap{
-		store:           store,
-		disk:            disk,
-		remset:          make(map[storage.PartitionID]map[objstore.OID]map[objstore.OID]int),
-		po:              make(map[storage.PartitionID]int),
-		oracleDead:      make(map[objstore.OID]struct{}),
-		oracleDeadBytes: make(map[storage.PartitionID]int),
-		scratch: collectScratch{
-			memberSet: make(map[objstore.OID]struct{}),
-			seen:      make(map[objstore.OID]struct{}),
-			liveSize:  make(map[objstore.OID]int),
-			fixups:    make(map[objstore.OID]struct{}),
-		},
+	return &Heap{store: store, disk: disk}
+}
+
+// counter returns partition p's entry of a partition-indexed counter slice,
+// or zero when the slice has not grown that far.
+func counter(s []int, p storage.PartitionID) int {
+	if p < 0 || int(p) >= len(s) {
+		return 0
 	}
+	return s[p]
+}
+
+// counterAt returns the address of partition p's entry, growing the slice to
+// reach it. p must be a partition the storage manager knows.
+func counterAt(s *[]int, p storage.PartitionID) *int {
+	for int(p) >= len(*s) {
+		*s = append(*s, 0)
+	}
+	return &(*s)[p]
 }
 
 // Store returns the logical object store.
@@ -274,10 +283,13 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 			return fmt.Errorf("gc: old target %v has no placement", old)
 		}
 		if oldPart != srcPart {
-			h.remsetRemove(oldPart, old, src)
+			if err := h.forget(oldPart, old, src); err != nil {
+				return err
+			}
 		}
 		if !init {
-			h.po[oldPart]++
+			*counterAt(&h.po, oldPart)++
+			h.poTotal++
 		}
 	}
 	if !dst.IsNil() {
@@ -286,7 +298,7 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 			return fmt.Errorf("gc: new target %v has no placement", dst)
 		}
 		if dstPart != srcPart {
-			h.remsetAdd(dstPart, dst, src)
+			h.ext.Set(dst, h.ext.Get(dst)+1)
 		}
 	}
 	if !init {
@@ -295,52 +307,62 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	return nil
 }
 
-func (h *Heap) remsetAdd(p storage.PartitionID, dst, src objstore.OID) {
-	m := h.remset[p]
-	if m == nil {
-		//lint:allow hotalloc amortized: one map per partition, reused for its life
-		m = make(map[objstore.OID]map[objstore.OID]int)
-		h.remset[p] = m
+// forget drops one remembered reference, held by src, to dst in partition p.
+// Asked to drop one that was never recorded it fails on the spot: the count
+// is already wrong, and the final sweep would only say so much later.
+func (h *Heap) forget(p storage.PartitionID, dst, src objstore.OID) error {
+	n := h.ext.Get(dst)
+	if n <= 0 {
+		return fmt.Errorf("gc: remembered-set underflow in partition %d: no external reference to %v is recorded, yet %v drops one", p, dst, src)
 	}
-	srcs := m[dst]
-	if srcs == nil {
-		//lint:allow hotalloc amortized: one map per remembered target, reused until collection
-		srcs = make(map[objstore.OID]int)
-		m[dst] = srcs
-	}
-	srcs[src]++
-}
-
-func (h *Heap) remsetRemove(p storage.PartitionID, dst, src objstore.OID) {
-	m := h.remset[p]
-	if m == nil {
-		return
-	}
-	srcs := m[dst]
-	if srcs == nil {
-		return
-	}
-	if srcs[src] <= 1 {
-		delete(srcs, src)
-		if len(srcs) == 0 {
-			delete(m, dst)
-		}
-	} else {
-		srcs[src]--
-	}
+	h.ext.Set(dst, n-1)
+	return nil
 }
 
 // ExternallyReferenced reports whether dst (in partition p) has remembered
 // external references.
 func (h *Heap) ExternallyReferenced(p storage.PartitionID, dst objstore.OID) bool {
-	return len(h.remset[p][dst]) > 0
+	part, ok := h.disk.PartitionOf(dst)
+	return ok && part == p && h.ext.Get(dst) > 0
+}
+
+// externalRefs calls fn, in ascending source order, for every pointer slot
+// whose target is placed in another partition than its holder: the
+// remembered-set entries, derived from the graph. It fails on an object or a
+// target without a placement.
+func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID)) error {
+	var err error
+	h.store.ForEach(func(o *objstore.Object) {
+		if err != nil {
+			return
+		}
+		srcPart, ok := h.disk.PartitionOf(o.OID)
+		if !ok {
+			err = fmt.Errorf("gc: object %v in store but not placed", o.OID)
+			return
+		}
+		for _, t := range o.Slots {
+			if t.IsNil() {
+				continue
+			}
+			tPart, ok := h.disk.PartitionOf(t)
+			if !ok {
+				err = fmt.Errorf("gc: object %v references unplaced %v", o.OID, t)
+				return
+			}
+			if tPart != srcPart {
+				fn(tPart, t, o.OID)
+			}
+		}
+	})
+	return err
 }
 
 // RecordOracleDead registers objects the trace oracle declared unreachable.
 // The collector will eventually rediscover and reclaim them by tracing.
 func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 	for _, oid := range dead {
-		if _, dup := h.oracleDead[oid]; dup {
+		if h.oracleDead.Get(oid) {
 			return fmt.Errorf("gc: object %v declared dead twice", oid)
 		}
 		o := h.store.Get(oid)
@@ -351,8 +373,9 @@ func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 		if !ok {
 			return fmt.Errorf("gc: oracle-dead object %v has no placement", oid)
 		}
-		h.oracleDead[oid] = struct{}{}
-		h.oracleDeadBytes[p] += o.Size
+		h.oracleDead.Set(oid, true)
+		*counterAt(&h.oracleDeadBytes, p) += o.Size
+		h.garbage += o.Size
 		h.totalGarbage += uint64(o.Size)
 	}
 	return nil
@@ -360,16 +383,10 @@ func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 
 // ActualGarbageBytes returns the oracle's exact count of unreclaimed
 // garbage bytes in the database.
-func (h *Heap) ActualGarbageBytes() int {
-	n := 0
-	for _, b := range h.oracleDeadBytes {
-		n += b
-	}
-	return n
-}
+func (h *Heap) ActualGarbageBytes() int { return h.garbage }
 
 // OracleGarbageIn returns the exact garbage bytes in one partition.
-func (h *Heap) OracleGarbageIn(p storage.PartitionID) int { return h.oracleDeadBytes[p] }
+func (h *Heap) OracleGarbageIn(p storage.PartitionID) int { return counter(h.oracleDeadBytes, p) }
 
 // PinnedGarbageBytes returns the bytes of known garbage that the collector
 // could not reclaim right now even if it collected the right partition:
@@ -379,17 +396,11 @@ func (h *Heap) OracleGarbageIn(p storage.PartitionID) int { return h.oracleDeadB
 // segment per collection, and dead cross-partition cycles never release.
 func (h *Heap) PinnedGarbageBytes() int {
 	pinned := 0
-	for oid := range h.oracleDead {
-		p, ok := h.disk.PartitionOf(oid)
-		if !ok {
-			continue
+	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
+		if o := h.store.Get(oid); o != nil && h.ext.Get(oid) > 0 {
+			pinned += o.Size
 		}
-		if h.ExternallyReferenced(p, oid) {
-			if o := h.store.Get(oid); o != nil {
-				pinned += o.Size
-			}
-		}
-	}
+	})
 	return pinned
 }
 
@@ -406,16 +417,10 @@ func (h *Heap) Collections() uint64 { return h.totalCollections }
 func (h *Heap) OverwriteClock() uint64 { return h.totalOverwrites }
 
 // PartitionOverwrites returns the FGS counter of one partition.
-func (h *Heap) PartitionOverwrites(p storage.PartitionID) int { return h.po[p] }
+func (h *Heap) PartitionOverwrites(p storage.PartitionID) int { return counter(h.po, p) }
 
 // SumPartitionOverwrites returns Σ_p PO(p), the FGS state total.
-func (h *Heap) SumPartitionOverwrites() int {
-	n := 0
-	for _, v := range h.po {
-		n += v
-	}
-	return n
-}
+func (h *Heap) SumPartitionOverwrites() int { return h.poTotal }
 
 // DatabaseBytes returns occupied bytes (live + garbage): the SAGA notion of
 // database size.
@@ -460,79 +465,65 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		return CollectionResult{}, err
 	}
 
-	// All working sets below live in the reusable scratch.
+	// The lists below live in the reusable scratch. members is ascending,
+	// and so is everything filtered from it.
 	sc := &h.scratch
-	clear(sc.memberSet)
-	clear(sc.seen)
-	clear(sc.liveSize)
 	members := h.disk.AppendObjectsIn(sc.members[:0], p)
 	sc.members = members
-	memberSet := sc.memberSet
-	for _, oid := range members {
-		memberSet[oid] = struct{}{}
+	h.epoch++
+	if h.epoch == 0 {
+		// Wrapped: marks left 2^32 collections ago would read as current.
+		h.mark = objstore.Table[uint32]{}
+		h.epoch = 1
 	}
 
 	// Partition roots: database roots and externally referenced objects.
 	// They seed the traversal queue; live objects are appended behind them.
 	queue := sc.queue[:0]
 	for _, oid := range members {
-		if h.store.IsRoot(oid) || h.ExternallyReferenced(p, oid) {
+		if h.store.IsRoot(oid) || h.ext.Get(oid) > 0 {
+			h.mark.Set(oid, h.epoch)
 			queue = append(queue, oid)
 		}
 	}
 
-	// Cheney breadth-first copy within the partition. The live list is the
-	// copy order; pointers leaving the partition are not traversed.
-	live := sc.live[:0]
-	seen := sc.seen
-	for _, oid := range queue {
-		seen[oid] = struct{}{}
-	}
+	// Cheney breadth-first copy within the partition. The queue, once
+	// drained, is the live list in copy order; pointers leaving the
+	// partition are not traversed.
+	liveBytes := 0
 	for head := 0; head < len(queue); head++ {
 		oid := queue[head]
-		live = append(live, oid)
 		o := h.store.Get(oid)
 		if o == nil {
 			return CollectionResult{}, fmt.Errorf("gc: placed object %v missing from store", oid)
 		}
+		liveBytes += o.Size
 		for _, t := range o.Slots {
 			if t.IsNil() {
 				continue
 			}
-			if _, inPart := memberSet[t]; !inPart {
+			if tp, ok := h.disk.PartitionOf(t); !ok || tp != p {
 				continue
 			}
-			if _, dup := seen[t]; dup {
+			if h.mark.Get(t) == h.epoch {
 				continue
 			}
-			seen[t] = struct{}{}
+			h.mark.Set(t, h.epoch)
 			queue = append(queue, t)
 		}
 	}
 	sc.queue = queue
-	sc.live = live
+	live := queue
 
 	// Everything unreached is garbage. Tear down its bookkeeping before
-	// compaction removes its placement. Sizes are captured up front so the
-	// compaction callback below cannot encounter a missing object.
-	liveBytes := 0
-	liveSize := sc.liveSize
-	for _, oid := range live {
-		o := h.store.Get(oid)
-		if o == nil {
-			return CollectionResult{}, fmt.Errorf("gc: live object %v missing from store", oid)
-		}
-		liveSize[oid] = o.Size
-		liveBytes += o.Size
-	}
+	// compaction removes its placement.
 	deadList := sc.deadList[:0]
 	for _, oid := range members {
-		if _, ok := seen[oid]; !ok {
+		if h.mark.Get(oid) != h.epoch {
 			deadList = append(deadList, oid)
 		}
 	}
 	sc.deadList = deadList
-	slices.Sort(deadList)
 
 	// Log the whole reclaim as one WAL record before any object leaves the
 	// store: either the commit containing it lands and every reclaimed
@@ -562,38 +553,41 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 				return CollectionResult{}, fmt.Errorf("gc: dead object %v references unplaced %v", oid, t)
 			}
 			if tp != p {
-				h.remsetRemove(tp, t, oid)
+				if err := h.forget(tp, t, oid); err != nil {
+					return CollectionResult{}, err
+				}
 			}
 		}
 		// The oracle must have known: partitioned tracing is conservative
 		// with respect to true reachability. In oracleless (live) mode the
 		// collector is the discoverer: garbage enters the cumulative ledger
 		// the moment it is reclaimed, keeping created−collected==outstanding.
-		if _, known := h.oracleDead[oid]; !known {
+		if !h.oracleDead.Get(oid) {
 			if !h.oracleless {
 				return CollectionResult{}, fmt.Errorf("gc: collector reclaimed %v which the oracle believes live", oid)
 			}
 			h.totalGarbage += uint64(o.Size)
 		} else {
-			delete(h.oracleDead, oid)
-			h.oracleDeadBytes[p] -= o.Size
+			h.oracleDead.Set(oid, false)
+			*counterAt(&h.oracleDeadBytes, p) -= o.Size
+			h.garbage -= o.Size
 		}
+		h.mark.Set(oid, 0)
 		if err := h.store.Remove(oid); err != nil {
 			return CollectionResult{}, err
 		}
 	}
-	if len(deadList) > 0 && h.oracleDeadBytes[p] < 0 {
+	if counter(h.oracleDeadBytes, p) < 0 {
 		return CollectionResult{}, fmt.Errorf("gc: negative oracle garbage in partition %d", p)
 	}
 
-	// Compact survivors in copy order. The sizeOf callback reads the scratch
-	// liveSize map; Compact uses it within the call only.
+	// Compact survivors in copy order.
 	if h.retry == nil {
-		_, err = h.disk.Compact(p, live, func(oid objstore.OID) int { return liveSize[oid] })
+		_, err = h.disk.Compact(p, live)
 	} else {
 		//lint:allow hotalloc closure built only when fault-injection retry is installed
 		err = h.retry("compact", func() error {
-			_, err := h.disk.Compact(p, live, func(oid objstore.OID) int { return liveSize[oid] })
+			_, err := h.disk.Compact(p, live)
 			return err
 		})
 	}
@@ -605,29 +599,8 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	// referencing object must be rewritten; with logical OIDs (the
 	// default), only the resident object table changes, at no I/O cost.
 	if h.physicalFixups {
-		clear(sc.fixups)
-		fixups := sc.fixups
-		for _, srcs := range h.remset[p] {
-			for src := range srcs {
-				fixups[src] = struct{}{}
-			}
-		}
-		fixupList := sc.fixupList[:0]
-		for src := range fixups {
-			fixupList = append(fixupList, src)
-		}
-		sc.fixupList = fixupList
-		slices.Sort(fixupList)
-		for _, src := range fixupList {
-			if h.retry == nil {
-				err = h.disk.Touch(src, true)
-			} else {
-				//lint:allow hotalloc closure built only when fault-injection retry is installed
-				err = h.retry("fixup", func() error { return h.disk.Touch(src, true) })
-			}
-			if err != nil {
-				return CollectionResult{}, err
-			}
+		if err := h.fixExternalPointers(p); err != nil {
+			return CollectionResult{}, err
 		}
 	}
 
@@ -645,8 +618,11 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		return CollectionResult{}, err
 	}
 
-	po := h.po[p]
-	h.po[p] = 0
+	po := counter(h.po, p)
+	if po != 0 {
+		h.po[p] = 0
+		h.poTotal -= po
+	}
 	h.totalCollected += uint64(reclaimedBytes)
 	h.totalCollections++
 
@@ -661,101 +637,97 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}, nil
 }
 
+// fixExternalPointers rewrites, in ascending OID order, every object outside
+// partition p that holds a pointer into it.
+func (h *Heap) fixExternalPointers(p storage.PartitionID) error {
+	var touchErr error
+	var last objstore.OID
+	err := h.externalRefs(func(part storage.PartitionID, _, src objstore.OID) {
+		if part != p || src == last || touchErr != nil {
+			return
+		}
+		last = src
+		if h.retry == nil {
+			touchErr = h.disk.Touch(src, true)
+		} else {
+			//lint:allow hotalloc closure built only when fault-injection retry is installed
+			touchErr = h.retry("fixup", func() error { return h.disk.Touch(src, true) })
+		}
+	})
+	return cmp.Or(touchErr, err)
+}
+
 // CheckInvariants cross-validates the heap's incremental bookkeeping against
 // ground truth recomputed from the store. Expensive; used in tests.
 func (h *Heap) CheckInvariants() error {
 	if err := h.disk.CheckInvariants(); err != nil {
 		return err
 	}
-	// Rebuild remembered sets from scratch and compare.
-	want := make(map[storage.PartitionID]map[objstore.OID]map[objstore.OID]int)
-	var rebuildErr error
-	h.store.ForEach(func(o *objstore.Object) {
-		if rebuildErr != nil {
+	// Recount the remembered external references from the graph and compare.
+	var want objstore.Table[int32]
+	if err := h.externalRefs(func(_ storage.PartitionID, dst, _ objstore.OID) {
+		want.Set(dst, want.Get(dst)+1)
+	}); err != nil {
+		return err
+	}
+	var err error
+	mismatch := func(dst objstore.OID, _ int32) {
+		if err == nil && h.ext.Get(dst) != want.Get(dst) {
+			p, _ := h.disk.PartitionOf(dst)
+			err = fmt.Errorf("gc: partition %d remembers %d external references to %v, ground truth %d",
+				p, h.ext.Get(dst), dst, want.Get(dst))
+		}
+	}
+	want.ForEach(mismatch)
+	h.ext.ForEach(mismatch)
+	if err != nil {
+		return err
+	}
+	// Every stored total is the sum of its parts.
+	poSum := 0
+	for _, n := range h.po {
+		poSum += n
+	}
+	if poSum != h.poTotal {
+		return fmt.Errorf("gc: overwrite total %d but partition counters sum to %d", h.poTotal, poSum)
+	}
+	// Oracle ledger consistency, partition by partition.
+	//lint:allow hotalloc validation sweep: one count array per call
+	deadBytes := make([]int, h.disk.NumPartitions())
+	live := h.store.Reachable()
+	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
+		if err != nil {
 			return
 		}
-		srcPart, ok := h.disk.PartitionOf(o.OID)
-		if !ok {
-			rebuildErr = fmt.Errorf("gc: object %v in store but not placed", o.OID)
-			return
-		}
-		for _, t := range o.Slots {
-			if t.IsNil() {
-				continue
-			}
-			tPart, ok := h.disk.PartitionOf(t)
-			if !ok {
-				rebuildErr = fmt.Errorf("gc: object %v references unplaced %v", o.OID, t)
-				return
-			}
-			if tPart == srcPart {
-				continue
-			}
-			m := want[tPart]
-			if m == nil {
-				m = make(map[objstore.OID]map[objstore.OID]int)
-				want[tPart] = m
-			}
-			srcs := m[t]
-			if srcs == nil {
-				srcs = make(map[objstore.OID]int)
-				m[t] = srcs
-			}
-			srcs[o.OID]++
+		o := h.store.Get(oid)
+		p, placed := h.disk.PartitionOf(oid)
+		switch {
+		case o == nil || !placed:
+			err = fmt.Errorf("gc: oracle-dead object %v missing from store", oid)
+		case live.Get(oid):
+			// Every oracle-dead object must be truly unreachable (soundness).
+			err = fmt.Errorf("gc: oracle-dead object %v is reachable", oid)
+		default:
+			deadBytes[p] += o.Size
 		}
 	})
-	if rebuildErr != nil {
-		return rebuildErr
+	if err != nil {
+		return err
 	}
-	for p, m := range h.remset {
-		for dst, srcs := range m {
-			for src, n := range srcs {
-				if want[p][dst][src] != n {
-					return fmt.Errorf("gc: remset[%d][%v][%v]=%d, ground truth %d",
-						p, dst, src, n, want[p][dst][src])
-				}
-			}
-		}
-	}
-	for p, m := range want {
-		for dst, srcs := range m {
-			for src, n := range srcs {
-				if h.remset[p][dst][src] != n {
-					return fmt.Errorf("gc: remset[%d][%v][%v] missing entry with ground truth %d",
-						p, dst, src, n)
-				}
-			}
-		}
-	}
-	// Oracle ledger consistency.
 	sum := 0
-	for p, b := range h.oracleDeadBytes {
-		if b < 0 {
-			return fmt.Errorf("gc: negative oracle garbage %d in partition %d", b, p)
+	for p, want := range deadBytes {
+		got := counter(h.oracleDeadBytes, storage.PartitionID(p))
+		if got != want {
+			return fmt.Errorf("gc: oracle garbage bytes %d in partition %d disagree with dead set total %d", got, p, want)
 		}
-		sum += b
+		sum += got
 	}
-	check := 0
-	for oid := range h.oracleDead {
-		o := h.store.Get(oid)
-		if o == nil {
-			return fmt.Errorf("gc: oracle-dead object %v missing from store", oid)
-		}
-		check += o.Size
-	}
-	if sum != check {
-		return fmt.Errorf("gc: oracle garbage bytes %d disagree with dead set total %d", sum, check)
+	if sum != h.garbage {
+		return fmt.Errorf("gc: garbage total %d but partitions sum to %d", h.garbage, sum)
 	}
 	if h.totalGarbage-h.totalCollected != uint64(sum) {
 		return fmt.Errorf("gc: ledger mismatch: created %d - collected %d != outstanding %d",
 			h.totalGarbage, h.totalCollected, sum)
-	}
-	// Every oracle-dead object must be truly unreachable (soundness).
-	live := h.store.Reachable()
-	for oid := range h.oracleDead {
-		if _, isLive := live[oid]; isLive {
-			return fmt.Errorf("gc: oracle-dead object %v is reachable", oid)
-		}
 	}
 	return nil
 }
@@ -771,17 +743,15 @@ func (h *Heap) CheckOracleComplete() error {
 		return nil
 	}
 	live := h.store.Reachable()
-	deadCount := 0
-	var sample objstore.OID
-	h.store.ForEach(func(o *objstore.Object) {
-		if _, isLive := live[o.OID]; !isLive {
-			deadCount++
-			sample = o.OID
-		}
-	})
-	if deadCount != len(h.oracleDead) {
+	if dead := h.store.Len() - live.Len(); dead != h.oracleDead.Len() {
+		var sample objstore.OID
+		h.store.ForEach(func(o *objstore.Object) {
+			if !live.Get(o.OID) {
+				sample = o.OID
+			}
+		})
 		return fmt.Errorf("gc: %d unreachable objects but oracle knows %d (e.g. %v)",
-			deadCount, len(h.oracleDead), sample)
+			dead, h.oracleDead.Len(), sample)
 	}
 	return nil
 }

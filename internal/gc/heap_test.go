@@ -11,7 +11,7 @@ import (
 // testHeap builds a heap over a tiny geometry: 100-byte pages, 4-page
 // (400-byte) partitions, 4-page buffer. Objects of size 100 fill exactly
 // one page, so placement is easy to reason about.
-func testHeap(t *testing.T) *Heap {
+func testHeap(t testing.TB) *Heap {
 	t.Helper()
 	disk, err := storage.NewManager(storage.Config{PageSize: 100, PagesPerPartition: 4, BufferPages: 4})
 	if err != nil {

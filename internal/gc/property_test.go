@@ -47,16 +47,14 @@ func TestHeapRandomOpsProperty(t *testing.T) {
 		oids = append(oids, next)
 		next++
 
-		reachable := func() map[objstore.OID]struct{} { return st.Reachable() }
-
 		// declareNewDead syncs the oracle with ground truth after an
 		// unlink: everything alive in the store but unreachable and not
 		// yet declared is newly dead.
 		declareNewDead := func() bool {
-			live := reachable()
+			live := st.Reachable()
 			var newly []objstore.OID
 			st.ForEach(func(o *objstore.Object) {
-				if _, ok := live[o.OID]; ok {
+				if live.Get(o.OID) {
 					return
 				}
 				if !declaredDead[o.OID] {

@@ -1,8 +1,9 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/storage"
@@ -44,8 +45,38 @@ type HeapSnapshot struct {
 	Oracleless       bool
 }
 
-func sortCounters(cs []PartitionCounter) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Part < cs[j].Part })
+// counters lists the non-zero entries of a partition-indexed counter slice.
+func counters(s []int) []PartitionCounter {
+	var out []PartitionCounter
+	for p, n := range s {
+		if n != 0 {
+			out = append(out, PartitionCounter{Part: storage.PartitionID(p), Value: n})
+		}
+	}
+	return out
+}
+
+// remsetEntries derives the remembered sets from the graph, sorted by
+// (partition, target, source) with one entry per distinct triple. A heap
+// with an unplaced object yields a short list, which fails the restore's
+// comparison against the graph.
+func (h *Heap) remsetEntries() []RemsetEntry {
+	var out []RemsetEntry
+	_ = h.externalRefs(func(p storage.PartitionID, dst, src objstore.OID) {
+		out = append(out, RemsetEntry{Part: p, Dst: dst, Src: src, Count: 1})
+	})
+	slices.SortFunc(out, func(a, b RemsetEntry) int {
+		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src))
+	})
+	merged := out[:0]
+	for _, e := range out {
+		if n := len(merged); n > 0 && merged[n-1].Part == e.Part && merged[n-1].Dst == e.Dst && merged[n-1].Src == e.Src {
+			merged[n-1].Count++
+		} else {
+			merged = append(merged, e)
+		}
+	}
+	return merged
 }
 
 // Snapshot captures the heap, its object store, and its storage manager.
@@ -53,51 +84,39 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 	st := &HeapSnapshot{
 		Store:            h.store.Snapshot(),
 		Disk:             h.disk.Snapshot(),
+		Remset:           h.remsetEntries(),
+		Overwrites:       counters(h.po),
 		TotalOverwrites:  h.totalOverwrites,
+		OracleDeadBytes:  counters(h.oracleDeadBytes),
 		TotalGarbage:     h.totalGarbage,
 		TotalCollected:   h.totalCollected,
 		TotalCollections: h.totalCollections,
 		PhysicalFixups:   h.physicalFixups,
 		Oracleless:       h.oracleless,
 	}
-	for p, m := range h.remset {
-		for dst, srcs := range m {
-			for src, n := range srcs {
-				st.Remset = append(st.Remset, RemsetEntry{Part: p, Dst: dst, Src: src, Count: n})
-			}
-		}
-	}
-	sort.Slice(st.Remset, func(i, j int) bool {
-		a, b := st.Remset[i], st.Remset[j]
-		if a.Part != b.Part {
-			return a.Part < b.Part
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Src < b.Src
-	})
-	for p, n := range h.po {
-		if n != 0 {
-			st.Overwrites = append(st.Overwrites, PartitionCounter{Part: p, Value: n})
-		}
-	}
-	sortCounters(st.Overwrites)
-	for oid := range h.oracleDead {
-		st.OracleDead = append(st.OracleDead, oid)
-	}
-	sort.Slice(st.OracleDead, func(i, j int) bool { return st.OracleDead[i] < st.OracleDead[j] })
-	for p, b := range h.oracleDeadBytes {
-		if b != 0 {
-			st.OracleDeadBytes = append(st.OracleDeadBytes, PartitionCounter{Part: p, Value: b})
-		}
-	}
-	sortCounters(st.OracleDeadBytes)
+	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) { st.OracleDead = append(st.OracleDead, oid) })
 	return st
 }
 
+// restoreCounters fills a partition-indexed counter slice from its snapshot
+// form and returns the sum.
+func (h *Heap) restoreCounters(dst *[]int, cs []PartitionCounter) (int, error) {
+	sum := 0
+	for _, c := range cs {
+		if c.Part < 0 || int(c.Part) >= h.disk.NumPartitions() {
+			return 0, fmt.Errorf("gc: snapshot counter for unknown partition %d", c.Part)
+		}
+		*counterAt(dst, c.Part) = c.Value
+		sum += c.Value
+	}
+	return sum, nil
+}
+
 // RestoreHeap rebuilds a heap (with its store and storage manager) from a
-// snapshot and cross-validates the result.
+// snapshot and cross-validates the result. The per-object reference counts
+// and the running totals are not in the snapshot: they are rebuilt from the
+// graph and the per-partition counters, and the snapshot's remembered sets
+// must be exactly what the graph implies.
 func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 	if st == nil {
 		return nil, fmt.Errorf("gc: nil heap snapshot")
@@ -106,6 +125,16 @@ func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The store has vetted its OIDs against its horizon; a placement for an
+	// object it does not hold is damage, and must not size the placement
+	// table.
+	if st.Disk != nil {
+		for _, pe := range st.Disk.Placements {
+			if store.Get(pe.OID) == nil {
+				return nil, fmt.Errorf("gc: snapshot places %v, which is not in the snapshot store", pe.OID)
+			}
+		}
+	}
 	disk, err := storage.RestoreManager(st.Disk)
 	if err != nil {
 		return nil, err
@@ -113,33 +142,23 @@ func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 	h := NewHeap(store, disk)
 	h.physicalFixups = st.PhysicalFixups
 	h.oracleless = st.Oracleless
-	for _, e := range st.Remset {
-		if e.Count <= 0 {
-			return nil, fmt.Errorf("gc: non-positive remset count %d for %v->%v", e.Count, e.Src, e.Dst)
-		}
-		m := h.remset[e.Part]
-		if m == nil {
-			m = make(map[objstore.OID]map[objstore.OID]int)
-			h.remset[e.Part] = m
-		}
-		srcs := m[e.Dst]
-		if srcs == nil {
-			srcs = make(map[objstore.OID]int)
-			m[e.Dst] = srcs
-		}
-		srcs[e.Src] = e.Count
+	if !slices.Equal(h.remsetEntries(), st.Remset) {
+		return nil, fmt.Errorf("gc: snapshot remembered sets disagree with the snapshot object graph")
 	}
-	for _, c := range st.Overwrites {
-		h.po[c.Part] = c.Value
+	for _, e := range st.Remset {
+		h.ext.Set(e.Dst, h.ext.Get(e.Dst)+int32(e.Count))
+	}
+	if h.poTotal, err = h.restoreCounters(&h.po, st.Overwrites); err != nil {
+		return nil, err
 	}
 	for _, oid := range st.OracleDead {
 		if store.Get(oid) == nil {
 			return nil, fmt.Errorf("gc: oracle-dead object %v missing from snapshot store", oid)
 		}
-		h.oracleDead[oid] = struct{}{}
+		h.oracleDead.Set(oid, true)
 	}
-	for _, c := range st.OracleDeadBytes {
-		h.oracleDeadBytes[c.Part] = c.Value
+	if h.garbage, err = h.restoreCounters(&h.oracleDeadBytes, st.OracleDeadBytes); err != nil {
+		return nil, err
 	}
 	h.totalOverwrites = st.TotalOverwrites
 	h.totalGarbage = st.TotalGarbage

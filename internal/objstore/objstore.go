@@ -10,8 +10,8 @@
 package objstore
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 )
 
 // OID identifies an object for its entire lifetime. OIDs are never reused.
@@ -89,26 +89,29 @@ func (o *Object) Clone() *Object {
 // concurrent use; the simulator is single-threaded by design (the paper
 // assumes the database is locked during collection).
 type Store struct {
-	objects map[OID]*Object
-	roots   map[OID]struct{}
+	objects Table[*Object]
+	roots   Table[bool]
 	nextOID OID
 
 	totalBytes int // sum of sizes of all objects present in the table
-
-	// iterScratch is ForEach's reusable sorted-OID buffer. ForEach does not
-	// hand it to the callback, so the only constraint is that callbacks must
-	// not call ForEach recursively.
-	iterScratch []OID
 }
 
 // NewStore returns an empty object store.
 func NewStore() *Store {
-	return &Store{
-		objects: make(map[OID]*Object),
-		roots:   make(map[OID]struct{}),
-		nextOID: 1,
-	}
+	return &Store{nextOID: 1}
 }
+
+// maxOIDGap is how far past the allocation horizon (NextOID) CreateWithOID
+// still accepts an OID. Generators, the server and recovery all hand out OIDs
+// densely, so a larger jump is a damaged input — a bit-flipped trace event, a
+// corrupt snapshot — and honouring it would size the table directory by the
+// damage. Recovery, whose survivors can sit far apart, declares its horizon
+// with AdvanceNextOID first.
+const maxOIDGap = 1 << 20
+
+// ErrOIDRange marks a create refused because its OID lies further than
+// maxOIDGap past the allocation horizon.
+var ErrOIDRange = errors.New("objstore: OID beyond the allocation horizon")
 
 // NextOID returns the OID that the next Create call will assign.
 func (s *Store) NextOID() OID { return s.nextOID }
@@ -124,7 +127,7 @@ func (s *Store) AdvanceNextOID(n OID) {
 }
 
 // Len returns the number of objects in the table.
-func (s *Store) Len() int { return len(s.objects) }
+func (s *Store) Len() int { return s.objects.Len() }
 
 // TotalBytes returns the sum of the sizes of every object in the table,
 // whether live or garbage. This is the "occupied bytes" notion of database
@@ -134,43 +137,30 @@ func (s *Store) TotalBytes() int { return s.totalBytes }
 // Create allocates a new object with the given class, size and slot count,
 // assigns it a fresh OID and enters it in the table. All slots start nil.
 func (s *Store) Create(class Class, size, nslots int) (*Object, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("objstore: negative object size %d", size)
-	}
-	if nslots < 0 {
-		return nil, fmt.Errorf("objstore: negative slot count %d", nslots)
-	}
-	//lint:allow hotalloc the allocation is the object being created; it lives in the table
-	o := &Object{
-		OID:   s.nextOID,
-		Class: class,
-		Size:  size,
-		//lint:allow hotalloc slot array lives as long as the object
-		Slots: make([]OID, nslots),
-	}
-	s.nextOID++
-	s.objects[o.OID] = o
-	s.totalBytes += size
-	return o, nil
+	return s.CreateWithOID(s.nextOID, class, size, nslots)
 }
 
 // CreateWithOID enters an object with a caller-chosen OID, used when
 // replaying traces whose OIDs were assigned by the generator. It returns an
-// error if the OID is nil or already present. The internal OID counter is
-// advanced past the given OID so later Create calls cannot collide.
+// error if the OID is nil, already present, or more than maxOIDGap past the
+// allocation horizon (ErrOIDRange). The internal OID counter is advanced past
+// the given OID so later Create calls cannot collide.
 func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, error) {
 	if oid.IsNil() {
 		return nil, fmt.Errorf("objstore: cannot create object with nil OID")
 	}
-	if _, dup := s.objects[oid]; dup {
+	if s.objects.Get(oid) != nil {
 		return nil, fmt.Errorf("objstore: duplicate OID %v", oid)
+	}
+	if oid >= s.nextOID && oid-s.nextOID >= maxOIDGap {
+		return nil, fmt.Errorf("%w: %v with next OID %v", ErrOIDRange, oid, s.nextOID)
 	}
 	if size < 0 || nslots < 0 {
 		return nil, fmt.Errorf("objstore: invalid size %d or slot count %d", size, nslots)
 	}
 	//lint:allow hotalloc the allocation is the object being created; it lives in the table
 	o := &Object{OID: oid, Class: class, Size: size, Slots: make([]OID, nslots)}
-	s.objects[oid] = o
+	s.objects.Set(oid, o)
 	s.totalBytes += size
 	if oid >= s.nextOID {
 		s.nextOID = oid + 1
@@ -180,19 +170,19 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 
 // Get returns the object with the given OID, or nil if absent.
 func (s *Store) Get(oid OID) *Object {
-	return s.objects[oid]
+	return s.objects.Get(oid)
 }
 
 // Remove deletes an object from the table (after it has been reclaimed by
 // the collector). Removing an absent OID is an error; reclaiming the same
 // object twice indicates a collector bug.
 func (s *Store) Remove(oid OID) error {
-	o := s.objects[oid]
+	o := s.objects.Get(oid)
 	if o == nil {
 		return fmt.Errorf("objstore: remove of absent object %v", oid)
 	}
-	delete(s.objects, oid)
-	delete(s.roots, oid)
+	s.objects.Set(oid, nil)
+	s.roots.Set(oid, false)
 	s.totalBytes -= o.Size
 	return nil
 }
@@ -200,17 +190,15 @@ func (s *Store) Remove(oid OID) error {
 // SetSlot overwrites pointer slot i of the object src to point at dst
 // (which may be NilOID). It returns the previous slot value.
 func (s *Store) SetSlot(src OID, i int, dst OID) (old OID, err error) {
-	o := s.objects[src]
+	o := s.objects.Get(src)
 	if o == nil {
 		return NilOID, fmt.Errorf("objstore: set slot on absent object %v", src)
 	}
 	if i < 0 || i >= len(o.Slots) {
 		return NilOID, fmt.Errorf("objstore: slot %d out of range [0,%d) on %v", i, len(o.Slots), src)
 	}
-	if !dst.IsNil() {
-		if _, ok := s.objects[dst]; !ok {
-			return NilOID, fmt.Errorf("objstore: slot target %v does not exist", dst)
-		}
+	if !dst.IsNil() && s.objects.Get(dst) == nil {
+		return NilOID, fmt.Errorf("objstore: slot target %v does not exist", dst)
 	}
 	old = o.Slots[i]
 	o.Slots[i] = dst
@@ -219,88 +207,63 @@ func (s *Store) SetSlot(src OID, i int, dst OID) (old OID, err error) {
 
 // AddRoot marks an object as a persistent root. Roots are always reachable.
 func (s *Store) AddRoot(oid OID) error {
-	if _, ok := s.objects[oid]; !ok {
+	if s.objects.Get(oid) == nil {
 		return fmt.Errorf("objstore: cannot root absent object %v", oid)
 	}
-	s.roots[oid] = struct{}{}
+	s.roots.Set(oid, true)
 	return nil
 }
 
 // RemoveRoot clears the root mark from an object. It is not an error if the
 // object was not a root.
 func (s *Store) RemoveRoot(oid OID) {
-	delete(s.roots, oid)
+	s.roots.Set(oid, false)
 }
 
 // IsRoot reports whether the object is in the persistent root set.
-func (s *Store) IsRoot(oid OID) bool {
-	_, ok := s.roots[oid]
-	return ok
-}
+func (s *Store) IsRoot(oid OID) bool { return s.roots.Get(oid) }
 
 // NumRoots returns the size of the persistent root set without building the
-// sorted slice Roots returns — the form statistics paths should use.
-func (s *Store) NumRoots() int { return len(s.roots) }
+// slice Roots returns — the form statistics paths should use.
+func (s *Store) NumRoots() int { return s.roots.Len() }
 
 // Roots returns the persistent root set in ascending OID order.
 func (s *Store) Roots() []OID {
-	out := make([]OID, 0, len(s.roots))
-	for oid := range s.roots {
-		out = append(out, oid)
-	}
-	slices.Sort(out)
+	out := make([]OID, 0, s.roots.Len())
+	s.roots.ForEach(func(oid OID, _ bool) { out = append(out, oid) })
 	return out
 }
 
 // ForEach calls fn for every object in the table in ascending OID order.
 // The order is deterministic so that simulation replay is reproducible.
-// The callback must not call ForEach (the sorted index is shared scratch).
+// The callback must not create or remove objects.
 func (s *Store) ForEach(fn func(*Object)) {
-	oids := s.iterScratch[:0]
-	for oid := range s.objects {
-		oids = append(oids, oid)
-	}
-	s.iterScratch = oids
-	slices.Sort(oids)
-	for _, oid := range oids {
-		fn(s.objects[oid])
-	}
+	s.objects.ForEach(func(_ OID, o *Object) { fn(o) })
 }
 
 // Reachable computes the set of objects reachable from the persistent roots
 // by breadth-first traversal of pointer slots. It is O(objects) and intended
 // for validation, statistics, and tests — not for the simulation fast path.
-func (s *Store) Reachable() map[OID]struct{} {
+func (s *Store) Reachable() *Table[bool] {
 	//lint:allow hotalloc the reachable set is the product, returned to the caller
-	seen := make(map[OID]struct{}, len(s.objects))
-	// Seed from the roots in sorted order so the traversal order — and
-	// therefore any caller that iterates the queue's side effects — is
-	// deterministic. The queue is sized for the whole table up front.
+	seen := new(Table[bool])
+	// The queue is sized for the whole table up front.
 	//lint:allow hotalloc validation-path whole-table scan; the queue is sized once per call
-	queue := make([]OID, 0, len(s.objects))
-	for oid := range s.roots {
+	queue := make([]OID, 0, s.objects.Len())
+	s.roots.ForEach(func(oid OID, _ bool) {
+		seen.Set(oid, true)
 		queue = append(queue, oid)
-	}
-	slices.Sort(queue)
-	for _, oid := range queue {
-		seen[oid] = struct{}{}
-	}
+	})
 	for head := 0; head < len(queue); head++ {
-		o := s.objects[queue[head]]
+		o := s.objects.Get(queue[head])
 		if o == nil {
 			continue
 		}
 		for _, t := range o.Slots {
-			if t.IsNil() {
+			if t.IsNil() || seen.Get(t) || s.objects.Get(t) == nil {
 				continue
 			}
-			if _, ok := seen[t]; ok {
-				continue
-			}
-			if _, exists := s.objects[t]; !exists {
-				continue
-			}
-			seen[t] = struct{}{}
+			seen.Set(t, true)
 			queue = append(queue, t)
 		}
 	}
@@ -313,11 +276,11 @@ func (s *Store) Reachable() map[OID]struct{} {
 func (s *Store) GarbageBytes() int {
 	live := s.Reachable()
 	garb := 0
-	for oid, o := range s.objects {
-		if _, ok := live[oid]; !ok {
+	s.ForEach(func(o *Object) {
+		if !live.Get(o.OID) {
 			garb += o.Size
 		}
-	}
+	})
 	return garb
 }
 
@@ -338,45 +301,41 @@ type ClassStats struct {
 // Stats computes a summary of the object table.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Objects:    len(s.objects),
+		Objects:    s.objects.Len(),
 		TotalBytes: s.totalBytes,
-		Roots:      len(s.roots),
+		Roots:      s.roots.Len(),
 		ByClass:    make(map[Class]ClassStats),
 	}
-	for _, o := range s.objects {
+	s.ForEach(func(o *Object) {
 		cs := st.ByClass[o.Class]
 		cs.Count++
 		cs.Bytes += o.Size
 		st.ByClass[o.Class] = cs
-	}
+	})
 	return st
 }
 
 // AverageObjectSize returns the mean object size in bytes, or 0 for an empty
 // store. The paper reports ≈133 bytes for the OO7 Small' database.
 func (s *Store) AverageObjectSize() float64 {
-	if len(s.objects) == 0 {
+	if s.objects.Len() == 0 {
 		return 0
 	}
-	return float64(s.totalBytes) / float64(len(s.objects))
+	return float64(s.totalBytes) / float64(s.objects.Len())
 }
 
 // InDegrees computes, for every object, the number of pointer slots in other
 // objects that reference it. Used to validate the connectivity claims of the
 // OO7 generator (average connectivity ≈ 4 at NumConnPerAtomic = 3).
 func (s *Store) InDegrees() map[OID]int {
-	in := make(map[OID]int, len(s.objects))
-	for oid := range s.objects {
-		in[oid] = 0
-	}
-	for _, o := range s.objects {
+	in := make(map[OID]int, s.objects.Len())
+	s.ForEach(func(o *Object) { in[o.OID] = 0 })
+	s.ForEach(func(o *Object) {
 		for _, t := range o.Slots {
-			if !t.IsNil() {
-				if _, ok := s.objects[t]; ok {
-					in[t]++
-				}
+			if !t.IsNil() && s.objects.Get(t) != nil {
+				in[t]++
 			}
 		}
-	}
+	})
 	return in
 }

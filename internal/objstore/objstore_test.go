@@ -149,10 +149,10 @@ func TestReachable(t *testing.T) {
 	orphan := mustCreate(t, s, ClassDocument, 99, 0)
 
 	live := s.Reachable()
-	if len(live) != 5 {
-		t.Fatalf("reachable = %d objects, want 5", len(live))
+	if live.Len() != 5 {
+		t.Fatalf("reachable = %d objects, want 5", live.Len())
 	}
-	if _, ok := live[orphan.OID]; ok {
+	if live.Get(orphan.OID) {
 		t.Error("orphan reported reachable")
 	}
 	if s.GarbageBytes() != 99 {
@@ -164,8 +164,8 @@ func TestReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	live = s.Reachable()
-	if len(live) != 2 {
-		t.Errorf("after cut: reachable = %d, want 2", len(live))
+	if live.Len() != 2 {
+		t.Errorf("after cut: reachable = %d, want 2", live.Len())
 	}
 	if s.GarbageBytes() != 99+30 {
 		t.Errorf("after cut: GarbageBytes = %d, want 129", s.GarbageBytes())
@@ -183,7 +183,7 @@ func TestReachableHandlesCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unrooted cycle: nothing reachable, everything garbage.
-	if len(s.Reachable()) != 0 {
+	if s.Reachable().Len() != 0 {
 		t.Error("unrooted cycle reported reachable")
 	}
 	if s.GarbageBytes() != 20 {
@@ -193,7 +193,7 @@ func TestReachableHandlesCycles(t *testing.T) {
 	if err := s.AddRoot(a.OID); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Reachable()) != 2 {
+	if s.Reachable().Len() != 2 {
 		t.Error("rooted cycle not fully reachable")
 	}
 }
@@ -297,21 +297,19 @@ func TestReachableClosureProperty(t *testing.T) {
 		s := randomStore(seed, 60)
 		live := s.Reachable()
 		for _, r := range s.Roots() {
-			if _, ok := live[r]; !ok {
+			if !live.Get(r) {
 				return false
 			}
 		}
-		for oid := range live {
+		closed := true
+		live.ForEach(func(oid OID, _ bool) {
 			for _, tgt := range s.Get(oid).Slots {
-				if tgt.IsNil() {
-					continue
-				}
-				if _, ok := live[tgt]; !ok {
-					return false
+				if !tgt.IsNil() && !live.Get(tgt) {
+					closed = false
 				}
 			}
-		}
-		return true
+		})
+		return closed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -324,9 +322,7 @@ func TestGarbagePartitionProperty(t *testing.T) {
 		s := randomStore(seed, 60)
 		live := s.Reachable()
 		liveBytes := 0
-		for oid := range live {
-			liveBytes += s.Get(oid).Size
-		}
+		live.ForEach(func(oid OID, _ bool) { liveBytes += s.Get(oid).Size })
 		return liveBytes+s.GarbageBytes() == s.TotalBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -338,12 +334,12 @@ func TestGarbagePartitionProperty(t *testing.T) {
 func TestRemoveMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		s := randomStore(seed, 40)
-		before := len(s.Reachable())
+		before := s.Reachable().Len()
 		// Remove the garbage objects; reachable set must be unchanged.
 		live := s.Reachable()
 		var garbage []OID
 		s.ForEach(func(o *Object) {
-			if _, ok := live[o.OID]; !ok {
+			if !live.Get(o.OID) {
 				garbage = append(garbage, o.OID)
 			}
 		})
@@ -354,7 +350,7 @@ func TestRemoveMonotoneProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(s.Reachable()) == before
+		return s.Reachable().Len() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -1,9 +1,6 @@
 package objstore
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ObjectState is one object's checkpointable image.
 type ObjectState struct {
@@ -24,16 +21,15 @@ type StoreSnapshot struct {
 // Snapshot captures the full object table and root set for checkpointing.
 func (s *Store) Snapshot() *StoreSnapshot {
 	st := &StoreSnapshot{NextOID: s.nextOID}
-	st.Objects = make([]ObjectState, 0, len(s.objects))
-	for _, o := range s.objects {
+	st.Objects = make([]ObjectState, 0, s.objects.Len())
+	s.ForEach(func(o *Object) {
 		st.Objects = append(st.Objects, ObjectState{
 			OID:   o.OID,
 			Class: o.Class,
 			Size:  o.Size,
 			Slots: append([]OID(nil), o.Slots...),
 		})
-	}
-	sort.Slice(st.Objects, func(i, j int) bool { return st.Objects[i].OID < st.Objects[j].OID })
+	})
 	st.Roots = s.Roots()
 	return st
 }
@@ -44,20 +40,24 @@ func RestoreStore(st *StoreSnapshot) (*Store, error) {
 		return nil, fmt.Errorf("objstore: nil store snapshot")
 	}
 	s := NewStore()
+	// Every object of a sound snapshot lies below its NextOID. Declaring that
+	// horizon first lets survivors that sit far apart through CreateWithOID's
+	// gap check while an OID damaged into the far distance still fails it.
+	s.AdvanceNextOID(st.NextOID)
 	for _, os := range st.Objects {
-		if _, err := s.CreateWithOID(os.OID, os.Class, os.Size, len(os.Slots)); err != nil {
+		o, err := s.CreateWithOID(os.OID, os.Class, os.Size, len(os.Slots))
+		if err != nil {
 			return nil, err
 		}
-		copy(s.objects[os.OID].Slots, os.Slots)
+		copy(o.Slots, os.Slots)
 	}
 	for _, r := range st.Roots {
 		if err := s.AddRoot(r); err != nil {
 			return nil, err
 		}
 	}
-	if st.NextOID < s.nextOID {
+	if s.nextOID != st.NextOID {
 		return nil, fmt.Errorf("objstore: snapshot NextOID %v below highest object OID", st.NextOID)
 	}
-	s.nextOID = st.NextOID
 	return s, nil
 }

@@ -134,7 +134,7 @@ func structureInvariants(t *testing.T, g *Generator) {
 					continue
 				}
 				liveParts++
-				if _, ok := live[part]; !ok {
+				if !live.Get(part) {
 					t.Fatalf("composite %d: tracked part %v not reachable", ci, part)
 				}
 				po := mustGet(t, st, part)
@@ -148,7 +148,7 @@ func structureInvariants(t *testing.T, g *Generator) {
 					if target.IsNil() {
 						t.Fatalf("connection %v has nil target", conn)
 					}
-					if _, ok := live[target]; !ok {
+					if !live.Get(target) {
 						t.Fatalf("connection %v targets dead part %v", conn, target)
 					}
 					if _, inScope := c.scope[target]; !inScope {
@@ -203,9 +203,7 @@ func TestReorgConservesLiveSize(t *testing.T) {
 	liveBytes := func() int {
 		live := g.Store().Reachable()
 		n := 0
-		for oid := range live {
-			n += mustGet(t, g.Store(), oid).Size
-		}
+		live.ForEach(func(oid objstore.OID, _ bool) { n += mustGet(t, g.Store(), oid).Size })
 		return n
 	}
 	before := liveBytes()
@@ -468,7 +466,7 @@ func TestMediumBuilds(t *testing.T) {
 	if mb := float64(info.Bytes) / (1 << 20); mb < 80 || mb > 150 {
 		t.Errorf("Medium size %.1f MB outside the expected ~100 MB band", mb)
 	}
-	if garb := info.Objects - len(g.Store().Reachable()); garb != 0 {
+	if garb := info.Objects - g.Store().Reachable().Len(); garb != 0 {
 		t.Errorf("fresh Medium database has %d unreachable objects", garb)
 	}
 }

@@ -17,6 +17,12 @@ import (
 // AFTER rebuilding — replaying recovered mutations back into the WAL would
 // double-log them.
 func RebuildHeap(heap *gc.Heap, st *disk.Store) error {
+	// Declare the committed OID horizon before recreating anything. It can
+	// exceed every live OID when the newest objects were reclaimed, and
+	// allocation must never rewind into a range the log has already seen;
+	// and the survivors of a long run sit far apart, which the object store
+	// accepts only below its declared horizon.
+	heap.Store().AdvanceNextOID(st.NextOID())
 	var err error
 	st.ForEach(func(o disk.ObjectState) {
 		if err != nil {
@@ -49,12 +55,5 @@ func RebuildHeap(heap *gc.Heap, st *disk.Store) error {
 			}
 		}
 	})
-	if err != nil {
-		return err
-	}
-	// The OID horizon can exceed every live OID when the newest objects
-	// were reclaimed; never rewind allocation into a range the log has
-	// already seen.
-	heap.Store().AdvanceNextOID(st.NextOID())
-	return nil
+	return err
 }

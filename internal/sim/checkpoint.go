@@ -132,9 +132,12 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 	if n := cfg.Selection.Name(); n != cp.Result.SelectionName {
 		return nil, fmt.Errorf("sim: resume config builds selection %q but the checkpoint was taken with %q", n, cp.Result.SelectionName)
 	}
+	// A heap image that fails its own validation is damaged persisted state,
+	// whatever the field: an OID bit-flipped past the horizon, a dropped
+	// remembered-set entry, a total that no longer adds up.
 	heap, err := gc.RestoreHeap(cp.Heap)
 	if err != nil {
-		return nil, fmt.Errorf("sim: restoring heap: %w", err)
+		return nil, fmt.Errorf("sim: %w", simerr.WrapCorruptCheckpoint("restoring heap", err))
 	}
 	heap.SetPhysicalFixups(cfg.PhysicalFixups)
 	if err := core.RestoreComponent(cfg.Policy, cp.Policy); err != nil {

@@ -12,6 +12,7 @@ import (
 	"odbgc/internal/fault"
 	"odbgc/internal/gc"
 	"odbgc/internal/oo7"
+	"odbgc/internal/simerr"
 	"odbgc/internal/trace"
 )
 
@@ -227,6 +228,26 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 	if _, err := Resume(Config{Policy: mkSAGA()}, cp); err != nil {
 		t.Fatalf("matching config rejected: %v", err)
+	}
+
+	// A heap image that fails validation is a corrupt checkpoint, whichever
+	// field took the damage; an OID flipped into the far distance must not
+	// size a table on the way to that verdict.
+	for name, damage := range map[string]func(*gc.HeapSnapshot){
+		"object OID":    func(h *gc.HeapSnapshot) { h.Store.Objects[len(h.Store.Objects)-1].OID ^= 1 << 57 },
+		"placement OID": func(h *gc.HeapSnapshot) { h.Disk.Placements[0].OID ^= 1 << 57 },
+		"remset entry":  func(h *gc.HeapSnapshot) { h.Remset = h.Remset[1:] },
+		"used bytes":    func(h *gc.HeapSnapshot) { h.Disk.Partitions[0].Used++ },
+	} {
+		bad, err := gobClone(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage(bad.Heap)
+		_, err = Resume(Config{Policy: mkSAGA()}, bad)
+		if !errors.Is(err, simerr.ErrCorruptCheckpoint) {
+			t.Errorf("checkpoint with damaged %s: Resume = %v, want a corrupt-checkpoint error", name, err)
+		}
 	}
 }
 

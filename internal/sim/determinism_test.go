@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -221,5 +224,70 @@ func TestSpanPathDeterministic(t *testing.T) {
 	}
 	if csvA != csvPlain || csvA != csvB {
 		t.Error("span recorder changed the rendered CSV")
+	}
+}
+
+// goldenArtifacts are the SHA-256 digests of the artifacts a seed-1 OO7
+// Small' connectivity-3 replay persists: the mid-run checkpoint, the
+// per-collection CSV and the observer's JSONL event log.
+type goldenArtifacts struct{ ckpt, csv, events string }
+
+// TestGoldenArtifactDigests pins those digests for the two replay workloads of
+// the repository benchmark (SAIO 10 % and fixed-rate 50). They were recorded
+// before the object tables replaced the hash maps under gc.Heap,
+// storage.Manager and objstore.Store: a data-layout change must reproduce
+// every byte, so a digest may only change together with a deliberate change
+// to the simulated behaviour or to a snapshot struct.
+//
+// The checkpoint is digested as the JSON of what its gob bytes decode to,
+// without the nested policy and selection streams: gob numbers types in the
+// order a process first encodes them, so the raw bytes depend on which tests
+// ran earlier (TestRepeatedRunByteIdentical covers them within one process).
+func TestGoldenArtifactDigests(t *testing.T) {
+	tr := smallTrace(t, 3, 1)
+	for _, tc := range []struct {
+		name   string
+		policy func() (core.RatePolicy, error)
+		want   goldenArtifacts
+	}{
+		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, goldenArtifacts{
+			ckpt:   "6cef78ffaa4e158e9f712c9eb9049c3e97dced29460cd19690b98fde909b8393",
+			csv:    "c58d3453b1f1344f7b90754f8980107ff263df90670abedef968f19e1133524f",
+			events: "a3c7e34d334a75cf9bf180697fce80089d180c92ef6da0ec33ef1232233fe153",
+		}},
+		{"fixed-50", func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, goldenArtifacts{
+			ckpt:   "f64961d4dccb70db50465ae2815cd9fb732d030908af30318c0e0a0320a3ef47",
+			csv:    "3caee188ee996aa39da5c765c70094d8ec8e56bad9f210545636d5cca59ca827",
+			events: "0b8f5f27dedb0df29a10152914d1aa1ae4ab86dd7f6f6ce1e8ccdc06c1e65af5",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var events bytes.Buffer
+			w := obs.NewJSONLWriter(&events)
+			ckpt, csv := runForArtifacts(t, tr, func() Config {
+				pol, err := tc.policy()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Config{Policy: pol, Observer: w}
+			})
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := ReadCheckpoint(bytes.NewReader(ckpt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Policy, cp.Selection = nil, nil
+			canonical, err := json.Marshal(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+			got := goldenArtifacts{ckpt: digest(canonical), csv: digest([]byte(csv)), events: digest(events.Bytes())}
+			if got != tc.want {
+				t.Errorf("artifact digests changed:\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
 	}
 }

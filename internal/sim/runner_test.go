@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"odbgc/internal/core"
 	"odbgc/internal/gc"
 	"odbgc/internal/oo7"
+	"odbgc/internal/simerr"
 	"odbgc/internal/storage"
 	"odbgc/internal/trace"
 )
@@ -204,6 +206,28 @@ func TestRunRejectsCorruptTrace(t *testing.T) {
 	_, err = s.Run(tr)
 	if err == nil || !strings.Contains(err.Error(), "absent") {
 		t.Errorf("corrupt trace error = %v", err)
+	}
+}
+
+// TestRunClassifiesFarOID: a create whose OID was damaged into the far
+// distance (fault.CorruptTrace flips bits) fails as a corrupt trace, and the
+// object table is not sized by it.
+func TestRunClassifiesFarOID(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Append(trace.Event{Kind: trace.KindCreate, OID: 1, Size: 10})
+	tr.Append(trace.Event{Kind: trace.KindCreate, OID: 2 | 1<<58, Size: 10})
+	pol, _ := core.NewFixedRate(100)
+	s, err := New(Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run(tr)
+	if !errors.Is(err, simerr.ErrCorruptTrace) || simerr.Classify(err) != simerr.ClassCorruptTrace {
+		t.Fatalf("run over a far OID = %v (class %s), want a corrupt-trace error", err, simerr.Classify(err))
+	}
+	if s.Heap().Store().Len() != 1 || s.Heap().Store().NextOID() != 2 {
+		t.Errorf("refused create changed the store: %d objects, next OID %v",
+			s.Heap().Store().Len(), s.Heap().Store().NextOID())
 	}
 }
 

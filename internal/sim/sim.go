@@ -383,6 +383,10 @@ func (s *Simulator) Step(e *trace.Event) error {
 	}
 
 	if err := s.apply(e, i); err != nil {
+		if errors.Is(err, objstore.ErrOIDRange) {
+			// No generator skips that far ahead: the event is damaged.
+			err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
+		}
 		return fmt.Errorf("sim: event %d (%s): %w", i, e.String(), err)
 	}
 	// One durable batch per event: the WAL records staged by this event

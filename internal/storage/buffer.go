@@ -75,6 +75,15 @@ func (b *BufferPool) Len() int { return b.lru.Len() }
 // simulated manager), Pin never fails.
 func (b *BufferPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
 	var res PinResult
+	// Consecutive operations mostly land on the page just used: it is
+	// already in front, and finding it there skips the map lookup.
+	if el := b.lru.Front(); el != nil {
+		if f := el.Value.(*frame); f.page == pg {
+			res.Hit = true
+			f.dirty = f.dirty || dirty
+			return res, nil
+		}
+	}
 	if el, ok := b.frames[pg]; ok {
 		res.Hit = true
 		b.lru.MoveToFront(el)

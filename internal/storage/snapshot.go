@@ -47,11 +47,10 @@ func (m *Manager) Snapshot() *ManagerState {
 	for _, p := range m.parts {
 		st.Partitions = append(st.Partitions, PartitionState{Cursor: p.cursor, Used: p.used})
 	}
-	st.Placements = make([]PlacementEntry, 0, len(m.place))
-	for oid, pl := range m.place {
-		st.Placements = append(st.Placements, PlacementEntry{OID: oid, Placement: pl})
-	}
-	sort.Slice(st.Placements, func(i, j int) bool { return st.Placements[i].OID < st.Placements[j].OID })
+	st.Placements = make([]PlacementEntry, 0, m.place.Len())
+	m.place.ForEach(func(oid objstore.OID, s slot) {
+		st.Placements = append(st.Placements, PlacementEntry{OID: oid, Placement: m.placement(s)})
+	})
 	st.GCDirty = make([]PageID, 0, len(m.gcDirty))
 	for pg := range m.gcDirty {
 		st.GCDirty = append(st.GCDirty, pg)
@@ -82,16 +81,19 @@ func RestoreManager(st *ManagerState) (*Manager, error) {
 		}
 		p.cursor = ps.Cursor
 		p.used = ps.Used
+		m.occupied += ps.Used
 	}
 	for _, pe := range st.Placements {
-		if int(pe.Placement.Part) < 0 || int(pe.Placement.Part) >= len(m.parts) {
-			return nil, fmt.Errorf("storage: placement of %v in unknown partition %d", pe.OID, pe.Placement.Part)
+		// Checked before the narrowing below can hide a damaged field.
+		pl := pe.Placement
+		if err := m.checkPlacement(pe.OID, pl); err != nil {
+			return nil, err
 		}
-		if _, dup := m.place[pe.OID]; dup {
+		if m.place.Get(pe.OID).size != 0 {
 			return nil, fmt.Errorf("storage: duplicate placement for %v in snapshot", pe.OID)
 		}
-		m.place[pe.OID] = pe.Placement
-		m.parts[pe.Placement.Part].objects[pe.OID] = struct{}{}
+		m.place.Set(pe.OID, slot{part: int32(pl.Part), offset: int32(pl.Offset), size: int32(pl.Size)})
+		m.parts[pl.Part].add(pe.OID)
 	}
 	if err := m.buf.Restore(st.Buffer); err != nil {
 		return nil, err

@@ -130,6 +130,22 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 		t.Error("used-byte mismatch accepted")
 	}
 
+	// The table stores neither the page nor wide offsets: a damaged one must
+	// be refused, not silently repaired or truncated.
+	for name, damage := range map[string]func(*Placement){
+		"page":     func(p *Placement) { p.Page++ },
+		"size":     func(p *Placement) { p.Size = 0 },
+		"offset":   func(p *Placement) { p.Offset += 1 << 32 },
+		"overflow": func(p *Placement) { p.Size = 1<<63 - 1 },
+	} {
+		bad = *good
+		bad.Placements = append([]PlacementEntry(nil), good.Placements...)
+		damage(&bad.Placements[0].Placement)
+		if _, err := RestoreManager(&bad); err == nil {
+			t.Errorf("placement with damaged %s accepted", name)
+		}
+	}
+
 	if _, err := RestoreManager(nil); err == nil {
 		t.Error("nil state accepted")
 	}

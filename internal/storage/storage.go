@@ -14,6 +14,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"odbgc/internal/objstore"
@@ -43,6 +44,10 @@ func (c Config) Validate() error {
 	}
 	if c.BufferPages <= 0 {
 		return fmt.Errorf("storage: BufferPages %d must be positive", c.BufferPages)
+	}
+	// The placement table stores partition offsets in 32 bits.
+	if c.PageSize > math.MaxInt32/c.PagesPerPartition {
+		return fmt.Errorf("storage: partition of %d pages of %d bytes exceeds 2 GiB", c.PagesPerPartition, c.PageSize)
 	}
 	return nil
 }
@@ -119,9 +124,19 @@ type FaultInjector interface {
 // partition is the manager's internal per-partition state.
 type partition struct {
 	id      PartitionID
-	cursor  int // bump-allocation offset in bytes; only compaction lowers it
-	used    int // sum of sizes of objects placed here (live + garbage)
-	objects map[objstore.OID]struct{}
+	cursor  int            // bump-allocation offset in bytes; only compaction lowers it
+	used    int            // sum of sizes of objects placed here (live + garbage)
+	objects []objstore.OID // the objects placed here, ascending
+}
+
+// add enters oid in the member list. OIDs are handed out in increasing order,
+// so the append is the whole cost unless a caller places one out of order.
+func (p *partition) add(oid objstore.OID) {
+	i := len(p.objects)
+	if i > 0 && p.objects[i-1] > oid {
+		i, _ = slices.BinarySearch(p.objects, oid)
+	}
+	p.objects = slices.Insert(p.objects, i, oid)
 }
 
 // usedPages returns how many pages the bump cursor has touched.
@@ -129,16 +144,27 @@ func (p *partition) usedPages(pageSize int) int {
 	return (p.cursor + pageSize - 1) / pageSize
 }
 
+// slot is a Placement as the table stores it, in 16 bytes against
+// Placement's 32: every slot of a resident table chunk costs its width
+// whether or not an object occupies it. The page is offset / PageSize.
+type slot struct {
+	part   int32
+	offset int32
+	size   int32 // positive for every placed object; the zero slot is "unplaced"
+	keep   bool  // set only inside Compact, on the objects that survive it
+}
+
 // Manager owns the partitions, the object placement table, and the buffer
 // pool. It is the single point through which the simulator performs
 // physical operations, so all I/O accounting happens here.
 type Manager struct {
-	cfg   Config
-	parts []*partition
-	place map[objstore.OID]Placement
-	buf   *BufferPool
-	stats IOStats
-	class IOClass
+	cfg      Config
+	parts    []*partition
+	place    objstore.Table[slot]
+	occupied int // sum of every partition's used bytes
+	buf      *BufferPool
+	stats    IOStats
+	class    IOClass
 
 	allocPart PartitionID // current allocation target
 
@@ -166,7 +192,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	return &Manager{
 		cfg:     cfg,
-		place:   make(map[objstore.OID]Placement),
 		buf:     buf,
 		gcDirty: make(map[PageID]struct{}),
 	}, nil
@@ -205,13 +230,7 @@ func (m *Manager) NumPartitions() int { return len(m.parts) }
 
 // OccupiedBytes returns the total bytes of objects placed across all
 // partitions (live + garbage). This is the SAGA notion of database size.
-func (m *Manager) OccupiedBytes() int {
-	n := 0
-	for _, p := range m.parts {
-		n += p.used
-	}
-	return n
-}
+func (m *Manager) OccupiedBytes() int { return m.occupied }
 
 // PartitionUsedBytes returns the occupied bytes of one partition.
 func (m *Manager) PartitionUsedBytes(id PartitionID) int {
@@ -234,37 +253,32 @@ func (m *Manager) PartitionFreeBytes(id PartitionID) int {
 // PartitionOf returns the partition holding an object. The second result is
 // false if the object has no placement.
 func (m *Manager) PartitionOf(oid objstore.OID) (PartitionID, bool) {
-	pl, ok := m.place[oid]
-	return pl.Part, ok
+	s := m.place.Get(oid)
+	return PartitionID(s.part), s.size != 0
 }
 
 // PlacementOf returns the full placement of an object.
 func (m *Manager) PlacementOf(oid objstore.OID) (Placement, bool) {
-	pl, ok := m.place[oid]
-	return pl, ok
+	s := m.place.Get(oid)
+	return m.placement(s), s.size != 0
 }
 
-// ObjectsIn returns the OIDs placed in a partition, in ascending order for
-// deterministic iteration.
-func (m *Manager) ObjectsIn(id PartitionID) []objstore.OID {
-	//lint:allow hotalloc snapshot API: callers keep the returned slice; the collector uses AppendObjectsIn
-	return m.AppendObjectsIn(nil, id)
+func (m *Manager) placement(s slot) Placement {
+	return Placement{
+		Part:   PartitionID(s.part),
+		Page:   int(s.offset) / m.cfg.PageSize,
+		Offset: int(s.offset),
+		Size:   int(s.size),
+	}
 }
 
-// AppendObjectsIn appends the partition's OIDs to dst in ascending order and
-// returns the extended slice — the allocation-free form of ObjectsIn for
-// callers that reuse a scratch buffer.
+// AppendObjectsIn appends the OIDs placed in a partition to dst, in ascending
+// order for deterministic iteration, and returns the extended slice.
 func (m *Manager) AppendObjectsIn(dst []objstore.OID, id PartitionID) []objstore.OID {
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return dst
 	}
-	p := m.parts[id]
-	start := len(dst)
-	for oid := range p.objects {
-		dst = append(dst, oid)
-	}
-	slices.Sort(dst[start:])
-	return dst
+	return append(dst, m.parts[id].objects...)
 }
 
 // charge records one read or write against the current I/O class.
@@ -311,11 +325,7 @@ func (m *Manager) pin(pg PageID, dirty, fresh bool) {
 // newPartition appends an empty partition.
 func (m *Manager) newPartition() *partition {
 	//lint:allow hotalloc the partition is the product, retained by the manager for the database's life
-	p := &partition{
-		id: PartitionID(len(m.parts)),
-		//lint:allow hotalloc retained with the partition
-		objects: make(map[objstore.OID]struct{}),
-	}
+	p := &partition{id: PartitionID(len(m.parts))}
 	m.parts = append(m.parts, p)
 	return p
 }
@@ -343,7 +353,7 @@ func (m *Manager) Allocate(oid objstore.OID, size int) (Placement, error) {
 		return Placement{}, fmt.Errorf("storage: object %v size %d exceeds page size %d",
 			oid, size, m.cfg.PageSize)
 	}
-	if _, dup := m.place[oid]; dup {
+	if m.place.Get(oid).size != 0 {
 		return Placement{}, fmt.Errorf("storage: object %v already placed", oid)
 	}
 	if err := m.beforeOp(true); err != nil {
@@ -382,8 +392,9 @@ func (m *Manager) Allocate(oid objstore.OID, size int) (Placement, error) {
 	fresh := off%m.cfg.PageSize == 0 // first object on the page: no disk image yet
 	target.cursor = off + size
 	target.used += size
-	target.objects[oid] = struct{}{}
-	m.place[oid] = pl
+	m.occupied += size
+	target.add(oid)
+	m.place.Set(oid, slot{part: int32(pl.Part), offset: int32(off), size: int32(size)})
 
 	m.pin(PageID{pl.Part, pl.Page}, true, fresh)
 	return pl, nil
@@ -392,14 +403,14 @@ func (m *Manager) Allocate(oid objstore.OID, size int) (Placement, error) {
 // Touch simulates an access to an object: its page is faulted in if absent
 // and marked dirty if write is true.
 func (m *Manager) Touch(oid objstore.OID, write bool) error {
-	pl, ok := m.place[oid]
-	if !ok {
+	s := m.place.Get(oid)
+	if s.size == 0 {
 		return fmt.Errorf("storage: touch of unplaced object %v", oid)
 	}
 	if err := m.beforeOp(write); err != nil {
 		return fmt.Errorf("storage: touch %v: %w", oid, err)
 	}
-	m.pin(PageID{pl.Part, pl.Page}, write, false)
+	m.pin(PageID{PartitionID(s.part), int(s.offset) / m.cfg.PageSize}, write, false)
 	return nil
 }
 
@@ -436,7 +447,7 @@ type CompactResult struct {
 // I/O: the caller is expected to have scanned the partition already (see
 // ReadPartition); Compact marks the surviving pages dirty and drops stale
 // pages beyond the new live region from the buffer without write-back.
-func (m *Manager) Compact(id PartitionID, live []objstore.OID, sizeOf func(objstore.OID) int) (CompactResult, error) {
+func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, error) {
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return CompactResult{}, fmt.Errorf("storage: compact of unknown partition %d", id)
 	}
@@ -444,37 +455,42 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID, sizeOf func(objst
 		return CompactResult{}, fmt.Errorf("storage: compact partition %d: %w", id, err)
 	}
 	p := m.parts[id]
-	liveSet := make(map[objstore.OID]struct{}, len(live))
-	for _, oid := range live {
-		pl, ok := m.place[oid]
-		if !ok || pl.Part != id {
+	// Flag the survivors; nothing else changes until every one has checked
+	// out, so a rejected call leaves the manager as it found it.
+	for i, oid := range live {
+		s := m.place.Get(oid)
+		if s.size == 0 || PartitionID(s.part) != id || s.keep {
+			for _, done := range live[:i] {
+				u := m.place.Get(done)
+				u.keep = false
+				m.place.Set(done, u)
+			}
+			if s.keep {
+				return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", oid)
+			}
 			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
 		}
-		if _, dup := liveSet[oid]; dup {
-			return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", oid)
-		}
-		liveSet[oid] = struct{}{}
+		s.keep = true
+		m.place.Set(oid, s)
 	}
 
 	var res CompactResult
 	oldPages := p.usedPages(m.cfg.PageSize)
 
-	// Capture original offsets before reclaiming: they order the fallback
-	// layout below.
-	oldOffset := make(map[objstore.OID]int, len(live))
-	for _, oid := range live {
-		oldOffset[oid] = m.place[oid].Offset
-	}
-
-	// Reclaim everything not in the live set.
-	for oid := range p.objects {
-		if _, keep := liveSet[oid]; !keep {
-			res.ReclaimedBytes += m.place[oid].Size
-			res.ReclaimedObjects++
-			delete(m.place, oid)
-			delete(p.objects, oid)
+	// Reclaim every member without the flag. The survivors keep their
+	// ascending order in the member list.
+	kept := p.objects[:0]
+	for _, oid := range p.objects {
+		s := m.place.Get(oid)
+		if s.keep {
+			kept = append(kept, oid)
+			continue
 		}
+		res.ReclaimedBytes += int(s.size)
+		res.ReclaimedObjects++
+		m.place.Set(oid, slot{})
 	}
+	p.objects = kept
 
 	// Re-place survivors in copy order for reference locality. Copy order
 	// can pad page boundaries differently than the original layout and —
@@ -482,22 +498,24 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID, sizeOf func(objst
 	// back to packing in original-offset order, which can only shrink
 	// every offset and therefore always fits.
 	order := live
-	if layoutEnd(order, sizeOf, m.cfg.PageSize) > m.cfg.PartitionBytes() {
-		//lint:allow hotalloc rare fallback: only a nearly full partition overflows copy order
+	if m.layoutEnd(order) > m.cfg.PartitionBytes() {
 		order = append([]objstore.OID(nil), live...)
-		slices.SortFunc(order, func(a, b objstore.OID) int { return oldOffset[a] - oldOffset[b] })
+		slices.SortFunc(order, func(a, b objstore.OID) int {
+			return int(m.place.Get(a).offset) - int(m.place.Get(b).offset)
+		})
 	}
+	p.used -= res.ReclaimedBytes
+	m.occupied -= res.ReclaimedBytes
 	p.cursor = 0
-	p.used = 0
 	for _, oid := range order {
-		size := sizeOf(oid)
+		s := m.place.Get(oid)
+		size := int(s.size)
 		off := p.cursor
 		if rem := m.cfg.PageSize - off%m.cfg.PageSize; size > rem {
 			off += rem
 		}
-		m.place[oid] = Placement{Part: id, Page: off / m.cfg.PageSize, Offset: off, Size: size}
+		m.place.Set(oid, slot{part: s.part, offset: int32(off), size: s.size})
 		p.cursor = off + size
-		p.used += size
 	}
 	if p.cursor > m.cfg.PartitionBytes() {
 		return CompactResult{}, fmt.Errorf("storage: compaction of partition %d overflowed (%d > %d bytes)",
@@ -523,11 +541,11 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID, sizeOf func(objst
 
 // layoutEnd returns the bump-cursor position after packing the objects in
 // the given order with page-boundary skipping.
-func layoutEnd(order []objstore.OID, sizeOf func(objstore.OID) int, pageSize int) int {
+func (m *Manager) layoutEnd(order []objstore.OID) int {
 	cursor := 0
 	for _, oid := range order {
-		size := sizeOf(oid)
-		if rem := pageSize - cursor%pageSize; size > rem {
+		size := int(m.place.Get(oid).size)
+		if rem := m.cfg.PageSize - cursor%m.cfg.PageSize; size > rem {
 			cursor += rem
 		}
 		cursor += size
@@ -589,40 +607,68 @@ func (m *Manager) BufferContents() []PageID { return m.buf.Pages() }
 
 // CheckInvariants validates internal consistency; used by tests and the
 // simulator's self-check mode. It verifies that placements and partition
-// object sets agree and that used byte counts match.
+// member lists agree, that used byte counts match, and that the stored
+// database total is the sum of its parts.
 func (m *Manager) CheckInvariants() error {
-	perPart := make(map[PartitionID]int)
-	for oid, pl := range m.place {
-		if int(pl.Part) < 0 || int(pl.Part) >= len(m.parts) {
-			return fmt.Errorf("storage: %v placed in unknown partition %d", oid, pl.Part)
+	//lint:allow hotalloc validation sweep: one count array per call
+	perPart := make([]int, len(m.parts))
+	var err error
+	m.place.ForEach(func(oid objstore.OID, s slot) {
+		if err != nil {
+			return
 		}
-		p := m.parts[pl.Part]
-		if _, ok := p.objects[oid]; !ok {
-			return fmt.Errorf("storage: %v placed in partition %d but absent from its object set", oid, pl.Part)
+		if s.keep {
+			err = fmt.Errorf("storage: %v still carries a compaction flag", oid)
+			return
 		}
-		if pl.Offset < 0 || pl.Offset+pl.Size > m.cfg.PartitionBytes() {
-			return fmt.Errorf("storage: %v placement out of range: %+v", oid, pl)
+		if err = m.checkPlacement(oid, m.placement(s)); err == nil {
+			perPart[s.part] += int(s.size)
 		}
-		if pl.Offset/m.cfg.PageSize != pl.Page {
-			return fmt.Errorf("storage: %v page %d disagrees with offset %d", oid, pl.Page, pl.Offset)
-		}
-		if pl.Offset%m.cfg.PageSize+pl.Size > m.cfg.PageSize {
-			return fmt.Errorf("storage: %v spans a page boundary: %+v", oid, pl)
-		}
-		perPart[pl.Part] += pl.Size
+	})
+	if err != nil {
+		return err
 	}
+	listed, total := 0, 0
 	for _, p := range m.parts {
 		if got := perPart[p.id]; got != p.used {
 			return fmt.Errorf("storage: partition %d used=%d but placements sum to %d", p.id, p.used, got)
 		}
-		for oid := range p.objects {
-			if pl, ok := m.place[oid]; !ok || pl.Part != p.id {
+		for i, oid := range p.objects {
+			if i > 0 && p.objects[i-1] >= oid {
+				return fmt.Errorf("storage: partition %d lists %v out of order", p.id, oid)
+			}
+			if pl, ok := m.PlacementOf(oid); !ok || pl.Part != p.id {
 				return fmt.Errorf("storage: partition %d lists %v but placement says %+v", p.id, oid, pl)
 			}
 		}
 		if p.cursor < 0 || p.cursor > m.cfg.PartitionBytes() {
 			return fmt.Errorf("storage: partition %d cursor %d out of range", p.id, p.cursor)
 		}
+		listed += len(p.objects)
+		total += p.used
+	}
+	// Every listed object is placed where it is listed and no list repeats
+	// one, so equal counts mean no placement is missing from its list.
+	if listed != m.place.Len() {
+		return fmt.Errorf("storage: %d placements but the partitions list %d objects", m.place.Len(), listed)
+	}
+	if total != m.occupied {
+		return fmt.Errorf("storage: occupied total %d but partitions sum to %d", m.occupied, total)
+	}
+	return nil
+}
+
+// checkPlacement validates one placement against the geometry.
+func (m *Manager) checkPlacement(oid objstore.OID, pl Placement) error {
+	switch {
+	case int(pl.Part) < 0 || int(pl.Part) >= len(m.parts):
+		return fmt.Errorf("storage: %v placed in unknown partition %d", oid, pl.Part)
+	case pl.Size <= 0 || pl.Offset < 0 || pl.Offset > m.cfg.PartitionBytes()-pl.Size:
+		return fmt.Errorf("storage: %v placement out of range: %+v", oid, pl)
+	case pl.Offset/m.cfg.PageSize != pl.Page:
+		return fmt.Errorf("storage: %v page %d disagrees with offset %d", oid, pl.Page, pl.Offset)
+	case pl.Offset%m.cfg.PageSize+pl.Size > m.cfg.PageSize:
+		return fmt.Errorf("storage: %v spans a page boundary: %+v", oid, pl)
 	}
 	return nil
 }

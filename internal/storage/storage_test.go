@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{PageSize: 0, PagesPerPartition: 1, BufferPages: 1},
 		{PageSize: 1, PagesPerPartition: 0, BufferPages: 1},
 		{PageSize: 1, PagesPerPartition: 1, BufferPages: 0},
+		{PageSize: 1 << 20, PagesPerPartition: 1 << 11, BufferPages: 1}, // 2 GiB partition: offsets are 32-bit
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -190,7 +192,6 @@ func TestIOStatsHelpers(t *testing.T) {
 
 func TestCompactReclaims(t *testing.T) {
 	m := newTestManager(t, tinyConfig())
-	sizes := map[objstore.OID]int{1: 60, 2: 60, 3: 60, 4: 60}
 	for oid, sz := range map[objstore.OID]int{1: 60, 2: 60} {
 		if _, err := m.Allocate(oid, sz); err != nil {
 			t.Fatal(err)
@@ -202,9 +203,7 @@ func TestCompactReclaims(t *testing.T) {
 	if _, err := m.Allocate(4, 60); err != nil {
 		t.Fatal(err)
 	}
-	sizeOf := func(oid objstore.OID) int { return sizes[oid] }
-
-	res, err := m.Compact(0, []objstore.OID{3, 1}, sizeOf)
+	res, err := m.Compact(0, []objstore.OID{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +237,28 @@ func TestCompactErrors(t *testing.T) {
 	if _, err := m.Allocate(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	sizeOf := func(objstore.OID) int { return 10 }
-	if _, err := m.Compact(5, nil, sizeOf); err == nil {
+	if _, err := m.Compact(5, nil); err == nil {
 		t.Error("unknown partition accepted")
 	}
-	if _, err := m.Compact(0, []objstore.OID{42}, sizeOf); err == nil {
+	if _, err := m.Compact(0, []objstore.OID{42}); err == nil {
 		t.Error("foreign live object accepted")
 	}
-	if _, err := m.Compact(0, []objstore.OID{1, 1}, sizeOf); err == nil {
+	if _, err := m.Allocate(2, 10); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Snapshot()
+	if _, err := m.Compact(0, []objstore.OID{2, 1, 2}); err == nil {
 		t.Error("duplicate live object accepted")
+	}
+	if _, err := m.Compact(0, []objstore.OID{1, 2, 42}); err == nil {
+		t.Error("foreign live object after valid ones accepted")
+	}
+	// A rejected compaction changes nothing, its own survivor flags included.
+	if err := m.CheckInvariants(); err != nil {
+		t.Errorf("rejected compaction left the manager inconsistent: %v", err)
+	}
+	if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("rejected compaction mutated state:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 
@@ -280,7 +292,7 @@ func TestCompactOverflowFallback(t *testing.T) {
 	for i := 1; i < len(order); i += 2 {
 		worst = append(worst, order[i])
 	}
-	res, err := m.Compact(0, worst, func(o objstore.OID) int { return sizes[o] })
+	res, err := m.Compact(0, worst)
 	if err != nil {
 		t.Fatalf("compact failed: %v", err)
 	}
@@ -374,11 +386,11 @@ func TestObjectsInSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := m.ObjectsIn(0)
+	got := m.AppendObjectsIn(nil, 0)
 	if len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 9 {
 		t.Errorf("ObjectsIn = %v", got)
 	}
-	if m.ObjectsIn(7) != nil {
+	if m.AppendObjectsIn(nil, 7) != nil {
 		t.Error("unknown partition returned objects")
 	}
 }
@@ -404,7 +416,7 @@ func TestStorageInvariantProperty(t *testing.T) {
 				next++
 			} else {
 				part := PartitionID(rng.Intn(m.NumPartitions()))
-				members := m.ObjectsIn(part)
+				members := m.AppendObjectsIn(nil, part)
 				var live []objstore.OID
 				for _, o := range members {
 					if rng.Intn(2) == 0 {
@@ -414,7 +426,7 @@ func TestStorageInvariantProperty(t *testing.T) {
 					}
 				}
 				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-				if _, err := m.Compact(part, live, func(o objstore.OID) int { return sizes[o] }); err != nil {
+				if _, err := m.Compact(part, live); err != nil {
 					return false
 				}
 			}
@@ -449,9 +461,49 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if _, err := m.Allocate(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	m.place[1] = Placement{Part: 0, Page: 0, Offset: 95, Size: 10} // spans boundary
+	m.place.Set(1, slot{part: 0, offset: 95, size: 10}) // spans boundary
 	err := m.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "spans") {
 		t.Errorf("corruption not detected: %v", err)
+	}
+}
+
+// TestCheckInvariantsCrossChecksTotals: the stored database size and the
+// member lists are redundant with the placements, and the sweep says so when
+// they drift.
+func TestCheckInvariantsCrossChecksTotals(t *testing.T) {
+	build := func() *Manager {
+		m := newTestManager(t, tinyConfig())
+		for oid := objstore.OID(1); oid <= 9; oid++ {
+			if _, err := m.Allocate(oid, 60); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Compact(0, []objstore.OID{3, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if m.OccupiedBytes() != 7*60 {
+			t.Fatalf("occupied = %d after reclaiming 2 of 9 objects", m.OccupiedBytes())
+		}
+		return m
+	}
+	m := build()
+	m.occupied++
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "occupied total") {
+		t.Errorf("drifted occupied total not detected: %v", err)
+	}
+	m = build()
+	m.parts[1].objects = m.parts[1].objects[1:]
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "placements but") {
+		t.Errorf("object missing from its member list not detected: %v", err)
+	}
+	m = build()
+	objs := m.parts[1].objects
+	objs[0], objs[1] = objs[1], objs[0]
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Errorf("unsorted member list not detected: %v", err)
 	}
 }

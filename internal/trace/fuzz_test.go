@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"odbgc/internal/objstore"
+	"odbgc/internal/simerr"
 )
 
 // FuzzReader ensures the binary decoder never panics or over-allocates on
@@ -84,6 +87,31 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
+// farCreate encodes the valid chain with one bit of its second create's OID
+// flipped: the event decodes, and names an object 2^58 OIDs past the horizon.
+func farCreate(t testing.TB) []byte {
+	tr := validChain()
+	tr.Events[2].OID ^= 1 << 58
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestValidateRejectsFarOID: replaying that trace fails as a corrupt trace
+// instead of allocating a table directory reaching to the damaged OID.
+func TestValidateRejectsFarOID(t *testing.T) {
+	tr, err := ReadAll(bytes.NewReader(farCreate(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Validate(tr)
+	if !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrOIDRange) {
+		t.Fatalf("Validate = %v, want a corrupt-trace error wrapping ErrOIDRange", err)
+	}
+}
+
 // FuzzJSONReader does the same for the JSON-lines decoder.
 func FuzzJSONReader(f *testing.F) {
 	var buf bytes.Buffer
@@ -112,11 +140,15 @@ func FuzzRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(farCreate(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		// Whatever decodes may be replayed: validation must reject it or
+		// accept it, never size the object table by a damaged OID.
+		_ = Validate(tr)
 		var once bytes.Buffer
 		if err := WriteAll(&once, tr); err != nil {
 			t.Fatalf("re-encode of decoded trace failed: %v", err)

@@ -11,9 +11,11 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 
 	"odbgc/internal/objstore"
+	"odbgc/internal/simerr"
 )
 
 // Kind discriminates event types.
@@ -265,6 +267,10 @@ func Validate(t *Trace) error {
 		switch e.Kind {
 		case KindCreate:
 			if _, err := st.CreateWithOID(e.OID, e.Class, e.Size, e.Slots); err != nil {
+				if errors.Is(err, objstore.ErrOIDRange) {
+					// No generator skips that far ahead: the event is damaged.
+					err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
+				}
 				return fmt.Errorf("event %d: %w", i, err)
 			}
 		case KindAccess, KindUpdate:
@@ -311,7 +317,7 @@ func Validate(t *Trace) error {
 	live := st.Reachable()
 	var mismatch []objstore.OID
 	st.ForEach(func(o *objstore.Object) {
-		_, isLive := live[o.OID]
+		isLive := live.Get(o.OID)
 		_, isDead := oracleDead[o.OID]
 		if isLive == isDead { // live objects must not be annotated; dead must be
 			mismatch = append(mismatch, o.OID)
