@@ -2,12 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff bench-e2e experiments examples soak server-smoke crash-drill clean
+.PHONY: all build loc test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff bench-e2e experiments examples soak server-smoke crash-drill clean
 
 all: build vet lint test
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package directory and in total: the unit ROADMAP
+# states the repository's size and its "smaller repo" exit criteria in.
+# Analyzer fixtures under testdata/ are test input, not program.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 vet:
 	$(GO) vet ./...

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -142,7 +143,22 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		defer cancel()
 	}
 
-	pol, chaos, err := buildPolicy(*policy, *frac, *interval, *estimator, *history, *hist, *slopeRef, profile, *faultSeed)
+	// When the fault profile corrupts the estimator signal, the estimator is
+	// wrapped in a chaos shim, kept here to report its dropout counts.
+	var chaos *fault.ChaosEstimator
+	pol, err := core.NewPolicy(*policy, core.PolicyParams{
+		Frac: *frac, Interval: *interval, Hist: *hist, SlopeRef: *slopeRef,
+		Estimator: func() (core.Estimator, error) {
+			est, err := core.NewEstimator(*estimator, *history)
+			if err != nil || !profile.Estimator() {
+				return est, err
+			}
+			if chaos, err = fault.NewChaosEstimator(est, profile, *faultSeed); err != nil {
+				return nil, err
+			}
+			return chaos, nil
+		},
+	})
 	if err != nil {
 		return err
 	}
@@ -641,68 +657,33 @@ func runCompare(w io.Writer, fs *flag.FlagSet, specs, selection string, preamble
 	return nil
 }
 
-// parsePolicySpec builds a policy from "name[:value[:estimator]]".
+// parsePolicySpec builds a policy from "name[:value[:estimator]]"; value is
+// the interval for fixed and the requested fraction for every other policy.
 func parsePolicySpec(spec string) (core.RatePolicy, error) {
 	parts := strings.Split(spec, ":")
-	name := parts[0]
-	value := ""
-	estName := "fgs-hb"
-	if len(parts) > 1 {
-		value = parts[1]
+	if len(parts) > 3 {
+		return nil, fmt.Errorf("bad policy spec %q: want name[:value[:estimator]]", spec)
 	}
+	estName := "fgs-hb"
 	if len(parts) > 2 {
 		estName = parts[2]
 	}
-	if len(parts) > 3 {
-		return nil, fmt.Errorf("bad policy spec %q", spec)
+	p := core.PolicyParams{
+		Frac:      0.10,
+		Interval:  200,
+		Estimator: func() (core.Estimator, error) { return core.NewEstimator(estName, 0) },
 	}
-	parseFrac := func(def float64) (float64, error) {
-		if value == "" {
-			return def, nil
-		}
-		var f float64
-		if _, err := fmt.Sscanf(value, "%g", &f); err != nil {
-			return 0, fmt.Errorf("bad fraction %q in spec %q", value, spec)
-		}
-		return f, nil
-	}
-	switch name {
-	case "saio":
-		f, err := parseFrac(0.10)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewSAIO(core.SAIOConfig{Frac: f})
-	case "saga", "pi", "coupled":
-		f, err := parseFrac(0.10)
-		if err != nil {
-			return nil, err
-		}
-		est, err := core.NewEstimator(estName, 0)
-		if err != nil {
-			return nil, err
-		}
-		switch name {
-		case "pi":
-			return core.NewPIController(core.PIConfig{Frac: f}, est)
-		case "coupled":
-			return core.NewCoupled(core.CoupledConfig{IOFrac: f, GarbFrac: f}, est)
-		default:
-			return core.NewSAGA(core.SAGAConfig{Frac: f}, est)
-		}
-	case "fixed":
-		n := 200
-		if value != "" {
-			if _, err := fmt.Sscanf(value, "%d", &n); err != nil {
-				return nil, fmt.Errorf("bad interval %q in spec %q", value, spec)
+	if len(parts) > 1 && parts[1] != "" {
+		var err error
+		if parts[0] == "fixed" {
+			if p.Interval, err = strconv.Atoi(parts[1]); err != nil {
+				return nil, fmt.Errorf("bad interval %q in spec %q", parts[1], spec)
 			}
+		} else if p.Frac, err = strconv.ParseFloat(parts[1], 64); err != nil {
+			return nil, fmt.Errorf("bad fraction %q in spec %q", parts[1], spec)
 		}
-		return core.NewFixedRate(n)
-	case "never":
-		return core.NeverCollect{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q in spec %q", name, spec)
 	}
+	return core.NewPolicy(parts[0], p)
 }
 
 func printSummary(w io.Writer, res *sim.Result) {
@@ -721,57 +702,5 @@ func printSummary(w io.Writer, res *sim.Result) {
 	for _, m := range res.Phases {
 		fmt.Fprintf(w, "phase %-9s at event %d, collection %d, overwrite %d\n",
 			m.Label, m.EventIndex, m.Collections, m.Overwrites)
-	}
-}
-
-// buildPolicy constructs the requested policy. When the fault profile
-// corrupts the estimator signal, the estimator is wrapped in a chaos shim;
-// the returned *fault.ChaosEstimator (nil otherwise) lets the caller report
-// dropout counts.
-func buildPolicy(name string, frac float64, interval int, estimator string, history float64, chist int, slopeRef uint64, profile fault.Profile, faultSeed int64) (core.RatePolicy, *fault.ChaosEstimator, error) {
-	var chaos *fault.ChaosEstimator
-	newEst := func() (core.Estimator, error) {
-		est, err := core.NewEstimator(estimator, history)
-		if err != nil || !profile.Estimator() {
-			return est, err
-		}
-		chaos, err = fault.NewChaosEstimator(est, profile, faultSeed)
-		if err != nil {
-			return nil, err
-		}
-		return chaos, nil
-	}
-	switch name {
-	case "saio":
-		pol, err := core.NewSAIO(core.SAIOConfig{Frac: frac, Hist: chist})
-		return pol, nil, err
-	case "saga":
-		est, err := newEst()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol, err := core.NewSAGA(core.SAGAConfig{Frac: frac, SlopeRef: slopeRef}, est)
-		return pol, chaos, err
-	case "pi":
-		est, err := newEst()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol, err := core.NewPIController(core.PIConfig{Frac: frac}, est)
-		return pol, chaos, err
-	case "coupled":
-		est, err := newEst()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol, err := core.NewCoupled(core.CoupledConfig{IOFrac: frac, GarbFrac: frac}, est)
-		return pol, chaos, err
-	case "fixed":
-		pol, err := core.NewFixedRate(interval)
-		return pol, nil, err
-	case "never":
-		return core.NeverCollect{}, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown policy %q (have saio, saga, pi, coupled, fixed, never)", name)
 	}
 }

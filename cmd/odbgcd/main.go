@@ -351,54 +351,25 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 // the requested estimator, fallback = the coarse one), and the breaker is
 // returned so the engine can export its state.
 func buildPolicy(name string, frac float64, interval int, initialIv uint64, primary, fallback string, history float64, bcfg server.BreakerConfig) (core.RatePolicy, *server.Breaker, error) {
-	newEst := func() (core.Estimator, *server.Breaker, error) {
-		p, err := core.NewEstimator(primary, history)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := core.NewEstimator(fallback, history)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := server.NewBreaker(bcfg, p, f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return b, b, nil
-	}
-	switch name {
-	case "saio":
-		pol, err := core.NewSAIO(core.SAIOConfig{Frac: frac, InitialInterval: initialIv})
-		return pol, nil, err
-	case "saga":
-		est, b, err := newEst()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol, err := core.NewSAGA(core.SAGAConfig{Frac: frac, InitialInterval: initialIv}, est)
-		return pol, b, err
-	case "pi":
-		est, b, err := newEst()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol, err := core.NewPIController(core.PIConfig{Frac: frac, InitialInterval: initialIv}, est)
-		return pol, b, err
-	case "coupled":
-		est, b, err := newEst()
-		if err != nil {
-			return nil, nil, err
-		}
-		pol, err := core.NewCoupled(core.CoupledConfig{IOFrac: frac, GarbFrac: frac, InitialInterval: initialIv}, est)
-		return pol, b, err
-	case "fixed":
-		pol, err := core.NewFixedRate(interval)
-		return pol, nil, err
-	case "never":
-		return core.NeverCollect{}, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown policy %q (have saio, saga, pi, coupled, fixed, never)", name)
-	}
+	var breaker *server.Breaker
+	pol, err := core.NewPolicy(name, core.PolicyParams{
+		Frac: frac, Interval: interval, InitialInterval: initialIv,
+		Estimator: func() (core.Estimator, error) {
+			p, err := core.NewEstimator(primary, history)
+			if err != nil {
+				return nil, err
+			}
+			f, err := core.NewEstimator(fallback, history)
+			if err != nil {
+				return nil, err
+			}
+			if breaker, err = server.NewBreaker(bcfg, p, f); err != nil {
+				return nil, err
+			}
+			return breaker, nil
+		},
+	})
+	return pol, breaker, err
 }
 
 // dumpTraces writes the recorder's current snapshot as span JSONL to path.

@@ -441,3 +441,48 @@ func (p *SAGA) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) 
 	p.nextAt = now.Overwrites + interval
 	p.armed = true
 }
+
+// PolicyParams carries the knobs of every policy NewPolicy constructs; each
+// policy reads its own and ignores the rest. Frac and Interval are validated
+// by the policies; the other zero values mean the policy's default.
+type PolicyParams struct {
+	Frac            float64 // requested share: of I/O (saio), of the database (saga, pi), of both (coupled)
+	Interval        int     // fixed: pointer overwrites per collection
+	InitialInterval uint64  // adaptive policies: the bootstrap interval
+	Hist            int     // saio: c_hist
+	SlopeRef        uint64  // saga: time-weighted slope reference interval
+	// Estimator builds the garbage estimator of saga, pi and coupled. It is
+	// called for those policies only, so a caller that wraps the estimator
+	// (a chaos shim, a circuit breaker) learns from the call that the
+	// wrapper is in use.
+	Estimator func() (Estimator, error)
+}
+
+// NewPolicy constructs a rate policy by name: "saio", "saga", "pi",
+// "coupled", "fixed" or "never".
+func NewPolicy(name string, p PolicyParams) (RatePolicy, error) {
+	switch name {
+	case "saio":
+		return NewSAIO(SAIOConfig{Frac: p.Frac, Hist: p.Hist, InitialInterval: p.InitialInterval})
+	case "fixed":
+		return NewFixedRate(p.Interval)
+	case "never":
+		return NeverCollect{}, nil
+	case "saga", "pi", "coupled":
+		if p.Estimator == nil {
+			return nil, fmt.Errorf("core: policy %q requires an estimator", name)
+		}
+		est, err := p.Estimator()
+		if err != nil {
+			return nil, err
+		}
+		switch name {
+		case "pi":
+			return NewPIController(PIConfig{Frac: p.Frac, InitialInterval: p.InitialInterval}, est)
+		case "coupled":
+			return NewCoupled(CoupledConfig{IOFrac: p.Frac, GarbFrac: p.Frac, InitialInterval: p.InitialInterval}, est)
+		}
+		return NewSAGA(SAGAConfig{Frac: p.Frac, SlopeRef: p.SlopeRef, InitialInterval: p.InitialInterval}, est)
+	}
+	return nil, fmt.Errorf("core: unknown policy %q (have saio, saga, pi, coupled, fixed, never)", name)
+}

@@ -334,3 +334,117 @@ func TestSAIOExactWithConstantCosts(t *testing.T) {
 		t.Errorf("constant-cost share = %.4f, want 0.20", share)
 	}
 }
+
+// TestNewPolicy pins what the one name→policy constructor builds: the names
+// the CLIs' own switches used to produce, every knob reaching the config it
+// belongs to, and the estimator constructor called for exactly the policies
+// that take one.
+func TestNewPolicy(t *testing.T) {
+	policyNames := []string{"saio", "saga", "pi", "coupled", "fixed", "never"}
+	oracle := OracleEstimator{}
+	for _, tc := range []struct {
+		variant string
+		params  PolicyParams
+		est     func() (Estimator, error)
+		names   map[string]string
+		initial uint64 // InitialInterval the adaptive policies end up with
+	}{
+		{
+			variant: "default values",
+			params:  PolicyParams{Frac: 0.10, Interval: 200},
+			est:     func() (Estimator, error) { return NewEstimator("fgs-hb", 0) },
+			names: map[string]string{
+				"saio": "saio(10%)", "saga": "saga(10%,fgs-hb(0.80))", "pi": "pi(10%,fgs-hb(0.80))",
+				"coupled": "coupled(io=10%,garb=10%,fgs-hb(0.80))", "fixed": "fixed(200)", "never": "never",
+			},
+			initial: 100,
+		},
+		{
+			variant: "explicit values",
+			params:  PolicyParams{Frac: 0.25, Interval: 50, InitialInterval: 7, Hist: 3, SlopeRef: 40},
+			est:     func() (Estimator, error) { return NewEstimator("cgs-cb", 0) },
+			names: map[string]string{
+				"saio": "saio(25%)", "saga": "saga(25%,cgs-cb)", "pi": "pi(25%,cgs-cb)",
+				"coupled": "coupled(io=25%,garb=25%,cgs-cb)", "fixed": "fixed(50)", "never": "never",
+			},
+			initial: 7,
+		},
+		{
+			variant: "explicit estimator",
+			params:  PolicyParams{Frac: 0.05, Interval: 300},
+			est:     func() (Estimator, error) { return oracle, nil },
+			names: map[string]string{
+				"saio": "saio(5%)", "saga": "saga(5%,oracle)", "pi": "pi(5%,oracle)",
+				"coupled": "coupled(io=5%,garb=5%,oracle)", "fixed": "fixed(300)", "never": "never",
+			},
+			initial: 100,
+		},
+	} {
+		for _, name := range policyNames {
+			var built Estimator
+			calls := 0
+			p := tc.params
+			p.Estimator = func() (Estimator, error) {
+				calls++
+				var err error
+				built, err = tc.est()
+				return built, err
+			}
+			pol, err := NewPolicy(name, p)
+			if err != nil {
+				t.Errorf("%s, %s: %v", tc.variant, name, err)
+				continue
+			}
+			if pol.Name() != tc.names[name] {
+				t.Errorf("%s, %s: built %q, want %q", tc.variant, name, pol.Name(), tc.names[name])
+			}
+			wantCalls := 0
+			switch pol := pol.(type) {
+			case *SAIO:
+				if c := pol.Config(); c.InitialInterval != tc.initial || c.Hist != p.Hist {
+					t.Errorf("%s, saio: config %+v", tc.variant, c)
+				}
+			case *SAGA:
+				wantCalls = 1
+				if c := pol.Config(); c.InitialInterval != tc.initial || c.SlopeRef != p.SlopeRef || pol.Estimator() != built {
+					t.Errorf("%s, saga: config %+v, estimator %v", tc.variant, c, pol.Estimator())
+				}
+			case *PIController:
+				wantCalls = 1
+				if c := pol.Config(); c.InitialInterval != tc.initial || pol.est != built {
+					t.Errorf("%s, pi: config %+v, estimator %v", tc.variant, c, pol.est)
+				}
+			case *Coupled:
+				wantCalls = 1
+				if c := pol.Config(); c.InitialInterval != tc.initial || pol.est != built {
+					t.Errorf("%s, coupled: config %+v, estimator %v", tc.variant, c, pol.est)
+				}
+			case *FixedRate:
+				if pol.Interval != uint64(p.Interval) {
+					t.Errorf("%s, fixed: interval %d", tc.variant, pol.Interval)
+				}
+			case NeverCollect:
+			default:
+				t.Errorf("%s, %s: unexpected policy type %T", tc.variant, name, pol)
+			}
+			if calls != wantCalls {
+				t.Errorf("%s, %s: estimator constructor called %d times, want %d", tc.variant, name, calls, wantCalls)
+			}
+		}
+	}
+
+	_, err := NewPolicy("wat", PolicyParams{})
+	for _, name := range policyNames {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown policy: error %v does not list %q", err, name)
+		}
+	}
+	if _, err := NewPolicy("saga", PolicyParams{Frac: 0.1}); err == nil {
+		t.Error("saga built without an estimator")
+	}
+	if _, err := NewPolicy("pi", PolicyParams{Frac: 0.1, Estimator: func() (Estimator, error) {
+		return NewEstimator("bogus", 0)
+	}}); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("estimator constructor error lost: %v", err)
+	}
+}

@@ -17,7 +17,10 @@
 // structs.
 package obs
 
-import "odbgc/internal/core"
+import (
+	"odbgc/internal/core"
+	"odbgc/internal/storage"
+)
 
 // SchemaVersion identifies the JSONL event schema. Bump on any change to
 // event field sets or semantics; consumers reject versions they don't know.
@@ -60,6 +63,11 @@ type IO struct {
 	GCWrites  uint64 `json:"gc_writes"`
 }
 
+// IOOf converts a storage.IOStats.
+func IOOf(s storage.IOStats) IO {
+	return IO{AppReads: s.AppReads, AppWrites: s.AppWrites, GCReads: s.GCReads, GCWrites: s.GCWrites}
+}
+
 // PhaseChange marks an application phase transition.
 type PhaseChange struct {
 	Step        int    `json:"step"` // event cursor when the phase began
@@ -84,8 +92,24 @@ type Decision struct {
 	Idle         bool   `json:"idle,omitempty"`
 }
 
-// Collection records one completed collection — the observer-facing twin of
-// sim.CollectionRecord.
+// DecisionOf converts one turn of the control loop, collected or not; step
+// is the driver's cursor (trace events or admitted requests).
+func DecisionOf(c core.Collection, step int, idle bool) Decision {
+	return Decision{
+		Step:         step,
+		Clock:        ClockOf(c.After),
+		DBBytes:      c.DatabaseBytes,
+		GarbageBytes: c.GarbageBytes,
+		Collected:    c.Collected,
+		Estimate:     Float(c.Estimate),
+		Target:       Float(c.Target),
+		NextInterval: c.NextInterval,
+		Idle:         idle,
+	}
+}
+
+// Collection records one completed collection: core.Collection in the event
+// log's schema.
 type Collection struct {
 	Index            int    `json:"index"`
 	Step             int    `json:"step"`
@@ -105,6 +129,31 @@ type Collection struct {
 	EstimatedFrac    Float  `json:"estimated_frac"`
 	TargetFrac       Float  `json:"target_frac"`
 	NextInterval     uint64 `json:"next_interval"`
+}
+
+// CollectionOf converts a completed collection; step and phase are the
+// driver's position when it ran.
+func CollectionOf(c core.Collection, step int, phase string) Collection {
+	return Collection{
+		Index:            c.Index,
+		Step:             step,
+		Phase:            phase,
+		Clock:            ClockOf(c.After),
+		Interval:         c.Interval,
+		Partition:        int(c.Result.Partition),
+		ReclaimedBytes:   c.Result.ReclaimedBytes,
+		ReclaimedObjects: c.Result.ReclaimedObjects,
+		LiveBytes:        c.Result.LiveBytes,
+		PartitionPO:      c.Result.PartitionPO,
+		IO:               IOOf(c.Result.IO),
+		CumulativeIO:     IOOf(c.CumulativeIO),
+		DBBytes:          c.DatabaseBytes,
+		GarbageBytes:     c.GarbageBytes,
+		GarbageFrac:      Float(c.Frac(float64(c.GarbageBytes))),
+		EstimatedFrac:    Float(c.Frac(c.Estimate)),
+		TargetFrac:       Float(c.Frac(c.Target)),
+		NextInterval:     c.NextInterval,
+	}
 }
 
 // Fault records one injected storage fault.

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 
+	"odbgc/internal/core"
 	"odbgc/internal/obs"
 )
 
@@ -134,6 +135,17 @@ func (sp *Span) SetStage(stage int, ticks int64) {
 		return
 	}
 	sp.Stages[stage] = ticks
+}
+
+// SetCollection fills a KindGC span's attribution fields from the control
+// loop's record.
+func (sp *Span) SetCollection(c core.Collection) {
+	sp.Partition = int(c.Result.Partition)
+	sp.ReclaimedBytes = c.Result.ReclaimedBytes
+	sp.ReclaimedObjects = c.Result.ReclaimedObjects
+	sp.TracedObjects = c.Result.LiveObjects
+	sp.EstimateFrac = obs.Float(c.Frac(c.Estimate))
+	sp.TargetFrac = obs.Float(c.Frac(c.Target))
 }
 
 // Duration returns End-Start (0 for a nil span).

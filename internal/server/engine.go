@@ -98,6 +98,7 @@ type call struct {
 type Engine struct {
 	cfg   EngineConfig
 	heap  *gc.Heap
+	cycle core.Cycle // the control loop; process decides when it runs
 	queue chan *call
 
 	// epoch anchors the engine tick clock: Now() is nanoseconds since
@@ -125,12 +126,14 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	heap.SetOracleless(true)
-	return &Engine{
+	e := &Engine{
 		cfg:   cfg,
 		heap:  heap,
 		queue: make(chan *call, cfg.QueueDepth),
 		epoch: time.Now(),
-	}, nil
+	}
+	e.cycle = core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim}
+	return e, nil
 }
 
 // QueueDepth returns the admission bound.
@@ -262,7 +265,7 @@ func (e *Engine) process(c *call) {
 	// GC after responding: collection time is not billed to the request
 	// that happened to trigger it — but the collection's span is parented
 	// to it, attributing the pause to the traffic that provoked it.
-	if e.cfg.Policy.ShouldCollect(e.clock()) {
+	if e.cycle.Due() {
 		e.collect(c.spanID)
 	}
 
@@ -302,13 +305,6 @@ func (e *Engine) commitDurable() error {
 		}
 	}
 	return nil
-}
-
-// clock assembles the policy clock from live counters, exactly as the
-// simulator does from replayed ones.
-func (e *Engine) clock() core.Clock {
-	st := e.heap.Disk().Stats()
-	return core.Clock{AppIO: st.AppIO(), GCIO: st.GCIO(), Overwrites: e.heap.OverwriteClock()}
 }
 
 // fail classifies, counts, and formats an op error.
@@ -419,30 +415,13 @@ func (e *Engine) stats() *Stats {
 	return st
 }
 
-// collect runs one online collection: partition selection, the copy pass,
-// policy feedback, breaker bookkeeping, and observer events — the serving
-// twin of the simulator's collect step. parent is the span ID of the
-// request whose processing triggered this collection (0 when tracing is
-// off); the collection's own span is emitted as its child and the parent
-// is pinned in the flight recorder so the attribution survives eviction.
+// collect takes one turn of the control loop and does the serving-side
+// bookkeeping around it: breaker and error metrics, the GC span, and the
+// observer events. parent is the span ID of the request whose processing
+// triggered this collection (0 when tracing is off).
 func (e *Engine) collect(parent uint64) {
-	now := e.clock()
-	part, ok := e.cfg.Selection.Select(e.heap)
-	if !ok {
-		// Nothing worth collecting; reschedule off an empty result so the
-		// policy does not retrigger on every request.
-		e.cfg.Policy.AfterCollection(now, e.heap, gc.CollectionResult{})
-		e.emitDecision(now, false)
-		return
-	}
-	var gsp *span.Span
-	if rec := e.cfg.Recorder; rec != nil {
-		e.gcSeq++
-		gsp = rec.Start(span.KindGC, "collect", span.GCID(e.gcSeq), parent, e.Now())
-		gsp.Seq = e.gcSeq
-		gsp.QueuedBehind = len(e.queue)
-	}
-	res, err := e.heap.Collect(part)
+	start, queued := e.Now(), len(e.queue)
+	c, err := e.cycle.Run()
 	if err != nil {
 		// A failed collection is a policy-path failure: count it, feed the
 		// breaker, and keep serving — the heap refuses to mutate on the
@@ -452,110 +431,68 @@ func (e *Engine) collect(parent uint64) {
 		e.cfg.Metrics.Error(simerr.Classify(err))
 		if e.cfg.Breaker != nil {
 			e.cfg.Breaker.RecordFailure()
-			e.cfg.Metrics.BreakerObserve(e.cfg.Breaker.State(), e.cfg.Breaker.Trips(), e.cfg.Breaker.Recoveries())
 		}
-		if gsp != nil {
-			e.finishGCSpan(gsp, parent, span.OutcomeError)
-		}
+	}
+	if err == nil && !c.Collected {
+		e.emitDecision(c)
 		return
 	}
-	// Commit the reclaim record this collection staged: a recovered heap
-	// must never resurrect collected garbage, so the reclaim is durable
-	// before any later batch can build on the space it freed.
-	if cerr := e.commitDurable(); cerr != nil {
-		e.cfg.Metrics.Error(simerr.Classify(cerr))
+	if b := e.cfg.Breaker; b != nil {
+		e.cfg.Metrics.BreakerObserve(b.State(), b.Trips(), b.Recoveries())
 	}
-	if yo, ok := e.cfg.Selection.(gc.YieldObserver); ok {
-		yo.ObserveCollection(res)
+	e.emitGCSpan(parent, start, queued, c, err)
+	if err != nil {
+		return
 	}
-	after := e.clock()
-	e.cfg.Policy.AfterCollection(after, e.heap, res)
-	if e.cfg.Breaker != nil {
-		e.cfg.Metrics.BreakerObserve(e.cfg.Breaker.State(), e.cfg.Breaker.Trips(), e.cfg.Breaker.Recoveries())
+	e.emitDecision(c)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.ObserveCollection(obs.CollectionOf(c, int(e.requests), "serving"))
 	}
-	if gsp != nil {
-		gsp.Partition = int(res.Partition)
-		gsp.ReclaimedBytes = res.ReclaimedBytes
-		gsp.ReclaimedObjects = res.ReclaimedObjects
-		gsp.TracedObjects = res.LiveObjects
+}
+
+// commitReclaim commits the reclaim record a collection staged: a recovered
+// heap must never resurrect collected garbage, so the reclaim is durable
+// before any later batch can build on the space it freed.
+func (e *Engine) commitReclaim() {
+	if err := e.commitDurable(); err != nil {
+		e.cfg.Metrics.Error(simerr.Classify(err))
+	}
+}
+
+// emitGCSpan records a collection that began at engine tick start as a child
+// span of the request that triggered it: the pause duration lands in the
+// service stage, the GC pause histogram gets the sample with the span as
+// exemplar, and the parent is pinned so the link in the flight recorder
+// survives eviction. c is the zero record when the collection failed.
+func (e *Engine) emitGCSpan(parent uint64, start int64, queued int, c core.Collection, failed error) {
+	rec := e.cfg.Recorder
+	if rec == nil {
+		return
+	}
+	e.gcSeq++
+	gsp := rec.Start(span.KindGC, "collect", span.GCID(e.gcSeq), parent, start)
+	gsp.Seq = e.gcSeq
+	gsp.QueuedBehind = queued
+	gsp.SetCollection(c)
+	outcome := span.OutcomeError
+	if failed == nil {
+		outcome = span.OutcomeOK
 		if e.cfg.Breaker != nil {
 			gsp.Breaker = e.cfg.Breaker.State().String()
 		}
-		if d, ok := e.cfg.Policy.(interface {
-			LastEstimate() float64
-			LastTarget() float64
-			LastInterval() uint64
-		}); ok {
-			if db := e.heap.DatabaseBytes(); db > 0 {
-				gsp.EstimateFrac = obs.Float(d.LastEstimate() / float64(db))
-				gsp.TargetFrac = obs.Float(d.LastTarget() / float64(db))
-			}
-		}
-		e.finishGCSpan(gsp, parent, span.OutcomeOK)
 	}
-	e.emitDecision(after, true)
-	if e.cfg.Observer != nil {
-		ev := obs.Collection{
-			Index:            int(e.heap.Collections()),
-			Step:             int(e.requests),
-			Phase:            "serving",
-			Clock:            obs.ClockOf(after),
-			Partition:        int(res.Partition),
-			ReclaimedBytes:   res.ReclaimedBytes,
-			ReclaimedObjects: res.ReclaimedObjects,
-			LiveBytes:        res.LiveBytes,
-			PartitionPO:      res.PartitionPO,
-			IO:               obs.IO{AppReads: res.IO.AppReads, AppWrites: res.IO.AppWrites, GCReads: res.IO.GCReads, GCWrites: res.IO.GCWrites},
-			DBBytes:          e.heap.DatabaseBytes(),
-		}
-		if d, ok := e.cfg.Policy.(interface {
-			LastEstimate() float64
-			LastTarget() float64
-			LastInterval() uint64
-		}); ok {
-			if db := ev.DBBytes; db > 0 {
-				ev.EstimatedFrac = obs.Float(d.LastEstimate() / float64(db))
-				ev.TargetFrac = obs.Float(d.LastTarget() / float64(db))
-			}
-			ev.NextInterval = d.LastInterval()
-		}
-		e.cfg.Observer.ObserveCollection(ev)
-	}
-}
-
-// finishGCSpan closes a collection span: the pause duration lands in the
-// service stage, the GC pause histogram gets the sample with the span as
-// exemplar, and the triggering request is pinned so the parent link in the
-// flight recorder stays resolvable.
-func (e *Engine) finishGCSpan(gsp *span.Span, parent uint64, outcome string) {
 	end := e.Now()
-	gsp.SetStage(span.StageService, end-gsp.Start)
-	e.cfg.Metrics.Stage(MetricGCPause, float64(end-gsp.Start)/1e6, gsp.ID)
+	gsp.SetStage(span.StageService, end-start)
+	e.cfg.Metrics.Stage(MetricGCPause, float64(end-start)/1e6, gsp.ID)
 	if parent != 0 {
-		e.cfg.Recorder.PinID(parent)
+		rec.PinID(parent)
 	}
-	e.cfg.Recorder.Finish(gsp, end, outcome)
+	rec.Finish(gsp, end, outcome)
 }
 
 // emitDecision reports one policy consultation to the observer.
-func (e *Engine) emitDecision(now core.Clock, collected bool) {
-	if e.cfg.Observer == nil {
-		return
+func (e *Engine) emitDecision(c core.Collection) {
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.ObserveDecision(obs.DecisionOf(c, int(e.requests), false))
 	}
-	d := obs.Decision{
-		Step:      int(e.requests),
-		Clock:     obs.ClockOf(now),
-		DBBytes:   e.heap.DatabaseBytes(),
-		Collected: collected,
-	}
-	if diag, ok := e.cfg.Policy.(interface {
-		LastEstimate() float64
-		LastTarget() float64
-		LastInterval() uint64
-	}); ok {
-		d.Estimate = obs.Float(diag.LastEstimate())
-		d.Target = obs.Float(diag.LastTarget())
-		d.NextInterval = diag.LastInterval()
-	}
-	e.cfg.Observer.ObserveDecision(d)
 }

@@ -152,14 +152,17 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 	}
 	s := &Simulator{
 		cfg:         cfg,
-		store:       heap.Store(),
 		disk:        heap.Disk(),
 		heap:        heap,
+		cycle:       core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection},
 		curPhase:    cp.CurPhase,
 		collectSafe: cp.CollectSafe,
 		step:        cp.Step,
 		phaseIOBase: cp.PhaseIOBase,
 		res:         res,
+	}
+	if n := len(res.Collections); n > 0 {
+		s.cycle.LastOverwrites = res.Collections[n-1].Clock.Overwrites
 	}
 	s.phaseGarb, err = metrics.MeanFromState(cp.PhaseGarb)
 	if err != nil {

@@ -196,19 +196,12 @@ type Result struct {
 	MeasurementStarted bool
 }
 
-// sagaDiag is implemented by policies exposing estimator diagnostics.
-type sagaDiag interface {
-	LastEstimate() float64
-	LastTarget() float64
-	LastInterval() uint64
-}
-
 // Simulator replays one trace. Create a fresh Simulator per run.
 type Simulator struct {
 	cfg      Config
-	store    *objstore.Store
 	disk     *storage.Manager
 	heap     *gc.Heap
+	cycle    core.Cycle      // the control loop; Step and idle decide when it runs
 	injector *fault.Injector // nil unless the profile injects storage faults
 
 	curPhase    string
@@ -240,18 +233,17 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Storage.Validate(); err != nil {
 		return nil, err
 	}
-	store := objstore.NewStore()
 	disk, err := storage.NewManager(cfg.Storage)
 	if err != nil {
 		return nil, err
 	}
-	heap := gc.NewHeap(store, disk)
+	heap := gc.NewHeap(objstore.NewStore(), disk)
 	heap.SetPhysicalFixups(cfg.PhysicalFixups)
 	s := &Simulator{
 		cfg:         cfg,
-		store:       store,
 		disk:        disk,
 		heap:        heap,
+		cycle:       core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection},
 		collectSafe: true,
 		res: &Result{
 			PolicyName:    cfg.Policy.Name(),
@@ -305,11 +297,6 @@ func (s *Simulator) Injector() *fault.Injector { return s.injector }
 
 // Heap exposes the simulator's heap for inspection in tests.
 func (s *Simulator) Heap() *gc.Heap { return s.heap }
-
-func (s *Simulator) clock() core.Clock {
-	st := s.disk.Stats()
-	return core.Clock{AppIO: st.AppIO(), GCIO: st.GCIO(), Overwrites: s.heap.OverwriteClock()}
-}
 
 // Run replays an in-memory trace and returns the run's result. A Simulator
 // must not be reused after Run returns.
@@ -376,7 +363,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 	// Collections happen between events, but never immediately after a
 	// create or initializing store: those are mid-construction moments
 	// where new structure is not yet wired to the graph.
-	if s.collectSafe && s.cfg.Policy.ShouldCollect(s.clock()) {
+	if s.collectSafe && s.cycle.Due() {
 		if err := s.collect(false); err != nil {
 			return fmt.Errorf("sim: event %d: %w", i, err)
 		}
@@ -428,7 +415,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 			Step:        s.step,
 			Collections: len(s.res.Collections),
 			Phase:       s.curPhase,
-			Clock:       obs.ClockOf(s.clock()),
+			Clock:       obs.ClockOf(s.cycle.Clock()),
 		})
 	}
 
@@ -505,14 +492,12 @@ func (s *Simulator) apply(e *trace.Event, idx int) error {
 // tick, letting it run beyond its user-stated limits while the application
 // is not competing for I/O (§5).
 func (s *Simulator) idle(ticks int) error {
-	ic, ok := s.cfg.Policy.(interface {
-		ShouldCollectIdle(now core.Clock, h core.HeapState) bool
-	})
+	ic, ok := s.cfg.Policy.(core.IdleCollector)
 	if !ok {
 		return nil
 	}
 	for i := 0; i < ticks; i++ {
-		if !s.collectSafe || !ic.ShouldCollectIdle(s.clock(), s.heap) {
+		if !s.collectSafe || !ic.ShouldCollectIdle(s.cycle.Clock(), s.heap) {
 			return nil
 		}
 		if err := s.collect(true); err != nil {
@@ -522,127 +507,63 @@ func (s *Simulator) idle(ticks int) error {
 	return nil
 }
 
+// collect takes one turn of the control loop and books it: the record for
+// the time-varying figures, the phase accumulators, the GC span on the
+// simulated I/O clock, and the observer events.
 func (s *Simulator) collect(idle bool) error {
-	part, ok := s.cfg.Selection.Select(s.heap)
-	now := s.clock()
-	if !ok {
-		// Nothing worth collecting; let the policy reschedule off an empty
-		// collection so it does not retrigger on every event.
-		s.cfg.Policy.AfterCollection(now, s.heap, gc.CollectionResult{})
-		if s.obs != nil {
-			s.obs.ObserveDecision(s.decision(now, false, idle))
-		}
-		return nil
-	}
-	prevOW := uint64(0)
-	if n := len(s.res.Collections); n > 0 {
-		prevOW = s.res.Collections[n-1].Clock.Overwrites
-	}
-	res, err := s.heap.Collect(part)
+	c, err := s.cycle.Run()
 	if err != nil {
 		return err
 	}
-	if yo, ok := s.cfg.Selection.(gc.YieldObserver); ok {
-		yo.ObserveCollection(res)
-	}
-	after := s.clock()
-	s.cfg.Policy.AfterCollection(after, s.heap, res)
-
-	rec := CollectionRecord{
-		Index:              len(s.res.Collections) + 1,
-		Phase:              s.curPhase,
-		Clock:              after,
-		Interval:           now.Overwrites - prevOW,
-		Partition:          res.Partition,
-		ReclaimedBytes:     res.ReclaimedBytes,
-		ReclaimedObjects:   res.ReclaimedObjects,
-		LiveBytes:          res.LiveBytes,
-		PartitionPO:        res.PartitionPO,
-		IO:                 res.IO,
-		CumulativeIO:       s.disk.Stats(),
-		DatabaseBytes:      s.heap.DatabaseBytes(),
-		ActualGarbageBytes: s.heap.ActualGarbageBytes(),
-	}
-	if rec.DatabaseBytes > 0 {
-		rec.ActualGarbageFrac = float64(rec.ActualGarbageBytes) / float64(rec.DatabaseBytes)
-	}
-	if d, ok := s.cfg.Policy.(sagaDiag); ok {
-		rec.EstimatedGarbageBytes = d.LastEstimate()
-		rec.NextInterval = d.LastInterval()
-		if rec.DatabaseBytes > 0 {
-			rec.EstimatedGarbageFrac = d.LastEstimate() / float64(rec.DatabaseBytes)
-			rec.TargetGarbageFrac = d.LastTarget() / float64(rec.DatabaseBytes)
+	if c.Collected {
+		s.res.Collections = append(s.res.Collections, s.record(c))
+		if s.phaseAcc != nil {
+			s.phaseAcc.Collections++
+			s.phaseAcc.Reclaimed += c.Result.ReclaimedBytes
+		}
+		if s.cfg.Spans != nil {
+			// Same span schema as the live server, on the simulated I/O clock:
+			// the collection starts where the pre-collection clock stood and
+			// ends after its own I/O. One trace format from gcsim to odbgcd.
+			g := s.cfg.Spans.Start(span.KindGC, "collect", span.GCID(uint64(c.Index)), 0, int64(c.Before.AppIO+c.Before.GCIO))
+			g.Seq = uint64(c.Index)
+			g.SetCollection(c)
+			end := int64(c.After.AppIO + c.After.GCIO)
+			g.SetStage(span.StageService, end-g.Start)
+			s.cfg.Spans.Finish(g, end, span.OutcomeOK)
 		}
 	}
-	s.res.Collections = append(s.res.Collections, rec)
-	if s.phaseAcc != nil {
-		s.phaseAcc.Collections++
-		s.phaseAcc.Reclaimed += res.ReclaimedBytes
-	}
-	if s.cfg.Spans != nil {
-		// Same span schema as the live server, on the simulated I/O clock:
-		// the collection starts where the pre-collection clock stood and
-		// ends after its own I/O. One trace format from gcsim to odbgcd.
-		g := s.cfg.Spans.Start(span.KindGC, "collect", span.GCID(uint64(rec.Index)), 0, int64(now.AppIO+now.GCIO))
-		g.Seq = uint64(rec.Index)
-		g.Partition = int(res.Partition)
-		g.ReclaimedBytes = res.ReclaimedBytes
-		g.ReclaimedObjects = res.ReclaimedObjects
-		g.TracedObjects = res.LiveObjects
-		g.EstimateFrac = obs.Float(rec.EstimatedGarbageFrac)
-		g.TargetFrac = obs.Float(rec.TargetGarbageFrac)
-		end := int64(after.AppIO + after.GCIO)
-		g.SetStage(span.StageService, end-g.Start)
-		s.cfg.Spans.Finish(g, end, span.OutcomeOK)
-	}
 	if s.obs != nil {
-		s.obs.ObserveDecision(s.decision(after, true, idle))
-		s.obs.ObserveCollection(obs.Collection{
-			Index:            rec.Index,
-			Step:             s.step,
-			Phase:            rec.Phase,
-			Clock:            obs.ClockOf(rec.Clock),
-			Interval:         rec.Interval,
-			Partition:        int(rec.Partition),
-			ReclaimedBytes:   rec.ReclaimedBytes,
-			ReclaimedObjects: rec.ReclaimedObjects,
-			LiveBytes:        rec.LiveBytes,
-			PartitionPO:      rec.PartitionPO,
-			IO:               ioOf(rec.IO),
-			CumulativeIO:     ioOf(rec.CumulativeIO),
-			DBBytes:          rec.DatabaseBytes,
-			GarbageBytes:     rec.ActualGarbageBytes,
-			GarbageFrac:      obs.Float(rec.ActualGarbageFrac),
-			EstimatedFrac:    obs.Float(rec.EstimatedGarbageFrac),
-			TargetFrac:       obs.Float(rec.TargetGarbageFrac),
-			NextInterval:     rec.NextInterval,
-		})
+		s.obs.ObserveDecision(obs.DecisionOf(c, s.step, idle))
+		if c.Collected {
+			s.obs.ObserveCollection(obs.CollectionOf(c, s.step, s.curPhase))
+		}
 	}
 	return nil
 }
 
-// ioOf converts storage.IOStats to the observer form.
-func ioOf(s storage.IOStats) obs.IO {
-	return obs.IO{AppReads: s.AppReads, AppWrites: s.AppWrites, GCReads: s.GCReads, GCWrites: s.GCWrites}
-}
-
-// decision assembles a Decision event from the policy's current diagnostics
-// (zero estimator fields for policies without them).
-func (s *Simulator) decision(now core.Clock, collected, idle bool) obs.Decision {
-	d := obs.Decision{
-		Step:         s.step,
-		Clock:        obs.ClockOf(now),
-		DBBytes:      s.heap.DatabaseBytes(),
-		GarbageBytes: s.heap.ActualGarbageBytes(),
-		Collected:    collected,
-		Idle:         idle,
+// record converts the control loop's record to the persisted one.
+func (s *Simulator) record(c core.Collection) CollectionRecord {
+	return CollectionRecord{
+		Index:                 c.Index,
+		Phase:                 s.curPhase,
+		Clock:                 c.After,
+		Interval:              c.Interval,
+		Partition:             c.Result.Partition,
+		ReclaimedBytes:        c.Result.ReclaimedBytes,
+		ReclaimedObjects:      c.Result.ReclaimedObjects,
+		LiveBytes:             c.Result.LiveBytes,
+		PartitionPO:           c.Result.PartitionPO,
+		IO:                    c.Result.IO,
+		CumulativeIO:          c.CumulativeIO,
+		DatabaseBytes:         c.DatabaseBytes,
+		ActualGarbageBytes:    c.GarbageBytes,
+		ActualGarbageFrac:     c.Frac(float64(c.GarbageBytes)),
+		EstimatedGarbageBytes: c.Estimate,
+		EstimatedGarbageFrac:  c.Frac(c.Estimate),
+		TargetGarbageFrac:     c.Frac(c.Target),
+		NextInterval:          c.NextInterval,
 	}
-	if diag, ok := s.cfg.Policy.(sagaDiag); ok {
-		d.Estimate = obs.Float(diag.LastEstimate())
-		d.Target = obs.Float(diag.LastTarget())
-		d.NextInterval = diag.LastInterval()
-	}
-	return d
 }
 
 // closePhase finalizes the current phase summary, if one is open.
