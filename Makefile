@@ -81,18 +81,22 @@ bench:
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff BENCH_PR9.json BENCH_PR10.json -threshold 50
 
-# The repository benchmark (BENCHMARK.json, bench/README.md) on the two
-# replay workloads: one untraced run (end-to-end metrics) and one traced run
-# (per-layer metrics and the counts that must repeat exactly) of each into
-# E2E_OUT, then -compare against the same runs saved from the parent commit:
+# The repository benchmark (BENCHMARK.json, bench/README.md) on WORKLOADS (by
+# default the two replay workloads): one untraced run (end-to-end metrics) and
+# one traced run (per-layer metrics and the counts that must repeat exactly)
+# of each into E2E_OUT, then -compare against the same runs saved from the
+# parent commit:
 #   in a checkout of the parent:  make bench-e2e E2E_OUT=/tmp/parent.jsonl
 #   in the change:                make bench-e2e PARENT=/tmp/parent.jsonl
-# A claim needs ten alternated pairs (bench/README.md); this is the quick look.
+# A change to the durable backend passes WORKLOADS="restart serve-durable" on
+# both sides. A claim needs ten alternated pairs (bench/README.md); this is
+# the quick look.
 E2E_OUT ?= bench/out/e2e.jsonl
 PARENT ?=
+WORKLOADS ?= replay-oo7 replay-gcheavy
 bench-e2e:
 	rm -f $(E2E_OUT)
-	for w in replay-oo7 replay-gcheavy; do for t in 0 1; do \
+	for w in $(WORKLOADS); do for t in 0 1; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 15 --trace $$t --out $(E2E_OUT) || exit 1; \
 	done; done
 ifneq ($(PARENT),)

@@ -101,16 +101,17 @@ func NewStore() *Store {
 	return &Store{nextOID: 1}
 }
 
-// maxOIDGap is how far past the allocation horizon (NextOID) CreateWithOID
+// MaxOIDGap is how far past the allocation horizon (NextOID) CreateWithOID
 // still accepts an OID. Generators, the server and recovery all hand out OIDs
 // densely, so a larger jump is a damaged input — a bit-flipped trace event, a
 // corrupt snapshot — and honouring it would size the table directory by the
 // damage. Recovery, whose survivors can sit far apart, declares its horizon
-// with AdvanceNextOID first.
-const maxOIDGap = 1 << 20
+// with AdvanceNextOID first. The durable backend holds the OIDs it replays
+// from its log to the same bound.
+const MaxOIDGap = 1 << 20
 
 // ErrOIDRange marks a create refused because its OID lies further than
-// maxOIDGap past the allocation horizon.
+// MaxOIDGap past the allocation horizon.
 var ErrOIDRange = errors.New("objstore: OID beyond the allocation horizon")
 
 // NextOID returns the OID that the next Create call will assign.
@@ -142,7 +143,7 @@ func (s *Store) Create(class Class, size, nslots int) (*Object, error) {
 
 // CreateWithOID enters an object with a caller-chosen OID, used when
 // replaying traces whose OIDs were assigned by the generator. It returns an
-// error if the OID is nil, already present, or more than maxOIDGap past the
+// error if the OID is nil, already present, or more than MaxOIDGap past the
 // allocation horizon (ErrOIDRange). The internal OID counter is advanced past
 // the given OID so later Create calls cannot collide.
 func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, error) {
@@ -152,7 +153,7 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	if s.objects.Get(oid) != nil {
 		return nil, fmt.Errorf("objstore: duplicate OID %v", oid)
 	}
-	if oid >= s.nextOID && oid-s.nextOID >= maxOIDGap {
+	if oid >= s.nextOID && oid-s.nextOID >= MaxOIDGap {
 		return nil, fmt.Errorf("%w: %v with next OID %v", ErrOIDRange, oid, s.nextOID)
 	}
 	if size < 0 || nslots < 0 {

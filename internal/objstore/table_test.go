@@ -154,7 +154,7 @@ func TestCreateWithOIDRejectsFarHorizon(t *testing.T) {
 	if _, err := s.CreateWithOID(1, ClassModule, 10, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, oid := range []OID{2 + maxOIDGap, 1 << 40, 1<<62 | 5, ^OID(0)} {
+	for _, oid := range []OID{2 + MaxOIDGap, 1 << 40, 1<<62 | 5, ^OID(0)} {
 		_, err := s.CreateWithOID(oid, ClassModule, 10, 0)
 		if !errors.Is(err, ErrOIDRange) {
 			t.Errorf("CreateWithOID(%d) = %v, want ErrOIDRange", uint64(oid), err)
@@ -172,7 +172,7 @@ func TestCreateWithOIDRejectsFarHorizon(t *testing.T) {
 	// The last OID inside the gap is accepted, and so is any OID below a
 	// horizon declared first (recovery recreates survivors that sit far
 	// apart).
-	if _, err := s.CreateWithOID(1+maxOIDGap, ClassModule, 10, 0); err != nil {
+	if _, err := s.CreateWithOID(1+MaxOIDGap, ClassModule, 10, 0); err != nil {
 		t.Errorf("OID at the edge of the gap refused: %v", err)
 	}
 	s.AdvanceNextOID(1 << 30)
@@ -202,9 +202,9 @@ func TestRestoreStoreRejectsFarOID(t *testing.T) {
 // create gap as long as they lie below the snapshot's horizon.
 func TestRestoreStoreSparseSurvivors(t *testing.T) {
 	st := &StoreSnapshot{
-		Objects: []ObjectState{{OID: 3, Size: 10}, {OID: 3 + 5*maxOIDGap, Size: 10}},
+		Objects: []ObjectState{{OID: 3, Size: 10}, {OID: 3 + 5*MaxOIDGap, Size: 10}},
 		Roots:   []OID{3},
-		NextOID: 4 + 5*maxOIDGap,
+		NextOID: 4 + 5*MaxOIDGap,
 	}
 	s, err := RestoreStore(st)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestRestoreStoreSparseSurvivors(t *testing.T) {
 	if s.Len() != 2 || s.NextOID() != st.NextOID || !s.IsRoot(3) {
 		t.Errorf("restored len=%d next=%v root=%v", s.Len(), s.NextOID(), s.IsRoot(3))
 	}
-	st.NextOID = 3 + 5*maxOIDGap // now below the highest object
+	st.NextOID = 3 + 5*MaxOIDGap // now below the highest object
 	if _, err := RestoreStore(st); err == nil {
 		t.Error("NextOID below the highest object accepted")
 	}

@@ -14,6 +14,7 @@ import (
 	"odbgc/internal/obs/span"
 	"odbgc/internal/simerr"
 	"odbgc/internal/storage"
+	"odbgc/internal/storage/disk"
 )
 
 // EngineConfig parameterizes the request engine.
@@ -321,6 +322,12 @@ func (e *Engine) apply(req Request) Response {
 	case OpCreate:
 		if req.Size <= 0 {
 			return e.fail(req.ID, fmt.Errorf("create: size %d must be positive", req.Size))
+		}
+		// Refused before the heap sees it: the object store would allocate
+		// the slot array first, and a durable backend could log an object
+		// this wide but never checkpoint it.
+		if req.Slots < 0 || req.Slots > disk.MaxSlots {
+			return e.fail(req.ID, fmt.Errorf("create: %d slots outside [0, %d]", req.Slots, disk.MaxSlots))
 		}
 		oid := e.heap.Store().NextOID()
 		if err := e.heap.Create(oid, objstore.ClassUnknown, req.Size, req.Slots); err != nil {

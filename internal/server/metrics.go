@@ -38,7 +38,8 @@ const (
 	MetricRecoveryRecords    = "odbgc_server_recovery_records_replayed"
 	MetricRecoveryBatches    = "odbgc_server_recovery_batches_replayed"
 	MetricRecoveryObjects    = "odbgc_server_recovery_objects"
-	MetricRecoveryMs         = "odbgc_server_recovery_ms"
+	MetricRecoveryOpenMs     = "odbgc_server_recovery_open_ms"
+	MetricRecoveryRebuildMs  = "odbgc_server_recovery_rebuild_ms"
 	MetricRecoveryTornTail   = "odbgc_server_recovery_torn_tail"
 )
 
@@ -83,7 +84,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		{MetricRecoveryRecords, "WAL records replayed by crash recovery at boot"},
 		{MetricRecoveryBatches, "WAL batches replayed by crash recovery at boot"},
 		{MetricRecoveryObjects, "objects rebuilt from the durable store at boot"},
-		{MetricRecoveryMs, "wall-clock milliseconds crash recovery took at boot"},
+		{MetricRecoveryOpenMs, "wall-clock milliseconds disk.Open took at boot: checkpoint load, WAL replay, digest"},
+		{MetricRecoveryRebuildMs, "wall-clock milliseconds rebuilding the live heap from the recovered state took at boot"},
 		{MetricRecoveryTornTail, "1 when recovery trimmed a torn WAL tail, else 0"},
 	}
 	for _, g := range gauges {
@@ -183,16 +185,17 @@ func (m *Metrics) DurableCommit() { m.add(MetricDurableCommits, 1) }
 func (m *Metrics) DurableCheckpoint() { m.add(MetricDurableCheckpoints, 1) }
 
 // RecoveryObserve publishes what crash recovery did at boot, so a scrape
-// after a SIGKILL restart shows how much WAL was replayed and how long the
-// rebuild took.
-func (m *Metrics) RecoveryObserve(records, batches, objects int, ms float64, tornTail bool) {
+// after a SIGKILL restart shows how much WAL was replayed and how long each
+// half of the boot took: opening the store, and rebuilding the heap from it.
+func (m *Metrics) RecoveryObserve(records, batches, objects int, openMs, rebuildMs float64, tornTail bool) {
 	if m == nil {
 		return
 	}
 	m.set(MetricRecoveryRecords, float64(records))
 	m.set(MetricRecoveryBatches, float64(batches))
 	m.set(MetricRecoveryObjects, float64(objects))
-	m.set(MetricRecoveryMs, ms)
+	m.set(MetricRecoveryOpenMs, openMs)
+	m.set(MetricRecoveryRebuildMs, rebuildMs)
 	torn := 0.0
 	if tornTail {
 		torn = 1

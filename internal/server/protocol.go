@@ -38,7 +38,7 @@ const MaxFrameBytes = 64 * 1024
 // Request ops.
 const (
 	OpPing   = "ping"   // liveness probe; echoes ok
-	OpCreate = "create" // allocate an object (Size bytes, Slots pointer slots); auto-rooted
+	OpCreate = "create" // allocate an object (Size bytes, Slots pointer slots, at most disk.MaxSlots); auto-rooted
 	OpAccess = "access" // read an object (application read I/O)
 	OpUpdate = "update" // non-pointer write to an object
 	OpSet    = "set"    // pointer overwrite: OID's slot Slot now points at Dst (0 = nil)

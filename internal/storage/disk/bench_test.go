@@ -1,0 +1,151 @@
+package disk
+
+import (
+	"fmt"
+	"io"
+	"testing"
+
+	"odbgc/internal/objstore"
+)
+
+// memFS keeps the files in memory, so the layer benchmarks time the backend's
+// own work and not the sandbox's disk: OSFS would put three real fsyncs of an
+// 8 MB file inside every checkpoint.
+type memFS map[string]*memFile
+
+type memFile struct{ data []byte }
+
+func (fs memFS) Open(name string) (File, error) {
+	if fs[name] == nil {
+		fs[name] = &memFile{}
+	}
+	return fs[name], nil
+}
+
+func (fs memFS) Remove(name string) error { delete(fs, name); return nil }
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(f.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if end := int(off) + len(p); end > len(f.data) {
+		f.data = append(f.data, make([]byte, end-len(f.data))...)
+	}
+	return copy(f.data[off:], p), nil
+}
+
+func (f *memFile) Size() (int64, error) { return int64(len(f.data)), nil }
+
+func (f *memFile) Truncate(size int64) error {
+	if size > int64(len(f.data)) {
+		return fmt.Errorf("memFile: truncate to %d beyond %d bytes", size, len(f.data))
+	}
+	f.data = f.data[:size]
+	return nil
+}
+
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }
+
+// benchSizes are the object counts the layer benchmarks run at: one where a
+// checkpoint image is a few hundred pages, and the restart workload's.
+var benchSizes = []int{10_000, 200_000}
+
+// buildBenchDB fills fs with the restart workload's shape at n objects:
+// rooted 8-slot hubs each followed by its 8 slotless leaves, one committed
+// batch per group, checkpointed, then a WAL tail of n/100 batches that each
+// allocate a leaf and store it into a hub, left for recovery to replay.
+func buildBenchDB(tb testing.TB, fs FS, n int) {
+	tb.Helper()
+	s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			tb.Helper()
+			tb.Fatal(err)
+		}
+	}
+	tail := n / 100
+	next := objstore.OID(1)
+	for int(next)-1+9 <= n-tail {
+		hub := next
+		must(s.LogAlloc(hub, objstore.ClassUnknown, 200, 8))
+		must(s.LogRoot(hub, true))
+		for k := 0; k < 8; k++ {
+			must(s.LogAlloc(hub+1+objstore.OID(k), objstore.ClassUnknown, 100, 0))
+			must(s.LogSet(hub, k, hub+1+objstore.OID(k)))
+		}
+		must(s.Commit())
+		next += 9
+	}
+	must(s.Checkpoint())
+	hubs := int(next-1) / 9
+	for b := 0; b < tail; b++ {
+		hub := objstore.OID(1 + 9*((b*7919)%hubs))
+		must(s.LogAlloc(next, objstore.ClassUnknown, 100, 0))
+		must(s.LogSet(hub, b%8, next))
+		must(s.Commit())
+		next++
+	}
+	must(s.Close())
+}
+
+// BenchmarkOpen times recovery alone: load the checkpoint image, replay the
+// WAL tail, digest the recovered state.
+func BenchmarkOpen(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			fs := memFS{}
+			buildBenchDB(b, fs, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			objects := 0
+			for i := 0; i < b.N; i++ {
+				s, info, err := Open(Options{FS: fs, Fsync: FsyncNever})
+				if err != nil {
+					b.Fatal(err)
+				}
+				objects += info.Objects
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(objects)/b.Elapsed().Seconds(), "objects/s")
+		})
+	}
+}
+
+// BenchmarkCheckpoint times one full-image checkpoint of a fixed committed
+// state: serialize the mirror, write the pages through the pool, flip the meta
+// page, prune the WAL.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			fs := memFS{}
+			buildBenchDB(b, fs, n)
+			s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.NumObjects())*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
+		})
+	}
+}

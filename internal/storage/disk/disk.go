@@ -236,7 +236,7 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 		TornTail:        scan.torn,
 		TornAt:          scan.tornAt,
 		MetaFallback:    fallback,
-		Objects:         len(s.mem.objects),
+		Objects:         s.mem.objects.Len(),
 		Digest:          s.mem.digest(),
 	}
 	return info, nil
@@ -273,10 +273,15 @@ func (s *Store) stage(op walOp) error {
 	return nil
 }
 
-// LogAlloc implements storage.Backend.
+// LogAlloc implements storage.Backend. An object the format cannot hold (more
+// than MaxSlots slots, a size beyond 32 bits) is refused here, before anything
+// is staged: once committed it could never be checkpointed.
 func (s *Store) LogAlloc(oid objstore.OID, class objstore.Class, size, nslots int) error {
 	if oid.IsNil() {
 		return fmt.Errorf("disk: alloc of nil OID")
+	}
+	if err := checkShape(size, nslots); err != nil {
+		return fmt.Errorf("disk: alloc of %v: %w", oid, err)
 	}
 	return s.stage(walOp{kind: recAlloc, oid: oid, class: class, size: size, nslots: nslots})
 }
@@ -412,12 +417,10 @@ func (s *Store) Checkpoint() error {
 	// open recomputes the free list from the committed image.
 	prevPages, prevGen := s.pageCount, s.generation
 	abort := func(img *checkpointImage, metaMayExist bool) {
-		if img != nil {
-			for no := range img.used {
-				s.pool.Drop(poolPage(no))
-				if metaMayExist {
-					s.usedPages[no] = true
-				}
+		for no := range img.used {
+			s.pool.Drop(poolPage(no))
+			if metaMayExist {
+				s.usedPages[no] = true
 			}
 		}
 		s.generation = prevGen
@@ -426,11 +429,7 @@ func (s *Store) Checkpoint() error {
 		}
 		s.rebuildFreeList(s.usedPages)
 	}
-	img, err := s.buildCheckpoint()
-	if err != nil {
-		abort(nil, false)
-		return err
-	}
+	img := s.buildCheckpoint()
 	if err := s.writeCheckpoint(img); err != nil {
 		abort(img, false)
 		return err
@@ -442,7 +441,7 @@ func (s *Store) Checkpoint() error {
 		nextOID:    uint64(s.mem.nextOID),
 		pageCount:  s.pageCount,
 		dirHead:    img.dirHead,
-		objects:    uint64(len(s.mem.objects)),
+		objects:    uint64(s.mem.objects.Len()),
 	}
 	slot := uint32(s.generation % 2)
 	if _, err := s.heap.WriteAt(encodeMeta(m), int64(slot)*PageSize); err != nil {
@@ -515,6 +514,6 @@ func (s *Store) Stats() Stats {
 		WALTail:     s.walTail,
 		PageCount:   s.pageCount,
 		FreePages:   len(s.freePages),
-		Objects:     len(s.mem.objects),
+		Objects:     s.mem.objects.Len(),
 	}
 }

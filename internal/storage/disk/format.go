@@ -153,6 +153,9 @@ func decodeMeta(page []byte, pageNo uint32) (*meta, error) {
 // slot u16.
 const dirEntryLen = 8 + 4 + 2
 
-// objRecLen returns the wire size of one object record on a data page:
-// oid u64, class u8, root u8, size u32, nslots u32, then the slots.
-func objRecLen(nslots int) int { return 8 + 1 + 1 + 4 + 4 + 8*nslots }
+// objRecHdrLen is the fixed part of one object record on a data page: oid u64,
+// class u8, root u8, size u32, nslots u32. The slots follow, u64 each.
+const objRecHdrLen = 8 + 1 + 1 + 4 + 4
+
+// objRecLen returns the wire size of one object record on a data page.
+func objRecLen(nslots int) int { return objRecHdrLen + 8*nslots }

@@ -2,9 +2,11 @@ package disk
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"odbgc/internal/objstore"
+	"odbgc/internal/simerr"
 )
 
 // walSeed builds a well-formed WAL image: two committed batches and one
@@ -35,12 +37,17 @@ func FuzzScanWAL(f *testing.F) {
 	corrupted := bytes.Clone(seed)
 	corrupted[30] ^= 0xff
 	f.Add(corrupted)
+	f.Add(farOIDWAL()) // intact records, a key the mirror must refuse to reach for
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := newMemState()
 		scan, err := scanWAL(data, 0, mem)
 		if err != nil {
-			// Unrecoverable (sequence gap or inconsistent batch): fine, as
-			// long as it did not panic.
+			// Unrecoverable (sequence gap, inconsistent batch, a key or a
+			// slot count out of bounds): fine, as long as it did not panic
+			// and says what it is.
+			if !errors.Is(err, simerr.ErrRecoveryFailed) {
+				t.Fatalf("scan failed outside the taxonomy: %v", err)
+			}
 			return
 		}
 		if scan.tail < 0 || scan.tail > int64(len(data)) {

@@ -56,38 +56,35 @@ type checkpointImage struct {
 // pages holding object records in ascending OID order, then directory
 // pages mapping every OID to its (page, slot). Pages come from the free
 // list, so the previous checkpoint's image is never overwritten — a crash
-// mid-checkpoint recovers from the old image plus the intact WAL.
-func (s *Store) buildCheckpoint() (*checkpointImage, error) {
+// mid-checkpoint recovers from the old image plus the intact WAL. Every
+// object fits a page: nothing wider than MaxSlots enters the mirror.
+func (s *Store) buildCheckpoint() *checkpointImage {
 	img := &checkpointImage{pages: make(map[uint32][]byte), used: make(map[uint32]bool)}
-	type dirEntry struct {
-		oid  objstore.OID
-		page uint32
-		slot uint16
-	}
-	var entries []dirEntry
 
+	// Directory pages fill as the data pages do, one entry per object. An
+	// entry does not depend on the number of the page it sits on, so the
+	// numbers are allocated only after every data page has its own — the
+	// order pages have always left the free list in — and each directory page
+	// is then sealed once, with its next pointer in place.
+	const perDir = pagePayload / dirEntryLen
+	const dirFull = pageHdrLen + perDir*dirEntryLen
+	dirs := make([][]byte, 0, (s.mem.objects.Len()+perDir-1)/perDir)
 	var (
 		data   []byte
 		dataNo uint32
 		nrecs  uint16
+		dir    []byte
 	)
 	flushData := func() {
-		if data == nil {
-			return
-		}
 		used := uint32(len(data) - pageHdrLen)
 		data = data[:PageSize] // zero padding is covered by the CRC
 		sealPage(data, pageHdr{kind: kindData, count: nrecs, used: used})
 		img.pages[dataNo] = data
 		data, nrecs = nil, 0
 	}
-	for _, oid := range s.mem.sortedOIDs() {
-		o := s.mem.objects[oid]
-		rec := objRecLen(len(o.slots))
-		if rec > pagePayload {
-			return nil, fmt.Errorf("disk: object %v needs %d bytes, page payload is %d", oid, rec, pagePayload)
-		}
-		if data != nil && len(data)+rec > PageSize {
+	s.mem.objects.ForEach(func(oid objstore.OID, o memObj) {
+		slots := o.slotList()
+		if data != nil && len(data)+objRecLen(len(slots)) > PageSize {
 			flushData()
 		}
 		if data == nil {
@@ -95,52 +92,56 @@ func (s *Store) buildCheckpoint() (*checkpointImage, error) {
 			img.used[dataNo] = true
 			data = make([]byte, pageHdrLen, PageSize)
 		}
-		entries = append(entries, dirEntry{oid: oid, page: dataNo, slot: nrecs})
+		if len(dir) == dirFull {
+			dirs = append(dirs, dir)
+			dir = nil
+		}
+		if dir == nil {
+			dir = make([]byte, pageHdrLen, PageSize)
+		}
+		dir = le.AppendUint64(dir, uint64(oid))
+		dir = le.AppendUint32(dir, dataNo)
+		dir = le.AppendUint16(dir, nrecs)
+
 		data = le.AppendUint64(data, uint64(oid))
 		root := byte(0)
 		if o.root {
 			root = 1
 		}
 		data = append(data, byte(o.class), root)
-		data = le.AppendUint32(data, uint32(o.size))
-		data = le.AppendUint32(data, uint32(len(o.slots)))
-		for _, sl := range o.slots {
+		data = le.AppendUint32(data, o.size)
+		data = le.AppendUint32(data, uint32(len(slots)))
+		for _, sl := range slots {
 			data = le.AppendUint64(data, uint64(sl))
 		}
 		nrecs++
+	})
+	if data != nil {
+		flushData()
 	}
-	flushData()
+	if dir != nil {
+		dirs = append(dirs, dir)
+	}
 
-	// Directory pages, chained head → tail. Page numbers are allocated up
-	// front so each page can be sealed once with its next pointer in place.
-	perPage := pagePayload / dirEntryLen
-	nDir := (len(entries) + perPage - 1) / perPage
-	dirNos := make([]uint32, nDir)
+	dirNos := make([]uint32, len(dirs))
 	for i := range dirNos {
 		dirNos[i] = s.allocPage()
 		img.used[dirNos[i]] = true
 	}
-	for i := 0; i < nDir; i++ {
-		start := i * perPage
-		n := min(perPage, len(entries)-start)
-		page := make([]byte, pageHdrLen, PageSize)
-		for _, e := range entries[start : start+n] {
-			page = le.AppendUint64(page, uint64(e.oid))
-			page = le.AppendUint32(page, e.page)
-			page = le.AppendUint16(page, e.slot)
-		}
-		page = page[:PageSize]
+	for i, page := range dirs {
+		n := (len(page) - pageHdrLen) / dirEntryLen
 		next := uint32(0)
-		if i+1 < nDir {
+		if i+1 < len(dirs) {
 			next = dirNos[i+1]
 		}
+		page = page[:PageSize]
 		sealPage(page, pageHdr{kind: kindDir, count: uint16(n), next: next, used: uint32(n * dirEntryLen)})
 		img.pages[dirNos[i]] = page
 	}
-	if nDir > 0 {
+	if len(dirs) > 0 {
 		img.dirHead = dirNos[0]
 	}
-	return img, nil
+	return img
 }
 
 // writeCheckpoint persists an image through the buffer pool. Every page is
@@ -243,99 +244,102 @@ func loadCheckpoint(heap File, mem *memState) (m *meta, metaFallback bool, pages
 	metaFallback = metaErrs[1-best] != nil
 	mem.nextOID = objstore.OID(m.nextOID)
 
-	// Walk the directory chain, then fetch each referenced data page once
-	// and decode its records in place.
-	type pageRecs struct {
-		oids []objstore.OID
-		offs []int
-		page []byte
+	// Walk the directory chain. A checkpoint lists its objects in ascending
+	// OID order and packs them into data pages in that order, so consecutive
+	// entries name the same data page until it is exhausted: one data page is
+	// held at a time, in one buffer, and each object is decoded straight out
+	// of it into the mirror. An image that revisits a page is still read
+	// correctly, only with a second read of that page.
+	fail := func(what string, err error) (*meta, bool, int, map[uint32]bool, error) {
+		return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(what, err)
 	}
-	dataCache := make(map[uint32]*pageRecs)
-	loadData := func(no uint32) (*pageRecs, error) {
-		if pr, ok := dataCache[no]; ok {
-			return pr, nil
-		}
-		page := make([]byte, PageSize)
-		if err := readPage(heap, no, page); err != nil {
-			return nil, err
+	var (
+		dir, data [PageSize]byte
+		dataNo    uint32   // page held in data; 0 (a meta page) = none
+		recOff    []uint16 // offset of each record on that page
+	)
+	loadData := func(no uint32) error {
+		dataNo, recOff = 0, recOff[:0]
+		if err := readPage(heap, no, data[:]); err != nil {
+			return err
 		}
 		pagesRead++
 		used[no] = true
-		hdr, err := openPage(page, no)
+		hdr, err := openPage(data[:], no)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if hdr.kind != kindData {
-			return nil, fmt.Errorf("page %d: kind %d, want data", no, hdr.kind)
+			return fmt.Errorf("page %d: kind %d, want data", no, hdr.kind)
 		}
-		pr := &pageRecs{page: page}
+		end := pageHdrLen + int(hdr.used)
 		off := pageHdrLen
 		for i := 0; i < int(hdr.count); i++ {
-			if off+18 > pageHdrLen+int(hdr.used) {
-				return nil, fmt.Errorf("page %d: record %d overruns payload", no, i)
+			if off+objRecHdrLen > end {
+				return fmt.Errorf("page %d: record %d overruns payload", no, i)
 			}
-			nslots := int(le.Uint32(page[off+14:]))
-			if off+objRecLen(nslots) > pageHdrLen+int(hdr.used) {
-				return nil, fmt.Errorf("page %d: record %d slots overrun payload", no, i)
+			nslots := int(le.Uint32(data[off+14:]))
+			if off+objRecLen(nslots) > end {
+				return fmt.Errorf("page %d: record %d slots overrun payload", no, i)
 			}
-			pr.oids = append(pr.oids, objstore.OID(le.Uint64(page[off:])))
-			pr.offs = append(pr.offs, off)
+			recOff = append(recOff, uint16(off))
 			off += objRecLen(nslots)
 		}
-		dataCache[no] = pr
-		return pr, nil
+		dataNo = no
+		return nil
 	}
 
 	for no := m.dirHead; no != 0; {
-		page := make([]byte, PageSize)
-		if err := readPage(heap, no, page); err != nil {
-			return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(fmt.Sprintf("directory page %d", no), err)
+		if err := readPage(heap, no, dir[:]); err != nil {
+			return fail(fmt.Sprintf("directory page %d", no), err)
 		}
 		pagesRead++
 		used[no] = true
-		hdr, err := openPage(page, no)
+		hdr, err := openPage(dir[:], no)
 		if err != nil {
-			return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(fmt.Sprintf("directory page %d", no), err)
+			return fail(fmt.Sprintf("directory page %d", no), err)
 		}
 		if hdr.kind != kindDir {
-			return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(
-				fmt.Sprintf("directory page %d: kind %d", no, hdr.kind), nil)
+			return fail(fmt.Sprintf("directory page %d: kind %d", no, hdr.kind), nil)
+		}
+		if int(hdr.count)*dirEntryLen > int(hdr.used) {
+			return fail(fmt.Sprintf("directory page %d: %d entries overrun payload", no, hdr.count), nil)
 		}
 		for i := 0; i < int(hdr.count); i++ {
 			off := pageHdrLen + i*dirEntryLen
-			oid := objstore.OID(le.Uint64(page[off:]))
-			dataNo := le.Uint32(page[off+8:])
-			slot := int(le.Uint16(page[off+12:]))
-			pr, err := loadData(dataNo)
-			if err != nil {
-				return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(fmt.Sprintf("object %v", oid), err)
+			oid := objstore.OID(le.Uint64(dir[off:]))
+			page := le.Uint32(dir[off+8:])
+			slot := int(le.Uint16(dir[off+12:]))
+			// The table grows to reach any key it is given; the image's own
+			// horizon bounds what a directory entry may name.
+			if oid.IsNil() || oid >= mem.nextOID {
+				return fail(fmt.Sprintf("directory entry %v outside (0, %v)", oid, mem.nextOID), nil)
 			}
-			if slot >= len(pr.oids) || pr.oids[slot] != oid {
-				return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(
-					fmt.Sprintf("directory entry %v → (%d,%d) does not resolve", oid, dataNo, slot), nil)
+			if page != dataNo || dataNo == 0 {
+				if err := loadData(page); err != nil {
+					return fail(fmt.Sprintf("object %v", oid), err)
+				}
 			}
-			rOff := pr.offs[slot]
-			nslots := int(le.Uint32(pr.page[rOff+14:]))
-			o := &memObj{
-				class: objstore.Class(pr.page[rOff+8]),
-				root:  pr.page[rOff+9] != 0,
-				size:  int(le.Uint32(pr.page[rOff+10:])),
-				slots: make([]objstore.OID, nslots),
+			if slot >= len(recOff) || objstore.OID(le.Uint64(data[recOff[slot]:])) != oid {
+				return fail(fmt.Sprintf("directory entry %v → (%d,%d) does not resolve", oid, page, slot), nil)
 			}
-			for si := range o.slots {
-				o.slots[si] = objstore.OID(le.Uint64(pr.page[rOff+18+8*si:]))
+			rec := data[recOff[slot]:]
+			var slots []objstore.OID
+			if nslots := int(le.Uint32(rec[14:])); nslots > 0 {
+				slots = make([]objstore.OID, nslots)
+				for si := range slots {
+					slots[si] = objstore.OID(le.Uint64(rec[objRecHdrLen+8*si:]))
+				}
 			}
-			if _, dup := mem.objects[oid]; dup {
-				return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(
-					fmt.Sprintf("duplicate directory entry for %v", oid), nil)
+			o := memObj{class: objstore.Class(rec[8]), root: rec[9] != 0, size: le.Uint32(rec[10:])}
+			if err := mem.insert(oid, o, slots); err != nil {
+				return fail("checkpoint directory", err)
 			}
-			mem.objects[oid] = o
 		}
 		no = hdr.next
 	}
-	if uint64(len(mem.objects)) != m.objects {
-		return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed(
-			fmt.Sprintf("checkpoint holds %d objects, meta says %d", len(mem.objects), m.objects), nil)
+	if uint64(mem.objects.Len()) != m.objects {
+		return fail(fmt.Sprintf("checkpoint holds %d objects, meta says %d", mem.objects.Len(), m.objects), nil)
 	}
 	return m, metaFallback, pagesRead, used, nil
 }

@@ -76,7 +76,8 @@ start_daemon "$work/daemon2.out"
 grep -Eq '^recovered [1-9][0-9]* objects' "$work/daemon2.out"
 curl -fsS "http://$http/metrics" -o "$work/metrics.txt"
 grep -Eq '^odbgc_server_recovery_objects [1-9]' "$work/metrics.txt"
-grep -q '^odbgc_server_recovery_ms ' "$work/metrics.txt"
+grep -q '^odbgc_server_recovery_open_ms ' "$work/metrics.txt"
+grep -q '^odbgc_server_recovery_rebuild_ms ' "$work/metrics.txt"
 grep -q '^odbgc_server_recovery_records_replayed ' "$work/metrics.txt"
 grep -q '^odbgc_server_recovery_batches_replayed ' "$work/metrics.txt"
 echo "crash-drill: restart recovered the kill site; counters on /metrics"
