@@ -60,12 +60,14 @@ test-race:
 race:
 	$(GO) test -race ./internal/sim/ ./internal/metrics/
 
-# Short fuzz passes over the trace decoders and the WAL scanner.
+# Short fuzz passes over the trace decoders, the WAL scanner and the typed
+# frame codec (differentially against encoding/json).
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzJSONReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 15s ./internal/storage/disk/
+	$(GO) test -fuzz FuzzFrameCodec -fuzztime 15s ./internal/server/
 
 # Benchmark sweep. One iteration per benchmark keeps the sweep quick; the
 # parsed JSON baseline (ns/op, allocs/op per benchmark) lands in
@@ -89,8 +91,9 @@ bench-diff:
 #   in a checkout of the parent:  make bench-e2e E2E_OUT=/tmp/parent.jsonl
 #   in the change:                make bench-e2e PARENT=/tmp/parent.jsonl
 # A change to the durable backend passes WORKLOADS="restart serve-durable" on
-# both sides. A claim needs ten alternated pairs (bench/README.md); this is
-# the quick look.
+# both sides, a change to the serving path (wire, session, admission, engine)
+# WORKLOADS="serve-mem serve-durable". A claim needs ten alternated pairs
+# (bench/README.md); this is the quick look.
 E2E_OUT ?= bench/out/e2e.jsonl
 PARENT ?=
 WORKLOADS ?= replay-oo7 replay-gcheavy

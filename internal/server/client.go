@@ -13,8 +13,18 @@ import (
 // drift breaks loudly in both places. Not safe for concurrent use; open
 // one Client per session.
 type Client struct {
-	conn   net.Conn
+	fr     framer
 	nextID uint64
+	// req and resp are the frames in flight. They live here because a frame
+	// the typed codec declines goes to encoding/json by reference: as locals
+	// of Do each would be a heap allocation per request.
+	req  Request
+	resp Response
+	// err is the first failure of Do. After one, the stream's position is
+	// unknown — the response may still arrive, into the socket or the read
+	// buffer, where the next Do would take it for its own — so the client
+	// is finished and every later Do returns err; callers reconnect.
+	err error
 }
 
 // Dial opens a session to addr, failing after timeout.
@@ -23,39 +33,51 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return &Client{fr: newFramer(conn)}, nil
 }
 
 // Close ends the session.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.fr.conn.Close() }
 
 // Conn exposes the raw connection for chaos injection (slow writes,
 // malformed frames, mid-request hangups).
-func (c *Client) Conn() net.Conn { return c.conn }
+func (c *Client) Conn() net.Conn { return c.fr.conn }
 
 // Do sends one request and waits for its response. The ctx deadline, when
-// present, bounds both the write and the read.
+// present, bounds both the write and the read. An error from Do is final
+// for the Client: later calls return the same error without touching the
+// connection.
 func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
-	c.nextID++
-	req.ID = c.nextID
-	dl, ok := ctx.Deadline()
-	if !ok {
-		dl = time.Time{}
+	if c.err != nil {
+		return Response{}, c.err
 	}
-	if err := c.conn.SetDeadline(dl); err != nil {
+	resp, err := c.do(ctx, req)
+	if err != nil {
+		c.err = err
 		return Response{}, err
-	}
-	if err := WriteFrame(c.conn, req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := ReadFrame(c.conn, &resp); err != nil {
-		return Response{}, err
-	}
-	if resp.ID != req.ID {
-		return Response{}, fmt.Errorf("server: response id %d for request %d", resp.ID, req.ID)
 	}
 	return resp, nil
+}
+
+func (c *Client) do(ctx context.Context, req Request) (Response, error) {
+	c.nextID++
+	req.ID = c.nextID
+	dl, _ := ctx.Deadline() // the zero time, when there is none, clears the deadline
+	if err := c.fr.conn.SetDeadline(dl); err != nil {
+		return Response{}, err
+	}
+	c.req = req
+	if err := c.fr.write(&c.req); err != nil {
+		return Response{}, err
+	}
+	c.resp = Response{}
+	if _, _, err := c.fr.read(&c.resp, nil); err != nil {
+		return Response{}, err
+	}
+	if c.resp.ID != req.ID {
+		return Response{}, fmt.Errorf("server: response id %d for request %d", c.resp.ID, req.ID)
+	}
+	return c.resp, nil
 }
 
 // Create allocates an object and returns its OID.

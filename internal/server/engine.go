@@ -78,7 +78,9 @@ func (c *EngineConfig) validate() error {
 
 // call is one admitted request in flight: the request, its queue deadline,
 // and the buffered channel its response lands on (buffered so the engine
-// never blocks on a waiter that gave up).
+// never blocks on a waiter that gave up). The engine reads a call it was
+// handed until it has sent on done, so a waiter may fill the call in again
+// only after receiving from done.
 type call struct {
 	req      Request
 	deadline time.Time // zero means none
@@ -180,29 +182,97 @@ func (e *Engine) retryAfterMs() int {
 // sp is the request's span (nil when tracing is off); Submit only copies
 // its ID into the call, so the span remains session-owned throughout.
 func (e *Engine) Submit(ctx context.Context, req Request, sp *span.Span) Response {
-	if e.draining.Load() {
-		return Response{ID: req.ID, Status: StatusClosed,
-			Error: simerr.SessionClosedf("server draining").Error()}
-	}
-	c := &call{req: req, done: make(chan Response, 1), spanID: sp.SpanID(), enq: e.Now()}
+	c := &call{req: req, done: make(chan Response, 1), spanID: sp.SpanID()}
 	if dl, ok := ctx.Deadline(); ok {
 		c.deadline = dl
 	}
-	select {
-	case e.queue <- c:
-	default:
-		e.cfg.Metrics.Shed()
-		return Response{ID: req.ID, Status: StatusShed,
-			Error:        simerr.Overloadedf("admission queue full (%d deep)", cap(e.queue)).Error(),
-			RetryAfterMs: e.retryAfterMs()}
+	if resp, ok := e.admit(c); !ok {
+		return resp
 	}
 	select {
 	case resp := <-c.done:
 		return resp
 	case <-ctx.Done():
-		err := simerr.FromContext(ctx.Err())
-		e.cfg.Metrics.Error(simerr.Classify(err))
-		return Response{ID: req.ID, Status: StatusError, Error: err.Error()}
+		return e.gaveUp(req.ID, ctx.Err())
+	}
+}
+
+// admit stamps c's enqueue tick and queues it, or reports false with the
+// response that refuses it. Once admitted, c belongs to the engine until
+// its response has been received from c.done.
+func (e *Engine) admit(c *call) (Response, bool) {
+	if e.draining.Load() {
+		return Response{ID: c.req.ID, Status: StatusClosed,
+			Error: simerr.SessionClosedf("server draining").Error()}, false
+	}
+	c.enq = e.Now()
+	select {
+	case e.queue <- c:
+		return Response{}, true
+	default:
+		e.cfg.Metrics.Shed()
+		return Response{ID: c.req.ID, Status: StatusShed,
+			Error:        simerr.Overloadedf("admission queue full (%d deep)", cap(e.queue)).Error(),
+			RetryAfterMs: e.retryAfterMs()}, false
+	}
+}
+
+// gaveUp counts and formats the answer to a waiter that stopped waiting for
+// an admitted call, for cause (a context error).
+func (e *Engine) gaveUp(id uint64, cause error) Response {
+	err := simerr.FromContext(cause)
+	e.cfg.Metrics.Error(simerr.Classify(err))
+	return Response{ID: id, Status: StatusError, Error: err.Error()}
+}
+
+// waiter is Submit for a session, which sends one request at a time: the
+// call, its response channel and the timeout's timer are made once and used
+// again for every request, where Submit makes a call and a channel, and its
+// caller a context, per request. The one rule is that a call the waiter
+// gave up on stays the engine's — its late response lands in a channel
+// nobody reads — and the next request gets a new one.
+type waiter struct {
+	e       *Engine
+	timeout time.Duration
+	c       *call       // nil before the first request and after an abandoned one
+	timer   *time.Timer // nil before the first admitted request; stopped and drained between requests
+}
+
+// submit is Submit with the waiter's timeout as the deadline; ctx only
+// cancels.
+func (w *waiter) submit(ctx context.Context, req Request, sp *span.Span) Response {
+	if w.c == nil {
+		w.c = &call{done: make(chan Response, 1)}
+	}
+	c := w.c
+	c.req, c.spanID, c.deadline = req, sp.SpanID(), time.Now().Add(w.timeout)
+	if resp, ok := w.e.admit(c); !ok {
+		return resp
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(w.timeout)
+	} else {
+		w.timer.Reset(w.timeout)
+	}
+	select {
+	case resp := <-c.done:
+		w.stopTimer()
+		return resp
+	case <-w.timer.C:
+		w.c = nil
+		return w.e.gaveUp(req.ID, context.DeadlineExceeded)
+	case <-ctx.Done():
+		w.stopTimer()
+		w.c = nil
+		return w.e.gaveUp(req.ID, ctx.Err())
+	}
+}
+
+// stopTimer leaves the timer stopped with nothing in its channel, which is
+// what Reset needs of it.
+func (w *waiter) stopTimer() {
+	if !w.timer.Stop() {
+		<-w.timer.C
 	}
 }
 
@@ -261,13 +331,14 @@ func (e *Engine) process(c *call) {
 	resp.ServiceUs = serviceNs / 1e3
 	e.cfg.Metrics.Stage(MetricStageQueue, float64(queueNs)/1e6, c.spanID)
 	e.cfg.Metrics.Stage(MetricStageService, float64(serviceNs)/1e6, c.spanID)
+	parent := c.spanID // the send hands c back to its waiter, who may reuse it
 	c.done <- resp
 
 	// GC after responding: collection time is not billed to the request
 	// that happened to trigger it — but the collection's span is parented
 	// to it, attributing the pause to the traffic that provoked it.
 	if e.cycle.Due() {
-		e.collect(c.spanID)
+		e.collect(parent)
 	}
 
 	ms := float64(time.Since(start)) / float64(time.Millisecond)

@@ -20,14 +20,21 @@
 // The wire protocol is deliberately small: length-prefixed JSON frames
 // (a big-endian uint32 byte count, then that many bytes of one JSON
 // document) over TCP. One request frame yields exactly one response frame.
+// encoding/json defines the documents; the frames of the op mix are written
+// and read by a typed codec (codec.go) that produces and accepts the same
+// bytes, so any JSON client works. A frame leaves in one write, and each
+// end of a connection reads through one buffer.
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 )
 
 // MaxFrameBytes bounds a single frame's payload. Anything larger is
@@ -108,21 +115,14 @@ type Response struct {
 	Stats   *Stats `json:"stats,omitempty"`
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
+// WriteFrame encodes v and writes it as one length-prefixed frame with a
+// single Write. Header and payload leave together because TCP_NODELAY makes
+// a header written on its own a segment of its own, and a wake-up of its
+// own for the reader.
 func WriteFrame(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("server: encoding frame: %w", err)
-	}
-	if len(b) > MaxFrameBytes {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", len(b), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(b)
+	bp := frameBufs.Get().(*[]byte)
+	err := writeFrame(w, bp, v)
+	frameBufs.Put(bp)
 	return err
 }
 
@@ -141,28 +141,113 @@ func ReadFrame(r io.Reader, v any) error {
 // after JSON decoding — their difference is the span's decode stage. A nil
 // now skips the clock reads and returns zero ticks.
 func ReadFrameTimed(r io.Reader, v any, now func() int64) (arrival, decoded int64, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	bp := frameBufs.Get().(*[]byte)
+	arrival, decoded, err = readFrame(r, bp, v, now)
+	frameBufs.Put(bp)
+	return arrival, decoded, err
+}
+
+// frameBufBytes is a frame buffer's first size: room for any frame of the
+// op mix. A Stats response or a long error text grows the buffer.
+const frameBufBytes = 512
+
+// frameBufs lends WriteFrame and ReadFrame, which have no connection to
+// keep one on, the buffer a frame is assembled in or read into.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, frameBufBytes)
+	return &b
+}}
+
+// appendFrame appends v's frame to dst: the 4-byte length, then the JSON
+// document. The typed encoder writes the document when it can; what it
+// declines goes through json.Marshal, whose bytes the typed encoder's are.
+func appendFrame(dst []byte, v any) ([]byte, error) {
+	head := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	f, flat := v.(flatEncoder)
+	if flat {
+		dst, flat = f.appendFlat(dst)
+	}
+	if !flat {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return dst[:head], fmt.Errorf("server: encoding frame: %w", err)
+		}
+		dst = append(dst[:head+4], b...)
+	}
+	n := len(dst) - head - 4
+	if n > MaxFrameBytes {
+		return dst[:head], fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(dst[head:], uint32(n))
+	return dst, nil
+}
+
+// writeFrame assembles v's frame in *buf (grown when a frame needs it) and
+// writes it to w.
+func writeFrame(w io.Writer, buf *[]byte, v any) error {
+	b, err := appendFrame((*buf)[:0], v)
+	if err != nil {
+		return err
+	}
+	*buf = b
+	_, err = w.Write(b)
+	return err
+}
+
+// readFrame reads one frame from r into v, using *buf (grown when a frame
+// needs it) for the header and then the payload. Nothing in v refers to
+// *buf afterwards.
+func readFrame(r io.Reader, buf *[]byte, v any, now func() int64) (arrival, decoded int64, err error) {
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, err
 	}
 	if now != nil {
 		arrival = now()
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 || n > MaxFrameBytes {
 		return arrival, arrival, fmt.Errorf("%w: declared length %d outside (0,%d]", errMalformed, n, MaxFrameBytes)
 	}
-	b := make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
 	if _, err := io.ReadFull(r, b); err != nil {
 		return arrival, arrival, err
 	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return arrival, arrival, fmt.Errorf("%w: %v", errMalformed, err)
+	if f, ok := v.(flatDecoder); !ok || !f.decodeFlat(b) {
+		if err := json.Unmarshal(b, v); err != nil {
+			return arrival, arrival, fmt.Errorf("%w: %v", errMalformed, err)
+		}
 	}
 	if now != nil {
 		decoded = now()
 	}
 	return arrival, decoded, nil
+}
+
+// framer is one end of a connection's frame traffic: every frame leaves in
+// one Write, and frames are read through one buffered reader, so a frame
+// that arrived in one segment costs one read. Requests and responses
+// alternate, so one buffer, reused, holds the frame being written or the
+// payload being decoded. Deadlines are set on conn, which the reader wraps,
+// and interrupt a read blocked inside it.
+type framer struct {
+	conn net.Conn
+	br   *bufio.Reader
+	buf  []byte
+}
+
+func newFramer(conn net.Conn) framer {
+	return framer{conn: conn, br: bufio.NewReader(conn), buf: make([]byte, 0, frameBufBytes)}
+}
+
+func (f *framer) write(v any) error { return writeFrame(f.conn, &f.buf, v) }
+
+func (f *framer) read(v any, now func() int64) (arrival, decoded int64, err error) {
+	return readFrame(f.br, &f.buf, v, now)
 }
 
 // errMalformed tags protocol violations (bad length prefix, non-JSON

@@ -249,7 +249,16 @@ func (s *Server) snapshotConns() []net.Conn {
 func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 	rec := s.engine.cfg.Recorder
 	acceptTick := s.engine.Now()
-	var seq uint64
+	fr := newFramer(conn)
+	wait := waiter{e: s.engine, timeout: s.cfg.RequestTimeout}
+	// Declared out here because a frame the typed codec declines goes to
+	// encoding/json by reference: inside the loop each would be a heap
+	// allocation per request.
+	var (
+		req  Request
+		resp Response
+		seq  uint64
+	)
 	for ctx.Err() == nil {
 		if s.draining.Load() {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.DrainGrace))
@@ -264,8 +273,8 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 			// or loop turn.
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.DrainGrace))
 		}
-		var req Request
-		arrival, decoded, err := ReadFrameTimed(conn, &req, s.engine.Now)
+		req = Request{}
+		arrival, decoded, err := fr.read(&req, s.engine.Now)
 		if err != nil {
 			switch {
 			case IsMalformed(err):
@@ -295,9 +304,7 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 		}
 		sp.SetStage(span.StageDecode, decoded-arrival)
 		s.m.Stage(MetricStageDecode, float64(decoded-arrival)/1e6, sp.SpanID())
-		reqCtx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		resp := s.engine.Submit(reqCtx, req, sp)
-		cancel()
+		resp = wait.submit(ctx, req, sp)
 		// Queue and service stages come back as response metadata: the
 		// engine never touches the session's span, only its ID, so there is
 		// no write to race with an abandoned waiter's Finish.
@@ -305,7 +312,7 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 		sp.SetStage(span.StageService, resp.ServiceUs*1000)
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
 		wStart := s.engine.Now()
-		werr := WriteFrame(conn, resp)
+		werr := fr.write(&resp)
 		wEnd := s.engine.Now()
 		sp.SetStage(span.StageWrite, wEnd-wStart)
 		s.m.Stage(MetricStageWrite, float64(wEnd-wStart)/1e6, sp.SpanID())

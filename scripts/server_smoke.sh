@@ -14,6 +14,11 @@ echo "server-smoke: working under $work"
 
 go build -race -o "$work/odbgcd" ./cmd/odbgcd
 go build -race -o "$work/odbgload" ./cmd/odbgload
+# Built now, not `go run` mid-load: a link on a box the flood keeps busy
+# takes seconds, and between the first collection and the drain the shed
+# spans must not have pushed the lone GC span out of the 512-span retained
+# ring (at ~300 sheds a second that is under two seconds).
+go build -o "$work/obsdump" ./cmd/obsdump
 
 addr=127.0.0.1:9471
 http=127.0.0.1:9472
@@ -68,7 +73,7 @@ curl -fsS "http://$http/debug/traces" -o "$work/traces_live.jsonl"
 test -s "$work/traces_live.jsonl"
 grep -q '"outcome":"shed"' "$work/traces_live.jsonl"
 grep -q '"stages"' "$work/traces_live.jsonl"
-go run ./cmd/obsdump -spans -check "$work/traces_live.jsonl"
+"$work/obsdump" -spans -check "$work/traces_live.jsonl"
 echo "server-smoke: live /debug/traces scrape holds shed spans"
 
 # Wait for the first online collection before draining, so the trace
@@ -108,8 +113,8 @@ test -s "$work/events.jsonl"
 grep -q '"summary_sha256"' "$work/run.manifest.json" || grep -q '"sha256"' "$work/run.manifest.json"
 test -s "$work/traces.jsonl"
 grep -q '"outcome":"shed"' "$work/traces.jsonl"
-go run ./cmd/obsdump -spans -check "$work/traces.jsonl"
-if ! go run ./cmd/obsdump -spans -check "$work/traces.jsonl" | grep -q ' 0 dangling parents'; then
+"$work/obsdump" -spans -check "$work/traces.jsonl"
+if ! "$work/obsdump" -spans -check "$work/traces.jsonl" | grep -q ' 0 dangling parents'; then
   echo "server-smoke: post-drain trace dump has dangling GC parents" >&2
   exit 1
 fi
