@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff bench-e2e experiments examples soak server-smoke crash-drill clean
+.PHONY: all build loc test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff bench-e2e profile experiments examples soak server-smoke crash-drill clean
 
 all: build vet lint test
 
@@ -60,14 +60,16 @@ test-race:
 race:
 	$(GO) test -race ./internal/sim/ ./internal/metrics/
 
-# Short fuzz passes over the trace decoders, the WAL scanner and the typed
-# frame codec (differentially against encoding/json).
+# Short fuzz passes over the trace decoders, the WAL scanner, the typed
+# frame codec (differentially against encoding/json) and the buffer pool
+# (differentially against the container/list + map pool it replaced).
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzJSONReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 15s ./internal/storage/disk/
 	$(GO) test -fuzz FuzzFrameCodec -fuzztime 15s ./internal/server/
+	$(GO) test -fuzz FuzzBufferPool -fuzztime 15s ./internal/storage/
 
 # Benchmark sweep. One iteration per benchmark keeps the sweep quick; the
 # parsed JSON baseline (ns/op, allocs/op per benchmark) lands in
@@ -105,6 +107,21 @@ bench-e2e:
 ifneq ($(PARENT),)
 	bash bench/run.sh -compare $(PARENT) $(E2E_OUT)
 endif
+
+# CPU profile of one layer benchmark, hottest frames by cumulative time on
+# stdout. The default is replay-gcheavy's repetition in process, so the
+# profile is that workload's; the test binary and the profile stay outside
+# the checkout:
+#   make profile PKG=./internal/sim BENCH=ReplayFixed50
+#   make profile PKG=./internal/storage BENCH='BufferPoolPin/deep' BENCHTIME=2000000x
+PKG ?= ./internal/sim
+BENCH ?= ReplayFixed50
+BENCHTIME ?= 5s
+PROFILE_DIR ?= /tmp/odbgc-profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -o $(PROFILE_DIR)/bench.test -cpuprofile $(PROFILE_DIR)/cpu.prof $(PKG)
+	$(GO) tool pprof -top -cum -nodecount 60 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.prof
 
 # Full paper regeneration: every table and figure, 10 seeded runs per data
 # point, CSV series under results/.

@@ -84,10 +84,12 @@ type Heap struct {
 	// boundaries, so a crash can only lose whole uncommitted batches.
 	durable storage.Backend
 
-	// mark holds the collector's trace marks. An object is marked when its
-	// entry equals epoch, and every collection starts a new epoch, so marks
-	// are never cleared: a survivor's stale mark is harmless and a reclaimed
-	// object's is deleted with it.
+	// mark holds the collector's trace marks. A collection takes two fresh
+	// values: it tags every member of its partition with epoch-1 and marks
+	// the ones the trace reaches with epoch, so "placed in this partition and
+	// not reached yet" is one probe, mark == epoch-1. Every collection starts
+	// a new epoch, so marks are never cleared: a survivor's stale mark is
+	// harmless and a reclaimed object's is deleted with it.
 	mark  objstore.Table[uint32]
 	epoch uint32
 
@@ -470,26 +472,30 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	sc := &h.scratch
 	members := h.disk.AppendObjectsIn(sc.members[:0], p)
 	sc.members = members
-	h.epoch++
-	if h.epoch == 0 {
-		// Wrapped: marks left 2^32 collections ago would read as current.
+	h.epoch += 2
+	if h.epoch < 2 {
+		// Wrapped: marks left 2^31 collections ago would read as current.
 		h.mark = objstore.Table[uint32]{}
-		h.epoch = 1
+		h.epoch = 2
 	}
+	unreached := h.epoch - 1
 
-	// Partition roots: database roots and externally referenced objects.
-	// They seed the traversal queue; live objects are appended behind them.
+	// Tag the members. Partition roots — database roots and externally
+	// referenced objects — are reached from the start: they seed the
+	// traversal queue, and live objects are appended behind them.
 	queue := sc.queue[:0]
 	for _, oid := range members {
 		if h.store.IsRoot(oid) || h.ext.Get(oid) > 0 {
 			h.mark.Set(oid, h.epoch)
 			queue = append(queue, oid)
+		} else {
+			h.mark.Set(oid, unreached)
 		}
 	}
 
 	// Cheney breadth-first copy within the partition. The queue, once
 	// drained, is the live list in copy order; pointers leaving the
-	// partition are not traversed.
+	// partition are not traversed (their targets carry no tag).
 	liveBytes := 0
 	for head := 0; head < len(queue); head++ {
 		oid := queue[head]
@@ -499,17 +505,10 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		}
 		liveBytes += o.Size
 		for _, t := range o.Slots {
-			if t.IsNil() {
-				continue
+			if h.mark.Get(t) == unreached {
+				h.mark.Set(t, h.epoch)
+				queue = append(queue, t)
 			}
-			if tp, ok := h.disk.PartitionOf(t); !ok || tp != p {
-				continue
-			}
-			if h.mark.Get(t) == h.epoch {
-				continue
-			}
-			h.mark.Set(t, h.epoch)
-			queue = append(queue, t)
 		}
 	}
 	sc.queue = queue
@@ -519,7 +518,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	// compaction removes its placement.
 	deadList := sc.deadList[:0]
 	for _, oid := range members {
-		if h.mark.Get(oid) != h.epoch {
+		if h.mark.Get(oid) == unreached {
 			deadList = append(deadList, oid)
 		}
 	}

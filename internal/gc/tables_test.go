@@ -178,8 +178,42 @@ func TestMarkEpochWrap(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || got.ReclaimedObjects != 1 {
 		t.Fatalf("collection across the wrap = %+v, twin %+v", got, want)
 	}
-	if h.epoch != 1 {
-		t.Errorf("epoch after wrap = %d, want 1", h.epoch)
+	if h.epoch != 2 {
+		t.Errorf("epoch after wrap = %d, want 2", h.epoch)
+	}
+}
+
+// TestMarkEpochWrapForeignTag: the trace follows a pointer when the target's
+// mark equals this collection's member tag, without asking where the target
+// is placed. A mark left in another partition 2^31 collections ago that
+// equals the tag after the wrap would pull a foreign object into the copy;
+// the clean table is what rules that out.
+func TestMarkEpochWrapForeignTag(t *testing.T) {
+	h := buildSnapshotHeap(t)
+	twin, err := RestoreHeap(h.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Object 5 lives in partition 1 and is referenced from object 1 in
+	// partition 0; 1 is the tag the wrapped epoch is about to hand out.
+	if mustPart(t, h, 5) == mustPart(t, h, 1) {
+		t.Fatal("fixture changed: 5 and 1 share a partition")
+	}
+	h.mark.Set(5, 1)
+	h.epoch = ^uint32(0) - 1
+	got, err := h.Collect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Collect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("collection across the wrap = %+v, twin %+v", got, want)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

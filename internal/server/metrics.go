@@ -102,7 +102,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	for _, s := range stages {
 		_ = reg.RegisterHistogram(s.name, s.help, 0, 1000, 20)
 	}
-	_ = reg.RegisterHistogram(MetricGCPause, "online collection pause, milliseconds", 0, 100, 20)
+	// A pause is about 0.1 ms: forty 50 µs buckets resolve it, and the
+	// overflow bucket still catches a pathological one.
+	_ = reg.RegisterHistogram(MetricGCPause, "online collection pause, milliseconds", 0, 2, 40)
 	for _, class := range simerr.FailureClasses() {
 		_ = reg.RegisterCounter(ErrorMetric(class),
 			fmt.Sprintf("requests that failed with class %s", class))

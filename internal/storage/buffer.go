@@ -1,8 +1,9 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // BufferPool is a page-granular LRU cache. It tracks residency, dirty
@@ -14,10 +15,27 @@ import (
 // (Flush) only through the registered write-back hook, so a disk-backed
 // owner can order the physical page write after the WAL append that
 // covers it.
+//
+// Everything is allocated by NewBufferPool: a fixed array of frames linked
+// by index into the LRU list, and an open-addressed page -> frame index. The
+// index is keyed by the page itself rather than flattened through a
+// partition geometry, because the disk pager drives the same type with page
+// numbers that have no bound.
 type BufferPool struct {
 	capacity int
-	lru      *list.List               // front = most recently used
-	frames   map[PageID]*list.Element // page -> element whose Value is *frame
+	n        int // resident pages
+
+	// frames[:capacity] hold pages; frames[capacity] is the root of the
+	// circular LRU list (its next is the most recently used frame, its prev
+	// the least). Frames holding nothing are chained through next from free.
+	frames []frame
+	free   int32 // first unused frame, -1 when every frame holds a page
+
+	// index holds frame number + 1 at the page's hash or the first empty
+	// entry after it (linear probing; 0 is empty). It is a power of two at
+	// least twice the capacity, so it is never more than half full.
+	index []int32
+	shift uint // 64 - log2(len(index))
 
 	// writeback, when non-nil, persists a dirty page's contents. It runs
 	// before the page is evicted or marked clean; an error aborts the
@@ -28,9 +46,13 @@ type BufferPool struct {
 }
 
 type frame struct {
-	page  PageID
-	dirty bool
-	refs  int // pin count; referenced frames are never evicted
+	page       PageID
+	prev, next int32
+	refs       int32 // pin count; referenced frames are never evicted
+	dirty      bool
+	// gc is set on a page dirtied under the IOGC class (see Manager.pin) and
+	// cleared with the dirty bit, so it implies resident and dirty.
+	gc bool
 }
 
 // PinResult reports what a Pin did, so the Manager can charge I/O.
@@ -46,11 +68,88 @@ func NewBufferPool(capacity int) (*BufferPool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("storage: buffer capacity %d must be positive", capacity)
 	}
-	return &BufferPool{
+	if capacity > 1<<30 {
+		return nil, fmt.Errorf("storage: buffer capacity %d exceeds %d pages", capacity, 1<<30)
+	}
+	log2 := bits.Len(uint(2*capacity - 1))
+	b := &BufferPool{
 		capacity: capacity,
-		lru:      list.New(),
-		frames:   make(map[PageID]*list.Element, capacity),
-	}, nil
+		frames:   make([]frame, capacity+1),
+		index:    make([]int32, 1<<log2),
+		shift:    uint(64 - log2),
+	}
+	b.reset()
+	return b, nil
+}
+
+// reset empties the pool: every frame goes on the free chain in order.
+func (b *BufferPool) reset() {
+	clear(b.index)
+	root := int32(b.capacity)
+	for i := range b.frames {
+		b.frames[i] = frame{next: int32(i) + 1}
+	}
+	b.frames[root-1].next = -1
+	b.frames[root] = frame{prev: root, next: root}
+	b.free, b.n = 0, 0
+}
+
+// home returns the index entry a page hashes to.
+func (b *BufferPool) home(pg PageID) int {
+	return int((uint64(pg.Part)*31 + uint64(pg.Index)) * 0x9E3779B97F4A7C15 >> b.shift)
+}
+
+// lookup returns the number of the frame holding pg, or -1.
+func (b *BufferPool) lookup(pg PageID) int32 {
+	for i := b.home(pg); ; i = (i + 1) & (len(b.index) - 1) {
+		e := b.index[i]
+		if e == 0 || b.frames[e-1].page == pg {
+			return e - 1
+		}
+	}
+}
+
+// enter records that frame fi holds page pg, which must not be indexed yet.
+func (b *BufferPool) enter(pg PageID, fi int32) {
+	i := b.home(pg)
+	for b.index[i] != 0 {
+		i = (i + 1) & (len(b.index) - 1)
+	}
+	b.index[i] = fi + 1
+}
+
+// remove deletes a resident page's index entry, moving later entries of its
+// probe run back so that none is cut off from its home (no tombstones).
+func (b *BufferPool) remove(pg PageID) {
+	mask := len(b.index) - 1
+	hole := b.home(pg)
+	for b.frames[b.index[hole]-1].page != pg {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; b.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may stay only if its home lies cyclically in
+		// (hole, j]; otherwise a probe for it would stop at the hole.
+		if h := b.home(b.frames[b.index[j]-1].page); (j-h)&mask >= (j-hole)&mask {
+			b.index[hole], hole = b.index[j], j
+		}
+	}
+	b.index[hole] = 0
+}
+
+// unlink takes frame fi out of the LRU list.
+func (b *BufferPool) unlink(fi int32) {
+	f := &b.frames[fi]
+	b.frames[f.prev].next = f.next
+	b.frames[f.next].prev = f.prev
+}
+
+// pushFront makes frame fi the most recently used.
+func (b *BufferPool) pushFront(fi int32) {
+	root := int32(b.capacity)
+	f, r := &b.frames[fi], &b.frames[root]
+	f.prev, f.next = root, r.next
+	b.frames[r.next].prev = fi
+	r.next = fi
 }
 
 // SetWriteback installs (or, with nil, removes) the dirty-page write-back
@@ -62,7 +161,7 @@ func (b *BufferPool) SetWriteback(fn func(PageID) error) { b.writeback = fn }
 func (b *BufferPool) Capacity() int { return b.capacity }
 
 // Len returns the number of resident pages.
-func (b *BufferPool) Len() int { return b.lru.Len() }
+func (b *BufferPool) Len() int { return b.n }
 
 // Pin makes the page resident and most-recently-used. dirty marks it dirty;
 // fresh indicates the page has no disk image (a brand-new or fully
@@ -74,55 +173,57 @@ func (b *BufferPool) Len() int { return b.lru.Len() }
 // the pin fails. Without a write-back hook and without references (the
 // simulated manager), Pin never fails.
 func (b *BufferPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
+	return b.pin(pg, dirty, fresh, false)
+}
+
+// pin is Pin for the Manager, which passes gc when the I/O class is IOGC: a
+// page it pins dirty is then flagged collector-dirtied.
+func (b *BufferPool) pin(pg PageID, dirty, fresh, gc bool) (PinResult, error) {
 	var res PinResult
+	root := int32(b.capacity)
 	// Consecutive operations mostly land on the page just used: it is
-	// already in front, and finding it there skips the map lookup.
-	if el := b.lru.Front(); el != nil {
-		if f := el.Value.(*frame); f.page == pg {
-			res.Hit = true
-			f.dirty = f.dirty || dirty
-			return res, nil
+	// already in front, and finding it there skips the index.
+	fi := b.frames[root].next
+	if fi == root || b.frames[fi].page != pg {
+		if fi = b.lookup(pg); fi >= 0 {
+			b.unlink(fi)
+			b.pushFront(fi)
 		}
 	}
-	if el, ok := b.frames[pg]; ok {
+	if fi >= 0 {
 		res.Hit = true
-		b.lru.MoveToFront(el)
-		if dirty {
-			el.Value.(*frame).dirty = true
+		if f := &b.frames[fi]; dirty {
+			f.dirty = true
+			f.gc = f.gc || gc
 		}
 		return res, nil
 	}
-	if !fresh {
-		res.ReadFault = true
-	}
-	if b.lru.Len() >= b.capacity {
-		victim := b.lru.Back()
-		for victim != nil && victim.Value.(*frame).refs > 0 {
-			victim = victim.Prev()
+	res.ReadFault = !fresh
+	if fi = b.free; fi >= 0 {
+		b.free = b.frames[fi].next
+		b.n++
+	} else {
+		for fi = b.frames[root].prev; fi != root && b.frames[fi].refs > 0; {
+			fi = b.frames[fi].prev
 		}
-		if victim == nil {
+		if fi == root {
 			return res, fmt.Errorf("storage: buffer pool wedged: all %d frames referenced", b.capacity)
 		}
-		vf := victim.Value.(*frame)
-		if vf.dirty {
+		if v := b.frames[fi]; v.dirty {
 			if b.writeback != nil {
-				if err := b.writeback(vf.page); err != nil {
-					return res, fmt.Errorf("storage: write back %v evicting for %v: %w", vf.page, pg, err)
+				if err := b.writeback(v.page); err != nil {
+					return res, fmt.Errorf("storage: write back %v evicting for %v: %w", v.page, pg, err)
 				}
 			}
 			res.WroteBack = true
-			res.Victim = vf.page
+			res.Victim = v.page
 		}
-		b.lru.Remove(victim)
-		delete(b.frames, vf.page)
-		// Recycle the evicted frame: once the pool is full, Pin allocates
-		// nothing.
-		vf.page, vf.dirty, vf.refs = pg, dirty, 0
-		b.frames[pg] = b.lru.PushFront(vf)
-		return res, nil
+		b.remove(b.frames[fi].page)
+		b.unlink(fi)
 	}
-	//lint:allow hotalloc one frame per pool slot while the pool fills; evictions recycle frames
-	b.frames[pg] = b.lru.PushFront(&frame{page: pg, dirty: dirty}) //lint:allow hotbox one frame per pool slot while the pool fills
+	b.frames[fi] = frame{page: pg, dirty: dirty, gc: dirty && gc}
+	b.pushFront(fi)
+	b.enter(pg, fi)
 	return res, nil
 }
 
@@ -131,59 +232,51 @@ func (b *BufferPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
 // page stays resident (and its contents stable for the pool's owner) no
 // matter what Pin brings in around it.
 func (b *BufferPool) Ref(pg PageID) bool {
-	el, ok := b.frames[pg]
-	if !ok {
+	fi := b.lookup(pg)
+	if fi < 0 {
 		return false
 	}
-	el.Value.(*frame).refs++
+	b.frames[fi].refs++
 	return true
 }
 
 // Unref releases one reference on a resident page. Unreferencing a page
 // that is absent or unreferenced is a bug in the pool's owner.
 func (b *BufferPool) Unref(pg PageID) error {
-	el, ok := b.frames[pg]
-	if !ok {
+	fi := b.lookup(pg)
+	if fi < 0 {
 		return fmt.Errorf("storage: unref of non-resident page %v", pg)
 	}
-	f := el.Value.(*frame)
-	if f.refs <= 0 {
+	if b.frames[fi].refs <= 0 {
 		return fmt.Errorf("storage: unref of unreferenced page %v", pg)
 	}
-	f.refs--
+	b.frames[fi].refs--
 	return nil
 }
 
 // Refs returns the pin count of a page (0 if absent).
 func (b *BufferPool) Refs(pg PageID) int {
-	if el, ok := b.frames[pg]; ok {
-		return el.Value.(*frame).refs
+	if fi := b.lookup(pg); fi >= 0 {
+		return int(b.frames[fi].refs)
 	}
 	return 0
 }
 
 // Contains reports whether the page is resident.
-func (b *BufferPool) Contains(pg PageID) bool {
-	_, ok := b.frames[pg]
-	return ok
-}
+func (b *BufferPool) Contains(pg PageID) bool { return b.lookup(pg) >= 0 }
 
 // IsDirty reports whether the page is resident and dirty.
 func (b *BufferPool) IsDirty(pg PageID) bool {
-	el, ok := b.frames[pg]
-	return ok && el.Value.(*frame).dirty
+	fi := b.lookup(pg)
+	return fi >= 0 && b.frames[fi].dirty
 }
 
 // Flush writes back a resident dirty page through the write-back hook and
 // clears its dirty bit, returning true if a write-back happened. The page
 // stays resident. An error from the hook leaves the page dirty.
 func (b *BufferPool) Flush(pg PageID) (bool, error) {
-	el, ok := b.frames[pg]
-	if !ok {
-		return false, nil
-	}
-	f := el.Value.(*frame)
-	if !f.dirty {
+	fi := b.lookup(pg)
+	if fi < 0 || !b.frames[fi].dirty {
 		return false, nil
 	}
 	if b.writeback != nil {
@@ -191,7 +284,7 @@ func (b *BufferPool) Flush(pg PageID) (bool, error) {
 			return false, fmt.Errorf("storage: flush %v: %w", pg, err)
 		}
 	}
-	f.dirty = false
+	b.frames[fi].dirty, b.frames[fi].gc = false, false
 	return true, nil
 }
 
@@ -200,42 +293,76 @@ func (b *BufferPool) Flush(pg PageID) (bool, error) {
 // models a write-back accounted elsewhere (the simulated manager charges
 // the I/O itself); disk-backed owners should use Flush.
 func (b *BufferPool) Clean(pg PageID) bool {
-	el, ok := b.frames[pg]
-	if !ok {
+	fi := b.lookup(pg)
+	if fi < 0 || !b.frames[fi].dirty {
 		return false
 	}
-	f := el.Value.(*frame)
-	if !f.dirty {
-		return false
-	}
-	f.dirty = false
+	b.frames[fi].dirty, b.frames[fi].gc = false, false
 	return true
+}
+
+// cleanGC cleans every collector-dirtied page, as Clean would, and returns
+// how many there were.
+func (b *BufferPool) cleanGC() int {
+	n := 0
+	for i := range b.frames[:b.capacity] {
+		if f := &b.frames[i]; f.gc {
+			f.dirty, f.gc = false, false
+			n++
+		}
+	}
+	return n
 }
 
 // Drop discards a resident page without write-back (its disk image is
 // obsolete, e.g. freed space after compaction). Returns true if resident.
 // Referenced pages cannot be dropped.
 func (b *BufferPool) Drop(pg PageID) bool {
-	el, ok := b.frames[pg]
-	if !ok {
+	fi := b.lookup(pg)
+	if fi < 0 || b.frames[fi].refs > 0 {
 		return false
 	}
-	if el.Value.(*frame).refs > 0 {
-		return false
-	}
-	b.lru.Remove(el)
-	delete(b.frames, pg)
+	b.remove(pg)
+	b.unlink(fi)
+	b.frames[fi] = frame{next: b.free}
+	b.free = fi
+	b.n--
 	return true
+}
+
+// oldestFirst calls fn for every resident frame in LRU order, oldest first.
+func (b *BufferPool) oldestFirst(fn func(*frame)) {
+	root := int32(b.capacity)
+	for fi := b.frames[root].prev; fi != root; fi = b.frames[fi].prev {
+		fn(&b.frames[fi])
+	}
 }
 
 // DirtyPages returns the resident dirty pages in LRU order (oldest first).
 func (b *BufferPool) DirtyPages() []PageID {
 	var out []PageID
-	for el := b.lru.Back(); el != nil; el = el.Prev() {
-		if f := el.Value.(*frame); f.dirty {
+	b.oldestFirst(func(f *frame) {
+		if f.dirty {
 			out = append(out, f.page)
 		}
-	}
+	})
+	return out
+}
+
+// gcPages returns the collector-dirtied pages sorted by (Part, Index).
+func (b *BufferPool) gcPages() []PageID {
+	out := []PageID{}
+	b.oldestFirst(func(f *frame) {
+		if f.gc {
+			out = append(out, f.page)
+		}
+	})
+	slices.SortFunc(out, func(x, y PageID) int {
+		if x.Part != y.Part {
+			return int(x.Part) - int(y.Part)
+		}
+		return x.Index - y.Index
+	})
 	return out
 }
 
@@ -249,36 +376,53 @@ type FrameState struct {
 // their dirty bits, for checkpointing. Reference counts are runtime state
 // (they exist only within one operation) and are not captured.
 func (b *BufferPool) Snapshot() []FrameState {
-	out := make([]FrameState, 0, b.lru.Len())
-	for el := b.lru.Back(); el != nil; el = el.Prev() {
-		f := el.Value.(*frame)
+	out := make([]FrameState, 0, b.n)
+	b.oldestFirst(func(f *frame) {
 		out = append(out, FrameState{Page: f.page, Dirty: f.dirty})
-	}
+	})
 	return out
 }
 
 // Restore replaces the pool contents with a snapshot taken by Snapshot.
-// Frames are given oldest-first and must fit the capacity.
+// Frames are given oldest-first and must fit the capacity. A snapshot that
+// is refused leaves the pool empty.
 func (b *BufferPool) Restore(frames []FrameState) error {
 	if len(frames) > b.capacity {
 		return fmt.Errorf("storage: restoring %d frames into a %d-page pool", len(frames), b.capacity)
 	}
-	b.lru.Init()
-	clear(b.frames)
+	b.reset()
 	for _, fs := range frames {
-		if _, dup := b.frames[fs.Page]; dup {
+		// The frames fit, so a pin takes a free frame — evicting nothing,
+		// calling no hook, failing never — unless the page is there already.
+		if res, _ := b.pin(fs.Page, fs.Dirty, true, false); res.Hit {
+			b.reset()
 			return fmt.Errorf("storage: duplicate page %v in buffer snapshot", fs.Page)
 		}
-		b.frames[fs.Page] = b.lru.PushFront(&frame{page: fs.Page, dirty: fs.Dirty})
+	}
+	return nil
+}
+
+// restoreGC flags the pages a snapshot lists as collector-dirtied. Each must
+// be resident and dirty, and listed once: the flag has no other meaning.
+func (b *BufferPool) restoreGC(pages []PageID) error {
+	for _, pg := range pages {
+		fi := b.lookup(pg)
+		switch {
+		case fi < 0:
+			return fmt.Errorf("storage: collector-dirty page %v in snapshot is not buffered", pg)
+		case !b.frames[fi].dirty:
+			return fmt.Errorf("storage: collector-dirty page %v in snapshot is buffered clean", pg)
+		case b.frames[fi].gc:
+			return fmt.Errorf("storage: duplicate collector-dirty page %v in snapshot", pg)
+		}
+		b.frames[fi].gc = true
 	}
 	return nil
 }
 
 // Pages returns all resident pages in LRU order (oldest first).
 func (b *BufferPool) Pages() []PageID {
-	out := make([]PageID, 0, b.lru.Len())
-	for el := b.lru.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(*frame).page)
-	}
+	out := make([]PageID, 0, b.n)
+	b.oldestFirst(func(f *frame) { out = append(out, f.page) })
 	return out
 }

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"odbgc/internal/objstore"
 )
@@ -43,6 +42,7 @@ func (m *Manager) Snapshot() *ManagerState {
 		Class:     m.class,
 		AllocPart: m.allocPart,
 		Buffer:    m.buf.Snapshot(),
+		GCDirty:   m.buf.gcPages(),
 	}
 	for _, p := range m.parts {
 		st.Partitions = append(st.Partitions, PartitionState{Cursor: p.cursor, Used: p.used})
@@ -50,16 +50,6 @@ func (m *Manager) Snapshot() *ManagerState {
 	st.Placements = make([]PlacementEntry, 0, m.place.Len())
 	m.place.ForEach(func(oid objstore.OID, s slot) {
 		st.Placements = append(st.Placements, PlacementEntry{OID: oid, Placement: m.placement(s)})
-	})
-	st.GCDirty = make([]PageID, 0, len(m.gcDirty))
-	for pg := range m.gcDirty {
-		st.GCDirty = append(st.GCDirty, pg)
-	}
-	sort.Slice(st.GCDirty, func(i, j int) bool {
-		if st.GCDirty[i].Part != st.GCDirty[j].Part {
-			return st.GCDirty[i].Part < st.GCDirty[j].Part
-		}
-		return st.GCDirty[i].Index < st.GCDirty[j].Index
 	})
 	return st
 }
@@ -98,8 +88,8 @@ func RestoreManager(st *ManagerState) (*Manager, error) {
 	if err := m.buf.Restore(st.Buffer); err != nil {
 		return nil, err
 	}
-	for _, pg := range st.GCDirty {
-		m.gcDirty[pg] = struct{}{}
+	if err := m.buf.restoreGC(st.GCDirty); err != nil {
+		return nil, err
 	}
 	m.stats = st.Stats
 	m.class = st.Class

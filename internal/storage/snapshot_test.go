@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"odbgc/internal/objstore"
@@ -143,6 +144,36 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 		damage(&bad.Placements[0].Placement)
 		if _, err := RestoreManager(&bad); err == nil {
 			t.Errorf("placement with damaged %s accepted", name)
+		}
+	}
+
+	// The collector-dirty flag lives on a buffered, dirty frame. An entry
+	// naming any other page has nowhere to go and used to be dropped at the
+	// next flush: the restored manager was not the one that was saved.
+	prev := m.SetIOClass(IOGC)
+	if err := m.Touch(1, true); err != nil {
+		t.Fatal(err)
+	}
+	m.SetIOClass(prev)
+	good = m.Snapshot()
+	if len(good.GCDirty) != 1 || len(good.Buffer) != 1 || !good.Buffer[0].Dirty {
+		t.Fatalf("fixture: GCDirty %v, Buffer %v", good.GCDirty, good.Buffer)
+	}
+	if _, err := RestoreManager(good); err != nil {
+		t.Fatalf("sound state with a collector-dirty page refused: %v", err)
+	}
+	for name, damage := range map[string]func(*ManagerState){
+		"not buffered":   func(st *ManagerState) { st.GCDirty = []PageID{{Part: 0, Index: 3}} },
+		"buffered clean": func(st *ManagerState) { st.Buffer = []FrameState{{Page: good.Buffer[0].Page}} },
+		"listed twice":   func(st *ManagerState) { st.GCDirty = append(st.GCDirty[:1:1], st.GCDirty[0]) },
+	} {
+		bad = *good
+		damage(&bad)
+		_, err := RestoreManager(&bad)
+		if err == nil {
+			t.Errorf("collector-dirty page %s accepted", name)
+		} else if !strings.Contains(err.Error(), bad.GCDirty[0].String()) {
+			t.Errorf("collector-dirty page %s: error %q does not name the page", name, err)
 		}
 	}
 

@@ -151,7 +151,7 @@ type slot struct {
 	part   int32
 	offset int32
 	size   int32 // positive for every placed object; the zero slot is "unplaced"
-	keep   bool  // set only inside Compact, on the objects that survive it
+	moved  int32 // set only inside Compact, on the objects that survive it: the new offset, plus one
 }
 
 // Manager owns the partitions, the object placement table, and the buffer
@@ -168,17 +168,9 @@ type Manager struct {
 
 	allocPart PartitionID // current allocation target
 
-	// gcDirty tracks pages dirtied while the I/O class is IOGC, so the
-	// collector can flush exactly what it wrote at the end of a collection.
-	gcDirty map[PageID]struct{}
-
 	// fault, when non-nil, may inject an error at the entry of each physical
 	// operation (chaos testing; see package fault).
 	fault FaultInjector
-
-	// flushScratch is FlushGCDirty's reusable page list; valid only within
-	// one call.
-	flushScratch []PageID
 }
 
 // NewManager returns a Manager with no partitions allocated yet.
@@ -190,11 +182,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{
-		cfg:     cfg,
-		buf:     buf,
-		gcDirty: make(map[PageID]struct{}),
-	}, nil
+	return &Manager{cfg: cfg, buf: buf}, nil
 }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector. The
@@ -297,28 +285,21 @@ func (m *Manager) charge(read bool) {
 
 // pin brings a page into the buffer, charging a read on a miss (unless the
 // page is fresh, i.e. has no disk image yet) and a write when a dirty
-// victim is evicted. If dirty is true the page is marked dirty. The
-// simulated manager installs no write-back hook and holds no references,
-// so the pool's Pin cannot fail here; the error is swallowed after the
-// accounting, keeping the simulation's call sites unconditional.
+// victim is evicted. If dirty is true the page is marked dirty, and under
+// the IOGC class flagged on its frame as collector-dirtied, so the collector
+// can flush exactly what it wrote at the end of a collection; the flag goes
+// when the page is cleaned, dropped, or evicted by whichever class (it is
+// then clean on disk and no longer GC-pending). The simulated manager
+// installs no write-back hook and holds no references, so the pool's pin
+// cannot fail here; the error is swallowed after the accounting, keeping the
+// simulation's call sites unconditional.
 func (m *Manager) pin(pg PageID, dirty, fresh bool) {
-	res, _ := m.buf.Pin(pg, dirty, fresh)
+	res, _ := m.buf.pin(pg, dirty, fresh, m.class == IOGC)
 	if res.ReadFault {
 		m.charge(true)
 	}
 	if res.WroteBack {
 		m.charge(false)
-		if m.class == IOApp {
-			// An app-triggered eviction may flush a page the collector
-			// dirtied; it is then clean on disk and no longer GC-pending.
-			delete(m.gcDirty, res.Victim)
-		}
-	}
-	if dirty && m.class == IOGC {
-		m.gcDirty[pg] = struct{}{}
-	}
-	if res.WroteBack && m.class == IOGC {
-		delete(m.gcDirty, res.Victim)
 	}
 }
 
@@ -455,72 +436,48 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, e
 		return CompactResult{}, fmt.Errorf("storage: compact partition %d: %w", id, err)
 	}
 	p := m.parts[id]
-	// Flag the survivors; nothing else changes until every one has checked
-	// out, so a rejected call leaves the manager as it found it.
-	for i, oid := range live {
-		s := m.place.Get(oid)
-		if s.size == 0 || PartitionID(s.part) != id || s.keep {
-			for _, done := range live[:i] {
-				u := m.place.Get(done)
-				u.keep = false
-				m.place.Set(done, u)
-			}
-			if s.keep {
-				return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", oid)
-			}
-			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
-		}
-		s.keep = true
-		m.place.Set(oid, s)
+	// First pass, over the survivors in copy order for reference locality.
+	// Copy order can pad page boundaries differently than the original
+	// layout and — rarely, in a nearly full partition — overflow it; in that
+	// case fall back to packing in original-offset order, which can only
+	// shrink every offset and therefore always fits.
+	end, fits, err := m.layout(id, live)
+	if err != nil {
+		return CompactResult{}, err
 	}
-
-	var res CompactResult
-	oldPages := p.usedPages(m.cfg.PageSize)
-
-	// Reclaim every member without the flag. The survivors keep their
-	// ascending order in the member list.
-	kept := p.objects[:0]
-	for _, oid := range p.objects {
-		s := m.place.Get(oid)
-		if s.keep {
-			kept = append(kept, oid)
-			continue
-		}
-		res.ReclaimedBytes += int(s.size)
-		res.ReclaimedObjects++
-		m.place.Set(oid, slot{})
-	}
-	p.objects = kept
-
-	// Re-place survivors in copy order for reference locality. Copy order
-	// can pad page boundaries differently than the original layout and —
-	// rarely, in a nearly full partition — overflow it; in that case fall
-	// back to packing in original-offset order, which can only shrink
-	// every offset and therefore always fits.
-	order := live
-	if m.layoutEnd(order) > m.cfg.PartitionBytes() {
-		order = append([]objstore.OID(nil), live...)
+	if !fits {
+		m.unflag(live)
+		order := append([]objstore.OID(nil), live...)
 		slices.SortFunc(order, func(a, b objstore.OID) int {
 			return int(m.place.Get(a).offset) - int(m.place.Get(b).offset)
 		})
+		if end, fits, _ = m.layout(id, order); !fits {
+			m.unflag(live)
+			return CompactResult{}, fmt.Errorf("storage: compaction of partition %d overflowed its %d bytes",
+				id, m.cfg.PartitionBytes())
+		}
 	}
+
+	// Second pass, over the members in ascending order (the survivors keep
+	// theirs): reclaim every one without the flag, move the others.
+	var res CompactResult
+	oldPages := p.usedPages(m.cfg.PageSize)
+	kept := p.objects[:0]
+	for _, oid := range p.objects {
+		s := m.place.Get(oid)
+		if s.moved == 0 {
+			res.ReclaimedBytes += int(s.size)
+			res.ReclaimedObjects++
+			m.place.Set(oid, slot{})
+			continue
+		}
+		kept = append(kept, oid)
+		m.place.Set(oid, slot{part: s.part, offset: s.moved - 1, size: s.size})
+	}
+	p.objects = kept
 	p.used -= res.ReclaimedBytes
 	m.occupied -= res.ReclaimedBytes
-	p.cursor = 0
-	for _, oid := range order {
-		s := m.place.Get(oid)
-		size := int(s.size)
-		off := p.cursor
-		if rem := m.cfg.PageSize - off%m.cfg.PageSize; size > rem {
-			off += rem
-		}
-		m.place.Set(oid, slot{part: s.part, offset: int32(off), size: s.size})
-		p.cursor = off + size
-	}
-	if p.cursor > m.cfg.PartitionBytes() {
-		return CompactResult{}, fmt.Errorf("storage: compaction of partition %d overflowed (%d > %d bytes)",
-			id, p.cursor, m.cfg.PartitionBytes())
-	}
+	p.cursor = end
 
 	res.LivePages = p.usedPages(m.cfg.PageSize)
 	// Surviving pages now hold the compacted image: dirty them. They are
@@ -532,25 +489,52 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, e
 	// Pages beyond the live region are free space; drop any buffered copies
 	// without write-back.
 	for i := res.LivePages; i < oldPages; i++ {
-		if m.buf.Drop(PageID{id, i}) {
-			delete(m.gcDirty, PageID{id, i})
-		}
+		m.buf.Drop(PageID{id, i})
 	}
 	return res, nil
 }
 
-// layoutEnd returns the bump-cursor position after packing the objects in
-// the given order with page-boundary skipping.
-func (m *Manager) layoutEnd(order []objstore.OID) int {
-	cursor := 0
-	for _, oid := range order {
-		size := int(m.place.Get(oid).size)
-		if rem := m.cfg.PageSize - cursor%m.cfg.PageSize; size > rem {
-			cursor += rem
+// layout is Compact's pass over the survivors: it checks that each object
+// of order is placed in partition id and not yet flagged, and flags it with
+// the offset it gets when the objects are packed in that order. Objects never
+// span pages; the page end is carried along, so no offset is divided. It
+// returns the end of the packed region and whether that lies inside the
+// partition (when it does not, every object is flagged but the offsets mean
+// nothing). On an object that fails the check it leaves none flagged: a
+// rejected compaction changes nothing.
+func (m *Manager) layout(id PartitionID, order []objstore.OID) (int, bool, error) {
+	cursor, pageEnd, fits := 0, m.cfg.PageSize, true
+	for i, oid := range order {
+		s := m.place.Get(oid)
+		if s.size == 0 || PartitionID(s.part) != id || s.moved != 0 {
+			m.unflag(order[:i])
+			if s.moved != 0 {
+				return 0, false, fmt.Errorf("storage: duplicate live object %v", oid)
+			}
+			return 0, false, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
 		}
-		cursor += size
+		if cursor+int(s.size) > pageEnd {
+			if pageEnd == m.cfg.PartitionBytes() {
+				// Out of partition. The caller re-packs; go on checking
+				// from offset zero so the flags stay within 32 bits.
+				fits, pageEnd = false, 0
+			}
+			cursor, pageEnd = pageEnd, pageEnd+m.cfg.PageSize
+		}
+		s.moved = int32(cursor) + 1
+		m.place.Set(oid, s)
+		cursor += int(s.size)
 	}
-	return cursor
+	return cursor, fits, nil
+}
+
+// unflag clears the flags layout set.
+func (m *Manager) unflag(oids []objstore.OID) {
+	for _, oid := range oids {
+		s := m.place.Get(oid)
+		s.moved = 0
+		m.place.Set(oid, s)
+	}
 }
 
 // FlushGCDirty writes back every page dirtied under the IOGC class that is
@@ -561,27 +545,8 @@ func (m *Manager) FlushGCDirty() (int, error) {
 	if err := m.beforeOp(true); err != nil {
 		return 0, fmt.Errorf("storage: flush collector pages: %w", err)
 	}
-	pages := m.flushScratch[:0]
-	for pg := range m.gcDirty {
-		pages = append(pages, pg)
-	}
-	m.flushScratch = pages
-	slices.SortFunc(pages, func(a, b PageID) int {
-		if a.Part != b.Part {
-			return int(a.Part) - int(b.Part)
-		}
-		return a.Index - b.Index
-	})
-	n := 0
-	prev := m.SetIOClass(IOGC)
-	for _, pg := range pages {
-		if m.buf.Clean(pg) {
-			m.charge(false)
-			n++
-		}
-		delete(m.gcDirty, pg)
-	}
-	m.SetIOClass(prev)
+	n := m.buf.cleanGC()
+	m.stats.GCWrites += uint64(n)
 	return n, nil
 }
 
@@ -597,7 +562,6 @@ func (m *Manager) FlushAll() (int, error) {
 			m.charge(false)
 			n++
 		}
-		delete(m.gcDirty, pg)
 	}
 	return n, nil
 }
@@ -617,7 +581,7 @@ func (m *Manager) CheckInvariants() error {
 		if err != nil {
 			return
 		}
-		if s.keep {
+		if s.moved != 0 {
 			err = fmt.Errorf("storage: %v still carries a compaction flag", oid)
 			return
 		}

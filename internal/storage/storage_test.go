@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -237,29 +238,40 @@ func TestCompactErrors(t *testing.T) {
 	if _, err := m.Allocate(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Compact(5, nil); err == nil {
-		t.Error("unknown partition accepted")
+	// A rejected compaction changes nothing, its own survivor flags included.
+	rejected := func(what string, id PartitionID, live ...objstore.OID) {
+		t.Helper()
+		before := m.Snapshot()
+		if _, err := m.Compact(id, live); err == nil {
+			t.Errorf("%s accepted", what)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Errorf("%s: rejected compaction left the manager inconsistent: %v", what, err)
+		}
+		if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: rejected compaction mutated state:\nbefore %+v\nafter  %+v", what, before, after)
+		}
 	}
-	if _, err := m.Compact(0, []objstore.OID{42}); err == nil {
-		t.Error("foreign live object accepted")
-	}
+	rejected("unknown partition", 5)
+	rejected("foreign live object", 0, 42)
 	if _, err := m.Allocate(2, 10); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Snapshot()
-	if _, err := m.Compact(0, []objstore.OID{2, 1, 2}); err == nil {
-		t.Error("duplicate live object accepted")
+	rejected("duplicate live object", 0, 2, 1, 2)
+	rejected("foreign live object after valid ones", 0, 1, 2, 42)
+	// One placed, but in another partition.
+	for oid := objstore.OID(3); m.NumPartitions() < 2; oid++ {
+		if _, err := m.Allocate(oid, 90); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.Compact(0, []objstore.OID{1, 2, 42}); err == nil {
-		t.Error("foreign live object after valid ones accepted")
+	if other := m.AppendObjectsIn(nil, 1); len(other) == 0 {
+		t.Fatal("fixture: partition 1 is empty")
+	} else {
+		rejected("live object of another partition", 0, 1, other[0], 2)
 	}
-	// A rejected compaction changes nothing, its own survivor flags included.
-	if err := m.CheckInvariants(); err != nil {
-		t.Errorf("rejected compaction left the manager inconsistent: %v", err)
-	}
-	if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
-		t.Errorf("rejected compaction mutated state:\nbefore %+v\nafter  %+v", before, after)
-	}
+	m.SetFaultInjector(&opErr{n: 1, err: errors.New("injected")})
+	rejected("compaction with an injected fault", 0, 1, 2)
 }
 
 // TestCompactOverflowFallback reproduces the copy-order padding overflow: a
