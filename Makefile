@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench bench-diff bench-e2e profile experiments examples soak server-smoke crash-drill clean
+.PHONY: all build loc test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench-e2e profile experiments examples soak server-smoke crash-drill clean
 
 all: build vet lint test
 
@@ -71,19 +71,14 @@ fuzz:
 	$(GO) test -fuzz FuzzFrameCodec -fuzztime 15s ./internal/server/
 	$(GO) test -fuzz FuzzBufferPool -fuzztime 15s ./internal/storage/
 
-# Benchmark sweep. One iteration per benchmark keeps the sweep quick; the
-# parsed JSON baseline (ns/op, allocs/op per benchmark) lands in
-# BENCH_PR10.json for mechanical diffing across PRs.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime 1x . | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
-
-# Per-benchmark deltas against the previous committed baseline — the
-# one-command perf claim for PR bodies. The threshold is 50% because the
-# committed baselines run at -benchtime 1x, where ns/op carries real
-# noise; allocs/op is exact at any iteration count. A benchmark missing
-# from the new baseline is itself a failure.
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_PR9.json BENCH_PR10.json -threshold 50
+# Measuring has one path. A performance claim is made on the repository
+# benchmark (bench-e2e below: alternated parent/change pairs, spreads, counts
+# that must repeat exactly); where the time goes is read from a profile of a
+# layer benchmark (profile below; they live in internal/*/bench_test.go, the
+# root package's reproduce the paper's tables and figures at reduced scale);
+# allocation counts are pinned by testing.AllocsPerRun beside each layer and
+# by lint/allocbudget.json. CI runs every benchmark in the module once, so
+# none can stop building or running unnoticed.
 
 # The repository benchmark (BENCHMARK.json, bench/README.md) on WORKLOADS (by
 # default the two replay workloads): one untraced run (end-to-end metrics) and
@@ -110,8 +105,8 @@ endif
 
 # CPU profile of one layer benchmark, hottest frames by cumulative time on
 # stdout. The default is replay-gcheavy's repetition in process, so the
-# profile is that workload's; the test binary and the profile stay outside
-# the checkout:
+# profile is that workload's (BENCH=ReplaySAIO10 is replay-oo7's); the test
+# binary and the profile stay outside the checkout:
 #   make profile PKG=./internal/sim BENCH=ReplayFixed50
 #   make profile PKG=./internal/storage BENCH='BufferPoolPin/deep' BENCHTIME=2000000x
 PKG ?= ./internal/sim
@@ -153,6 +148,9 @@ examples:
 	$(GO) run ./examples/connectivity
 	$(GO) run ./examples/opportunistic
 	$(GO) run ./examples/customworkload
+	$(GO) run ./examples/phasemonitor
 
+# What building, benchmarking and profiling leave behind (.gitignore names the
+# same paths). results/ is committed and stays.
 clean:
-	rm -rf results test_output.txt bench_output.txt
+	rm -rf .bench_build bench/out bench/bench $(PROFILE_DIR)

@@ -1,35 +1,30 @@
 package odbgc
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus ablations over the design choices called out in
-// DESIGN.md. Each paper benchmark runs a reduced-scale version of the
-// corresponding experiment (fewer seeded runs than cmd/experiments) and
-// reports the headline quantity via b.ReportMetric, so
+// One benchmark per table and figure of the paper's evaluation, plus
+// ablations over the design choices called out in DESIGN.md. Each paper
+// benchmark runs a reduced-scale version of the corresponding experiment
+// (fewer seeded runs than cmd/experiments) and reports the headline quantity
+// via b.ReportMetric, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchtime 1x .
 //
-// doubles as a quick reproduction pass. Full-methodology regeneration
-// (10 runs per data point, all sweeps) is `go run ./cmd/experiments`.
+// is a quick reproduction pass. Full-methodology regeneration (10 runs per
+// data point, all sweeps) is `go run ./cmd/experiments`. Benchmarks that time
+// one layer live beside that layer (internal/*/bench_test.go); performance
+// claims are made on the repository benchmark under bench/.
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"odbgc/internal/core"
 	"odbgc/internal/experiments"
 	"odbgc/internal/gc"
 	"odbgc/internal/metrics"
-	"odbgc/internal/objstore"
-	"odbgc/internal/obs"
-	"odbgc/internal/obs/span"
 	"odbgc/internal/oo7"
-	"odbgc/internal/server"
 	"odbgc/internal/sim"
 	"odbgc/internal/storage"
-	"odbgc/internal/storage/disk"
 	"odbgc/internal/trace"
 )
 
@@ -319,172 +314,5 @@ func BenchmarkAblationDeclusterBatch(b *testing.B) {
 			}
 			b.ReportMetric(achieved, "garbage-pct")
 		})
-	}
-}
-
-// --- microbenchmarks of the substrates ---------------------------------------
-
-// BenchmarkTraceGeneration measures OO7 trace synthesis.
-func BenchmarkTraceGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := oo7.FullTrace(oo7.SmallPrime(3), int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTraceCodec measures binary encode+decode throughput.
-func BenchmarkTraceCodec(b *testing.B) {
-	tr := getTrace(b, 3)
-	var buf bytes.Buffer
-	if err := trace.WriteAll(&buf, tr); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var w bytes.Buffer
-		if err := trace.WriteAll(&w, tr); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := trace.ReadAll(bytes.NewReader(w.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServerThroughput measures end-to-end request latency through the
-// live serving stack — TCP framing, admission, engine service, response
-// write — with the span flight recorder enabled, so bench-diff catches any
-// tracing cost creeping into the hot path.
-func BenchmarkServerThroughput(b *testing.B) {
-	mgr, err := storage.NewManager(storage.Config{PageSize: 1024, PagesPerPartition: 4, BufferPages: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	heap := gc.NewHeap(objstore.NewStore(), mgr)
-	pol, err := core.NewFixedRate(200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	live := obs.NewLive()
-	m := server.NewMetrics(live.Registry())
-	rec := span.NewRecorder(span.Config{})
-	eng, err := server.NewEngine(heap, server.EngineConfig{
-		Policy: pol, Selection: gc.UpdatedPointer{}, QueueDepth: 128,
-		Metrics: m, Recorder: rec,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Addr: "127.0.0.1:0"}, eng, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := srv.Listen()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	drain := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		_ = srv.Serve(ctx, drain)
-		close(finished)
-	}()
-	cli, err := server.Dial(addr, 5*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := cli.Do(ctx, server.Request{Op: server.OpPing})
-		if err != nil || resp.Status != server.StatusOK {
-			b.Fatalf("ping %d: status %q, err %v", i, resp.Status, err)
-		}
-	}
-	b.StopTimer()
-	_ = cli.Close()
-	close(drain)
-	select {
-	case <-finished:
-	case <-time.After(5 * time.Second):
-		b.Fatal("server did not drain")
-	}
-}
-
-// BenchmarkSimulateSAIO measures a full simulation run under SAIO.
-func BenchmarkSimulateSAIO(b *testing.B) {
-	tr := getTrace(b, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pol, err := core.NewSAIO(core.SAIOConfig{Frac: 0.10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := sim.New(sim.Config{Policy: pol})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateSAGA measures a full simulation run under SAGA/FGS-HB.
-func BenchmarkSimulateSAGA(b *testing.B) {
-	tr := getTrace(b, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est, err := core.NewFGSHB(0.8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pol, err := core.NewSAGA(core.SAGAConfig{Frac: 0.10}, est)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := sim.New(sim.Config{Policy: pol})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWALAppend measures the durable store's per-mutation hot path:
-// staging one pointer-update record and group-committing it. Fsync is
-// deferred to checkpoints so the number tracks the encode-and-write cost
-// the engine pays per acknowledged request, not the device sync latency.
-func BenchmarkWALAppend(b *testing.B) {
-	dir := b.TempDir()
-	st, _, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.LogAlloc(1, objstore.ClassAtomicPart, 128, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.LogAlloc(2, objstore.ClassAtomicPart, 128, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.LogSet(1, i%2, 2); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Commit(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

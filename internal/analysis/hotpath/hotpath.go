@@ -8,8 +8,10 @@
 //     fires only for fixtures, but it makes the marker self-describing:
 //     whatever a benchmark exercises is, by definition, measured.
 //  2. A curated root table naming the simulator, trace-codec, generator and
-//     server entry points whose inner loops dominate BenchmarkSimulate*,
-//     BenchmarkTraceCodec and BenchmarkTraceGeneration.
+//     server entry points whose inner loops dominate the layer benchmarks
+//     (BenchmarkReplay* in internal/sim, BenchmarkTraceCodec in
+//     internal/trace, BenchmarkTraceGeneration in internal/oo7) and the
+//     repository benchmark's workloads.
 //  3. The cfg loop inventory — any function in a hot package containing an
 //     unbounded `for {` loop (server engine loop, stream decoders, observer
 //     flushers): an unbounded loop in serving code is a hot loop whether or

@@ -123,7 +123,7 @@ func TestInjectorSnapshotResumesFaultStream(t *testing.T) {
 
 func TestRetryRecoversFromTransients(t *testing.T) {
 	calls := 0
-	err := Retry("scan", func() error {
+	err := DefaultRetry.Do("scan", func() error {
 		calls++
 		if calls < 3 {
 			return &TransientError{Op: "read", Seq: uint64(calls)}
@@ -153,7 +153,7 @@ func TestRetryGivesUpAndWraps(t *testing.T) {
 func TestRetryPassesThroughPermanentErrors(t *testing.T) {
 	boom := errors.New("corrupt superblock")
 	calls := 0
-	err := Retry("scan", func() error {
+	err := DefaultRetry.Do("scan", func() error {
 		calls++
 		return boom
 	})

@@ -68,8 +68,20 @@ func (c RetryConfig) Do(op string, fn func() error) error {
 	}
 }
 
-// Retry is a convenience for DefaultRetry.Do, shaped to plug directly into
-// gc.Heap.SetRetry.
-func Retry(op string, fn func() error) error {
-	return DefaultRetry.Do(op, fn)
+// Retrier is a storage fault injector that asks the injector it wraps again,
+// under DefaultRetry's attempt budget, while the answer is a transient fault.
+// The storage manager asks exactly once per operation and before it mutates
+// anything, so asking again is the same as running the operation again: a
+// manager behind a Retrier surfaces only non-transient errors and give-ups.
+type Retrier struct {
+	Injector interface{ BeforeOp(write bool) error }
+}
+
+// BeforeOp implements the storage.FaultInjector contract.
+func (r Retrier) BeforeOp(write bool) error {
+	op := "read"
+	if write {
+		op = "write"
+	}
+	return DefaultRetry.Do(op, func() error { return r.Injector.BeforeOp(write) })
 }

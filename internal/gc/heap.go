@@ -73,11 +73,6 @@ type Heap struct {
 	// and the estimators exist to approximate it.
 	oracleless bool
 
-	// retry, when non-nil, wraps each retryable storage operation the
-	// collector issues. The simulator injects a transient-fault retrier here
-	// (see package fault); the heap itself stays ignorant of fault policy.
-	retry func(op string, fn func() error) error
-
 	// durable, when non-nil, receives a WAL record for every logical
 	// mutation (alloc, pointer store, root change, reclaim). The heap never
 	// calls Commit — the owner (server engine, simulator) decides batch
@@ -156,16 +151,6 @@ func (h *Heap) Oracleless() bool { return h.oracleless }
 // Disk returns the physical storage manager.
 func (h *Heap) Disk() *storage.Manager { return h.disk }
 
-// SetRetry installs a wrapper around the collector's retryable storage
-// operations (partition scans, compaction, flushes). A nil wrapper means
-// operations run exactly once. Storage operations fail before mutating any
-// state, so re-running fn after a transient error is safe.
-func (h *Heap) SetRetry(retry func(op string, fn func() error) error) { h.retry = retry }
-
-// Call sites test h.retry for nil inline rather than through a helper: the
-// nil fast path then never constructs the operation closure, so the common
-// (fault-free) configuration allocates nothing per storage operation.
-
 // Create allocates an object logically and physically.
 func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) error {
 	if _, err := h.store.CreateWithOID(oid, class, size, nslots); err != nil {
@@ -176,15 +161,8 @@ func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) 
 			return fmt.Errorf("gc: log alloc %v: %w", oid, err)
 		}
 	}
-	if h.retry == nil {
-		_, err := h.disk.Allocate(oid, size)
-		return err
-	}
-	//lint:allow hotalloc closure built only when fault-injection retry is installed
-	return h.retry("alloc", func() error {
-		_, err := h.disk.Allocate(oid, size)
-		return err
-	})
+	_, err := h.disk.Allocate(oid, size)
+	return err
 }
 
 // AddRoot registers oid as a persistent root, logging the change when a
@@ -219,11 +197,7 @@ func (h *Heap) Access(oid objstore.OID) error {
 	if h.store.Get(oid) == nil {
 		return fmt.Errorf("gc: access of absent object %v", oid)
 	}
-	if h.retry == nil {
-		return h.disk.Touch(oid, false)
-	}
-	//lint:allow hotalloc closure built only when fault-injection retry is installed
-	return h.retry("read", func() error { return h.disk.Touch(oid, false) })
+	return h.disk.Touch(oid, false)
 }
 
 // Update simulates a non-pointer write to an object.
@@ -231,11 +205,7 @@ func (h *Heap) Update(oid objstore.OID) error {
 	if h.store.Get(oid) == nil {
 		return fmt.Errorf("gc: update of absent object %v", oid)
 	}
-	if h.retry == nil {
-		return h.disk.Touch(oid, true)
-	}
-	//lint:allow hotalloc closure built only when fault-injection retry is installed
-	return h.retry("update", func() error { return h.disk.Touch(oid, true) })
+	return h.disk.Touch(oid, true)
 }
 
 // Overwrite applies a pointer overwrite: slot i of src now points at dst
@@ -266,13 +236,7 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 			return fmt.Errorf("gc: log set %v[%d]: %w", src, slot, err)
 		}
 	}
-	if h.retry == nil {
-		err = h.disk.Touch(src, true)
-	} else {
-		//lint:allow hotalloc closure built only when fault-injection retry is installed
-		err = h.retry("overwrite", func() error { return h.disk.Touch(src, true) })
-	}
-	if err != nil {
+	if err := h.disk.Touch(src, true); err != nil {
 		return err
 	}
 	srcPart, ok := h.disk.PartitionOf(src)
@@ -456,14 +420,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	defer h.disk.SetIOClass(prevClass)
 
 	// Scan the partition.
-	var err error
-	if h.retry == nil {
-		err = h.disk.ReadPartition(p)
-	} else {
-		//lint:allow hotalloc closure built only when fault-injection retry is installed
-		err = h.retry("scan", func() error { return h.disk.ReadPartition(p) })
-	}
-	if err != nil {
+	if err := h.disk.ReadPartition(p); err != nil {
 		return CollectionResult{}, err
 	}
 
@@ -581,16 +538,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}
 
 	// Compact survivors in copy order.
-	if h.retry == nil {
-		_, err = h.disk.Compact(p, live)
-	} else {
-		//lint:allow hotalloc closure built only when fault-injection retry is installed
-		err = h.retry("compact", func() error {
-			_, err := h.disk.Compact(p, live)
-			return err
-		})
-	}
-	if err != nil {
+	if _, err := h.disk.Compact(p, live); err != nil {
 		return CollectionResult{}, err
 	}
 
@@ -604,16 +552,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}
 
 	// Write back what the collector dirtied.
-	if h.retry == nil {
-		_, err = h.disk.FlushGCDirty()
-	} else {
-		//lint:allow hotalloc closure built only when fault-injection retry is installed
-		err = h.retry("flush", func() error {
-			_, err := h.disk.FlushGCDirty()
-			return err
-		})
-	}
-	if err != nil {
+	if _, err := h.disk.FlushGCDirty(); err != nil {
 		return CollectionResult{}, err
 	}
 
@@ -646,12 +585,7 @@ func (h *Heap) fixExternalPointers(p storage.PartitionID) error {
 			return
 		}
 		last = src
-		if h.retry == nil {
-			touchErr = h.disk.Touch(src, true)
-		} else {
-			//lint:allow hotalloc closure built only when fault-injection retry is installed
-			touchErr = h.retry("fixup", func() error { return h.disk.Touch(src, true) })
-		}
+		touchErr = h.disk.Touch(src, true)
 	})
 	return cmp.Or(touchErr, err)
 }

@@ -99,9 +99,9 @@ func TestRestoreHeapRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestCollectRetryHook verifies the injected retry wrapper sees the
-// collector's storage operations and that a retried transient fault leaves
-// the collection result intact.
+// TestCollectRetryHook verifies a retrier installed around the fault injector
+// sees the collector's storage operations and that a retried transient fault
+// leaves the collection result intact.
 func TestCollectRetryHook(t *testing.T) {
 	h := buildSnapshotHeap(t)
 	ref, err := RestoreHeap(h.Snapshot()) // identical twin collected without faults
@@ -112,17 +112,17 @@ func TestCollectRetryHook(t *testing.T) {
 	transient := errors.New("transient")
 	remaining := 2 // fail the first two storage ops once each
 	var ops []string
-	h.Disk().SetFaultInjector(faultFunc(func(write bool) error {
+	faulty := faultFunc(func(write bool) error {
 		if remaining > 0 {
 			remaining--
 			return transient
 		}
 		return nil
-	}))
-	h.SetRetry(func(op string, fn func() error) error {
-		ops = append(ops, op)
+	})
+	h.Disk().SetFaultInjector(faultFunc(func(write bool) error {
+		ops = append(ops, map[bool]string{false: "read", true: "write"}[write])
 		for {
-			err := fn()
+			err := faulty(write)
 			if err == nil {
 				return nil
 			}
@@ -130,7 +130,7 @@ func TestCollectRetryHook(t *testing.T) {
 				return err
 			}
 		}
-	})
+	}))
 
 	p := mustPart(t, h, 3)
 	res, err := h.Collect(p)

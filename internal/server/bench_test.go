@@ -212,36 +212,44 @@ func BenchmarkEngineSubmit(b *testing.B) {
 
 // BenchmarkSessionRoundTrip times one closed-loop Client driving the op mix
 // over loopback TCP: the whole request path — codec, socket, session,
-// admission, engine, collector — where the root package's
-// BenchmarkServerThroughput pings and never touches the heap.
+// admission, engine, collector — with the span flight recorder on, as odbgcd
+// runs, and off. The difference is what a request span and a collection span
+// cost a round trip; no other benchmark in the module has both sides.
 func BenchmarkSessionRoundTrip(b *testing.B) {
-	eng, metrics := benchEngine(b)
-	srv, err := New(Config{Addr: "127.0.0.1:0"}, eng, metrics)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := srv.Listen()
-	if err != nil {
-		b.Fatal(err)
-	}
-	drain, finished := make(chan struct{}), make(chan error, 1)
-	go func() { finished <- srv.Serve(context.Background(), drain) }()
-	cli, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	m := newMix(b, func(req Request) (Response, error) { return cli.Do(ctx, req) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step()
-	}
-	b.StopTimer()
-	_ = cli.Close()
-	close(drain)
-	if err := <-finished; err != nil {
-		b.Fatalf("drain: %v", err)
+	for _, recorder := range []string{"on", "off"} {
+		b.Run("recorder="+recorder, func(b *testing.B) {
+			eng, metrics := benchEngine(b)
+			if recorder == "off" {
+				eng.cfg.Recorder = nil // read at each request and collection, none has run yet
+			}
+			srv, err := New(Config{Addr: "127.0.0.1:0"}, eng, metrics)
+			if err != nil {
+				b.Fatal(err)
+			}
+			addr, err := srv.Listen()
+			if err != nil {
+				b.Fatal(err)
+			}
+			drain, finished := make(chan struct{}), make(chan error, 1)
+			go func() { finished <- srv.Serve(context.Background(), drain) }()
+			cli, err := Dial(addr, 5*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			m := newMix(b, func(req Request) (Response, error) { return cli.Do(ctx, req) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.step()
+			}
+			b.StopTimer()
+			_ = cli.Close()
+			close(drain)
+			if err := <-finished; err != nil {
+				b.Fatalf("drain: %v", err)
+			}
+		})
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 	"odbgc/internal/trace"
 )
 
-// BenchmarkReplayFixed50 is one repetition of the repository benchmark's
-// replay-gcheavy workload (bench/replay.go), in process: the OO7 Small'
-// connectivity-3 trace of seed 1, written in the binary format and read
-// back, through New+Run under fixed-rate 50 with UPDATEDPOINTER selection —
-// 394 collections, Finish's invariant sweep included. A cpu profile of it
-// (make profile PKG=./internal/sim BENCH=ReplayFixed50) is the workload's.
-func BenchmarkReplayFixed50(b *testing.B) {
+// benchReplay is one repetition of a replay workload of the repository
+// benchmark (bench/replay.go), in process: the OO7 Small' connectivity-3
+// trace of seed 1, written in the binary format and read back, through
+// New+Run under the given rate policy with UPDATEDPOINTER selection, Finish's
+// invariant sweep included. A run of fewer than minColl collections is not the
+// workload the benchmark is named after.
+func benchReplay(b *testing.B, policy func() (core.RatePolicy, error), minColl int) {
 	gen, err := oo7.FullTrace(oo7.SmallPrime(3), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -32,7 +32,7 @@ func BenchmarkReplayFixed50(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pol, err := core.NewFixedRate(50)
+		pol, err := policy()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,9 +44,35 @@ func BenchmarkReplayFixed50(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Collections) < 300 {
-			b.Fatalf("%d collections: not the collector-heavy run", len(res.Collections))
+		if n := len(res.Collections); n < minColl {
+			b.Fatalf("%d collections, want at least %d", n, minColl)
 		}
 	}
 	b.ReportMetric(float64(len(tr.Events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
+// BenchmarkReplayFixed50 is replay-gcheavy's repetition: fixed-rate 50, 394
+// collections. A cpu profile of it (make profile PKG=./internal/sim
+// BENCH=ReplayFixed50) is the workload's.
+func BenchmarkReplayFixed50(b *testing.B) {
+	benchReplay(b, func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, 300)
+}
+
+// BenchmarkReplaySAIO10 is replay-oo7's repetition: SAIO at a 10 % collector
+// I/O share, 22 collections, so the mutator path is nearly all of it.
+func BenchmarkReplaySAIO10(b *testing.B) {
+	benchReplay(b, func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, 20)
+}
+
+// BenchmarkReplaySAGA10 is the same trace under SAGA at a 10 % garbage share
+// with the FGS/HB estimator: the one replay whose policy asks an estimator at
+// every decision.
+func BenchmarkReplaySAGA10(b *testing.B) {
+	benchReplay(b, func() (core.RatePolicy, error) {
+		est, err := core.NewFGSHB(0.8)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewSAGA(core.SAGAConfig{Frac: 0.10}, est)
+	}, 1)
 }

@@ -186,8 +186,7 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 				return nil, fmt.Errorf("sim: restoring fault injector: %w", err)
 			}
 		}
-		s.disk.SetFaultInjector(s.injector)
-		s.heap.SetRetry(cfg.Retry.Do)
+		s.disk.SetFaultInjector(fault.Retrier{Injector: s.injector})
 	} else if cp.Injector != nil {
 		return nil, fmt.Errorf("sim: checkpoint carries fault-injector state but the config has no storage faults")
 	}

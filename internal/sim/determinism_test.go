@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
+	"odbgc/internal/fault"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
 	"odbgc/internal/obs/span"
@@ -239,6 +240,13 @@ type goldenArtifacts struct{ ckpt, csv, events string }
 // every byte, so a digest may only change together with a deliberate change
 // to the simulated behaviour or to a snapshot struct.
 //
+// The third case is SAIO 10 % under per-operation and burst storage faults.
+// Its checkpoint embeds the injector's state (generator, burst remainder, ops
+// inspected, faults, bursts) and its event log the fault events, so it pins
+// which operations ask the injector, in what order, and how often each is
+// asked again. It was recorded while gc.Heap wrapped each storage call in the
+// retry loop that now sits around the injector itself.
+//
 // The checkpoint is digested as the JSON of what its gob bytes decode to,
 // without the nested policy and selection streams: gob numbers types in the
 // order a process first encodes them, so the raw bytes depend on which tests
@@ -248,18 +256,25 @@ func TestGoldenArtifactDigests(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy func() (core.RatePolicy, error)
+		faults fault.Profile
 		want   goldenArtifacts
 	}{
-		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, goldenArtifacts{
+		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, fault.Profile{}, goldenArtifacts{
 			ckpt:   "6cef78ffaa4e158e9f712c9eb9049c3e97dced29460cd19690b98fde909b8393",
 			csv:    "c58d3453b1f1344f7b90754f8980107ff263df90670abedef968f19e1133524f",
 			events: "a3c7e34d334a75cf9bf180697fce80089d180c92ef6da0ec33ef1232233fe153",
 		}},
-		{"fixed-50", func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, goldenArtifacts{
+		{"fixed-50", func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, fault.Profile{}, goldenArtifacts{
 			ckpt:   "f64961d4dccb70db50465ae2815cd9fb732d030908af30318c0e0a0320a3ef47",
 			csv:    "3caee188ee996aa39da5c765c70094d8ec8e56bad9f210545636d5cca59ca827",
 			events: "0b8f5f27dedb0df29a10152914d1aa1ae4ab86dd7f6f6ce1e8ccdc06c1e65af5",
 		}},
+		{"saio-10-faulted", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) },
+			fault.Profile{ReadErrProb: 0.01, WriteErrProb: 0.02, BurstProb: 0.001, BurstLen: 3}, goldenArtifacts{
+				ckpt:   "0cb90f7c4aee3f7b9d5aa4aa76fa78b0b6c11c99cc1efda73171b39782e4f0f9",
+				csv:    "c58d3453b1f1344f7b90754f8980107ff263df90670abedef968f19e1133524f",
+				events: "7e1ff43f2eb2facecae0eab64788bcd9a5db324d46f6c03e224429825a59db6d",
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var events bytes.Buffer
@@ -269,7 +284,7 @@ func TestGoldenArtifactDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return Config{Policy: pol, Observer: w}
+				return Config{Policy: pol, Observer: w, FaultProfile: tc.faults, FaultSeed: 7}
 			})
 			if err := w.Close(); err != nil {
 				t.Fatal(err)

@@ -49,8 +49,8 @@ type Config struct {
 	// indirection. Used by the fixup-cost ablation.
 	PhysicalFixups bool
 	// FaultProfile, when it carries storage-fault rates, installs a seeded
-	// fault injector on the storage manager and a bounded retry wrapper on
-	// the collector. Trace and estimator faults are wired by the caller
+	// fault injector on the storage manager behind fault.DefaultRetry's
+	// bounded retry. Trace and estimator faults are wired by the caller
 	// (wrap the trace reader with fault.CorruptTrace and the estimator with
 	// fault.NewChaosEstimator) since the simulator never sees those layers'
 	// construction.
@@ -58,9 +58,6 @@ type Config struct {
 	// FaultSeed seeds the fault injector; runs with the same profile and
 	// seed replay the identical fault schedule.
 	FaultSeed int64
-	// Retry overrides the retry policy for transient storage faults; the
-	// zero value means fault.DefaultRetry.
-	Retry fault.RetryConfig
 	// Observer, when non-nil, receives lifecycle events (run start/end,
 	// decisions, collections, phase transitions, faults, checkpoints). The
 	// simulator never reads observer state: runs with and without an
@@ -252,8 +249,7 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	if cfg.FaultProfile.Storage() {
 		s.injector = fault.NewInjector(cfg.FaultProfile, cfg.FaultSeed)
-		disk.SetFaultInjector(s.injector)
-		heap.SetRetry(cfg.Retry.Do)
+		disk.SetFaultInjector(fault.Retrier{Injector: s.injector})
 	}
 	if cfg.Durable != nil {
 		heap.SetDurable(cfg.Durable)
