@@ -89,8 +89,9 @@ fuzz:
 #   in the change:                make bench-e2e PARENT=/tmp/parent.jsonl
 # A change to the durable backend passes WORKLOADS="restart serve-durable" on
 # both sides, a change to the serving path (wire, session, admission, engine)
-# WORKLOADS="serve-mem serve-durable". A claim needs ten alternated pairs
-# (bench/README.md); this is the quick look.
+# WORKLOADS="serve-mem serve-durable", a change to object memory (objstore's
+# slabs and free lists) WORKLOADS="replay-oo7 replay-gcheavy serve-mem restart".
+# A claim needs ten alternated pairs (bench/README.md); this is the quick look.
 E2E_OUT ?= bench/out/e2e.jsonl
 PARENT ?=
 WORKLOADS ?= replay-oo7 replay-gcheavy

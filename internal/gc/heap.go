@@ -529,6 +529,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 			h.garbage -= o.Size
 		}
 		h.mark.Set(oid, 0)
+		// Remove recycles o: nothing below may read it.
 		if err := h.store.Remove(oid); err != nil {
 			return CollectionResult{}, err
 		}
@@ -590,9 +591,21 @@ func (h *Heap) fixExternalPointers(p storage.PartitionID) error {
 	return cmp.Or(touchErr, err)
 }
 
+// Check runs CheckInvariants and CheckOracleComplete — what the simulator
+// verifies at a collection-safe point — over one build of the reachable set.
+func (h *Heap) Check() error {
+	live := h.store.Reachable()
+	if err := h.checkInvariants(live); err != nil {
+		return err
+	}
+	return h.checkOracleComplete(live)
+}
+
 // CheckInvariants cross-validates the heap's incremental bookkeeping against
 // ground truth recomputed from the store. Expensive; used in tests.
-func (h *Heap) CheckInvariants() error {
+func (h *Heap) CheckInvariants() error { return h.checkInvariants(h.store.Reachable()) }
+
+func (h *Heap) checkInvariants(live *objstore.Table[bool]) error {
 	if err := h.disk.CheckInvariants(); err != nil {
 		return err
 	}
@@ -627,7 +640,6 @@ func (h *Heap) CheckInvariants() error {
 	// Oracle ledger consistency, partition by partition.
 	//lint:allow hotalloc validation sweep: one count array per call
 	deadBytes := make([]int, h.disk.NumPartitions())
-	live := h.store.Reachable()
 	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
 		if err != nil {
 			return
@@ -671,11 +683,12 @@ func (h *Heap) CheckInvariants() error {
 // trace, but not in hand-built heaps with untracked garbage — and not in
 // oracleless (live) mode, where unreclaimed garbage is by design unknown;
 // there the check passes vacuously.
-func (h *Heap) CheckOracleComplete() error {
+func (h *Heap) CheckOracleComplete() error { return h.checkOracleComplete(h.store.Reachable()) }
+
+func (h *Heap) checkOracleComplete(live *objstore.Table[bool]) error {
 	if h.oracleless {
 		return nil
 	}
-	live := h.store.Reachable()
 	if dead := h.store.Len() - live.Len(); dead != h.oracleDead.Len() {
 		var sample objstore.OID
 		h.store.ForEach(func(o *objstore.Object) {

@@ -94,7 +94,24 @@ type Store struct {
 	nextOID OID
 
 	totalBytes int // sum of sizes of all objects present in the table
+
+	// Object memory (DESIGN.md §3): headers and slot arrays are carved from
+	// slabs, and Remove pushes a header, slot array attached, onto the free
+	// list of its slot count; free[pooledSlots+1] holds headers of wider
+	// objects, whose slot arrays are plain allocations.
+	headers []Object
+	slots   []OID
+	free    [pooledSlots + 2][]*Object
 }
+
+// Each slab fills the runtime's 8192-byte size class exactly: 170 48-byte
+// headers plus the 8-byte malloc header a pointer-bearing allocation over
+// 512 bytes carries, and 1024 pointer-free OIDs, which carry none.
+const (
+	headerSlab  = 170
+	slotSlab    = 1024
+	pooledSlots = 32 // every generator's widest object has 21
+)
 
 // NewStore returns an empty object store.
 func NewStore() *Store {
@@ -113,6 +130,14 @@ const MaxOIDGap = 1 << 20
 // ErrOIDRange marks a create refused because its OID lies further than
 // MaxOIDGap past the allocation horizon.
 var ErrOIDRange = errors.New("objstore: OID beyond the allocation horizon")
+
+// MaxSlots is the widest object CreateWithOID accepts, above any generator's
+// and the durable backend's page-bound disk.MaxSlots: a larger count is a
+// damaged input, and honouring it would size an allocation by the damage.
+const MaxSlots = 1 << 16
+
+// ErrSlotRange marks a create refused because its slot count exceeds MaxSlots.
+var ErrSlotRange = errors.New("objstore: slot count out of range")
 
 // NextOID returns the OID that the next Create call will assign.
 func (s *Store) NextOID() OID { return s.nextOID }
@@ -144,8 +169,9 @@ func (s *Store) Create(class Class, size, nslots int) (*Object, error) {
 // CreateWithOID enters an object with a caller-chosen OID, used when
 // replaying traces whose OIDs were assigned by the generator. It returns an
 // error if the OID is nil, already present, or more than MaxOIDGap past the
-// allocation horizon (ErrOIDRange). The internal OID counter is advanced past
-// the given OID so later Create calls cannot collide.
+// allocation horizon (ErrOIDRange), or if the slot count exceeds MaxSlots
+// (ErrSlotRange). The internal OID counter is advanced past the given OID so
+// later Create calls cannot collide.
 func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, error) {
 	if oid.IsNil() {
 		return nil, fmt.Errorf("objstore: cannot create object with nil OID")
@@ -159,8 +185,15 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	if size < 0 || nslots < 0 {
 		return nil, fmt.Errorf("objstore: invalid size %d or slot count %d", size, nslots)
 	}
-	//lint:allow hotalloc the allocation is the object being created; it lives in the table
-	o := &Object{OID: oid, Class: class, Size: size, Slots: make([]OID, nslots)}
+	if nslots > MaxSlots {
+		return nil, fmt.Errorf("%w: %d slots for %v, at most %d", ErrSlotRange, nslots, oid, MaxSlots)
+	}
+	o := s.alloc(nslots)
+	if nslots > pooledSlots {
+		//lint:allow hotalloc wide-object fallback: no generator builds one
+		o.Slots = make([]OID, nslots)
+	}
+	o.OID, o.Class, o.Size = oid, class, size
 	s.objects.Set(oid, o)
 	s.totalBytes += size
 	if oid >= s.nextOID {
@@ -169,14 +202,43 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	return o, nil
 }
 
-// Get returns the object with the given OID, or nil if absent.
+// alloc returns a header for CreateWithOID to fill in: the last one freed
+// with that slot count, its slots attached and cleared here, or a fresh one
+// carved from the slabs. One for more than pooledSlots slots comes without.
+func (s *Store) alloc(nslots int) *Object {
+	k := min(nslots, pooledSlots+1)
+	if f := s.free[k]; len(f) > 0 {
+		s.free[k] = f[:len(f)-1]
+		clear(f[len(f)-1].Slots)
+		return f[len(f)-1]
+	}
+	if len(s.headers) == 0 {
+		//lint:allow hotalloc slab refill: one allocation per headerSlab creates
+		s.headers = make([]Object, headerSlab)
+	}
+	o := &s.headers[0]
+	s.headers = s.headers[1:]
+	if k <= pooledSlots {
+		if len(s.slots) < nslots {
+			//lint:allow hotalloc slab refill: one allocation per slotSlab slots
+			s.slots = make([]OID, slotSlab)
+		}
+		o.Slots, s.slots = s.slots[:nslots:nslots], s.slots[nslots:]
+	}
+	return o
+}
+
+// Get returns the object with the given OID, or nil if absent. The pointer
+// is valid until the object is removed: Remove recycles the header, which
+// may then become a different object.
 func (s *Store) Get(oid OID) *Object {
 	return s.objects.Get(oid)
 }
 
 // Remove deletes an object from the table (after it has been reclaimed by
-// the collector). Removing an absent OID is an error; reclaiming the same
-// object twice indicates a collector bug.
+// the collector) and recycles its memory; pointers to it obtained earlier
+// must not be used again. Removing an absent OID is an error; reclaiming the
+// same object twice indicates a collector bug.
 func (s *Store) Remove(oid OID) error {
 	o := s.objects.Get(oid)
 	if o == nil {
@@ -185,6 +247,11 @@ func (s *Store) Remove(oid OID) error {
 	s.objects.Set(oid, nil)
 	s.roots.Set(oid, false)
 	s.totalBytes -= o.Size
+	k := min(len(o.Slots), pooledSlots+1)
+	if k > pooledSlots {
+		o.Slots = nil
+	}
+	s.free[k] = append(s.free[k], o)
 	return nil
 }
 

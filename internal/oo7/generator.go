@@ -126,7 +126,8 @@ func (g *Generator) setErr(err error) {
 
 // obj returns the generator's mirror object for oid. A missing object is a
 // generator bug: the error is recorded and an empty object returned so the
-// caller proceeds harmlessly until the phase method surfaces the error.
+// caller proceeds harmlessly until the phase method surfaces the error. The
+// mirror never removes an object, so the pointer stays valid (Store.Get).
 func (g *Generator) obj(oid objstore.OID) *objstore.Object {
 	if o := g.st.Get(oid); o != nil {
 		return o

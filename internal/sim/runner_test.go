@@ -7,6 +7,7 @@ import (
 
 	"odbgc/internal/core"
 	"odbgc/internal/gc"
+	"odbgc/internal/objstore"
 	"odbgc/internal/oo7"
 	"odbgc/internal/simerr"
 	"odbgc/internal/storage"
@@ -224,6 +225,27 @@ func TestRunClassifiesFarOID(t *testing.T) {
 	_, err = s.Run(tr)
 	if !errors.Is(err, simerr.ErrCorruptTrace) || simerr.Classify(err) != simerr.ClassCorruptTrace {
 		t.Fatalf("run over a far OID = %v (class %s), want a corrupt-trace error", err, simerr.Classify(err))
+	}
+	if s.Heap().Store().Len() != 1 || s.Heap().Store().NextOID() != 2 {
+		t.Errorf("refused create changed the store: %d objects, next OID %v",
+			s.Heap().Store().Len(), s.Heap().Store().NextOID())
+	}
+}
+
+// TestRunClassifiesDamagedSlotCount: the same for a create whose slot count
+// was damaged to 2^50, which used to reach make and panic the simulator.
+func TestRunClassifiesDamagedSlotCount(t *testing.T) {
+	tr := &trace.Trace{}
+	tr.Append(trace.Event{Kind: trace.KindCreate, OID: 1, Size: 10})
+	tr.Append(trace.Event{Kind: trace.KindCreate, OID: 2, Size: 10, Slots: 1 << 50})
+	pol, _ := core.NewFixedRate(100)
+	s, err := New(Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run(tr)
+	if !errors.Is(err, objstore.ErrSlotRange) || simerr.Classify(err) != simerr.ClassCorruptTrace {
+		t.Fatalf("run over a 2^50-slot create = %v (class %s), want a corrupt-trace error wrapping ErrSlotRange", err, simerr.Classify(err))
 	}
 	if s.Heap().Store().Len() != 1 || s.Heap().Store().NextOID() != 2 {
 		t.Errorf("refused create changed the store: %d objects, next OID %v",

@@ -366,8 +366,8 @@ func (s *Simulator) Step(e *trace.Event) error {
 	}
 
 	if err := s.apply(e, i); err != nil {
-		if errors.Is(err, objstore.ErrOIDRange) {
-			// No generator skips that far ahead: the event is damaged.
+		if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSlotRange) {
+			// No generator skips that far ahead or builds one that wide: damage.
 			err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
 		}
 		return fmt.Errorf("sim: event %d (%s): %w", i, e.String(), err)
@@ -419,11 +419,8 @@ func (s *Simulator) Step(e *trace.Event) error {
 	// only meaningful at collection-safe points (mid-construction, a
 	// just-created object is legitimately unreachable).
 	if s.cfg.CheckEvery > 0 && s.collectSafe && (i+1)%s.cfg.CheckEvery == 0 {
-		if err := s.heap.CheckInvariants(); err != nil {
+		if err := s.heap.Check(); err != nil {
 			return fmt.Errorf("sim: invariant check after event %d: %w", i, err)
-		}
-		if err := s.heap.CheckOracleComplete(); err != nil {
-			return fmt.Errorf("sim: oracle completeness after event %d: %w", i, err)
 		}
 	}
 	return nil
@@ -586,11 +583,8 @@ func (s *Simulator) Finish() (*Result, error) {
 			return nil, fmt.Errorf("sim: final durable checkpoint: %w", err)
 		}
 	}
-	if err := s.heap.CheckInvariants(); err != nil {
+	if err := s.heap.Check(); err != nil {
 		return nil, fmt.Errorf("sim: final invariant check: %w", err)
-	}
-	if err := s.heap.CheckOracleComplete(); err != nil {
-		return nil, fmt.Errorf("sim: final oracle completeness check: %w", err)
 	}
 	r := s.res
 	r.Final = s.disk.Stats()

@@ -10,6 +10,11 @@ import (
 	"odbgc/internal/simerr"
 )
 
+// Everything the durable backend accepts, the object store must: a recovered
+// object is recreated through Store.CreateWithOID. The conversion does not
+// compile if MaxSlots outgrows objstore.MaxSlots.
+const _ = uint(objstore.MaxSlots - MaxSlots)
+
 // farOIDWAL is a CRC-valid, committed batch allocating an object at an OID no
 // allocator would hand out. The table's directory grows to reach any key it
 // is given, so replay must refuse the key, not try to reach it.

@@ -112,6 +112,26 @@ func TestValidateRejectsFarOID(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsDamagedSlotCount: a create whose slot-count varint
+// decodes to 2^50 survives the codec (the count is not negative) and fails
+// the store replay as a corrupt trace, where it used to panic in makeslice.
+func TestValidateRejectsDamagedSlotCount(t *testing.T) {
+	damaged := validChain()
+	damaged.Events[2].Slots = 1 << 50
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, damaged); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Validate(tr)
+	if !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrSlotRange) {
+		t.Fatalf("Validate = %v, want a corrupt-trace error wrapping ErrSlotRange", err)
+	}
+}
+
 // FuzzJSONReader does the same for the JSON-lines decoder.
 func FuzzJSONReader(f *testing.F) {
 	var buf bytes.Buffer

@@ -267,8 +267,8 @@ func Validate(t *Trace) error {
 		switch e.Kind {
 		case KindCreate:
 			if _, err := st.CreateWithOID(e.OID, e.Class, e.Size, e.Slots); err != nil {
-				if errors.Is(err, objstore.ErrOIDRange) {
-					// No generator skips that far ahead: the event is damaged.
+				if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSlotRange) {
+					// No generator skips that far ahead or builds one that wide: damage.
 					err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
 				}
 				return fmt.Errorf("event %d: %w", i, err)
