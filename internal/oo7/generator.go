@@ -3,7 +3,6 @@ package oo7
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/trace"
@@ -43,7 +42,7 @@ var Phases = []string{PhaseGenDB, PhaseReorg1, PhaseTraverse, PhaseReorg2}
 type Generator struct {
 	p   Params
 	rng *rand.Rand
-	tr  *trace.Trace
+	tr  trace.Builder
 	st  *objstore.Store
 
 	modules []*moduleState
@@ -56,20 +55,38 @@ type Generator struct {
 	// discarded.
 	err error
 
-	// deadScratch is scopeDead's reusable dead-OID buffer; victimScratch is
-	// deleteHalf's reusable victim list. They are distinct because deleteHalf
-	// emits overwrites (which run scopeDead) while its victim list is live.
-	deadScratch   []objstore.OID
-	victimScratch []objstore.OID
+	// meta is the oracle's per-object state, indexed by OID: the mirror
+	// assigns OIDs densely from 1 and never reuses one, so create extends it
+	// by one entry per object. epoch stamps one use of the mark or victim
+	// field — "set" means "equal to the epoch taken for this pass" — so
+	// neither is ever cleared; 2^32 passes would need a 400 GB trace.
+	meta  []objMeta
+	epoch uint32
+
+	// Scratch reused across calls: scopeDead's DFS stack, and the part-index
+	// and rewire lists the deletions of one reorg batch are carved from.
+	stack     []objstore.OID
+	idxArena  []int
+	connArena []connSlot
+}
+
+// objMeta is what the oracle knows about one object beyond the mirror store.
+type objMeta struct {
+	// owner is the composite whose private scope holds the object (for a
+	// composite part itself: its own state); nil for shared structure and
+	// for objects already declared dead.
+	owner *compositeState
+	// mark is scopeDead's and the traversals' visited stamp.
+	mark uint32
+	// victim stamps the atomic parts deleteHalf is deleting. It is apart
+	// from mark because deleteHalf's overwrites run scopeDead while the
+	// victim set is live.
+	victim uint32
 }
 
 type moduleState struct {
 	oid        objstore.OID
 	composites []*compositeState
-	// refs tracks which base-assembly slots reference each composite, so
-	// structural operations (ReplaceComposites) can sever them and detect
-	// when a composite becomes unreachable.
-	refs map[*compositeState][]slotRef
 }
 
 // slotRef identifies one pointer slot of one object.
@@ -82,11 +99,17 @@ type compositeState struct {
 	oid   objstore.OID
 	doc   objstore.OID
 	parts []objstore.OID // index i ↔ composite slot i+1; nil = vacant
+	// refs lists the base-assembly slots referencing the composite, so
+	// structural operations (ReplaceComposites) can sever them and detect
+	// when the composite becomes unreachable.
+	refs []slotRef
 	// scope holds the composite's private objects (document, atomic parts,
-	// connections) that have not yet been declared garbage. Reachability
-	// within the composite is decidable locally because private objects
-	// are only ever referenced from within the composite.
-	scope map[objstore.OID]struct{}
+	// connections) that have not yet been declared garbage, in creation —
+	// hence ascending-OID — order; meta[oid].owner is the same set seen from
+	// the object. Reachability within the composite is decidable locally
+	// because private objects are only ever referenced from within the
+	// composite.
+	scope []objstore.OID
 }
 
 // NewGenerator returns a generator for the given parameters and seed.
@@ -97,14 +120,15 @@ func NewGenerator(p Params, seed int64) (*Generator, error) {
 	return &Generator{
 		p:     p,
 		rng:   rand.New(rand.NewSource(seed)),
-		tr:    &trace.Trace{},
 		st:    objstore.NewStore(),
 		built: make(map[string]bool),
 	}, nil
 }
 
-// Trace returns the trace generated so far.
-func (g *Generator) Trace() *trace.Trace { return g.tr }
+// Trace returns the trace generated so far: a snapshot with an exactly sized
+// Events slice, built by one copy per call. Operations run afterwards do not
+// appear in it — call Trace again once they are done, not once per event.
+func (g *Generator) Trace() *trace.Trace { return g.tr.Trace() }
 
 // Store exposes the generator's mirror object graph (for tests and stats).
 func (g *Generator) Store() *objstore.Store { return g.st }
@@ -194,10 +218,24 @@ func (g *Generator) create(class objstore.Class, size, nslots int) objstore.OID 
 		g.setErr(err)
 		return objstore.NilOID
 	}
+	for len(g.meta) <= int(o.OID) {
+		g.meta = append(g.meta, objMeta{})
+	}
 	g.tr.Append(trace.Event{
 		Kind: trace.KindCreate, OID: o.OID, Class: class, Size: size, Slots: nslots,
 	})
 	return o.OID
+}
+
+// createPrivate creates an object in composite c's private scope. Creation
+// order is OID order, so appending keeps c.scope ascending.
+func (g *Generator) createPrivate(c *compositeState, class objstore.Class, size, nslots int) objstore.OID {
+	oid := g.create(class, size, nslots)
+	if !oid.IsNil() {
+		g.meta[oid].owner = c
+		c.scope = append(c.scope, oid)
+	}
+	return oid
 }
 
 func (g *Generator) access(oid objstore.OID) {
@@ -267,10 +305,14 @@ func (g *Generator) overwrite(src objstore.OID, slot int, dst objstore.OID, scop
 }
 
 // scopeDead recomputes reachability of the composite's private objects and
-// returns (and retires) the ones that just became unreachable.
+// returns (and retires) the ones that just became unreachable: one marked
+// depth-first walk from the composite part, then one pass over the scope in
+// OID order that moves the unmarked into the dead list — sorted because the
+// scope is — and closes the scope up over them.
 func (g *Generator) scopeDead(c *compositeState) []trace.DeadObject {
-	visited := map[objstore.OID]struct{}{c.oid: {}}
-	stack := []objstore.OID{c.oid}
+	g.epoch++
+	live := 0
+	stack := append(g.stack[:0], c.oid)
 	for len(stack) > 0 {
 		oid := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -278,33 +320,28 @@ func (g *Generator) scopeDead(c *compositeState) []trace.DeadObject {
 			if t.IsNil() {
 				continue
 			}
-			if _, inScope := c.scope[t]; !inScope {
-				continue
+			if m := &g.meta[t]; m.owner == c && m.mark != g.epoch {
+				m.mark = g.epoch
+				live++
+				stack = append(stack, t)
 			}
-			if _, seen := visited[t]; seen {
-				continue
-			}
-			visited[t] = struct{}{}
-			stack = append(stack, t)
 		}
 	}
-	deadOIDs := g.deadScratch[:0]
-	for oid := range c.scope {
-		if _, ok := visited[oid]; !ok {
-			deadOIDs = append(deadOIDs, oid)
-		}
-	}
-	g.deadScratch = deadOIDs
-	if len(deadOIDs) == 0 {
+	g.stack = stack
+	if live == len(c.scope) {
 		return nil
 	}
-	slices.Sort(deadOIDs)
-	//lint:allow hotalloc the dead list is retained by the emitted trace event
-	dead := make([]trace.DeadObject, len(deadOIDs))
-	for i, oid := range deadOIDs {
-		dead[i] = trace.DeadObject{OID: oid, Size: g.obj(oid).Size}
-		delete(c.scope, oid)
+	dead := g.tr.Dead(len(c.scope) - live)[:0]
+	kept := c.scope[:0]
+	for _, oid := range c.scope {
+		if m := &g.meta[oid]; m.mark == g.epoch {
+			kept = append(kept, oid)
+		} else {
+			m.owner = nil
+			dead = append(dead, trace.DeadObject{OID: oid, Size: g.obj(oid).Size})
+		}
 	}
+	c.scope = kept
 	return dead
 }
 
@@ -328,7 +365,7 @@ func (g *Generator) GenDB() error {
 
 func (g *Generator) genModule() *moduleState {
 	//lint:allow hotalloc module state is retained for the life of the generated database
-	mod := &moduleState{refs: make(map[*compositeState][]slotRef)}
+	mod := &moduleState{}
 	mod.oid = g.create(objstore.ClassModule, g.p.ModuleBytes, 2)
 	g.addRoot(mod.oid)
 
@@ -386,8 +423,8 @@ func (g *Generator) genModule() *moduleState {
 			} else {
 				g.overwrite(base, k, mod.composites[idx].oid, nil)
 			}
-			mod.refs[mod.composites[idx]] = append(mod.refs[mod.composites[idx]],
-				slotRef{obj: base, slot: k})
+			c := mod.composites[idx]
+			c.refs = append(c.refs, slotRef{obj: base, slot: k})
 		}
 	}
 	return mod
@@ -425,14 +462,17 @@ func (g *Generator) genManual(module objstore.OID) {
 // genComposite builds one composite part top-down, immediately wired into
 // base assembly slot k. All internal wiring is initializing stores.
 func (g *Generator) genComposite(base objstore.OID, k int) *compositeState {
+	// One array holds the part slots and, behind them, room for the scope of
+	// a freshly built composite: document, parts, connections.
+	n := g.p.NumAtomicPerComp
+	//lint:allow hotalloc retained with the composite state
+	oids := make([]objstore.OID, n, n+g.p.DocSegments()+n*(1+g.p.NumConnPerAtomic))
 	//lint:allow hotalloc composite state is retained for the life of the generated database
-	c := &compositeState{
-		//lint:allow hotalloc retained with the composite state
-		parts: make([]objstore.OID, g.p.NumAtomicPerComp),
-		//lint:allow hotalloc retained with the composite state
-		scope: make(map[objstore.OID]struct{}),
-	}
+	c := &compositeState{parts: oids[:n:n], scope: oids[n:n]}
 	c.oid = g.create(objstore.ClassCompositePart, g.p.CompositeBytes, 1+g.p.NumAtomicPerComp)
+	if !c.oid.IsNil() {
+		g.meta[c.oid].owner = c
+	}
 	g.overwrite(base, k, c.oid, nil)
 
 	c.doc = g.createDocument(c, func(head objstore.OID) {
@@ -440,18 +480,16 @@ func (g *Generator) genComposite(base objstore.OID, k int) *compositeState {
 	})
 
 	for i := 0; i < g.p.NumAtomicPerComp; i++ {
-		part := g.create(objstore.ClassAtomicPart, g.p.AtomicBytes, g.p.NumConnPerAtomic)
+		part := g.createPrivate(c, objstore.ClassAtomicPart, g.p.AtomicBytes, g.p.NumConnPerAtomic)
 		g.initStore(c.oid, 1+i, part)
 		c.parts[i] = part
-		c.scope[part] = struct{}{}
 	}
 	for i := 0; i < g.p.NumAtomicPerComp; i++ {
 		for k := 0; k < g.p.NumConnPerAtomic; k++ {
 			target := c.parts[g.randPartIndexExcept(c, i)]
-			conn := g.create(objstore.ClassConnection, g.p.ConnBytes, 1)
+			conn := g.createPrivate(c, objstore.ClassConnection, g.p.ConnBytes, 1)
 			g.initStore(conn, 0, target)
 			g.initStore(c.parts[i], k, conn)
-			c.scope[conn] = struct{}{}
 		}
 	}
 	return c
@@ -472,8 +510,7 @@ func (g *Generator) createDocument(c *compositeState, wireHead func(objstore.OID
 			size = remaining
 		}
 		remaining -= size
-		seg := g.create(objstore.ClassDocument, size, 1)
-		c.scope[seg] = struct{}{}
+		seg := g.createPrivate(c, objstore.ClassDocument, size, 1)
 		if head.IsNil() {
 			head = seg
 			wireHead(head)

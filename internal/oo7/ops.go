@@ -10,21 +10,10 @@ package oo7
 
 import (
 	"fmt"
-	"sort"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/trace"
 )
-
-// traceOverwrite builds a plain overwrite event.
-func traceOverwrite(src objstore.OID, slot int, old, dst objstore.OID) trace.Event {
-	return trace.Event{Kind: trace.KindOverwrite, OID: src, Slot: slot, Old: old, New: dst}
-}
-
-// deadObject builds one oracle annotation entry.
-func deadObject(oid objstore.OID, size int) trace.DeadObject {
-	return trace.DeadObject{OID: oid, Size: size}
-}
 
 // T2Variant selects the update pattern of a T2 traversal.
 type T2Variant byte
@@ -103,40 +92,17 @@ func (g *Generator) T6() error {
 		return err
 	}
 	g.emitPhase("T6")
+	g.epoch++
 	for _, mod := range g.modules {
-		g.access(mod.oid)
-		root := g.slot(mod.oid, 1)
-		stack := []objstore.OID{root}
-		visitedComp := make(map[objstore.OID]bool)
-		compByOID := make(map[objstore.OID]*compositeState, len(mod.composites))
-		for _, c := range mod.composites {
-			compByOID[c.oid] = c
-		}
-		for len(stack) > 0 {
-			oid := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.access(oid)
-			for i := len(g.obj(oid).Slots) - 1; i >= 0; i-- {
-				child := g.obj(oid).Slots[i]
-				if child.IsNil() {
-					continue
+		g.walkAssemblies(mod, func(c *compositeState) {
+			g.access(c.oid)
+			for _, part := range c.parts {
+				if !part.IsNil() {
+					g.access(part) // root part only
+					break
 				}
-				if c, isComp := compByOID[child]; isComp {
-					if !visitedComp[child] {
-						visitedComp[child] = true
-						g.access(c.oid)
-						for _, part := range c.parts {
-							if !part.IsNil() {
-								g.access(part) // root part only
-								break
-							}
-						}
-					}
-					continue
-				}
-				stack = append(stack, child)
 			}
-		}
+		})
 	}
 	return g.err
 }
@@ -229,18 +195,17 @@ func (g *Generator) ReplaceComposites(n int) error {
 		// slots, deterministically ordered.
 		comps := mod.composites
 		old := comps[g.rng.Intn(len(comps))]
-		refs := mod.refs[old]
-		if len(refs) == 0 {
+		if len(old.refs) == 0 {
 			continue // already fully displaced earlier this phase
 		}
-		ref := refs[g.rng.Intn(len(refs))]
+		ref := old.refs[g.rng.Intn(len(old.refs))]
 
 		// Sever: the last reference takes the whole subtree with it.
 		g.severCompositeRef(mod, old, ref)
 
 		// Build the replacement into the vacated slot.
 		nc := g.genComposite(ref.obj, ref.slot)
-		mod.refs[nc] = append(mod.refs[nc], ref)
+		nc.refs = append(nc.refs, ref)
 		mod.composites = append(mod.composites, nc)
 	}
 	return g.err
@@ -253,14 +218,13 @@ func (g *Generator) severCompositeRef(mod *moduleState, c *compositeState, ref s
 	if g.err != nil {
 		return
 	}
-	refs := mod.refs[c]
-	kept := refs[:0]
-	for _, r := range refs {
+	kept := c.refs[:0]
+	for _, r := range c.refs {
 		if r != ref {
 			kept = append(kept, r)
 		}
 	}
-	mod.refs[c] = kept
+	c.refs = kept
 
 	old, err := g.st.SetSlot(ref.obj, ref.slot, objstore.NilOID)
 	if err != nil {
@@ -271,20 +235,19 @@ func (g *Generator) severCompositeRef(mod *moduleState, c *compositeState, ref s
 		g.setErr(fmt.Errorf("oo7: ref bookkeeping out of sync: slot holds %v, expected %v", old, c.oid))
 		return
 	}
-	ev := traceOverwrite(ref.obj, ref.slot, old, objstore.NilOID)
+	ev := trace.Event{Kind: trace.KindOverwrite, OID: ref.obj, Slot: ref.slot, Old: old, New: objstore.NilOID}
 	if len(kept) == 0 {
-		// Last reference: composite plus its whole private scope die.
-		deadOIDs := make([]objstore.OID, 0, len(c.scope)+1)
-		deadOIDs = append(deadOIDs, c.oid)
-		for oid := range c.scope {
-			deadOIDs = append(deadOIDs, oid)
+		// Last reference: the composite and its whole private scope die. The
+		// composite part was created before anything in its scope, so it
+		// heads a list that is already in OID order.
+		ev.Dead = g.tr.Dead(1 + len(c.scope))
+		ev.Dead[0] = trace.DeadObject{OID: c.oid, Size: g.obj(c.oid).Size}
+		for i, oid := range c.scope {
+			ev.Dead[1+i] = trace.DeadObject{OID: oid, Size: g.obj(oid).Size}
+			g.meta[oid].owner = nil
 		}
-		sort.Slice(deadOIDs, func(i, j int) bool { return deadOIDs[i] < deadOIDs[j] })
-		for _, oid := range deadOIDs {
-			ev.Dead = append(ev.Dead, deadObject(oid, g.obj(oid).Size))
-		}
-		c.scope = map[objstore.OID]struct{}{}
-		delete(mod.refs, c)
+		g.meta[c.oid].owner = nil
+		c.scope = nil
 		for i, cc := range mod.composites {
 			if cc == c {
 				mod.composites = append(mod.composites[:i], mod.composites[i+1:]...)

@@ -47,6 +47,7 @@ func (g *Generator) reorg(label string, clustered bool) error {
 	if clustered {
 		for _, mod := range g.modules {
 			for _, c := range mod.composites {
+				g.idxArena, g.connArena = g.idxArena[:0], g.connArena[:0]
 				d := g.deleteHalf(c)
 				for _, slot := range d.partSlots {
 					g.insertPart(c, slot)
@@ -66,12 +67,14 @@ func (g *Generator) reorg(label string, clustered bool) error {
 		all = append(all, mod.composites...)
 	}
 	batch := g.p.declusterBatch()
+	var dels []deletion // reused across batches
 	for start := 0; start < len(all); start += batch {
 		end := start + batch
 		if end > len(all) {
 			end = len(all)
 		}
-		var dels []deletion
+		g.idxArena, g.connArena = g.idxArena[:0], g.connArena[:0]
+		dels = dels[:0]
 		maxSlots := 0
 		for _, c := range all[start:end] {
 			d := g.deleteHalf(c)
@@ -111,26 +114,30 @@ func (g *Generator) deleteHalf(c *compositeState) deletion {
 		})
 	}
 
-	//lint:allow hotalloc sized exactly per delete pass, bounded by parts-per-composite
-	current := make([]int, 0, len(c.parts))
+	// The deletion's lists are carved from the generator's arenas, which
+	// reorg resets once the batch's deletions have been reinserted. A list
+	// that outgrows its arena moves to a new array; earlier deletions keep
+	// the old one, and nothing appends to them again.
+	from := len(g.idxArena)
 	for i, p := range c.parts {
 		if !p.IsNil() {
-			current = append(current, i)
+			g.idxArena = append(g.idxArena, i)
 		}
 	}
+	current := g.idxArena[from:]
 	k := len(current) / 2
+	g.idxArena = g.idxArena[:from+k]
 	if k == 0 {
 		return d
 	}
 	g.rng.Shuffle(len(current), func(i, j int) { current[i], current[j] = current[j], current[i] })
-	victims := current[:k]
-	victimSet := make(map[objstore.OID]struct{}, k)
-	victimOIDs := g.victimScratch[:0]
-	for _, idx := range victims {
-		victimSet[c.parts[idx]] = struct{}{}
-		victimOIDs = append(victimOIDs, c.parts[idx])
+	d.partSlots = current[:k:k]
+	g.epoch++
+	victim := g.epoch
+	for _, idx := range d.partSlots {
+		g.meta[c.parts[idx]].victim = victim
 	}
-	g.victimScratch = victimOIDs
+	rewiresFrom := len(g.connArena)
 
 	// Deletion order matters: all stores into a victim must happen while it
 	// is still reachable (the application's delete traversal holds it),
@@ -145,45 +152,39 @@ func (g *Generator) deleteHalf(c *compositeState) deletion {
 	// remembered-set entry alive). Victims' connections to surviving parts
 	// are left in place — they die with their owner and point only at live
 	// objects, so they pin nothing.
-	for _, victim := range victimOIDs {
-		slots := g.obj(victim).Slots
-		for s, conn := range slots {
+	for _, idx := range d.partSlots {
+		part := c.parts[idx]
+		for s, conn := range g.obj(part).Slots {
 			if conn.IsNil() {
 				continue
 			}
-			target := g.slot(conn, 0)
-			if _, dead := victimSet[target]; dead {
-				g.overwrite(victim, s, objstore.NilOID, c)
+			if g.meta[g.slot(conn, 0)].victim == victim {
+				g.overwrite(part, s, objstore.NilOID, c)
 			}
 		}
 	}
 	// Second, sever survivors' connections into the victim set; those
 	// slots are refilled by the reinsertion pass.
 	for _, p := range c.parts {
-		if p.IsNil() {
+		if p.IsNil() || g.meta[p].victim == victim {
 			continue
 		}
-		if _, dead := victimSet[p]; dead {
-			continue
-		}
-		slots := g.obj(p).Slots
-		for s, conn := range slots {
+		for s, conn := range g.obj(p).Slots {
 			if conn.IsNil() {
 				continue
 			}
-			target := g.slot(conn, 0)
-			if _, dead := victimSet[target]; dead {
+			if g.meta[g.slot(conn, 0)].victim == victim {
 				g.overwrite(p, s, objstore.NilOID, c)
-				d.rewires = append(d.rewires, connSlot{part: p, slot: s})
+				g.connArena = append(g.connArena, connSlot{part: p, slot: s})
 			}
 		}
 	}
+	d.rewires = g.connArena[rewiresFrom:]
 	// Finally, detach victims from the composite. Each overwrite may
 	// release a whole cluster (the part plus its remaining connections).
-	for _, idx := range victims {
+	for _, idx := range d.partSlots {
 		g.overwrite(c.oid, 1+idx, objstore.NilOID, c)
 		c.parts[idx] = objstore.NilOID
-		d.partSlots = append(d.partSlots, idx)
 	}
 	return d
 }
@@ -191,16 +192,14 @@ func (g *Generator) deleteHalf(c *compositeState) deletion {
 // insertPart creates a replacement atomic part in the given composite slot,
 // with a full set of outgoing connections to random current parts.
 func (g *Generator) insertPart(c *compositeState, slot int) {
-	part := g.create(objstore.ClassAtomicPart, g.p.AtomicBytes, g.p.NumConnPerAtomic)
+	part := g.createPrivate(c, objstore.ClassAtomicPart, g.p.AtomicBytes, g.p.NumConnPerAtomic)
 	g.overwrite(c.oid, 1+slot, part, nil)
 	c.parts[slot] = part
-	c.scope[part] = struct{}{}
 	for k := 0; k < g.p.NumConnPerAtomic; k++ {
 		target := g.randCurrentPartExcept(c, part)
-		conn := g.create(objstore.ClassConnection, g.p.ConnBytes, 1)
+		conn := g.createPrivate(c, objstore.ClassConnection, g.p.ConnBytes, 1)
 		g.initStore(conn, 0, target)
 		g.initStore(part, k, conn)
-		c.scope[conn] = struct{}{}
 	}
 }
 
@@ -210,10 +209,9 @@ func (g *Generator) rewire(d deletion) {
 	c := d.comp
 	for _, r := range d.rewires {
 		target := g.randCurrentPartExcept(c, r.part)
-		conn := g.create(objstore.ClassConnection, g.p.ConnBytes, 1)
+		conn := g.createPrivate(c, objstore.ClassConnection, g.p.ConnBytes, 1)
 		g.initStore(conn, 0, target)
 		g.overwrite(r.part, r.slot, conn, nil)
-		c.scope[conn] = struct{}{}
 	}
 }
 
@@ -232,44 +230,53 @@ func (g *Generator) Traverse() error {
 	g.built[PhaseTraverse] = true
 	g.emitPhase(PhaseTraverse)
 
-	visitedComp := make(map[objstore.OID]bool)
+	// One epoch serves the whole phase: composite parts and atomic parts are
+	// distinct objects, and nothing here runs scopeDead.
+	g.epoch++
 	sinceUpdate := 0
 	for _, mod := range g.modules {
-		g.access(mod.oid)
-		compByOID := make(map[objstore.OID]*compositeState, len(mod.composites))
-		for _, c := range mod.composites {
-			compByOID[c.oid] = c
-		}
-		// DFS over the assembly hierarchy.
-		root := g.slot(mod.oid, 1)
-		stack := []objstore.OID{root}
-		for len(stack) > 0 {
-			oid := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.access(oid)
-			for i := len(g.obj(oid).Slots) - 1; i >= 0; i-- {
-				child := g.obj(oid).Slots[i]
-				if child.IsNil() {
-					continue
-				}
-				if c, isComp := compByOID[child]; isComp {
-					if !visitedComp[child] {
-						visitedComp[child] = true
-						g.traverseComposite(c, &sinceUpdate)
-					}
-					continue
-				}
-				stack = append(stack, child)
-			}
-		}
+		g.walkAssemblies(mod, func(c *compositeState) {
+			g.traverseComposite(c, &sinceUpdate)
+		})
 	}
 	return g.err
 }
 
+// walkAssemblies emits the depth-first walk down a module's assembly
+// hierarchy shared by Traverse and T6, calling visit at each composite part
+// the first time the walk reaches it. The caller has taken a fresh epoch.
+func (g *Generator) walkAssemblies(mod *moduleState, visit func(*compositeState)) {
+	g.access(mod.oid)
+	stack := append(g.stack[:0], g.slot(mod.oid, 1))
+	for len(stack) > 0 {
+		oid := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		g.access(oid)
+		slots := g.obj(oid).Slots
+		for i := len(slots) - 1; i >= 0; i-- {
+			child := slots[i]
+			if child.IsNil() {
+				continue
+			}
+			// Below an assembly is an assembly or a composite part, and only
+			// a composite part has an owner: itself.
+			m := &g.meta[child]
+			if m.owner == nil {
+				stack = append(stack, child)
+			} else if m.mark != g.epoch {
+				m.mark = g.epoch
+				visit(m.owner)
+			}
+		}
+	}
+	g.stack = stack
+}
+
 func (g *Generator) traverseComposite(c *compositeState, sinceUpdate *int) {
 	g.access(c.oid)
-	visited := make(map[objstore.OID]bool)
-	visitPart := func(p objstore.OID) {
+	var dfs func(p objstore.OID)
+	dfs = func(p objstore.OID) {
+		g.meta[p].mark = g.epoch
 		g.access(p)
 		if g.p.TraverseUpdateEvery > 0 {
 			*sinceUpdate++
@@ -278,23 +285,18 @@ func (g *Generator) traverseComposite(c *compositeState, sinceUpdate *int) {
 				g.update(p)
 			}
 		}
-	}
-	var dfs func(p objstore.OID)
-	dfs = func(p objstore.OID) {
-		visited[p] = true
-		visitPart(p)
 		for _, conn := range g.obj(p).Slots {
 			if conn.IsNil() {
 				continue
 			}
 			g.access(conn)
-			if t := g.slot(conn, 0); !t.IsNil() && !visited[t] {
+			if t := g.slot(conn, 0); !t.IsNil() && g.meta[t].mark != g.epoch {
 				dfs(t)
 			}
 		}
 	}
 	for _, p := range c.parts {
-		if !p.IsNil() && !visited[p] {
+		if !p.IsNil() && g.meta[p].mark != g.epoch {
 			dfs(p)
 		}
 	}

@@ -1,6 +1,7 @@
 package oo7
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,7 +152,7 @@ func structureInvariants(t *testing.T, g *Generator) {
 					if !live.Get(target) {
 						t.Fatalf("connection %v targets dead part %v", conn, target)
 					}
-					if _, inScope := c.scope[target]; !inScope {
+					if _, inScope := slices.BinarySearch(c.scope, target); !inScope || g.meta[target].owner != c {
 						t.Fatalf("connection %v escapes its composite", conn)
 					}
 				}

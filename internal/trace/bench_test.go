@@ -42,3 +42,27 @@ func BenchmarkTraceCodec(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkLoadTrace times what the repository benchmark's replay workloads
+// report as setup_s, in process: generate the seed-1 OO7 trace, write it,
+// read it back and validate it.
+func BenchmarkLoadTrace(b *testing.B) {
+	b.ReportAllocs()
+	var raw bytes.Buffer
+	for i := 0; i < b.N; i++ {
+		tr, err := oo7.FullTrace(oo7.SmallPrime(3), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw.Reset()
+		if err := trace.WriteAll(&raw, tr); err != nil {
+			b.Fatal(err)
+		}
+		if tr, err = trace.ReadAll(&raw); err != nil {
+			b.Fatal(err)
+		}
+		if err := trace.Validate(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -155,11 +155,8 @@ type Reader struct {
 	br   *bufio.Reader
 	done bool
 
-	// deadArena hands out Event.Dead backing storage in chunks, so decoding
-	// a trace performs one allocation per ~4096 dead-list entries instead of
-	// one per overwrite event. Handed-out slices are never reused — events
-	// own them for good — the arena only batches the allocations.
-	deadArena []DeadObject
+	// dead backs the decoded events' Dead lists.
+	dead deadArena
 	// labelBuf is the scratch buffer phase labels are read into before the
 	// (unavoidable) string conversion.
 	labelBuf []byte
@@ -197,25 +194,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (r *Reader) uvarint() (uint64, error) {
 	return binary.ReadUvarint(r.br)
 }
-
-// allocDead carves an n-entry slice out of the dead arena, starting a new
-// chunk when the current one is exhausted.
-func (r *Reader) allocDead(n int) []DeadObject {
-	if cap(r.deadArena)-len(r.deadArena) < n {
-		size := deadArenaChunk
-		if n > size {
-			size = n
-		}
-		//lint:allow hotalloc arena chunk: one allocation amortizes thousands of dead-list entries
-		r.deadArena = make([]DeadObject, 0, size)
-	}
-	out := r.deadArena[len(r.deadArena) : len(r.deadArena)+n]
-	r.deadArena = r.deadArena[:len(r.deadArena)+n]
-	return out
-}
-
-// deadArenaChunk is the arena granularity: 4096 entries ≈ 64 KiB.
-const deadArenaChunk = 4096
 
 // Read returns the next event, or io.EOF after the trailer.
 func (r *Reader) Read() (Event, error) {
@@ -271,10 +249,12 @@ func (r *Reader) Read() (Event, error) {
 			if n > 1<<24 {
 				return e, fmt.Errorf("trace: implausible dead-list length %d", n)
 			}
-			e.Dead = r.allocDead(int(n))
-			for i := range e.Dead {
-				e.Dead[i].OID = objstore.OID(rd())
-				e.Dead[i].Size = int(rd())
+			// The count is a claim until its entries arrive: the list starts
+			// in the arena, at most one chunk ahead of the bytes read, and a
+			// longer one grows by append as entries actually decode.
+			e.Dead = r.dead.alloc(min(int(n), deadArenaChunk))[:0]
+			for i := uint64(0); i < n && err == nil; i++ {
+				e.Dead = append(e.Dead, DeadObject{OID: objstore.OID(rd()), Size: int(rd())})
 			}
 		}
 	case KindPhase:
@@ -325,21 +305,8 @@ func (r *Reader) truncation() error {
 
 // ReadAll decodes an entire stream into a Trace.
 func ReadAll(r io.Reader) (*Trace, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{}
-	for {
-		e, err := tr.Read()
-		if errors.Is(err, io.EOF) {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Append(e)
-	}
+	t, _, err := readAll(r, false)
+	return t, err
 }
 
 // ReadAllLenient decodes a possibly-truncated stream, returning every
@@ -347,21 +314,25 @@ func ReadAll(r io.Reader) (*Trace, error) {
 // stream was in fact truncated. Errors other than truncation are returned
 // as-is.
 func ReadAllLenient(r io.Reader) (*Trace, bool, error) {
+	return readAll(r, true)
+}
+
+func readAll(r io.Reader, lenient bool) (*Trace, bool, error) {
 	tr, err := NewReader(r)
 	if err != nil {
 		return nil, false, err
 	}
-	tr.Lenient = true
-	t := &Trace{}
+	tr.Lenient = lenient
+	var b Builder
 	for {
 		e, err := tr.Read()
 		if errors.Is(err, io.EOF) {
-			return t, tr.Truncated(), nil
+			return b.Trace(), tr.Truncated(), nil
 		}
 		if err != nil {
 			return nil, tr.Truncated(), err
 		}
-		t.Append(e)
+		b.Append(e)
 	}
 }
 
@@ -438,14 +409,14 @@ func WriteJSON(w io.Writer, t *Trace) error {
 // ReadJSON decodes a JSON-lines trace.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
-	t := &Trace{}
+	var b Builder
 	// One decode target reused across the stream; Decode only sets fields
 	// present in the line, so it is cleared each iteration.
 	var je jsonEvent
 	for i := 0; ; i++ {
 		je = jsonEvent{}
 		if err := dec.Decode(&je); errors.Is(err, io.EOF) {
-			return t, nil
+			return b.Trace(), nil
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: decoding JSON event %d: %w", i, err)
 		}
@@ -465,9 +436,12 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			Label: je.Label,
 			Init:  je.Init,
 		}
-		for _, d := range je.Dead {
-			e.Dead = append(e.Dead, DeadObject{OID: objstore.OID(d.OID), Size: d.Size})
+		if len(je.Dead) > 0 {
+			e.Dead = b.Dead(len(je.Dead))
+			for i, d := range je.Dead {
+				e.Dead[i] = DeadObject{OID: objstore.OID(d.OID), Size: d.Size}
+			}
 		}
-		t.Append(e)
+		b.Append(e)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"odbgc/internal/objstore"
@@ -38,6 +40,8 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{'O', 'D', 'B', 'T', 0x01, 0x00, byte(KindCreate), 0x80, 0x80, 0x80})
 	// Mid-event EOF right after the kind byte.
 	f.Add([]byte{'O', 'D', 'B', 'T', 0x01, 0x00, byte(KindOverwrite)})
+	// A dead-list count the stream ends before backing with one entry.
+	f.Add(hugeDeadList)
 	// Trailing garbage after a valid trailer.
 	f.Add(append(append([]byte(nil), valid...), 0x00, 0xde, 0xad, 0xbe, 0xef))
 	// Trailer replaced by an unknown kind byte.
@@ -85,6 +89,74 @@ func FuzzReader(f *testing.F) {
 		}
 		t.Fatal("reader produced over a million events from fuzz input")
 	})
+}
+
+// hugeDeadList is a 16-byte stream — header, one overwrite event whose
+// dead-list count varint says 2^24, end of file — the largest count the
+// plausibility bound lets through, backed by no entry at all.
+var hugeDeadList = []byte{'O', 'D', 'B', 'T', 0x01, 0x00,
+	byte(KindOverwrite), 1, 0, 2, 0, 0, // OID, slot, old, new, flags
+	0x80, 0x80, 0x80, 0x08} // count = 1<<24
+
+// allocatedBytes returns the heap bytes fn allocated, live or not.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDamagedDeadListLengthSizesNothing: a dead-list count is a claim until
+// its entries arrive. The decoder used to allocate the claimed 2^24 entries
+// (256 MiB) before reading the first one; the list now grows with the bytes
+// actually read, and the stream is reported truncated for what it is.
+func TestDamagedDeadListLengthSizesNothing(t *testing.T) {
+	const budget = 1 << 20
+	var err error
+	if n := allocatedBytes(func() { _, err = ReadAll(bytes.NewReader(hugeDeadList)) }); n >= budget {
+		t.Errorf("ReadAll allocated %d bytes on a 16-byte stream, want < %d", n, budget)
+	}
+	if !errors.Is(err, ErrTruncated) || !errors.Is(err, simerr.ErrCorruptTrace) {
+		t.Errorf("ReadAll = %v, want an error wrapping ErrTruncated and ErrCorruptTrace", err)
+	}
+
+	var tr *Trace
+	var truncated bool
+	if n := allocatedBytes(func() { tr, truncated, err = ReadAllLenient(bytes.NewReader(hugeDeadList)) }); n >= budget {
+		t.Errorf("ReadAllLenient allocated %d bytes on a 16-byte stream, want < %d", n, budget)
+	}
+	if err != nil || !truncated || tr.Len() != 0 {
+		t.Errorf("ReadAllLenient = %d events, truncated %v, err %v; want 0 events, truncated, no error",
+			tr.Len(), truncated, err)
+	}
+}
+
+// TestLongDeadListRoundTrips: a list longer than one arena chunk takes the
+// grow-as-decoded path and must come back whole, without disturbing the
+// lists carved from the arena on either side of it.
+func TestLongDeadListRoundTrips(t *testing.T) {
+	n := deadArenaChunk + 37
+	tr := &Trace{}
+	tr.Append(Event{Kind: KindCreate, OID: 1, Size: 8, Slots: 1})
+	tr.Append(Event{Kind: KindOverwrite, OID: 1, New: 1, Dead: []DeadObject{{OID: 7, Size: 70}}})
+	long := make([]DeadObject, n)
+	for i := range long {
+		long[i] = DeadObject{OID: objstore.OID(100 + i), Size: i}
+	}
+	tr.Append(Event{Kind: KindOverwrite, OID: 1, Old: 1, Dead: long})
+	tr.Append(Event{Kind: KindOverwrite, OID: 1, New: 1, Dead: []DeadObject{{OID: 8, Size: 80}}})
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Events, tr.Events) {
+		t.Fatal("trace with a dead list longer than an arena chunk did not round-trip")
+	}
 }
 
 // farCreate encodes the valid chain with one bit of its second create's OID

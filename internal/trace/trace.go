@@ -258,7 +258,7 @@ func ComputeStats(t *Trace) Stats {
 // end of the trace. It returns the first error found.
 func Validate(t *Trace) error {
 	st := objstore.NewStore()
-	oracleDead := make(map[objstore.OID]struct{})
+	var oracleDead objstore.Table[bool]
 	for i := range t.Events {
 		e := &t.Events[i]
 		if err := e.Validate(); err != nil {
@@ -287,7 +287,7 @@ func Validate(t *Trace) error {
 					i, e.OID, e.Slot, e.Old, old)
 			}
 			for _, d := range e.Dead {
-				if _, dup := oracleDead[d.OID]; dup {
+				if oracleDead.Get(d.OID) {
 					return fmt.Errorf("event %d: object %v reported dead twice", i, d.OID)
 				}
 				o := st.Get(d.OID)
@@ -298,7 +298,7 @@ func Validate(t *Trace) error {
 					return fmt.Errorf("event %d: dead annotation size %d for %v, store has %d",
 						i, d.Size, d.OID, o.Size)
 				}
-				oracleDead[d.OID] = struct{}{}
+				oracleDead.Set(d.OID, true)
 			}
 		case KindRoot:
 			if e.Size == 1 {
@@ -317,9 +317,7 @@ func Validate(t *Trace) error {
 	live := st.Reachable()
 	var mismatch []objstore.OID
 	st.ForEach(func(o *objstore.Object) {
-		isLive := live.Get(o.OID)
-		_, isDead := oracleDead[o.OID]
-		if isLive == isDead { // live objects must not be annotated; dead must be
+		if live.Get(o.OID) == oracleDead.Get(o.OID) { // live objects must not be annotated; dead must be
 			mismatch = append(mismatch, o.OID)
 		}
 	})

@@ -96,7 +96,7 @@ const (
 type churnGen struct {
 	p   ChurnParams
 	rng *rand.Rand
-	tr  *trace.Trace
+	tr  trace.Builder
 	st  *objstore.Store
 
 	dirs []objstore.OID
@@ -111,7 +111,6 @@ func Churn(p ChurnParams, seed int64) (*trace.Trace, error) {
 	g := &churnGen{
 		p:   p,
 		rng: rand.New(rand.NewSource(seed)),
-		tr:  &trace.Trace{},
 		st:  objstore.NewStore(),
 		hot: int(float64(p.Dirs) * p.HotFraction),
 	}
@@ -134,7 +133,7 @@ func Churn(p ChurnParams, seed int64) (*trace.Trace, error) {
 	if err := g.steady(p.SteadyOps); err != nil {
 		return nil, err
 	}
-	return g.tr, nil
+	return g.tr.Trace(), nil
 }
 
 func (g *churnGen) phase(label string) {
@@ -216,7 +215,8 @@ func (g *churnGen) replace() error {
 		if f == nil {
 			return fmt.Errorf("workload: replaced file %v vanished", oldFile)
 		}
-		ev.Dead = []trace.DeadObject{{OID: oldFile, Size: f.Size}}
+		ev.Dead = g.tr.Dead(1)
+		ev.Dead[0] = trace.DeadObject{OID: oldFile, Size: f.Size}
 	}
 	g.tr.Append(ev)
 	return nil

@@ -73,7 +73,7 @@ const (
 type queueGen struct {
 	p   QueueParams
 	rng *rand.Rand
-	tr  *trace.Trace
+	tr  trace.Builder
 	st  *objstore.Store
 
 	anchor objstore.OID
@@ -88,7 +88,6 @@ func Queue(p QueueParams, seed int64) (*trace.Trace, error) {
 	g := &queueGen{
 		p:   p,
 		rng: rand.New(rand.NewSource(seed)),
-		tr:  &trace.Trace{},
 		st:  objstore.NewStore(),
 	}
 	if err := g.fill(); err != nil {
@@ -100,7 +99,7 @@ func Queue(p QueueParams, seed int64) (*trace.Trace, error) {
 	if err := g.drain(); err != nil {
 		return nil, err
 	}
-	return g.tr, nil
+	return g.tr.Trace(), nil
 }
 
 func (g *queueGen) phase(label string) {
@@ -149,10 +148,9 @@ func (g *queueGen) trimTail() error {
 	if o == nil {
 		return fmt.Errorf("workload: queue entry %v vanished", oldest)
 	}
-	g.tr.Append(trace.Event{
-		Kind: trace.KindOverwrite, OID: g.anchor, Slot: 0, Old: old, New: second,
-		Dead: []trace.DeadObject{{OID: oldest, Size: o.Size}},
-	})
+	dead := g.tr.Dead(1)
+	dead[0] = trace.DeadObject{OID: oldest, Size: o.Size}
+	g.tr.Append(trace.Event{Kind: trace.KindOverwrite, OID: g.anchor, Slot: 0, Old: old, New: second, Dead: dead})
 	g.live = g.live[1:]
 	return nil
 }
@@ -214,10 +212,9 @@ func (g *queueGen) drain() error {
 	if o == nil {
 		return fmt.Errorf("workload: queue entry %v vanished", last)
 	}
-	g.tr.Append(trace.Event{
-		Kind: trace.KindOverwrite, OID: g.anchor, Slot: 0, Old: old, New: objstore.NilOID,
-		Dead: []trace.DeadObject{{OID: last, Size: o.Size}},
-	})
+	dead := g.tr.Dead(1)
+	dead[0] = trace.DeadObject{OID: last, Size: o.Size}
+	g.tr.Append(trace.Event{Kind: trace.KindOverwrite, OID: g.anchor, Slot: 0, Old: old, New: objstore.NilOID, Dead: dead})
 	g.live = nil
 	return nil
 }
