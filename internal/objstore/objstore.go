@@ -202,9 +202,27 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	return o, nil
 }
 
+// Load enters an object as recovery delivers it — header, slots and root flag
+// in one step — with CreateWithOID's refusals. The slots are copied as given:
+// whether each target exists can only be asked once every object is in, and is
+// the caller's to ask (gc.Heap.Load does).
+func (s *Store) Load(oid OID, class Class, size int, slots []OID, root bool) error {
+	o, err := s.CreateWithOID(oid, class, size, len(slots))
+	if err != nil {
+		return err
+	}
+	copy(o.Slots, slots)
+	if root {
+		s.roots.Set(oid, true)
+	}
+	return nil
+}
+
 // alloc returns a header for CreateWithOID to fill in: the last one freed
 // with that slot count, its slots attached and cleared here, or a fresh one
-// carved from the slabs. One for more than pooledSlots slots comes without.
+// carved from the slabs. One for more than pooledSlots slots comes without,
+// and so does one for none: a slotless header holds no pointer for the
+// runtime's collector to resolve.
 func (s *Store) alloc(nslots int) *Object {
 	k := min(nslots, pooledSlots+1)
 	if f := s.free[k]; len(f) > 0 {
@@ -218,7 +236,7 @@ func (s *Store) alloc(nslots int) *Object {
 	}
 	o := &s.headers[0]
 	s.headers = s.headers[1:]
-	if k <= pooledSlots {
+	if nslots > 0 && k <= pooledSlots {
 		if len(s.slots) < nslots {
 			//lint:allow hotalloc slab refill: one allocation per slotSlab slots
 			s.slots = make([]OID, slotSlab)

@@ -291,3 +291,54 @@ func TestHeapBytesPerObject(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotlessObjectsCarryNoSlotPointer: an object without slots has a nil
+// slot slice however it was made — carved fresh, recycled from the free list,
+// or loaded whole — so its header gives the runtime's collector no pointer
+// into the slot slab to resolve.
+func TestSlotlessObjectsCarryNoSlotPointer(t *testing.T) {
+	s := NewStore()
+	hub, err := s.Create(ClassAssembly, 200, 8) // leaves the slot slab non-empty
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.Create(ClassAtomicPart, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Slots != nil {
+		t.Errorf("fresh slotless object has slots %v (cap %d), want nil", fresh.Slots, cap(fresh.Slots))
+	}
+	if err := s.Remove(fresh.OID); err != nil {
+		t.Fatal(err)
+	}
+	recycled, err := s.Create(ClassAtomicPart, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recycled != fresh {
+		t.Fatal("the second slotless create did not recycle the first one's header")
+	}
+	if recycled.Slots != nil {
+		t.Errorf("recycled slotless object has slots %v (cap %d), want nil", recycled.Slots, cap(recycled.Slots))
+	}
+	oid := s.NextOID()
+	if err := s.Load(oid, ClassAtomicPart, 100, []OID{}, true); err != nil {
+		t.Fatal(err)
+	}
+	if loaded := s.Get(oid); loaded.Slots != nil || !s.IsRoot(oid) {
+		t.Errorf("loaded slotless root: slots %v, root %v; want nil, true", loaded.Slots, s.IsRoot(oid))
+	}
+	// A loaded object's slots are a copy, not the caller's slice.
+	given := []OID{hub.OID, NilOID}
+	if err := s.Load(oid+1, ClassAssembly, 50, given, false); err != nil {
+		t.Fatal(err)
+	}
+	given[1] = hub.OID
+	if got := s.Get(oid + 1).Slots; len(got) != 2 || got[0] != hub.OID || got[1] != NilOID {
+		t.Errorf("loaded slots %v, want [%v nil]", got, hub.OID)
+	}
+	if err := s.Load(oid, ClassAtomicPart, 1, nil, false); err == nil {
+		t.Error("load of an OID already present succeeded")
+	}
+}

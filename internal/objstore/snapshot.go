@@ -45,11 +45,9 @@ func RestoreStore(st *StoreSnapshot) (*Store, error) {
 	// gap check while an OID damaged into the far distance still fails it.
 	s.AdvanceNextOID(st.NextOID)
 	for _, os := range st.Objects {
-		o, err := s.CreateWithOID(os.OID, os.Class, os.Size, len(os.Slots))
-		if err != nil {
+		if err := s.Load(os.OID, os.Class, os.Size, os.Slots, false); err != nil {
 			return nil, err
 		}
-		copy(o.Slots, os.Slots)
 	}
 	for _, r := range st.Roots {
 		if err := s.AddRoot(r); err != nil {

@@ -35,3 +35,13 @@ type Backend interface {
 	// Close flushes and releases the backend. Committed state must survive.
 	Close() error
 }
+
+// ObjectState is one committed object as a backend hands it back after
+// recovery, for the owner to rebuild a live heap from (gc.Heap.Load).
+type ObjectState struct {
+	OID   objstore.OID
+	Class objstore.Class
+	Size  int
+	Slots []objstore.OID // aliased, not copied; callers must not retain
+	Root  bool
+}

@@ -8,19 +8,21 @@ import (
 
 // BufferPool is a page-granular LRU cache. It tracks residency, dirty
 // state, and reference pins; page contents live with the pool's owner (the
-// logical object store for the simulated manager, the pager's frame map for
-// the disk backend). The pool is deliberately simple — the paper's buffer
-// is a plain LRU sized to one partition (§3.1) — but write-back is
-// explicit: a dirty page leaves the pool (eviction) or loses its dirty bit
-// (Flush) only through the registered write-back hook, so a disk-backed
-// owner can order the physical page write after the WAL append that
-// covers it.
+// logical object store, for the simulated manager). The pool is deliberately
+// simple — the paper's buffer is a plain LRU sized to one partition (§3.1) —
+// but write-back is explicit: a dirty page leaves the pool (eviction) or loses
+// its dirty bit (Flush) only through the registered write-back hook, so an
+// owner that holds real pages can order the physical page write after the WAL
+// append that covers it. No owner does today: the disk backend's checkpoints
+// were the hook's and Ref/Unref's one production caller until they began
+// writing their image in runs, straight from the buffer it is built in; what
+// is left of that surface is exercised by the tests and the fuzz target only
+// (ROADMAP item 6 lists it for deletion).
 //
 // Everything is allocated by NewBufferPool: a fixed array of frames linked
 // by index into the LRU list, and an open-addressed page -> frame index. The
 // index is keyed by the page itself rather than flattened through a
-// partition geometry, because the disk pager drives the same type with page
-// numbers that have no bound.
+// partition geometry, so the pool knows no geometry.
 type BufferPool struct {
 	capacity int
 	n        int // resident pages
@@ -39,9 +41,7 @@ type BufferPool struct {
 
 	// writeback, when non-nil, persists a dirty page's contents. It runs
 	// before the page is evicted or marked clean; an error aborts the
-	// eviction or flush with the page still resident and dirty. The disk
-	// backend's hook is where the write-ordering invariant lives: flush the
-	// WAL through the page's recovery LSN, then write the page.
+	// eviction or flush with the page still resident and dirty.
 	writeback func(PageID) error
 }
 

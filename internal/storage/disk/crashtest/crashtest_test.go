@@ -6,13 +6,17 @@ import (
 	"slices"
 	"testing"
 
+	"odbgc/internal/objstore"
 	"odbgc/internal/storage/disk"
 )
 
 // tornCuts picks the byte counts at which to tear a write: mid-header,
 // mid-record, and every WAL record boundary inside the write (a batch
 // write carries several records, and a kill between any two of them is a
-// distinct on-disk state).
+// distinct on-disk state). A heap.db write longer than a page is a run of
+// checkpoint pages: it is cut at every page boundary inside it — "the first
+// k pages of the image landed" — and inside every page as a write of that
+// page alone is.
 func tornCuts(op Op) []int {
 	n := len(op.Data)
 	if op.Kind != OpWrite || n == 0 {
@@ -28,6 +32,10 @@ func tornCuts(op Op) []int {
 			}
 			off += rec
 			cuts = append(cuts, off)
+		}
+	} else if n > disk.PageSize {
+		for page := 0; page < n; page += disk.PageSize {
+			cuts = append(cuts, page, page+1, page+disk.PageSize/2, page+disk.PageSize-1)
 		}
 	}
 	slices.Sort(cuts)
@@ -135,6 +143,11 @@ func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool)
 		}
 	}
 	t.Logf("swept %d crash points (%d torn variants) over %d journal ops, %d commits", points, torn, len(ops), len(run.Commits))
+	// The four sweeps visit 320 to 355 points; a change to how the backend
+	// writes must not quietly thin them out.
+	if points < 300 {
+		t.Errorf("swept only %d crash points, want at least 300", points)
+	}
 }
 
 // TestCrashPointSweep is the headline durability proof: for every recorded
@@ -158,6 +171,69 @@ func TestCrashPointSweep(t *testing.T) {
 			sweep(t, 0xC0FFEE+uint64(len(tc.name)), tc.fsync, tc.keepUnsynced)
 		})
 	}
+}
+
+// TestTornImageRuns kills a checkpoint whose image goes out in runs of several
+// pages (the sweep's workload is small enough that each of its runs is a single
+// page): at every operation of the checkpoint, and inside each run at every
+// page boundary — the first k pages of the run landed — and within every page.
+// A checkpoint changes no logical state, so every one of those crashes, in
+// either regime, must recover exactly the state that was being checkpointed.
+func TestTornImageRuns(t *testing.T) {
+	fs := NewJournalFS()
+	s, _, err := disk.Open(disk.Options{FS: fs, Fsync: disk.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Helper()
+			t.Fatal(err)
+		}
+	}
+	alloc := func(from, to objstore.OID) {
+		for oid := from; oid < to; oid++ {
+			must(s.LogAlloc(oid, objstore.ClassAtomicPart, 64, 4))
+			if oid > 1 {
+				must(s.LogSet(oid, 0, oid-1))
+			}
+			if oid%100 == 0 {
+				must(s.Commit())
+			}
+		}
+		must(s.Commit())
+	}
+	alloc(1, 1500)
+	must(s.Checkpoint())
+	alloc(1500, 1600) // a WAL tail for the first image, absorbed by the second
+	want := s.Digest()
+	begin := len(fs.Ops())
+	must(s.Checkpoint())
+	ops := fs.Ops()
+	must(s.Close())
+
+	points, runs := 0, 0
+	for k := begin; k <= len(ops); k++ {
+		cuts := []int{-1}
+		if k < len(ops) {
+			cuts = append(cuts, tornCuts(ops[k])...)
+			if ops[k].Kind == OpWrite && len(ops[k].Data) > disk.PageSize {
+				runs++
+			}
+		}
+		for _, cut := range cuts {
+			for _, keepUnsynced := range []bool{false, true} {
+				if _, digest, _ := recoverImage(t, fs.Materialize(k, cut, keepUnsynced)); digest != want {
+					t.Fatalf("crash at op %d cut %d (unsynced data kept: %v): recovered a state other than the checkpointed one", k, cut, keepUnsynced)
+				}
+				points++
+			}
+		}
+	}
+	if runs < 2 {
+		t.Fatalf("the image went out in %d multi-page runs, want its data and its directory pages in at least one each", runs)
+	}
+	t.Logf("swept %d crash points over the %d operations of a checkpoint, %d of them multi-page runs", points, len(ops)-begin, runs)
 }
 
 // TestRecordIsDeterministic re-records the same seed and demands the same

@@ -50,7 +50,7 @@ type Run struct {
 // cycles so a crash-point sweep covers each on-disk transition.
 func Record(seed uint64, commits int, fsync disk.FsyncPolicy) (*Run, error) {
 	fs := NewJournalFS()
-	s, _, err := disk.Open(disk.Options{FS: fs, Fsync: fsync, GroupEvery: 4, PoolPages: 8})
+	s, _, err := disk.Open(disk.Options{FS: fs, Fsync: fsync, GroupEvery: 4})
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: open: %w", err)
 	}

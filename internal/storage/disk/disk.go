@@ -64,9 +64,6 @@ type Options struct {
 	// GroupEvery is the group-commit window for FsyncGroup: sync after
 	// this many commits. Default 8.
 	GroupEvery int
-	// PoolPages sizes the buffer pool used for checkpoint write-back.
-	// Default 64.
-	PoolPages int
 }
 
 // RecoveryInfo reports what Open had to do to reach a consistent state.
@@ -90,7 +87,6 @@ type Store struct {
 	fs   FS
 	heap File
 	wal  File
-	pool *storage.BufferPool
 
 	fsync      FsyncPolicy
 	groupEvery int
@@ -118,8 +114,6 @@ type Store struct {
 	dirHead    uint32
 	generation uint64
 
-	ckptPages map[uint32][]byte // in-flight checkpoint images, by page
-
 	// fatal, once set, permanently fails the store: an error left the WAL,
 	// the mirror, and the staged batch out of agreement, and any further
 	// append could break the sequence discipline recovery depends on.
@@ -141,24 +135,14 @@ func Open(opts Options) (*Store, *RecoveryInfo, error) {
 	if opts.GroupEvery <= 0 {
 		opts.GroupEvery = 8
 	}
-	if opts.PoolPages <= 0 {
-		opts.PoolPages = 64
-	}
-	pool, err := storage.NewBufferPool(opts.PoolPages)
-	if err != nil {
-		return nil, nil, fmt.Errorf("disk: %w", err)
-	}
 	s := &Store{
 		fs:         opts.FS,
-		pool:       pool,
 		fsync:      opts.Fsync,
 		groupEvery: opts.GroupEvery,
 		mem:        newMemState(),
 		walSynced:  true,
 		pageCount:  2, // meta slots always exist
 	}
-	pool.SetWriteback(s.pageWriteback)
-
 	info, err := s.recover()
 	if err != nil {
 		// Best effort: release the handles recover may have opened.
@@ -391,8 +375,8 @@ func (s *Store) syncHeap() error {
 
 // Checkpoint writes the committed state as a fresh copy-on-write page
 // image, flips the meta page to it, and prunes the WAL. The sequence is
-// crash-safe at every step: pages land before the meta flip (via the
-// write-back hook, which also enforces WAL-before-page ordering), the flip
+// crash-safe at every step: the WAL is synced before the first page is
+// written and the pages land before the meta flip (writeCheckpoint), the flip
 // is a single checksummed page write, and a stale WAL prefix left by a
 // crash before the truncate is skipped on replay by its batch sequence.
 func (s *Store) Checkpoint() error {
@@ -406,20 +390,18 @@ func (s *Store) Checkpoint() error {
 		return fmt.Errorf("disk: checkpoint with %d uncommitted staged records", len(s.ops))
 	}
 	// Until the meta flip lands, the previous image stays the committed one,
-	// so a failed attempt must be rolled back: the aborted image's frames
-	// leave the pool (a later flush must never write back a page of an
-	// abandoned image) and the generation counter rewinds so the retry
-	// targets the same meta slot — never the live one. Before the meta write
-	// nothing can reference the image's pages and they return to the free
-	// list; once the meta write has been attempted, a valid meta naming them
-	// may be on disk with unknown durability, so they are counted as used —
-	// leaked until a successful flip supersedes the slot, or until the next
-	// open recomputes the free list from the committed image.
+	// so a failed attempt must be rolled back: the generation counter rewinds
+	// so the retry — which serializes a fresh image — targets the same meta
+	// slot, never the live one. Before the meta write nothing can reference
+	// the image's pages and they return to the free list; once the meta write
+	// has been attempted, a valid meta naming them may be on disk with unknown
+	// durability, so they are counted as used — leaked until a successful flip
+	// supersedes the slot, or until the next open recomputes the free list
+	// from the committed image.
 	prevPages, prevGen := s.pageCount, s.generation
 	abort := func(img *checkpointImage, metaMayExist bool) {
-		for no := range img.used {
-			s.pool.Drop(poolPage(no))
-			if metaMayExist {
+		if metaMayExist {
+			for no := range img.used {
 				s.usedPages[no] = true
 			}
 		}
@@ -429,9 +411,9 @@ func (s *Store) Checkpoint() error {
 		}
 		s.rebuildFreeList(s.usedPages)
 	}
-	img := s.buildCheckpoint()
-	if err := s.writeCheckpoint(img); err != nil {
-		abort(img, false)
+	img, err := s.writeCheckpoint()
+	if err != nil {
+		abort(nil, false)
 		return err
 	}
 	s.generation++

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -477,16 +478,21 @@ func TestManyObjectsSpanPagesAndCheckpointsRecycle(t *testing.T) {
 }
 
 // flakyFS wraps an FS and injects failures into one named file: syncFails
-// counts Sync calls to fail, writeFails counts WriteAts to fail, and
+// counts Sync calls to fail, writeFails counts WriteAts to fail,
 // metaWriteFails counts WriteAts inside the meta-slot region (offset below
-// 2*PageSize) to fail. Counters are armed after Open, so recovery runs
-// clean and the injection lands exactly where a test aims it.
+// 2*PageSize) to fail, and shortWrites counts WriteAts to cut in half while
+// reporting no error. Counters are armed after Open, so recovery runs clean
+// and the injection lands exactly where a test aims it. writes counts the
+// WriteAts that reached the file whole, and written the bytes they carried.
 type flakyFS struct {
 	FS
 	name           string
 	syncFails      int
 	writeFails     int
 	metaWriteFails int
+	shortWrites    int
+	writes         int
+	written        int64
 }
 
 func (f *flakyFS) Open(name string) (File, error) {
@@ -519,6 +525,12 @@ func (f *flakyFile) WriteAt(p []byte, off int64) (int, error) {
 		f.fs.metaWriteFails--
 		return 0, errors.New("injected meta write failure")
 	}
+	if f.fs.shortWrites > 0 {
+		f.fs.shortWrites--
+		return f.File.WriteAt(p[:len(p)/2], off)
+	}
+	f.fs.writes++
+	f.fs.written += int64(len(p))
 	return f.File.WriteAt(p, off)
 }
 
@@ -658,6 +670,95 @@ func TestCheckpointMetaWriteFailureRetries(t *testing.T) {
 	}
 	if info.CheckpointSeq != 2 || info.BatchesReplayed != 0 {
 		t.Errorf("recovery = %+v", info)
+	}
+}
+
+// A run write that lands short without an error is a failed one: the image
+// is aborted exactly as on a failed page write, and the retry round-trips.
+func TestCheckpointShortRunWriteAborts(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &flakyFS{FS: OSFS{Dir: dir}, name: heapFile}
+	s, _, err := Open(Options{FS: ffs, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedObjects(t, s)
+	before := s.Stats()
+
+	ffs.shortWrites = 1
+	if err := s.Checkpoint(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("checkpoint over a short run write: %v, want %v", err, io.ErrShortWrite)
+	}
+	if st := s.Stats(); st.PageCount != before.PageCount || st.FreePages != before.FreePages || st.Checkpoints != before.Checkpoints {
+		t.Errorf("aborted checkpoint left tracks: %+v, want page state of %+v", st, before)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after aborted checkpoint: %v", err)
+	}
+	want := s.Digest()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, info := openTemp(t, dir, FsyncAlways)
+	defer s2.Close()
+	if got := s2.Digest(); got != want || info.CheckpointSeq != 2 || info.BatchesReplayed != 0 {
+		t.Errorf("reopen after a short run write: digest match %v, recovery %+v", got == want, info)
+	}
+}
+
+// An image goes out in runs of consecutive page numbers, one write each and
+// at most a window long. A freshly built database alternates between two
+// contiguous regions, so its images are a handful of writes; and when the free
+// list is in pieces, a run is at worst one page, never less.
+func TestCheckpointWritesInRuns(t *testing.T) {
+	ffs := &flakyFS{FS: memFS{}, name: heapFile}
+	buildBenchDB(t, ffs, 30_000) // checkpoints once itself
+	s, _, err := Open(Options{FS: ffs, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkpoint returns the image's writes and pages, the meta page aside.
+	checkpoint := func() (writes, pages int) {
+		t.Helper()
+		w, b := ffs.writes, ffs.written
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return ffs.writes - w - 1, int((ffs.written-b)/PageSize) - 1
+	}
+	for _, which := range []string{"second", "third"} {
+		// More data pages than a window holds, so it is written out mid-image.
+		if writes, pages := checkpoint(); writes > 8 || pages < 2*windowPages {
+			t.Errorf("%s image: %d pages in %d writes, want at least %d pages in at most 8 writes", which, pages, writes, 2*windowPages)
+		}
+	}
+
+	// Fragment the free list: the region the next image would have reused is
+	// taken, and so is every other page of a stretch beyond the file's end —
+	// what images whose meta flip failed leave behind until the next open —
+	// so no two free pages are neighbours and every page is a run of its own.
+	for _, no := range s.freePages {
+		s.usedPages[no] = true
+	}
+	for i := uint32(0); i < 400; i += 2 {
+		s.usedPages[s.pageCount+i] = true
+	}
+	s.pageCount += 400
+	s.rebuildFreeList(s.usedPages)
+	if writes, pages := checkpoint(); writes != pages {
+		t.Errorf("fragmented image: %d pages in %d writes, want one write a page", pages, writes)
+	}
+	want := s.Digest()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, info, err := Open(Options{FS: ffs, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Digest() != want || info.BatchesReplayed != 0 {
+		t.Errorf("fragmented image did not round-trip: %+v", info)
 	}
 }
 

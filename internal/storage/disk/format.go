@@ -150,8 +150,11 @@ func decodeMeta(page []byte, pageNo uint32) (*meta, error) {
 }
 
 // dirEntryLen is the wire size of one directory entry: oid u64, page u32,
-// slot u16.
-const dirEntryLen = 8 + 4 + 2
+// slot u16. dirPerPage of them fill a directory page.
+const (
+	dirEntryLen = 8 + 4 + 2
+	dirPerPage  = pagePayload / dirEntryLen
+)
 
 // objRecHdrLen is the fixed part of one object record on a data page: oid u64,
 // class u8, root u8, size u32, nslots u32. The slots follow, u64 each.

@@ -8,14 +8,7 @@ import (
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
-	"odbgc/internal/storage"
 )
-
-// poolPage maps a heap page number into the buffer pool's identifier space.
-// The disk backend has a single flat page file, so the partition is always 0.
-func poolPage(no uint32) storage.PageID {
-	return storage.PageID{Part: 0, Index: int(no)}
-}
 
 // readPage reads one full page. A short read of a page the committed image
 // references is torn-write corruption.
@@ -44,144 +37,184 @@ func (s *Store) allocPage() uint32 {
 	return pg
 }
 
-// checkpointImage is the set of pages a checkpoint writes: page images by
-// number, the directory head, and which pages the new image occupies.
+// checkpointImage is what a checkpoint leaves behind besides its pages: which
+// pages the new image occupies, and the directory head.
 type checkpointImage struct {
-	pages   map[uint32][]byte
 	used    map[uint32]bool
 	dirHead uint32
 }
 
-// buildCheckpoint serializes the committed state into fresh pages: data
-// pages holding object records in ascending OID order, then directory
-// pages mapping every OID to its (page, slot). Pages come from the free
-// list, so the previous checkpoint's image is never overwritten — a crash
-// mid-checkpoint recovers from the old image plus the intact WAL. Every
-// object fits a page: nothing wider than MaxSlots enters the mirror.
-func (s *Store) buildCheckpoint() *checkpointImage {
-	img := &checkpointImage{pages: make(map[uint32][]byte), used: make(map[uint32]bool)}
+// writeRuns writes pages, held back to back in buf, to the page numbers nos:
+// one write per run of consecutive numbers. allocPage hands out the lowest
+// free page first, so pages filled one after the other mostly are neighbours
+// in the file too. A short write is a failed one.
+func writeRuns(heap File, nos []uint32, buf []byte) error {
+	for i := 0; i < len(nos); {
+		j := i + 1
+		for j < len(nos) && nos[j] == nos[j-1]+1 {
+			j++
+		}
+		run := buf[i*PageSize : j*PageSize]
+		n, err := heap.WriteAt(run, int64(nos[i])*PageSize)
+		if err == nil && n != len(run) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return fmt.Errorf("disk: write pages %d-%d: %w", nos[i], nos[j-1], err)
+		}
+		i = j
+	}
+	return nil
+}
+
+// windowPages bounds the buffer data pages are filled in: large enough that an
+// image is a few dozen writes where it used to be one per page, small enough
+// to stay in the processor's cache while it is filled, checksummed and
+// written. Anything from 8 to 128 pages measures the same; a buffer the size
+// of the whole image does not — 8 MB of fresh memory per checkpoint cost more
+// to fault in and clear than its writes saved.
+const windowPages = 32
+
+// pageWindow holds the data pages of an image between being filled and being
+// written: a buffer of at most windowPages pages, allocated for the checkpoint
+// and released with it, that hands out zeroed pages one after the other and
+// writes out what it holds when it is full.
+type pageWindow struct {
+	heap File
+	buf  []byte
+	nos  []uint32 // numbers of the pages handed out and not yet written
+}
+
+// next returns a zeroed page that will be written to page number no, for the
+// caller to fill and seal before it asks for another.
+func (w *pageWindow) next(no uint32) ([]byte, error) {
+	if len(w.nos)*PageSize == len(w.buf) {
+		if err := w.flush(); err != nil {
+			return nil, err
+		}
+	}
+	page := w.buf[len(w.nos)*PageSize:][:PageSize]
+	clear(page)
+	w.nos = append(w.nos, no)
+	return page, nil
+}
+
+// flush writes out the pages handed out so far.
+func (w *pageWindow) flush() error {
+	err := writeRuns(w.heap, w.nos, w.buf)
+	w.nos = w.nos[:0]
+	return err
+}
+
+// writeCheckpoint serializes the committed state into fresh pages and writes
+// them: data pages holding object records in ascending OID order, which go out
+// through a window as they fill, then directory pages mapping every OID to its
+// (page, slot). Pages come from the free list, so the previous checkpoint's
+// image is never overwritten — a crash mid-checkpoint recovers from the old
+// image plus the intact WAL. This is the only place image pages are written,
+// so the write-ordering invariant lives at its head: no page whose contents
+// depend on a committed batch reaches disk before that batch's WAL records do.
+// Every object fits a page: nothing wider than MaxSlots enters the mirror.
+func (s *Store) writeCheckpoint() (*checkpointImage, error) {
+	if err := s.syncWAL(); err != nil {
+		return nil, err
+	}
+	objects := s.mem.objects.Len()
+	img := &checkpointImage{used: make(map[uint32]bool, len(s.usedPages))} // about as many pages as the last image
+	take := func() uint32 {
+		no := s.allocPage()
+		img.used[no] = true
+		return no
+	}
 
 	// Directory pages fill as the data pages do, one entry per object. An
 	// entry does not depend on the number of the page it sits on, so the
-	// numbers are allocated only after every data page has its own — the
-	// order pages have always left the free list in — and each directory page
-	// is then sealed once, with its next pointer in place.
-	const perDir = pagePayload / dirEntryLen
-	const dirFull = pageHdrLen + perDir*dirEntryLen
-	dirs := make([][]byte, 0, (s.mem.objects.Len()+perDir-1)/perDir)
+	// directory — 14 bytes an object — is built whole beside the window, and
+	// its pages are numbered only after every data page has its number (the
+	// order pages have always left the free list in), then sealed, each with
+	// its next pointer in place, and written in runs of their own.
+	dirs := make([]byte, (objects+dirPerPage-1)/dirPerPage*PageSize)
+	dirOff, dirLeft := pageHdrLen, dirPerPage
+	// A data page holds at least one record.
+	datas := &pageWindow{heap: s.heap, buf: make([]byte, min(objects, windowPages)*PageSize)}
 	var (
-		data   []byte
+		data   []byte // the data page being filled, nil before the first
 		dataNo uint32
+		off    int // fill offset on data
 		nrecs  uint16
-		dir    []byte
+		err    error
 	)
-	flushData := func() {
-		used := uint32(len(data) - pageHdrLen)
-		data = data[:PageSize] // zero padding is covered by the CRC
-		sealPage(data, pageHdr{kind: kindData, count: nrecs, used: used})
-		img.pages[dataNo] = data
-		data, nrecs = nil, 0
+	sealData := func() {
+		sealPage(data, pageHdr{kind: kindData, count: nrecs, used: uint32(off - pageHdrLen)})
 	}
 	s.mem.objects.ForEach(func(oid objstore.OID, o memObj) {
+		if err != nil {
+			return
+		}
 		slots := o.slotList()
-		if data != nil && len(data)+objRecLen(len(slots)) > PageSize {
-			flushData()
+		if data == nil || off+objRecLen(len(slots)) > PageSize {
+			if data != nil {
+				sealData()
+			}
+			dataNo = take()
+			if data, err = datas.next(dataNo); err != nil {
+				return
+			}
+			off, nrecs = pageHdrLen, 0
 		}
-		if data == nil {
-			dataNo = s.allocPage()
-			img.used[dataNo] = true
-			data = make([]byte, pageHdrLen, PageSize)
+		if dirLeft == 0 {
+			dirOff += PageSize - dirPerPage*dirEntryLen // on to the next page's payload
+			dirLeft = dirPerPage
 		}
-		if len(dir) == dirFull {
-			dirs = append(dirs, dir)
-			dir = nil
-		}
-		if dir == nil {
-			dir = make([]byte, pageHdrLen, PageSize)
-		}
-		dir = le.AppendUint64(dir, uint64(oid))
-		dir = le.AppendUint32(dir, dataNo)
-		dir = le.AppendUint16(dir, nrecs)
+		le.PutUint64(dirs[dirOff:], uint64(oid))
+		le.PutUint32(dirs[dirOff+8:], dataNo)
+		le.PutUint16(dirs[dirOff+12:], nrecs)
+		dirOff += dirEntryLen
+		dirLeft--
 
-		data = le.AppendUint64(data, uint64(oid))
-		root := byte(0)
+		rec := data[off:]
+		le.PutUint64(rec, uint64(oid))
+		rec[8] = byte(o.class)
 		if o.root {
-			root = 1
+			rec[9] = 1
 		}
-		data = append(data, byte(o.class), root)
-		data = le.AppendUint32(data, o.size)
-		data = le.AppendUint32(data, uint32(len(slots)))
-		for _, sl := range slots {
-			data = le.AppendUint64(data, uint64(sl))
+		le.PutUint32(rec[10:], o.size)
+		le.PutUint32(rec[14:], uint32(len(slots)))
+		for i, sl := range slots {
+			le.PutUint64(rec[objRecHdrLen+8*i:], uint64(sl))
 		}
+		off += objRecLen(len(slots))
 		nrecs++
 	})
-	if data != nil {
-		flushData()
+	if err != nil {
+		return nil, err
 	}
-	if dir != nil {
-		dirs = append(dirs, dir)
+	if data != nil {
+		sealData()
+	}
+	if err := datas.flush(); err != nil {
+		return nil, err
 	}
 
-	dirNos := make([]uint32, len(dirs))
+	dirNos := make([]uint32, len(dirs)/PageSize)
 	for i := range dirNos {
-		dirNos[i] = s.allocPage()
-		img.used[dirNos[i]] = true
+		dirNos[i] = take()
 	}
-	for i, page := range dirs {
-		n := (len(page) - pageHdrLen) / dirEntryLen
+	for i := range dirNos {
+		n := min(dirPerPage, objects-i*dirPerPage)
 		next := uint32(0)
-		if i+1 < len(dirs) {
+		if i+1 < len(dirNos) {
 			next = dirNos[i+1]
 		}
-		page = page[:PageSize]
-		sealPage(page, pageHdr{kind: kindDir, count: uint16(n), next: next, used: uint32(n * dirEntryLen)})
-		img.pages[dirNos[i]] = page
+		sealPage(dirs[i*PageSize:][:PageSize], pageHdr{kind: kindDir, count: uint16(n), next: next, used: uint32(n * dirEntryLen)})
 	}
-	if len(dirs) > 0 {
+	if len(dirNos) > 0 {
 		img.dirHead = dirNos[0]
 	}
-	return img
-}
-
-// writeCheckpoint persists an image through the buffer pool. Every page is
-// pinned dirty and flushed through the write-back hook, which syncs the WAL
-// first — the write-ordering invariant: no page whose contents depend on a
-// committed batch reaches disk before that batch's WAL records do.
-func (s *Store) writeCheckpoint(img *checkpointImage) error {
-	s.ckptPages = img.pages
-	defer func() { s.ckptPages = nil }()
-	for _, no := range sortedKeys(img.pages) {
-		if _, err := s.pool.Pin(poolPage(no), true, true); err != nil {
-			return fmt.Errorf("disk: pin checkpoint page %d: %w", no, err)
-		}
+	if err := writeRuns(s.heap, dirNos, dirs); err != nil {
+		return nil, err
 	}
-	for _, pid := range s.pool.DirtyPages() {
-		if _, err := s.pool.Flush(pid); err != nil {
-			return err
-		}
-	}
-	if len(s.ckptPages) != 0 {
-		return fmt.Errorf("disk: %d checkpoint pages left unwritten", len(s.ckptPages))
-	}
-	return s.syncHeap()
-}
-
-// pageWriteback is the buffer pool's write-back hook: WAL first, then the
-// page. Evictions during image building and explicit flushes both land here.
-func (s *Store) pageWriteback(pid storage.PageID) error {
-	page, ok := s.ckptPages[uint32(pid.Index)]
-	if !ok {
-		return fmt.Errorf("disk: write-back of unknown page %d", pid.Index)
-	}
-	if err := s.syncWAL(); err != nil {
-		return err
-	}
-	if _, err := s.heap.WriteAt(page, int64(pid.Index)*PageSize); err != nil {
-		return fmt.Errorf("disk: write page %d: %w", pid.Index, err)
-	}
-	delete(s.ckptPages, uint32(pid.Index))
-	return nil
+	return img, s.syncHeap()
 }
 
 // loadCheckpoint rebuilds the committed state from the newest valid meta
@@ -355,13 +388,4 @@ func (s *Store) rebuildFreeList(used map[uint32]bool) {
 		}
 	}
 	slices.Sort(s.freePages)
-}
-
-func sortedKeys(m map[uint32][]byte) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }

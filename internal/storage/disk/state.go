@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"odbgc/internal/objstore"
+	"odbgc/internal/storage"
 )
 
 // MaxSlots is the largest slot count an object may have: a checkpoint stores
@@ -169,13 +170,7 @@ func (m *memState) digest() [sha256.Size]byte {
 
 // ObjectState is one recovered object, handed to ForEach callbacks so the
 // caller can rebuild a live heap.
-type ObjectState struct {
-	OID   objstore.OID
-	Class objstore.Class
-	Size  int
-	Slots []objstore.OID // aliased, not copied; callers must not retain
-	Root  bool
-}
+type ObjectState = storage.ObjectState
 
 // ForEach visits the committed objects in ascending OID order.
 func (s *Store) ForEach(fn func(ObjectState)) {

@@ -132,10 +132,11 @@ type partition struct {
 // add enters oid in the member list. OIDs are handed out in increasing order,
 // so the append is the whole cost unless a caller places one out of order.
 func (p *partition) add(oid objstore.OID) {
-	i := len(p.objects)
-	if i > 0 && p.objects[i-1] > oid {
-		i, _ = slices.BinarySearch(p.objects, oid)
+	if n := len(p.objects); n == 0 || p.objects[n-1] < oid {
+		p.objects = append(p.objects, oid)
+		return
 	}
+	i, _ := slices.BinarySearch(p.objects, oid)
 	p.objects = slices.Insert(p.objects, i, oid)
 }
 
