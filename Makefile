@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test test-short test-race race vet lint lint-concurrency lint-fix-report lint-allocbudget fuzz bench-e2e profile experiments examples soak server-smoke crash-drill clean
+.PHONY: all build loc test test-short test-race race vet lint lint-fix-report lint-allocbudget fuzz bench-e2e profile experiments examples soak server-smoke crash-drill clean
 
 all: build vet lint test
 
@@ -21,21 +21,16 @@ loc:
 vet:
 	$(GO) vet ./...
 
-# Repository invariants: determinism (direct and transitive), panic-free
-# libraries, snapshot completeness, context threading, error discipline,
-# cancelable goroutines, the performance layer (hot-path allocation,
-# boxing, defer, and append-growth checks plus the allocation budget in
-# lint/allocbudget.json), and the concurrency-safety layer (lockcheck,
-# guarded, lifecycle — see README "Code invariants" and internal/analysis).
+# Repository invariants, nine analyzers: determinism (direct and through the
+# call graph), panic-free libraries, snapshot completeness, context
+# threading, error discipline, cancelable goroutines, the performance layer
+# (hotpath: hot-path allocation, boxing, defer, and append-growth checks,
+# plus the allocation budget in lint/allocbudget.json), and lock discipline
+# (lockcheck) — see README "Code invariants" and internal/analysis.
+# `go run ./cmd/odbglint -only lockcheck ./...` reruns one of them.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/odbglint -allocbudget ./...
-
-# Just the concurrency-safety analyzers: mutex discipline, guarded-field
-# inference, and call-order lifecycle protocols. A fast pre-commit check
-# when touching the serving or durability stack.
-lint-concurrency:
-	$(GO) run ./cmd/odbglint -only lockcheck,guarded,lifecycle ./...
 
 # Re-baseline the per-hot-function allocation budget after deliberate
 # changes; the diff to lint/allocbudget.json is the reviewable artifact.

@@ -161,7 +161,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 				_ = durable.Close()
 			}
 		}()
-		heap.SetDurable(st)
 	}
 
 	// Observability: the live registry always exists (the serving metrics

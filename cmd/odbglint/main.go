@@ -8,49 +8,32 @@
 //
 // The analyzers (see internal/analysis/...):
 //
-//	detrand            unseeded randomness, wall-clock reads, env lookups
-//	                   in deterministic packages
-//	maporder           map iteration order leaking into slices, output,
-//	                   encoders
-//	nopanic            panic / log.Fatal* / os.Exit outside package main
-//	                   and tests
-//	snapcover          snapshot state structs with unencoded or undecoded
-//	                   fields
-//	ctxflow            context.Context threading: first parameter, never a
-//	                   struct field, checked in unbounded loops
-//	errflow            discarded errors, ==/!= sentinel comparisons, and
-//	                   non-%w wrapping of classified errors
-//	goleak             go statements whose goroutines can never observe
-//	                   cancellation
-//	detrand-transitive call chains from deterministic packages to
-//	                   randomness, clocks, or the environment
-//	hotalloc           compiler-confirmed heap allocations on hot loop
-//	                   paths
-//	hotbox             allocating interface conversions (boxing) on hot
-//	                   paths
-//	hotdefer           defer statements inside hot loops
-//	prealloc           append-growth in hot range loops with derivable
-//	                   length
-//	lockcheck          mutex discipline: every Lock reaches an Unlock on
-//	                   every path, no double-lock, no copied locks, no
-//	                   blocking calls while a hot-package mutex is held
-//	guarded            inferred guarded fields: accesses reachable from a
-//	                   go statement without the field's majority mutex, and
-//	                   sync/atomic mixed with direct access
-//	lifecycle          declarative call-order protocols: WAL staging before
-//	                   commit, no checkpoint over staged records, span
-//	                   Start/Finish pairing, buffer-pool Ref/Unref balance
+//	detrand    unseeded randomness, wall-clock reads, env lookups in
+//	           deterministic packages, written there or reached from there
+//	           through any chain of calls
+//	maporder   map iteration order leaking into slices, output, encoders
+//	nopanic    panic / log.Fatal* / os.Exit outside package main and tests
+//	snapcover  snapshot state structs with unencoded or undecoded fields
+//	ctxflow    context.Context threading: first parameter, never a struct
+//	           field, checked in unbounded loops
+//	errflow    discarded errors, ==/!= sentinel comparisons, and non-%w
+//	           wrapping of classified errors
+//	goleak     go statements whose goroutines can never observe
+//	           cancellation
+//	hotpath    on hot loop paths: compiler-confirmed heap allocations,
+//	           allocating interface conversions (boxing), defer statements,
+//	           and append-growth with a derivable length
+//	lockcheck  mutex discipline: every Lock reaches an Unlock on every
+//	           path, no double-lock, no copied locks, no blocking calls
+//	           while a hot-package mutex is held
 //
-// ctxflow, errflow, goleak, and detrand-transitive are dataflow analyzers
-// built on the control-flow graphs of internal/analysis/cfg and the
-// whole-module call graph of internal/analysis/callgraph. hotalloc, hotbox,
-// hotdefer, and prealloc are the performance layer: internal/analysis/hotpath
-// marks the hot region (benchmark bodies, curated simulator/trace/server
-// roots, unbounded serving loops, closed over the call graph) and
-// internal/analysis/escape turns `go build -gcflags='-m=2 -l'` diagnostics
-// into the allocation facts they join against. lockcheck, guarded, and
-// lifecycle are the concurrency-safety layer (`make lint-concurrency` runs
-// just these), path-sensitive over the same CFGs and call graph.
+// ctxflow, errflow, goleak, detrand's chain search and lockcheck are dataflow
+// analyzers built on the control-flow graphs of internal/analysis/cfg and the
+// whole-module call graph of internal/analysis/callgraph. hotpath is the
+// performance layer: it marks the hot region (benchmark bodies, curated
+// simulator/trace/server roots, unbounded serving loops, closed over the call
+// graph) and internal/analysis/escape turns `go build -gcflags='-m=2 -l'`
+// diagnostics into the allocation facts its checks join against.
 //
 // -json emits the findings as a JSON array (file/line/col/analyzer/message
 // and, for call-graph findings, the call chain) for CI artifacts and
@@ -84,20 +67,13 @@ import (
 	"odbgc/internal/analysis/callgraph"
 	"odbgc/internal/analysis/ctxflow"
 	"odbgc/internal/analysis/detrand"
-	"odbgc/internal/analysis/detrandtrans"
 	"odbgc/internal/analysis/errflow"
 	"odbgc/internal/analysis/escape"
 	"odbgc/internal/analysis/goleak"
-	"odbgc/internal/analysis/guarded"
-	"odbgc/internal/analysis/hotalloc"
-	"odbgc/internal/analysis/hotbox"
-	"odbgc/internal/analysis/hotdefer"
 	"odbgc/internal/analysis/hotpath"
-	"odbgc/internal/analysis/lifecycle"
 	"odbgc/internal/analysis/lockcheck"
 	"odbgc/internal/analysis/maporder"
 	"odbgc/internal/analysis/nopanic"
-	"odbgc/internal/analysis/prealloc"
 	"odbgc/internal/analysis/snapcover"
 )
 
@@ -109,21 +85,27 @@ var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	errflow.Analyzer,
 	goleak.Analyzer,
-	detrandtrans.Analyzer,
-	hotalloc.Analyzer,
-	hotbox.Analyzer,
-	hotdefer.Analyzer,
-	prealloc.Analyzer,
+	hotpath.Analyzer,
 	lockcheck.Analyzer,
-	guarded.Analyzer,
-	lifecycle.Analyzer,
+}
+
+// retired names the analyzers that no longer exist and where their checks
+// went, so -only can refuse one by pointing at its successor.
+var retired = map[string]string{
+	"detrand-transitive": "folded into detrand",
+	"hotalloc":           "folded into hotpath",
+	"hotbox":             "folded into hotpath",
+	"hotdefer":           "folded into hotpath",
+	"prealloc":           "folded into hotpath",
+	"guarded":            "deleted; -race on the concurrent suites keeps its class",
+	"lifecycle":          "deleted; the crash-point sweep and the stores' own refusals keep its class",
 }
 
 // factAnalyzers names the analyzers that consume compiler escape facts; the
 // driver prewarms the fact tables (bounded-parallel `go build` runs over
 // the hot packages) when any of them — or the allocation budget — is in
 // play.
-var factAnalyzers = map[string]bool{"hotalloc": true, "hotbox": true}
+var factAnalyzers = map[string]bool{"hotpath": true}
 
 // selectAnalyzers filters the suite down to the comma-separated names in
 // only; an empty only keeps everything. Unknown names are an error so a
@@ -141,6 +123,9 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 		name = strings.TrimSpace(name)
 		a, ok := byName[name]
 		if !ok {
+			if where, was := retired[name]; was {
+				return nil, fmt.Errorf("unknown analyzer %q (%s; run -list for the suite)", name, where)
+			}
 			return nil, fmt.Errorf("unknown analyzer %q (run -list for the suite)", name)
 		}
 		out = append(out, a)
@@ -162,7 +147,7 @@ func main() {
 	flag.Parse()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -263,8 +248,8 @@ func main() {
 }
 
 // jsonFinding is the -json record: position, analyzer, message, and — for
-// findings that cross the call graph (lockcheck's transitive blocking,
-// detrand-transitive) — the call chain from the reported site to the sink.
+// findings that cross the call graph (lockcheck's transitive blocking) —
+// the call chain from the reported site to the sink.
 type jsonFinding struct {
 	File     string   `json:"file"`
 	Line     int      `json:"line"`

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,8 +27,8 @@ func TestLintTreeClean(t *testing.T) {
 	}
 }
 
-// TestListAnalyzers asserts the contract, performance, and concurrency
-// analyzers are all wired in.
+// TestListAnalyzers asserts -list prints the nine analyzers, one per line,
+// and nothing else.
 func TestListAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("go run is slow")
@@ -38,15 +39,16 @@ func TestListAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("odbglint -list: %v\n%s", err, out)
 	}
-	for _, name := range []string{
+	want := []string{
 		"detrand", "maporder", "nopanic", "snapcover",
-		"ctxflow", "errflow", "goleak", "detrand-transitive",
-		"hotalloc", "hotbox", "hotdefer", "prealloc",
-		"lockcheck", "guarded", "lifecycle",
-	} {
-		if !strings.Contains(string(out), name) {
-			t.Errorf("odbglint -list output is missing %q:\n%s", name, out)
-		}
+		"ctxflow", "errflow", "goleak", "hotpath", "lockcheck",
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("odbglint -list names %v, want %v", got, want)
 	}
 }
 
@@ -82,6 +84,30 @@ func TestOnlyFlag(t *testing.T) {
 	if !strings.Contains(string(out), "unknown analyzer") {
 		t.Errorf("odbglint -only nosuch error does not name the problem:\n%s", out)
 	}
+
+	// The seven names retired in PR 22 are refused like any unknown name,
+	// and the refusal says where the check went: no alias brings one back.
+	for name, successor := range map[string]string{
+		"detrand-transitive": "detrand",
+		"hotalloc":           "hotpath",
+		"hotbox":             "hotpath",
+		"hotdefer":           "hotpath",
+		"prealloc":           "hotpath",
+		"guarded":            "deleted",
+		"lifecycle":          "deleted",
+	} {
+		cmd = exec.Command("go", "run", "./cmd/odbglint", "-only", name, "./internal/simerr/...")
+		cmd.Dir = root
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("odbglint -only %s succeeded; the name is retired\n%s", name, out)
+			continue
+		}
+		_, why, _ := strings.Cut(string(out), "(") // past the quoted name
+		if !strings.Contains(string(out), "unknown analyzer") || !strings.Contains(why, successor) {
+			t.Errorf("odbglint -only %s: refusal does not say %q:\n%s", name, successor, out)
+		}
+	}
 }
 
 // TestJSONOutput pins the -json contract: a clean run prints a well-formed
@@ -92,7 +118,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Skip("go run is slow")
 	}
 	cmd := exec.Command("go", "run", "./cmd/odbglint",
-		"-json", "-only", "lockcheck,guarded,lifecycle", "./internal/simerr/...")
+		"-json", "-only", "lockcheck,hotpath", "./internal/simerr/...")
 	cmd.Dir = moduleRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -3,7 +3,7 @@
 // lines the compiler proves to allocate on the heap. `odbglint -allocbudget`
 // recomputes the counts and fails when any hot function allocates on more
 // lines than its recorded budget — so a new hot-path allocation becomes a
-// lint failure even when it hides outside a loop (where hotalloc would not
+// lint failure even when it hides outside a loop (where hotpath would not
 // fire). Shrinking is always legal; `odbglint -write-allocbudget` (or
 // `make lint-allocbudget`) re-baselines after deliberate changes.
 //

@@ -10,7 +10,7 @@ import (
 
 func computeFixture(t *testing.T) *Budget {
 	t.Helper()
-	dir := filepath.Join("..", "hotalloc", "testdata", "src", "hotpkg")
+	dir := filepath.Join("..", "hotpath", "testdata", "src", "hotpkg")
 	pkg := analysistest.LoadPackage(t, dir, "example.com/hotpkg")
 	b, err := Compute(analysis.NewModule([]*analysis.Package{pkg}))
 	if err != nil {

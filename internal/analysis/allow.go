@@ -30,9 +30,9 @@ type Suppressions struct {
 }
 
 // CollectSuppressions scans the package's comments for //lint:allow
-// directives. known maps valid analyzer names; directives naming an unknown
-// analyzer or missing a reason are recorded as malformed and surface as
-// findings of the pseudo-analyzer "allow".
+// directives. known maps valid analyzer names (nil accepts any); directives
+// naming an unknown analyzer or missing a reason are recorded as malformed
+// and surface as findings of the pseudo-analyzer "allow".
 func CollectSuppressions(fset *token.FileSet, files []*ast.File, known map[string]bool) *Suppressions {
 	s := &Suppressions{byLine: make(map[allowKey]map[string]bool)}
 	for _, f := range files {
@@ -51,7 +51,7 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File, known map[strin
 						Message: "malformed //lint:allow: missing analyzer name and reason",
 					})
 					continue
-				case !known[fields[0]]:
+				case known != nil && !known[fields[0]]:
 					s.malformed = append(s.malformed, Finding{
 						Pos: pos, Analyzer: "allow",
 						Message: fmt.Sprintf("//lint:allow names unknown analyzer %q", fields[0]),

@@ -3,11 +3,9 @@ package analysis
 import "strings"
 
 // ConcurrentDirs lists the module-relative directories whose packages are
-// mutex- and goroutine-heavy: the live serving engine, the shared buffer
-// pool and WAL, and the observability/flight-recorder stack. The
-// concurrency-safety analyzers (lockcheck's blocking-while-held rule,
-// guarded's field inference, lifecycle's protocol specs) all gate on this
-// one list so their notion of "concurrent code" cannot drift apart.
+// mutex- and goroutine-heavy: the live serving engine, the storage manager
+// and WAL, and the observability/flight-recorder stack. lockcheck's
+// blocking-while-held rule applies to mutexes declared under these.
 var ConcurrentDirs = []string{
 	"internal/server",
 	"internal/storage",
@@ -19,8 +17,8 @@ var ConcurrentDirs = []string{
 // appears as a complete path-segment run inside the import path, so
 // "internal/sim" covers "odbgc/internal/sim" and "odbgc/internal/sim/replay"
 // but not "odbgc/internal/simulator". The analyzers that gate on package
-// location (detrand, detrand-transitive, ctxflow) all share this predicate
-// so their notions of coverage cannot drift apart.
+// location (detrand, ctxflow, lockcheck, hotpath's roots) all share this
+// predicate so their notions of coverage cannot drift apart.
 func PathCovered(pkgPath string, dirs []string) bool {
 	for _, d := range dirs {
 		if pkgPath == d ||

@@ -9,7 +9,9 @@
 // error: inside the deterministic packages, calls to the global math/rand
 // functions, to time.Now and friends, and to os.Getenv-style lookups are
 // findings. Seeded *rand.Rand construction (rand.New, rand.NewSource,
-// rand.NewZipf) stays legal.
+// rand.NewZipf) stays legal. The same endpoints reached through a chain of
+// calls — into an uncovered package, say — are findings too, at the call
+// that leaves the function (transitive.go).
 package detrand
 
 import (
@@ -23,7 +25,7 @@ import (
 // Analyzer is the detrand check.
 var Analyzer = &analysis.Analyzer{
 	Name: "detrand",
-	Doc:  "forbid unseeded randomness, wall-clock reads, and env lookups in deterministic packages",
+	Doc:  "forbid unseeded randomness, wall-clock reads, and env lookups in deterministic packages, directly or through a call chain",
 	Run:  run,
 }
 
@@ -44,10 +46,9 @@ var DeterministicDirs = []string{
 	"internal/simerr",
 }
 
-// Covered reports whether pkgPath is one of the deterministic packages or a
-// subpackage of one. The detrand-transitive analyzer shares it, so the two
-// checks always agree on which packages carry the determinism contract.
-func Covered(pkgPath string) bool {
+// covered reports whether pkgPath is one of the deterministic packages or a
+// subpackage of one.
+func covered(pkgPath string) bool {
 	return analysis.PathCovered(pkgPath, DeterministicDirs)
 }
 
@@ -85,84 +86,58 @@ var osForbidden = map[string]bool{
 	"ExpandEnv": true,
 }
 
-// Forbidden classifies a call against the nondeterminism rules. When the
-// call is one of the forbidden endpoints it returns a short description
-// ("time.Now (wall clock)") and true; otherwise "", false. detrand reports
-// these directly inside the deterministic packages; detrand-transitive
-// treats them as the sinks of its whole-module chain search.
-func Forbidden(info *types.Info, call *ast.CallExpr) (string, bool) {
+// forbidden classifies a call against the nondeterminism rules. For one of
+// the forbidden endpoints it returns the sink's short description for chain
+// findings ("time.Now (wall clock)"), the finding to report where the call
+// is written in a deterministic package itself, and true.
+func forbidden(info *types.Info, call *ast.CallExpr) (sink, direct string, ok bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", false
+		return "", "", false
 	}
 	ident, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return "", false
+		return "", "", false
 	}
 	pkgName, ok := info.Uses[ident].(*types.PkgName)
 	if !ok {
-		return "", false
+		return "", "", false
 	}
 	name := sel.Sel.Name
 	switch pkgName.Imported().Path() {
 	case "math/rand", "math/rand/v2":
-		if !randConstructors[name] {
-			return fmt.Sprintf("%s.%s (unseeded randomness)", pkgName.Imported().Name(), name), true
+		if pkg := pkgName.Imported().Name(); !randConstructors[name] {
+			return fmt.Sprintf("%s.%s (unseeded randomness)", pkg, name),
+				fmt.Sprintf("call to global %s.%s in deterministic package; use a seeded *rand.Rand threaded through the constructor", pkg, name), true
 		}
 	case "time":
 		if timeForbidden[name] {
-			return fmt.Sprintf("time.%s (wall clock)", name), true
+			return fmt.Sprintf("time.%s (wall clock)", name),
+				fmt.Sprintf("time.%s reads the wall clock in a deterministic package; simulated time must come from the trace", name), true
 		}
 	case "os":
 		if osForbidden[name] {
-			return fmt.Sprintf("os.%s (environment)", name), true
+			return fmt.Sprintf("os.%s (environment)", name),
+				fmt.Sprintf("os.%s makes behavior depend on the environment in a deterministic package; pass configuration explicitly", name), true
 		}
 	}
-	return "", false
+	return "", "", false
 }
 
 func run(pass *analysis.Pass) error {
-	if !Covered(pass.Pkg.Path()) {
+	if !covered(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			name := sel.Sel.Name
-			switch pkgName.Imported().Path() {
-			case "math/rand", "math/rand/v2":
-				if !randConstructors[name] {
-					pass.Reportf(call.Pos(),
-						"call to global %s.%s in deterministic package; use a seeded *rand.Rand threaded through the constructor", pkgName.Imported().Name(), name)
-				}
-			case "time":
-				if timeForbidden[name] {
-					pass.Reportf(call.Pos(),
-						"time.%s reads the wall clock in a deterministic package; simulated time must come from the trace", name)
-				}
-			case "os":
-				if osForbidden[name] {
-					pass.Reportf(call.Pos(),
-						"os.%s makes behavior depend on the environment in a deterministic package; pass configuration explicitly", name)
+			if call, ok := n.(*ast.CallExpr); ok {
+				if _, direct, ok := forbidden(pass.TypesInfo, call); ok {
+					pass.Reportf(call.Pos(), "%s", direct)
 				}
 			}
 			return true
 		})
 	}
+	runTransitive(pass)
 	return nil
 }

@@ -7,8 +7,8 @@
 // diagnostics the backend already emits.
 //
 // Facts are memoized per package in the module memo, like the call graph, so
-// the four perf analyzers (hotalloc, hotbox, hotdefer, prealloc) and the
-// allocation-budget gate share one compiler run per package. Prewarm builds
+// hotpath's two allocation checks and the allocation-budget gate share one
+// compiler run per package. Prewarm builds
 // the whole module's tables with bounded parallelism so a full odbglint run
 // pays wall-clock for the slowest package, not the sum.
 //
@@ -124,7 +124,7 @@ func (f *Facts) AtLine(pos token.Position) []Fact {
 
 // HeapFactsBetween returns the heap-allocation facts (EscapesToHeap and
 // MovedToHeap) whose position falls inside [start, end], both resolved
-// through fset. This is the span query hotalloc and the allocation budget
+// through fset. This is the span query hotpath and the allocation budget
 // use to attribute allocations to loops and functions.
 func (f *Facts) HeapFactsBetween(fset *token.FileSet, start, end token.Pos) []Fact {
 	if f == nil {

@@ -124,11 +124,11 @@ func TestSplitPosLine(t *testing.T) {
 	}
 }
 
-// TestForRealPackage runs the actual compiler over the hotalloc testdata
+// TestForRealPackage runs the actual compiler over the hotpath testdata
 // fixture and checks that compiler-confirmed facts come back — the
 // integration path the driver and the analyzer fixtures rely on.
 func TestForRealPackage(t *testing.T) {
-	dir := filepath.Join("..", "hotalloc", "testdata", "src", "hotpkg")
+	dir := filepath.Join("..", "hotpath", "testdata", "src", "hotpkg")
 	pkg := analysistest.LoadPackage(t, dir, "example.com/hotpkg")
 	mod := analysis.NewModule([]*analysis.Package{pkg})
 	facts := For(mod, pkg)

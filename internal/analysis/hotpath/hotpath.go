@@ -18,10 +18,10 @@
 //     not a benchmark reaches it yet.
 //
 // Everything a seed can transitively call is hot too, mirroring how cost
-// flows at run time. The perf analyzers (hotalloc, hotbox, hotdefer,
-// prealloc) and the allocation-budget gate consult this region so a heap
-// allocation in setup code stays legal while the same line inside
-// Simulator.Step is a finding.
+// flows at run time. The package's analyzer (analyzer.go: allocation,
+// boxing, defer and append-growth checks) and the allocation-budget gate
+// consult this region so a heap allocation in setup code stays legal while
+// the same line inside Simulator.Step is a finding.
 package hotpath
 
 import (
@@ -108,8 +108,8 @@ func (r *Region) Hot(fn *types.Func) bool {
 
 // LoopHot reports whether fn runs once per hot-loop iteration: it is called
 // from inside a loop of a hot function, directly or through any chain of
-// further calls. hotalloc and hotbox treat a loop-hot function's whole body
-// as loop territory.
+// further calls. The allocation and boxing checks treat a loop-hot
+// function's whole body as loop territory.
 func (r *Region) LoopHot(fn *types.Func) bool {
 	if r == nil || fn == nil {
 		return false

@@ -26,7 +26,7 @@ func fn(t *testing.T, pkg *analysis.Package, name string) *types.Func {
 }
 
 func TestBenchmarkSeedAndLoopHot(t *testing.T) {
-	dir := filepath.Join("..", "hotalloc", "testdata", "src", "hotpkg")
+	dir := filepath.Join("testdata", "src", "hotpkg")
 	pkg := analysistest.LoadPackage(t, dir, "example.com/hotpkg")
 	mod := analysis.NewModule([]*analysis.Package{pkg})
 	r := For(mod)

@@ -12,7 +12,7 @@
 //     parameters, assignments, and call arguments whose type contains a
 //     mutex are all findings (a copied mutex is a different mutex);
 //   - in the concurrent packages (analysis.ConcurrentDirs — the serving
-//     engine, the buffer pool + WAL, the observability stack) no blocking
+//     engine, the storage manager + WAL, the observability stack) no blocking
 //     operation may run while a mutex is held: channel sends and receives,
 //     WaitGroup/Cond waits, sleeps, and I/O writes to external writers,
 //     found directly or through the module call graph (the finding then

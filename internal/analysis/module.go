@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/token"
-	"strings"
-)
+import "go/token"
 
 // Module is the whole-program view a dataflow analyzer sees: every package
 // the driver loaded for this run, plus lazily built module-wide artifacts
@@ -17,7 +14,7 @@ type Module struct {
 	Packages []*Package
 
 	memo   map[string]any
-	allows map[allowKey]map[string]bool
+	allows []*Suppressions // one per package, built by the first AllowedAt
 }
 
 // NewModule wraps the loaded packages for module-wide analysis.
@@ -52,36 +49,18 @@ func (m *Module) Memoized(key string) bool {
 // the per-package suppression filter applied to findings, this lets a
 // transitive analyzer honor a suppression at its *sink*: a wall-clock read
 // annotated //lint:allow detrand stops being a forbidden endpoint for
-// detrand-transitive's whole-chain search, so one reasoned allow covers
-// every caller instead of demanding one per chain.
+// detrand's whole-chain search, so one reasoned allow covers every caller
+// instead of demanding one per chain.
 func (m *Module) AllowedAt(analyzer string, pos token.Position) bool {
 	if m.allows == nil {
-		m.allows = make(map[allowKey]map[string]bool)
 		for _, pkg := range m.Packages {
-			for _, f := range pkg.Files {
-				for _, cg := range f.Comments {
-					for _, c := range cg.List {
-						text := strings.TrimSpace(c.Text)
-						if !strings.HasPrefix(text, AllowPrefix) {
-							continue
-						}
-						fields := strings.Fields(strings.TrimPrefix(text, AllowPrefix))
-						if len(fields) < 2 {
-							continue // unreasoned; never suppresses
-						}
-						p := pkg.Fset.Position(c.End())
-						k := allowKey{file: p.Filename, line: p.Line}
-						if m.allows[k] == nil {
-							m.allows[k] = make(map[string]bool)
-						}
-						m.allows[k][fields[0]] = true
-					}
-				}
-			}
+			m.allows = append(m.allows, CollectSuppressions(pkg.Fset, pkg.Files, nil))
 		}
 	}
-	if m.allows[allowKey{pos.Filename, pos.Line}][analyzer] {
-		return true
+	for _, s := range m.allows {
+		if s.Allowed(analyzer, pos) {
+			return true
+		}
 	}
-	return m.allows[allowKey{pos.Filename, pos.Line - 1}][analyzer]
+	return false
 }

@@ -61,8 +61,8 @@ func runPackage(mod *Module, pkg *Package, analyzers []*Analyzer) ([]Finding, er
 
 // RunPackages applies the analyzers to every package and concatenates the
 // findings in deterministic order. All packages share one Module, so the
-// interprocedural analyzers (errflow's wrap discipline, detrand-transitive's
-// chain search) see the complete call graph of the run.
+// interprocedural analyzers (errflow's wrap discipline, detrand's chain
+// search) see the complete call graph of the run.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	return RunModule(NewModule(pkgs), analyzers)
 }
@@ -95,6 +95,11 @@ func sortFindings(fs []Finding) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		// One analyzer can report twice at one position (hotpath's
+		// allocation and boxing messages).
+		return a.Message < b.Message
 	})
 }

@@ -638,7 +638,7 @@ func (h *Heap) checkInvariants(live *objstore.Table[bool]) error {
 		return fmt.Errorf("gc: overwrite total %d but partition counters sum to %d", h.poTotal, poSum)
 	}
 	// Oracle ledger consistency, partition by partition.
-	//lint:allow hotalloc validation sweep: one count array per call
+	//lint:allow hotpath validation sweep: one count array per call
 	deadBytes := make([]int, h.disk.NumPartitions())
 	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
 		if err != nil {

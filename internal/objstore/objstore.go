@@ -190,7 +190,7 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	}
 	o := s.alloc(nslots)
 	if nslots > pooledSlots {
-		//lint:allow hotalloc wide-object fallback: no generator builds one
+		//lint:allow hotpath wide-object fallback: no generator builds one
 		o.Slots = make([]OID, nslots)
 	}
 	o.OID, o.Class, o.Size = oid, class, size
@@ -231,14 +231,14 @@ func (s *Store) alloc(nslots int) *Object {
 		return f[len(f)-1]
 	}
 	if len(s.headers) == 0 {
-		//lint:allow hotalloc slab refill: one allocation per headerSlab creates
+		//lint:allow hotpath slab refill: one allocation per headerSlab creates
 		s.headers = make([]Object, headerSlab)
 	}
 	o := &s.headers[0]
 	s.headers = s.headers[1:]
 	if nslots > 0 && k <= pooledSlots {
 		if len(s.slots) < nslots {
-			//lint:allow hotalloc slab refill: one allocation per slotSlab slots
+			//lint:allow hotpath slab refill: one allocation per slotSlab slots
 			s.slots = make([]OID, slotSlab)
 		}
 		o.Slots, s.slots = s.slots[:nslots:nslots], s.slots[nslots:]
@@ -331,10 +331,10 @@ func (s *Store) ForEach(fn func(*Object)) {
 // by breadth-first traversal of pointer slots. It is O(objects) and intended
 // for validation, statistics, and tests — not for the simulation fast path.
 func (s *Store) Reachable() *Table[bool] {
-	//lint:allow hotalloc the reachable set is the product, returned to the caller
+	//lint:allow hotpath the reachable set is the product, returned to the caller
 	seen := new(Table[bool])
 	// The queue is sized for the whole table up front.
-	//lint:allow hotalloc validation-path whole-table scan; the queue is sized once per call
+	//lint:allow hotpath validation-path whole-table scan; the queue is sized once per call
 	queue := make([]OID, 0, s.objects.Len())
 	s.roots.ForEach(func(oid OID, _ bool) {
 		seen.Set(oid, true)

@@ -364,7 +364,7 @@ func (g *Generator) GenDB() error {
 }
 
 func (g *Generator) genModule() *moduleState {
-	//lint:allow hotalloc module state is retained for the life of the generated database
+	//lint:allow hotpath module state is retained for the life of the generated database
 	mod := &moduleState{}
 	mod.oid = g.create(objstore.ClassModule, g.p.ModuleBytes, 2)
 	g.addRoot(mod.oid)
@@ -376,7 +376,7 @@ func (g *Generator) genModule() *moduleState {
 	// composite is born garbage), the rest are uniform random.
 	nBase := g.p.NumBaseAssemblies()
 	slots := nBase * g.p.NumCompPerAssm // >= NumCompPerModule, per Params.Validate
-	//lint:allow hotalloc one assignment table per module; modules are few
+	//lint:allow hotpath one assignment table per module; modules are few
 	assign := make([]int, slots)
 	for i := range assign {
 		if i < g.p.NumCompPerModule {
@@ -387,7 +387,7 @@ func (g *Generator) genModule() *moduleState {
 	}
 	g.rng.Shuffle(len(assign), func(i, j int) { assign[i], assign[j] = assign[j], assign[i] })
 
-	//lint:allow hotalloc retained for the life of the generated database
+	//lint:allow hotpath retained for the life of the generated database
 	mod.composites = make([]*compositeState, g.p.NumCompPerModule)
 
 	// Build the assembly tree top-down, breadth-first. Complex assemblies
@@ -397,7 +397,7 @@ func (g *Generator) genModule() *moduleState {
 	frontier := []objstore.OID{root}
 	nextSlot := 0
 	for level := 2; level <= g.p.NumAssmLevels; level++ {
-		//lint:allow hotalloc one exactly-sized frontier per assembly level; levels are few
+		//lint:allow hotpath one exactly-sized frontier per assembly level; levels are few
 		next := make([]objstore.OID, 0, len(frontier)*g.p.NumAssmPerAssm)
 		for _, parent := range frontier {
 			for k := 0; k < g.p.NumAssmPerAssm; k++ {
@@ -465,9 +465,9 @@ func (g *Generator) genComposite(base objstore.OID, k int) *compositeState {
 	// One array holds the part slots and, behind them, room for the scope of
 	// a freshly built composite: document, parts, connections.
 	n := g.p.NumAtomicPerComp
-	//lint:allow hotalloc retained with the composite state
+	//lint:allow hotpath retained with the composite state
 	oids := make([]objstore.OID, n, n+g.p.DocSegments()+n*(1+g.p.NumConnPerAtomic))
-	//lint:allow hotalloc composite state is retained for the life of the generated database
+	//lint:allow hotpath composite state is retained for the life of the generated database
 	c := &compositeState{parts: oids[:n:n], scope: oids[n:n]}
 	c.oid = g.create(objstore.ClassCompositePart, g.p.CompositeBytes, 1+g.p.NumAtomicPerComp)
 	if !c.oid.IsNil() {

@@ -46,14 +46,16 @@ type EngineConfig struct {
 	// while a request is in service emit GC child spans attributed to it.
 	Recorder *span.Recorder
 	// Durable, when non-nil, is the write-ahead-logging backend the heap
-	// records every mutation to. The engine commits one batch per request —
-	// before the response goes out, so an acknowledged write is never lost
-	// to a crash — and one batch per collection (the reclaim record).
+	// records every mutation to; NewEngine attaches it to the heap. The
+	// engine commits one batch per request — before the response goes out,
+	// so an acknowledged write is never lost to a crash — and one batch per
+	// collection (the reclaim record).
 	Durable storage.Backend
 	// CheckpointEvery bounds WAL replay work after a crash: the engine
-	// checkpoints the durable store every N commits. Zero means the default
-	// of 1024; negative disables periodic checkpoints (drain still takes a
-	// final one).
+	// checkpoints the durable store every N committed batches (a request
+	// or collection that logged nothing commits no batch). Zero means the
+	// default of 1024; negative disables periodic checkpoints (drain still
+	// takes a final one).
 	CheckpointEvery int
 }
 
@@ -99,10 +101,11 @@ type call struct {
 // request order. Sessions talk to it through Submit, which enforces
 // admission control: the queue is the only buffer, and it is bounded.
 type Engine struct {
-	cfg   EngineConfig
-	heap  *gc.Heap
-	cycle core.Cycle // the control loop; process decides when it runs
-	queue chan *call
+	cfg     EngineConfig
+	heap    *gc.Heap
+	durable *stagedBackend // cfg.Durable as the heap logs to it; nil without one
+	cycle   core.Cycle     // the control loop; process decides when it runs
+	queue   chan *call
 
 	// epoch anchors the engine tick clock: Now() is nanoseconds since
 	// construction, the timestamp base for every span this engine touches.
@@ -134,6 +137,10 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 		heap:  heap,
 		queue: make(chan *call, cfg.QueueDepth),
 		epoch: time.Now(),
+	}
+	if cfg.Durable != nil {
+		e.durable = &stagedBackend{Backend: cfg.Durable}
+		heap.SetDurable(e.durable)
 	}
 	e.cycle = core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim}
 	return e, nil
@@ -358,15 +365,21 @@ func (e *Engine) process(c *call) {
 // checkpoint would make a retrying client duplicate a committed write.
 // A checkpoint failure is counted on /metrics and retried at the next
 // checkpoint interval; the backend rolls an aborted checkpoint back, so
-// the WAL simply keeps growing until one succeeds.
+// the WAL simply keeps growing until one succeeds. A commit that found
+// nothing staged is not a batch: it counts toward no checkpoint, so reads
+// never checkpoint a database they did not change.
 func (e *Engine) commitDurable() error {
-	d := e.cfg.Durable
+	d := e.durable
 	if d == nil {
 		return nil
 	}
 	if err := d.Commit(); err != nil {
 		return fmt.Errorf("durable commit: %w", err)
 	}
+	if d.staged == 0 {
+		return nil
+	}
+	d.staged = 0
 	e.commits++
 	e.cfg.Metrics.DurableCommit()
 	if every := e.cfg.CheckpointEvery; every > 0 && e.commits%uint64(every) == 0 {
@@ -472,7 +485,7 @@ func (e *Engine) Requests() uint64 { return e.requests }
 // engine goroutine, so the reads need no locks.
 func (e *Engine) stats() *Stats {
 	disk := e.heap.Disk().Stats()
-	//lint:allow hotalloc the snapshot escapes to the requester by design
+	//lint:allow hotpath the snapshot escapes to the requester by design
 	st := &Stats{
 		Objects:        e.heap.Store().Len(),
 		DBBytes:        e.heap.DatabaseBytes(),

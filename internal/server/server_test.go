@@ -39,9 +39,6 @@ func startServer(t *testing.T, scfg Config, ecfg EngineConfig) *testSrv {
 		t.Fatal(err)
 	}
 	heap := gc.NewHeap(store, mgr)
-	if ecfg.Durable != nil {
-		heap.SetDurable(ecfg.Durable)
-	}
 	if ecfg.Policy == nil {
 		p, err := core.NewFixedRate(4)
 		if err != nil {

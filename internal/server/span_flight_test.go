@@ -146,8 +146,14 @@ func TestFlightRecorderUnderFlood(t *testing.T) {
 	if gcAttributed == 0 {
 		t.Error("no GC span is attributed to an overlapping request")
 	}
-	if st := rec.Stats(); st.Finished == 0 || st.Shed != uint64(wantShed) {
+	st := rec.Stats()
+	if st.Finished == 0 || st.Shed != uint64(wantShed) {
 		t.Errorf("recorder stats %+v disagree with client accounting (shed=%d)", st, wantShed)
+	}
+	// Every path out of a session or a collection — ok, shed, expired,
+	// errored, write failed — must finish the span it started.
+	if st.Started != st.Finished {
+		t.Errorf("%d spans started, %d finished: some path drops its span", st.Started, st.Finished)
 	}
 
 	// The per-stage histograms surfaced on /metrics, with span exemplars.

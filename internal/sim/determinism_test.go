@@ -188,6 +188,9 @@ func TestSpanPathDeterministic(t *testing.T) {
 			cfg.Spans = rec
 			return cfg
 		})
+		if st := rec.Stats(); st.Started != st.Finished {
+			t.Fatalf("%d spans started, %d finished", st.Started, st.Finished)
+		}
 		var buf bytes.Buffer
 		if _, err := rec.Dump(&buf); err != nil {
 			t.Fatal(err)

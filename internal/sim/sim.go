@@ -456,7 +456,7 @@ func (s *Simulator) apply(e *trace.Event, idx int) error {
 			Collections: len(s.res.Collections),
 			Overwrites:  s.heap.OverwriteClock(),
 		})
-		//lint:allow hotalloc one accumulator per phase, retained in the result
+		//lint:allow hotpath one accumulator per phase, retained in the result
 		s.phaseAcc = &PhaseSummary{Label: e.Label}
 		s.phaseGarb = metrics.Mean{}
 		s.phaseIOBase = s.disk.Stats()

@@ -6,18 +6,11 @@ import (
 	"slices"
 )
 
-// BufferPool is a page-granular LRU cache. It tracks residency, dirty
-// state, and reference pins; page contents live with the pool's owner (the
-// logical object store, for the simulated manager). The pool is deliberately
-// simple — the paper's buffer is a plain LRU sized to one partition (§3.1) —
-// but write-back is explicit: a dirty page leaves the pool (eviction) or loses
-// its dirty bit (Flush) only through the registered write-back hook, so an
-// owner that holds real pages can order the physical page write after the WAL
-// append that covers it. No owner does today: the disk backend's checkpoints
-// were the hook's and Ref/Unref's one production caller until they began
-// writing their image in runs, straight from the buffer it is built in; what
-// is left of that surface is exercised by the tests and the fuzz target only
-// (ROADMAP item 6 lists it for deletion).
+// BufferPool is a page-granular LRU cache. It tracks residency and dirty
+// state; it holds no page contents (the Manager, its one owner, simulates
+// them), so evicting a dirty page or cleaning one only drops the bit and
+// the Manager charges the write. The pool is deliberately simple — the
+// paper's buffer is a plain LRU sized to one partition (§3.1).
 //
 // Everything is allocated by NewBufferPool: a fixed array of frames linked
 // by index into the LRU list, and an open-addressed page -> frame index. The
@@ -38,17 +31,11 @@ type BufferPool struct {
 	// least twice the capacity, so it is never more than half full.
 	index []int32
 	shift uint // 64 - log2(len(index))
-
-	// writeback, when non-nil, persists a dirty page's contents. It runs
-	// before the page is evicted or marked clean; an error aborts the
-	// eviction or flush with the page still resident and dirty.
-	writeback func(PageID) error
 }
 
 type frame struct {
 	page       PageID
 	prev, next int32
-	refs       int32 // pin count; referenced frames are never evicted
 	dirty      bool
 	// gc is set on a page dirtied under the IOGC class (see Manager.pin) and
 	// cleared with the dirty bit, so it implies resident and dirty.
@@ -152,11 +139,6 @@ func (b *BufferPool) pushFront(fi int32) {
 	r.next = fi
 }
 
-// SetWriteback installs (or, with nil, removes) the dirty-page write-back
-// hook. With no hook, evicting or flushing a dirty page only drops the
-// dirty bit — the simulated manager's accounting-only behavior.
-func (b *BufferPool) SetWriteback(fn func(PageID) error) { b.writeback = fn }
-
 // Capacity returns the pool capacity in pages.
 func (b *BufferPool) Capacity() int { return b.capacity }
 
@@ -167,18 +149,15 @@ func (b *BufferPool) Len() int { return b.n }
 // fresh indicates the page has no disk image (a brand-new or fully
 // rewritten page), so a miss does not cost a read.
 //
-// On a miss with a full pool, the least-recently-used unreferenced page is
-// evicted; if it is dirty, the write-back hook runs first and its error
-// aborts the pin. A pool whose every frame is referenced cannot evict and
-// the pin fails. Without a write-back hook and without references (the
-// simulated manager), Pin never fails.
-func (b *BufferPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
+// On a miss with a full pool, the least-recently-used page is evicted; the
+// result says whether it was dirty, so the owner can charge the write.
+func (b *BufferPool) Pin(pg PageID, dirty, fresh bool) PinResult {
 	return b.pin(pg, dirty, fresh, false)
 }
 
 // pin is Pin for the Manager, which passes gc when the I/O class is IOGC: a
 // page it pins dirty is then flagged collector-dirtied.
-func (b *BufferPool) pin(pg PageID, dirty, fresh, gc bool) (PinResult, error) {
+func (b *BufferPool) pin(pg PageID, dirty, fresh, gc bool) PinResult {
 	var res PinResult
 	root := int32(b.capacity)
 	// Consecutive operations mostly land on the page just used: it is
@@ -196,25 +175,15 @@ func (b *BufferPool) pin(pg PageID, dirty, fresh, gc bool) (PinResult, error) {
 			f.dirty = true
 			f.gc = f.gc || gc
 		}
-		return res, nil
+		return res
 	}
 	res.ReadFault = !fresh
 	if fi = b.free; fi >= 0 {
 		b.free = b.frames[fi].next
 		b.n++
 	} else {
-		for fi = b.frames[root].prev; fi != root && b.frames[fi].refs > 0; {
-			fi = b.frames[fi].prev
-		}
-		if fi == root {
-			return res, fmt.Errorf("storage: buffer pool wedged: all %d frames referenced", b.capacity)
-		}
+		fi = b.frames[root].prev
 		if v := b.frames[fi]; v.dirty {
-			if b.writeback != nil {
-				if err := b.writeback(v.page); err != nil {
-					return res, fmt.Errorf("storage: write back %v evicting for %v: %w", v.page, pg, err)
-				}
-			}
 			res.WroteBack = true
 			res.Victim = v.page
 		}
@@ -224,42 +193,7 @@ func (b *BufferPool) pin(pg PageID, dirty, fresh, gc bool) (PinResult, error) {
 	b.frames[fi] = frame{page: pg, dirty: dirty, gc: dirty && gc}
 	b.pushFront(fi)
 	b.enter(pg, fi)
-	return res, nil
-}
-
-// Ref pins a resident page against eviction, returning false if the page
-// is not resident. Each Ref must be paired with an Unref; a referenced
-// page stays resident (and its contents stable for the pool's owner) no
-// matter what Pin brings in around it.
-func (b *BufferPool) Ref(pg PageID) bool {
-	fi := b.lookup(pg)
-	if fi < 0 {
-		return false
-	}
-	b.frames[fi].refs++
-	return true
-}
-
-// Unref releases one reference on a resident page. Unreferencing a page
-// that is absent or unreferenced is a bug in the pool's owner.
-func (b *BufferPool) Unref(pg PageID) error {
-	fi := b.lookup(pg)
-	if fi < 0 {
-		return fmt.Errorf("storage: unref of non-resident page %v", pg)
-	}
-	if b.frames[fi].refs <= 0 {
-		return fmt.Errorf("storage: unref of unreferenced page %v", pg)
-	}
-	b.frames[fi].refs--
-	return nil
-}
-
-// Refs returns the pin count of a page (0 if absent).
-func (b *BufferPool) Refs(pg PageID) int {
-	if fi := b.lookup(pg); fi >= 0 {
-		return int(b.frames[fi].refs)
-	}
-	return 0
+	return res
 }
 
 // Contains reports whether the page is resident.
@@ -271,27 +205,8 @@ func (b *BufferPool) IsDirty(pg PageID) bool {
 	return fi >= 0 && b.frames[fi].dirty
 }
 
-// Flush writes back a resident dirty page through the write-back hook and
-// clears its dirty bit, returning true if a write-back happened. The page
-// stays resident. An error from the hook leaves the page dirty.
-func (b *BufferPool) Flush(pg PageID) (bool, error) {
-	fi := b.lookup(pg)
-	if fi < 0 || !b.frames[fi].dirty {
-		return false, nil
-	}
-	if b.writeback != nil {
-		if err := b.writeback(pg); err != nil {
-			return false, fmt.Errorf("storage: flush %v: %w", pg, err)
-		}
-	}
-	b.frames[fi].dirty, b.frames[fi].gc = false, false
-	return true, nil
-}
-
-// Clean clears the dirty bit of a resident page without invoking the
-// write-back hook, returning true if the page was resident and dirty. It
-// models a write-back accounted elsewhere (the simulated manager charges
-// the I/O itself); disk-backed owners should use Flush.
+// Clean clears the dirty bit of a resident page, returning true if the page
+// was resident and dirty: a write-back, which the Manager charges.
 func (b *BufferPool) Clean(pg PageID) bool {
 	fi := b.lookup(pg)
 	if fi < 0 || !b.frames[fi].dirty {
@@ -316,10 +231,9 @@ func (b *BufferPool) cleanGC() int {
 
 // Drop discards a resident page without write-back (its disk image is
 // obsolete, e.g. freed space after compaction). Returns true if resident.
-// Referenced pages cannot be dropped.
 func (b *BufferPool) Drop(pg PageID) bool {
 	fi := b.lookup(pg)
-	if fi < 0 || b.frames[fi].refs > 0 {
+	if fi < 0 {
 		return false
 	}
 	b.remove(pg)
@@ -373,8 +287,7 @@ type FrameState struct {
 }
 
 // Snapshot captures the resident pages in LRU order (oldest first) with
-// their dirty bits, for checkpointing. Reference counts are runtime state
-// (they exist only within one operation) and are not captured.
+// their dirty bits, for checkpointing.
 func (b *BufferPool) Snapshot() []FrameState {
 	out := make([]FrameState, 0, b.n)
 	b.oldestFirst(func(f *frame) {
@@ -392,9 +305,9 @@ func (b *BufferPool) Restore(frames []FrameState) error {
 	}
 	b.reset()
 	for _, fs := range frames {
-		// The frames fit, so a pin takes a free frame — evicting nothing,
-		// calling no hook, failing never — unless the page is there already.
-		if res, _ := b.pin(fs.Page, fs.Dirty, true, false); res.Hit {
+		// The frames fit, so a pin takes a free frame, evicting nothing,
+		// unless the page is there already.
+		if b.pin(fs.Page, fs.Dirty, true, false).Hit {
 			b.reset()
 			return fmt.Errorf("storage: duplicate page %v in buffer snapshot", fs.Page)
 		}

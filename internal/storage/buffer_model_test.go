@@ -2,7 +2,6 @@ package storage
 
 import (
 	"container/list"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,25 +13,18 @@ import (
 // it: container/list for the LRU order, a map for the index, frames allocated
 // as the pool fills. It is kept, verbatim but for the type names and the one
 // marked line in Restore, as the reference the differential tests drive the
-// real pool against: same results, same errors, same page order, same
-// write-back calls.
+// real pool against: same results, same errors, same page order. (Its
+// write-back hook and reference pins left with the real pool's, which lost
+// their last caller when the disk backend began writing its image in runs.)
 type modelPool struct {
 	capacity int
 	lru      *list.List               // front = most recently used
 	frames   map[PageID]*list.Element // page -> element whose Value is *modelFrame
-
-	// writeback, when non-nil, persists a dirty page's contents. It runs
-	// before the page is evicted or marked clean; an error aborts the
-	// eviction or flush with the page still resident and dirty. The disk
-	// backend's hook is where the write-ordering invariant lives: flush the
-	// WAL through the page's recovery LSN, then write the page.
-	writeback func(PageID) error
 }
 
 type modelFrame struct {
 	page  PageID
 	dirty bool
-	refs  int // pin count; referenced frames are never evicted
 }
 
 // newModelPool returns an LRU pool holding up to capacity pages.
@@ -47,11 +39,6 @@ func newModelPool(capacity int) (*modelPool, error) {
 	}, nil
 }
 
-// SetWriteback installs (or, with nil, removes) the dirty-page write-back
-// hook. With no hook, evicting or flushing a dirty page only drops the
-// dirty bit — the simulated manager's accounting-only behavior.
-func (b *modelPool) SetWriteback(fn func(PageID) error) { b.writeback = fn }
-
 // Capacity returns the pool capacity in pages.
 func (b *modelPool) Capacity() int { return b.capacity }
 
@@ -62,12 +49,8 @@ func (b *modelPool) Len() int { return b.lru.Len() }
 // fresh indicates the page has no disk image (a brand-new or fully
 // rewritten page), so a miss does not cost a read.
 //
-// On a miss with a full pool, the least-recently-used unreferenced page is
-// evicted; if it is dirty, the write-back hook runs first and its error
-// aborts the pin. A pool whose every frame is referenced cannot evict and
-// the pin fails. Without a write-back hook and without references (the
-// simulated manager), Pin never fails.
-func (b *modelPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
+// On a miss with a full pool, the least-recently-used page is evicted.
+func (b *modelPool) Pin(pg PageID, dirty, fresh bool) PinResult {
 	var res PinResult
 	// Consecutive operations mostly land on the page just used: it is
 	// already in front, and finding it there skips the map lookup.
@@ -75,7 +58,7 @@ func (b *modelPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
 		if f := el.Value.(*modelFrame); f.page == pg {
 			res.Hit = true
 			f.dirty = f.dirty || dirty
-			return res, nil
+			return res
 		}
 	}
 	if el, ok := b.frames[pg]; ok {
@@ -84,26 +67,15 @@ func (b *modelPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
 		if dirty {
 			el.Value.(*modelFrame).dirty = true
 		}
-		return res, nil
+		return res
 	}
 	if !fresh {
 		res.ReadFault = true
 	}
 	if b.lru.Len() >= b.capacity {
 		victim := b.lru.Back()
-		for victim != nil && victim.Value.(*modelFrame).refs > 0 {
-			victim = victim.Prev()
-		}
-		if victim == nil {
-			return res, fmt.Errorf("storage: buffer pool wedged: all %d frames referenced", b.capacity)
-		}
 		vf := victim.Value.(*modelFrame)
 		if vf.dirty {
-			if b.writeback != nil {
-				if err := b.writeback(vf.page); err != nil {
-					return res, fmt.Errorf("storage: write back %v evicting for %v: %w", vf.page, pg, err)
-				}
-			}
 			res.WroteBack = true
 			res.Victim = vf.page
 		}
@@ -111,48 +83,12 @@ func (b *modelPool) Pin(pg PageID, dirty, fresh bool) (PinResult, error) {
 		delete(b.frames, vf.page)
 		// Recycle the evicted frame: once the pool is full, Pin allocates
 		// nothing.
-		vf.page, vf.dirty, vf.refs = pg, dirty, 0
+		vf.page, vf.dirty = pg, dirty
 		b.frames[pg] = b.lru.PushFront(vf)
-		return res, nil
+		return res
 	}
 	b.frames[pg] = b.lru.PushFront(&modelFrame{page: pg, dirty: dirty})
-	return res, nil
-}
-
-// Ref pins a resident page against eviction, returning false if the page
-// is not resident. Each Ref must be paired with an Unref; a referenced
-// page stays resident (and its contents stable for the pool's owner) no
-// matter what Pin brings in around it.
-func (b *modelPool) Ref(pg PageID) bool {
-	el, ok := b.frames[pg]
-	if !ok {
-		return false
-	}
-	el.Value.(*modelFrame).refs++
-	return true
-}
-
-// Unref releases one reference on a resident page. Unreferencing a page
-// that is absent or unreferenced is a bug in the pool's owner.
-func (b *modelPool) Unref(pg PageID) error {
-	el, ok := b.frames[pg]
-	if !ok {
-		return fmt.Errorf("storage: unref of non-resident page %v", pg)
-	}
-	f := el.Value.(*modelFrame)
-	if f.refs <= 0 {
-		return fmt.Errorf("storage: unref of unreferenced page %v", pg)
-	}
-	f.refs--
-	return nil
-}
-
-// Refs returns the pin count of a page (0 if absent).
-func (b *modelPool) Refs(pg PageID) int {
-	if el, ok := b.frames[pg]; ok {
-		return el.Value.(*modelFrame).refs
-	}
-	return 0
+	return res
 }
 
 // Contains reports whether the page is resident.
@@ -167,31 +103,8 @@ func (b *modelPool) IsDirty(pg PageID) bool {
 	return ok && el.Value.(*modelFrame).dirty
 }
 
-// Flush writes back a resident dirty page through the write-back hook and
-// clears its dirty bit, returning true if a write-back happened. The page
-// stays resident. An error from the hook leaves the page dirty.
-func (b *modelPool) Flush(pg PageID) (bool, error) {
-	el, ok := b.frames[pg]
-	if !ok {
-		return false, nil
-	}
-	f := el.Value.(*modelFrame)
-	if !f.dirty {
-		return false, nil
-	}
-	if b.writeback != nil {
-		if err := b.writeback(pg); err != nil {
-			return false, fmt.Errorf("storage: flush %v: %w", pg, err)
-		}
-	}
-	f.dirty = false
-	return true, nil
-}
-
-// Clean clears the dirty bit of a resident page without invoking the
-// write-back hook, returning true if the page was resident and dirty. It
-// models a write-back accounted elsewhere (the simulated manager charges
-// the I/O itself); disk-backed owners should use Flush.
+// Clean clears the dirty bit of a resident page, returning true if the page
+// was resident and dirty.
 func (b *modelPool) Clean(pg PageID) bool {
 	el, ok := b.frames[pg]
 	if !ok {
@@ -207,13 +120,9 @@ func (b *modelPool) Clean(pg PageID) bool {
 
 // Drop discards a resident page without write-back (its disk image is
 // obsolete, e.g. freed space after compaction). Returns true if resident.
-// Referenced pages cannot be dropped.
 func (b *modelPool) Drop(pg PageID) bool {
 	el, ok := b.frames[pg]
 	if !ok {
-		return false
-	}
-	if el.Value.(*modelFrame).refs > 0 {
 		return false
 	}
 	b.lru.Remove(el)
@@ -233,8 +142,7 @@ func (b *modelPool) DirtyPages() []PageID {
 }
 
 // Snapshot captures the resident pages in LRU order (oldest first) with
-// their dirty bits, for checkpointing. Reference counts are runtime state
-// (they exist only within one operation) and are not captured.
+// their dirty bits, for checkpointing.
 func (b *modelPool) Snapshot() []FrameState {
 	out := make([]FrameState, 0, b.lru.Len())
 	for el := b.lru.Back(); el != nil; el = el.Prev() {
@@ -278,18 +186,13 @@ func (b *modelPool) Pages() []PageID {
 // degenerate ones, the simulated manager's and the disk pager's.
 var poolCapacities = [...]int{1, 2, 12, 64}
 
-var errInjectedWriteback = errors.New("injected write-back failure")
-
-// poolPair is the pool and its model side by side, with what each one's
-// write-back hook was called with.
+// poolPair is the pool and its model side by side.
 type poolPair struct {
 	t     testing.TB
 	pool  *BufferPool
 	model *modelPool
 	pages []PageID // the stream's page universe
 	snaps [][]FrameState
-
-	poolCalls, modelCalls []PageID
 }
 
 // collidingPages returns n pages that hash to one index entry of b, so a
@@ -305,9 +208,7 @@ func collidingPages(b *BufferPool, n int) []PageID {
 	return out
 }
 
-// newPoolPair reads the stream's two header bytes: the capacity, and whether
-// a write-back hook is installed and on which of its calls it fails.
-func newPoolPair(t testing.TB, capacity int, hook byte) *poolPair {
+func newPoolPair(t testing.TB, capacity int) *poolPair {
 	t.Helper()
 	pool, err := NewBufferPool(capacity)
 	if err != nil {
@@ -324,20 +225,6 @@ func newPoolPair(t testing.TB, capacity int, hook byte) *poolPair {
 	for i := 0; i < capacity+2; i++ {
 		pp.pages = append(pp.pages, PageID{Part: PartitionID(2 + i%3), Index: i})
 	}
-	if hook&1 != 0 {
-		failEvery := 2 + int(hook>>1)%6
-		mk := func(calls *[]PageID) func(PageID) error {
-			return func(pg PageID) error {
-				*calls = append(*calls, pg)
-				if len(*calls)%failEvery == 0 {
-					return errInjectedWriteback
-				}
-				return nil
-			}
-		}
-		pool.SetWriteback(mk(&pp.poolCalls))
-		model.SetWriteback(mk(&pp.modelCalls))
-	}
 	return pp
 }
 
@@ -345,7 +232,7 @@ func sameError(a, b error) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return a.Error() == b.Error() && errors.Is(a, errInjectedWriteback) == errors.Is(b, errInjectedWriteback)
+	return a.Error() == b.Error()
 }
 
 // step applies one two-byte operation to both pools and compares everything
@@ -359,26 +246,10 @@ func (pp *poolPair) step(i int, op, arg byte) {
 		t.Fatalf("step %d (op %d, %v): %s", i, op%16, pg, fmt.Sprintf(format, args...))
 	}
 	switch kind := op % 16; {
-	case kind < 7:
+	case kind < 10:
 		dirty, fresh := op&0x10 != 0, op&0x20 != 0
-		got, gerr := pp.pool.Pin(pg, dirty, fresh)
-		want, werr := pp.model.Pin(pg, dirty, fresh)
-		if got != want || !sameError(gerr, werr) {
-			fail("Pin = %+v, %v; model %+v, %v", got, gerr, want, werr)
-		}
-	case kind == 7:
-		if got, want := pp.pool.Ref(pg), pp.model.Ref(pg); got != want {
-			fail("Ref = %v, model %v", got, want)
-		}
-	case kind == 8:
-		if got, want := pp.pool.Unref(pg), pp.model.Unref(pg); !sameError(got, want) {
-			fail("Unref = %v, model %v", got, want)
-		}
-	case kind == 9:
-		got, gerr := pp.pool.Flush(pg)
-		want, werr := pp.model.Flush(pg)
-		if got != want || !sameError(gerr, werr) {
-			fail("Flush = %v, %v; model %v, %v", got, gerr, want, werr)
+		if got, want := pp.pool.Pin(pg, dirty, fresh), pp.model.Pin(pg, dirty, fresh); got != want {
+			fail("Pin = %+v, model %+v", got, want)
 		}
 	case kind == 10:
 		if got, want := pp.pool.Clean(pg), pp.model.Clean(pg); got != want {
@@ -421,14 +292,11 @@ func (pp *poolPair) step(i int, op, arg byte) {
 	if got, want := pp.pool.DirtyPages(), pp.model.DirtyPages(); !reflect.DeepEqual(got, want) {
 		fail("DirtyPages = %v, model %v", got, want)
 	}
-	if !reflect.DeepEqual(pp.poolCalls, pp.modelCalls) {
-		fail("write-back calls %v, model %v", pp.poolCalls, pp.modelCalls)
-	}
 	if pp.pool.Len() != pp.model.Len() || pp.pool.Contains(pg) != pp.model.Contains(pg) ||
-		pp.pool.IsDirty(pg) != pp.model.IsDirty(pg) || pp.pool.Refs(pg) != pp.model.Refs(pg) {
-		fail("Len/Contains/IsDirty/Refs = %d %v %v %d, model %d %v %v %d",
-			pp.pool.Len(), pp.pool.Contains(pg), pp.pool.IsDirty(pg), pp.pool.Refs(pg),
-			pp.model.Len(), pp.model.Contains(pg), pp.model.IsDirty(pg), pp.model.Refs(pg))
+		pp.pool.IsDirty(pg) != pp.model.IsDirty(pg) {
+		fail("Len/Contains/IsDirty = %d %v %v, model %d %v %v",
+			pp.pool.Len(), pp.pool.Contains(pg), pp.pool.IsDirty(pg),
+			pp.model.Len(), pp.model.Contains(pg), pp.model.IsDirty(pg))
 	}
 	if err := checkPoolStructure(pp.pool); err != nil {
 		fail("%v", err)
@@ -457,7 +325,7 @@ func checkPoolStructure(b *BufferPool) error {
 		resident++
 	}
 	for fi := b.free; fi >= 0; fi = b.frames[fi].next {
-		if seen[fi] || b.frames[fi].dirty || b.frames[fi].gc || b.frames[fi].refs != 0 {
+		if seen[fi] || b.frames[fi].dirty || b.frames[fi].gc {
 			return fmt.Errorf("free frame %d is resident, chained twice or carries state", fi)
 		}
 		seen[fi] = true
@@ -475,27 +343,26 @@ func checkPoolStructure(b *BufferPool) error {
 	return nil
 }
 
-// runPoolStream decodes a byte stream into pool operations: two header bytes
-// (capacity, hook schedule), then two bytes per operation.
+// runPoolStream decodes a byte stream into pool operations: one header byte
+// (the capacity), then two bytes per operation.
 func runPoolStream(t testing.TB, data []byte) {
 	t.Helper()
-	if len(data) < 2 {
+	if len(data) < 1 {
 		return
 	}
-	pp := newPoolPair(t, poolCapacities[int(data[0])%len(poolCapacities)], data[1])
-	for i := 2; i+1 < len(data); i += 2 {
+	pp := newPoolPair(t, poolCapacities[int(data[0])%len(poolCapacities)])
+	for i := 1; i+1 < len(data); i += 2 {
 		pp.step(i/2, data[i], data[i+1])
 	}
 }
 
 // TestBufferPoolMatchesModel drives the pool and the container/list + map
-// pool it replaced with the same seeded random streams at every capacity,
-// with and without a failing write-back hook.
+// pool it replaced with the same seeded random streams at every capacity.
 func TestBufferPoolMatchesModel(t *testing.T) {
 	for ci := range poolCapacities {
 		for seed := int64(1); seed <= 12; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(ci)))
-			data := make([]byte, 2+2*3000)
+			data := make([]byte, 1+2*3000)
 			rng.Read(data)
 			data[0] = byte(ci)
 			runPoolStream(t, data)
@@ -507,7 +374,7 @@ func TestBufferPoolMatchesModel(t *testing.T) {
 func FuzzBufferPool(f *testing.F) {
 	for ci := range poolCapacities {
 		rng := rand.New(rand.NewSource(int64(ci)))
-		data := make([]byte, 2+2*200)
+		data := make([]byte, 1+2*200)
 		rng.Read(data)
 		data[0] = byte(ci)
 		f.Add(data)
@@ -526,7 +393,7 @@ func TestIndexDeletionRepairsProbeRuns(t *testing.T) {
 		for victim := range pages {
 			for round := 0; round < 3; round++ {
 				for _, p := range pages {
-					mustPin(t, b, p, false, true)
+					b.Pin(p, false, true)
 				}
 				if !b.Drop(pages[victim]) {
 					t.Fatalf("capacity %d: Drop(%v) refused", capacity, pages[victim])
@@ -548,7 +415,7 @@ func TestIndexDeletionRepairsProbeRuns(t *testing.T) {
 // frames before the duplicate behind.
 func TestRestoreDuplicateLeavesPoolEmpty(t *testing.T) {
 	b := newPool(t, 4)
-	mustPin(t, b, pg(9, 9), true, true)
+	b.Pin(pg(9, 9), true, true)
 	err := b.Restore([]FrameState{{Page: pg(0, 0)}, {Page: pg(0, 1), Dirty: true}, {Page: pg(0, 0)}})
 	if err == nil {
 		t.Fatal("duplicate page accepted")

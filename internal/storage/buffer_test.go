@@ -1,9 +1,6 @@
 package storage
 
 import (
-	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -19,29 +16,13 @@ func newPool(t *testing.T, capacity int) *BufferPool {
 	return b
 }
 
-// mustPin pins and fails the test on an error (impossible without a
-// write-back hook or references; asserting keeps that contract visible).
-func mustPin(t *testing.T, b *BufferPool, p PageID, dirty, fresh bool) PinResult {
-	t.Helper()
-	res, err := b.Pin(p, dirty, fresh)
-	if err != nil {
-		t.Fatalf("Pin(%v): %v", p, err)
-	}
-	return res
-}
-
-func mustPinBare(t *testing.T, b *BufferPool, p PageID, dirty, fresh bool) {
-	t.Helper()
-	mustPin(t, b, p, dirty, fresh)
-}
-
 func TestPinMissAndHit(t *testing.T) {
 	b := newPool(t, 2)
-	res := mustPin(t, b, pg(0, 0), false, false)
+	res := b.Pin(pg(0, 0), false, false)
 	if res.Hit || !res.ReadFault || res.WroteBack {
 		t.Errorf("first pin = %+v, want miss+read", res)
 	}
-	res = mustPin(t, b, pg(0, 0), false, false)
+	res = b.Pin(pg(0, 0), false, false)
 	if !res.Hit || res.ReadFault {
 		t.Errorf("second pin = %+v, want hit", res)
 	}
@@ -52,7 +33,7 @@ func TestPinMissAndHit(t *testing.T) {
 
 func TestFreshPageCostsNoRead(t *testing.T) {
 	b := newPool(t, 2)
-	res := mustPin(t, b, pg(0, 0), true, true)
+	res := b.Pin(pg(0, 0), true, true)
 	if res.ReadFault {
 		t.Error("fresh page charged a read")
 	}
@@ -63,10 +44,10 @@ func TestFreshPageCostsNoRead(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), false, false)
-	mustPinBare(t, b, pg(0, 1), false, false)
-	mustPinBare(t, b, pg(0, 0), false, false) // page 0 is now most recent
-	mustPinBare(t, b, pg(0, 2), false, false) // evicts page 1 (LRU)
+	b.Pin(pg(0, 0), false, false)
+	b.Pin(pg(0, 1), false, false)
+	b.Pin(pg(0, 0), false, false) // page 0 is now most recent
+	b.Pin(pg(0, 2), false, false) // evicts page 1 (LRU)
 	if b.Contains(pg(0, 1)) {
 		t.Error("LRU page not evicted")
 	}
@@ -77,13 +58,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestEvictionWritesBackDirty(t *testing.T) {
 	b := newPool(t, 1)
-	mustPinBare(t, b, pg(0, 0), true, true)
-	res := mustPin(t, b, pg(0, 1), false, false)
+	b.Pin(pg(0, 0), true, true)
+	res := b.Pin(pg(0, 1), false, false)
 	if !res.WroteBack || res.Victim != pg(0, 0) {
 		t.Errorf("eviction = %+v, want writeback of p0/0", res)
 	}
 	// A clean victim costs nothing.
-	res = mustPin(t, b, pg(0, 2), false, false)
+	res = b.Pin(pg(0, 2), false, false)
 	if res.WroteBack {
 		t.Errorf("clean eviction wrote back: %+v", res)
 	}
@@ -91,8 +72,8 @@ func TestEvictionWritesBackDirty(t *testing.T) {
 
 func TestDirtyBitSticky(t *testing.T) {
 	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), true, true)
-	mustPinBare(t, b, pg(0, 0), false, false) // a clean pin must not clear the bit
+	b.Pin(pg(0, 0), true, true)
+	b.Pin(pg(0, 0), false, false) // a clean pin must not clear the bit
 	if !b.IsDirty(pg(0, 0)) {
 		t.Error("dirty bit cleared by clean pin")
 	}
@@ -100,7 +81,7 @@ func TestDirtyBitSticky(t *testing.T) {
 
 func TestClean(t *testing.T) {
 	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), true, true)
+	b.Pin(pg(0, 0), true, true)
 	if !b.Clean(pg(0, 0)) {
 		t.Error("Clean on dirty page returned false")
 	}
@@ -117,7 +98,7 @@ func TestClean(t *testing.T) {
 
 func TestDrop(t *testing.T) {
 	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), true, true)
+	b.Pin(pg(0, 0), true, true)
 	if !b.Drop(pg(0, 0)) {
 		t.Error("Drop on resident page returned false")
 	}
@@ -131,9 +112,9 @@ func TestDrop(t *testing.T) {
 
 func TestDirtyPagesOrder(t *testing.T) {
 	b := newPool(t, 3)
-	mustPinBare(t, b, pg(0, 0), true, true)
-	mustPinBare(t, b, pg(0, 1), false, true)
-	mustPinBare(t, b, pg(0, 2), true, true)
+	b.Pin(pg(0, 0), true, true)
+	b.Pin(pg(0, 1), false, true)
+	b.Pin(pg(0, 2), true, true)
 	dirty := b.DirtyPages()
 	if len(dirty) != 2 || dirty[0] != pg(0, 0) || dirty[1] != pg(0, 2) {
 		t.Errorf("DirtyPages = %v", dirty)
@@ -163,7 +144,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		}
 		for _, op := range ops {
 			p := pg(int(op%3), int(op/3)%7)
-			mustPinBare(t, b, p, op%5 == 0, op%7 == 0)
+			b.Pin(p, op%5 == 0, op%7 == 0)
 			if b.Len() > 4 {
 				return false
 			}
@@ -175,231 +156,5 @@ func TestCapacityInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRefPinsAgainstEviction(t *testing.T) {
-	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), false, true)
-	mustPinBare(t, b, pg(0, 1), false, true)
-	if !b.Ref(pg(0, 0)) {
-		t.Fatal("Ref on resident page returned false")
-	}
-	// Page 0 is LRU but referenced; eviction must pick page 1.
-	mustPinBare(t, b, pg(0, 2), false, true)
-	if !b.Contains(pg(0, 0)) {
-		t.Error("referenced page evicted")
-	}
-	if b.Contains(pg(0, 1)) {
-		t.Error("unreferenced page survived over referenced LRU")
-	}
-	if err := b.Unref(pg(0, 0)); err != nil {
-		t.Errorf("Unref: %v", err)
-	}
-	if b.Refs(pg(0, 0)) != 0 {
-		t.Errorf("Refs = %d after Unref", b.Refs(pg(0, 0)))
-	}
-}
-
-func TestRefAbsentAndUnrefErrors(t *testing.T) {
-	b := newPool(t, 2)
-	if b.Ref(pg(0, 0)) {
-		t.Error("Ref on absent page returned true")
-	}
-	if err := b.Unref(pg(0, 0)); err == nil {
-		t.Error("Unref on absent page did not error")
-	}
-	mustPinBare(t, b, pg(0, 0), false, true)
-	if err := b.Unref(pg(0, 0)); err == nil {
-		t.Error("Unref on unreferenced page did not error")
-	}
-}
-
-func TestAllFramesReferencedWedgesPin(t *testing.T) {
-	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), false, true)
-	mustPinBare(t, b, pg(0, 1), false, true)
-	b.Ref(pg(0, 0))
-	b.Ref(pg(0, 1))
-	if _, err := b.Pin(pg(0, 2), false, true); err == nil {
-		t.Fatal("Pin with every frame referenced did not error")
-	}
-	// Pinning an already-resident page still works (no eviction needed).
-	if res, err := b.Pin(pg(0, 1), false, false); err != nil || !res.Hit {
-		t.Errorf("resident pin with full refs: res=%+v err=%v", res, err)
-	}
-}
-
-func TestFlushRunsWritebackAndCleans(t *testing.T) {
-	b := newPool(t, 2)
-	var wrote []PageID
-	b.SetWriteback(func(p PageID) error { wrote = append(wrote, p); return nil })
-	mustPinBare(t, b, pg(0, 0), true, true)
-	did, err := b.Flush(pg(0, 0))
-	if err != nil || !did {
-		t.Fatalf("Flush = %v, %v", did, err)
-	}
-	if len(wrote) != 1 || wrote[0] != pg(0, 0) {
-		t.Errorf("writeback saw %v", wrote)
-	}
-	if b.IsDirty(pg(0, 0)) || !b.Contains(pg(0, 0)) {
-		t.Error("flushed page should be resident and clean")
-	}
-	// Clean and absent pages are no-ops.
-	if did, err := b.Flush(pg(0, 0)); err != nil || did {
-		t.Errorf("Flush clean = %v, %v", did, err)
-	}
-	if did, err := b.Flush(pg(9, 9)); err != nil || did {
-		t.Errorf("Flush absent = %v, %v", did, err)
-	}
-}
-
-func TestFlushErrorKeepsDirty(t *testing.T) {
-	b := newPool(t, 2)
-	b.SetWriteback(func(PageID) error { return errTestDisk })
-	mustPinBare(t, b, pg(0, 0), true, true)
-	if _, err := b.Flush(pg(0, 0)); err == nil {
-		t.Fatal("Flush with failing hook did not error")
-	}
-	if !b.IsDirty(pg(0, 0)) {
-		t.Error("failed flush cleared the dirty bit")
-	}
-}
-
-func TestEvictionRunsWritebackHook(t *testing.T) {
-	b := newPool(t, 1)
-	var wrote []PageID
-	b.SetWriteback(func(p PageID) error { wrote = append(wrote, p); return nil })
-	mustPinBare(t, b, pg(0, 0), true, true)
-	res := mustPin(t, b, pg(0, 1), false, true)
-	if !res.WroteBack || res.Victim != pg(0, 0) {
-		t.Errorf("eviction = %+v", res)
-	}
-	if len(wrote) != 1 || wrote[0] != pg(0, 0) {
-		t.Errorf("writeback saw %v", wrote)
-	}
-}
-
-func TestEvictionWritebackErrorAbortsPin(t *testing.T) {
-	b := newPool(t, 1)
-	b.SetWriteback(func(PageID) error { return errTestDisk })
-	mustPinBare(t, b, pg(0, 0), true, true)
-	if _, err := b.Pin(pg(0, 1), false, true); err == nil {
-		t.Fatal("Pin over failing writeback did not error")
-	}
-	// The victim must survive, still dirty, and the new page must be absent.
-	if !b.Contains(pg(0, 0)) || !b.IsDirty(pg(0, 0)) {
-		t.Error("failed eviction lost or cleaned the victim")
-	}
-	if b.Contains(pg(0, 1)) {
-		t.Error("failed pin left the new page resident")
-	}
-}
-
-func TestDropRefusesReferenced(t *testing.T) {
-	b := newPool(t, 2)
-	mustPinBare(t, b, pg(0, 0), false, true)
-	b.Ref(pg(0, 0))
-	if b.Drop(pg(0, 0)) {
-		t.Error("Drop removed a referenced page")
-	}
-	if err := b.Unref(pg(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Drop(pg(0, 0)) {
-		t.Error("Drop refused an unreferenced page")
-	}
-}
-
-var errTestDisk = errors.New("test disk error")
-
-// TestConcurrentRefUnrefFlush hammers one pool from many goroutines under
-// the callers' lock discipline: the pool itself is deliberately
-// unsynchronized (every real owner serializes access behind its own mutex —
-// the discipline lockcheck and guarded enforce), so the test guards every
-// call with one shared mutex and runs under -race to prove that discipline
-// is sufficient — no hidden unguarded state inside the pool. Each goroutine
-// pins, references, flushes, and unreferences its own page plus a shared
-// contended page; afterwards every reference must be released, no frame may
-// exceed capacity, and the shared page must have a zero pin count.
-func TestConcurrentRefUnrefFlush(t *testing.T) {
-	const (
-		workers = 8
-		rounds  = 200
-	)
-	b := newPool(t, workers+2)
-	var mu sync.Mutex // the owner's lock; the pool has none of its own
-	var wrote atomic.Int64
-	b.SetWriteback(func(PageID) error { wrote.Add(1); return nil })
-
-	shared := pg(0, 0)
-	mu.Lock()
-	if _, err := b.Pin(shared, false, true); err != nil {
-		mu.Unlock()
-		t.Fatal(err)
-	}
-	mu.Unlock()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			own := pg(1, w)
-			for i := 0; i < rounds; i++ {
-				mu.Lock()
-				if _, err := b.Pin(own, i%2 == 0, true); err != nil {
-					mu.Unlock()
-					errs <- err
-					return
-				}
-				if !b.Ref(own) || !b.Ref(shared) {
-					mu.Unlock()
-					errs <- errors.New("ref of resident page failed")
-					return
-				}
-				if _, err := b.Flush(own); err != nil {
-					mu.Unlock()
-					errs <- err
-					return
-				}
-				err1 := b.Unref(shared)
-				err2 := b.Unref(own)
-				mu.Unlock()
-				if err1 != nil {
-					errs <- err1
-					return
-				}
-				if err2 != nil {
-					errs <- err2
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if got := b.Refs(shared); got != 0 {
-		t.Errorf("shared page has %d dangling references", got)
-	}
-	for w := 0; w < workers; w++ {
-		if got := b.Refs(pg(1, w)); got != 0 {
-			t.Errorf("worker %d page has %d dangling references", w, got)
-		}
-	}
-	if b.Len() > b.Capacity() {
-		t.Errorf("pool holds %d pages over capacity %d", b.Len(), b.Capacity())
-	}
-	// Dirty pins flushed through the hook: the write-back ran at least once
-	// per worker (every even round dirties, the next flush writes).
-	if wrote.Load() < workers {
-		t.Errorf("write-back ran %d times, want at least %d", wrote.Load(), workers)
 	}
 }

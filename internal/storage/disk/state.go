@@ -78,7 +78,7 @@ func (m *memState) insert(oid objstore.OID, o memObj, slots []objstore.OID) erro
 	o.live = true
 	if len(slots) > 0 {
 		// Declared here so that only a slotted object pays for the box.
-		//lint:allow hotalloc the box lives as long as the object
+		//lint:allow hotpath the box lives as long as the object
 		boxed := slots
 		o.slots = &boxed
 	}
@@ -99,7 +99,7 @@ func (m *memState) apply(op walOp) error {
 		}
 		var slots []objstore.OID
 		if op.nslots > 0 {
-			//lint:allow hotalloc slot array lives as long as the object
+			//lint:allow hotpath slot array lives as long as the object
 			slots = make([]objstore.OID, op.nslots)
 		}
 		return m.insert(op.oid, memObj{class: op.class, size: uint32(op.size)}, slots)

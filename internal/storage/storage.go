@@ -290,12 +290,9 @@ func (m *Manager) charge(read bool) {
 // the IOGC class flagged on its frame as collector-dirtied, so the collector
 // can flush exactly what it wrote at the end of a collection; the flag goes
 // when the page is cleaned, dropped, or evicted by whichever class (it is
-// then clean on disk and no longer GC-pending). The simulated manager
-// installs no write-back hook and holds no references, so the pool's pin
-// cannot fail here; the error is swallowed after the accounting, keeping the
-// simulation's call sites unconditional.
+// then clean on disk and no longer GC-pending).
 func (m *Manager) pin(pg PageID, dirty, fresh bool) {
-	res, _ := m.buf.pin(pg, dirty, fresh, m.class == IOGC)
+	res := m.buf.pin(pg, dirty, fresh, m.class == IOGC)
 	if res.ReadFault {
 		m.charge(true)
 	}
@@ -306,7 +303,7 @@ func (m *Manager) pin(pg PageID, dirty, fresh bool) {
 
 // newPartition appends an empty partition.
 func (m *Manager) newPartition() *partition {
-	//lint:allow hotalloc the partition is the product, retained by the manager for the database's life
+	//lint:allow hotpath the partition is the product, retained by the manager for the database's life
 	p := &partition{id: PartitionID(len(m.parts))}
 	m.parts = append(m.parts, p)
 	return p
@@ -575,7 +572,7 @@ func (m *Manager) BufferContents() []PageID { return m.buf.Pages() }
 // member lists agree, that used byte counts match, and that the stored
 // database total is the sum of its parts.
 func (m *Manager) CheckInvariants() error {
-	//lint:allow hotalloc validation sweep: one count array per call
+	//lint:allow hotpath validation sweep: one count array per call
 	perPart := make([]int, len(m.parts))
 	var err error
 	m.place.ForEach(func(oid objstore.OID, s slot) {

@@ -24,7 +24,7 @@ func (b *Builder) Append(e Event) {
 		if b.cur != nil {
 			b.full = append(b.full, b.cur)
 		}
-		//lint:allow hotalloc one chunk per 1024 events
+		//lint:allow hotpath one chunk per 1024 events
 		b.cur = make([]Event, 0, builderChunk)
 	}
 	b.cur = append(b.cur, e)
@@ -43,12 +43,12 @@ func (b *Builder) Dead(n int) []DeadObject { return b.dead.alloc(n) }
 // and may be appended to afterwards, which the returned trace does not see.
 // Dead lists are shared between snapshots and are immutable.
 func (b *Builder) Trace() *Trace {
-	//lint:allow hotalloc the result: one exactly sized slice per trace produced
+	//lint:allow hotpath the result: one exactly sized slice per trace produced
 	events := make([]Event, 0, b.Len())
 	for _, c := range b.full {
 		events = append(events, c...)
 	}
-	//lint:allow hotalloc the result
+	//lint:allow hotpath the result
 	return &Trace{Events: append(events, b.cur...)}
 }
 
@@ -68,7 +68,7 @@ const deadArenaChunk = 4096
 // copies it out rather than running into its neighbour.
 func (a *deadArena) alloc(n int) []DeadObject {
 	if len(a.free) < n {
-		//lint:allow hotalloc arena chunk: one allocation amortizes thousands of dead-list entries
+		//lint:allow hotpath arena chunk: one allocation amortizes thousands of dead-list entries
 		a.free = make([]DeadObject, max(n, deadArenaChunk))
 	}
 	out := a.free[:n:n]
