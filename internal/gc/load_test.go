@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -92,6 +93,56 @@ func TestLoadRefusesAtTheEdge(t *testing.T) {
 		err := h.Load(loadOf(tc.objs...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("load into %s: %v, want a refusal saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestLoadRefusalsAreTheSinglePassOnes pins the text of every refusal Load
+// makes: it asks the object store and then the storage manager about each
+// object in turn and stops at the first object either refuses, the store's
+// word first. A Load that fills the two some other way has to return these.
+func TestLoadRefusalsAreTheSinglePassOnes(t *testing.T) {
+	obj := func(oid objstore.OID, slots ...objstore.OID) storage.ObjectState {
+		return storage.ObjectState{OID: oid, Size: 10, Slots: slots}
+	}
+	for _, tc := range []struct {
+		name      string
+		failPlace int // the placement to fail, 0 for none
+		objs      []storage.ObjectState
+		want      string
+	}{
+		{"OIDs that descend", 0, []storage.ObjectState{obj(3), obj(2)},
+			"gc: load of oid:2 after oid:3: OIDs must ascend"},
+		{"an OID given twice", 0, []storage.ObjectState{obj(1), obj(2), obj(2)},
+			"gc: load of oid:2 after oid:2: OIDs must ascend"},
+		{"a nil OID", 0, []storage.ObjectState{obj(0)},
+			"gc: load nil: objstore: cannot create object with nil OID"},
+		{"an OID beyond the horizon", 0, []storage.ObjectState{obj(1), obj(2 + objstore.MaxOIDGap)},
+			"gc: load oid:1048578: objstore: OID beyond the allocation horizon: oid:1048578 with next OID oid:2"},
+		{"a placement fault", 3, []storage.ObjectState{obj(1), obj(2), obj(3), obj(4)},
+			"gc: load oid:3: storage: allocate oid:3: injected placement fault"},
+		{"a placement fault before a descending OID", 2, []storage.ObjectState{obj(1), obj(2), obj(5), obj(4)},
+			"gc: load oid:2: storage: allocate oid:2: injected placement fault"},
+		{"a placement fault after a descending OID", 4, []storage.ObjectState{obj(1), obj(5), obj(4), obj(6)},
+			"gc: load of oid:4 after oid:5: OIDs must ascend"},
+		{"a placement fault on an object the store refuses too", 2, []storage.ObjectState{obj(1), {OID: 2, Size: -1}},
+			"gc: load oid:2: objstore: invalid size -1 or slot count 0"},
+		{"a dangling slot target", 0, []storage.ObjectState{obj(1, 2, 7), obj(2)},
+			"gc: load oid:1: slot target oid:7 does not exist"},
+	} {
+		h := testHeap(t)
+		if tc.failPlace > 0 {
+			ops := 0
+			h.disk.SetFaultInjector(faultFunc(func(bool) error {
+				if ops++; ops == tc.failPlace {
+					return errors.New("injected placement fault")
+				}
+				return nil
+			}))
+		}
+		err := h.Load(loadOf(tc.objs...))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("load of %s:\n got %v\nwant %s", tc.name, err, tc.want)
 		}
 	}
 }

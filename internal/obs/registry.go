@@ -147,6 +147,20 @@ func (r *Registry) Set(name string, v float64) {
 	r.mu.Unlock()
 }
 
+// AddGauge moves a registered gauge by delta, up or down: the form for a
+// level that is counted in and out (open sessions, requests in flight) and
+// not read from a source of truth.
+func (r *Registry) AddGauge(name string, delta float64) {
+	if math.IsNaN(delta) {
+		return
+	}
+	r.mu.Lock()
+	if r.kinds[name] == "gauge" {
+		r.gauges[name] += delta
+	}
+	r.mu.Unlock()
+}
+
 // Observe records a sample into a registered histogram.
 func (r *Registry) Observe(name string, v float64) {
 	if math.IsNaN(v) {

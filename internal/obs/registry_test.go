@@ -33,9 +33,19 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 		t.Errorf("gauge after NaN = %v, want 0", got)
 	}
 
+	// A gauge also moves by deltas, in both directions.
+	r.AddGauge("db_bytes", 7)
+	r.AddGauge("db_bytes", -3)
+	r.AddGauge("db_bytes", math.NaN()) // ignored
+	if got := r.Gauge("db_bytes"); got != 4 {
+		t.Errorf("gauge after +7 -3 = %v, want 4", got)
+	}
+	r.Set("db_bytes", 0)
+
 	// Cross-kind updates are ignored, not misapplied.
 	r.Add("db_bytes", 7)
 	r.Set("events_total", 99)
+	r.AddGauge("events_total", 1)
 	if r.Gauge("db_bytes") != 0 || r.Counter("events_total") != 5 {
 		t.Error("cross-kind update leaked through")
 	}

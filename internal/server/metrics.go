@@ -126,6 +126,13 @@ func (m *Metrics) add(name string, v float64) {
 	}
 }
 
+// move shifts a gauge that is counted in and out.
+func (m *Metrics) move(name string, delta float64) {
+	if m != nil {
+		m.reg.AddGauge(name, delta)
+	}
+}
+
 func (m *Metrics) set(name string, v float64) {
 	if m != nil {
 		m.reg.Set(name, v)
@@ -135,11 +142,11 @@ func (m *Metrics) set(name string, v float64) {
 // SessionStart counts an accepted session.
 func (m *Metrics) SessionStart() {
 	m.add(MetricSessionsTotal, 1)
-	m.add(MetricSessionsActive, 1)
+	m.move(MetricSessionsActive, 1)
 }
 
 // SessionEnd retires a session.
-func (m *Metrics) SessionEnd() { m.add(MetricSessionsActive, -1) }
+func (m *Metrics) SessionEnd() { m.move(MetricSessionsActive, -1) }
 
 // Shed counts an admission refusal.
 func (m *Metrics) Shed() { m.add(MetricShed, 1) }
@@ -147,12 +154,12 @@ func (m *Metrics) Shed() { m.add(MetricShed, 1) }
 // RequestStart counts an admitted request entering execution.
 func (m *Metrics) RequestStart() {
 	m.add(MetricRequests, 1)
-	m.add(MetricInflight, 1)
+	m.move(MetricInflight, 1)
 }
 
 // RequestEnd retires an admitted request, recording its latency.
 func (m *Metrics) RequestEnd(latencyMs float64) {
-	m.add(MetricInflight, -1)
+	m.move(MetricInflight, -1)
 	if m != nil {
 		m.reg.Observe(MetricLatency, latencyMs)
 	}

@@ -49,3 +49,37 @@ func TestGCPauseHistogramResolvesAPause(t *testing.T) {
 		t.Error("pause buckets carry no span-ID exemplars")
 	}
 }
+
+// TestLevelGaugesCountInAndOut: open sessions and requests in flight are
+// levels moved by +1 and -1. (They went through the counter path, which
+// updates no gauge and drops a negative delta, and read 0 for good.)
+func TestLevelGaugesCountInAndOut(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	levels := func() [2]float64 {
+		return [2]float64{reg.Gauge(MetricSessionsActive), reg.Gauge(MetricInflight)}
+	}
+	m.SessionStart()
+	m.SessionStart()
+	m.RequestStart()
+	if got := levels(); got != [2]float64{2, 1} {
+		t.Errorf("two sessions open, one request in flight: gauges read %v", got)
+	}
+	m.RequestEnd(0.5)
+	m.SessionEnd()
+	if got := levels(); got != [2]float64{1, 0} {
+		t.Errorf("one session left, no request in flight: gauges read %v", got)
+	}
+	m.SessionEnd()
+	if got := levels(); got != [2]float64{0, 0} {
+		t.Errorf("everything retired: gauges read %v", got)
+	}
+	if s, r := reg.Counter(MetricSessionsTotal), reg.Counter(MetricRequests); s != 2 || r != 1 {
+		t.Errorf("totals: %v sessions, %v requests; want 2 and 1", s, r)
+	}
+	var nop *Metrics // the no-op sink takes the same calls
+	nop.SessionStart()
+	nop.RequestStart()
+	nop.RequestEnd(1)
+	nop.SessionEnd()
+}

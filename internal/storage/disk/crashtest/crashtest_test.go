@@ -90,19 +90,14 @@ func recoverImage(t *testing.T, img map[string][]byte) (uint64, [32]byte, map[st
 	return seq, info.Digest, fs.Image()
 }
 
-func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool) {
+// sweepRun kills a recorded run just before each operation from op from on —
+// and at every torn variant of every write — recovers, and checks the three
+// invariants. It returns the crash points visited and how many were torn.
+func sweepRun(t *testing.T, run *Run, from int, keepUnsynced bool) (points, torn int) {
 	t.Helper()
-	run, err := Record(seed, 40, fsync)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ops := run.FS.Ops()
-	if len(run.Commits) < 30 {
-		t.Fatalf("workload too small: %d commits", len(run.Commits))
-	}
 	maxSeq := run.Commits[len(run.Commits)-1].Seq
-	points, torn := 0, 0
-	for k := 0; k <= len(ops); k++ {
+	for k := from; k <= len(ops); k++ {
 		cuts := []int{-1}
 		if k < len(ops) {
 			cuts = append(cuts, tornCuts(ops[k])...)
@@ -142,12 +137,40 @@ func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool)
 			}
 		}
 	}
-	t.Logf("swept %d crash points (%d torn variants) over %d journal ops, %d commits", points, torn, len(ops), len(run.Commits))
-	// The four sweeps visit 320 to 355 points; a change to how the backend
+	return points, torn
+}
+
+func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool) {
+	t.Helper()
+	run, err := Record(seed, 40, fsync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Commits) < 30 {
+		t.Fatalf("workload too small: %d commits", len(run.Commits))
+	}
+	points, torn := sweepRun(t, run, 0, keepUnsynced)
+	t.Logf("swept %d crash points (%d torn variants) over %d journal ops, %d commits", points, torn, len(run.FS.Ops()), len(run.Commits))
+	// The four sweeps visit 315 to 350 points; a change to how the backend
 	// writes must not quietly thin them out.
 	if points < 300 {
 		t.Errorf("swept only %d crash points, want at least 300", points)
 	}
+
+	// That run closes on a WAL with batches in it. One of 42 commits ends on
+	// its sixth checkpoint, so its Close meets a stale WAL, cuts it and syncs
+	// the cut: sweep from the last batch's write to the end of that journal.
+	run, err = Record(seed, 42, fsync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := func(op Op, file string, kind OpKind) bool { return op.File == file && op.Kind == kind }
+	if ops := run.FS.Ops(); len(ops) < 3 || !is(ops[len(ops)-3], "heap.db", OpSync) ||
+		!is(ops[len(ops)-2], "wal.log", OpTruncate) || !is(ops[len(ops)-1], "wal.log", OpSync) {
+		t.Fatalf("a run closed straight after a checkpoint should end in the meta flip's sync, then the WAL's cut and its sync")
+	}
+	points, _ = sweepRun(t, run, run.Commits[len(run.Commits)-1].OpAfterWrite, keepUnsynced)
+	t.Logf("swept %d crash points from the last commit through the checkpoint and the close after it", points)
 }
 
 // TestCrashPointSweep is the headline durability proof: for every recorded

@@ -107,11 +107,17 @@ func Record(seed uint64, commits int, fsync disk.FsyncPolicy) (*Run, error) {
 			return nil, fmt.Errorf("crashtest: commit %d: %w", c, err)
 		}
 		if st := s.Stats(); st.Seq != prevSeq {
-			// The batch's WAL write is the first op Commit journals.
+			// The batch's WAL write is the one write Commit journals: the
+			// first operation of most commits, the second of the commit
+			// after a checkpoint, which cuts the stale WAL first.
+			w := slices.IndexFunc(fs.Ops()[opsBefore:], func(op Op) bool { return op.Kind == OpWrite })
+			if w < 0 {
+				return nil, fmt.Errorf("crashtest: commit %d journaled no write", c)
+			}
 			run.Commits = append(run.Commits, CommitMark{
 				Seq:          st.Seq,
 				Digest:       s.Digest(),
-				OpAfterWrite: opsBefore + 1,
+				OpAfterWrite: opsBefore + w + 1,
 			})
 			run.Digests = append(run.Digests, s.Digest())
 		}

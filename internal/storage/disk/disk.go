@@ -104,6 +104,7 @@ type Store struct {
 	ckptSeq     uint64 // last batch absorbed into the checkpoint image
 	walTail     int64  // append offset in the WAL
 	walSynced   bool   // no committed bytes await fsync
+	walStale    bool   // a checkpoint absorbed every batch in the file; the next append cuts it first
 	unsyncedN   int    // commits since the last WAL sync
 	commits     uint64
 	checkpoints uint64
@@ -210,6 +211,13 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 			return nil, fmt.Errorf("disk: sync truncated wal: %w", err)
 		}
 	}
+	if scan.batches == 0 && scan.tail > 0 {
+		// Every batch in the file is one the checkpoint absorbed (a kill
+		// between a checkpoint and the next commit): the WAL is as stale as
+		// Checkpoint leaves it, so the next restart does not scan it again.
+		s.walTail = 0
+		s.walStale = true
+	}
 
 	info := &RecoveryInfo{
 		CheckpointSeq:   s.ckptSeq,
@@ -311,6 +319,9 @@ func (s *Store) Commit() error {
 	}
 	buf = appendRecord(buf, walOp{kind: recCommit}, seq)
 	s.encBuf = buf
+	if err := s.cutStaleWAL(); err != nil {
+		return err
+	}
 	// A failed or torn append is retryable as-is: walTail has not moved, so
 	// the retry overwrites the partial bytes, and a crash before then leaves
 	// a torn tail recovery already rolls back.
@@ -353,6 +364,23 @@ func (s *Store) Commit() error {
 	return nil
 }
 
+// cutStaleWAL empties a WAL whose every batch the last checkpoint absorbed.
+// Checkpoint leaves that to the first append after it, whose Sync then covers
+// the truncate and the new batch at once; until that Sync the synced file is
+// still the stale one, which replay skips by sequence, so a crash on either
+// side of it recovers the checkpointed state plus whatever batches landed.
+func (s *Store) cutStaleWAL() error {
+	if !s.walStale {
+		return nil
+	}
+	if err := s.wal.Truncate(0); err != nil {
+		return fmt.Errorf("disk: truncate wal: %w", err)
+	}
+	s.walStale = false
+	s.walSynced = false
+	return nil
+}
+
 // syncWAL fsyncs the WAL if committed bytes await it.
 func (s *Store) syncWAL() error {
 	if s.walSynced {
@@ -374,11 +402,13 @@ func (s *Store) syncHeap() error {
 }
 
 // Checkpoint writes the committed state as a fresh copy-on-write page
-// image, flips the meta page to it, and prunes the WAL. The sequence is
-// crash-safe at every step: the WAL is synced before the first page is
-// written and the pages land before the meta flip (writeCheckpoint), the flip
-// is a single checksummed page write, and a stale WAL prefix left by a
-// crash before the truncate is skipped on replay by its batch sequence.
+// image and flips the meta page to it: two device flushes, the image's and
+// the flip's. The sequence is crash-safe at every step: the WAL is synced
+// before the first page is written and the pages land before the meta flip
+// (writeCheckpoint), and the flip is a single checksummed page write. Once
+// it is durable every batch in the WAL is at or below the image's sequence,
+// which replay skips, so the file is only marked stale here; the next
+// Commit (or Close) cuts it in front of a Sync it performs anyway.
 func (s *Store) Checkpoint() error {
 	if s.closed {
 		return fmt.Errorf("disk: store is closed")
@@ -435,25 +465,19 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	// The flip is durable: the new image is the committed one. Everything
-	// the WAL held is absorbed; prune it.
+	// the WAL holds is absorbed (and was synced before the image was written).
 	s.ckptSeq = s.seq
 	s.usedPages = img.used
 	s.rebuildFreeList(img.used)
 	s.dirHead = img.dirHead
 	s.checkpoints++
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("disk: truncate wal: %w", err)
-	}
 	s.walTail = 0
-	s.walSynced = true
-	s.unsyncedN = 0
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("disk: sync pruned wal: %w", err)
-	}
+	s.walStale = true
 	return nil
 }
 
-// Close syncs outstanding committed batches and releases the files. The
+// Close cuts a WAL the last checkpoint left stale, syncs outstanding
+// committed batches (or that cut) and releases the files. The
 // staged (uncommitted) records, if any, are discarded — exactly what a
 // crash would do to them. A poisoned store only releases the files: its
 // WAL bookkeeping no longer matches the bytes on disk, so syncing could
@@ -464,6 +488,9 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	err := s.failed()
+	if err == nil {
+		err = s.cutStaleWAL()
+	}
 	if err == nil {
 		err = s.syncWAL()
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"odbgc/internal/objstore"
@@ -831,5 +833,220 @@ func TestRecoveryIsDeterministic(t *testing.T) {
 	}
 	if string(heap1) != string(heap2) || string(wal1) != string(wal2) {
 		t.Error("recovery rewrote on-disk bytes of a clean store")
+	}
+}
+
+// opLogFS records, in order, every mutating call the store makes on its files
+// as "name.Op".
+type opLogFS struct {
+	FS
+	log []string
+}
+
+func (f *opLogFS) Open(name string) (File, error) {
+	file, err := f.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &opLogFile{File: file, fs: f, name: name}, nil
+}
+
+type opLogFile struct {
+	File
+	fs   *opLogFS
+	name string
+}
+
+func (f *opLogFile) note(op string) { f.fs.log = append(f.fs.log, f.name+"."+op) }
+
+func (f *opLogFile) WriteAt(p []byte, off int64) (int, error) {
+	f.note("WriteAt")
+	return f.File.WriteAt(p, off)
+}
+
+func (f *opLogFile) Truncate(size int64) error {
+	f.note("Truncate")
+	return f.File.Truncate(size)
+}
+
+func (f *opLogFile) Sync() error {
+	f.note("Sync")
+	return f.File.Sync()
+}
+
+// take returns the calls logged since the last take, optionally only those on
+// one file.
+func (f *opLogFS) take(file string) []string {
+	var out []string
+	for _, op := range f.log {
+		if file == "" || strings.HasPrefix(op, file+".") {
+			out = append(out, op)
+		}
+	}
+	f.log = f.log[:0]
+	return out
+}
+
+// A checkpoint is two device flushes — the image, then the meta flip — and
+// does not touch the WAL: every batch in it is at or below the image's
+// sequence, which replay skips. The first commit afterwards cuts the stale
+// file in front of the Sync it owes anyway, and a Close that comes first cuts
+// and syncs it, so a cleanly closed store still leaves an empty WAL.
+func TestCheckpointLeavesTheWALToTheNextCommit(t *testing.T) {
+	mem := memFS{}
+	fs := &opLogFS{FS: mem}
+	s, _, err := Open(Options{FS: fs, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedObjects(t, s)
+	stale := len(mem[walFile].data)
+	fs.take("")
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ops := fs.take("")
+	syncs := 0
+	for _, op := range ops {
+		switch op {
+		case heapFile + ".Sync":
+			syncs++
+		case heapFile + ".WriteAt":
+		default:
+			t.Errorf("checkpoint under fsync always issued %s", op)
+		}
+	}
+	if syncs != 2 {
+		t.Errorf("checkpoint issued %d syncs (%v), want the image's and the flip's", syncs, ops)
+	}
+	if st := s.Stats(); st.WALTail != 0 || len(mem[walFile].data) != stale {
+		t.Errorf("after the checkpoint: append offset %d (want 0), WAL file %d bytes (want the %d stale ones untouched)",
+			st.WALTail, len(mem[walFile].data), stale)
+	}
+	want := s.Digest()
+
+	// A process killed here reopens onto the stale WAL and replays none of it.
+	crashed := memFS{}
+	for name, f := range mem {
+		crashed[name] = &memFile{data: slices.Clone(f.data)}
+	}
+	s2, info, err := Open(Options{FS: crashed, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.BatchesReplayed != 0 || info.CheckpointSeq != 2 || info.Digest != want || info.TornTail {
+		t.Errorf("reopen between checkpoint and commit: %+v, want 0 batches replayed over checkpoint 2 and the same digest", info)
+	}
+	// Recovery saw that it applied nothing, so the file is stale for this
+	// process too: its Close (or first commit) cuts it, and the restart after
+	// that has no absorbed bytes left to scan.
+	if tail := s2.Stats().WALTail; tail != 0 {
+		t.Errorf("reopen onto a wholly absorbed WAL appends at %d, want 0", tail)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(crashed[walFile].data); n != 0 {
+		t.Errorf("close after such a reopen left %d WAL bytes", n)
+	}
+	s2, info, err = Open(Options{FS: crashed, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WALBytes != 0 || info.BatchesReplayed != 0 || info.Digest != want {
+		t.Errorf("second reopen: %+v, want an empty WAL and the same digest", info)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next commit resets the file, and its sync failing rewinds to the
+	// reset file, not to the stale one.
+	if err := s.LogAlloc(4, objstore.ClassManual, 30, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fs.take(walFile), []string{walFile + ".Truncate", walFile + ".WriteAt", walFile + ".Sync"}; !slices.Equal(got, want) {
+		t.Errorf("first commit after a checkpoint issued %v, want %v", got, want)
+	}
+	if int(s.Stats().WALTail) != len(mem[walFile].data) || s.Stats().WALTail >= int64(stale) {
+		t.Errorf("WAL holds %d bytes with the append offset at %d after one small batch", len(mem[walFile].data), s.Stats().WALTail)
+	}
+	if err := s.LogRoot(4, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fs.take(walFile), []string{walFile + ".WriteAt", walFile + ".Sync"}; !slices.Equal(got, want) {
+		t.Errorf("second commit after a checkpoint issued %v, want %v", got, want)
+	}
+
+	// Close straight after a checkpoint: an empty, synced WAL.
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want = s.Digest()
+	fs.take("")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fs.take(""), []string{walFile + ".Truncate", walFile + ".Sync"}; !slices.Equal(got, want) {
+		t.Errorf("close after a checkpoint issued %v, want %v", got, want)
+	}
+	if n := len(mem[walFile].data); n != 0 {
+		t.Errorf("closed store left %d WAL bytes", n)
+	}
+	s3, info, err := Open(Options{FS: mem, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if info.BatchesReplayed != 0 || info.CheckpointSeq != 4 || info.Digest != want || info.WALBytes != 0 {
+		t.Errorf("reopen after close: %+v, want checkpoint 4, an empty WAL and the same digest", info)
+	}
+}
+
+// The first commit after a checkpoint cuts the stale WAL before it appends.
+// If its sync then fails, the rewind lands on the empty file — the batch stays
+// staged, the retry lays it down once, and recovery replays exactly that one.
+func TestCommitSyncFailureAfterCheckpoint(t *testing.T) {
+	mem := memFS{}
+	ffs := &flakyFS{FS: mem, name: walFile}
+	s, _, err := Open(Options{FS: ffs, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedObjects(t, s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LogAlloc(4, objstore.ClassManual, 30, 0); err != nil {
+		t.Fatal(err)
+	}
+	ffs.syncFails = 1
+	if err := s.Commit(); err == nil {
+		t.Fatal("commit over a failing fsync succeeded")
+	}
+	if st := s.Stats(); st.Seq != 2 || st.WALTail != 0 || len(mem[walFile].data) != 0 {
+		t.Errorf("failed commit left seq %d, append offset %d, %d WAL bytes; want 2, 0, 0", st.Seq, st.WALTail, len(mem[walFile].data))
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatalf("retry after failed fsync: %v", err)
+	}
+	want := s.Digest()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, info, err := Open(Options{FS: mem, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if info.Digest != want || info.CheckpointSeq != 2 || info.BatchesReplayed != 1 {
+		t.Errorf("recovery = %+v, want one batch over checkpoint 2 and the same digest", info)
 	}
 }

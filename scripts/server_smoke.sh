@@ -56,7 +56,7 @@ sleep 2
 curl -fsS "http://$http/metrics" -o "$work/metrics.txt"
 grep -m 20 '^odbgc_server_' "$work/metrics.txt"
 grep -Eq '^odbgc_server_shed_total [1-9]' "$work/metrics.txt"
-grep -q '^odbgc_server_sessions_active ' "$work/metrics.txt"
+grep -Eq '^odbgc_server_sessions_active [1-9]' "$work/metrics.txt"
 grep -Eq '^odbgc_server_requests_total [1-9]' "$work/metrics.txt"
 echo "server-smoke: shedding confirmed under 4x overload"
 
