@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test test-short test-race race vet lint lint-fix-report lint-allocbudget fuzz bench-e2e profile experiments results-check examples soak server-smoke crash-drill clean
+.PHONY: all build loc loc-check test test-short test-race race vet lint lint-fix-report lint-allocbudget fuzz bench-e2e profile experiments results-check examples server-smoke crash-drill clean
 
 all: build vet lint test
 
@@ -20,6 +20,16 @@ loc:
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (d ~ /^\.\/bench(\/|$$)/) b += $$1; else { n[d] += $$1; t += $$1 } } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 				printf "%7d ./bench (the benchmark harness: its own module, not in the total)\n%7d total\n", b, t }'
+
+# The total above against the ceiling committed in lint/loc_ceiling. A change
+# that grows the program past it raises the number in the same diff, where a
+# reviewer sees it; one that shrinks the program lowers it to the new total.
+loc-check:
+	@total=$$($(MAKE) -s loc | awk 'END { print $$1 }'); ceiling=$$(cat lint/loc_ceiling); \
+	if [ "$$total" -gt "$$ceiling" ]; then \
+		echo "loc-check: $$total non-test lines, over the ceiling of $$ceiling in lint/loc_ceiling"; exit 1; \
+	fi; \
+	echo "loc-check: $$total non-test lines, ceiling $$ceiling"
 
 vet:
 	$(GO) vet ./...
@@ -54,9 +64,11 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Quicker race pass over just the concurrent packages.
+# Quicker race pass over just the concurrent packages: the batch runner, the
+# serving stack, the live observers and the durable store. The crash-point
+# sweep under -race (disk/crashtest) is crash-drill's.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/metrics/
+	$(GO) test -race ./internal/sim/ ./internal/server/ ./internal/obs/... ./internal/storage/disk/
 
 # Short fuzz passes over the trace decoders, the WAL scanner, the typed
 # frame codec (differentially against encoding/json) and the buffer pool
@@ -133,12 +145,6 @@ results-check:
 	diff "$$tmp/committed" "$$tmp/generated" || { echo "results-check: results/ (<) and a fresh run (>) do not hold the same files"; exit 1; }; \
 	for f in $$(cat "$$tmp/committed"); do cmp "results/$$f" "$$tmp/csv/$$f"; done; \
 	echo "results-check: the $$(wc -l <"$$tmp/committed" | tr -d ' ') CSVs under results/ are byte-identical to a fresh run"
-
-# Interrupt/resume soak: a chaos-profile sweep under -race is SIGINT-ed
-# mid-flight, resumed from its checkpoint directory, and must match an
-# uninterrupted reference byte for byte (see README "Resilience").
-soak:
-	./scripts/soak.sh
 
 # Overload smoke: odbgcd (built -race) under a 4x chaos burst from
 # odbgload must shed on /metrics and drain cleanly on SIGINT mid-load

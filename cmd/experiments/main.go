@@ -18,36 +18,30 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"odbgc/internal/experiments"
 	"odbgc/internal/fault"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
-	"odbgc/internal/simerr"
 )
 
 func main() {
-	// Two-stage graceful shutdown: the first SIGINT/SIGTERM stops scheduling
-	// new runs and lets in-flight ones finish and checkpoint; the second
-	// cancels everything hard.
-	sd := obs.NewShutdown(context.Background())
-	stop := sd.Notify()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runWithShutdown(sd, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes the CLI with no signals wired; tests drive it directly.
-func run(args []string, stdout, stderr io.Writer) error {
-	return runWithShutdown(obs.NewShutdown(context.Background()), args, stdout, stderr)
-}
-
-func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) error {
+// run executes the CLI under ctx; cancelling it (main wires SIGINT and
+// SIGTERM) stops the experiment in flight at its runs' next event boundaries.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -59,12 +53,9 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		plots   = fs.Bool("plot", false, "render each figure as an ASCII chart")
 		faultPr = fs.String("fault-profile", "off", "run every batch under a fault-injection profile: "+strings.Join(fault.ProfileNames(), ", "))
 		faultSd = fs.Int64("fault-seed", 1, "base seed for fault schedules (run i of a batch uses seed+i)")
-		ckptDir = fs.String("checkpoint-dir", "", "cache completed per-run results here so interrupted sweeps resume; delete after changing parameters")
 		evDir   = fs.String("events-dir", "", "write per-run JSONL event logs under this directory (see cmd/obsdump)")
 		manDir  = fs.String("manifest-dir", "", "write a provenance manifest per experiment into this directory")
 		par     = fs.Int("parallel", 0, "max concurrent runs per batch (0 = GOMAXPROCS)")
-		runTmo  = fs.Duration("run-timeout", 0, "abort any single run exceeding this wall-clock duration, classified as a timeout (0 = no deadline)")
-		retries = fs.Int("retries", 0, "extra attempts for a run failing with a transient fault (0 = no retries)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,9 +68,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	}
 	if *par < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", *par)
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries must be >= 0 (got %d)", *retries)
 	}
 
 	profile, err := fault.LookupProfile(*faultPr)
@@ -98,30 +86,18 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	}
 
 	runner := experiments.NewRunner(experiments.Options{
-		Connectivity:  *conn,
-		Runs:          *runs,
-		SeedBase:      *seed,
-		FaultProfile:  profile,
-		FaultSeed:     *faultSd,
-		CheckpointDir: *ckptDir,
-		EventsDir:     *evDir,
-		Parallel:      *par,
-		RunTimeout:    *runTmo,
-		MaxAttempts:   *retries + 1,
-		Drain:         sd.Draining(),
+		Connectivity: *conn,
+		Runs:         *runs,
+		SeedBase:     *seed,
+		FaultProfile: profile,
+		FaultSeed:    *faultSd,
+		EventsDir:    *evDir,
+		Parallel:     *par,
 	})
 	for _, name := range names {
-		select {
-		case <-sd.Draining():
-			return interruptHint(name, *ckptDir)
-		default:
-		}
 		start := time.Now()
-		rep, err := runner.RunContext(sd.Context(), name)
+		rep, err := runner.RunContext(ctx, name)
 		if err != nil {
-			if simerr.Classify(err) == simerr.ClassCanceled {
-				return interruptHint(name, *ckptDir)
-			}
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Fprintln(stdout, rep)
@@ -170,17 +146,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		}
 	}
 	return nil
-}
-
-// interruptHint is the error an interrupted sweep exits with: completed runs
-// are checkpointed, and the hint says how to pick the sweep back up.
-func interruptHint(name, ckptDir string) error {
-	if ckptDir == "" {
-		return simerr.Canceledf(
-			"interrupted during %s; rerun with -checkpoint-dir DIR to make interrupts resumable", name)
-	}
-	return simerr.Canceledf(
-		"interrupted during %s; completed runs are cached — rerun with the same -checkpoint-dir %s to resume", name, ckptDir)
 }
 
 // flagKVs snapshots every flag's effective value for the provenance manifest.

@@ -15,7 +15,7 @@ import (
 
 func TestExperimentsTable1(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "table1", "-runs", "1"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-run", "table1", "-runs", "1"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
@@ -27,7 +27,7 @@ func TestExperimentsTable1(t *testing.T) {
 func TestExperimentsCSVAndPlot(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "fig2,fig7b", "-runs", "1", "-plot", "-csvdir", dir}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-run", "fig2,fig7b", "-runs", "1", "-plot", "-csvdir", dir}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	// fig7b has series: CSV file plus a chart per series.
@@ -49,7 +49,7 @@ func TestExperimentsCSVAndPlot(t *testing.T) {
 
 func TestExperimentsUnknownName(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "fig99"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"-run", "fig99"}, &stdout, &stderr); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -69,7 +69,7 @@ func TestExperimentsFlagValidation(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			err := run(c.args, &stdout, &stderr)
+			err := run(context.Background(), c.args, &stdout, &stderr)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("args %v: error %v, want mention of %q", c.args, err, c.want)
 			}
@@ -85,7 +85,7 @@ func TestExperimentsEventsAndManifest(t *testing.T) {
 	manDir := t.TempDir()
 	csvDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run", "fig4", "-runs", "1",
+	err := run(context.Background(), []string{"-run", "fig4", "-runs", "1",
 		"-events-dir", evDir, "-manifest-dir", manDir, "-csvdir", csvDir}, &stdout, &stderr)
 	if err != nil {
 		t.Fatal(err)
@@ -132,93 +132,87 @@ func TestExperimentsEventsAndManifest(t *testing.T) {
 	}
 }
 
-// TestExperimentsInterruptResume is the end-to-end resilience check: a sweep
-// is drained as soon as its first per-run checkpoint lands, exits with a
-// canceled-classified error and a resume hint, and rerunning with the same
-// -checkpoint-dir produces a final CSV and artifact digest byte-identical to
-// an uninterrupted sweep.
-func TestExperimentsInterruptResume(t *testing.T) {
-	refCSV, refMan := t.TempDir(), t.TempDir()
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-run", "fig4", "-runs", "1",
-		"-csvdir", refCSV, "-manifest-dir", refMan}, &stdout, &stderr); err != nil {
-		t.Fatal(err)
+// TestExperimentsChaosParallelismIsInvisible: a sweep under the harshest
+// fault profile writes the same CSV bytes, and so the same manifest artifact
+// digest, whether its runs go one at a time or two at a time.
+func TestExperimentsChaosParallelismIsInvisible(t *testing.T) {
+	sweep := func(parallel string) ([]byte, string) {
+		csvDir, manDir := t.TempDir(), t.TempDir()
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), []string{"-run", "fig4", "-runs", "2",
+			"-fault-profile", "everything", "-fault-seed", "11", "-parallel", parallel,
+			"-csvdir", csvDir, "-manifest-dir", manDir}, &stdout, &stderr)
+		if err != nil {
+			t.Fatalf("-parallel %s: %v", parallel, err)
+		}
+		csv, err := os.ReadFile(filepath.Join(csvDir, "fig4.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := obs.ReadManifest(filepath.Join(manDir, "fig4.manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Artifacts) != 1 {
+			t.Fatalf("-parallel %s: artifacts %+v", parallel, m.Artifacts)
+		}
+		return csv, m.Artifacts[0].SHA256
 	}
-	wantCSV, err := os.ReadFile(filepath.Join(refCSV, "fig4.csv"))
-	if err != nil {
-		t.Fatal(err)
+	csv1, sum1 := sweep("1")
+	csv2, sum2 := sweep("2")
+	if !bytes.Equal(csv1, csv2) {
+		t.Errorf("fig4.csv differs between -parallel 1 and -parallel 2:\n%s\nvs\n%s", csv1, csv2)
 	}
-	refMf, err := obs.ReadManifest(filepath.Join(refMan, "fig4.manifest.json"))
-	if err != nil {
-		t.Fatal(err)
+	if sum1 != sum2 {
+		t.Errorf("artifact digest %s at -parallel 1, %s at -parallel 2", sum1, sum2)
 	}
+}
 
-	// Interrupted sweep: a watcher polls the checkpoint directory and pulls
-	// the drain as soon as the first completed run is cached. fig4 runs eight
-	// sequential batches, so plenty of work remains past that point.
-	ckpt, gotCSV, gotMan := t.TempDir(), t.TempDir(), t.TempDir()
-	args := []string{"-run", "fig4", "-runs", "1",
-		"-checkpoint-dir", ckpt, "-csvdir", gotCSV, "-manifest-dir", gotMan}
-	sd := obs.NewShutdown(context.Background())
-	stopWatch := make(chan struct{})
+// TestExperimentsInterrupt: a context cancelled while fig4 is running (the
+// watcher cancels when the first run's event log appears; fig4 has seven more
+// batches to go by then) ends the sweep with a canceled-class error, writes
+// no fig4.csv, and leaves every event log closed at a line boundary.
+func TestExperimentsInterrupt(t *testing.T) {
+	csvDir, evDir := t.TempDir(), t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
 	watchDone := make(chan struct{})
 	go func() {
 		defer close(watchDone)
-		for {
-			if m, _ := filepath.Glob(filepath.Join(ckpt, "*", "run-*.gob")); len(m) > 0 {
-				sd.Interrupt()
+		for ctx.Err() == nil {
+			if m, _ := filepath.Glob(filepath.Join(evDir, "*", "run-*.jsonl")); len(m) > 0 {
+				cancel()
 				return
 			}
-			select {
-			case <-stopWatch:
-				return
-			case <-time.After(time.Millisecond):
-			}
+			time.Sleep(time.Millisecond)
 		}
 	}()
-	var istdout, istderr bytes.Buffer
-	ierr := runWithShutdown(sd, args, &istdout, &istderr)
-	close(stopWatch)
+	var stdout, stderr bytes.Buffer
+	err := run(ctx, []string{"-run", "fig4", "-runs", "1",
+		"-csvdir", csvDir, "-events-dir", evDir}, &stdout, &stderr)
+	cancel()
 	<-watchDone
-	if ierr == nil {
+	if err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
-	if simerr.Classify(ierr) != simerr.ClassCanceled {
-		t.Fatalf("interrupted sweep error = %v (class %s), want canceled", ierr, simerr.Classify(ierr))
+	if got := simerr.Classify(err); got != simerr.ClassCanceled {
+		t.Fatalf("interrupted sweep error = %v (class %s), want canceled", err, got)
 	}
-	if !strings.Contains(ierr.Error(), ckpt) {
-		t.Errorf("interrupt error does not name the checkpoint dir for resume: %v", ierr)
+	if _, err := os.Stat(filepath.Join(csvDir, "fig4.csv")); err == nil {
+		t.Error("fig4.csv written for an interrupted experiment")
 	}
-	saved, err := filepath.Glob(filepath.Join(ckpt, "*", "run-*.gob"))
+	logs, err := filepath.Glob(filepath.Join(evDir, "*", "run-*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(saved) == 0 {
-		t.Fatal("drain flushed no per-run checkpoints")
-	}
-
-	// Resume with the same checkpoint directory: the sweep completes and its
-	// outputs match the uninterrupted reference byte for byte.
-	var rstdout, rstderr bytes.Buffer
-	if err := run(args, &rstdout, &rstderr); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	gotBytes, err := os.ReadFile(filepath.Join(gotCSV, "fig4.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotBytes, wantCSV) {
-		t.Errorf("resumed CSV differs from uninterrupted reference:\ngot:\n%s\nwant:\n%s", gotBytes, wantCSV)
-	}
-	gotMf, err := obs.ReadManifest(filepath.Join(gotMan, "fig4.manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotMf.Artifacts) != 1 || len(refMf.Artifacts) != 1 {
-		t.Fatalf("artifacts: got %+v, ref %+v", gotMf.Artifacts, refMf.Artifacts)
-	}
-	if gotMf.Artifacts[0].SHA256 != refMf.Artifacts[0].SHA256 {
-		t.Errorf("resumed artifact digest %s != reference %s",
-			gotMf.Artifacts[0].SHA256, refMf.Artifacts[0].SHA256)
+	for _, path := range logs {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = obs.ReadAll(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("%s does not validate: %v", path, err)
+		}
 	}
 }

@@ -3,94 +3,25 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"odbgc/internal/obs"
 	"odbgc/internal/simerr"
 )
 
-// TestGcsimRunTimeout checks that -run-timeout aborts a run with a
-// timeout-classified error: a 1ns deadline has expired before the first
-// event, so the failure is deterministic.
-func TestGcsimRunTimeout(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-run-timeout", "1ns"}, &stdout, &stderr)
-	if err == nil {
-		t.Fatal("run with an expired deadline reported success")
-	}
-	if !errors.Is(err, simerr.ErrTimeout) {
-		t.Errorf("error %v is not simerr.ErrTimeout", err)
-	}
-	if simerr.Classify(err) != simerr.ClassTimeout {
-		t.Errorf("error %v classified %s, want timeout", err, simerr.Classify(err))
-	}
-}
-
-// TestGcsimInterruptCheckpointResume drives the drain path directly: with the
-// shutdown already in the draining stage, the run checkpoints immediately and
-// exits cleanly, and resuming from that checkpoint reproduces the
-// uninterrupted run's summary exactly.
-func TestGcsimInterruptCheckpointResume(t *testing.T) {
-	var ref bytes.Buffer
-	if err := run([]string{"-policy", "saio", "-frac", "0.15"}, &ref, &ref); err != nil {
-		t.Fatal(err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	sd := obs.NewShutdown(context.Background())
-	sd.Interrupt()
-	var stdout, stderr bytes.Buffer
-	err := runWithShutdown(sd, []string{"-policy", "saio", "-frac", "0.15", "-checkpoint", ckpt}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("interrupted run with -checkpoint should drain cleanly: %v", err)
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "interrupt: draining at event") {
-		t.Errorf("drain message missing:\n%s", out)
-	}
-	if !strings.Contains(out, "resume with -resume") {
-		t.Errorf("resume hint missing:\n%s", out)
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
-	}
-
-	var resumed bytes.Buffer
-	if err := run([]string{"-policy", "saio", "-frac", "0.15", "-resume", ckpt}, &resumed, &resumed); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	// The resumed output is the reference summary plus a leading
-	// "resumed at event N" line.
-	got := resumed.String()
-	if i := strings.IndexByte(got, '\n'); i < 0 || !strings.HasPrefix(got, "resumed at event") {
-		t.Fatalf("resume banner missing:\n%s", got)
-	} else {
-		got = got[i+1:]
-	}
-	if got != ref.String() {
-		t.Errorf("resumed summary differs from uninterrupted run:\ngot:\n%s\nwant:\n%s", got, ref.String())
-	}
-}
-
-// TestGcsimInterruptWithoutCheckpoint checks that an interrupted run without
-// -checkpoint fails with a canceled-classified error telling the user how to
-// make interrupts resumable.
+// TestGcsimInterruptWithoutCheckpoint checks that an interrupted run fails
+// with a canceled-classified error instead of printing a partial summary.
 func TestGcsimInterruptWithoutCheckpoint(t *testing.T) {
-	sd := obs.NewShutdown(context.Background())
-	sd.Interrupt()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	var stdout, stderr bytes.Buffer
-	err := runWithShutdown(sd, nil, &stdout, &stderr)
+	err := run(ctx, nil, &stdout, &stderr)
 	if err == nil {
-		t.Fatal("interrupted run without -checkpoint reported success")
+		t.Fatal("interrupted run reported success")
 	}
 	if simerr.Classify(err) != simerr.ClassCanceled {
 		t.Errorf("error %v classified %s, want canceled", err, simerr.Classify(err))
 	}
-	if !strings.Contains(err.Error(), "-checkpoint") {
-		t.Errorf("error does not mention -checkpoint: %v", err)
+	if bytes.Contains(stdout.Bytes(), []byte("collections:")) {
+		t.Errorf("interrupted run printed a summary:\n%s", stdout.String())
 	}
 }

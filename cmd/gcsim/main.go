@@ -9,8 +9,6 @@
 //	gcsim -policy fixed -interval 200 -phases -dist trace.odbt
 //	gcsim -compare "saio:0.1,saga:0.1:oracle,pi:0.1,fixed:300,never"
 //	gcsim -fault-profile flaky-io -fault-seed 7       # chaos run
-//	gcsim -stop-after 50000 -checkpoint run.ckpt      # save state and exit
-//	gcsim -resume run.ckpt                            # continue that run
 //
 // If no trace file is given, a fresh OO7 trace is generated in memory
 // (flags -conn and -seed control it); trace files are replayed as streams.
@@ -18,14 +16,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"odbgc/internal/core"
@@ -36,46 +35,22 @@ import (
 	"odbgc/internal/obs/span"
 	"odbgc/internal/oo7"
 	"odbgc/internal/sim"
-	"odbgc/internal/simerr"
 	"odbgc/internal/storage/disk"
 	"odbgc/internal/trace"
 )
 
-// memSource replays an in-memory trace as an event stream, so generated and
-// file-backed traces drive the simulator through the same loop.
-type memSource struct {
-	events []trace.Event
-	i      int
-}
-
-func (s *memSource) Read() (trace.Event, error) {
-	if s.i >= len(s.events) {
-		return trace.Event{}, io.EOF
-	}
-	e := s.events[s.i]
-	s.i++
-	return e, nil
-}
-
 func main() {
-	// Two-stage graceful shutdown: the first SIGINT/SIGTERM drains (the run
-	// stops at the next event boundary and, with -checkpoint, saves a
-	// resumable checkpoint); the second cancels hard.
-	sd := obs.NewShutdown(context.Background())
-	stop := sd.Notify()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runWithShutdown(sd, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "gcsim:", err)
 		os.Exit(1)
 	}
 }
 
-// run executes the CLI with no signals wired; tests drive it directly.
-func run(args []string, stdout, stderr io.Writer) error {
-	return runWithShutdown(obs.NewShutdown(context.Background()), args, stdout, stderr)
-}
-
-func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) error {
+// run executes the CLI under ctx; cancelling it (main wires SIGINT and
+// SIGTERM) stops the replay at its next event boundary.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("gcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -99,10 +74,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		faultProf = fs.String("fault-profile", "off", "fault-injection profile: "+strings.Join(fault.ProfileNames(), ", "))
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault schedule (independent of -seed)")
 		lenient   = fs.Bool("lenient", false, "tolerate a truncated trace file: run on the surviving prefix")
-		stopAfter = fs.Int("stop-after", 0, "stop after N events (0 = run to completion); with -checkpoint, save state there")
-		ckptPath  = fs.String("checkpoint", "", "write a resumable checkpoint to this path when -stop-after is reached or the run is interrupted (SIGINT)")
-		runLimit  = fs.Duration("run-timeout", 0, "abort the run after this much wall-clock time, classified as a timeout (0 = no deadline)")
-		resumeCkp = fs.String("resume", "", "resume a run from a checkpoint file written by -checkpoint")
 		eventsOut = fs.String("events", "", "write a structured JSONL event log to this path (see cmd/obsdump)")
 		spansOut  = fs.String("spans", "", "write GC collection spans (same schema as the live server's flight recorder) to this path as JSONL")
 		manifest  = fs.String("manifest", "", "write a run provenance manifest (config, seeds, trace identity, artifact digests) to this path")
@@ -125,22 +96,13 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	faultsOn := profile.Storage() || profile.Estimator() || profile.Trace()
 
 	if *compare != "" {
-		if faultsOn || *ckptPath != "" || *resumeCkp != "" || *stopAfter != 0 {
-			return fmt.Errorf("-compare does not support fault injection or checkpointing; run policies one at a time")
+		if faultsOn {
+			return fmt.Errorf("-compare does not support fault injection; run policies one at a time")
 		}
 		if *eventsOut != "" || *spansOut != "" || *manifest != "" || *httpAddr != "" {
 			return fmt.Errorf("-compare does not support -events, -spans, -manifest or -http; run policies one at a time")
 		}
 		return runCompare(stdout, fs, *compare, *selection, *preamble, *conn, *seed, *fixups)
-	}
-
-	// runCtx is the hard-abort context: the second interrupt or the
-	// -run-timeout deadline ends the run immediately (no checkpoint).
-	runCtx := sd.Context()
-	if *runLimit > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, *runLimit)
-		defer cancel()
 	}
 
 	// When the fault profile corrupts the estimator signal, the estimator is
@@ -189,9 +151,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	}
 	defer func() { _ = closeDurable() }()
 	if *dataDir != "" {
-		if *resumeCkp != "" {
-			return fmt.Errorf("-data-dir does not combine with -resume: the durable store already persists the run it recorded")
-		}
 		fpol, err := disk.ParseFsyncPolicy(*fsyncMode)
 		if err != nil {
 			return err
@@ -247,17 +206,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		defer stopServe()
 		fmt.Fprintf(stdout, "serving metrics on http://%s/metrics\n", bound)
 		observers = append(observers, live)
-		// Flip /healthz to "draining" the moment shutdown begins, even if
-		// the simulation is mid-step.
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-sd.Draining():
-				live.SetDraining(true)
-			case <-watchDone:
-			}
-		}()
 	}
 	cfg.Observer = obs.NewMulti(observers...)
 	var spanRec *span.Recorder
@@ -268,32 +216,18 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		cfg.Spans = spanRec
 	}
 
-	var s *sim.Simulator
-	skip := 0
-	if *resumeCkp != "" {
-		cp, err := sim.LoadCheckpoint(*resumeCkp)
-		if err != nil {
-			return err
-		}
-		s, err = sim.Resume(cfg, cp)
-		if err != nil {
-			return err
-		}
-		skip = cp.Step
-		fmt.Fprintf(stdout, "resumed at event %d from %s\n", skip, *resumeCkp)
-	} else {
-		s, err = sim.New(cfg)
-		if err != nil {
-			return err
-		}
+	s, err := sim.New(cfg)
+	if err != nil {
+		return err
 	}
 
-	var src sim.EventSource
+	// A generated trace is replayed from memory, a trace file as a stream.
+	var tr *trace.Trace
 	var rd *trace.Reader
 	var traceID *obs.TraceIdentity
 	switch fs.NArg() {
 	case 0:
-		tr, err := oo7.FullTrace(oo7.SmallPrime(*conn), *seed)
+		tr, err = oo7.FullTrace(oo7.SmallPrime(*conn), *seed)
 		if err != nil {
 			return err
 		}
@@ -304,10 +238,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 			}
 			traceID = &obs.TraceIdentity{Source: "generated:oo7", Events: tr.Len(), SHA256: sum}
 		}
-		src = &memSource{events: tr.Events}
 	case 1:
-		// Trace files are replayed as a stream: no need to hold the whole
-		// trace in memory.
 		f, err := os.Open(fs.Arg(0))
 		if err != nil {
 			return err
@@ -337,76 +268,16 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 			return err
 		}
 		rd.Lenient = *lenient
-		src = rd
 	default:
 		return fmt.Errorf("usage: gcsim [flags] [trace.odbt]")
 	}
 
-	// On resume, spool past the events the checkpointed run already consumed.
-	for i := 0; i < skip; i++ {
-		if _, err := src.Read(); err != nil {
-			return fmt.Errorf("checkpoint cursor %d is past the end of this trace (event %d: %w)", skip, i, err)
-		}
+	var res *sim.Result
+	if rd != nil {
+		res, err = s.RunStreamContext(ctx, rd)
+	} else {
+		res, err = s.RunContext(ctx, tr)
 	}
-
-	n, done, interrupted := skip, false, false
-	for !done && !interrupted && (*stopAfter <= 0 || n < *stopAfter) {
-		if err := runCtx.Err(); err != nil {
-			return fmt.Errorf("run aborted at event %d: %w", n, simerr.FromContext(err))
-		}
-		select {
-		case <-sd.Draining():
-			interrupted = true
-			continue
-		default:
-		}
-		e, err := src.Read()
-		if errors.Is(err, io.EOF) {
-			done = true
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("reading event %d: %w", n, err)
-		}
-		if err := s.Step(&e); err != nil {
-			return err
-		}
-		n++
-	}
-
-	if interrupted {
-		fmt.Fprintf(stdout, "interrupt: draining at event %d\n", n)
-		if *ckptPath == "" {
-			return simerr.Canceledf(
-				"interrupted at event %d; rerun with -checkpoint PATH to make interrupts resumable", n)
-		}
-	}
-	if !done && *ckptPath != "" {
-		// The heap may be mid-construction at the requested cursor; step on
-		// until the simulator accepts a checkpoint.
-		cp, err := s.Checkpoint()
-		for err != nil {
-			e, rerr := src.Read()
-			if rerr != nil {
-				return fmt.Errorf("no checkpointable state before trace end: %w", err)
-			}
-			if serr := s.Step(&e); serr != nil {
-				return serr
-			}
-			n++
-			cp, err = s.Checkpoint()
-		}
-		if err := sim.SaveCheckpoint(*ckptPath, cp); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "checkpointed %d events to %s; resume with -resume %s\n", n, *ckptPath, *ckptPath)
-		return closeEvents()
-	}
-	if done && *ckptPath != "" && *stopAfter > 0 {
-		fmt.Fprintf(stdout, "trace ended at event %d, before -stop-after %d: no checkpoint written\n", n, *stopAfter)
-	}
-
-	res, err := s.Finish()
 	if err != nil {
 		return err
 	}
@@ -512,7 +383,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		fmt.Fprintf(stdout, "run complete; serving metrics for another %s\n", *serveFor)
 		select {
 		case <-time.After(*serveFor):
-		case <-sd.Draining():
+		case <-ctx.Done():
 		}
 	}
 	return nil

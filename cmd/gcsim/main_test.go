@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +18,7 @@ import (
 
 func TestGcsimSAIOSummary(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "saio", "-frac", "0.15"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-policy", "saio", "-frac", "0.15"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := stdout.String()
@@ -39,7 +40,7 @@ func TestGcsimPolicyVariants(t *testing.T) {
 		{"-policy", "fixed", "-interval", "400", "-selection", "round-robin", "-fixups"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != nil {
+		if err := run(context.Background(), args, &stdout, &stderr); err != nil {
 			t.Errorf("%v: %v", args, err)
 		}
 	}
@@ -47,7 +48,7 @@ func TestGcsimPolicyVariants(t *testing.T) {
 
 func TestGcsimPerCollectionLog(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "fixed", "-interval", "400", "-log", "-logevery", "10"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-policy", "fixed", "-interval", "400", "-log", "-logevery", "10"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stdout.String(), "#   1 ") {
@@ -76,7 +77,7 @@ func TestGcsimStreamsTraceFile(t *testing.T) {
 	f.Close()
 
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "saio", "-frac", "0.20", path}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-policy", "saio", "-frac", "0.20", path}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(stdout.String(), "collections:") {
@@ -86,7 +87,7 @@ func TestGcsimStreamsTraceFile(t *testing.T) {
 
 func TestGcsimCompare(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-compare", "saio:0.1,saga:0.1:oracle,fixed:400,never"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-compare", "saio:0.1,saga:0.1:oracle,fixed:400,never"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
@@ -100,7 +101,7 @@ func TestGcsimCompare(t *testing.T) {
 func TestGcsimCompareSpecErrors(t *testing.T) {
 	for _, spec := range []string{"wat", "saio:x", "fixed:x", "saga:0.1:bogus", "saio:0.1:x:y"} {
 		var stdout, stderr bytes.Buffer
-		if err := run([]string{"-compare", spec}, &stdout, &stderr); err == nil {
+		if err := run(context.Background(), []string{"-compare", spec}, &stdout, &stderr); err == nil {
 			t.Errorf("bad spec %q accepted", spec)
 		}
 	}
@@ -108,7 +109,7 @@ func TestGcsimCompareSpecErrors(t *testing.T) {
 
 func TestGcsimPhasesTable(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "fixed", "-interval", "500", "-phases"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-policy", "fixed", "-interval", "500", "-phases"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
@@ -121,26 +122,26 @@ func TestGcsimPhasesTable(t *testing.T) {
 
 func TestGcsimErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "wat"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"-policy", "wat"}, &stdout, &stderr); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := run([]string{"-policy", "saga", "-estimator", "wat"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"-policy", "saga", "-estimator", "wat"}, &stdout, &stderr); err == nil {
 		t.Error("unknown estimator accepted")
 	}
-	if err := run([]string{"-selection", "wat"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"-selection", "wat"}, &stdout, &stderr); err == nil {
 		t.Error("unknown selection accepted")
 	}
-	if err := run([]string{"a.odbt", "b.odbt"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"a.odbt", "b.odbt"}, &stdout, &stderr); err == nil {
 		t.Error("two trace arguments accepted")
 	}
-	if err := run([]string{"/nonexistent/trace.odbt"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"/nonexistent/trace.odbt"}, &stdout, &stderr); err == nil {
 		t.Error("absent trace accepted")
 	}
 }
 
 func TestGcsimDistributions(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "fixed", "-interval", "400", "-dist"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-policy", "fixed", "-interval", "400", "-dist"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
@@ -169,7 +170,7 @@ func TestGcsimFlagValidation(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			err := run(c.args, &stdout, &stderr)
+			err := run(context.Background(), c.args, &stdout, &stderr)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("args %v: error %v, want mention of %q", c.args, err, c.want)
 			}
@@ -188,7 +189,7 @@ func TestGcsimEventsAndManifest(t *testing.T) {
 		events := filepath.Join(dir, sub+".jsonl")
 		manifest := filepath.Join(dir, sub+".json")
 		var stdout, stderr bytes.Buffer
-		err := run([]string{"-policy", "saio", "-frac", "0.15",
+		err := run(context.Background(), []string{"-policy", "saio", "-frac", "0.15",
 			"-events", events, "-manifest", manifest}, &stdout, &stderr)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -239,7 +240,7 @@ func TestGcsimEventsAndManifest(t *testing.T) {
 // CLI-level counterpart of the handler tests in internal/obs.
 func TestGcsimHTTP(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-policy", "saio", "-http", "127.0.0.1:0",
+	if err := run(context.Background(), []string{"-policy", "saio", "-http", "127.0.0.1:0",
 		"-serve-after", "1ms"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}

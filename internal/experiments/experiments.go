@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"odbgc/internal/core"
 	"odbgc/internal/fault"
@@ -38,36 +37,13 @@ type Options struct {
 	// FaultSeed is the base seed for fault schedules; run i of a batch uses
 	// FaultSeed+i.
 	FaultSeed int64
-	// CheckpointDir makes batches crash-safe at run granularity: completed
-	// per-run results are cached under CheckpointDir/<experiment>-batchNNN/
-	// and reruns load them instead of recomputing. The cache is keyed only
-	// by batch order, so delete the directory after changing any experiment
-	// parameter.
-	CheckpointDir string
 	// EventsDir writes each simulated run's structured JSONL event log under
 	// EventsDir/<experiment>-batchNNN/run-NNN.jsonl (see internal/obs).
-	// Batches satisfied from the checkpoint cache are not re-simulated and
-	// write no events.
 	EventsDir string
 	// Parallel bounds per-batch run concurrency (and trace-generation
 	// concurrency); zero means runtime.GOMAXPROCS(0). See
 	// sim.RunnerConfig.Parallel.
 	Parallel int
-	// RunTimeout bounds each simulated run's wall-clock duration; a run
-	// exceeding it fails classified as simerr.ErrTimeout. Zero disables the
-	// deadline.
-	RunTimeout time.Duration
-	// MaxAttempts is the per-run retry budget for transient failures; zero
-	// means one attempt. See sim.RunnerConfig.MaxAttempts.
-	MaxAttempts int
-	// Drain, when non-nil and closed, asks batches to stop scheduling new
-	// runs: in-flight runs finish and checkpoint, and the experiment returns
-	// an error classified as simerr.ErrCanceled. Rerunning with the same
-	// CheckpointDir resumes from the completed runs.
-	Drain <-chan struct{}
-	// OnRunStatus receives batch progress reports. It is called concurrently
-	// from worker goroutines.
-	OnRunStatus func(sim.RunStatus)
 }
 
 func (o Options) withDefaults() Options {
@@ -173,32 +149,22 @@ type Runner struct {
 	opts   Options
 	traces *traceCache
 
-	// curExp and batch key the per-batch checkpoint subdirectories while an
+	// curExp and batch key the per-batch event-log subdirectories while an
 	// experiment runs.
 	curExp string
 	batch  int
 }
 
 // runMany is sim.RunManyContext with the caller's context and the runner's
-// fault-injection, checkpoint, and supervision options applied. Each batch
-// within an experiment gets its own checkpoint subdirectory, numbered in
-// execution order.
+// fault-injection and concurrency options applied. Each batch within an
+// experiment gets its own event-log subdirectory, numbered in execution
+// order.
 func (r *Runner) runMany(ctx context.Context, cfg sim.RunnerConfig) (*sim.MultiResult, error) {
 	cfg.FaultProfile = r.opts.FaultProfile
 	cfg.FaultSeed = r.opts.FaultSeed
 	cfg.Parallel = r.opts.Parallel
-	cfg.RunTimeout = r.opts.RunTimeout
-	cfg.MaxAttempts = r.opts.MaxAttempts
-	cfg.Drain = r.opts.Drain
-	cfg.OnRunStatus = r.opts.OnRunStatus
-	if r.opts.CheckpointDir != "" || r.opts.EventsDir != "" {
-		r.batch++
-	}
-	if r.opts.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(r.opts.CheckpointDir,
-			fmt.Sprintf("%s-batch%03d", r.curExp, r.batch))
-	}
 	if r.opts.EventsDir != "" {
+		r.batch++
 		cfg.EventsDir = filepath.Join(r.opts.EventsDir,
 			fmt.Sprintf("%s-batch%03d", r.curExp, r.batch))
 	}
@@ -225,9 +191,7 @@ func (r *Runner) Run(name string) (*Report, error) {
 }
 
 // RunContext executes one experiment by name under ctx: cancelling ctx
-// aborts the experiment's batches (classified simerr.ErrCanceled), and the
-// supervision options in Options (Parallel, RunTimeout, MaxAttempts, Drain)
-// apply to every batch it runs.
+// aborts the experiment's batches (classified simerr.ErrCanceled).
 func (r *Runner) RunContext(ctx context.Context, name string) (*Report, error) {
 	r.curExp, r.batch = name, 0
 	switch name {

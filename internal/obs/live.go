@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"sync"
-
-	"odbgc/internal/simerr"
-)
+import "sync"
 
 // Metric names the Live observer maintains.
 const (
@@ -28,15 +23,7 @@ const (
 	MetricYieldHist        = "odbgc_sim_collection_yield_bytes"
 	MetricCollectionIOHist = "odbgc_sim_collection_io_ops"
 	MetricDraining         = "odbgc_sim_draining"
-	MetricRunFailures      = "odbgc_sim_run_failures_total"
 )
-
-// RunFailureMetric is the per-class failure counter name for a simerr class.
-// The registry has no label support, so each class gets its own flat metric:
-// odbgc_sim_run_failures_<class>_total.
-func RunFailureMetric(class simerr.Class) string {
-	return fmt.Sprintf("odbgc_sim_run_failures_%s_total", class)
-}
 
 // Status is the run-status document the HTTP endpoint serves: live progress
 // in simulated time, updated by the Live observer as events arrive.
@@ -109,11 +96,6 @@ func NewLive() *Live {
 	_ = reg.RegisterHistogram(MetricYieldHist, "bytes reclaimed per collection", 0, 100_000, 20)
 	_ = reg.RegisterHistogram(MetricCollectionIOHist, "collector I/O operations per collection", 0, 400, 20)
 	_ = reg.RegisterGauge(MetricDraining, "1 while graceful shutdown is draining in-flight work")
-	_ = reg.RegisterCounter(MetricRunFailures, "batch runs that failed, any class")
-	for _, class := range simerr.FailureClasses() {
-		_ = reg.RegisterCounter(RunFailureMetric(class),
-			fmt.Sprintf("batch runs that failed with class %s", class))
-	}
 	return &Live{reg: reg}
 }
 
@@ -127,9 +109,9 @@ func (l *Live) Status() Status {
 	return l.st
 }
 
-// SetDraining flips the draining flag (and gauge). The gcsim and
-// experiments CLIs set it when the first interrupt arrives, so /healthz and
-// /statusz report the shutdown to load balancers and operators.
+// SetDraining flips the draining flag (and gauge). odbgcd sets it when the
+// first interrupt arrives, so /healthz and /statusz report the shutdown to
+// load balancers and operators.
 func (l *Live) SetDraining(on bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -146,16 +128,6 @@ func (l *Live) Draining() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.st.Draining
-}
-
-// ObserveRunFailure counts a failed batch run under its failure class. It is
-// not part of the Observer interface — the batch supervisor calls it
-// directly from its status callback.
-func (l *Live) ObserveRunFailure(class simerr.Class) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.reg.Add(MetricRunFailures, 1)
-	l.reg.Add(RunFailureMetric(class), 1)
 }
 
 // advanceStep moves the event cursor forward, advancing the monotone

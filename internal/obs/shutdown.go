@@ -8,15 +8,14 @@ import (
 	"syscall"
 )
 
-// Shutdown coordinates two-stage graceful shutdown for the CLIs:
+// Shutdown coordinates two-stage graceful shutdown for the CLIs that drain
+// (odbgcd, odbgload, obsdump; gcsim and experiments cancel a plain context):
 //
 //	stage 1 (first SIGINT/SIGTERM, or first Interrupt call): the Draining
-//	  channel closes. Batch engines stop scheduling new runs; in-flight
-//	  work finishes, checkpoints, and flushes, so a rerun with the same
-//	  checkpoint directory resumes exactly where the batch left off.
-//	stage 2 (second signal / Interrupt): the hard Context is cancelled.
-//	  In-flight runs stop at their next event boundary and the process
-//	  exits promptly, leaving the checkpoint cache valid but incomplete.
+//	  channel closes. Nothing new is started; in-flight work finishes and
+//	  is flushed.
+//	stage 2 (second signal / Interrupt): the hard Context is cancelled and
+//	  the process exits promptly.
 //
 // Interrupt is the signal-free entry point, so tests drive both stages
 // without process signals.
@@ -37,11 +36,11 @@ func NewShutdown(parent context.Context) *Shutdown {
 }
 
 // Context is the hard-cancel context: it ends at stage 2 (or when the
-// parent ends). Pass it to RunManyContext and friends.
+// parent ends).
 func (s *Shutdown) Context() context.Context { return s.ctx }
 
-// Draining is closed at stage 1. Plug it into RunnerConfig.Drain and select
-// on it in event loops that want to stop at a clean boundary.
+// Draining is closed at stage 1. Select on it in loops that want to stop at
+// a clean boundary.
 func (s *Shutdown) Draining() <-chan struct{} { return s.draining }
 
 // Interrupt advances one shutdown stage: the first call begins draining,

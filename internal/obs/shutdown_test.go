@@ -86,24 +86,3 @@ func TestHealthzDraining(t *testing.T) {
 		t.Errorf("/statusz missing draining flag:\n%s", statusz)
 	}
 }
-
-func TestObserveRunFailureCounters(t *testing.T) {
-	live := NewLive()
-	live.ObserveRunFailure(simerr.ClassTimeout)
-	live.ObserveRunFailure(simerr.ClassTimeout)
-	live.ObserveRunFailure(simerr.ClassCorruptCheckpoint)
-
-	srv := httptest.NewServer(Handler(live))
-	defer srv.Close()
-	_, _, body := get(t, srv, "/metrics")
-	for _, want := range []string{
-		MetricRunFailures + " 3",
-		RunFailureMetric(simerr.ClassTimeout) + " 2",
-		RunFailureMetric(simerr.ClassCorruptCheckpoint) + " 1",
-		RunFailureMetric(simerr.ClassCanceled) + " 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-}

@@ -45,8 +45,7 @@ const (
 
 // ErrorMetric is the per-class failed-request counter name for a simerr
 // class: odbgc_server_errors_<class>_total. The registry has no label
-// support, so each class gets its own flat metric, mirroring
-// obs.RunFailureMetric.
+// support, so each class gets its own flat metric.
 func ErrorMetric(class simerr.Class) string {
 	return fmt.Sprintf("odbgc_server_errors_%s_total", class)
 }

@@ -2,14 +2,15 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 	"time"
 
 	"odbgc/internal/core"
 	"odbgc/internal/fault"
+	"odbgc/internal/simerr"
 	"odbgc/internal/trace"
 )
 
@@ -26,53 +27,6 @@ func (s *sliceSource) Read() (trace.Event, error) {
 	e := s.events[s.i]
 	s.i++
 	return e, nil
-}
-
-// panicSource panics on first read, standing in for a bug anywhere under the
-// simulation loop.
-type panicSource struct{}
-
-func (panicSource) Read() (trace.Event, error) { panic("injected test panic") }
-
-// stuckSource never returns, standing in for a hung input.
-type stuckSource struct{}
-
-func (stuckSource) Read() (trace.Event, error) {
-	time.Sleep(time.Hour)
-	return trace.Event{}, io.EOF
-}
-
-func TestRunGuardedConvertsPanic(t *testing.T) {
-	pol, err := core.NewFixedRate(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunGuarded(panicSource{}, time.Minute)
-	if res != nil || err == nil {
-		t.Fatalf("res=%v err=%v, want nil result and panic error", res, err)
-	}
-	if !strings.Contains(err.Error(), "injected test panic") {
-		t.Fatalf("panic message lost: %v", err)
-	}
-}
-
-func TestRunGuardedTimeout(t *testing.T) {
-	pol, err := core.NewFixedRate(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.RunGuarded(stuckSource{}, 50*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err=%v, want ErrTimeout", err)
-	}
 }
 
 // chaosPolicy builds the SAGA/FGS-HB policy used by the chaos suite, with
@@ -101,7 +55,7 @@ func chaosPolicy(t *testing.T, profile fault.Profile, seed int64) core.RatePolic
 // TestChaosProfilesNeverPanicOrHang drives every registered fault profile
 // through a full run. The contract: a chaos run either finishes (possibly
 // degraded) or fails with a structured error — it never panics and never
-// hangs past the watchdog.
+// hangs past the deadline.
 func TestChaosProfilesNeverPanicOrHang(t *testing.T) {
 	tr := smallTrace(t, 3, 5)
 	for _, name := range fault.ProfileNames() {
@@ -141,12 +95,14 @@ func TestChaosProfilesNeverPanicOrHang(t *testing.T) {
 				src = &sliceSource{events: tr.Events}
 			}
 
-			res, err := s.RunGuarded(src, 2*time.Minute)
+			// A panic fails the test by itself; a hang is cut at the next
+			// event boundary by the deadline.
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			res, err := s.RunStreamContext(ctx, src)
 			switch {
-			case errors.Is(err, ErrTimeout):
+			case errors.Is(err, simerr.ErrTimeout):
 				t.Fatalf("chaos run hung: %v", err)
-			case err != nil && strings.Contains(err.Error(), "panic during guarded run"):
-				t.Fatalf("panic escaped the library boundary: %v", err)
 			case err != nil:
 				t.Logf("structured failure (acceptable): %v", err)
 			case res == nil:

@@ -5,8 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"odbgc/internal/core"
 	"odbgc/internal/fault"
@@ -219,33 +217,4 @@ func ReadCheckpoint(r io.Reader) (cp *Checkpoint, err error) {
 		return nil, fmt.Errorf("sim: %w", simerr.WrapCorruptCheckpoint("decoding checkpoint", derr))
 	}
 	return &c, nil
-}
-
-// SaveCheckpoint writes a checkpoint to path atomically: the bytes land in a
-// temporary file first and are renamed into place, so a crash mid-write
-// leaves either the old checkpoint or none, never a torn one.
-func SaveCheckpoint(path string, cp *Checkpoint) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }()
-	if err := WriteCheckpoint(tmp, cp); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadCheckpoint reads a checkpoint file written by SaveCheckpoint.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	return ReadCheckpoint(f)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"odbgc/internal/core"
@@ -147,46 +145,6 @@ func TestCheckpointRejectsMidConstruction(t *testing.T) {
 	t.Fatal("trace had no mid-construction point")
 }
 
-func TestSaveLoadCheckpointFile(t *testing.T) {
-	tr := smallTrace(t, 3, 14)
-	pol, err := core.NewFixedRate(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(tr.Events)/3 || !s.collectSafe; i++ {
-		if err := s.Step(&tr.Events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sim.ckpt")
-	if err := SaveCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != cp.Step || got.CurPhase != cp.CurPhase {
-		t.Fatalf("loaded checkpoint cursor (%d,%q) != saved (%d,%q)",
-			got.Step, got.CurPhase, cp.Step, cp.CurPhase)
-	}
-	// A torn checkpoint file is rejected, not misread.
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path); err == nil {
-		t.Fatal("accepted a corrupt checkpoint file")
-	}
-}
-
 // TestResumeRejectsMismatchedConfig: resuming under a different policy or
 // selection than the checkpointed run must fail loudly, not silently run the
 // wrong configuration.
@@ -247,47 +205,6 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		_, err = Resume(Config{Policy: mkSAGA()}, bad)
 		if !errors.Is(err, simerr.ErrCorruptCheckpoint) {
 			t.Errorf("checkpoint with damaged %s: Resume = %v, want a corrupt-checkpoint error", name, err)
-		}
-	}
-}
-
-// TestRunManyCheckpointCache: a rerun with CheckpointDir set loads finished
-// runs from disk — proven by making policy construction fail on the rerun.
-func TestRunManyCheckpointCache(t *testing.T) {
-	traces, err := GenerateTraces(oo7.SmallPrime(3), 21, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cfg := RunnerConfig{
-		Traces: traces,
-		MakePolicy: func(int) (core.RatePolicy, error) {
-			return core.NewFixedRate(200)
-		},
-		CheckpointDir: dir,
-	}
-	first, err := RunMany(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(traces) {
-		t.Fatalf("%d checkpoint files for %d runs", len(entries), len(traces))
-	}
-
-	cfg.MakePolicy = func(int) (core.RatePolicy, error) {
-		return nil, errors.New("cache miss: policy rebuilt")
-	}
-	second, err := RunMany(cfg)
-	if err != nil {
-		t.Fatalf("rerun did not use the checkpoint cache: %v", err)
-	}
-	for i := range first.Runs {
-		if !bytes.Equal(encodeResult(t, first.Runs[i]), encodeResult(t, second.Runs[i])) {
-			t.Fatalf("run %d: cached result differs from original", i)
 		}
 	}
 }

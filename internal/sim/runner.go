@@ -1,19 +1,13 @@
 package sim
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"odbgc/internal/core"
 	"odbgc/internal/fault"
@@ -26,124 +20,11 @@ import (
 	"odbgc/internal/trace"
 )
 
-// Run-cache entries are framed so corruption is detected, not decoded:
-// magic, big-endian payload length, gob payload, SHA-256 of the payload.
-// A file failing any of those checks classifies as
-// simerr.ErrCorruptCheckpoint and is deleted and recomputed by the batch
-// engine instead of poisoning the aggregate.
-var runCacheMagic = []byte("ODBGRUN2")
-
-const runCacheHeaderLen = 8 + 8 // magic + payload length
-
-// loadRunResult reads a cached per-run result. A missing file returns the
-// raw os.ErrNotExist ("no cache entry yet"); a file that exists but fails
-// validation — short, bad magic, torn payload, checksum mismatch, or a gob
-// stream that will not decode — returns an error classified as
-// simerr.ErrCorruptCheckpoint.
-func loadRunResult(path string) (*Result, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	name := filepath.Base(path)
-	if len(raw) < runCacheHeaderLen+sha256.Size {
-		return nil, simerr.WrapCorruptCheckpoint(
-			fmt.Sprintf("run cache %s: %d bytes is shorter than the envelope", name, len(raw)), nil)
-	}
-	if !bytes.Equal(raw[:8], runCacheMagic) {
-		return nil, simerr.WrapCorruptCheckpoint(
-			fmt.Sprintf("run cache %s: bad magic %q", name, raw[:8]), nil)
-	}
-	plen := binary.BigEndian.Uint64(raw[8:16])
-	if plen != uint64(len(raw)-runCacheHeaderLen-sha256.Size) {
-		return nil, simerr.WrapCorruptCheckpoint(
-			fmt.Sprintf("run cache %s: header claims %d payload bytes, file carries %d",
-				name, plen, len(raw)-runCacheHeaderLen-sha256.Size), nil)
-	}
-	payload := raw[runCacheHeaderLen : runCacheHeaderLen+int(plen)]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], raw[runCacheHeaderLen+int(plen):]) {
-		return nil, simerr.WrapCorruptCheckpoint(
-			fmt.Sprintf("run cache %s: checksum mismatch", name), nil)
-	}
-	res, err := decodeRunResult(payload)
-	if err != nil {
-		return nil, simerr.WrapCorruptCheckpoint(
-			fmt.Sprintf("run cache %s: decoding payload", name), err)
-	}
-	return res, nil
-}
-
-// decodeRunResult gob-decodes a run-cache payload with a recover guard: a
-// decoder panic on hostile bytes becomes an error, not a crashed worker.
-func decodeRunResult(payload []byte) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("decoder panic: %v", p)
-		}
-	}()
-	var r Result
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&r); derr != nil {
-		return nil, derr
-	}
-	return &r, nil
-}
-
-// saveRunResult writes a per-run result atomically (temp file + rename) in
-// the checksummed envelope loadRunResult expects, so an interrupted batch
-// never leaves a torn cache entry behind and a damaged one is detected.
-func saveRunResult(path string, res *Result) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(res); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	buf.Grow(runCacheHeaderLen + payload.Len() + sha256.Size)
-	buf.Write(runCacheMagic)
-	var lenb [8]byte
-	binary.BigEndian.PutUint64(lenb[:], uint64(payload.Len()))
-	buf.Write(lenb[:])
-	buf.Write(payload.Bytes())
-	sum := sha256.Sum256(payload.Bytes())
-	buf.Write(sum[:])
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".run-*")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = os.Remove(tmp.Name()) }()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// RunStatus is a progress report from the batch engine, delivered through
-// RunnerConfig.OnRunStatus as runs hit cache, fail, retry, and complete.
-type RunStatus struct {
-	// Run is the trace index the status concerns.
-	Run int
-	// Attempt is the 1-based attempt number, or 0 for cache events.
-	Attempt int
-	// Class buckets the outcome: ClassOK for a success or cache hit,
-	// ClassCorruptCheckpoint for a discarded cache entry, the failure's
-	// class otherwise.
-	Class simerr.Class
-	// Cached marks cache events (hit or corrupt entry).
-	Cached bool
-	// Err is the failure for non-OK statuses.
-	Err error
-}
-
 // RunnerConfig describes a multi-seed experiment: the same policy
 // configuration replayed over several independently generated traces, as in
 // §4.1 ("each data point shows the mean of 10 runs"). Runs execute on a
 // bounded worker pool (they are independent by construction); results are
-// ordered by trace index regardless.
+// ordered by trace index regardless, and depend on nothing but this config.
 type RunnerConfig struct {
 	// Traces are the per-seed input traces (use GenerateTraces).
 	Traces []*trace.Trace
@@ -162,50 +43,18 @@ type RunnerConfig struct {
 	// each run sees an independent but reproducible fault schedule.
 	FaultProfile fault.Profile
 	FaultSeed    int64
-	// CheckpointDir, when set, makes the batch crash-safe at run
-	// granularity: each completed run's Result is written to
-	// CheckpointDir/run-NNN.gob (atomically, with a checksum), and a rerun
-	// of the same batch loads those instead of recomputing. A corrupt entry
-	// is deleted and its run recomputed. Delete the directory to force a
-	// full rerun.
-	CheckpointDir string
 	// EventsDir, when set, writes each run's structured event log to
-	// EventsDir/run-NNN.jsonl (see internal/obs). Runs satisfied from the
-	// checkpoint cache are not re-simulated and write no events; a retried
-	// run truncates and rewrites its log.
+	// EventsDir/run-NNN.jsonl (see internal/obs).
 	EventsDir string
-
 	// Parallel bounds how many runs execute concurrently. Zero or negative
 	// means runtime.GOMAXPROCS(0); the bound is additionally capped at the
 	// number of traces.
 	Parallel int
-	// RunTimeout, when positive, bounds each attempt's wall-clock duration.
-	// An attempt exceeding it is cancelled — cooperatively at the next event
-	// boundary, or by abandoning a wedged goroutine — and fails with an
-	// error classified as simerr.ErrTimeout.
-	RunTimeout time.Duration
-	// MaxAttempts is the per-run attempt budget: a run failing with a
-	// transient fault (fault.IsTransient) is retried with identical inputs
-	// up to this many total attempts. Zero or negative means 1 (no
-	// retries). Non-transient failures are never retried. When the budget
-	// is exhausted the final error additionally carries
-	// simerr.ErrFaultExhausted.
-	MaxAttempts int
-	// Drain, when non-nil, requests graceful shutdown on close: the batch
-	// stops scheduling new runs, in-flight runs complete and checkpoint
-	// normally, and RunMany returns an error classified as
-	// simerr.ErrCanceled. Rerunning with the same CheckpointDir resumes
-	// from the completed runs.
-	Drain <-chan struct{}
 	// MakeObserver, when set, supplies an extra per-run observer composed
 	// with the EventsDir JSONL writer. The observer is invoked from worker
 	// goroutines; one run's observer is never called concurrently with
 	// itself, but observers for different runs run in parallel.
 	MakeObserver func(run int) obs.Observer
-	// OnRunStatus, when set, receives progress reports (cache hits, corrupt
-	// cache entries, failed attempts, completions). It is called
-	// concurrently from worker goroutines and must be safe for that.
-	OnRunStatus func(RunStatus)
 }
 
 // MultiResult aggregates per-run summaries.
@@ -229,17 +78,12 @@ func RunMany(cfg RunnerConfig) (*MultiResult, error) {
 	return RunManyContext(context.Background(), cfg)
 }
 
-// RunManyContext is the supervised batch engine. Runs are scheduled onto at
-// most cfg.Parallel workers; each run consults the checkpoint cache, retries
-// transient failures within cfg.MaxAttempts, and is bounded by
-// cfg.RunTimeout. Cancelling ctx aborts the batch (in-flight runs stop at
-// their next event boundary); closing cfg.Drain stops scheduling but lets
-// in-flight runs finish and checkpoint, so a subsequent run with the same
-// CheckpointDir resumes where the batch left off.
-//
-// On failure the error returned is the lowest-indexed non-cancellation
-// failure if any run genuinely failed, otherwise a cancellation error; both
-// classify under the simerr taxonomy.
+// RunManyContext fans the traces over at most cfg.Parallel workers; each
+// worker builds run i's policy, selection and observers, replays trace i
+// under ctx, and turns a panic anywhere beneath it into an error naming the
+// run. Cancelling ctx stops every in-flight run at its next event boundary.
+// Any failed run fails the batch (see forEach for which error is returned);
+// all errors classify under the simerr taxonomy.
 func RunManyContext(ctx context.Context, cfg RunnerConfig) (*MultiResult, error) {
 	n := len(cfg.Traces)
 	if n == 0 {
@@ -248,89 +92,24 @@ func RunManyContext(ctx context.Context, cfg RunnerConfig) (*MultiResult, error)
 	if cfg.MakePolicy == nil {
 		return nil, fmt.Errorf("sim: RunMany requires MakePolicy")
 	}
-
-	if cfg.CheckpointDir != "" {
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("sim: creating checkpoint dir: %w", err)
-		}
-	}
 	if cfg.EventsDir != "" {
 		if err := os.MkdirAll(cfg.EventsDir, 0o755); err != nil {
 			return nil, fmt.Errorf("sim: creating events dir: %w", err)
 		}
 	}
 
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > n {
-		parallel = n
-	}
-
 	results := make([]*Result, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = runOne(ctx, cfg, i)
-			}
-		}()
-	}
-	// Feed jobs until done, cancelled, or draining. A nil Drain channel
-	// blocks forever in select, i.e. never fires.
-	scheduled := 0
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case <-cfg.Drain:
-			break feed
-		case jobs <- i:
-			scheduled++
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Report the most diagnostic failure: a genuine defect beats a
-	// cancellation, earlier runs beat later ones (they are deterministic by
-	// index, so the earliest failure is the most reproducible lead).
-	var firstFailure, firstCancel error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if simerr.Classify(err) == simerr.ClassCanceled {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		if firstFailure == nil {
-			firstFailure = err
-		}
-	}
-	if firstFailure != nil {
-		return nil, firstFailure
-	}
-	if firstCancel != nil {
-		return nil, firstCancel
-	}
-	if scheduled < n {
-		return nil, fmt.Errorf("sim: batch interrupted after %d of %d runs: %w",
-			scheduled, n, simerr.ErrCanceled)
+	err := forEach(ctx, n, cfg.Parallel, func(i int) (err error) {
+		results[i], err = runOne(ctx, cfg, i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	out := &MultiResult{}
+	out := &MultiResult{Runs: results}
 	var gcio, garb, colls, totio, recl []float64
 	for _, res := range results {
-		out.Runs = append(out.Runs, res)
 		if res.MeasurementStarted {
 			gcio = append(gcio, res.GCIOFrac)
 			garb = append(garb, res.GarbageFrac)
@@ -347,73 +126,19 @@ feed:
 	return out, nil
 }
 
-// runOne supervises a single run: cache lookup (with corrupt-entry
-// recovery), the attempt/retry loop, and checkpointing the result.
-func runOne(ctx context.Context, cfg RunnerConfig, i int) (*Result, error) {
-	notify := func(st RunStatus) {
-		if cfg.OnRunStatus != nil {
-			cfg.OnRunStatus(st)
+// runOne executes run i: fresh policy, selection and observers, one replay
+// of trace i. The panic barrier is here, on the worker's own stack, so a bug
+// in a policy or anywhere under the simulation loop fails the batch with the
+// run's index and a stack instead of taking the process down; the event log
+// is closed on every path, a panic included.
+func runOne(ctx context.Context, cfg RunnerConfig, i int) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("sim: run %d: panic: %v\n%s", i, p, debug.Stack())
 		}
-	}
-
-	runPath := ""
-	if cfg.CheckpointDir != "" {
-		runPath = filepath.Join(cfg.CheckpointDir, fmt.Sprintf("run-%03d.gob", i))
-		res, err := loadRunResult(runPath)
-		switch {
-		case err == nil:
-			notify(RunStatus{Run: i, Cached: true, Class: simerr.ClassOK})
-			return res, nil
-		case errors.Is(err, simerr.ErrCorruptCheckpoint):
-			// A torn or damaged cache entry is recoverable: discard it and
-			// recompute the run from its trace.
-			notify(RunStatus{Run: i, Cached: true, Class: simerr.ClassCorruptCheckpoint, Err: err})
-			if rerr := os.Remove(runPath); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, fmt.Errorf("sim: removing corrupt run cache for run %d: %w", i, rerr)
-			}
-		}
-	}
-
-	attempts := cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		var res *Result
-		res, err = runAttempt(ctx, cfg, i, attempt)
-		if err == nil {
-			if runPath != "" {
-				if serr := saveRunResult(runPath, res); serr != nil {
-					return nil, fmt.Errorf("sim: checkpointing run %d: %w", i, serr)
-				}
-			}
-			notify(RunStatus{Run: i, Attempt: attempt, Class: simerr.ClassOK})
-			return res, nil
-		}
-		notify(RunStatus{Run: i, Attempt: attempt, Class: simerr.Classify(err), Err: err})
-		if !fault.IsTransient(err) || ctx.Err() != nil {
-			return nil, err
-		}
-	}
-	if !errors.Is(err, simerr.ErrFaultExhausted) {
-		err = simerr.WrapFaultExhausted(
-			fmt.Sprintf("run %d still failing after %d attempts", i, attempts), err)
-	}
-	return nil, err
-}
-
-// runAttempt executes one attempt of run i under the per-run deadline. A
-// wedged simulation (stuck inside a single Step, so cooperative cancellation
-// cannot reach it) is abandoned when the deadline fires; Go cannot kill a
-// goroutine, so an abandoned one leaks by design — the same contract
-// RunGuarded documents.
-func runAttempt(ctx context.Context, cfg RunnerConfig, i, attempt int) (*Result, error) {
+	}()
 	policy, err := cfg.MakePolicy(i)
 	if err != nil {
-		if fault.IsTransient(err) {
-			return nil, fmt.Errorf("sim: building policy for run %d (attempt %d): %w", i, attempt, err)
-		}
 		return nil, fmt.Errorf("sim: %w",
 			simerr.WrapPolicyFailure(fmt.Sprintf("building policy for run %d", i), err))
 	}
@@ -421,31 +146,22 @@ func runAttempt(ctx context.Context, cfg RunnerConfig, i, attempt int) (*Result,
 	if cfg.MakeSelection != nil {
 		sel, err = cfg.MakeSelection(i)
 		if err != nil {
-			if fault.IsTransient(err) {
-				return nil, fmt.Errorf("sim: building selection for run %d (attempt %d): %w", i, attempt, err)
-			}
 			return nil, fmt.Errorf("sim: %w",
 				simerr.WrapPolicyFailure(fmt.Sprintf("building selection for run %d", i), err))
 		}
 	}
-	simCfg := Config{
-		Storage:             cfg.Storage,
-		Policy:              policy,
-		Selection:           sel,
-		PreambleCollections: cfg.PreambleCollections,
-		FaultProfile:        cfg.FaultProfile,
-		FaultSeed:           cfg.FaultSeed + int64(i),
-	}
 	var observers []obs.Observer
-	var events *obs.JSONLWriter
 	if cfg.EventsDir != "" {
-		// os.Create truncates, so a retried attempt rewrites its log from
-		// scratch rather than appending to a failed attempt's events.
-		f, err := os.Create(filepath.Join(cfg.EventsDir, fmt.Sprintf("run-%03d.jsonl", i)))
-		if err != nil {
-			return nil, fmt.Errorf("sim: creating event log for run %d: %w", i, err)
+		f, ferr := os.Create(filepath.Join(cfg.EventsDir, fmt.Sprintf("run-%03d.jsonl", i)))
+		if ferr != nil {
+			return nil, fmt.Errorf("sim: creating event log for run %d: %w", i, ferr)
 		}
-		events = obs.NewJSONLWriter(f)
+		events := obs.NewJSONLWriter(f)
+		defer func() {
+			if cerr := events.Close(); cerr != nil && err == nil {
+				res, err = nil, fmt.Errorf("sim: run %d: writing event log: %w", i, cerr)
+			}
+		}()
 		observers = append(observers, events)
 	}
 	if cfg.MakeObserver != nil {
@@ -453,62 +169,78 @@ func runAttempt(ctx context.Context, cfg RunnerConfig, i, attempt int) (*Result,
 			observers = append(observers, o)
 		}
 	}
-	simCfg.Observer = obs.NewMulti(observers...)
-
-	s, err := New(simCfg)
-	if err != nil {
-		if events != nil {
-			_ = events.Close()
-		}
-		return nil, fmt.Errorf("sim: run %d: %w", i, err)
-	}
-
-	runCtx := ctx
-	cancel := func() {}
-	if cfg.RunTimeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, cfg.RunTimeout)
-	}
-	defer cancel()
-
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{err: fmt.Errorf("panic during run: %v\n%s", p, debug.Stack())}
-			}
-		}()
-		res, rerr := s.RunContext(runCtx, cfg.Traces[i])
-		ch <- outcome{res: res, err: rerr}
-	}()
-
-	var o outcome
-	select {
-	case o = <-ch:
-	case <-runCtx.Done():
-		// Prefer the run's own exit if it raced the deadline to the line.
-		select {
-		case o = <-ch:
-		default:
-			// Wedged inside a single step: abandon the goroutine. The
-			// events writer stays open because the abandoned goroutine may
-			// still write to it; the file is truncated on the next attempt.
-			return nil, fmt.Errorf("sim: run %d: %w", i, simerr.FromContext(runCtx.Err()))
-		}
-	}
-	res, err := o.res, o.err
-	if events != nil {
-		if cerr := events.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("writing event log: %w", cerr)
-		}
+	s, err := New(Config{
+		Storage:             cfg.Storage,
+		Policy:              policy,
+		Selection:           sel,
+		PreambleCollections: cfg.PreambleCollections,
+		FaultProfile:        cfg.FaultProfile,
+		FaultSeed:           cfg.FaultSeed + int64(i),
+		Observer:            obs.NewMulti(observers...),
+	})
+	if err == nil {
+		res, err = s.RunContext(ctx, cfg.Traces[i])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: run %d: %w", i, err)
 	}
 	return res, nil
+}
+
+// forEach calls fn(i) for every i in [0, n) on at most parallel goroutines
+// (zero or negative means runtime.GOMAXPROCS(0)) and returns once all of
+// them have. Cancelling ctx stops the hand-out of further indices. The error
+// returned is the lowest-indexed failure that is not a cancellation — work
+// is deterministic by index, so that is the most reproducible lead — and a
+// cancellation only when nothing genuinely failed.
+func forEach(ctx context.Context, n, parallel int, fn func(i int) error) error {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	if parallel > n {
+		parallel = n
+	}
+	errs := make([]error, n)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < parallel; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	fed := 0
+feed:
+	for ; fed < n; fed++ {
+		select {
+		case <-ctx.Done():
+			break feed
+		case jobs <- fed:
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	var canceled error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if simerr.Classify(err) != simerr.ClassCanceled {
+			return err
+		}
+		if canceled == nil {
+			canceled = err
+		}
+	}
+	if canceled == nil && fed < n {
+		canceled = fmt.Errorf("sim: interrupted after starting %d of %d jobs: %w",
+			fed, n, simerr.FromContext(ctx.Err()))
+	}
+	return canceled
 }
 
 // GenerateTraces builds n full four-phase OO7 traces with seeds base,
@@ -524,54 +256,21 @@ func GenerateTraces(p oo7.Params, base int64, n int) ([]*trace.Trace, error) {
 // Cancelling ctx stops generation promptly and returns an error classified
 // under the simerr taxonomy.
 func GenerateTracesContext(ctx context.Context, p oo7.Params, base int64, n int, parallel int) ([]*trace.Trace, error) {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > n {
-		parallel = n
-	}
 	traces := make([]*trace.Trace, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if cerr := ctx.Err(); cerr != nil {
-					errs[i] = fmt.Errorf("sim: generating trace %d: %w", i, simerr.FromContext(cerr))
-					continue
-				}
-				tr, err := oo7.FullTrace(p, base+int64(i))
-				if err != nil {
-					errs[i] = fmt.Errorf("sim: generating trace %d: %w", i, err)
-					continue
-				}
-				traces[i] = tr
-			}
-		}()
-	}
-	fed := 0
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- i:
-			fed++
+	err := forEach(ctx, n, parallel, func(i int) error {
+		// A generation cannot be interrupted, so one nobody wants is not begun.
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("sim: generating trace %d: %w", i, simerr.FromContext(cerr))
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
+		tr, err := oo7.FullTrace(p, base+int64(i))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("sim: generating trace %d: %w", i, err)
 		}
-	}
-	if fed < n {
-		return nil, fmt.Errorf("sim: trace generation interrupted after %d of %d traces: %w",
-			fed, n, simerr.FromContext(ctx.Err()))
+		traces[i] = tr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return traces, nil
 }

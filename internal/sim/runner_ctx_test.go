@@ -3,17 +3,14 @@ package sim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"odbgc/internal/core"
-	"odbgc/internal/fault"
 	"odbgc/internal/gc"
 	"odbgc/internal/obs"
 	"odbgc/internal/oo7"
@@ -51,20 +48,6 @@ func (g *gaugeObserver) ObserveRunStart(obs.RunStart) {
 
 func (g *gaugeObserver) ObserveRunEnd(obs.RunEnd) { g.cur.Add(-1) }
 
-// wedgedPolicy blocks inside its first decision until unblocked — a stand-in
-// for a policy bug that hangs a run mid-step, out of reach of cooperative
-// cancellation.
-type wedgedPolicy struct {
-	unblock <-chan struct{}
-}
-
-func (wedgedPolicy) Name() string { return "wedged" }
-func (p wedgedPolicy) ShouldCollect(core.Clock) bool {
-	<-p.unblock
-	return false
-}
-func (wedgedPolicy) AfterCollection(core.Clock, core.HeapState, gc.CollectionResult) {}
-
 func saioRunnerConfig(t *testing.T, n int) RunnerConfig {
 	t.Helper()
 	traces, err := GenerateTraces(oo7.SmallPrime(3), 1, n)
@@ -77,30 +60,6 @@ func saioRunnerConfig(t *testing.T, n int) RunnerConfig {
 			return core.NewSAIO(core.SAIOConfig{Frac: 0.20})
 		},
 	}
-}
-
-// statusLog collects RunStatus reports from concurrent workers.
-type statusLog struct {
-	mu  sync.Mutex
-	all []RunStatus
-}
-
-func (s *statusLog) record(st RunStatus) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.all = append(s.all, st)
-}
-
-func (s *statusLog) count(match func(RunStatus) bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.all {
-		if match(st) {
-			n++
-		}
-	}
-	return n
 }
 
 func TestRunManyRespectsParallelBound(t *testing.T) {
@@ -122,87 +81,6 @@ func TestRunManyRespectsParallelBound(t *testing.T) {
 	}
 }
 
-func TestRunManyTimeoutClassification(t *testing.T) {
-	unblock := make(chan struct{})
-	defer close(unblock) // let the abandoned goroutine exit before the test binary does
-
-	cfg := saioRunnerConfig(t, 1)
-	cfg.MakePolicy = func(int) (core.RatePolicy, error) {
-		return wedgedPolicy{unblock: unblock}, nil
-	}
-	cfg.RunTimeout = 30 * time.Millisecond
-
-	start := time.Now()
-	_, err := RunMany(cfg)
-	if err == nil {
-		t.Fatal("wedged run completed")
-	}
-	if !errors.Is(err, simerr.ErrTimeout) {
-		t.Errorf("errors.Is(err, simerr.ErrTimeout) = false for %v", err)
-	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Errorf("errors.Is(err, sim.ErrTimeout) = false for %v", err)
-	}
-	if got := simerr.Classify(err); got != simerr.ClassTimeout {
-		t.Errorf("classified %s, want %s: %v", got, simerr.ClassTimeout, err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("timeout took %v to fire", elapsed)
-	}
-}
-
-func TestRunManyRetriesTransientFlake(t *testing.T) {
-	var calls atomic.Int32
-	log := &statusLog{}
-	cfg := saioRunnerConfig(t, 1)
-	inner := cfg.MakePolicy
-	cfg.MakePolicy = func(run int) (core.RatePolicy, error) {
-		if calls.Add(1) == 1 {
-			return nil, fmt.Errorf("flaky environment: %w",
-				&fault.TransientError{Op: "read", Seq: 1})
-		}
-		return inner(run)
-	}
-	cfg.MaxAttempts = 2
-	cfg.OnRunStatus = log.record
-
-	mr, err := RunMany(cfg)
-	if err != nil {
-		t.Fatalf("supervisor did not absorb a transient flake: %v", err)
-	}
-	if len(mr.Runs) != 1 {
-		t.Fatalf("runs = %d", len(mr.Runs))
-	}
-	if calls.Load() != 2 {
-		t.Errorf("MakePolicy called %d times, want 2", calls.Load())
-	}
-	if n := log.count(func(st RunStatus) bool { return st.Attempt == 1 && st.Class != simerr.ClassOK }); n != 1 {
-		t.Errorf("recorded %d failed first attempts, want 1", n)
-	}
-	if n := log.count(func(st RunStatus) bool { return st.Attempt == 2 && st.Class == simerr.ClassOK }); n != 1 {
-		t.Errorf("recorded %d successful second attempts, want 1", n)
-	}
-}
-
-func TestRunManyExhaustsAttempts(t *testing.T) {
-	cfg := saioRunnerConfig(t, 1)
-	cfg.MakePolicy = func(int) (core.RatePolicy, error) {
-		return nil, fmt.Errorf("always flaky: %w", &fault.TransientError{Op: "read", Seq: 1})
-	}
-	cfg.MaxAttempts = 3
-
-	_, err := RunMany(cfg)
-	if err == nil {
-		t.Fatal("persistently failing run succeeded")
-	}
-	if !errors.Is(err, simerr.ErrFaultExhausted) {
-		t.Errorf("exhausted retries not classified: %v", err)
-	}
-	if got := simerr.Classify(err); got != simerr.ClassFaultExhausted {
-		t.Errorf("classified %s: %v", got, err)
-	}
-}
-
 func TestRunManyPolicyFailureClassification(t *testing.T) {
 	cfg := saioRunnerConfig(t, 1)
 	cfg.MakePolicy = func(int) (core.RatePolicy, error) {
@@ -214,116 +92,49 @@ func TestRunManyPolicyFailureClassification(t *testing.T) {
 	}
 }
 
-func TestRunManyCorruptCacheRecovers(t *testing.T) {
-	dir := t.TempDir()
-	cfg := saioRunnerConfig(t, 3)
-	cfg.CheckpointDir = dir
+// panickyPolicy panics at its first decision: a stand-in for a bug anywhere
+// under the simulation loop.
+type panickyPolicy struct{}
 
-	clean, err := RunMany(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Damage two of the three cache entries: truncate one mid-payload and
-	// flip a bit inside another's payload.
-	p0 := filepath.Join(dir, "run-000.gob")
-	raw, err := os.ReadFile(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p0, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p1 := filepath.Join(dir, "run-001.gob")
-	raw, err = os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(p1, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	log := &statusLog{}
-	cfg.OnRunStatus = log.record
-	again, err := RunMany(cfg)
-	if err != nil {
-		t.Fatalf("rerun over a corrupt cache failed: %v", err)
-	}
-	if !reflect.DeepEqual(clean, again) {
-		t.Error("recomputed MultiResult differs from the clean run")
-	}
-	if n := log.count(func(st RunStatus) bool {
-		return st.Cached && st.Class == simerr.ClassCorruptCheckpoint
-	}); n != 2 {
-		t.Errorf("detected %d corrupt cache entries, want 2", n)
-	}
-	if n := log.count(func(st RunStatus) bool {
-		return st.Cached && st.Class == simerr.ClassOK
-	}); n != 1 {
-		t.Errorf("recorded %d cache hits, want 1", n)
-	}
-	// The damaged entries must have been rewritten valid.
-	for i := 0; i < 3; i++ {
-		if _, err := loadRunResult(filepath.Join(dir, fmt.Sprintf("run-%03d.gob", i))); err != nil {
-			t.Errorf("cache entry %d not restored: %v", i, err)
-		}
-	}
+func (panickyPolicy) Name() string                  { return "panicky" }
+func (panickyPolicy) ShouldCollect(core.Clock) bool { panic("injected test panic") }
+func (panickyPolicy) AfterCollection(core.Clock, core.HeapState, gc.CollectionResult) {
 }
 
-func TestRunManyDrainThenResumeMatchesUninterrupted(t *testing.T) {
-	const n = 4
-
-	// Reference: the batch run to completion in one go.
-	refCfg := saioRunnerConfig(t, n)
-	refCfg.CheckpointDir = t.TempDir()
-	want, err := RunMany(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted: drain as soon as the first run completes, then resume
-	// from the same checkpoint directory.
-	dir := t.TempDir()
-	drain := make(chan struct{})
-	var drainOnce sync.Once
-	cfg := saioRunnerConfig(t, n)
-	cfg.CheckpointDir = dir
-	cfg.Parallel = 1
-	cfg.OnRunStatus = func(st RunStatus) {
-		if st.Class == simerr.ClassOK && !st.Cached {
-			drainOnce.Do(func() { close(drain) })
+// TestRunManyConvertsPanic: a panic in one run of a batch comes back as an
+// error naming that run, carrying the panic value and a stack, and the
+// batch's other runs are not handed back as if it had succeeded.
+func TestRunManyConvertsPanic(t *testing.T) {
+	for _, parallel := range []int{1, 3} {
+		cfg := saioRunnerConfig(t, 3)
+		cfg.Parallel = parallel
+		inner := cfg.MakePolicy
+		cfg.MakePolicy = func(run int) (core.RatePolicy, error) {
+			if run == 1 {
+				return panickyPolicy{}, nil
+			}
+			return inner(run)
 		}
-	}
-	cfg.Drain = drain
-
-	_, err = RunMany(cfg)
-	if err == nil {
-		t.Fatal("drained batch reported success")
-	}
-	if got := simerr.Classify(err); got != simerr.ClassCanceled {
-		t.Fatalf("drained batch classified %s: %v", got, err)
-	}
-	saved, err := filepath.Glob(filepath.Join(dir, "run-*.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(saved) == 0 || len(saved) >= n {
-		t.Fatalf("drain left %d of %d checkpoints", len(saved), n)
-	}
-
-	log := &statusLog{}
-	cfg.Drain = nil
-	cfg.OnRunStatus = log.record
-	got, err := RunMany(cfg)
-	if err != nil {
-		t.Fatalf("resume failed: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("resumed MultiResult differs from the uninterrupted run")
-	}
-	if hits := log.count(func(st RunStatus) bool { return st.Cached && st.Class == simerr.ClassOK }); hits != len(saved) {
-		t.Errorf("resume hit the cache %d times, want %d", hits, len(saved))
+		cfg.EventsDir = t.TempDir()
+		mr, err := RunMany(cfg)
+		if mr != nil || err == nil {
+			t.Fatalf("parallel %d: result %v, err %v; want nil result and an error", parallel, mr, err)
+		}
+		for _, want := range []string{"run 1:", "injected test panic", "panickyPolicy.ShouldCollect"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("parallel %d: error lacks %q: %v", parallel, want, err)
+			}
+		}
+		// The panicking run's event log was still closed at a line boundary.
+		f, err := os.Open(filepath.Join(cfg.EventsDir, "run-001.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = obs.ReadAll(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("parallel %d: event log of the panicking run does not validate: %v", parallel, err)
+		}
 	}
 }
 

@@ -40,9 +40,6 @@ type Config struct {
 	// means, counted in collections. Negative disables the preamble; zero
 	// means the default of 10 (§3.2).
 	PreambleCollections int
-	// CheckEvery, when positive, cross-validates all incremental
-	// bookkeeping against ground truth every N events (slow; tests only).
-	CheckEvery int
 	// PhysicalFixups charges collector I/O for rewriting external objects
 	// whose pointers into a compacted partition must be updated, modeling
 	// physical (direct) pointers instead of the default logical-OID
@@ -413,15 +410,6 @@ func (s *Simulator) Step(e *trace.Event) error {
 			Phase:       s.curPhase,
 			Clock:       obs.ClockOf(s.cycle.Clock()),
 		})
-	}
-
-	// Invariant checks compare against whole-graph reachability, which is
-	// only meaningful at collection-safe points (mid-construction, a
-	// just-created object is legitimately unreachable).
-	if s.cfg.CheckEvery > 0 && s.collectSafe && (i+1)%s.cfg.CheckEvery == 0 {
-		if err := s.heap.Check(); err != nil {
-			return fmt.Errorf("sim: invariant check after event %d: %w", i, err)
-		}
 	}
 	return nil
 }

@@ -17,20 +17,41 @@ func smallTrace(t testing.TB, conn int, seed int64) *trace.Trace {
 	return tr
 }
 
+// runChecked replays tr like Simulator.Run, cross-validating all incremental
+// bookkeeping against ground truth every `every` events (slow). The check
+// compares against whole-graph reachability, which only means something at
+// collection-safe points: mid-construction, a just-created object is
+// legitimately unreachable.
+func runChecked(t *testing.T, s *Simulator, tr *trace.Trace, every int) *Result {
+	t.Helper()
+	for i := range tr.Events {
+		if err := s.Step(&tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+		if s.collectSafe && (i+1)%every == 0 {
+			if err := s.heap.Check(); err != nil {
+				t.Fatalf("invariant check after event %d: %v", i, err)
+			}
+		}
+	}
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestEndToEndSAIO(t *testing.T) {
 	tr := smallTrace(t, 3, 1)
 	pol, err := core.NewSAIO(core.SAIOConfig{Frac: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Policy: pol, CheckEvery: 10000})
+	s, err := New(Config{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, s, tr, 10000)
 	t.Logf("collections=%d totalIO=%d gcioFrac=%.4f garbFrac=%.4f partitions=%d reclaimed=%d/%d",
 		len(res.Collections), res.Final.TotalIO(), res.GCIOFrac, res.GarbageFrac,
 		res.Partitions, res.TotalReclaimed, res.TotalGarbage)
@@ -52,14 +73,11 @@ func TestEndToEndSAGAOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Policy: pol, CheckEvery: 10000})
+	s, err := New(Config{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, s, tr, 10000)
 	t.Logf("collections=%d gcioFrac=%.4f garbFrac=%.4f [%0.4f,%.4f] reclaimed=%d/%d",
 		len(res.Collections), res.GCIOFrac, res.GarbageFrac,
 		res.GarbageFracMin, res.GarbageFracMax, res.TotalReclaimed, res.TotalGarbage)

@@ -1,6 +1,6 @@
 // Package simerr is the repository's structured failure taxonomy: a small
 // set of errors.Is-able sentinels that every layer — the simulator, the
-// fault injector, the trace codecs, the batch supervisor, and the CLIs —
+// fault injector, the trace codecs, the batch runner, and the CLIs —
 // wraps into the errors it returns, so callers and the observability layer
 // classify failures by identity instead of string-matching messages.
 //
@@ -24,13 +24,13 @@ import (
 //
 //   - ErrCanceled: the caller asked the work to stop (context cancellation,
 //     SIGINT drain). Not a defect; partial results and checkpoints are valid.
-//   - ErrTimeout: a deadline elapsed — a watchdog or -run-timeout cancelled
-//     a wedged run. The run's partial state must be discarded.
-//   - ErrFaultExhausted: every retry of a transiently failing operation (or
-//     run) failed; the transient fault turned out not to be.
-//   - ErrCorruptCheckpoint: persisted state — a checkpoint file or a cached
-//     per-run result — failed validation on load. Safe handling is delete
-//     and recompute.
+//   - ErrTimeout: a deadline elapsed — the caller's context expired before
+//     the work finished. The run's partial state must be discarded.
+//   - ErrFaultExhausted: every retry of a transiently failing storage
+//     operation failed; the transient fault turned out not to be.
+//   - ErrCorruptCheckpoint: persisted state — an encoded sim.Checkpoint —
+//     failed validation on load. Safe handling is to discard it and
+//     recompute.
 //   - ErrPolicyFailure: a rate policy, estimator, or selection policy could
 //     not be built or misbehaved; retrying without a config change is futile.
 //   - ErrCorruptTrace: an input event stream is truncated or damaged.
@@ -176,15 +176,6 @@ func WrapPolicyFailure(detail string, cause error) error {
 		return fmt.Errorf("%w: %s", ErrPolicyFailure, detail)
 	}
 	return fmt.Errorf("%w: %s: %w", ErrPolicyFailure, detail, cause)
-}
-
-// WrapFaultExhausted marks err as a fault-retries-exhausted failure, keeping
-// the cause in the chain.
-func WrapFaultExhausted(detail string, cause error) error {
-	if cause == nil {
-		return fmt.Errorf("%w: %s", ErrFaultExhausted, detail)
-	}
-	return fmt.Errorf("%w: %s: %w", ErrFaultExhausted, detail, cause)
 }
 
 // Overloadedf builds an ErrOverloaded-classified error (an admission limit
