@@ -128,8 +128,18 @@ func (h *Heap) Store() *objstore.Store { return h.store }
 // SetDurable attaches a write-ahead-logging backend: from now on every
 // logical mutation is logged before the heap reports it done. Attach before
 // the first mutation (or right after rebuilding the heap from the backend's
-// recovered state) — records are not emitted retroactively.
-func (h *Heap) SetDurable(b storage.Backend) { h.durable = b }
+// recovered state) — records are not emitted retroactively. A backend that
+// keeps the object graph itself (disk.Store) is handed the heap's store to
+// keep instead, so the graph exists once.
+func (h *Heap) SetDurable(b storage.Backend) {
+	h.durable = b
+	if a, ok := b.(adopter); ok {
+		a.Adopt(h.store)
+	}
+}
+
+// adopter is a backend that keeps the heap's object store as its state.
+type adopter interface{ Adopt(*objstore.Store) }
 
 // Durable returns the attached durability backend, or nil.
 func (h *Heap) Durable() storage.Backend { return h.durable }
@@ -158,6 +168,9 @@ func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) 
 	}
 	if h.durable != nil {
 		if err := h.durable.LogAlloc(oid, class, size, nslots); err != nil {
+			// An object the log refused must not stay in a store a backend
+			// may checkpoint. Remove cannot fail: the object was just made.
+			_ = h.store.Remove(oid)
 			return fmt.Errorf("gc: log alloc %v: %w", oid, err)
 		}
 	}

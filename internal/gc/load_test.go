@@ -20,12 +20,16 @@ func (nullBackend) Commit() error                                         { retu
 func (nullBackend) Checkpoint() error                                     { return nil }
 func (nullBackend) Close() error                                          { return nil }
 
-func loadOf(objs ...storage.ObjectState) func(func(storage.ObjectState)) {
-	return func(fn func(storage.ObjectState)) {
-		for _, o := range objs {
-			fn(o)
+// storeOf enters objs into a fresh object store, as recovery would.
+func storeOf(t *testing.T, objs ...storage.ObjectState) *objstore.Store {
+	t.Helper()
+	st := objstore.NewStore()
+	for _, o := range objs {
+		if err := st.Load(o.OID, o.Class, o.Size, o.Slots, o.Root); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return st
 }
 
 // TestLoadFillsAnEmptyHeap is the small case by hand: two partitions' worth of
@@ -34,7 +38,7 @@ func loadOf(objs ...storage.ObjectState) func(func(storage.ObjectState)) {
 // test, which has a durable store to load from.)
 func TestLoadFillsAnEmptyHeap(t *testing.T) {
 	h := testHeap(t) // 100-byte pages, 400-byte partitions
-	err := h.Load(loadOf(
+	err := h.Load(storeOf(t,
 		storage.ObjectState{OID: 1, Size: 100, Slots: []objstore.OID{2, 9, objstore.NilOID}, Root: true},
 		storage.ObjectState{OID: 2, Size: 100},
 		storage.ObjectState{OID: 4, Size: 100},
@@ -68,8 +72,7 @@ func TestLoadFillsAnEmptyHeap(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesAtTheEdge: a load is for an empty heap that logs nowhere,
-// given objects in the order the layers below index them by.
+// TestLoadRefusesAtTheEdge: a load is for an empty heap that logs nowhere.
 func TestLoadRefusesAtTheEdge(t *testing.T) {
 	one := storage.ObjectState{OID: 1, Size: 10}
 	for _, tc := range []struct {
@@ -85,12 +88,10 @@ func TestLoadRefusesAtTheEdge(t *testing.T) {
 			h.SetOracleless(true)
 			_, _ = h.Collect(0)
 		}, []storage.ObjectState{one}, "already holds"},
-		{"OIDs that descend", func(*Heap) {}, []storage.ObjectState{{OID: 3, Size: 10}, {OID: 2, Size: 10}}, "must ascend"},
-		{"an OID given twice", func(*Heap) {}, []storage.ObjectState{one, one}, "must ascend"},
 	} {
 		h := testHeap(t)
 		tc.prepare(h)
-		err := h.Load(loadOf(tc.objs...))
+		err := h.Load(storeOf(t, tc.objs...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("load into %s: %v, want a refusal saying %q", tc.name, err, tc.want)
 		}
@@ -98,9 +99,9 @@ func TestLoadRefusesAtTheEdge(t *testing.T) {
 }
 
 // TestLoadRefusalsAreTheSinglePassOnes pins the text of every refusal Load
-// makes: it asks the object store and then the storage manager about each
-// object in turn and stops at the first object either refuses, the store's
-// word first. A Load that fills the two some other way has to return these.
+// makes: it places the objects in OID order and stops at the first one the
+// storage manager refuses, then refuses the first dangling slot target. What
+// the object store refuses (a nil, duplicate or far OID) never reaches it.
 func TestLoadRefusalsAreTheSinglePassOnes(t *testing.T) {
 	obj := func(oid objstore.OID, slots ...objstore.OID) storage.ObjectState {
 		return storage.ObjectState{OID: oid, Size: 10, Slots: slots}
@@ -111,22 +112,14 @@ func TestLoadRefusalsAreTheSinglePassOnes(t *testing.T) {
 		objs      []storage.ObjectState
 		want      string
 	}{
-		{"OIDs that descend", 0, []storage.ObjectState{obj(3), obj(2)},
-			"gc: load of oid:2 after oid:3: OIDs must ascend"},
-		{"an OID given twice", 0, []storage.ObjectState{obj(1), obj(2), obj(2)},
-			"gc: load of oid:2 after oid:2: OIDs must ascend"},
-		{"a nil OID", 0, []storage.ObjectState{obj(0)},
-			"gc: load nil: objstore: cannot create object with nil OID"},
-		{"an OID beyond the horizon", 0, []storage.ObjectState{obj(1), obj(2 + objstore.MaxOIDGap)},
-			"gc: load oid:1048578: objstore: OID beyond the allocation horizon: oid:1048578 with next OID oid:2"},
 		{"a placement fault", 3, []storage.ObjectState{obj(1), obj(2), obj(3), obj(4)},
 			"gc: load oid:3: storage: allocate oid:3: injected placement fault"},
-		{"a placement fault before a descending OID", 2, []storage.ObjectState{obj(1), obj(2), obj(5), obj(4)},
+		{"a placement fault in OID order", 2, []storage.ObjectState{obj(5), obj(1), obj(4)},
+			"gc: load oid:4: storage: allocate oid:4: injected placement fault"},
+		{"a placement fault before a dangling slot target", 2, []storage.ObjectState{obj(1, 7), obj(2)},
 			"gc: load oid:2: storage: allocate oid:2: injected placement fault"},
-		{"a placement fault after a descending OID", 4, []storage.ObjectState{obj(1), obj(5), obj(4), obj(6)},
-			"gc: load of oid:4 after oid:5: OIDs must ascend"},
-		{"a placement fault on an object the store refuses too", 2, []storage.ObjectState{obj(1), {OID: 2, Size: -1}},
-			"gc: load oid:2: objstore: invalid size -1 or slot count 0"},
+		{"an object placement refuses", 0, []storage.ObjectState{obj(1), {OID: 2}},
+			"gc: load oid:2: storage: allocate oid:2 with size 0"},
 		{"a dangling slot target", 0, []storage.ObjectState{obj(1, 2, 7), obj(2)},
 			"gc: load oid:1: slot target oid:7 does not exist"},
 	} {
@@ -140,7 +133,7 @@ func TestLoadRefusalsAreTheSinglePassOnes(t *testing.T) {
 				return nil
 			}))
 		}
-		err := h.Load(loadOf(tc.objs...))
+		err := h.Load(storeOf(t, tc.objs...))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("load of %s:\n got %v\nwant %s", tc.name, err, tc.want)
 		}

@@ -123,8 +123,8 @@ func NewStore() *Store {
 // densely, so a larger jump is a damaged input — a bit-flipped trace event, a
 // corrupt snapshot — and honouring it would size the table directory by the
 // damage. Recovery, whose survivors can sit far apart, declares its horizon
-// with AdvanceNextOID first. The durable backend holds the OIDs it replays
-// from its log to the same bound.
+// with AdvanceNextOID first. The durable backend replays its image and log
+// through CreateWithOID, so the same bound holds there.
 const MaxOIDGap = 1 << 20
 
 // ErrOIDRange marks a create refused because its OID lies further than
@@ -202,8 +202,8 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	return o, nil
 }
 
-// Load enters an object as recovery delivers it — header, slots and root flag
-// in one step — with CreateWithOID's refusals. The slots are copied as given:
+// Load enters an object whole — header, slots and root flag in one step — with
+// CreateWithOID's refusals. The slots are copied as given:
 // whether each target exists can only be asked once every object is in, and is
 // the caller's to ask (gc.Heap.Load does).
 func (s *Store) Load(oid OID, class Class, size int, slots []OID, root bool) error {
@@ -325,6 +325,26 @@ func (s *Store) Roots() []OID {
 // The callback must not create or remove objects.
 func (s *Store) ForEach(fn func(*Object)) {
 	s.objects.ForEach(func(_ OID, o *Object) { fn(o) })
+}
+
+// ForEachRooted is ForEach with each object's root flag, read from the root
+// table chunk beside the object's instead of looked up per object: the form
+// for walks that serialize the whole store (a durable checkpoint, its digest).
+func (s *Store) ForEachRooted(fn func(o *Object, root bool)) {
+	for i, c := range s.objects.dir {
+		if c == nil {
+			continue
+		}
+		var roots *[chunkSize]bool
+		if i < len(s.roots.dir) {
+			roots = s.roots.dir[i]
+		}
+		for j, o := range c {
+			if o != nil {
+				fn(o, roots != nil && roots[j])
+			}
+		}
+	}
 }
 
 // Reachable computes the set of objects reachable from the persistent roots

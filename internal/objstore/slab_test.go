@@ -155,6 +155,18 @@ func checkAgainstModel(t *testing.T, s *Store, model map[OID]*modelObject, roots
 	if seen != len(model) {
 		t.Fatalf("ForEach visited %d objects, model has %d", seen, len(model))
 	}
+	seen = 0
+	var last OID
+	s.ForEachRooted(func(o *Object, root bool) {
+		if o.OID <= last || model[o.OID] == nil || root != roots[o.OID] {
+			t.Fatalf("ForEachRooted gave %v (root %v) after %v; model has it %v, root %v", o.OID, root, last, model[o.OID] != nil, roots[o.OID])
+		}
+		last = o.OID
+		seen++
+	})
+	if seen != len(model) {
+		t.Fatalf("ForEachRooted visited %d objects, model has %d", seen, len(model))
+	}
 
 	sentinel := func(oid OID, i int) OID { return oid<<8 | OID(i) | 1<<60 }
 	for oid := range model {

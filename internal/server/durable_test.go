@@ -2,11 +2,15 @@ package server
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"odbgc/internal/core"
+	"odbgc/internal/objstore"
+	"odbgc/internal/storage"
 	"odbgc/internal/storage/disk"
 )
 
@@ -131,5 +135,104 @@ func TestCheckpointEveryCountsCommittedBatches(t *testing.T) {
 	})
 	if commits != 1024 || checkpoints != 1 {
 		t.Errorf("1024 mutations among 2046 reads: %v commits, %v checkpoints; want 1024 and 1", commits, checkpoints)
+	}
+}
+
+// TestCreateRefusedByTheLogLeavesNoObject: an object LogAlloc refuses — more
+// slots than a data page holds, a size beyond 32 bits — used to stay in the
+// heap's object store. That store is what a checkpoint writes, so a refused
+// create must leave nothing there: the next commit and checkpoint succeed and
+// reopen to the one object that was logged.
+func TestCreateRefusedByTheLogLeavesNoObject(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := newTestHeap(t, storage.DefaultConfig())
+	heap.SetDurable(st)
+	if err := heap.Create(1, objstore.ClassUnknown, 10, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ size, slots int }{{10, disk.MaxSlots + 1}, {1 << 33, 0}} {
+		if err := heap.Create(heap.Store().NextOID(), objstore.ClassUnknown, c.size, c.slots); err == nil {
+			t.Errorf("create of size %d with %d slots accepted", c.size, c.slots)
+		}
+		if n := heap.Store().Len(); n != 1 {
+			t.Errorf("refused create of size %d with %d slots left %d objects, want 1", c.size, c.slots, n)
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, info, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if info.Objects != 1 || info.BatchesReplayed != 0 {
+		t.Errorf("reopened %d objects, %d batches replayed; want the checkpointed object alone", info.Objects, info.BatchesReplayed)
+	}
+}
+
+// TestFreshHeapBesideRecoveredObjectsIsRefused: an empty heap attached to a
+// store that recovered objects hands out OIDs from 1, which are live. Its
+// first create used to commit — the batch reached the WAL before the store
+// found the duplicate — and every later Open failed on "alloc of existing".
+// The store now refuses such a heap before anything is written.
+func TestFreshHeapBesideRecoveredObjectsIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *disk.Store {
+		t.Helper()
+		st, _, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := open()
+	for oid := objstore.OID(1); oid <= 3; oid++ {
+		if err := st.LogAlloc(oid, objstore.ClassUnknown, 10, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := st.Digest()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+
+	st = open()
+	before := walSize()
+	heap := newTestHeap(t, storage.DefaultConfig())
+	heap.SetDurable(st)
+	_ = heap.Create(heap.Store().NextOID(), objstore.ClassUnknown, 10, 0) // refused or not, it must not commit
+	if err := st.Commit(); err == nil {
+		t.Error("commit of the fresh heap's create succeeded")
+	}
+	if after := walSize(); after != before {
+		t.Errorf("the WAL grew from %d to %d bytes", before, after)
+	}
+	_ = st.Close() // a poisoned store reports its poison
+	st = open()
+	defer st.Close()
+	if got := st.Digest(); got != want {
+		t.Errorf("reopened digest %x, want %x", got[:6], want[:6])
 	}
 }

@@ -139,6 +139,7 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 		epoch: time.Now(),
 	}
 	if cfg.Durable != nil {
+		heap.SetDurable(cfg.Durable) // bare first, so a disk.Store adopts the heap's object store
 		e.durable = &stagedBackend{Backend: cfg.Durable}
 		heap.SetDurable(e.durable)
 	}

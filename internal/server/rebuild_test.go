@@ -222,6 +222,19 @@ func TestLoadMatchesMutationPath(t *testing.T) {
 	t.Run("damaged", testLoadRefusals)
 }
 
+// loadDamaged is recovery's route for a damaged state: each object enters an
+// object store below the horizon next, and the heap is loaded on that store.
+func loadDamaged(heap *gc.Heap, next objstore.OID, state []storage.ObjectState) error {
+	st := objstore.NewStore()
+	st.AdvanceNextOID(next)
+	for _, o := range state {
+		if err := st.Load(o.OID, o.Class, o.Size, o.Slots, o.Root); err != nil {
+			return err
+		}
+	}
+	return heap.Load(st)
+}
+
 // testLoadRefusals feeds both rebuilds one damaged state per refusal. Neither
 // may accept it, and where the refusal carries a sentinel both carry the same
 // one.
@@ -250,8 +263,7 @@ func testLoadRefusals(t *testing.T) {
 			}
 		}
 		loaded, replayed := newTestHeap(t, cfg), newTestHeap(t, cfg)
-		loaded.Store().AdvanceNextOID(100)
-		lerr := loaded.Load(each)
+		lerr := loadDamaged(loaded, 100, tc.state)
 		rerr := rebuildByMutation(replayed, 100, each)
 		if lerr == nil || rerr == nil {
 			t.Errorf("%s: load says %v, the mutation path %v; want both to refuse", tc.name, lerr, rerr)

@@ -36,8 +36,8 @@ type Backend interface {
 	Close() error
 }
 
-// ObjectState is one committed object as a backend hands it back after
-// recovery, for the owner to rebuild a live heap from (gc.Heap.Load).
+// ObjectState is one committed object as a backend reads it back
+// (disk.Store.ForEach), for tools and tests that walk the recovered state.
 type ObjectState struct {
 	OID   objstore.OID
 	Class objstore.Class

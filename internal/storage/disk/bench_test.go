@@ -135,7 +135,7 @@ func BenchmarkOpen(b *testing.B) {
 }
 
 // BenchmarkCheckpoint times one full-image checkpoint of a fixed committed
-// state: serialize the mirror through the page window, which writes it out in
+// state: serialize the object store through the page window, which writes it out in
 // runs, and flip the meta page. writes/op counts the WriteAts heap.db takes
 // for it and pages/op the pages they carry, the meta page's among them. The
 // file is presized to the two alternating images it settles at, so no
@@ -169,7 +169,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // BenchmarkCommit times what a durable engine pays per acknowledged request:
 // stage one pointer store, encode the batch, append it with one write, sync
-// per policy, fold it into the committed mirror. The in-memory FS syncs for
+// per policy, apply it to the object store. The in-memory FS syncs for
 // free, so the three policies differ by the backend's own bookkeeping only;
 // the device's latency is the repository benchmark's serve-durable. The path
 // reuses the store's staging and encode buffers and must not allocate.

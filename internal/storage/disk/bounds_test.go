@@ -82,25 +82,25 @@ func TestReplayRefusesWideAlloc(t *testing.T) {
 	for _, nslots := range []int{MaxSlots + 1, 1<<32 - 1} {
 		buf := appendRecord(nil, walOp{kind: recAlloc, oid: 1, size: 8, nslots: nslots}, 0)
 		buf = appendRecord(buf, walOp{kind: recCommit}, 1)
-		mem := newMemState()
-		if _, err := scanWAL(buf, 0, mem); !errors.Is(err, simerr.ErrRecoveryFailed) {
+		objs := objstore.NewStore()
+		if _, err := scanWAL(buf, 0, objs); !errors.Is(err, simerr.ErrRecoveryFailed) {
 			t.Errorf("replay of a %d-slot alloc: %v, want ErrRecoveryFailed", nslots, err)
 		}
-		if mem.objects.Len() != 0 {
-			t.Errorf("%d-slot alloc entered the mirror", nslots)
+		if objs.Len() != 0 {
+			t.Errorf("%d-slot alloc entered the object store", nslots)
 		}
 	}
 }
 
 // TestReplayBoundsAllocKeys: replay accepts an OID up to objstore.MaxOIDGap
-// past the mirror's horizon and no further.
+// past the horizon and no further.
 func TestReplayBoundsAllocKeys(t *testing.T) {
-	mem := newMemState()
-	if _, err := scanWAL(farOIDWAL(), 0, mem); !errors.Is(err, simerr.ErrRecoveryFailed) {
+	objs := objstore.NewStore()
+	if _, err := scanWAL(farOIDWAL(), 0, objs); !errors.Is(err, simerr.ErrRecoveryFailed) {
 		t.Errorf("replay of an alloc at OID 1<<62: %v, want ErrRecoveryFailed", err)
 	}
-	if mem.objects.Len() != 0 || mem.nextOID != 1 {
-		t.Errorf("refused alloc moved the mirror: %d objects, next %v", mem.objects.Len(), mem.nextOID)
+	if objs.Len() != 0 || objs.NextOID() != 1 {
+		t.Errorf("refused alloc moved the object store: %d objects, next %v", objs.Len(), objs.NextOID())
 	}
 	for _, tc := range []struct {
 		oid objstore.OID
@@ -108,9 +108,9 @@ func TestReplayBoundsAllocKeys(t *testing.T) {
 	}{{objstore.MaxOIDGap, true}, {objstore.MaxOIDGap + 1, false}, {objstore.NilOID, false}} {
 		buf := appendRecord(nil, walOp{kind: recAlloc, oid: tc.oid, size: 8}, 0)
 		buf = appendRecord(buf, walOp{kind: recCommit}, 1)
-		_, err := scanWAL(buf, 0, newMemState())
+		_, err := scanWAL(buf, 0, objstore.NewStore())
 		if (err == nil) != tc.ok {
-			t.Errorf("replay of an alloc at %v into an empty mirror: %v, want accepted=%v", tc.oid, err, tc.ok)
+			t.Errorf("replay of an alloc at %v into an empty store: %v, want accepted=%v", tc.oid, err, tc.ok)
 		}
 	}
 }

@@ -92,7 +92,12 @@ type Store struct {
 	fsync      FsyncPolicy
 	groupEvery int
 
-	mem *memState
+	// objs is the state: the object store recovery filled, or the one a heap
+	// runs on once the store has adopted it (Adopt). While adopted is false,
+	// Commit applies each batch to objs itself; once a heap runs on it, the
+	// heap has applied the batch before logging it.
+	objs    *objstore.Store
+	adopted bool
 
 	// Staging: records logged since the last commit. ops, reclaimBuf, and
 	// encBuf are reused across commits so the hot append path allocates
@@ -117,8 +122,8 @@ type Store struct {
 	generation uint64
 
 	// fatal, once set, permanently fails the store: an error left the WAL,
-	// the mirror, and the staged batch out of agreement, and any further
-	// append could break the sequence discipline recovery depends on.
+	// the object store, and the staged batch out of agreement, and any
+	// further append could break the sequence discipline recovery depends on.
 	fatal  error
 	closed bool
 }
@@ -141,7 +146,7 @@ func Open(opts Options) (*Store, *RecoveryInfo, error) {
 		fs:         opts.FS,
 		fsync:      opts.Fsync,
 		groupEvery: opts.GroupEvery,
-		mem:        newMemState(),
+		objs:       objstore.NewStore(),
 		walSynced:  true,
 		pageCount:  2, // meta slots always exist
 	}
@@ -169,7 +174,7 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 		return nil, err
 	}
 
-	m, fallback, pagesRead, used, err := loadCheckpoint(s.heap, s.mem)
+	m, fallback, pagesRead, used, err := loadCheckpoint(s.heap, s.objs)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +203,7 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 			return nil, simerr.WrapRecoveryFailed("read wal", rerr)
 		}
 	}
-	scan, err := scanWAL(data, s.ckptSeq, s.mem)
+	scan, err := scanWAL(data, s.ckptSeq, s.objs)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +237,8 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 		TornTail:        scan.torn,
 		TornAt:          scan.tornAt,
 		MetaFallback:    fallback,
-		Objects:         s.mem.objects.Len(),
-		Digest:          s.mem.digest(),
+		Objects:         s.objs.Len(),
+		Digest:          digest(s.objs),
 	}
 	return info, nil
 }
@@ -304,8 +309,9 @@ func (s *Store) LogReclaim(oids []objstore.OID) error {
 }
 
 // Commit seals the staged records into one batch: encode, append with a
-// single write, fsync per policy, then fold into the committed mirror.
-// An empty batch is a no-op (no WAL bytes, no sequence number).
+// single write, fsync per policy, then — while no heap runs on the store —
+// apply it to the object store. An empty batch is a no-op (no WAL bytes, no
+// sequence number).
 func (s *Store) Commit() error {
 	if s.closed {
 		return fmt.Errorf("disk: store is closed")
@@ -351,14 +357,17 @@ func (s *Store) Commit() error {
 			return err
 		}
 	}
-	// The write is down; the batch is committed. Fold it into the mirror.
-	// An apply failure here means the caller logged an inconsistent batch
-	// (e.g. a set on an object it never allocated); the WAL already holds
-	// the batch, the mirror may be half-applied, and recovery would hit the
-	// same wall — the store cannot continue.
-	for _, op := range s.ops {
-		if err := s.mem.apply(op); err != nil {
-			return s.poison(fmt.Errorf("disk: batch %d is inconsistent: %w", seq, err))
+	// The write is down; the batch is committed. A heap running on the store
+	// has applied it already; otherwise apply it here. A replay failure means
+	// the caller logged an inconsistent batch (e.g. a set on an object it
+	// never allocated); the WAL already holds the batch, the object store may
+	// be half-applied, and recovery would hit the same wall — the store
+	// cannot continue.
+	if !s.adopted {
+		for _, op := range s.ops {
+			if err := replay(s.objs, op); err != nil {
+				return s.poison(fmt.Errorf("disk: batch %d is inconsistent: %w", seq, err))
+			}
 		}
 	}
 	s.seq = seq
@@ -454,10 +463,10 @@ func (s *Store) Checkpoint() error {
 	m := meta{
 		generation: s.generation,
 		seq:        s.seq,
-		nextOID:    uint64(s.mem.nextOID),
+		nextOID:    uint64(s.objs.NextOID()),
 		pageCount:  s.pageCount,
 		dirHead:    img.head,
-		objects:    uint64(s.mem.objects.Len()),
+		objects:    uint64(s.objs.Len()),
 	}
 	slot := uint32(s.generation % 2)
 	if _, err := s.heap.WriteAt(encodeMeta(m), int64(slot)*PageSize); err != nil {
@@ -481,16 +490,18 @@ func (s *Store) Checkpoint() error {
 }
 
 // Close cuts a WAL the last checkpoint left stale, syncs outstanding
-// committed batches (or that cut) and releases the files. The
-// staged (uncommitted) records, if any, are discarded — exactly what a
-// crash would do to them. A poisoned store only releases the files: its
-// WAL bookkeeping no longer matches the bytes on disk, so syncing could
-// make an inconsistent tail durable.
+// committed batches (or that cut) and releases the files and the object
+// store: a closed store reads as empty, and keeps alive no graph that no heap
+// runs on. The staged (uncommitted) records, if any, are discarded — exactly
+// what a crash would do to them. A poisoned store releases without cutting or
+// syncing: its WAL bookkeeping no longer matches the bytes on disk, so
+// syncing could make an inconsistent tail durable.
 func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	s.objs = objstore.NewStore()
 	err := s.failed()
 	if err == nil {
 		err = s.cutStaleWAL()
@@ -527,6 +538,6 @@ func (s *Store) Stats() Stats {
 		WALTail:     s.walTail,
 		PageCount:   s.pageCount,
 		FreePages:   len(s.freePages),
-		Objects:     s.mem.objects.Len(),
+		Objects:     s.objs.Len(),
 	}
 }

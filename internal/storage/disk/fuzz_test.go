@@ -39,10 +39,10 @@ func FuzzScanWAL(f *testing.F) {
 	corrupted := bytes.Clone(seed)
 	corrupted[30] ^= 0xff
 	f.Add(corrupted)
-	f.Add(farOIDWAL()) // intact records, a key the mirror must refuse to reach for
+	f.Add(farOIDWAL()) // intact records, a key replay must refuse to reach for
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mem := newMemState()
-		scan, err := scanWAL(data, 0, mem)
+		objs := objstore.NewStore()
+		scan, err := scanWAL(data, 0, objs)
 		if err != nil {
 			// Unrecoverable (sequence gap, inconsistent batch, a key or a
 			// slot count out of bounds): fine, as long as it did not panic
@@ -55,9 +55,9 @@ func FuzzScanWAL(f *testing.F) {
 		if scan.tail < 0 || scan.tail > int64(len(data)) {
 			t.Fatalf("tail %d outside image of %d bytes", scan.tail, len(data))
 		}
-		d1 := mem.digest()
-		mem2 := newMemState()
-		scan2, err := scanWAL(data[:scan.tail], 0, mem2)
+		d1 := digest(objs)
+		objs2 := objstore.NewStore()
+		scan2, err := scanWAL(data[:scan.tail], 0, objs2)
 		if err != nil {
 			t.Fatalf("re-scan of accepted prefix failed: %v", err)
 		}
@@ -67,7 +67,7 @@ func FuzzScanWAL(f *testing.F) {
 		if scan2.tail != scan.tail || scan2.batches != scan.batches || scan2.lastSeq != scan.lastSeq {
 			t.Fatalf("re-scan diverged: %+v vs %+v", scan2, scan)
 		}
-		if d2 := mem2.digest(); d2 != d1 {
+		if d2 := digest(objs2); d2 != d1 {
 			t.Fatalf("re-scan state diverged")
 		}
 	})

@@ -114,14 +114,16 @@ func (w *pageWindow) flush() error {
 // the intact WAL. This is the only place image pages are written, so the
 // write-ordering invariant lives at its head: no page whose contents depend on
 // a committed batch reaches disk before that batch's WAL records do. Every
-// object fits a page: nothing wider than MaxSlots enters the mirror.
+// object fits a page: nothing wider than MaxSlots enters the object store
+// (LogAlloc and replay refuse it, and Heap.Create removes an object LogAlloc
+// refused).
 func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 	if err := s.syncWAL(); err != nil {
 		return nil, err
 	}
 	img := &checkpointImage{used: make(map[uint32]bool, len(s.usedPages))} // about as many pages as the last image
 	// A data page holds at least one record.
-	datas := &pageWindow{heap: s.heap, buf: make([]byte, min(s.mem.objects.Len(), windowPages)*PageSize)}
+	datas := &pageWindow{heap: s.heap, buf: make([]byte, min(s.objs.Len(), windowPages)*PageSize)}
 	var (
 		data  []byte // the data page being filled, nil before the first
 		off   int    // fill offset on data
@@ -134,12 +136,11 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 	sealData := func(next uint32) {
 		sealPage(data, pageHdr{kind: kindData, count: nrecs, next: next, used: uint32(off - pageHdrLen)})
 	}
-	s.mem.objects.ForEach(func(oid objstore.OID, o memObj) {
+	s.objs.ForEachRooted(func(o *objstore.Object, root bool) {
 		if err != nil {
 			return
 		}
-		slots := o.slotList()
-		if data == nil || off+objRecLen(len(slots)) > PageSize {
+		if data == nil || off+objRecLen(len(o.Slots)) > PageSize {
 			no := s.allocPage()
 			img.used[no] = true
 			if data == nil {
@@ -154,17 +155,17 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 		}
 
 		rec := data[off:]
-		le.PutUint64(rec, uint64(oid))
-		rec[8] = byte(o.class)
-		if o.root {
+		le.PutUint64(rec, uint64(o.OID))
+		rec[8] = byte(o.Class)
+		if root {
 			rec[9] = 1
 		}
-		le.PutUint32(rec[10:], o.size)
-		le.PutUint32(rec[14:], uint32(len(slots)))
-		for i, sl := range slots {
+		le.PutUint32(rec[10:], uint32(o.Size))
+		le.PutUint32(rec[14:], uint32(len(o.Slots)))
+		for i, sl := range o.Slots {
 			le.PutUint64(rec[objRecHdrLen+8*i:], uint64(sl))
 		}
-		off += objRecLen(len(slots))
+		off += objRecLen(len(o.Slots))
 		nrecs++
 	})
 	if err != nil {
@@ -179,11 +180,11 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 	return img, s.syncHeap()
 }
 
-// loadCheckpoint rebuilds the committed state from the newest valid meta
-// slot. Both slots damaged (on a non-empty heap) is unrecoverable; one
+// loadCheckpoint rebuilds the committed state into objs from the newest valid
+// meta slot. Both slots damaged (on a non-empty heap) is unrecoverable; one
 // damaged slot falls back to the other, which is the dual-slot design
 // absorbing a torn meta write.
-func loadCheckpoint(heap File, mem *memState) (m *meta, metaFallback bool, pagesRead int, used map[uint32]bool, err error) {
+func loadCheckpoint(heap File, objs *objstore.Store) (m *meta, metaFallback bool, pagesRead int, used map[uint32]bool, err error) {
 	used = make(map[uint32]bool)
 	size, err := heap.Size()
 	if err != nil {
@@ -242,22 +243,22 @@ func loadCheckpoint(heap File, mem *memState) (m *meta, metaFallback bool, pages
 	}
 	m = metas[best]
 	metaFallback = metaErrs[1-best] != nil
-	mem.nextOID = objstore.OID(m.nextOID)
+	objs.AdvanceNextOID(objstore.OID(m.nextOID))
 
-	if err := loadImage(heap, m, mem, used, &pagesRead); err != nil {
+	if err := loadImage(heap, m, objs, used, &pagesRead); err != nil {
 		return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed("checkpoint image", err)
 	}
 	return m, metaFallback, pagesRead, used, nil
 }
 
-// loadImage folds the image m names into mem and marks every page it reads in
+// loadImage folds the image m names into objs and marks every page it reads in
 // used. A format-2 image is a chain of data pages. A format-1 image has the
 // same data pages, unchained, and a chain of directory pages whose entries
 // name them in order; the directory is read only for that order. Either chain
 // is taken on no trust: a page reached twice, a meta page, or a page at or
 // beyond the image's page count — which rebuildFreeList would hand out again —
 // ends the load instead of looping or being believed.
-func loadImage(heap File, m *meta, mem *memState, used map[uint32]bool, pagesRead *int) error {
+func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, pagesRead *int) error {
 	var dir, data [PageSize]byte
 	read := func(buf *[PageSize]byte, no uint32, kind uint8) (pageHdr, error) {
 		switch {
@@ -283,7 +284,7 @@ func loadImage(heap File, m *meta, mem *memState, used map[uint32]bool, pagesRea
 		if err != nil {
 			return 0, err
 		}
-		return hdr.next, decodeData(data[:], no, hdr, mem, &last)
+		return hdr.next, decodeData(data[:], no, hdr, objs, &last)
 	}
 
 	if m.format == 1 {
@@ -315,18 +316,19 @@ func loadImage(heap File, m *meta, mem *memState, used map[uint32]bool, pagesRea
 			no = next
 		}
 	}
-	if uint64(mem.objects.Len()) != m.objects {
-		return fmt.Errorf("image holds %d objects, meta says %d", mem.objects.Len(), m.objects)
+	if uint64(objs.Len()) != m.objects {
+		return fmt.Errorf("image holds %d objects, meta says %d", objs.Len(), m.objects)
 	}
 	return nil
 }
 
-// decodeData folds the records of one data page into mem in page order. No
+// decodeData folds the records of one data page into objs in page order, each
+// record's slots straight into the array the object store gives the object. No
 // directory vouches for them, so each is held to what a checkpoint writes: it
 // lies inside the page's used payload, its OID is above the previous record's
 // (*last, carried across pages) and below the image's horizon — the table
 // grows to reach any key it is given, so the horizon is what bounds one.
-func decodeData(page []byte, no uint32, hdr pageHdr, mem *memState, last *objstore.OID) error {
+func decodeData(page []byte, no uint32, hdr pageHdr, objs *objstore.Store, last *objstore.OID) error {
 	payload := page[:pageHdrLen+int(hdr.used)]
 	off := pageHdrLen
 	for i := 0; i < int(hdr.count); i++ {
@@ -339,18 +341,18 @@ func decodeData(page []byte, no uint32, hdr pageHdr, mem *memState, last *objsto
 			return fmt.Errorf("page %d: record %d slots overrun payload", no, i)
 		}
 		oid := objstore.OID(le.Uint64(rec))
-		if oid <= *last || oid >= mem.nextOID {
-			return fmt.Errorf("page %d: record %d is %v, want one in (%v, %v)", no, i, oid, *last, mem.nextOID)
+		if oid <= *last || oid >= objs.NextOID() {
+			return fmt.Errorf("page %d: record %d is %v, want one in (%v, %v)", no, i, oid, *last, objs.NextOID())
 		}
-		var slots []objstore.OID
-		if nslots > 0 {
-			slots = make([]objstore.OID, nslots)
-			for si := range slots {
-				slots[si] = objstore.OID(le.Uint64(rec[objRecHdrLen+8*si:]))
-			}
-		}
-		if err := mem.insert(oid, memObj{class: objstore.Class(rec[8]), root: rec[9] != 0, size: le.Uint32(rec[10:])}, slots); err != nil {
+		o, err := objs.CreateWithOID(oid, objstore.Class(rec[8]), int(le.Uint32(rec[10:])), nslots)
+		if err != nil {
 			return fmt.Errorf("page %d: %w", no, err)
+		}
+		for si := range o.Slots {
+			o.Slots[si] = objstore.OID(le.Uint64(rec[objRecHdrLen+8*si:]))
+		}
+		if rec[9] != 0 {
+			_ = objs.AddRoot(oid) // cannot fail: the object was just created
 		}
 		*last = oid
 		off += objRecLen(nslots)

@@ -10,7 +10,8 @@ import (
 
 // walOp is one logical mutation, the unit both of staging (Log* calls
 // append walOps) and of replay (recovery decodes records back into walOps
-// and folds them through the same memState.apply as live commits).
+// and folds them through the same replay as a commit on a store no heap
+// runs on).
 type walOp struct {
 	kind   uint8
 	oid    objstore.OID
@@ -135,13 +136,13 @@ type walScan struct {
 	tornErr error // classification of the damage (simerr.ErrTornWrite)
 }
 
-// scanWAL replays a WAL image over the committed state. Batches whose
+// scanWAL replays a WAL image into the committed state in objs. Batches whose
 // sequence is at or below ckptSeq were absorbed by the checkpoint and are
 // skipped; later batches must arrive in exact sequence order. The scan
 // stops at the first damaged record: by write-ahead discipline everything
 // after a tear was never acknowledged, so the tail is discarded rather than
 // searched for stray intact records.
-func scanWAL(data []byte, ckptSeq uint64, mem *memState) (walScan, error) {
+func scanWAL(data []byte, ckptSeq uint64, objs *objstore.Store) (walScan, error) {
 	res := walScan{lastSeq: ckptSeq}
 	var batch []walOp
 	off := 0
@@ -186,7 +187,7 @@ func scanWAL(data []byte, ckptSeq uint64, mem *memState) (walScan, error) {
 				fmt.Sprintf("wal batch sequence %d after %d", seq, res.lastSeq), nil)
 		default:
 			for _, bop := range batch {
-				if err := mem.apply(bop); err != nil {
+				if err := replay(objs, bop); err != nil {
 					return res, simerr.WrapRecoveryFailed(
 						fmt.Sprintf("replay batch %d", seq), err)
 				}
