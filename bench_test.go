@@ -69,7 +69,7 @@ func BenchmarkTable1DatabaseBuild(b *testing.B) {
 func BenchmarkFig1FixedRateSweep(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.NewRunner(benchOpts).Fig1(context.Background())
+		rep, err := experiments.NewRunner(benchOpts).RunContext(context.Background(), "fig1")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkFig2PhaseTrace(b *testing.B) {
 func BenchmarkFig4SAIOAccuracy(b *testing.B) {
 	var mae float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.NewRunner(benchOpts).Fig4(context.Background())
+		rep, err := experiments.NewRunner(benchOpts).RunContext(context.Background(), "fig4")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func BenchmarkFig4SAIOAccuracy(b *testing.B) {
 func BenchmarkFig5SAGAAccuracy(b *testing.B) {
 	var fgsMAE float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.NewRunner(benchOpts).Fig5(context.Background())
+		rep, err := experiments.NewRunner(benchOpts).RunContext(context.Background(), "fig5")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkFig7HistoryStudy(b *testing.B) {
 func BenchmarkFig8Connectivity(b *testing.B) {
 	var rows float64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.NewRunner(benchOpts).Fig8(context.Background())
+		rep, err := experiments.NewRunner(benchOpts).RunContext(context.Background(), "fig8")
 		if err != nil {
 			b.Fatal(err)
 		}

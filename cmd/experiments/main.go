@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -66,6 +67,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *conn < 1 {
 		return fmt.Errorf("-conn must be >= 1 (got %d)", *conn)
 	}
+	if *seed < 1 {
+		return fmt.Errorf("-seed must be >= 1 (got %d)", *seed)
+	}
 	if *par < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", *par)
 	}
@@ -81,6 +85,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		for _, n := range strings.Split(*runList, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				names = append(names, n)
+			}
+		}
+		for _, n := range names {
+			if !slices.Contains(experiments.Names(), n) {
+				return fmt.Errorf("-run: unknown experiment %q (have %s)", n, strings.Join(experiments.Names(), ","))
 			}
 		}
 	}

@@ -47,10 +47,16 @@ func TestExperimentsCSVAndPlot(t *testing.T) {
 	}
 }
 
+// TestExperimentsUnknownName: a misspelt name anywhere in -run fails the
+// command before any experiment runs.
 func TestExperimentsUnknownName(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-run", "fig99"}, &stdout, &stderr); err == nil {
-		t.Error("unknown experiment accepted")
+	err := run(context.Background(), []string{"-run", "table1,fig99"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "fig99") {
+		t.Errorf("unknown experiment: error %v, want one naming fig99", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("experiments ran before the unknown name was refused:\n%s", stdout.String())
 	}
 }
 
@@ -65,6 +71,7 @@ func TestExperimentsFlagValidation(t *testing.T) {
 		{"runs zero", []string{"-runs", "0"}, "-runs"},
 		{"runs negative", []string{"-runs", "-2"}, "-runs"},
 		{"conn zero", []string{"-conn", "0"}, "-conn"},
+		{"seed zero", []string{"-seed", "0"}, "-seed"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

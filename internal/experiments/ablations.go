@@ -42,11 +42,7 @@ func (r *Runner) Ablations(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.New(sim.Config{Policy: pol, Selection: sel, PreambleCollections: opts.Preamble})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx, tr)
+		res, err := r.runOne(ctx, tr, sim.Config{Policy: pol, Selection: sel})
 		if err != nil {
 			return nil, err
 		}
@@ -64,11 +60,7 @@ func (r *Runner) Ablations(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.New(sim.Config{Policy: pol, PhysicalFixups: fixups, PreambleCollections: opts.Preamble})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx, tr)
+		res, err := r.runOne(ctx, tr, sim.Config{Policy: pol, PhysicalFixups: fixups})
 		if err != nil {
 			return nil, err
 		}
@@ -87,11 +79,7 @@ func (r *Runner) Ablations(ctx context.Context) (*Report, error) {
 		}
 		cfg := storage.DefaultConfig()
 		cfg.BufferPages = pages
-		s, err := sim.New(sim.Config{Policy: pol, Storage: cfg, PreambleCollections: opts.Preamble})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx, tr)
+		res, err := r.runOne(ctx, tr, sim.Config{Policy: pol, Storage: cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -115,11 +103,7 @@ func (r *Runner) Ablations(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.New(sim.Config{Policy: pol, PreambleCollections: opts.Preamble})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx, btr)
+		res, err := r.runOne(ctx, btr, sim.Config{Policy: pol})
 		if err != nil {
 			return nil, err
 		}

@@ -171,6 +171,16 @@ func (r *Runner) runMany(ctx context.Context, cfg sim.RunnerConfig) (*sim.MultiR
 	return sim.RunManyContext(ctx, cfg)
 }
 
+// runOne replays tr once under cfg with the runner's preamble.
+func (r *Runner) runOne(ctx context.Context, tr *trace.Trace, cfg sim.Config) (*sim.Result, error) {
+	cfg.PreambleCollections = r.opts.Preamble
+	s, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunContext(ctx, tr)
+}
+
 // NewRunner returns a Runner with the given options.
 func NewRunner(opts Options) *Runner {
 	r := &Runner{opts: opts.withDefaults()}
@@ -194,33 +204,22 @@ func (r *Runner) Run(name string) (*Report, error) {
 // aborts the experiment's batches (classified simerr.ErrCanceled).
 func (r *Runner) RunContext(ctx context.Context, name string) (*Report, error) {
 	r.curExp, r.batch = name, 0
+	if s, ok := sweeps[name]; ok {
+		return r.sweep(ctx, s)
+	}
 	switch name {
 	case "table1":
 		return r.Table1(ctx)
-	case "fig1":
-		return r.Fig1(ctx)
 	case "fig2":
 		return r.Fig2(ctx)
-	case "fig4":
-		return r.Fig4(ctx)
-	case "fig5":
-		return r.Fig5(ctx)
 	case "fig6":
 		return r.Fig6(ctx)
 	case "fig7a":
 		return r.Fig7a(ctx)
 	case "fig7b":
 		return r.Fig7b(ctx)
-	case "fig8":
-		return r.Fig8(ctx)
 	case "ablations":
 		return r.Ablations(ctx)
-	case "estimators":
-		return r.Estimators(ctx)
-	case "controllers":
-		return r.Controllers(ctx)
-	case "churn":
-		return r.Churn(ctx)
 	default:
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
@@ -341,160 +340,6 @@ func (r *Runner) Fig2(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// Fig1 sweeps fixed collection rates and reports total I/O operations
-// (Figure 1a) and total garbage collected (Figure 1b).
-func (r *Runner) Fig1(ctx context.Context) (*Report, error) {
-	opts := r.opts
-	traces, err := r.traces.get(ctx, opts.Connectivity, opts.SeedBase, opts.Runs)
-	if err != nil {
-		return nil, err
-	}
-	rates := []int{50, 100, 150, 200, 300, 400, 600, 800}
-	rep := &Report{
-		ID:           "fig1",
-		Title:        "Collection rate vs I/O operations (a) and total garbage collected (b)",
-		XName:        "overwrites_per_collection",
-		YName:        "total I/O operations / garbage bytes",
-		PlotSeparate: true,
-	}
-	ioSeries := &metrics.Series{Name: "total_io_ops"}
-	garbSeries := &metrics.Series{Name: "garbage_collected_bytes"}
-	t := &metrics.Table{Header: []string{
-		"rate (ow/coll)", "total I/O ops", "io min", "io max", "garbage collected B", "gc B min", "gc B max", "collections",
-	}}
-	for _, rate := range rates {
-		rate := rate
-		mr, err := r.runMany(ctx, sim.RunnerConfig{
-			Traces: traces,
-			MakePolicy: func(int) (core.RatePolicy, error) {
-				return core.NewFixedRate(rate)
-			},
-			PreambleCollections: opts.Preamble,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ioSeries.Add(float64(rate), mr.TotalIO.Mean)
-		garbSeries.Add(float64(rate), mr.Reclaimed.Mean)
-		t.AddRow(fmt.Sprint(rate),
-			fmt.Sprintf("%.0f", mr.TotalIO.Mean),
-			fmt.Sprintf("%.0f", mr.TotalIO.Min),
-			fmt.Sprintf("%.0f", mr.TotalIO.Max),
-			fmt.Sprintf("%.0f", mr.Reclaimed.Mean),
-			fmt.Sprintf("%.0f", mr.Reclaimed.Min),
-			fmt.Sprintf("%.0f", mr.Reclaimed.Max),
-			fmt.Sprintf("%.1f", mr.Collections.Mean))
-	}
-	rep.Table = t
-	rep.Series = []*metrics.Series{ioSeries, garbSeries}
-	rep.Notes = append(rep.Notes,
-		"shape: total I/O falls steeply as the interval grows; garbage collected falls too (time/space tradeoff)")
-	return rep, nil
-}
-
-// saioFracs is the Figure 4 sweep of requested collector-I/O percentages.
-var saioFracs = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50}
-
-// Fig4 sweeps SAIO_Frac and reports achieved collector-I/O percentage with
-// min/max bars over the seeded runs.
-func (r *Runner) Fig4(ctx context.Context) (*Report, error) {
-	opts := r.opts
-	traces, err := r.traces.get(ctx, opts.Connectivity, opts.SeedBase, opts.Runs)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:    "fig4",
-		Title: "Effectiveness of SAIO policy vs requested I/O percentage",
-		XName: "requested_io_pct",
-		YName: "achieved GC I/O %",
-	}
-	rep.Series = []*metrics.Series{
-		{Name: "achieved_io_pct"}, {Name: "min_pct"}, {Name: "max_pct"},
-	}
-	t := &metrics.Table{Header: []string{"requested %", "achieved %", "min %", "max %", "collections"}}
-	for _, frac := range saioFracs {
-		frac := frac
-		mr, err := r.runMany(ctx, sim.RunnerConfig{
-			Traces: traces,
-			MakePolicy: func(int) (core.RatePolicy, error) {
-				return core.NewSAIO(core.SAIOConfig{Frac: frac})
-			},
-			PreambleCollections: opts.Preamble,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.Series[0].Add(frac*100, mr.GCIO.Mean*100)
-		rep.Series[1].Add(frac*100, mr.GCIO.Min*100)
-		rep.Series[2].Add(frac*100, mr.GCIO.Max*100)
-		t.AddRow(fmt.Sprintf("%.0f", frac*100),
-			fmt.Sprintf("%.2f", mr.GCIO.Mean*100),
-			fmt.Sprintf("%.2f", mr.GCIO.Min*100),
-			fmt.Sprintf("%.2f", mr.GCIO.Max*100),
-			fmt.Sprintf("%.1f", mr.Collections.Mean))
-	}
-	rep.Table = t
-	rep.Notes = append(rep.Notes,
-		"shape: achieved tracks requested along the diagonal; slight upward drift and wider bars at the highest percentages (§4.1.1)")
-	return rep, nil
-}
-
-// sagaFracs is the Figure 5 sweep of requested garbage percentages.
-var sagaFracs = []float64{0.03, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30}
-
-// sagaEstimators lists the Figure 5 estimator variants.
-var sagaEstimators = []string{"oracle", "cgs-cb", "fgs-hb"}
-
-// Fig5 sweeps SAGA_Frac for each garbage estimator and reports achieved
-// garbage percentage with min/max bars.
-func (r *Runner) Fig5(ctx context.Context) (*Report, error) {
-	opts := r.opts
-	traces, err := r.traces.get(ctx, opts.Connectivity, opts.SeedBase, opts.Runs)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		ID:    "fig5",
-		Title: "Effectiveness of SAGA policy vs requested garbage percentage",
-		XName: "requested_garbage_pct",
-		YName: "achieved garbage %",
-	}
-	t := &metrics.Table{Header: []string{"estimator", "requested %", "achieved %", "min %", "max %", "collections"}}
-	for _, estName := range sagaEstimators {
-		estName := estName
-		series := &metrics.Series{Name: "achieved_" + estName}
-		for _, frac := range sagaFracs {
-			frac := frac
-			mr, err := r.runMany(ctx, sim.RunnerConfig{
-				Traces: traces,
-				MakePolicy: func(int) (core.RatePolicy, error) {
-					est, err := core.NewEstimator(estName, 0.8)
-					if err != nil {
-						return nil, err
-					}
-					return core.NewSAGA(core.SAGAConfig{Frac: frac}, est)
-				},
-				PreambleCollections: opts.Preamble,
-			})
-			if err != nil {
-				return nil, err
-			}
-			series.Add(frac*100, mr.Garbage.Mean*100)
-			t.AddRow(estName, fmt.Sprintf("%.0f", frac*100),
-				fmt.Sprintf("%.2f", mr.Garbage.Mean*100),
-				fmt.Sprintf("%.2f", mr.Garbage.Min*100),
-				fmt.Sprintf("%.2f", mr.Garbage.Max*100),
-				fmt.Sprintf("%.1f", mr.Collections.Mean))
-		}
-		rep.Series = append(rep.Series, series)
-	}
-	rep.Table = t
-	rep.Notes = append(rep.Notes,
-		"shape: oracle hugs the diagonal; fgs-hb close with a systematic bump; cgs-cb far off with wide bars (§4.1.2)")
-	return rep, nil
-}
-
 // Fig6 produces the time-varying target/actual/estimated garbage series for
 // the CGS/CB (a) and FGS/HB (b) heuristics at a 10% request.
 func (r *Runner) Fig6(ctx context.Context) (*Report, error) {
@@ -518,11 +363,7 @@ func (r *Runner) Fig6(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.New(sim.Config{Policy: pol, PreambleCollections: opts.Preamble})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx, traces[0])
+		res, err := r.runOne(ctx, traces[0], sim.Config{Policy: pol})
 		if err != nil {
 			return nil, err
 		}
@@ -567,11 +408,7 @@ func (r *Runner) Fig7a(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.New(sim.Config{Policy: pol, PreambleCollections: opts.Preamble})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.RunContext(ctx, traces[0])
+		res, err := r.runOne(ctx, traces[0], sim.Config{Policy: pol})
 		if err != nil {
 			return nil, err
 		}
@@ -606,11 +443,7 @@ func (r *Runner) Fig7b(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(sim.Config{Policy: pol, PreambleCollections: opts.Preamble})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.RunContext(ctx, traces[0])
+	res, err := r.runOne(ctx, traces[0], sim.Config{Policy: pol})
 	if err != nil {
 		return nil, err
 	}
@@ -636,69 +469,5 @@ func (r *Runner) Fig7b(ctx context.Context) (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"shape: cold-start transient, then the rate settles; at the Reorg1->Traverse->Reorg2 transition the rate destabilizes and yield drops (§4.1.2)")
-	return rep, nil
-}
-
-// Fig8 repeats the SAIO and SAGA accuracy sweeps at connectivities 6 and 9
-// (one run per point, as in the paper).
-func (r *Runner) Fig8(ctx context.Context) (*Report, error) {
-	opts := r.opts
-	rep := &Report{
-		ID:    "fig8",
-		Title: "Sensitivity of policy accuracy to database connectivity",
-		XName: "requested_pct",
-		YName: "achieved %",
-	}
-	t := &metrics.Table{Header: []string{"connectivity", "policy", "requested %", "achieved %"}}
-	for _, conn := range []int{6, 9} {
-		traces, err := r.traces.get(ctx, conn, opts.SeedBase, 1)
-		if err != nil {
-			return nil, err
-		}
-		saio := &metrics.Series{Name: fmt.Sprintf("conn%d_saio_achieved", conn)}
-		for _, frac := range saioFracs {
-			frac := frac
-			mr, err := r.runMany(ctx, sim.RunnerConfig{
-				Traces: traces,
-				MakePolicy: func(int) (core.RatePolicy, error) {
-					return core.NewSAIO(core.SAIOConfig{Frac: frac})
-				},
-				PreambleCollections: opts.Preamble,
-			})
-			if err != nil {
-				return nil, err
-			}
-			saio.Add(frac*100, mr.GCIO.Mean*100)
-			t.AddRow(fmt.Sprint(conn), "saio", fmt.Sprintf("%.0f", frac*100), fmt.Sprintf("%.2f", mr.GCIO.Mean*100))
-		}
-		rep.Series = append(rep.Series, saio)
-		for _, estName := range []string{"oracle", "fgs-hb"} {
-			estName := estName
-			saga := &metrics.Series{Name: fmt.Sprintf("conn%d_saga_%s_achieved", conn, estName)}
-			for _, frac := range sagaFracs {
-				frac := frac
-				mr, err := r.runMany(ctx, sim.RunnerConfig{
-					Traces: traces,
-					MakePolicy: func(int) (core.RatePolicy, error) {
-						est, err := core.NewEstimator(estName, 0.8)
-						if err != nil {
-							return nil, err
-						}
-						return core.NewSAGA(core.SAGAConfig{Frac: frac}, est)
-					},
-					PreambleCollections: opts.Preamble,
-				})
-				if err != nil {
-					return nil, err
-				}
-				saga.Add(frac*100, mr.Garbage.Mean*100)
-				t.AddRow(fmt.Sprint(conn), "saga/"+estName, fmt.Sprintf("%.0f", frac*100), fmt.Sprintf("%.2f", mr.Garbage.Mean*100))
-			}
-			rep.Series = append(rep.Series, saga)
-		}
-	}
-	rep.Table = t
-	rep.Notes = append(rep.Notes,
-		"shape: results consistent with figures 4 and 5 (connectivity 3), supporting policy effectiveness across connectivities")
 	return rep, nil
 }

@@ -24,7 +24,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	rep, err := NewRunner(fastOpts).Fig1(context.Background())
+	rep, err := NewRunner(fastOpts).RunContext(context.Background(), "fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	rep, err := NewRunner(fastOpts).Fig4(context.Background())
+	rep, err := NewRunner(fastOpts).RunContext(context.Background(), "fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	rep, err := NewRunner(fastOpts).Fig5(context.Background())
+	rep, err := NewRunner(fastOpts).RunContext(context.Background(), "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}

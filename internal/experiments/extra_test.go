@@ -98,7 +98,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	rep, err := NewRunner(fastOpts).Fig8(context.Background())
+	rep, err := NewRunner(fastOpts).RunContext(context.Background(), "fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestEstimatorsStudyShape(t *testing.T) {
-	rep, err := NewRunner(fastOpts).Estimators(context.Background())
+	rep, err := NewRunner(fastOpts).RunContext(context.Background(), "estimators")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEstimatorsStudyShape(t *testing.T) {
 }
 
 func TestControllersStudyShape(t *testing.T) {
-	rep, err := NewRunner(fastOpts).Controllers(context.Background())
+	rep, err := NewRunner(fastOpts).RunContext(context.Background(), "controllers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestControllersStudyShape(t *testing.T) {
 }
 
 func TestChurnStudyShape(t *testing.T) {
-	rep, err := NewRunner(Options{Runs: 2}).Churn(context.Background())
+	rep, err := NewRunner(Options{Runs: 2}).RunContext(context.Background(), "churn")
 	if err != nil {
 		t.Fatal(err)
 	}
