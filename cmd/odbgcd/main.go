@@ -152,8 +152,11 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		durable = st
 		fmt.Fprintf(stdout, "recovered %d objects from %s in %.1fms (open %.1fms, rebuild %.1fms; image format %d, checkpoint seq %d, %d batches / %d records replayed, torn tail: %v)\n",
 			info.Objects, *dataDir, openMs+rebuildMs, openMs, rebuildMs, info.Format, info.CheckpointSeq, info.BatchesReplayed, info.RecordsReplayed, info.TornTail)
-		if info.Format == 1 {
-			fmt.Fprintln(stdout, "checkpoint image is format 1 (data pages plus a directory); the next checkpoint rewrites it as format 2")
+		switch info.Format {
+		case 1:
+			fmt.Fprintln(stdout, "checkpoint image is format 1 (data pages plus a directory); the next checkpoint rewrites it as format 3")
+		case 2:
+			fmt.Fprintln(stdout, "checkpoint image is format 2 (data pages, no image sum); the next checkpoint rewrites it as format 3")
 		}
 		if *recoverOnly {
 			fmt.Fprintf(stdout, "state digest: %x\n", info.Digest)

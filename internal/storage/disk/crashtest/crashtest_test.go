@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -143,9 +144,12 @@ func sweepRun(t *testing.T, run *Run, from int, keepUnsynced bool) (points, torn
 	return points, torn
 }
 
+// sweepCommits is the length of TestCrashPointSweep's recorded runs.
+const sweepCommits = 43
+
 func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool) {
 	t.Helper()
-	run, err := Record(seed, 41, fsync)
+	run, err := Record(seed, sweepCommits, fsync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +158,8 @@ func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool)
 	}
 	points, torn := sweepRun(t, run, 0, keepUnsynced)
 	t.Logf("swept %d crash points (%d torn variants) over %d journal ops, %d commits", points, torn, len(run.FS.Ops()), len(run.Commits))
-	// The four sweeps visit 337, 328, 300 and 309 points (at 40 commits a
-	// checkpoint's one write fewer left 330, 322, 295 and 309); a change to
+	// The four sweeps visit 355, 347, 318 and 321 points (at 41 commits a
+	// checkpoint's one sync fewer left 332, 323, 295 and 304); a change to
 	// how the backend writes must not quietly thin them out.
 	if points < 300 {
 		t.Errorf("swept only %d crash points, want at least 300", points)
@@ -177,25 +181,31 @@ func sweep(t *testing.T, seed uint64, fsync disk.FsyncPolicy, keepUnsynced bool)
 	t.Logf("swept %d crash points from the last commit through the checkpoint and the close after it", points)
 }
 
+// sweepCases are TestCrashPointSweep's four sweeps; TestReorderedPowerCut
+// records the same runs.
+var sweepCases = []struct {
+	name         string
+	fsync        disk.FsyncPolicy
+	keepUnsynced bool
+}{
+	{"always/powercut", disk.FsyncAlways, false},
+	{"always/sigkill", disk.FsyncAlways, true},
+	{"group/powercut", disk.FsyncGroup, false},
+	{"group/sigkill", disk.FsyncGroup, true},
+}
+
+// sweepSeed is the seed a sweep case records its run with.
+func sweepSeed(name string) uint64 { return 0xC0FFEE + uint64(len(name)) }
+
 // TestCrashPointSweep is the headline durability proof: for every recorded
 // filesystem operation — and every torn variant of every write — kill the
 // store there, recover, and check the three invariants: no durable batch
 // lost, the recovered state byte-identical to a committed prefix, and
 // recovery deterministic.
 func TestCrashPointSweep(t *testing.T) {
-	cases := []struct {
-		name         string
-		fsync        disk.FsyncPolicy
-		keepUnsynced bool
-	}{
-		{"always/powercut", disk.FsyncAlways, false},
-		{"always/sigkill", disk.FsyncAlways, true},
-		{"group/powercut", disk.FsyncGroup, false},
-		{"group/sigkill", disk.FsyncGroup, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range sweepCases {
 		t.Run(tc.name, func(t *testing.T) {
-			sweep(t, 0xC0FFEE+uint64(len(tc.name)), tc.fsync, tc.keepUnsynced)
+			sweep(t, sweepSeed(tc.name), tc.fsync, tc.keepUnsynced)
 		})
 	}
 }
@@ -265,51 +275,57 @@ func TestTornImageRuns(t *testing.T) {
 	t.Logf("swept %d crash points over the %d operations of a checkpoint, %d of them multi-page runs", points, len(ops)-begin, runs)
 }
 
-// format1Digest is the state the format-1 heap.db and wal.log in the disk
-// package's testdata/ hold: goldenStateDigest there.
-const format1Digest = "d19b4126bd0cb5d3369de505f241b1afee934dffb1d6c48305e1fbbf4c2b979b"
+// pinnedDigest is the state the pinned heap.db and wal.log pairs in the disk
+// package's testdata/ (image format 1) and testdata/v2/ (format 2) hold:
+// goldenStateDigest there.
+const pinnedDigest = "d19b4126bd0cb5d3369de505f241b1afee934dffb1d6c48305e1fbbf4c2b979b"
 
-// TestFormat1ImageMigrates opens a database written in image format 1 and
-// checkpoints it, which writes format 2 onto free pages, and kills that
-// checkpoint at every operation and torn cut, in both crash regimes. Until the
-// meta flip lands the format-1 image is the committed one, after it the
-// format-2 image: every crash must recover the same state from one or the
-// other, and both must be seen.
-func TestFormat1ImageMigrates(t *testing.T) {
+// seeded returns a journaling filesystem holding files, each written and
+// synced through the journal, so that Materialize rebuilds them at any later
+// operation.
+func seeded(t *testing.T, files map[string][]byte) *JournalFS {
+	t.Helper()
 	fs := NewJournalFS()
 	for _, name := range []string{"heap.db", "wal.log"} {
-		data, err := os.ReadFile(filepath.Join("..", "testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
 		f, err := fs.Open(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(data, 0); err != nil {
+		if _, err := f.WriteAt(files[name], 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s, info, err := disk.Open(disk.Options{FS: fs, Fsync: disk.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(info.Digest[:]); info.Format != 1 || got != format1Digest {
-		t.Fatalf("opened format %d with digest %s, want format 1 with %s", info.Format, got, format1Digest)
-	}
-	begin := len(fs.Ops())
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	return fs
+}
+
+// crashCheckpoint kills the checkpoint whose operations are fs's journal from
+// begin on at every operation and torn cut, in both crash regimes, and at its
+// heap.db Sync with the reordered landings of the pages it wrote. Every crash
+// must recover want. It returns the crash points and, per image format, how
+// many recovered from an image of it.
+func crashCheckpoint(t *testing.T, fs *JournalFS, begin int, want [32]byte) (points int, formats map[int]int) {
+	t.Helper()
+	formats = map[int]int{}
+	check := func(img map[string][]byte, at string) {
+		t.Helper()
+		s, info, err := disk.Open(disk.Options{FS: FromImage(img), Fsync: disk.FsyncAlways})
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		if info.Digest != want {
+			t.Fatalf("%s: recovered %x from a format-%d image, want %x", at, info.Digest, info.Format, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		formats[info.Format]++
+		points++
 	}
 	ops := fs.Ops()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	points, formats := 0, map[int]int{}
+	r := &rng{s: uint64(begin)}
 	for k := begin; k <= len(ops); k++ {
 		cuts := []int{-1}
 		if k < len(ops) {
@@ -317,26 +333,64 @@ func TestFormat1ImageMigrates(t *testing.T) {
 		}
 		for _, cut := range cuts {
 			for _, keepUnsynced := range []bool{false, true} {
-				r, info, err := disk.Open(disk.Options{FS: FromImage(fs.Materialize(k, cut, keepUnsynced)), Fsync: disk.FsyncAlways})
-				if err != nil {
-					t.Fatalf("crash at op %d cut %d (unsynced data kept: %v): %v", k, cut, keepUnsynced, err)
-				}
-				if got := hex.EncodeToString(info.Digest[:]); got != format1Digest {
-					t.Fatalf("crash at op %d cut %d (unsynced data kept: %v): recovered %s from a format-%d image, want %s", k, cut, keepUnsynced, got, info.Format, format1Digest)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				formats[info.Format]++
-				points++
+				check(fs.Materialize(k, cut, keepUnsynced), fmt.Sprintf("crash at op %d cut %d (unsynced data kept: %v)", k, cut, keepUnsynced))
+			}
+		}
+		if k < len(ops) && ops[k].File == "heap.db" && ops[k].Kind == OpSync {
+			pages := unsyncedPages(ops, k)
+			for _, mask := range reorderings(pages, r) {
+				check(landed(fs, k, pages, mask), fmt.Sprintf("power cut at op %d landing pages %v", k, mask))
 			}
 		}
 	}
-	if formats[1] == 0 || formats[2] == 0 {
-		t.Errorf("recoveries by image format: %v, want some from each of 1 and 2", formats)
-	}
-	t.Logf("swept %d crash points over the %d operations of the migrating checkpoint; recovered from format 1 %d times, format 2 %d times", points, len(ops)-begin, formats[1], formats[2])
+	return points, formats
 }
+
+// sweepMigration opens the pinned pair in the disk package's testdata/sub,
+// written in image format from, and checkpoints it, which writes format 3 onto
+// free pages, and kills that checkpoint everywhere crashCheckpoint does. Until
+// the checkpoint's flush the old image is the committed one, after it the
+// format-3 image: every crash must recover the same state from one or the
+// other, and both must be seen.
+func sweepMigration(t *testing.T, sub string, from int) {
+	files := map[string][]byte{}
+	for _, name := range []string{"heap.db", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join("..", "testdata", sub, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
+	}
+	fs := seeded(t, files)
+	s, info, err := disk.Open(disk.Options{FS: fs, Fsync: disk.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(info.Digest[:]); info.Format != from || got != pinnedDigest {
+		t.Fatalf("opened format %d with digest %s, want format %d with %s", info.Format, got, from, pinnedDigest)
+	}
+	begin := len(fs.Ops())
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ops := len(fs.Ops()) - begin
+	points, formats := crashCheckpoint(t, fs, begin, info.Digest)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if formats[from] == 0 || formats[3] == 0 {
+		t.Errorf("recoveries by image format: %v, want some from each of %d and 3", formats, from)
+	}
+	t.Logf("swept %d crash points over the %d operations of the migrating checkpoint; recovered from format %d %d times, format 3 %d times", points, ops, from, formats[from], formats[3])
+}
+
+// TestFormat1ImageMigrates crashes the checkpoint that rewrites a format-1
+// image (data pages plus a directory) as format 3.
+func TestFormat1ImageMigrates(t *testing.T) { sweepMigration(t, "", 1) }
+
+// TestFormat2ImageMigrates crashes the checkpoint that rewrites a format-2
+// image (data pages, no sum) as format 3.
+func TestFormat2ImageMigrates(t *testing.T) { sweepMigration(t, "v2", 2) }
 
 // TestRecordIsDeterministic re-records the same seed and demands the same
 // journal and digests — the property that makes sweep failures exactly

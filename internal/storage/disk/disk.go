@@ -70,13 +70,13 @@ type Options struct {
 type RecoveryInfo struct {
 	CheckpointSeq   uint64 // last batch absorbed by the checkpoint image
 	CheckpointPages int    // pages read to load the image
-	Format          int    // image format loaded: 0 none, 1 (rewritten by the next checkpoint) or 2
+	Format          int    // image format loaded: 0 none, 1 or 2 (rewritten by the next checkpoint), or 3
 	BatchesReplayed int    // WAL batches applied beyond the checkpoint
 	RecordsReplayed int    // records inside those batches
 	WALBytes        int64  // WAL bytes scanned
 	TornTail        bool   // the WAL ended in a damaged record
 	TornAt          int64  // offset of the damage when TornTail
-	MetaFallback    bool   // one meta slot was damaged; the other served
+	MetaFallback    bool   // the newer checkpoint's meta or image was damaged; the older one served
 	Objects         int    // objects in the recovered state
 	Digest          [sha256.Size]byte
 }
@@ -146,7 +146,6 @@ func Open(opts Options) (*Store, *RecoveryInfo, error) {
 		fs:         opts.FS,
 		fsync:      opts.Fsync,
 		groupEvery: opts.GroupEvery,
-		objs:       objstore.NewStore(),
 		walSynced:  true,
 		pageCount:  2, // meta slots always exist
 	}
@@ -174,13 +173,13 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 		return nil, err
 	}
 
-	m, fallback, pagesRead, used, err := loadCheckpoint(s.heap, s.objs)
+	img, err := loadCheckpoint(s.heap)
 	if err != nil {
 		return nil, err
 	}
-	s.usedPages = used
+	s.objs, s.usedPages = img.objs, img.used
 	format := 0
-	if m != nil {
+	if m := img.m; m != nil {
 		format = int(m.format)
 		s.ckptSeq = m.seq
 		s.seq = m.seq
@@ -188,7 +187,7 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 		s.dirHead = m.dirHead
 		s.pageCount = max(m.pageCount, 2)
 	}
-	s.rebuildFreeList(used)
+	s.rebuildFreeList(img.used)
 
 	walSize, err := s.wal.Size()
 	if err != nil {
@@ -206,6 +205,12 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 	scan, err := scanWAL(data, s.ckptSeq, s.objs)
 	if err != nil {
 		return nil, err
+	}
+	if r := img.refused; r != nil && scan.lastSeq < r.seq {
+		// The older image stands in for the refused one only with every batch
+		// between them still in the WAL; once a commit has cut it, they are
+		// gone with the newer image.
+		return nil, simerr.WrapRecoveryFailed(fmt.Sprintf("checkpoint image of seq %d refused, and the WAL reaches only seq %d from the older image's seq %d", r.seq, scan.lastSeq, s.ckptSeq), img.refusedErr)
 	}
 	s.seq = scan.lastSeq
 	s.walTail = scan.tail
@@ -229,14 +234,14 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 
 	info := &RecoveryInfo{
 		CheckpointSeq:   s.ckptSeq,
-		CheckpointPages: pagesRead,
+		CheckpointPages: img.pagesRead,
 		Format:          format,
 		BatchesReplayed: scan.batches,
 		RecordsReplayed: scan.records,
 		WALBytes:        walSize,
 		TornTail:        scan.torn,
 		TornAt:          scan.tornAt,
-		MetaFallback:    fallback,
+		MetaFallback:    img.fallback,
 		Objects:         s.objs.Len(),
 		Digest:          digest(s.objs),
 	}
@@ -415,13 +420,16 @@ func (s *Store) syncHeap() error {
 }
 
 // Checkpoint writes the committed state as a fresh copy-on-write page
-// image and flips the meta page to it: two device flushes, the image's and
-// the flip's. The sequence is crash-safe at every step: the WAL is synced
-// before the first page is written and the pages land before the meta flip
-// (writeCheckpoint), and the flip is a single checksummed page write. Once
-// it is durable every batch in the WAL is at or below the image's sequence,
-// which replay skips, so the file is only marked stale here; the next
-// Commit (or Close) cuts it in front of a Sync it performs anyway.
+// image, flips the meta page to it, and flushes both at once: one device
+// flush. The sequence is crash-safe at every step: the WAL is synced before
+// the first page is written (writeCheckpoint), and the flip is a single
+// checksummed page write that carries the sum of the image's pages. A power
+// cut may land the flip without some of the pages; the sum then refuses the
+// image, and recovery loads the older slot's, which the new pages never
+// overwrite, and replays the WAL, which still holds every batch since it.
+// Once the flush is done every batch in the WAL is at or below the image's
+// sequence, which replay skips, so the file is only marked stale here; the
+// next Commit (or Close) cuts it in front of a Sync it performs anyway.
 func (s *Store) Checkpoint() error {
 	if s.closed {
 		return fmt.Errorf("disk: store is closed")
@@ -467,6 +475,7 @@ func (s *Store) Checkpoint() error {
 		pageCount:  s.pageCount,
 		dirHead:    img.head,
 		objects:    uint64(s.objs.Len()),
+		sum:        img.sum,
 	}
 	slot := uint32(s.generation % 2)
 	if _, err := s.heap.WriteAt(encodeMeta(m), int64(slot)*PageSize); err != nil {

@@ -16,10 +16,12 @@ const (
 	pagePayload = PageSize - pageHdrLen
 
 	metaMagic = 0x4f44_4247 // "ODBG"
-	// metaVersion is the image format checkpoints write: 2, data pages
-	// chained in OID order. Format 1 — the same data pages, found through a
-	// directory of (OID, page, slot) entries — still opens; nothing writes it.
-	metaVersion = 2
+	// metaVersion is the image format checkpoints write: 3, data pages
+	// chained in OID order under a meta page that carries their sum
+	// (foldPage). Format 2 — the same without the sum — and format 1 — the
+	// same data pages, found through a directory of (OID, page, slot) entries
+	// — still open; nothing writes them.
+	metaVersion = 3
 
 	heapFile = "heap.db"
 	walFile  = "wal.log"
@@ -99,6 +101,7 @@ type meta struct {
 	pageCount  uint32 // heap.db size in pages at checkpoint time
 	dirHead    uint32 // first page of the image's chain (format 1: of its directory), 0 = empty
 	objects    uint64 // object count, for validation
+	sum        uint64 // format 3: the image's data pages folded by foldPage, in chain order
 }
 
 // encodeMeta builds a meta page image.
@@ -113,8 +116,22 @@ func encodeMeta(m meta) []byte {
 	le.PutUint32(p[32:], m.pageCount)
 	le.PutUint32(p[36:], m.dirHead)
 	le.PutUint64(p[40:], m.objects)
-	sealPage(page, pageHdr{kind: kindMeta, used: 48})
+	le.PutUint64(p[48:], m.sum)
+	sealPage(page, pageHdr{kind: kindMeta, used: 56})
 	return page
+}
+
+// sumBasis starts an image sum; foldPage adds one sealed data page to it.
+const sumBasis = 0xcbf2_9ce4_8422_2325
+
+// foldPage adds a data page — its number and its CRC — to an image sum, FNV-1a
+// over 64-bit words. A checkpoint's image pages and its meta reach the device
+// under one flush, so a power cut can land the meta without some of them; a
+// page that did not land still holds what it held before, whose CRC is not
+// the one folded in. Each step is a bijection of the running sum, so two
+// chains that differ in one page's number or CRC never sum alike.
+func foldPage(sum uint64, no, crc uint32) uint64 {
+	return (sum ^ (uint64(no)<<32 | uint64(crc))) * 0x100_0000_01b3
 }
 
 // errImageFormat is a checksummed meta page of a format this build does not
@@ -147,10 +164,10 @@ func decodeMeta(page []byte, pageNo uint32) (*meta, error) {
 		return nil, simerr.WrapTornWrite(fmt.Sprintf("page %d: bad magic", pageNo), nil)
 	}
 	v := le.Uint32(p[4:])
-	if v != 1 && v != metaVersion {
-		return nil, fmt.Errorf("%w: meta page %d names format %d, this build reads 1 and %d", errImageFormat, pageNo, v, metaVersion)
+	if v < 1 || v > metaVersion {
+		return nil, fmt.Errorf("%w: meta page %d names format %d, this build reads 1 to %d", errImageFormat, pageNo, v, metaVersion)
 	}
-	return &meta{
+	m := &meta{
 		format:     v,
 		generation: le.Uint64(p[8:]),
 		seq:        le.Uint64(p[16:]),
@@ -158,7 +175,11 @@ func decodeMeta(page []byte, pageNo uint32) (*meta, error) {
 		pageCount:  le.Uint32(p[32:]),
 		dirHead:    le.Uint32(p[36:]),
 		objects:    le.Uint64(p[40:]),
-	}, nil
+	}
+	if v >= 3 {
+		m.sum = le.Uint64(p[48:])
+	}
+	return m, nil
 }
 
 // dirEntryLen is the wire size of one format-1 directory entry: oid u64, page

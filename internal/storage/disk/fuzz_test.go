@@ -73,11 +73,12 @@ func FuzzScanWAL(f *testing.F) {
 	})
 }
 
-// smallImage returns the heap.db of a real format-2 image three data pages
-// long: 27 objects of 100 slots, nine to a page, every third rooted and each
-// pointing at the one before it. It is the second checkpoint of that state, so
-// the first image's pages are free and page 1 holds the older meta slot, as in
-// the format-1 image in testdata/. The WAL it leaves is empty.
+// smallImage returns the heap.db of a real image three data pages long: 27
+// objects of 100 slots, nine to a page, every third rooted and each pointing
+// at the one before it. It is the second checkpoint, one batch (a root flip)
+// after the first, so the first image's pages are free and page 1 holds the
+// older meta slot, as in the pinned images in testdata/. The WAL it leaves is
+// empty, so the older image cannot stand in for a damaged newer one.
 func smallImage(tb testing.TB) []byte {
 	tb.Helper()
 	fs := memFS{}
@@ -98,6 +99,8 @@ func smallImage(tb testing.TB) []byte {
 	}
 	must(s.Commit())
 	must(s.Checkpoint())
+	must(s.LogRoot(1, true))
+	must(s.Commit())
 	must(s.Checkpoint())
 	must(s.Close())
 	return fs[heapFile].data
@@ -110,10 +113,9 @@ func reseal(heap []byte, no uint32) {
 	le.PutUint32(page, crc32.Checksum(page[4:], castagnoli))
 }
 
-// imageChain returns the pages of the chain the newest meta slot of heap
-// names, in order — format 2's data pages, format 1's directory pages — and
-// the image's page count.
-func imageChain(tb testing.TB, heap []byte) (chain []uint32, pageCount uint32) {
+// newestMeta decodes both meta slots of heap and returns the newer one and its
+// slot.
+func newestMeta(tb testing.TB, heap []byte) (*meta, int) {
 	tb.Helper()
 	var metas [2]*meta
 	for no := range metas {
@@ -123,22 +125,49 @@ func imageChain(tb testing.TB, heap []byte) (chain []uint32, pageCount uint32) {
 		}
 		metas[no] = m
 	}
-	newest := uint32(0)
 	if metas[0] == nil || (metas[1] != nil && metas[1].generation > metas[0].generation) {
-		newest = 1
+		return metas[1], 1
 	}
-	for no := metas[newest].dirHead; no != 0; no = le.Uint32(heap[int(no)*PageSize+7:]) {
+	return metas[0], 0
+}
+
+// imageChain returns the pages of the chain the newest meta slot of heap
+// names, in order — the data pages of formats 2 and 3, format 1's directory
+// pages — and the image's page count.
+func imageChain(tb testing.TB, heap []byte) (chain []uint32, pageCount uint32) {
+	tb.Helper()
+	m, _ := newestMeta(tb, heap)
+	for no := m.dirHead; no != 0; no = le.Uint32(heap[int(no)*PageSize+7:]) {
 		chain = append(chain, no)
 	}
-	return chain, metas[newest].pageCount
+	return chain, m.pageCount
+}
+
+// restamp rewrites the newest meta slot of heap with the sum of the chain it
+// names as heap now holds it, so that damage written into an image page
+// reaches the loader's other checks instead of the sum. The walk stops where
+// the loader would refuse the chain.
+func restamp(tb testing.TB, heap []byte) {
+	tb.Helper()
+	m, slot := newestMeta(tb, heap)
+	m.sum = sumBasis
+	seen := map[uint32]bool{}
+	for no := m.dirHead; no >= 2 && no < m.pageCount && !seen[no] && int(no+1)*PageSize <= len(heap); no = le.Uint32(heap[int(no)*PageSize+7:]) {
+		seen[no] = true
+		m.sum = foldPage(m.sum, no, le.Uint32(heap[int(no)*PageSize:]))
+	}
+	copy(heap[slot*PageSize:], encodeMeta(*m))
 }
 
 // FuzzLoadImage writes arbitrary bytes into one page of a small real image —
-// header or payload, past the CRC, which is then restamped — and runs recovery
-// over it. Open must succeed or fail as recovery failure or torn write, never
-// panic or hang; and an image it accepts must checkpoint and reopen to the
-// state it recovered. The meta slots are left alone: their damage is the
-// dual-slot fallback's, tested by the torn-flip tests.
+// header or payload, past the CRC, which is then restamped, and with stamp set
+// the meta's image sum with it — and runs recovery over it. Open must succeed
+// or fail as recovery failure or torn write, never panic or hang; and an image
+// it accepts must checkpoint and reopen to the state it recovered. Without
+// stamp, a changed page of the newer image must be refused: the sum catches
+// it, and the older image cannot stand in (the heap has no WAL to cover the
+// batch between them). The meta slots are not written into: their damage is
+// the dual-slot fallback's, tested by the torn-flip tests.
 func FuzzLoadImage(f *testing.F) {
 	heap := smallImage(f)
 	chain, pageCount := imageChain(f, heap)
@@ -146,17 +175,22 @@ func FuzzLoadImage(f *testing.F) {
 	// page is the fuzz's page argument that picks page no; an offset
 	// argument counts from the end of the CRC.
 	page := func(no uint32) uint8 { return uint8(no - 2) }
-	f.Add(page(chain[0]), uint16(5-4), []byte{0, 0, byte(chain[0]), 0, 0, 0}) // no records, and next names itself
-	f.Add(page(chain[1]), uint16(7-4), next(chain[0]))                        // a two-page cycle
-	f.Add(page(chain[0]), uint16(7-4), next(1))                               // a meta page
-	f.Add(page(chain[0]), uint16(7-4), next(pageCount))                       // a page beyond the image
-	f.Add(page(chain[0]), uint16(pageHdrLen+14-4), []byte{0xff, 0xff, 0, 0})  // a record overrunning its page
-	f.Add(page(chain[1]), uint16(pageHdrLen-4), []byte{1})                    // an OID below the previous page's
-	f.Fuzz(func(t *testing.T, pg uint8, off uint16, data []byte) {
+	f.Add(page(chain[0]), uint16(5-4), []byte{0, 0, byte(chain[0]), 0, 0, 0}, true) // no records, and next names itself
+	f.Add(page(chain[1]), uint16(7-4), next(chain[0]), true)                        // a two-page cycle
+	f.Add(page(chain[0]), uint16(7-4), next(1), true)                               // a meta page
+	f.Add(page(chain[0]), uint16(7-4), next(pageCount), true)                       // a page beyond the image
+	f.Add(page(chain[0]), uint16(pageHdrLen+14-4), []byte{0xff, 0xff, 0, 0}, true)  // a record overrunning its page
+	f.Add(page(chain[1]), uint16(pageHdrLen-4), []byte{1}, true)                    // an OID below the previous page's
+	f.Add(page(chain[1]), uint16(pageHdrLen+objRecHdrLen-4), []byte{0x7f}, false)   // a slot changed under the old sum
+	f.Fuzz(func(t *testing.T, pg uint8, off uint16, data []byte, stamp bool) {
 		img := slices.Clone(heap)
 		no := 2 + uint32(pg)%uint32(len(img)/PageSize-2)
 		copy(img[int(no)*PageSize:][:PageSize][4+int(off)%(PageSize-4):], data)
 		reseal(img, no)
+		if stamp {
+			restamp(t, img)
+		}
+		changed := !bytes.Equal(img[int(no)*PageSize:][:PageSize], heap[int(no)*PageSize:][:PageSize])
 		fs := memFS{heapFile: &memFile{data: img}}
 		s, info, err := Open(Options{FS: fs, Fsync: FsyncNever})
 		if err != nil {
@@ -164,6 +198,9 @@ func FuzzLoadImage(f *testing.F) {
 				t.Fatalf("open failed outside the taxonomy: %v", err)
 			}
 			return
+		}
+		if !stamp && changed && slices.Contains(chain, no) {
+			t.Fatalf("page %d of the image changed under its old sum, and the image was accepted", no)
 		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint of an accepted image: %v", err)

@@ -15,15 +15,17 @@ import (
 // format 1, and testdata/ holds the heap.db and wal.log goldenOps wrote then:
 // whatever holds the mirror, and whatever format a checkpoint writes, that pair
 // must keep opening to the same state. goldenHeapV2SHA256 is heap.db as
-// goldenOps writes it now, in format 2; the WAL and the state are unchanged by
-// the format. A change that moves any of them has changed the on-disk format,
-// the checkpoint's page-allocation or write order, or the canonical digest
-// stream, and has to say so.
+// goldenOps wrote it in format 2 (at 508e474), and testdata/v2/ holds that
+// pair. goldenHeapV3SHA256 is heap.db as goldenOps writes it now, in format 3;
+// the WAL and the state are unchanged by the format. A change that moves any
+// of them has changed the on-disk format, the checkpoint's page-allocation or
+// write order, or the canonical digest stream, and has to say so.
 const (
 	goldenStateDigest  = "d19b4126bd0cb5d3369de505f241b1afee934dffb1d6c48305e1fbbf4c2b979b"
 	goldenHeapSHA256   = "732b8717b8ccf8690a1b76108d4bce04e150c701306f8897603d0bcff46e8671"
 	goldenWALSHA256    = "e877aebc1767fca31e0c3ff10abb0346afb146cccffe50428c1279f4cbbe3b2e"
 	goldenHeapV2SHA256 = "b894648d0eee42c38312ea28a683d8bed2c78e55ab0c3ca9d84458e0da99f489"
+	goldenHeapV3SHA256 = "869be5db8ac493a144fc3856a40ef7866065e2e1e45a7f4ae2873e9440bd8789"
 )
 
 // goldenOps drives the fixed sequence: 1 500 objects in batches of 50 (every
@@ -103,7 +105,8 @@ func fileSHA256(t *testing.T, path string) string {
 
 // TestGoldenBytes pins "same bytes": the digest of the committed state, the
 // digest recovery reports after reopening, and the SHA-256 of both files — of
-// the files goldenOps writes now, and of the format-1 pair in testdata/.
+// the files goldenOps writes now, and of the format-1 and format-2 pairs in
+// testdata/.
 func TestGoldenBytes(t *testing.T) {
 	// reopen opens the store in dir and checks what it recovers, and that
 	// opening it rewrote neither file.
@@ -132,7 +135,7 @@ func TestGoldenBytes(t *testing.T) {
 		}
 	}
 
-	t.Run("format=2", func(t *testing.T) {
+	t.Run("format=3", func(t *testing.T) {
 		dir := t.TempDir()
 		s, _ := openTemp(t, dir, FsyncAlways)
 		goldenOps(t, s)
@@ -143,29 +146,33 @@ func TestGoldenBytes(t *testing.T) {
 		if got := hex.EncodeToString(live[:]); got != goldenStateDigest {
 			t.Errorf("Store.Digest() = %s, want %s", got, goldenStateDigest)
 		}
-		if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV2SHA256 {
-			t.Errorf("sha256(%s) = %s, want %s", heapFile, got, goldenHeapV2SHA256)
+		if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV3SHA256 {
+			t.Errorf("sha256(%s) = %s, want %s", heapFile, got, goldenHeapV3SHA256)
 		}
 		if got := fileSHA256(t, filepath.Join(dir, walFile)); got != goldenWALSHA256 {
 			t.Errorf("sha256(%s) = %s, want %s", walFile, got, goldenWALSHA256)
 		}
-		reopen(t, dir, goldenHeapV2SHA256, 2)
+		reopen(t, dir, goldenHeapV3SHA256, 3)
 	})
 
-	t.Run("format=1", func(t *testing.T) {
+	// pinned copies the pair in testdata/sub, checked against its recorded
+	// hashes, into a fresh directory and reopens it.
+	pinned := func(t *testing.T, sub, heapSHA string, format int) {
 		dir := t.TempDir()
-		for name, want := range map[string]string{heapFile: goldenHeapSHA256, walFile: goldenWALSHA256} {
-			b, err := os.ReadFile(filepath.Join("testdata", name))
+		for name, want := range map[string]string{heapFile: heapSHA, walFile: goldenWALSHA256} {
+			b, err := os.ReadFile(filepath.Join("testdata", sub, name))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != want {
-				t.Fatalf("testdata/%s is not the recorded format-1 file: sha256 %x, want %s", name, sum, want)
+				t.Fatalf("%s is not the recorded format-%d file: sha256 %x, want %s", filepath.Join("testdata", sub, name), format, sum, want)
 			}
 			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		reopen(t, dir, goldenHeapSHA256, 1)
-	})
+		reopen(t, dir, heapSHA, format)
+	}
+	t.Run("format=2", func(t *testing.T) { pinned(t, "v2", goldenHeapV2SHA256, 2) })
+	t.Run("format=1", func(t *testing.T) { pinned(t, "", goldenHeapSHA256, 1) })
 }

@@ -38,10 +38,11 @@ func (s *Store) allocPage() uint32 {
 }
 
 // checkpointImage is what a checkpoint leaves behind besides its pages: which
-// pages the new image occupies, and the first of them.
+// pages the new image occupies, the first of them, and their sum.
 type checkpointImage struct {
 	used map[uint32]bool
 	head uint32
+	sum  uint64
 }
 
 // writeRuns writes pages, held back to back in buf, to the page numbers nos:
@@ -108,24 +109,27 @@ func (w *pageWindow) flush() error {
 
 // writeCheckpoint serializes the committed state into fresh pages and writes
 // them: data pages holding object records in ascending OID order, each sealed
-// with the number of the page after it, which go out through a window as they
-// fill. Pages come from the free list, so the previous checkpoint's image is
-// never overwritten — a crash mid-checkpoint recovers from the old image plus
-// the intact WAL. This is the only place image pages are written, so the
-// write-ordering invariant lives at its head: no page whose contents depend on
-// a committed batch reaches disk before that batch's WAL records do. Every
-// object fits a page: nothing wider than MaxSlots enters the object store
-// (LogAlloc and replay refuse it, and Heap.Create removes an object LogAlloc
-// refused).
+// with the number of the page after it and folded into the image's sum, which
+// go out through a window as they fill. Nothing here waits for them to reach
+// the device: Checkpoint's one flush covers them and the meta that vouches for
+// them by their sum. Pages come from the free list, so the previous
+// checkpoint's image is never overwritten — a crash mid-checkpoint recovers
+// from the old image plus the intact WAL. This is the only place image pages
+// are written, so the write-ordering invariant lives at its head: no page
+// whose contents depend on a committed batch reaches disk before that batch's
+// WAL records do. Every object fits a page: nothing wider than MaxSlots
+// enters the object store (LogAlloc and replay refuse it, and Heap.Create
+// removes an object LogAlloc refused).
 func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 	if err := s.syncWAL(); err != nil {
 		return nil, err
 	}
-	img := &checkpointImage{used: make(map[uint32]bool, len(s.usedPages))} // about as many pages as the last image
+	img := &checkpointImage{used: make(map[uint32]bool, len(s.usedPages)), sum: sumBasis} // about as many pages as the last image
 	// A data page holds at least one record.
 	datas := &pageWindow{heap: s.heap, buf: make([]byte, min(s.objs.Len(), windowPages)*PageSize)}
 	var (
 		data  []byte // the data page being filled, nil before the first
+		no    uint32 // its page number
 		off   int    // fill offset on data
 		nrecs uint16
 		err   error
@@ -135,22 +139,24 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 	// have always left the free list in.
 	sealData := func(next uint32) {
 		sealPage(data, pageHdr{kind: kindData, count: nrecs, next: next, used: uint32(off - pageHdrLen)})
+		img.sum = foldPage(img.sum, no, le.Uint32(data))
 	}
 	s.objs.ForEachRooted(func(o *objstore.Object, root bool) {
 		if err != nil {
 			return
 		}
 		if data == nil || off+objRecLen(len(o.Slots)) > PageSize {
-			no := s.allocPage()
-			img.used[no] = true
+			next := s.allocPage()
+			img.used[next] = true
 			if data == nil {
-				img.head = no
+				img.head = next
 			} else {
-				sealData(no)
+				sealData(next)
 			}
-			if data, err = datas.next(no); err != nil {
+			if data, err = datas.next(next); err != nil {
 				return
 			}
+			no = next
 			off, nrecs = pageHdrLen, 0
 		}
 
@@ -177,21 +183,49 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 	if err := datas.flush(); err != nil {
 		return nil, err
 	}
-	return img, s.syncHeap()
+	return img, nil
 }
 
-// loadCheckpoint rebuilds the committed state into objs from the newest valid
-// meta slot. Both slots damaged (on a non-empty heap) is unrecoverable; one
-// damaged slot falls back to the other, which is the dual-slot design
-// absorbing a torn meta write.
-func loadCheckpoint(heap File, objs *objstore.Store) (m *meta, metaFallback bool, pagesRead int, used map[uint32]bool, err error) {
-	used = make(map[uint32]bool)
+// loadedImage is what loadCheckpoint recovered from heap.db.
+type loadedImage struct {
+	m         *meta           // the meta whose image was loaded; nil when none was
+	objs      *objstore.Store // the image's objects
+	used      map[uint32]bool // the pages it occupies
+	pagesRead int
+	fallback  bool // the newer meta slot, or its image, could not serve
+	// refused is the newer meta when its image failed and the older slot
+	// served instead; refusedErr says why. recover accepts the older image
+	// only if the WAL still reaches refused.seq.
+	refused    *meta
+	refusedErr error
+}
+
+// load folds the image m names into li.
+func (li *loadedImage) load(heap File, m *meta) error {
+	li.objs.AdvanceNextOID(objstore.OID(m.nextOID))
+	if err := loadImage(heap, m, li.objs, li.used, &li.pagesRead); err != nil {
+		return err
+	}
+	li.m = m
+	return nil
+}
+
+// loadCheckpoint rebuilds the committed state from the newest valid meta slot.
+// Both slots damaged (on a non-empty heap) is unrecoverable; one damaged slot
+// falls back to the other, which is the dual-slot design absorbing a torn
+// meta write. So does an intact meta whose image fails to load — a power cut
+// that landed the meta before some of its pages, caught by the sum, or rot:
+// the older slot's image (or none, if that slot is blank) is loaded instead,
+// and the newer meta returned as refused. The older meta is the one returned,
+// so the next checkpoint overwrites the refused slot, not the one serving.
+func loadCheckpoint(heap File) (*loadedImage, error) {
+	li := &loadedImage{objs: objstore.NewStore(), used: make(map[uint32]bool)}
 	size, err := heap.Size()
 	if err != nil {
-		return nil, false, 0, used, fmt.Errorf("disk: heap size: %w", err)
+		return nil, fmt.Errorf("disk: heap size: %w", err)
 	}
 	if size == 0 {
-		return nil, false, 0, used, nil // fresh database
+		return li, nil // fresh database
 	}
 	var buf [PageSize]byte
 	var metas [2]*meta
@@ -204,12 +238,12 @@ func loadCheckpoint(heap File, objs *objstore.Store) (m *meta, metaFallback bool
 			metaErrs[no] = err
 			continue
 		}
-		pagesRead++
+		li.pagesRead++
 		metas[no], metaErrs[no] = decodeMeta(buf[:], no)
 		if errors.Is(metaErrs[no], errImageFormat) {
 			// Falling back past it to the other slot would quietly drop
 			// every batch the newer image absorbed.
-			return nil, false, pagesRead, used, metaErrs[no]
+			return nil, metaErrs[no]
 		}
 	}
 	best := -1
@@ -228,31 +262,38 @@ func loadCheckpoint(heap File, objs *objstore.Store) (m *meta, metaFallback bool
 			}
 		}
 		if damaged == 2 {
-			return nil, false, pagesRead, used, simerr.WrapRecoveryFailed("both meta pages damaged", derr)
+			return nil, simerr.WrapRecoveryFailed("both meta pages damaged", derr)
 		}
-		if damaged == 1 {
-			// One slot torn, the other never written: a crash tore the
-			// very first checkpoint's meta flip. The WAL has not been
-			// truncated yet, so checkpoint-less replay loses nothing —
-			// and scanWAL's sequence check (batches must start at 1 when
-			// there is no checkpoint) refuses the look-alike case where
-			// the only meta of a pruned store rotted.
-			return nil, true, pagesRead, used, nil
+		// One slot torn, the other never written: a crash tore the very
+		// first checkpoint's meta flip. The WAL has not been truncated yet,
+		// so checkpoint-less replay loses nothing — and scanWAL's sequence
+		// check (batches must start at 1 when there is no checkpoint)
+		// refuses the look-alike case where the only meta of a pruned store
+		// rotted. Both slots blank: the heap was never checkpointed.
+		li.fallback = damaged == 1
+		return li, nil
+	}
+	m, other := metas[best], 1-best
+	li.fallback = metaErrs[other] != nil
+	err = li.load(heap, m)
+	if err == nil {
+		return li, nil
+	}
+	if metaErrs[other] != nil {
+		return nil, simerr.WrapRecoveryFailed("checkpoint image", err)
+	}
+	older := &loadedImage{objs: objstore.NewStore(), used: make(map[uint32]bool), pagesRead: li.pagesRead, fallback: true, refused: m, refusedErr: err}
+	if metas[other] != nil {
+		if oerr := older.load(heap, metas[other]); oerr != nil {
+			return nil, simerr.WrapRecoveryFailed(fmt.Sprintf("checkpoint image (the older one failed too: %v)", oerr), err)
 		}
-		return nil, false, pagesRead, used, nil // both slots blank: heap never checkpointed
 	}
-	m = metas[best]
-	metaFallback = metaErrs[1-best] != nil
-	objs.AdvanceNextOID(objstore.OID(m.nextOID))
-
-	if err := loadImage(heap, m, objs, used, &pagesRead); err != nil {
-		return nil, metaFallback, pagesRead, used, simerr.WrapRecoveryFailed("checkpoint image", err)
-	}
-	return m, metaFallback, pagesRead, used, nil
+	return older, nil
 }
 
 // loadImage folds the image m names into objs and marks every page it reads in
-// used. A format-2 image is a chain of data pages. A format-1 image has the
+// used. A format-2 or -3 image is a chain of data pages; format 3 also holds
+// the chain to the sum its meta carries. A format-1 image has the
 // same data pages, unchained, and a chain of directory pages whose entries
 // name them in order; the directory is read only for that order. Either chain
 // is taken on no trust: a page reached twice, a meta page, or a page at or
@@ -279,11 +320,13 @@ func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, p
 		return hdr, err
 	}
 	var last objstore.OID // the previous record's OID
+	sum := uint64(sumBasis)
 	loadData := func(no uint32) (next uint32, err error) {
 		hdr, err := read(&data, no, kindData)
 		if err != nil {
 			return 0, err
 		}
+		sum = foldPage(sum, no, le.Uint32(data[:]))
 		return hdr.next, decodeData(data[:], no, hdr, objs, &last)
 	}
 
@@ -315,6 +358,9 @@ func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, p
 			}
 			no = next
 		}
+	}
+	if m.format >= 3 && sum != m.sum {
+		return fmt.Errorf("image pages sum to %016x, meta says %016x: a page of the image did not land", sum, m.sum)
 	}
 	if uint64(objs.Len()) != m.objects {
 		return fmt.Errorf("image holds %d objects, meta says %d", objs.Len(), m.objects)

@@ -4,7 +4,9 @@
 #  1. Deterministic crash-point sweep (unit level, under -race): kill the
 #     store at every journaled filesystem operation — and every torn
 #     variant of every WAL write — and prove recovery loses no committed
-#     batch, resurrects no reclaimed object, and is byte-deterministic.
+#     batch, resurrects no reclaimed object, and is byte-deterministic;
+#     then land each checkpoint's meta page with every reordering of its
+#     image pages, as a power cut before the one flush may.
 #  2. Live SIGKILL drill: odbgcd (built -race) with -data-dir is killed
 #     with SIGKILL mid-overload; offline recovery (-recover) must be
 #     deterministic and nonempty; the daemon restarts on the same data
@@ -20,8 +22,8 @@ mkdir -p "$work"
 echo "crash-drill: working under $work"
 
 echo "crash-drill: act 1 — deterministic crash-point sweep under -race"
-go test -race -count=1 -v -run 'TestCrashPointSweep|TestRecordIsDeterministic' \
-  ./internal/storage/disk/crashtest/ | grep -E 'swept|--- (PASS|FAIL)|^(ok|FAIL)'
+go test -race -count=1 -v -run 'TestCrashPointSweep|TestReorderedPowerCut|TestRecordIsDeterministic' \
+  ./internal/storage/disk/crashtest/ | grep -E 'swept|landed|--- (PASS|FAIL)|^(ok|FAIL)'
 
 go build -race -o "$work/odbgcd" ./cmd/odbgcd
 go build -race -o "$work/odbgload" ./cmd/odbgload
