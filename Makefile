@@ -71,7 +71,8 @@ race:
 	$(GO) test -race ./internal/sim/ ./internal/server/ ./internal/obs/... ./internal/storage/disk/
 
 # Short fuzz passes over the trace decoders, the WAL scanner, the image
-# loader, the typed frame codec (differentially against encoding/json) and
+# loader, the state digest's stream (decoded back to the state it hashes),
+# the typed frame codec (differentially against encoding/json) and
 # the buffer pool (differentially against the container/list + map pool it
 # replaced).
 fuzz:
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 15s ./internal/storage/disk/
 	$(GO) test -fuzz FuzzLoadImage -fuzztime 15s ./internal/storage/disk/
+	$(GO) test -fuzz FuzzDigestStream -fuzztime 15s ./internal/storage/disk/
 	$(GO) test -fuzz FuzzFrameCodec -fuzztime 15s ./internal/server/
 	$(GO) test -fuzz FuzzBufferPool -fuzztime 15s ./internal/storage/
 

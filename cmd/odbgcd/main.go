@@ -158,6 +158,9 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		case 2:
 			fmt.Fprintln(stdout, "checkpoint image is format 2 (data pages, no image sum); the next checkpoint rewrites it as format 3")
 		}
+		if info.MetaFallback {
+			fmt.Fprintf(stdout, "a checkpoint meta page or the newer image was damaged; the other slot's checkpoint (seq %d) served, and the WAL replayed past it\n", info.CheckpointSeq)
+		}
 		if *recoverOnly {
 			fmt.Fprintf(stdout, "state digest: %x\n", info.Digest)
 			return st.Close()
@@ -251,7 +254,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	}
 	if durable != nil {
 		engCfg.Durable = durable
-		m.RecoveryObserve(recInfo.RecordsReplayed, recInfo.BatchesReplayed, recInfo.Objects, openMs, rebuildMs, recInfo.TornTail)
+		m.RecoveryObserve(recInfo, openMs, rebuildMs)
 	}
 	eng, err := server.NewEngine(heap, engCfg)
 	if err != nil {

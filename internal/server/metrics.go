@@ -5,6 +5,7 @@ import (
 
 	"odbgc/internal/obs"
 	"odbgc/internal/simerr"
+	"odbgc/internal/storage/disk"
 )
 
 // Serving-mode metric names, registered alongside the simulator metrics on
@@ -41,6 +42,7 @@ const (
 	MetricRecoveryOpenMs     = "odbgc_server_recovery_open_ms"
 	MetricRecoveryRebuildMs  = "odbgc_server_recovery_rebuild_ms"
 	MetricRecoveryTornTail   = "odbgc_server_recovery_torn_tail"
+	MetricRecoveryFallback   = "odbgc_server_recovery_meta_fallback"
 )
 
 // ErrorMetric is the per-class failed-request counter name for a simerr
@@ -86,6 +88,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		{MetricRecoveryOpenMs, "wall-clock milliseconds disk.Open took at boot: checkpoint load, WAL replay, digest"},
 		{MetricRecoveryRebuildMs, "wall-clock milliseconds rebuilding the live heap from the recovered state took at boot"},
 		{MetricRecoveryTornTail, "1 when recovery trimmed a torn WAL tail, else 0"},
+		{MetricRecoveryFallback, "1 when a checkpoint meta page or the newer image was damaged and the other slot's checkpoint served, else 0"},
 	}
 	for _, g := range gauges {
 		_ = reg.RegisterGauge(g.name, g.help)
@@ -193,22 +196,28 @@ func (m *Metrics) DurableCommit() { m.add(MetricDurableCommits, 1) }
 func (m *Metrics) DurableCheckpoint() { m.add(MetricDurableCheckpoints, 1) }
 
 // RecoveryObserve publishes what crash recovery did at boot, so a scrape
-// after a SIGKILL restart shows how much WAL was replayed and how long each
-// half of the boot took: opening the store, and rebuilding the heap from it.
-func (m *Metrics) RecoveryObserve(records, batches, objects int, openMs, rebuildMs float64, tornTail bool) {
+// after a SIGKILL restart shows how much WAL was replayed, how long each half
+// of the boot took (opening the store, and rebuilding the heap from it), and
+// whether a torn WAL tail was trimmed or the other checkpoint slot served.
+func (m *Metrics) RecoveryObserve(info *disk.RecoveryInfo, openMs, rebuildMs float64) {
 	if m == nil {
 		return
 	}
-	m.set(MetricRecoveryRecords, float64(records))
-	m.set(MetricRecoveryBatches, float64(batches))
-	m.set(MetricRecoveryObjects, float64(objects))
+	m.set(MetricRecoveryRecords, float64(info.RecordsReplayed))
+	m.set(MetricRecoveryBatches, float64(info.BatchesReplayed))
+	m.set(MetricRecoveryObjects, float64(info.Objects))
 	m.set(MetricRecoveryOpenMs, openMs)
 	m.set(MetricRecoveryRebuildMs, rebuildMs)
-	torn := 0.0
-	if tornTail {
-		torn = 1
+	m.set(MetricRecoveryTornTail, flag(info.TornTail))
+	m.set(MetricRecoveryFallback, flag(info.MetaFallback))
+}
+
+// flag is a boolean as a 0/1 gauge value.
+func flag(b bool) float64 {
+	if b {
+		return 1
 	}
-	m.set(MetricRecoveryTornTail, torn)
+	return 0
 }
 
 // BreakerObserve publishes the breaker's current state and cumulative

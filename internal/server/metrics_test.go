@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"odbgc/internal/obs"
+	"odbgc/internal/storage/disk"
 )
 
 // TestGCPauseHistogramResolvesAPause: a collection pause is around 0.1 ms,
@@ -82,4 +83,28 @@ func TestLevelGaugesCountInAndOut(t *testing.T) {
 	nop.RequestStart()
 	nop.RequestEnd(1)
 	nop.SessionEnd()
+}
+
+// TestRecoveryObservePublishesFallback: the meta-fallback gauge reads 1 when
+// the other slot's checkpoint served and 0 when it did not, beside the torn
+// tail's.
+func TestRecoveryObservePublishesFallback(t *testing.T) {
+	for _, fallback := range []bool{true, false} {
+		reg := obs.NewRegistry()
+		m := NewMetrics(reg)
+		m.RecoveryObserve(&disk.RecoveryInfo{MetaFallback: fallback, TornTail: !fallback, Objects: 7}, 1.5, 2.5)
+		want := map[string]float64{MetricRecoveryFallback: flag(fallback), MetricRecoveryTornTail: flag(!fallback), MetricRecoveryObjects: 7}
+		for name, v := range want {
+			if got := reg.Gauge(name); got != v {
+				t.Errorf("fallback %v: %s = %v, want %v", fallback, name, got, v)
+			}
+		}
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("%s %v\n", MetricRecoveryFallback, flag(fallback)); !strings.Contains(sb.String(), line) {
+			t.Errorf("fallback %v: /metrics text lacks %q", fallback, line)
+		}
+	}
 }

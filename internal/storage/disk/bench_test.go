@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"slices"
@@ -132,6 +133,43 @@ func BenchmarkOpen(b *testing.B) {
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 		})
 	}
+}
+
+// BenchmarkDigest times the state digest recovery reports, over the
+// recovered restart-shaped state. B/object is the stream SHA-256 is fed, per
+// object.
+func BenchmarkDigest(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			fs := memFS{}
+			buildBenchDB(b, fs, n)
+			s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			var stream countingWriter
+			writeDigestStream(&stream, s.objs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				digestSink = digest(s.objs)
+			}
+			b.ReportMetric(float64(s.NumObjects())*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
+			b.ReportMetric(float64(stream)/float64(s.NumObjects()), "B/object")
+		})
+	}
+}
+
+// digestSink keeps BenchmarkDigest's result live.
+var digestSink [sha256.Size]byte
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }
 
 // BenchmarkCheckpoint times one full-image checkpoint of a fixed committed

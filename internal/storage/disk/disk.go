@@ -76,7 +76,7 @@ type RecoveryInfo struct {
 	WALBytes        int64  // WAL bytes scanned
 	TornTail        bool   // the WAL ended in a damaged record
 	TornAt          int64  // offset of the damage when TornTail
-	MetaFallback    bool   // the newer checkpoint's meta or image was damaged; the older one served
+	MetaFallback    bool   // a meta page (taken for the newer) or the newer image was damaged; the other slot served
 	Objects         int    // objects in the recovered state
 	Digest          [sha256.Size]byte
 }

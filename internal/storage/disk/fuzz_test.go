@@ -2,8 +2,12 @@ package disk
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"testing"
 
@@ -216,5 +220,130 @@ func FuzzLoadImage(f *testing.F) {
 		if info2.Digest != info.Digest {
 			t.Fatalf("an accepted image did not checkpoint to the state it recovered")
 		}
+	})
+}
+
+// digestSpec is one object of FuzzDigestStream's spec: the OID gap after the
+// previous object, less one; the class; the size; the slot count and root bit
+// packed as writeDigestStream packs them; then the slots' values, eight bytes
+// each, as many as the spec holds.
+func digestSpec(gap uint16, class objstore.Class, size uint32, nslots int, root bool) []byte {
+	spec := le.AppendUint16(nil, gap)
+	spec = append(spec, byte(class))
+	spec = le.AppendUint32(spec, size)
+	packed := uint16(nslots) << 1
+	if root {
+		packed |= 1
+	}
+	return le.AppendUint16(spec, packed)
+}
+
+// decodeDigestStream parses writeDigestStream's output back into the objects,
+// in order, and the horizon. It is the proof the stream is one-to-one: a
+// stream it decodes names exactly one state.
+func decodeDigestStream(stream []byte) ([]ObjectState, objstore.OID, error) {
+	if len(stream) < 8 {
+		return nil, 0, fmt.Errorf("%d bytes, shorter than the horizon", len(stream))
+	}
+	body, horizon := stream[:len(stream)-8], objstore.OID(le.Uint64(stream[len(stream)-8:]))
+	uvarint := func() (uint64, error) {
+		v, n := binary.Uvarint(body)
+		if n <= 0 {
+			return 0, fmt.Errorf("bad uvarint at %d bytes before the horizon", len(body))
+		}
+		body = body[n:]
+		return v, nil
+	}
+	var objs []ObjectState
+	prev := objstore.OID(0)
+	for len(body) > 0 {
+		delta, err := uvarint()
+		if err != nil || delta == 0 {
+			return nil, 0, fmt.Errorf("after %v: delta %d, %v", prev, delta, err)
+		}
+		o := ObjectState{OID: prev + objstore.OID(delta)}
+		if len(body) == 0 {
+			return nil, 0, fmt.Errorf("%v: no class byte", o.OID)
+		}
+		o.Class, body = objstore.Class(body[0]), body[1:]
+		size, err := uvarint()
+		if err != nil {
+			return nil, 0, err
+		}
+		packed, err := uvarint()
+		if err != nil {
+			return nil, 0, err
+		}
+		o.Size, o.Root = int(size), packed&1 == 1
+		if n := packed >> 1; n > uint64(len(body))/8 {
+			return nil, 0, fmt.Errorf("%v: %d slots, %d bytes left", o.OID, n, len(body))
+		}
+		for range packed >> 1 {
+			o.Slots, body = append(o.Slots, objstore.OID(le.Uint64(body))), body[8:]
+		}
+		objs, prev = append(objs, o), o.OID
+	}
+	return objs, horizon, nil
+}
+
+// FuzzDigestStream builds a state from spec (a run of digestSpec objects,
+// the slot count taken modulo MaxSlots+1) and a horizon, and demands that the
+// digest stream decodes back to it — every object, class, size, slot and root
+// flag, and the horizon — and that the digest is SHA-256 of that stream.
+func FuzzDigestStream(f *testing.F) {
+	f.Add([]byte(nil), uint64(1)<<40)                                                            // an empty store with a raised horizon
+	f.Add(append(digestSpec(0, 1, 10, 0, false), digestSpec(300, 2, 20, 0, true)...), uint64(0)) // a multi-byte delta
+	f.Add(digestSpec(6, objstore.ClassModule, math.MaxUint32, 1, false), uint64(9))              // the largest size
+	f.Add(append(digestSpec(0, objstore.ClassAssembly, 100, MaxSlots, true), bytes.Repeat([]byte{0xa5}, 8*MaxSlots)...), uint64(0))
+	f.Add(digestSpec(2, 255, 128, 0, false), uint64(0)) // the largest class
+	f.Fuzz(func(t *testing.T, spec []byte, horizon uint64) {
+		objs := objstore.NewStore()
+		oid := objstore.OID(0)
+		for len(spec) >= 9 {
+			oid += 1 + objstore.OID(le.Uint16(spec))
+			packed := le.Uint16(spec[7:])
+			o, err := objs.CreateWithOID(oid, objstore.Class(spec[2]), int(le.Uint32(spec[3:])), int(packed>>1)%(MaxSlots+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if packed&1 == 1 {
+				if err := objs.AddRoot(oid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			spec = spec[9:]
+			for k := range o.Slots {
+				o.Slots[k] = oid
+				if len(spec) >= 8 {
+					o.Slots[k], spec = objstore.OID(le.Uint64(spec)), spec[8:]
+				}
+			}
+		}
+		objs.AdvanceNextOID(objstore.OID(horizon))
+
+		var stream bytes.Buffer
+		writeDigestStream(&stream, objs)
+		if digest(objs) != sha256.Sum256(stream.Bytes()) {
+			t.Fatal("the digest is not SHA-256 of the digest stream")
+		}
+		got, next, err := decodeDigestStream(stream.Bytes())
+		if err != nil {
+			t.Fatalf("decoding the digest stream: %v", err)
+		}
+		if next != objs.NextOID() {
+			t.Errorf("decoded horizon %v, want %v", next, objs.NextOID())
+		}
+		if len(got) != objs.Len() {
+			t.Fatalf("decoded %d objects, want %d", len(got), objs.Len())
+		}
+		i := 0
+		objs.ForEachRooted(func(o *objstore.Object, root bool) {
+			d := got[i]
+			if d.OID != o.OID || d.Class != o.Class || d.Size != o.Size || d.Root != root || !slices.Equal(d.Slots, o.Slots) {
+				t.Errorf("object %d decoded as %v class %d size %d root %v with %d slots, want %v class %d size %d root %v with %d slots (slots equal: %v)",
+					i, d.OID, d.Class, d.Size, d.Root, len(d.Slots), o.OID, o.Class, o.Size, root, len(o.Slots), slices.Equal(d.Slots, o.Slots))
+			}
+			i++
+		})
 	})
 }

@@ -14,19 +14,60 @@ import (
 // hashes were recorded before the committed mirror became a table, under image
 // format 1, and testdata/ holds the heap.db and wal.log goldenOps wrote then:
 // whatever holds the mirror, and whatever format a checkpoint writes, that pair
-// must keep opening to the same state. goldenHeapV2SHA256 is heap.db as
-// goldenOps wrote it in format 2 (at 508e474), and testdata/v2/ holds that
+// must keep opening to the same state. goldenStateDigest hashes the state as
+// the digest once did, as eight-byte words (wordDigest); goldenCompactDigest
+// is the same state through today's compact stream (writeDigestStream), which
+// RecoveryInfo.Digest and Store.Digest report. goldenHeapV2SHA256 is heap.db
+// as goldenOps wrote it in format 2 (at 508e474), and testdata/v2/ holds that
 // pair. goldenHeapV3SHA256 is heap.db as goldenOps writes it now, in format 3;
 // the WAL and the state are unchanged by the format. A change that moves any
 // of them has changed the on-disk format, the checkpoint's page-allocation or
-// write order, or the canonical digest stream, and has to say so.
+// write order, the recovered state, or the canonical digest stream, and has to
+// say so.
 const (
-	goldenStateDigest  = "d19b4126bd0cb5d3369de505f241b1afee934dffb1d6c48305e1fbbf4c2b979b"
-	goldenHeapSHA256   = "732b8717b8ccf8690a1b76108d4bce04e150c701306f8897603d0bcff46e8671"
-	goldenWALSHA256    = "e877aebc1767fca31e0c3ff10abb0346afb146cccffe50428c1279f4cbbe3b2e"
-	goldenHeapV2SHA256 = "b894648d0eee42c38312ea28a683d8bed2c78e55ab0c3ca9d84458e0da99f489"
-	goldenHeapV3SHA256 = "869be5db8ac493a144fc3856a40ef7866065e2e1e45a7f4ae2873e9440bd8789"
+	goldenStateDigest   = "d19b4126bd0cb5d3369de505f241b1afee934dffb1d6c48305e1fbbf4c2b979b"
+	goldenCompactDigest = "0e1c2df45acf74dbac9a40e02418a3a9ba2b5f02e0d0e929f0f71b010b0c421a"
+	goldenHeapSHA256    = "732b8717b8ccf8690a1b76108d4bce04e150c701306f8897603d0bcff46e8671"
+	goldenWALSHA256     = "e877aebc1767fca31e0c3ff10abb0346afb146cccffe50428c1279f4cbbe3b2e"
+	goldenHeapV2SHA256  = "b894648d0eee42c38312ea28a683d8bed2c78e55ab0c3ca9d84458e0da99f489"
+	goldenHeapV3SHA256  = "869be5db8ac493a144fc3856a40ef7866065e2e1e45a7f4ae2873e9440bd8789"
 )
+
+// wordDigest is the digest's earlier stream, kept so goldenStateDigest still
+// proves "same state": each object in ascending OID order as eight-byte
+// little-endian words — OID, class, size, root flag, slot count, slots — then
+// the OID horizon.
+func wordDigest(objs *objstore.Store) string {
+	var buf []byte
+	objs.ForEachRooted(func(o *objstore.Object, root bool) {
+		flag := uint64(0)
+		if root {
+			flag = 1
+		}
+		for _, w := range []uint64{uint64(o.OID), uint64(o.Class), uint64(o.Size), flag, uint64(len(o.Slots))} {
+			buf = le.AppendUint64(buf, w)
+		}
+		for _, s := range o.Slots {
+			buf = le.AppendUint64(buf, uint64(s))
+		}
+	})
+	buf = le.AppendUint64(buf, uint64(objs.NextOID()))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// checkGoldenState checks that objs holds the golden state, through the old
+// word stream, and that digest, what a store reported for it, is the compact
+// stream's pinned hash.
+func checkGoldenState(t *testing.T, objs *objstore.Store, what string, digest [sha256.Size]byte) {
+	t.Helper()
+	if got := wordDigest(objs); got != goldenStateDigest {
+		t.Errorf("wordDigest = %s, want %s", got, goldenStateDigest)
+	}
+	if got := hex.EncodeToString(digest[:]); got != goldenCompactDigest {
+		t.Errorf("%s = %s, want %s", what, got, goldenCompactDigest)
+	}
+}
 
 // goldenOps drives the fixed sequence: 1 500 objects in batches of 50 (every
 // fifth a rooted 8-slot hub pointing at the four objects after it, the rest
@@ -103,10 +144,10 @@ func fileSHA256(t *testing.T, path string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestGoldenBytes pins "same bytes": the digest of the committed state, the
-// digest recovery reports after reopening, and the SHA-256 of both files — of
-// the files goldenOps writes now, and of the format-1 and format-2 pairs in
-// testdata/.
+// TestGoldenBytes pins "same bytes": the state goldenOps commits and the state
+// recovery rebuilds on reopening, each through both digest streams, and the
+// SHA-256 of both files — of the files goldenOps writes now, and of the
+// format-1 and format-2 pairs in testdata/.
 func TestGoldenBytes(t *testing.T) {
 	// reopen opens the store in dir and checks what it recovers, and that
 	// opening it rewrote neither file.
@@ -118,9 +159,7 @@ func TestGoldenBytes(t *testing.T) {
 				t.Error(err)
 			}
 		}()
-		if got := hex.EncodeToString(info.Digest[:]); got != goldenStateDigest {
-			t.Errorf("RecoveryInfo.Digest = %s, want %s", got, goldenStateDigest)
-		}
+		checkGoldenState(t, s.Objects(), "RecoveryInfo.Digest", info.Digest)
 		if got := s.Digest(); got != info.Digest {
 			t.Errorf("reopened Store.Digest() = %x, want %x", got, info.Digest)
 		}
@@ -139,12 +178,9 @@ func TestGoldenBytes(t *testing.T) {
 		dir := t.TempDir()
 		s, _ := openTemp(t, dir, FsyncAlways)
 		goldenOps(t, s)
-		live := s.Digest()
+		checkGoldenState(t, s.Objects(), "Store.Digest()", s.Digest())
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(live[:]); got != goldenStateDigest {
-			t.Errorf("Store.Digest() = %s, want %s", got, goldenStateDigest)
 		}
 		if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV3SHA256 {
 			t.Errorf("sha256(%s) = %s, want %s", heapFile, got, goldenHeapV3SHA256)

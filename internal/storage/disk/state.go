@@ -2,7 +2,9 @@ package disk
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"odbgc/internal/objstore"
@@ -73,38 +75,42 @@ func replay(objs *objstore.Store, op walOp) error {
 	return nil
 }
 
-// digest hashes a state canonically: objects in ascending OID order with
-// class, size, root flag, and slots, then the OID horizon. Recovery is
-// correct iff this value is byte-identical before the crash and after the
-// rebuild.
+// digest is SHA-256 of the state's canonical stream. Recovery is correct iff
+// it is byte-identical before the crash and after the rebuild.
 func digest(objs *objstore.Store) [sha256.Size]byte {
 	h := sha256.New()
-	// The stream is eight-byte words, gathered and hashed a few kilobytes at
-	// a time; the buffer holds the widest object with room to batch small ones.
+	writeDigestStream(h, objs)
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// writeDigestStream writes the state's canonical stream to w, a few kilobytes
+// at a time: per object in ascending OID order, uvarint(OID − previous OID)
+// (the first against 0), the class byte, uvarint(size), uvarint(2·len(slots) +
+// root) and each slot as 8 bytes little-endian; then the OID horizon, 8 bytes
+// little-endian. Records are self-delimiting and the horizon is a fixed-length
+// tail, so the stream is one-to-one. A record's head is at most 31 bytes.
+func writeDigestStream(w io.Writer, objs *objstore.Store) {
 	buf := make([]byte, 0, 2*PageSize)
+	prev := objstore.OID(0)
 	objs.ForEachRooted(func(o *objstore.Object, root bool) {
-		if len(buf)+8*(5+len(o.Slots)) > cap(buf) {
-			_, _ = h.Write(buf) // hash.Hash.Write never fails
+		if len(buf)+3*binary.MaxVarintLen64+1+8*len(o.Slots) > cap(buf) {
+			_, _ = w.Write(buf) // a hash, or a test's buffer: neither fails
 			buf = buf[:0]
 		}
-		flag := uint64(0)
+		packed := uint64(len(o.Slots)) << 1
 		if root {
-			flag = 1
+			packed |= 1
 		}
-		buf = le.AppendUint64(buf, uint64(o.OID))
-		buf = le.AppendUint64(buf, uint64(o.Class))
-		buf = le.AppendUint64(buf, uint64(o.Size))
-		buf = le.AppendUint64(buf, flag)
-		buf = le.AppendUint64(buf, uint64(len(o.Slots)))
+		buf = binary.AppendUvarint(buf, uint64(o.OID-prev))
+		buf = append(buf, byte(o.Class))
+		buf = binary.AppendUvarint(buf, uint64(o.Size))
+		buf = binary.AppendUvarint(buf, packed)
 		for _, s := range o.Slots {
 			buf = le.AppendUint64(buf, uint64(s))
 		}
+		prev = o.OID
 	})
-	buf = le.AppendUint64(buf, uint64(objs.NextOID()))
-	_, _ = h.Write(buf)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	_, _ = w.Write(le.AppendUint64(buf, uint64(objs.NextOID())))
 }
 
 // ObjectState is one recovered object, handed to ForEach callbacks.

@@ -10,7 +10,8 @@
 #  2. Live SIGKILL drill: odbgcd (built -race) with -data-dir is killed
 #     with SIGKILL mid-overload; offline recovery (-recover) must be
 #     deterministic and nonempty; the daemon restarts on the same data
-#     dir, exposes recovery counters on /metrics, serves fresh load
+#     dir, exposes recovery counters on /metrics (the meta-fallback gauge
+#     at 0: a kill tears the WAL tail, never a checkpoint), serves fresh load
 #     error-free, and drains cleanly with a final checkpoint.
 #
 # Usage: scripts/crash_drill.sh [workdir]   (defaults to a fresh mktemp -d)
@@ -82,6 +83,8 @@ grep -q '^odbgc_server_recovery_open_ms ' "$work/metrics.txt"
 grep -q '^odbgc_server_recovery_rebuild_ms ' "$work/metrics.txt"
 grep -q '^odbgc_server_recovery_records_replayed ' "$work/metrics.txt"
 grep -q '^odbgc_server_recovery_batches_replayed ' "$work/metrics.txt"
+# A SIGKILL tears at most the WAL tail: the newest checkpoint must serve.
+grep -qx 'odbgc_server_recovery_meta_fallback 0' "$work/metrics.txt"
 echo "crash-drill: restart recovered the kill site; counters on /metrics"
 
 # The restarted server must serve real load on the recovered heap.
