@@ -78,6 +78,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The runner hands storage faults to every run's sim.Config; the other
+	// classes wrap layers only gcsim builds.
+	const refused = "-fault-profile %s: experiments applies storage faults only; %s faults are applied by %s"
+	switch {
+	case profile.Estimator():
+		return fmt.Errorf(refused, profile.Name, "estimator", "gcsim -policy saga, pi or coupled")
+	case profile.Trace():
+		return fmt.Errorf(refused, profile.Name, "trace", "gcsim replaying a trace file")
+	case profile.Disk():
+		return fmt.Errorf(refused, profile.Name, "disk", "gcsim -data-dir")
+	}
 
 	names := experiments.Names()
 	if *runList != "" {
@@ -136,10 +147,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 			m := &obs.Manifest{
 				Tool:   "experiments",
-				Config: flagKVs(fs),
+				Config: obs.FlagKVs(fs),
 				Seed:   *seed,
 			}
-			if profile.Storage() || profile.Estimator() || profile.Trace() {
+			if profile.Storage() {
 				m.FaultSeed = *faultSd
 			}
 			if csvPath != "" {
@@ -155,13 +166,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// flagKVs snapshots every flag's effective value for the provenance manifest.
-func flagKVs(fs *flag.FlagSet) []obs.KV {
-	m := make(map[string]string)
-	fs.VisitAll(func(f *flag.Flag) {
-		m[f.Name] = f.Value.String()
-	})
-	return obs.ConfigKVs(m)
 }

@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	faultsOn := profile.Storage() || profile.Estimator() || profile.Trace()
+	faultsOn := profile.Storage() || profile.Estimator() || profile.Trace() || profile.Disk()
 
 	if *compare != "" {
 		if faultsOn {
@@ -103,6 +103,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-compare does not support -events, -spans, -manifest or -http; run policies one at a time")
 		}
 		return runCompare(stdout, fs, *compare, *selection, *preamble, *conn, *seed, *fixups)
+	}
+	if profile.Trace() && fs.NArg() == 0 {
+		return fmt.Errorf("-fault-profile %s: trace faults apply only to a trace file; name one (gcsim [flags] trace.odbt)", profile.Name)
+	}
+	if profile.Disk() && *dataDir == "" {
+		return fmt.Errorf("-fault-profile %s: disk faults apply only to the durable store; add -data-dir", profile.Name)
 	}
 
 	// When the fault profile corrupts the estimator signal, the estimator is
@@ -123,6 +129,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	})
 	if err != nil {
 		return err
+	}
+	if profile.Estimator() && chaos == nil {
+		return fmt.Errorf("-fault-profile %s: estimator faults apply only to a policy with a garbage estimator (-policy saga, pi or coupled), not -policy %s", profile.Name, *policy)
 	}
 	sel, err := gc.NewSelectionPolicy(*selection, *seed)
 	if err != nil {
@@ -345,7 +354,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		m := &obs.Manifest{
 			Tool:      "gcsim",
-			Config:    flagKVs(fs),
+			Config:    obs.FlagKVs(fs),
 			Seed:      *seed,
 			Policy:    res.PolicyName,
 			Selection: res.SelectionName,
@@ -411,15 +420,6 @@ func validateFlags(logEvery int, frac, history float64, preamble int, serveFor t
 		return fmt.Errorf("-serve-after needs -http to say where to serve")
 	}
 	return nil
-}
-
-// flagKVs snapshots every flag's effective value for the provenance manifest.
-func flagKVs(fs *flag.FlagSet) []obs.KV {
-	m := make(map[string]string)
-	fs.VisitAll(func(f *flag.Flag) {
-		m[f.Name] = f.Value.String()
-	})
-	return obs.ConfigKVs(m)
 }
 
 // printDistributions renders yield and interval histograms over the run's

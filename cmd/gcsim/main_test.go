@@ -248,3 +248,26 @@ func TestGcsimHTTP(t *testing.T) {
 		t.Errorf("bound address not announced:\n%s", stdout.String())
 	}
 }
+
+// TestGcsimRefusesUnappliedFaults: a fault class the run would not apply is
+// refused with the flag that applies it, rather than run as if it were off.
+func TestGcsimRefusesUnappliedFaults(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"disk without data dir", []string{"-fault-profile", "disk-chaos"}, "-data-dir"},
+		{"trace without trace file", []string{"-fault-profile", "trace-corrupt"}, "trace file"},
+		{"estimator without estimator", []string{"-policy", "saio", "-fault-profile", "estimator-dropout"}, "-policy saga"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(context.Background(), c.args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("args %v: error %v, want mention of %q", c.args, err, c.want)
+			}
+		})
+	}
+}

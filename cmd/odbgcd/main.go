@@ -320,7 +320,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	if *manifest != "" {
 		man := &obs.Manifest{
 			Tool:      "odbgcd",
-			Config:    flagKVs(fs),
+			Config:    obs.FlagKVs(fs),
 			Seed:      *seed,
 			Policy:    pol.Name(),
 			Selection: sel.Name(),
@@ -393,13 +393,4 @@ func dumpTraces(rec *span.Recorder, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// flagKVs snapshots every flag's effective value for the provenance manifest.
-func flagKVs(fs *flag.FlagSet) []obs.KV {
-	m := make(map[string]string)
-	fs.VisitAll(func(f *flag.Flag) {
-		m[f.Name] = f.Value.String()
-	})
-	return obs.ConfigKVs(m)
 }

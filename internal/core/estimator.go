@@ -46,7 +46,7 @@ func (OracleEstimator) EstimateGarbage(h HeapState) float64 {
 // deliberately violates by finding partitions with above-average garbage,
 // which is why this estimator overestimates (Figure 6a).
 type CGSCB struct {
-	lastReclaimed float64
+	st cgscbState
 }
 
 // NewCGSCB returns a fresh CGS/CB estimator.
@@ -57,12 +57,12 @@ func (*CGSCB) Name() string { return "cgs-cb" }
 
 // ObserveCollection implements Estimator.
 func (e *CGSCB) ObserveCollection(_ HeapState, res gc.CollectionResult) {
-	e.lastReclaimed = float64(res.ReclaimedBytes)
+	e.st.LastReclaimed = float64(res.ReclaimedBytes)
 }
 
 // EstimateGarbage implements Estimator.
 func (e *CGSCB) EstimateGarbage(h HeapState) float64 {
-	return e.lastReclaimed * float64(h.NumPartitions())
+	return e.st.LastReclaimed * float64(h.NumPartitions())
 }
 
 // FGSHB is the fine-grain-state / history-behavior heuristic (§2.4.2). The
@@ -82,8 +82,7 @@ type FGSHB struct {
 	// 0.80 and 0.95 (Figure 7a) and uses 0.80 in practice.
 	History float64
 
-	gppoH   float64
-	haveObs bool
+	st fgshbState
 }
 
 // NewFGSHB returns an FGS/HB estimator with the given history factor.
@@ -98,7 +97,7 @@ func NewFGSHB(history float64) (*FGSHB, error) {
 func (e *FGSHB) Name() string { return fmt.Sprintf("fgs-hb(%.2f)", e.History) }
 
 // GPPO returns the current smoothed garbage-per-pointer-overwrite estimate.
-func (e *FGSHB) GPPO() float64 { return e.gppoH }
+func (e *FGSHB) GPPO() float64 { return e.st.GppoH }
 
 // ObserveCollection implements Estimator.
 func (e *FGSHB) ObserveCollection(_ HeapState, res gc.CollectionResult) {
@@ -107,17 +106,17 @@ func (e *FGSHB) ObserveCollection(_ HeapState, res gc.CollectionResult) {
 		po = 1 // a collection with no recorded overwrites still yields a sample
 	}
 	gppo := float64(res.ReclaimedBytes) / float64(po)
-	if e.haveObs {
-		e.gppoH = e.History*e.gppoH + (1-e.History)*gppo
+	if e.st.HaveObs {
+		e.st.GppoH = e.History*e.st.GppoH + (1-e.History)*gppo
 	} else {
-		e.gppoH = gppo
-		e.haveObs = true
+		e.st.GppoH = gppo
+		e.st.HaveObs = true
 	}
 }
 
 // EstimateGarbage implements Estimator.
 func (e *FGSHB) EstimateGarbage(h HeapState) float64 {
-	return e.gppoH * float64(h.SumPartitionOverwrites())
+	return e.st.GppoH * float64(h.SumPartitionOverwrites())
 }
 
 // NewEstimator constructs an estimator by name: "oracle", "cgs-cb",

@@ -29,7 +29,7 @@ type FGSWindow struct {
 	// averaged. Must be >= 1.
 	Window int
 
-	samples []float64
+	st fgsWindowState
 }
 
 // NewFGSWindow returns a windowed FGS estimator.
@@ -45,14 +45,14 @@ func (e *FGSWindow) Name() string { return fmt.Sprintf("fgs-window(%d)", e.Windo
 
 // GPPO returns the current windowed garbage-per-overwrite estimate.
 func (e *FGSWindow) GPPO() float64 {
-	if len(e.samples) == 0 {
+	if len(e.st.Samples) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, s := range e.samples {
+	for _, s := range e.st.Samples {
 		sum += s
 	}
-	return sum / float64(len(e.samples))
+	return sum / float64(len(e.st.Samples))
 }
 
 // ObserveCollection implements Estimator.
@@ -61,9 +61,9 @@ func (e *FGSWindow) ObserveCollection(_ HeapState, res gc.CollectionResult) {
 	if po < 1 {
 		po = 1
 	}
-	e.samples = append(e.samples, float64(res.ReclaimedBytes)/float64(po))
-	if len(e.samples) > e.Window {
-		e.samples = e.samples[1:]
+	e.st.Samples = append(e.st.Samples, float64(res.ReclaimedBytes)/float64(po))
+	if len(e.st.Samples) > e.Window {
+		e.st.Samples = e.st.Samples[1:]
 	}
 }
 

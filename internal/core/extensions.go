@@ -84,10 +84,7 @@ func (c *CoupledConfig) applyDefaults() {
 type Coupled struct {
 	cfg CoupledConfig
 	est Estimator
-
-	nextAt      uint64
-	armed       bool
-	lastEffFrac float64
+	st  coupledState
 }
 
 // NewCoupled returns a Coupled policy using the given garbage estimator.
@@ -99,7 +96,7 @@ func NewCoupled(cfg CoupledConfig, est Estimator) (*Coupled, error) {
 		return nil, fmt.Errorf("core: coupled policy requires an estimator")
 	}
 	cfg.applyDefaults()
-	return &Coupled{cfg: cfg, est: est, lastEffFrac: cfg.IOFrac}, nil
+	return &Coupled{cfg: cfg, est: est, st: coupledState{LastEffFrac: cfg.IOFrac}}, nil
 }
 
 // Name implements RatePolicy.
@@ -112,20 +109,20 @@ func (p *Coupled) Name() string {
 func (p *Coupled) Config() CoupledConfig { return p.cfg }
 
 // LastEffectiveFrac returns the I/O share used for the last interval.
-func (p *Coupled) LastEffectiveFrac() float64 { return p.lastEffFrac }
+func (p *Coupled) LastEffectiveFrac() float64 { return p.st.LastEffFrac }
 
 // ShouldCollect implements RatePolicy.
 func (p *Coupled) ShouldCollect(now Clock) bool {
-	if !p.armed {
-		p.nextAt = p.cfg.InitialInterval
-		p.armed = true
+	if !p.st.Armed {
+		p.st.NextAt = p.cfg.InitialInterval
+		p.st.Armed = true
 	}
-	return now.AppIO >= p.nextAt
+	return now.AppIO >= p.st.NextAt
 }
 
 // AfterCollection implements RatePolicy.
 func (p *Coupled) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) {
-	p.armed = true
+	p.st.Armed = true
 	p.est.ObserveCollection(h, res)
 	est, usable := sanitizeEstimate(p.est.EstimateGarbage(h))
 	target := p.cfg.GarbFrac * float64(h.DatabaseBytes())
@@ -141,13 +138,13 @@ func (p *Coupled) AfterCollection(now Clock, h HeapState, res gc.CollectionResul
 	if eff > p.cfg.MaxFrac {
 		eff = p.cfg.MaxFrac
 	}
-	p.lastEffFrac = eff
+	p.st.LastEffFrac = eff
 
 	interval := float64(res.IO.GCIO()) * (1 - eff) / eff
 	if interval < 1 {
 		interval = 1
 	}
-	p.nextAt = now.AppIO + uint64(interval)
+	p.st.NextAt = now.AppIO + uint64(interval)
 }
 
 // IdleCollector is implemented by policies that can exploit quiescence: the

@@ -27,12 +27,7 @@ type FallbackEstimator struct {
 	tripAfter    int
 	recoverAfter int
 
-	bad     int
-	good    int
-	tripped bool
-
-	trips      uint64
-	recoveries uint64
+	st fallbackState
 }
 
 // NewFallbackEstimator wraps primary with fallback. tripAfter and
@@ -64,13 +59,13 @@ func (e *FallbackEstimator) Name() string {
 }
 
 // Tripped reports whether the wrapper is currently serving the fallback.
-func (e *FallbackEstimator) Tripped() bool { return e.tripped }
+func (e *FallbackEstimator) Tripped() bool { return e.st.Tripped }
 
 // Trips returns how many times the primary signal was abandoned.
-func (e *FallbackEstimator) Trips() uint64 { return e.trips }
+func (e *FallbackEstimator) Trips() uint64 { return e.st.Trips }
 
 // Recoveries returns how many times the primary signal was re-adopted.
-func (e *FallbackEstimator) Recoveries() uint64 { return e.recoveries }
+func (e *FallbackEstimator) Recoveries() uint64 { return e.st.Recoveries }
 
 // Primary returns the wrapped primary estimator.
 func (e *FallbackEstimator) Primary() Estimator { return e.primary }
@@ -106,21 +101,21 @@ func (e *FallbackEstimator) EstimateGarbage(h HeapState) float64 {
 	p := e.primary.EstimateGarbage(h)
 	usable := usableSignal(p, h)
 	if usable {
-		e.bad = 0
-		e.good++
-		if e.tripped && e.good >= e.recoverAfter {
-			e.tripped = false
-			e.recoveries++
+		e.st.Bad = 0
+		e.st.Good++
+		if e.st.Tripped && e.st.Good >= e.recoverAfter {
+			e.st.Tripped = false
+			e.st.Recoveries++
 		}
 	} else {
-		e.good = 0
-		e.bad++
-		if !e.tripped && e.bad >= e.tripAfter {
-			e.tripped = true
-			e.trips++
+		e.st.Good = 0
+		e.st.Bad++
+		if !e.st.Tripped && e.st.Bad >= e.tripAfter {
+			e.st.Tripped = true
+			e.st.Trips++
 		}
 	}
-	if usable && !e.tripped {
+	if usable && !e.st.Tripped {
 		return p
 	}
 	f := e.fallback.EstimateGarbage(h)

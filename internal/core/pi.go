@@ -84,14 +84,7 @@ func (c *PIConfig) applyDefaults() {
 type PIController struct {
 	cfg PIConfig
 	est Estimator
-
-	integral float64
-	nextAt   uint64
-	armed    bool
-
-	lastEstimate float64
-	lastTarget   float64
-	lastInterval uint64
+	st  piState
 }
 
 // NewPIController returns a PI garbage controller using the estimator.
@@ -115,31 +108,31 @@ func (p *PIController) Name() string {
 func (p *PIController) Config() PIConfig { return p.cfg }
 
 // LastEstimate returns the estimator output at the last collection.
-func (p *PIController) LastEstimate() float64 { return p.lastEstimate }
+func (p *PIController) LastEstimate() float64 { return p.st.LastEstimate }
 
 // LastTarget returns the target garbage bytes at the last collection.
-func (p *PIController) LastTarget() float64 { return p.lastTarget }
+func (p *PIController) LastTarget() float64 { return p.st.LastTarget }
 
 // LastInterval returns the last scheduled interval in overwrites.
-func (p *PIController) LastInterval() uint64 { return p.lastInterval }
+func (p *PIController) LastInterval() uint64 { return p.st.LastInterval }
 
 // ShouldCollect implements RatePolicy.
 func (p *PIController) ShouldCollect(now Clock) bool {
-	if !p.armed {
-		p.nextAt = p.cfg.InitialInterval
-		p.armed = true
+	if !p.st.Armed {
+		p.st.NextAt = p.cfg.InitialInterval
+		p.st.Armed = true
 	}
-	return now.Overwrites >= p.nextAt
+	return now.Overwrites >= p.st.NextAt
 }
 
 // AfterCollection implements RatePolicy.
 func (p *PIController) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) {
-	p.armed = true
+	p.st.Armed = true
 	p.est.ObserveCollection(h, res)
 	est, usable := sanitizeEstimate(p.est.EstimateGarbage(h))
 	target := p.cfg.Frac * float64(h.DatabaseBytes())
-	p.lastEstimate = est
-	p.lastTarget = target
+	p.st.LastEstimate = est
+	p.st.LastTarget = target
 
 	// An unusable estimator signal contributes zero error: the controller
 	// coasts on its integral term instead of ingesting NaN.
@@ -147,15 +140,15 @@ func (p *PIController) AfterCollection(now Clock, h HeapState, res gc.Collection
 	if usable && target > 0 {
 		e = est/target - 1
 	}
-	p.integral += e
-	if p.integral > p.cfg.IntegralClamp {
-		p.integral = p.cfg.IntegralClamp
+	p.st.Integral += e
+	if p.st.Integral > p.cfg.IntegralClamp {
+		p.st.Integral = p.cfg.IntegralClamp
 	}
-	if p.integral < -p.cfg.IntegralClamp {
-		p.integral = -p.cfg.IntegralClamp
+	if p.st.Integral < -p.cfg.IntegralClamp {
+		p.st.Integral = -p.cfg.IntegralClamp
 	}
 
-	dt := p.cfg.BaseInterval * math.Exp(-(p.cfg.Kp*e + p.cfg.Ki*p.integral))
+	dt := p.cfg.BaseInterval * math.Exp(-(p.cfg.Kp*e + p.cfg.Ki*p.st.Integral))
 	interval := uint64(dt)
 	if dt < float64(p.cfg.DtMin) || interval < p.cfg.DtMin {
 		interval = p.cfg.DtMin
@@ -163,6 +156,6 @@ func (p *PIController) AfterCollection(now Clock, h HeapState, res gc.Collection
 	if dt > float64(p.cfg.DtMax) {
 		interval = p.cfg.DtMax
 	}
-	p.lastInterval = interval
-	p.nextAt = now.Overwrites + interval
+	p.st.LastInterval = interval
+	p.st.NextAt = now.Overwrites + interval
 }

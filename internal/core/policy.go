@@ -82,8 +82,7 @@ func (NeverCollect) AfterCollection(Clock, HeapState, gc.CollectionResult) {}
 type FixedRate struct {
 	Interval uint64 // pointer overwrites between collections
 
-	nextAt uint64
-	armed  bool
+	st fixedRateState
 }
 
 // NewFixedRate returns a fixed-rate policy; interval must be positive.
@@ -99,17 +98,17 @@ func (p *FixedRate) Name() string { return fmt.Sprintf("fixed(%d)", p.Interval) 
 
 // ShouldCollect implements RatePolicy.
 func (p *FixedRate) ShouldCollect(now Clock) bool {
-	if !p.armed {
-		p.nextAt = p.Interval
-		p.armed = true
+	if !p.st.Armed {
+		p.st.NextAt = p.Interval
+		p.st.Armed = true
 	}
-	return now.Overwrites >= p.nextAt
+	return now.Overwrites >= p.st.NextAt
 }
 
 // AfterCollection implements RatePolicy.
 func (p *FixedRate) AfterCollection(now Clock, _ HeapState, _ gc.CollectionResult) {
-	p.nextAt = now.Overwrites + p.Interval
-	p.armed = true
+	p.st.NextAt = now.Overwrites + p.Interval
+	p.st.Armed = true
 }
 
 // SAIOConfig parameterizes the SAIO policy.
@@ -150,14 +149,7 @@ func (c SAIOConfig) Validate() error {
 // where the _hist sums span the last c_hist collections.
 type SAIO struct {
 	cfg SAIOConfig
-
-	// Ring buffer of per-collection (appIO, gcIO) deltas, newest last.
-	histApp []uint64
-	histGC  []uint64
-
-	lastAppIO uint64 // clock at last collection, to compute app deltas
-	nextAt    uint64 // absolute AppIO at which to collect next
-	armed     bool
+	st  saioState
 }
 
 // NewSAIO returns a SAIO policy.
@@ -179,35 +171,35 @@ func (p *SAIO) Config() SAIOConfig { return p.cfg }
 
 // ShouldCollect implements RatePolicy.
 func (p *SAIO) ShouldCollect(now Clock) bool {
-	if !p.armed {
-		p.nextAt = p.cfg.InitialInterval
-		p.armed = true
+	if !p.st.Armed {
+		p.st.NextAt = p.cfg.InitialInterval
+		p.st.Armed = true
 	}
-	return now.AppIO >= p.nextAt
+	return now.AppIO >= p.st.NextAt
 }
 
 // AfterCollection implements RatePolicy.
 func (p *SAIO) AfterCollection(now Clock, _ HeapState, res gc.CollectionResult) {
 	currGCIO := res.IO.GCIO()
-	appDelta := now.AppIO - p.lastAppIO
-	p.lastAppIO = now.AppIO
-	p.armed = true
+	appDelta := now.AppIO - p.st.LastAppIO
+	p.st.LastAppIO = now.AppIO
+	p.st.Armed = true
 
 	// Maintain the c_hist window of measured per-interval costs, including
 	// the collection that just finished.
 	if p.cfg.Hist > 0 {
-		p.histApp = append(p.histApp, appDelta)
-		p.histGC = append(p.histGC, currGCIO)
-		if len(p.histApp) > p.cfg.Hist {
-			p.histApp = p.histApp[1:]
-			p.histGC = p.histGC[1:]
+		p.st.HistApp = append(p.st.HistApp, appDelta)
+		p.st.HistGC = append(p.st.HistGC, currGCIO)
+		if len(p.st.HistApp) > p.cfg.Hist {
+			p.st.HistApp = p.st.HistApp[1:]
+			p.st.HistGC = p.st.HistGC[1:]
 		}
 	}
 	var histApp, histGC float64
-	for _, v := range p.histApp {
+	for _, v := range p.st.HistApp {
 		histApp += float64(v)
 	}
-	for _, v := range p.histGC {
+	for _, v := range p.st.HistGC {
 		histGC += float64(v)
 	}
 	// ΔAppIO = (GCIO_hist + ΔGCIO)·(1−f)/f − AppIO_hist, with the paper's
@@ -217,7 +209,7 @@ func (p *SAIO) AfterCollection(now Clock, _ HeapState, res gc.CollectionResult) 
 	if interval < 1 {
 		interval = 1
 	}
-	p.nextAt = now.AppIO + uint64(interval)
+	p.st.NextAt = now.AppIO + uint64(interval)
 }
 
 // SAGAConfig parameterizes the SAGA policy.
@@ -285,23 +277,7 @@ func (c *SAGAConfig) applyDefaults() {
 type SAGA struct {
 	cfg SAGAConfig
 	est Estimator
-
-	slope     float64 // TotGarb'(t) estimate, bytes per overwrite
-	haveSlope bool
-	prevT     uint64  // overwrite clock at previous slope sample
-	prevTot   float64 // TotGarb estimate at previous slope sample
-	havePrev  bool
-
-	nextAt uint64
-	armed  bool
-
-	// Diagnostics exposed for the time-varying figures.
-	lastEstimate float64
-	lastTarget   float64
-	lastInterval uint64
-	clampedMin   uint64 // how many times DtMin clamped the interval
-	clampedMax   uint64 // how many times DtMax clamped the interval
-	badSignals   uint64 // estimator outputs rejected as NaN/Inf/negative
+	st  sagaState
 }
 
 // NewSAGA returns a SAGA policy using the given estimator.
@@ -328,24 +304,24 @@ func (p *SAGA) Config() SAGAConfig { return p.cfg }
 func (p *SAGA) Estimator() Estimator { return p.est }
 
 // LastEstimate returns the estimator's garbage bytes at the last collection.
-func (p *SAGA) LastEstimate() float64 { return p.lastEstimate }
+func (p *SAGA) LastEstimate() float64 { return p.st.LastEstimate }
 
 // LastTarget returns the target garbage bytes at the last collection.
-func (p *SAGA) LastTarget() float64 { return p.lastTarget }
+func (p *SAGA) LastTarget() float64 { return p.st.LastTarget }
 
 // LastInterval returns the last scheduled interval in overwrites.
-func (p *SAGA) LastInterval() uint64 { return p.lastInterval }
+func (p *SAGA) LastInterval() uint64 { return p.st.LastInterval }
 
 // ClampCounts reports how often DtMin and DtMax limited the interval; the
 // paper notes the clamps are rarely needed in practice.
-func (p *SAGA) ClampCounts() (min, max uint64) { return p.clampedMin, p.clampedMax }
+func (p *SAGA) ClampCounts() (min, max uint64) { return p.st.ClampedMin, p.st.ClampedMax }
 
 // LastSlope returns the smoothed TotGarb'(t) estimate in bytes/overwrite.
-func (p *SAGA) LastSlope() float64 { return p.slope }
+func (p *SAGA) LastSlope() float64 { return p.st.Slope }
 
 // BadSignals reports how many estimator outputs the controller rejected as
 // unusable (NaN, infinite, or negative).
-func (p *SAGA) BadSignals() uint64 { return p.badSignals }
+func (p *SAGA) BadSignals() uint64 { return p.st.BadSignals }
 
 // sanitizeEstimate clamps an estimator output to a physically meaningful
 // value: finite and non-negative. The second result reports whether the raw
@@ -360,11 +336,11 @@ func sanitizeEstimate(est float64) (float64, bool) {
 
 // ShouldCollect implements RatePolicy.
 func (p *SAGA) ShouldCollect(now Clock) bool {
-	if !p.armed {
-		p.nextAt = p.cfg.InitialInterval
-		p.armed = true
+	if !p.st.Armed {
+		p.st.NextAt = p.cfg.InitialInterval
+		p.st.Armed = true
 	}
-	return now.Overwrites >= p.nextAt
+	return now.Overwrites >= p.st.NextAt
 }
 
 // AfterCollection implements RatePolicy.
@@ -372,11 +348,11 @@ func (p *SAGA) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) 
 	p.est.ObserveCollection(h, res)
 	est, usable := sanitizeEstimate(p.est.EstimateGarbage(h))
 	if !usable {
-		p.badSignals++
+		p.st.BadSignals++
 	}
 	target := p.cfg.Frac * float64(h.DatabaseBytes())
-	p.lastEstimate = est
-	p.lastTarget = target
+	p.st.LastEstimate = est
+	p.st.LastTarget = target
 
 	// Slope of cumulative garbage creation, on the estimated series
 	// TotGarb ≈ TotColl + ActGarb_est, in bytes per overwrite. An unusable
@@ -385,23 +361,23 @@ func (p *SAGA) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) 
 	tot := float64(h.TotalCollectedBytes()) + est
 	t := now.Overwrites
 	if usable {
-		if p.havePrev && t > p.prevT {
-			dt := float64(t - p.prevT)
-			inst := (tot - p.prevTot) / dt
-			if p.haveSlope {
+		if p.st.HavePrev && t > p.st.PrevT {
+			dt := float64(t - p.st.PrevT)
+			inst := (tot - p.st.PrevTot) / dt
+			if p.st.HaveSlope {
 				w := p.cfg.Weight
 				if p.cfg.SlopeRef > 0 {
 					// Time-weighted smoothing: short intervals (noisy inst)
 					// contribute little, long intervals dominate.
 					w = math.Pow(p.cfg.Weight, dt/float64(p.cfg.SlopeRef))
 				}
-				p.slope = w*p.slope + (1-w)*inst
+				p.st.Slope = w*p.st.Slope + (1-w)*inst
 			} else {
-				p.slope = inst
-				p.haveSlope = true
+				p.st.Slope = inst
+				p.st.HaveSlope = true
 			}
 		}
-		p.prevT, p.prevTot, p.havePrev = t, tot, true
+		p.st.PrevT, p.st.PrevTot, p.st.HavePrev = t, tot, true
 	}
 
 	currColl := float64(res.ReclaimedBytes)
@@ -412,8 +388,8 @@ func (p *SAGA) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) 
 	// zero, or even negative" and relies on the [DtMin,DtMax] clamp.
 	// A negative Δt (collection overdue) clamps to DtMin.
 	var dt float64
-	if p.haveSlope && p.slope != 0 && !math.IsNaN(p.slope) && !math.IsInf(p.slope, 0) {
-		dt = (currColl - garbDiff) / p.slope
+	if p.st.HaveSlope && p.st.Slope != 0 && !math.IsNaN(p.st.Slope) && !math.IsInf(p.st.Slope, 0) {
+		dt = (currColl - garbDiff) / p.st.Slope
 	} else {
 		// No slope information yet, or perfectly flat garbage creation:
 		// nothing to extrapolate; schedule far out and let the clamp bound
@@ -427,19 +403,19 @@ func (p *SAGA) AfterCollection(now Clock, h HeapState, res gc.CollectionResult) 
 	switch {
 	case dt < float64(p.cfg.DtMin):
 		interval = p.cfg.DtMin
-		p.clampedMin++
+		p.st.ClampedMin++
 	case dt > float64(p.cfg.DtMax):
 		interval = p.cfg.DtMax
-		p.clampedMax++
+		p.st.ClampedMax++
 	default:
 		interval = uint64(dt)
 		if interval < p.cfg.DtMin {
 			interval = p.cfg.DtMin
 		}
 	}
-	p.lastInterval = interval
-	p.nextAt = now.Overwrites + interval
-	p.armed = true
+	p.st.LastInterval = interval
+	p.st.NextAt = now.Overwrites + interval
+	p.st.Armed = true
 }
 
 // PolicyParams carries the knobs of every policy NewPolicy constructs; each

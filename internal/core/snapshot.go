@@ -18,6 +18,10 @@ import (
 // with the same configuration. Configuration itself is not part of the
 // state — the resuming caller reconstructs components from configuration and
 // then feeds them their state.
+//
+// Every Snapshotter here keeps its mutable fields in one state struct
+// declared in this file and encodes that struct itself, so a field the
+// component mutates is a field the snapshot carries.
 type Snapshotter interface {
 	SnapshotState() ([]byte, error)
 	RestoreState(data []byte) error
@@ -44,357 +48,241 @@ func RestoreComponent(v any, data []byte) error {
 	return nil
 }
 
-func gobEncode(v any) ([]byte, error) {
+// EncodeState is the body of a SnapshotState: it gob-encodes the state
+// struct st, then the snapshot of each wrapped component in order. A nil st
+// encodes the wrapped components alone.
+func EncodeState(st any, wrapped ...any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+	enc := gob.NewEncoder(&buf)
+	if st != nil {
+		if err := enc.Encode(st); err != nil {
+			return nil, err
+		}
+	}
+	for _, w := range wrapped {
+		data, err := SnapshotComponent(w)
+		if err != nil {
+			return nil, err
+		}
+		if err := enc.Encode(data); err != nil {
+			return nil, err
+		}
 	}
 	return buf.Bytes(), nil
 }
 
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+// DecodeState is the body of a RestoreState, the inverse of EncodeState with
+// the same st and wrapped components. It replaces *st only once the whole
+// stream has decoded and every wrapped component has taken its state back,
+// so a damaged stream leaves the component's own state as it was. A nil st
+// (with T named explicitly) decodes the wrapped components alone.
+func DecodeState[T any](data []byte, st *T, wrapped ...any) error {
+	dec := gob.NewDecoder(bytes.NewReader(data))
+	var next T
+	if st != nil {
+		if err := dec.Decode(&next); err != nil {
+			return err
+		}
+	}
+	for _, w := range wrapped {
+		var b []byte
+		if err := dec.Decode(&b); err != nil {
+			return err
+		}
+		if err := RestoreComponent(w, b); err != nil {
+			return err
+		}
+	}
+	if st != nil {
+		*st = next
+	}
+	return nil
 }
 
 // --- policies ---------------------------------------------------------------
 
+// fixedRateState is FixedRate's mutable state.
 type fixedRateState struct {
-	NextAt uint64
-	Armed  bool
+	NextAt uint64 // overwrite clock at which to collect next
+	Armed  bool   // NextAt has been set
 }
 
 // SnapshotState implements Snapshotter.
-func (p *FixedRate) SnapshotState() ([]byte, error) {
-	return gobEncode(fixedRateState{NextAt: p.nextAt, Armed: p.armed})
-}
+func (p *FixedRate) SnapshotState() ([]byte, error) { return EncodeState(p.st) }
 
 // RestoreState implements Snapshotter.
-func (p *FixedRate) RestoreState(data []byte) error {
-	var st fixedRateState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	p.nextAt, p.armed = st.NextAt, st.Armed
-	return nil
-}
+func (p *FixedRate) RestoreState(data []byte) error { return DecodeState(data, &p.st) }
 
+// saioState is SAIO's mutable state.
 type saioState struct {
-	HistApp   []uint64
-	HistGC    []uint64
-	LastAppIO uint64
-	NextAt    uint64
+	// The c_hist window of per-collection (appIO, gcIO) deltas, newest last.
+	HistApp []uint64
+	HistGC  []uint64
+
+	LastAppIO uint64 // clock at last collection, to compute app deltas
+	NextAt    uint64 // absolute AppIO at which to collect next
 	Armed     bool
 }
 
 // SnapshotState implements Snapshotter.
-func (p *SAIO) SnapshotState() ([]byte, error) {
-	return gobEncode(saioState{
-		HistApp:   append([]uint64(nil), p.histApp...),
-		HistGC:    append([]uint64(nil), p.histGC...),
-		LastAppIO: p.lastAppIO,
-		NextAt:    p.nextAt,
-		Armed:     p.armed,
-	})
-}
+func (p *SAIO) SnapshotState() ([]byte, error) { return EncodeState(p.st) }
 
 // RestoreState implements Snapshotter.
-func (p *SAIO) RestoreState(data []byte) error {
-	var st saioState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	p.histApp = st.HistApp
-	p.histGC = st.HistGC
-	p.lastAppIO = st.LastAppIO
-	p.nextAt = st.NextAt
-	p.armed = st.Armed
-	return nil
-}
+func (p *SAIO) RestoreState(data []byte) error { return DecodeState(data, &p.st) }
 
+// sagaState is SAGA's mutable state; the estimator's rides after it.
 type sagaState struct {
-	Slope        float64
-	HaveSlope    bool
-	PrevT        uint64
-	PrevTot      float64
-	HavePrev     bool
-	NextAt       uint64
-	Armed        bool
+	Slope     float64 // TotGarb'(t) estimate, bytes per overwrite
+	HaveSlope bool
+	PrevT     uint64  // overwrite clock at previous slope sample
+	PrevTot   float64 // TotGarb estimate at previous slope sample
+	HavePrev  bool
+
+	NextAt uint64
+	Armed  bool
+
+	// Diagnostics exposed for the time-varying figures.
 	LastEstimate float64
 	LastTarget   float64
 	LastInterval uint64
-	ClampedMin   uint64
-	ClampedMax   uint64
-	BadSignals   uint64
-	Estimator    []byte
-}
-
-// SnapshotState implements Snapshotter; the estimator's state rides along.
-func (p *SAGA) SnapshotState() ([]byte, error) {
-	est, err := SnapshotComponent(p.est)
-	if err != nil {
-		return nil, err
-	}
-	return gobEncode(sagaState{
-		Slope: p.slope, HaveSlope: p.haveSlope,
-		PrevT: p.prevT, PrevTot: p.prevTot, HavePrev: p.havePrev,
-		NextAt: p.nextAt, Armed: p.armed,
-		LastEstimate: p.lastEstimate, LastTarget: p.lastTarget, LastInterval: p.lastInterval,
-		ClampedMin: p.clampedMin, ClampedMax: p.clampedMax, BadSignals: p.badSignals,
-		Estimator: est,
-	})
-}
-
-// RestoreState implements Snapshotter.
-func (p *SAGA) RestoreState(data []byte) error {
-	var st sagaState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := RestoreComponent(p.est, st.Estimator); err != nil {
-		return err
-	}
-	p.slope, p.haveSlope = st.Slope, st.HaveSlope
-	p.prevT, p.prevTot, p.havePrev = st.PrevT, st.PrevTot, st.HavePrev
-	p.nextAt, p.armed = st.NextAt, st.Armed
-	p.lastEstimate, p.lastTarget, p.lastInterval = st.LastEstimate, st.LastTarget, st.LastInterval
-	p.clampedMin, p.clampedMax, p.badSignals = st.ClampedMin, st.ClampedMax, st.BadSignals
-	return nil
-}
-
-type piState struct {
-	Integral     float64
-	NextAt       uint64
-	Armed        bool
-	LastEstimate float64
-	LastTarget   float64
-	LastInterval uint64
-	Estimator    []byte
+	ClampedMin   uint64 // how many times DtMin clamped the interval
+	ClampedMax   uint64 // how many times DtMax clamped the interval
+	BadSignals   uint64 // estimator outputs rejected as NaN/Inf/negative
 }
 
 // SnapshotState implements Snapshotter.
-func (p *PIController) SnapshotState() ([]byte, error) {
-	est, err := SnapshotComponent(p.est)
-	if err != nil {
-		return nil, err
-	}
-	return gobEncode(piState{
-		Integral: p.integral, NextAt: p.nextAt, Armed: p.armed,
-		LastEstimate: p.lastEstimate, LastTarget: p.lastTarget, LastInterval: p.lastInterval,
-		Estimator: est,
-	})
-}
+func (p *SAGA) SnapshotState() ([]byte, error) { return EncodeState(p.st, p.est) }
 
 // RestoreState implements Snapshotter.
-func (p *PIController) RestoreState(data []byte) error {
-	var st piState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := RestoreComponent(p.est, st.Estimator); err != nil {
-		return err
-	}
-	p.integral = st.Integral
-	p.nextAt, p.armed = st.NextAt, st.Armed
-	p.lastEstimate, p.lastTarget, p.lastInterval = st.LastEstimate, st.LastTarget, st.LastInterval
-	return nil
+func (p *SAGA) RestoreState(data []byte) error { return DecodeState(data, &p.st, p.est) }
+
+// piState is PIController's mutable state.
+type piState struct {
+	Integral float64
+	NextAt   uint64
+	Armed    bool
+
+	LastEstimate float64
+	LastTarget   float64
+	LastInterval uint64
 }
 
+// SnapshotState implements Snapshotter.
+func (p *PIController) SnapshotState() ([]byte, error) { return EncodeState(p.st, p.est) }
+
+// RestoreState implements Snapshotter.
+func (p *PIController) RestoreState(data []byte) error { return DecodeState(data, &p.st, p.est) }
+
+// coupledState is Coupled's mutable state.
 type coupledState struct {
 	NextAt      uint64
 	Armed       bool
 	LastEffFrac float64
-	Estimator   []byte
 }
 
 // SnapshotState implements Snapshotter.
-func (p *Coupled) SnapshotState() ([]byte, error) {
-	est, err := SnapshotComponent(p.est)
-	if err != nil {
-		return nil, err
-	}
-	return gobEncode(coupledState{
-		NextAt: p.nextAt, Armed: p.armed, LastEffFrac: p.lastEffFrac, Estimator: est,
-	})
-}
+func (p *Coupled) SnapshotState() ([]byte, error) { return EncodeState(p.st, p.est) }
 
 // RestoreState implements Snapshotter.
-func (p *Coupled) RestoreState(data []byte) error {
-	var st coupledState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := RestoreComponent(p.est, st.Estimator); err != nil {
-		return err
-	}
-	p.nextAt, p.armed, p.lastEffFrac = st.NextAt, st.Armed, st.LastEffFrac
-	return nil
-}
-
-type opportunisticState struct {
-	Inner     []byte
-	Estimator []byte
-}
+func (p *Coupled) RestoreState(data []byte) error { return DecodeState(data, &p.st, p.est) }
 
 // SnapshotState implements Snapshotter: the wrapped policy and estimator
 // carry the actual state.
-func (p *Opportunistic) SnapshotState() ([]byte, error) {
-	inner, err := SnapshotComponent(p.inner)
-	if err != nil {
-		return nil, err
-	}
-	est, err := SnapshotComponent(p.est)
-	if err != nil {
-		return nil, err
-	}
-	return gobEncode(opportunisticState{Inner: inner, Estimator: est})
-}
+func (p *Opportunistic) SnapshotState() ([]byte, error) { return EncodeState(nil, p.inner, p.est) }
 
 // RestoreState implements Snapshotter.
 func (p *Opportunistic) RestoreState(data []byte) error {
-	var st opportunisticState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := RestoreComponent(p.inner, st.Inner); err != nil {
-		return err
-	}
-	return RestoreComponent(p.est, st.Estimator)
+	return DecodeState[struct{}](data, nil, p.inner, p.est)
 }
 
 // --- estimators -------------------------------------------------------------
 
+// cgscbState is CGSCB's mutable state.
 type cgscbState struct {
 	LastReclaimed float64
 }
 
 // SnapshotState implements Snapshotter.
-func (e *CGSCB) SnapshotState() ([]byte, error) {
-	return gobEncode(cgscbState{LastReclaimed: e.lastReclaimed})
-}
+func (e *CGSCB) SnapshotState() ([]byte, error) { return EncodeState(e.st) }
 
 // RestoreState implements Snapshotter.
-func (e *CGSCB) RestoreState(data []byte) error {
-	var st cgscbState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	e.lastReclaimed = st.LastReclaimed
-	return nil
-}
+func (e *CGSCB) RestoreState(data []byte) error { return DecodeState(data, &e.st) }
 
+// fgshbState is FGSHB's mutable state.
 type fgshbState struct {
 	GppoH   float64
 	HaveObs bool
 }
 
 // SnapshotState implements Snapshotter.
-func (e *FGSHB) SnapshotState() ([]byte, error) {
-	return gobEncode(fgshbState{GppoH: e.gppoH, HaveObs: e.haveObs})
-}
+func (e *FGSHB) SnapshotState() ([]byte, error) { return EncodeState(e.st) }
 
 // RestoreState implements Snapshotter.
-func (e *FGSHB) RestoreState(data []byte) error {
-	var st fgshbState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	e.gppoH, e.haveObs = st.GppoH, st.HaveObs
-	return nil
-}
+func (e *FGSHB) RestoreState(data []byte) error { return DecodeState(data, &e.st) }
 
+// fgsWindowState is FGSWindow's mutable state.
 type fgsWindowState struct {
-	Samples []float64
+	Samples []float64 // the last Window GPPO samples, oldest first
 }
 
 // SnapshotState implements Snapshotter.
-func (e *FGSWindow) SnapshotState() ([]byte, error) {
-	return gobEncode(fgsWindowState{Samples: append([]float64(nil), e.samples...)})
-}
+func (e *FGSWindow) SnapshotState() ([]byte, error) { return EncodeState(e.st) }
 
 // RestoreState implements Snapshotter.
-func (e *FGSWindow) RestoreState(data []byte) error {
-	var st fgsWindowState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	e.samples = st.Samples
-	return nil
-}
+func (e *FGSWindow) RestoreState(data []byte) error { return DecodeState(data, &e.st) }
 
 type partitionGPPO struct {
 	Part storage.PartitionID
 	GPPO float64
 }
 
+// fgsPerPartitionState is FGSPerPartition's snapshot image: the live state
+// is a map, which encodes here as a slice sorted by partition so the bytes
+// are deterministic. The global FGS/HB estimate rides after it.
 type fgsPerPartitionState struct {
-	PerPart []partitionGPPO // sorted by partition
-	Global  fgshbState
+	PerPart []partitionGPPO
 }
 
 // SnapshotState implements Snapshotter.
 func (e *FGSPerPartition) SnapshotState() ([]byte, error) {
-	st := fgsPerPartitionState{Global: fgshbState{GppoH: e.global.gppoH, HaveObs: e.global.haveObs}}
+	var st fgsPerPartitionState
 	for p, g := range e.perPart {
 		st.PerPart = append(st.PerPart, partitionGPPO{Part: p, GPPO: g})
 	}
 	sort.Slice(st.PerPart, func(i, j int) bool { return st.PerPart[i].Part < st.PerPart[j].Part })
-	return gobEncode(st)
+	return EncodeState(st, &e.global)
 }
 
 // RestoreState implements Snapshotter.
 func (e *FGSPerPartition) RestoreState(data []byte) error {
 	var st fgsPerPartitionState
-	if err := gobDecode(data, &st); err != nil {
+	if err := DecodeState(data, &st, &e.global); err != nil {
 		return err
 	}
 	e.perPart = make(map[storage.PartitionID]float64, len(st.PerPart))
 	for _, pg := range st.PerPart {
 		e.perPart[pg.Part] = pg.GPPO
 	}
-	e.global.gppoH, e.global.haveObs = st.Global.GppoH, st.Global.HaveObs
 	return nil
 }
 
+// fallbackState is FallbackEstimator's mutable state; the primary's and the
+// fallback's ride after it.
 type fallbackState struct {
-	Primary    []byte
-	Fallback   []byte
-	Bad        int
-	Good       int
-	Tripped    bool
+	Bad     int // consecutive bad primary readings
+	Good    int // consecutive good primary readings
+	Tripped bool
+
 	Trips      uint64
 	Recoveries uint64
 }
 
 // SnapshotState implements Snapshotter.
 func (e *FallbackEstimator) SnapshotState() ([]byte, error) {
-	primary, err := SnapshotComponent(e.primary)
-	if err != nil {
-		return nil, err
-	}
-	fallback, err := SnapshotComponent(e.fallback)
-	if err != nil {
-		return nil, err
-	}
-	return gobEncode(fallbackState{
-		Primary: primary, Fallback: fallback,
-		Bad: e.bad, Good: e.good, Tripped: e.tripped,
-		Trips: e.trips, Recoveries: e.recoveries,
-	})
+	return EncodeState(e.st, e.primary, e.fallback)
 }
 
 // RestoreState implements Snapshotter.
 func (e *FallbackEstimator) RestoreState(data []byte) error {
-	var st fallbackState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := RestoreComponent(e.primary, st.Primary); err != nil {
-		return err
-	}
-	if err := RestoreComponent(e.fallback, st.Fallback); err != nil {
-		return err
-	}
-	e.bad, e.good, e.tripped = st.Bad, st.Good, st.Tripped
-	e.trips, e.recoveries = st.Trips, st.Recoveries
-	return nil
+	return DecodeState(data, &e.st, e.primary, e.fallback)
 }

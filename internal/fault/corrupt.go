@@ -20,7 +20,7 @@ type CorruptConfig struct {
 type CorruptReader struct {
 	r       io.Reader
 	cfg     CorruptConfig
-	rng     *rng
+	rng     rng
 	read    int64
 	flipped uint64
 }

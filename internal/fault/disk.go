@@ -17,7 +17,7 @@ import (
 // entire fault schedule.
 type DiskChaos struct {
 	inner disk.FS
-	rng   *rng
+	rng   rng
 	p     Profile
 	stats DiskChaosStats
 }

@@ -18,9 +18,15 @@ type ChaosEstimator struct {
 	inner       core.Estimator
 	nanProb     float64
 	garbageProb float64
-	rng         *rng
-	dropped     uint64
-	garbled     uint64
+	st          chaosState
+}
+
+// chaosState is ChaosEstimator's mutable state; the wrapped estimator's
+// rides after it in a snapshot.
+type chaosState struct {
+	RNG     rng
+	Dropped uint64 // estimates replaced with NaN
+	Garbled uint64 // estimates replaced with garbage values
 }
 
 // NewChaosEstimator wraps inner with the profile's estimator-fault rates.
@@ -33,7 +39,7 @@ func NewChaosEstimator(inner core.Estimator, p Profile, seed int64) (*ChaosEstim
 		inner:       inner,
 		nanProb:     p.EstNaNProb,
 		garbageProb: p.EstGarbageProb,
-		rng:         newRNG(seed),
+		st:          chaosState{RNG: newRNG(seed)},
 	}, nil
 }
 
@@ -50,53 +56,30 @@ func (c *ChaosEstimator) ObserveCollection(h core.HeapState, res gc.CollectionRe
 
 // EstimateGarbage implements core.Estimator.
 func (c *ChaosEstimator) EstimateGarbage(h core.HeapState) float64 {
-	r := c.rng.float64()
+	r := c.st.RNG.float64()
 	switch {
 	case r < c.nanProb:
-		c.dropped++
+		c.st.Dropped++
 		return math.NaN()
 	case r < c.nanProb+c.garbageProb:
-		c.garbled++
-		return c.rng.float64() * 4 * float64(h.DatabaseBytes())
+		c.st.Garbled++
+		return c.st.RNG.float64() * 4 * float64(h.DatabaseBytes())
 	default:
 		return c.inner.EstimateGarbage(h)
 	}
 }
 
 // Dropped returns how many estimates were replaced with NaN.
-func (c *ChaosEstimator) Dropped() uint64 { return c.dropped }
+func (c *ChaosEstimator) Dropped() uint64 { return c.st.Dropped }
 
 // Garbled returns how many estimates were replaced with garbage values.
-func (c *ChaosEstimator) Garbled() uint64 { return c.garbled }
-
-type chaosState struct {
-	Inner   []byte
-	RNG     uint64
-	Dropped uint64
-	Garbled uint64
-}
+func (c *ChaosEstimator) Garbled() uint64 { return c.st.Garbled }
 
 // SnapshotState implements core.Snapshotter so chaos runs checkpoint/resume
 // with a bit-identical fault stream.
-func (c *ChaosEstimator) SnapshotState() ([]byte, error) {
-	inner, err := core.SnapshotComponent(c.inner)
-	if err != nil {
-		return nil, err
-	}
-	return gobEncode(chaosState{Inner: inner, RNG: c.rng.state, Dropped: c.dropped, Garbled: c.garbled})
-}
+func (c *ChaosEstimator) SnapshotState() ([]byte, error) { return core.EncodeState(c.st, c.inner) }
 
 // RestoreState implements core.Snapshotter.
 func (c *ChaosEstimator) RestoreState(data []byte) error {
-	var st chaosState
-	if err := gobDecode(data, &st); err != nil {
-		return err
-	}
-	if err := core.RestoreComponent(c.inner, st.Inner); err != nil {
-		return err
-	}
-	c.rng.state = st.RNG
-	c.dropped = st.Dropped
-	c.garbled = st.Garbled
-	return nil
+	return core.DecodeState(data, &c.st, c.inner)
 }

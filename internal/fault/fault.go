@@ -10,7 +10,7 @@
 //     replaces its output with NaN or garbage values.
 //
 // Everything is driven by a splitmix64 generator whose entire state is one
-// exported uint64, so fault schedules are reproducible from a seed and
+// uint64, so fault schedules are reproducible from a seed and
 // checkpoint/resume restores the exact fault stream. The same profile +
 // seed always yields the same faults, which is what makes chaos runs
 // regression-testable.
@@ -45,23 +45,22 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
-// rng is a splitmix64 generator. Its entire state is the single uint64, so
-// snapshots are trivial and resumed runs replay the identical fault stream.
-type rng struct {
-	state uint64
-}
+// rng is a splitmix64 generator. It is its own state, so it sits in a
+// component's state struct and resumed runs replay the identical fault
+// stream.
+type rng uint64
 
-func newRNG(seed int64) *rng {
+func newRNG(seed int64) rng {
 	// Scramble the seed once so small seeds (0, 1, 2...) do not yield
 	// correlated early outputs.
-	r := &rng{state: uint64(seed)}
+	r := rng(seed)
 	r.next()
 	return r
 }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+	*r += 0x9E3779B97F4A7C15
+	z := uint64(*r)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

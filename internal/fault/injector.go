@@ -14,11 +14,18 @@ type InjectorStats struct {
 // entry of every storage operation, before any state mutates, so a returned
 // fault aborts the operation cleanly and a retry is safe.
 type Injector struct {
-	profile   Profile
-	rng       *rng
-	burstLeft int
-	stats     InjectorStats
-	hook      func(op string, seq uint64, burst bool)
+	profile Profile
+	st      InjectorState
+	hook    func(op string, seq uint64, burst bool)
+}
+
+// InjectorState is the Injector's complete mutable state, exported so
+// checkpoints can capture it and a resumed run replays the identical fault
+// stream.
+type InjectorState struct {
+	RNG       rng
+	BurstLeft int // operations still to fail in the current burst
+	Stats     InjectorStats
 }
 
 // SetHook installs a callback fired on every injected fault (after the
@@ -30,19 +37,19 @@ func (in *Injector) SetHook(hook func(op string, seq uint64, burst bool)) { in.h
 // fire reports one injected fault to the hook, if any.
 func (in *Injector) fire(op string, burst bool) {
 	if in.hook != nil {
-		in.hook(op, in.stats.Ops, burst)
+		in.hook(op, in.st.Stats.Ops, burst)
 	}
 }
 
 // NewInjector builds an injector for the profile's storage-fault rates,
 // seeded so the fault schedule is reproducible.
 func NewInjector(profile Profile, seed int64) *Injector {
-	return &Injector{profile: profile, rng: newRNG(seed)}
+	return &Injector{profile: profile, st: InjectorState{RNG: newRNG(seed)}}
 }
 
 // BeforeOp implements the storage.FaultInjector contract.
 func (in *Injector) BeforeOp(write bool) error {
-	in.stats.Ops++
+	in.st.Stats.Ops++
 	op := "read"
 	prob := in.profile.ReadErrProb
 	if write {
@@ -51,53 +58,40 @@ func (in *Injector) BeforeOp(write bool) error {
 	}
 
 	// An active burst fails every operation regardless of kind.
-	if in.burstLeft > 0 {
-		in.burstLeft--
-		in.stats.Injected++
+	if in.st.BurstLeft > 0 {
+		in.st.BurstLeft--
+		in.st.Stats.Injected++
 		in.fire(op, true)
-		return &TransientError{Op: op, Seq: in.stats.Ops, Burst: true}
+		return &TransientError{Op: op, Seq: in.st.Stats.Ops, Burst: true}
 	}
-	if in.profile.BurstProb > 0 && in.rng.float64() < in.profile.BurstProb {
-		in.stats.Bursts++
-		in.stats.Injected++
+	if in.profile.BurstProb > 0 && in.st.RNG.float64() < in.profile.BurstProb {
+		in.st.Stats.Bursts++
+		in.st.Stats.Injected++
 		if in.profile.BurstLen > 1 {
-			in.burstLeft = in.profile.BurstLen - 1
+			in.st.BurstLeft = in.profile.BurstLen - 1
 		}
 		in.fire(op, true)
-		return &TransientError{Op: op, Seq: in.stats.Ops, Burst: true}
+		return &TransientError{Op: op, Seq: in.st.Stats.Ops, Burst: true}
 	}
-	if prob > 0 && in.rng.float64() < prob {
-		in.stats.Injected++
+	if prob > 0 && in.st.RNG.float64() < prob {
+		in.st.Stats.Injected++
 		in.fire(op, false)
-		return &TransientError{Op: op, Seq: in.stats.Ops}
+		return &TransientError{Op: op, Seq: in.st.Stats.Ops}
 	}
 	return nil
 }
 
 // Stats returns a copy of the injector's counters.
-func (in *Injector) Stats() InjectorStats { return in.stats }
-
-// InjectorState is the Injector's complete mutable state, exported so
-// checkpoints can capture it and a resumed run replays the identical fault
-// stream.
-type InjectorState struct {
-	RNG       uint64
-	BurstLeft int
-	Stats     InjectorStats
-}
+func (in *Injector) Stats() InjectorStats { return in.st.Stats }
 
 // Snapshot captures the injector's state.
-func (in *Injector) Snapshot() InjectorState {
-	return InjectorState{RNG: in.rng.state, BurstLeft: in.burstLeft, Stats: in.stats}
-}
+func (in *Injector) Snapshot() InjectorState { return in.st }
 
 // Restore rewinds the injector to a previously captured state.
 func (in *Injector) Restore(st InjectorState) error {
 	if st.BurstLeft < 0 {
 		return fmt.Errorf("fault: negative burstLeft %d in injector state", st.BurstLeft)
 	}
-	in.rng.state = st.RNG
-	in.burstLeft = st.BurstLeft
-	in.stats = st.Stats
+	in.st = st
 	return nil
 }

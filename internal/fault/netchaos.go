@@ -144,7 +144,7 @@ type NetChaosStats struct {
 // own decider (derive per-worker seeds from the run seed).
 type NetChaos struct {
 	profile NetProfile
-	rng     *rng
+	rng     rng
 	stats   NetChaosStats
 }
 

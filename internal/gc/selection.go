@@ -46,12 +46,38 @@ func (UpdatedPointer) Select(h *Heap) (storage.PartitionID, bool) {
 // mentions it as the selection policy under which CGS/CB would estimate
 // accurately.
 type RandomSelection struct {
-	rng *rand.Rand
+	seed int64
+	st   randomState
+	rng  *rand.Rand
 }
 
 // NewRandomSelection returns a seeded random selection policy.
 func NewRandomSelection(seed int64) *RandomSelection {
-	return &RandomSelection{rng: rand.New(rand.NewSource(seed))}
+	s := &RandomSelection{seed: seed}
+	s.rewind(0)
+	return s
+}
+
+// rewind reseeds the generator and draws it forward to the given number of
+// steps, where its sequence stood when a snapshot recorded them.
+func (s *RandomSelection) rewind(draws uint64) {
+	s.st = randomState{}
+	s.rng = rand.New(drawCounter{rand.NewSource(s.seed), &s.st})
+	for s.st.Draws < draws {
+		s.rng.Int63()
+	}
+}
+
+// drawCounter is the rand.Source a RandomSelection draws through; it counts
+// every generator step in the selection's state.
+type drawCounter struct {
+	rand.Source
+	st *randomState
+}
+
+func (c drawCounter) Int63() int64 {
+	c.st.Draws++
+	return c.Source.Int63()
 }
 
 // Name implements SelectionPolicy.
@@ -69,24 +95,28 @@ func (s *RandomSelection) Select(h *Heap) (storage.PartitionID, bool) {
 // RoundRobin cycles through partitions in order, a baseline that spreads
 // collection effort uniformly.
 type RoundRobin struct {
-	next storage.PartitionID
+	st roundRobinState
 }
 
 // Name implements SelectionPolicy.
 func (*RoundRobin) Name() string { return "round-robin" }
 
 // Select implements SelectionPolicy.
-func (s *RoundRobin) Select(h *Heap) (storage.PartitionID, bool) {
-	n := h.disk.NumPartitions()
+func (s *RoundRobin) Select(h *Heap) (p storage.PartitionID, ok bool) {
+	p, s.st.Next, ok = inOrder(s.st.Next, h.disk.NumPartitions())
+	return p, ok
+}
+
+// inOrder is one round-robin step over n partitions from the cursor next:
+// the partition picked and the cursor after it.
+func inOrder(next storage.PartitionID, n int) (pick, after storage.PartitionID, ok bool) {
 	if n == 0 {
-		return 0, false
+		return 0, next, false
 	}
-	if int(s.next) >= n {
-		s.next = 0
+	if int(next) >= n {
+		next = 0
 	}
-	p := s.next
-	s.next++
-	return p, true
+	return next, next + 1, true
 }
 
 // OracleSelection collects the partition with the most actual garbage. It
@@ -127,39 +157,33 @@ type Hybrid struct {
 	// mode to continue. Defaults to 1 (any yield at all) if zero.
 	MinYield int
 
-	greedy   UpdatedPointer
-	sweep    RoundRobin
-	sweeping bool
-	lastPick storage.PartitionID
-	havePick bool
+	st hybridState
 }
 
 // Name implements SelectionPolicy.
 func (h *Hybrid) Name() string { return "hybrid" }
 
 // Select implements SelectionPolicy.
-func (h *Hybrid) Select(heap *Heap) (storage.PartitionID, bool) {
-	var p storage.PartitionID
-	var ok bool
-	if h.sweeping {
-		p, ok = h.sweep.Select(heap)
+func (h *Hybrid) Select(heap *Heap) (p storage.PartitionID, ok bool) {
+	if h.st.Sweeping {
+		p, h.st.Sweep, ok = inOrder(h.st.Sweep, heap.disk.NumPartitions())
 	} else {
-		p, ok = h.greedy.Select(heap)
+		p, ok = UpdatedPointer{}.Select(heap)
 	}
-	h.lastPick, h.havePick = p, ok
+	h.st.LastPick, h.st.HavePick = p, ok
 	return p, ok
 }
 
 // ObserveCollection feeds back the yield of the last selected collection.
 func (h *Hybrid) ObserveCollection(res CollectionResult) {
-	if !h.havePick || res.Partition != h.lastPick {
+	if !h.st.HavePick || res.Partition != h.st.LastPick {
 		return
 	}
 	min := h.MinYield
 	if min <= 0 {
 		min = 1
 	}
-	h.sweeping = res.ReclaimedBytes < min
+	h.st.Sweeping = res.ReclaimedBytes < min
 }
 
 // YieldObserver is implemented by selection policies that adapt to

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -92,6 +93,13 @@ func ConfigKVs(m map[string]string) []KV {
 		kvs = append(kvs, KV{Key: k, Value: m[k]})
 	}
 	return kvs
+}
+
+// FlagKVs snapshots every flag's effective value for a manifest's Config.
+func FlagKVs(fs *flag.FlagSet) []KV {
+	m := make(map[string]string)
+	fs.VisitAll(func(f *flag.Flag) { m[f.Name] = f.Value.String() })
+	return ConfigKVs(m)
 }
 
 // HashTrace computes the TraceIdentity digest of an in-memory trace by

@@ -170,8 +170,8 @@ type CheckpointMark struct {
 	Op   string `json:"op"` // "save" or "resume"
 }
 
-// Progress is a coarse heartbeat emitted every ProgressEvery events so live
-// consumers can track a long run between collections.
+// Progress is a coarse heartbeat the simulator emits every 1000 trace
+// events so live consumers can track a long run between collections.
 type Progress struct {
 	Step        int    `json:"step"`
 	Collections int    `json:"collections"`

@@ -113,7 +113,7 @@ func TestObserverPathDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Config{Policy: pol, ProgressEvery: 50}
+		return Config{Policy: pol}
 	}
 	observed := func() (ckpt []byte, csv string, events []byte) {
 		var buf bytes.Buffer

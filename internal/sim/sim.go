@@ -28,6 +28,10 @@ import (
 	"odbgc/internal/trace"
 )
 
+// progressEvery is how many trace events apart the simulator emits an
+// obs.Progress heartbeat (only when Config.Observer is set).
+const progressEvery = 1000
+
 // Config parameterizes a single simulation run.
 type Config struct {
 	// Storage geometry; zero value means storage.DefaultConfig().
@@ -61,10 +65,6 @@ type Config struct {
 	// observer produce bit-identical results, and a nil observer costs a
 	// single pointer test per hook site.
 	Observer obs.Observer
-	// ProgressEvery emits an obs.Progress heartbeat every N trace events
-	// (only when Observer is set). Zero means the default of 1000; negative
-	// disables heartbeats.
-	ProgressEvery int
 	// Spans, when non-nil, receives one KindGC span per collection in the
 	// same schema the live server emits, timed on the simulated I/O clock.
 	// Like Observer, the simulator never reads recorder state: runs with
@@ -95,9 +95,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.PreambleCollections < 0 {
 		c.PreambleCollections = 0
-	}
-	if c.ProgressEvery == 0 {
-		c.ProgressEvery = 1000
 	}
 	return nil
 }
@@ -403,7 +400,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 		}
 	}
 
-	if s.obs != nil && s.cfg.ProgressEvery > 0 && s.step%s.cfg.ProgressEvery == 0 {
+	if s.obs != nil && s.step%progressEvery == 0 {
 		s.obs.ObserveProgress(obs.Progress{
 			Step:        s.step,
 			Collections: len(s.res.Collections),
