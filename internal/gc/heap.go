@@ -98,9 +98,11 @@ type Heap struct {
 	}
 }
 
-// NewHeap wraps a store and a storage manager. Both must start empty or the
+// NewHeap wraps a store and a storage manager, which from now on keeps its
+// placements in the store's object headers. Both must start empty or the
 // heap's incremental bookkeeping will not match their contents.
 func NewHeap(store *objstore.Store, disk *storage.Manager) *Heap {
+	disk.UseStore(store)
 	return &Heap{store: store, disk: disk}
 }
 
@@ -161,9 +163,14 @@ func (h *Heap) Oracleless() bool { return h.oracleless }
 // Disk returns the physical storage manager.
 func (h *Heap) Disk() *storage.Manager { return h.disk }
 
-// Create allocates an object logically and physically.
+// Create allocates an object logically and physically. A size the storage
+// manager refuses is refused before the object enters the store or the log.
 func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) error {
-	if _, err := h.store.CreateWithOID(oid, class, size, nslots); err != nil {
+	if err := h.disk.CheckSize(oid, size); err != nil {
+		return err
+	}
+	o, err := h.store.CreateWithOID(oid, class, size, nslots)
+	if err != nil {
 		return err
 	}
 	if h.durable != nil {
@@ -174,8 +181,7 @@ func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) 
 			return fmt.Errorf("gc: log alloc %v: %w", oid, err)
 		}
 	}
-	_, err := h.disk.Allocate(oid, size)
-	return err
+	return h.disk.Place(o)
 }
 
 // AddRoot registers oid as a persistent root, logging the change when a
@@ -207,18 +213,20 @@ func (h *Heap) RemoveRoot(oid objstore.OID) error {
 
 // Access simulates a read of an object.
 func (h *Heap) Access(oid objstore.OID) error {
-	if h.store.Get(oid) == nil {
+	o := h.store.Get(oid)
+	if o == nil {
 		return fmt.Errorf("gc: access of absent object %v", oid)
 	}
-	return h.disk.Touch(oid, false)
+	return h.disk.TouchObject(o, false)
 }
 
 // Update simulates a non-pointer write to an object.
 func (h *Heap) Update(oid objstore.OID) error {
-	if h.store.Get(oid) == nil {
+	o := h.store.Get(oid)
+	if o == nil {
 		return fmt.Errorf("gc: update of absent object %v", oid)
 	}
-	return h.disk.Touch(oid, true)
+	return h.disk.TouchObject(o, true)
 }
 
 // Overwrite applies a pointer overwrite: slot i of src now points at dst
@@ -236,25 +244,24 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	if slot < 0 || slot >= len(o.Slots) {
 		return fmt.Errorf("gc: overwrite slot %d out of range on %v", slot, src)
 	}
-	if o.Slots[slot] != wantOld {
+	old := o.Slots[slot]
+	if old != wantOld {
 		return fmt.Errorf("gc: overwrite %v[%d]: trace says old=%v, store has %v",
-			src, slot, wantOld, o.Slots[slot])
+			src, slot, wantOld, old)
 	}
-	old, err := h.store.SetSlot(src, slot, dst)
-	if err != nil {
-		return err
+	srcPart, _ := storage.PartOf(o) // TouchObject refuses an unplaced source
+	dstPart, ok := h.disk.PartitionOf(dst)
+	if !ok && !dst.IsNil() {
+		return fmt.Errorf("gc: new target %v has no placement", dst)
 	}
+	o.Slots[slot] = dst
 	if h.durable != nil {
 		if err := h.durable.LogSet(src, slot, dst); err != nil {
 			return fmt.Errorf("gc: log set %v[%d]: %w", src, slot, err)
 		}
 	}
-	if err := h.disk.Touch(src, true); err != nil {
+	if err := h.disk.TouchObject(o, true); err != nil {
 		return err
-	}
-	srcPart, ok := h.disk.PartitionOf(src)
-	if !ok {
-		return fmt.Errorf("gc: overwrite source %v has no placement", src)
 	}
 	if !old.IsNil() {
 		oldPart, ok := h.disk.PartitionOf(old)
@@ -271,14 +278,8 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 			h.poTotal++
 		}
 	}
-	if !dst.IsNil() {
-		dstPart, ok := h.disk.PartitionOf(dst)
-		if !ok {
-			return fmt.Errorf("gc: new target %v has no placement", dst)
-		}
-		if dstPart != srcPart {
-			h.ext.Set(dst, h.ext.Get(dst)+1)
-		}
+	if !dst.IsNil() && dstPart != srcPart {
+		h.ext.Set(dst, h.ext.Get(dst)+1)
 	}
 	if !init {
 		h.totalOverwrites++
@@ -315,7 +316,7 @@ func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID
 		if err != nil {
 			return
 		}
-		srcPart, ok := h.disk.PartitionOf(o.OID)
+		srcPart, ok := storage.PartOf(o)
 		if !ok {
 			err = fmt.Errorf("gc: object %v in store but not placed", o.OID)
 			return
@@ -348,13 +349,13 @@ func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 		if o == nil {
 			return fmt.Errorf("gc: oracle-dead object %v not in store", oid)
 		}
-		p, ok := h.disk.PartitionOf(oid)
+		p, ok := storage.PartOf(o)
 		if !ok {
 			return fmt.Errorf("gc: oracle-dead object %v has no placement", oid)
 		}
 		h.oracleDead.Set(oid, true)
-		*counterAt(&h.oracleDeadBytes, p) += o.Size
-		h.garbage += o.Size
+		*counterAt(&h.oracleDeadBytes, p) += int(o.Size)
+		h.garbage += int(o.Size)
 		h.totalGarbage += uint64(o.Size)
 	}
 	return nil
@@ -377,7 +378,7 @@ func (h *Heap) PinnedGarbageBytes() int {
 	pinned := 0
 	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
 		if o := h.store.Get(oid); o != nil && h.ext.Get(oid) > 0 {
-			pinned += o.Size
+			pinned += int(o.Size)
 		}
 	})
 	return pinned
@@ -473,7 +474,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		if o == nil {
 			return CollectionResult{}, fmt.Errorf("gc: placed object %v missing from store", oid)
 		}
-		liveBytes += o.Size
+		liveBytes += int(o.Size)
 		for _, t := range o.Slots {
 			if h.mark.Get(t) == unreached {
 				h.mark.Set(t, h.epoch)
@@ -484,8 +485,8 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	sc.queue = queue
 	live := queue
 
-	// Everything unreached is garbage. Tear down its bookkeeping before
-	// compaction removes its placement.
+	// Everything unreached is garbage. Tear down its bookkeeping and remove
+	// it from the store before compaction, which then keeps what is left.
 	deadList := sc.deadList[:0]
 	for _, oid := range members {
 		if h.mark.Get(oid) == unreached {
@@ -510,7 +511,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		if o == nil {
 			return CollectionResult{}, fmt.Errorf("gc: dead object %v missing from store", oid)
 		}
-		reclaimedBytes += o.Size
+		reclaimedBytes += int(o.Size)
 		// A dead object's outgoing cross-partition references leave the
 		// remembered sets, which may unpin garbage in other partitions.
 		for _, t := range o.Slots {
@@ -538,17 +539,19 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 			h.totalGarbage += uint64(o.Size)
 		} else {
 			h.oracleDead.Set(oid, false)
-			*counterAt(&h.oracleDeadBytes, p) -= o.Size
-			h.garbage -= o.Size
-		}
-		h.mark.Set(oid, 0)
-		// Remove recycles o: nothing below may read it.
-		if err := h.store.Remove(oid); err != nil {
-			return CollectionResult{}, err
+			*counterAt(&h.oracleDeadBytes, p) -= int(o.Size)
+			h.garbage -= int(o.Size)
 		}
 	}
 	if counter(h.oracleDeadBytes, p) < 0 {
 		return CollectionResult{}, fmt.Errorf("gc: negative oracle garbage in partition %d", p)
+	}
+	// Every dead object's slots are read: the targets' headers may go.
+	for _, oid := range deadList {
+		h.mark.Set(oid, 0)
+		if err := h.store.Remove(oid); err != nil {
+			return CollectionResult{}, err
+		}
 	}
 
 	// Compact survivors in copy order.
@@ -666,7 +669,7 @@ func (h *Heap) checkInvariants(live *objstore.Table[bool]) error {
 			// Every oracle-dead object must be truly unreachable (soundness).
 			err = fmt.Errorf("gc: oracle-dead object %v is reachable", oid)
 		default:
-			deadBytes[p] += o.Size
+			deadBytes[p] += int(o.Size)
 		}
 	})
 	if err != nil {

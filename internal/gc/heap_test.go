@@ -410,3 +410,27 @@ func TestCollectUnknownPartition(t *testing.T) {
 		t.Error("collect of unknown partition accepted")
 	}
 }
+
+// TestUnplaceableCreateLeavesNothing: a size the storage manager cannot place
+// — not positive, or larger than a page — is refused before the object enters
+// the store. It used to stay there unplaced, and the invariant sweep then
+// failed with "object oid:2 in store but not placed".
+func TestUnplaceableCreateLeavesNothing(t *testing.T) {
+	h := testHeap(t) // 100-byte pages
+	mk(t, h, 1, 50, 1)
+	for _, size := range []int{0, -1, 101, 1 << 33} {
+		if err := h.Create(h.Store().NextOID(), objstore.ClassAtomicPart, size, 1); err == nil {
+			t.Errorf("create of size %d accepted", size)
+		}
+		if n := h.Store().Len(); n != 1 {
+			t.Errorf("refused create of size %d left %d objects in the store, want 1", size, n)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Errorf("after a refused create of size %d: %v", size, err)
+		}
+	}
+	mk(t, h, h.Store().NextOID(), 100, 0)
+	if err := h.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

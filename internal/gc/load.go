@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"odbgc/internal/objstore"
+	"odbgc/internal/storage"
 )
 
 // Load makes an empty heap run on st, a recovered database (disk.Store's
@@ -21,19 +22,17 @@ func (h *Heap) Load(st *objstore.Store) error {
 	if h.durable != nil {
 		return fmt.Errorf("gc: load into a heap with a durability backend attached; attach it after loading")
 	}
-	if h.store.Len() != 0 {
-		return fmt.Errorf("gc: load into a heap that already holds %d objects", h.store.Len())
-	}
-	ld, err := h.disk.NewLoader()
-	if err != nil {
-		return err
+	if h.store.Len() != 0 || h.disk.NumPartitions() != 0 {
+		return fmt.Errorf("gc: load into a heap that already holds %d objects in %d partitions", h.store.Len(), h.disk.NumPartitions())
 	}
 	h.store = st
+	h.disk.UseStore(st)
+	var err error
 	st.ForEach(func(o *objstore.Object) {
 		if err != nil {
 			return
 		}
-		if err = ld.Place(o.OID, o.Size); err != nil {
+		if err = h.disk.Place(o); err != nil {
 			err = fmt.Errorf("gc: load %v: %w", o.OID, err)
 		}
 	})
@@ -44,7 +43,7 @@ func (h *Heap) Load(st *objstore.Store) error {
 		if err != nil || len(o.Slots) == 0 {
 			return
 		}
-		srcPart, _ := h.disk.PartitionOf(o.OID)
+		srcPart, _ := storage.PartOf(o)
 		holds := false
 		for _, dst := range o.Slots {
 			if dst.IsNil() {
@@ -61,7 +60,7 @@ func (h *Heap) Load(st *objstore.Store) error {
 			}
 		}
 		if holds {
-			err = ld.Dirty(o.OID)
+			err = h.disk.TouchObject(o, true)
 		}
 	})
 	return err

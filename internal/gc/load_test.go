@@ -2,6 +2,7 @@ package gc
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,5 +138,58 @@ func TestLoadRefusalsAreTheSinglePassOnes(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("load of %s:\n got %v\nwant %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestLoadBytesPerObject pins what the collector layer costs per object on
+// top of the object store, as objstore's TestHeapBytesPerObject pins the store:
+// Go heap after two forced collections, with the restart workload's shape (a
+// rooted 200-byte hub with eight slots, each naming one of its eight 100-byte
+// slotless leaves) loaded through Heap.Load. What remains is the partitions'
+// member lists and the remembered references that cross a partition boundary;
+// placement itself lives in the headers the store already counts. The limit is
+// the measurement (11.92 bytes on linux/amd64) plus 1 %: a per-object table,
+// such as the 16-byte placement table the headers replaced (27.99 bytes with
+// it), fails it.
+func TestLoadBytesPerObject(t *testing.T) {
+	const groups = 200_000 / 9
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	st := objstore.NewStore()
+	slots := make([]objstore.OID, 8)
+	for oid := objstore.OID(1); oid < groups*9; oid += 9 {
+		for k := range slots {
+			slots[k] = oid + 1 + objstore.OID(k)
+		}
+		if err := st.Load(oid, objstore.ClassAssembly, 200, slots, true); err != nil {
+			t.Fatal(err)
+		}
+		for k := range slots {
+			if err := st.Load(slots[k], objstore.ClassAtomicPart, 100, nil, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := heap()
+	disk, err := storage.NewManager(storage.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHeap(objstore.NewStore(), disk)
+	if err := h.Load(st); err != nil {
+		t.Fatal(err)
+	}
+	got := float64(heap()-before) / float64(st.Len())
+	runtime.KeepAlive(h)
+	const measured = 11.92
+	if limit := measured * 1.01; got > limit {
+		t.Errorf("%.2f heap bytes per object beyond the store, want at most %.2f", got, limit)
+	} else {
+		t.Logf("%.2f heap bytes per object beyond the store (limit %.2f)", got, limit)
 	}
 }

@@ -215,7 +215,7 @@ func (m *model) compare(h *Heap) error {
 	dbBytes, pinned := 0, 0
 	for oid, o := range m.objects {
 		got := st.Get(oid)
-		if got == nil || got.Size != o.size || !slices.Equal(got.Slots, o.slots) {
+		if got == nil || int(got.Size) != o.size || !slices.Equal(got.Slots, o.slots) {
 			return fmt.Errorf("object %v: store has %+v, model %+v", oid, got, o)
 		}
 		if st.IsRoot(oid) != m.roots[oid] {

@@ -127,17 +127,7 @@ func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The store has vetted its OIDs against its horizon; a placement for an
-	// object it does not hold is damage, and must not size the placement
-	// table.
-	if st.Disk != nil {
-		for _, pe := range st.Disk.Placements {
-			if store.Get(pe.OID) == nil {
-				return nil, fmt.Errorf("gc: snapshot places %v, which is not in the snapshot store", pe.OID)
-			}
-		}
-	}
-	disk, err := storage.RestoreManager(st.Disk)
+	disk, err := storage.RestoreManager(st.Disk, store)
 	if err != nil {
 		return nil, err
 	}

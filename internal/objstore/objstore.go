@@ -6,7 +6,9 @@
 // partitions, or I/O. The physical placement of objects is the job of
 // package storage; reachability-based reclamation is the job of package gc.
 // Keeping the layers separate mirrors the structure of the simulation system
-// described in Cook, Wolf, Zorn (CU-CS-647-93) that the paper builds on.
+// described in Cook, Wolf, Zorn (CU-CS-647-93) that the paper builds on. The
+// one exception is two header fields that only package storage writes: where
+// the object is placed, kept beside it instead of in a second OID table.
 package objstore
 
 import (
@@ -70,11 +72,16 @@ func (c Class) String() string {
 
 // Object is a logical database object: a size in bytes and pointer slots.
 // The slot array has fixed length per object; a slot holds NilOID when empty.
+// PartPlus1 and Offset fill what would be padding in the 48 bytes: the
+// object's partition plus one (zero while unplaced) and its byte offset there,
+// which only package storage uses.
 type Object struct {
-	OID   OID
-	Class Class
-	Size  int   // total size in bytes, including pointer slots
-	Slots []OID // outgoing pointers
+	OID       OID
+	Class     Class
+	Size      uint32 // total size in bytes, including pointer slots
+	PartPlus1 int32
+	Offset    int32
+	Slots     []OID // outgoing pointers
 }
 
 // Clone returns a deep copy of the object (slots are copied).
@@ -139,6 +146,13 @@ const MaxSlots = 1 << 16
 // ErrSlotRange marks a create refused because its slot count exceeds MaxSlots.
 var ErrSlotRange = errors.New("objstore: slot count out of range")
 
+// MaxSize is the largest object size CreateWithOID accepts: the header keeps
+// the size in 32 bits, and so does the durable backend's record.
+const MaxSize = 1<<32 - 1
+
+// ErrSizeRange marks a create refused because its size exceeds MaxSize.
+var ErrSizeRange = errors.New("objstore: object size out of range")
+
 // NextOID returns the OID that the next Create call will assign.
 func (s *Store) NextOID() OID { return s.nextOID }
 
@@ -169,9 +183,10 @@ func (s *Store) Create(class Class, size, nslots int) (*Object, error) {
 // CreateWithOID enters an object with a caller-chosen OID, used when
 // replaying traces whose OIDs were assigned by the generator. It returns an
 // error if the OID is nil, already present, or more than MaxOIDGap past the
-// allocation horizon (ErrOIDRange), or if the slot count exceeds MaxSlots
-// (ErrSlotRange). The internal OID counter is advanced past the given OID so
-// later Create calls cannot collide.
+// allocation horizon (ErrOIDRange), if the size exceeds MaxSize
+// (ErrSizeRange), or if the slot count exceeds MaxSlots (ErrSlotRange). The
+// internal OID counter is advanced past the given OID so later Create calls
+// cannot collide.
 func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, error) {
 	if oid.IsNil() {
 		return nil, fmt.Errorf("objstore: cannot create object with nil OID")
@@ -185,6 +200,9 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	if size < 0 || nslots < 0 {
 		return nil, fmt.Errorf("objstore: invalid size %d or slot count %d", size, nslots)
 	}
+	if size > MaxSize {
+		return nil, fmt.Errorf("%w: size %d for %v, at most %d", ErrSizeRange, size, oid, uint32(MaxSize))
+	}
 	if nslots > MaxSlots {
 		return nil, fmt.Errorf("%w: %d slots for %v, at most %d", ErrSlotRange, nslots, oid, MaxSlots)
 	}
@@ -193,7 +211,7 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 		//lint:allow hotpath wide-object fallback: no generator builds one
 		o.Slots = make([]OID, nslots)
 	}
-	o.OID, o.Class, o.Size = oid, class, size
+	o.OID, o.Class, o.Size, o.PartPlus1, o.Offset = oid, class, uint32(size), 0, 0 // unplaced, if recycled
 	s.objects.Set(oid, o)
 	s.totalBytes += size
 	if oid >= s.nextOID {
@@ -264,7 +282,7 @@ func (s *Store) Remove(oid OID) error {
 	}
 	s.objects.Set(oid, nil)
 	s.roots.Set(oid, false)
-	s.totalBytes -= o.Size
+	s.totalBytes -= int(o.Size)
 	k := min(len(o.Slots), pooledSlots+1)
 	if k > pooledSlots {
 		o.Slots = nil
@@ -384,7 +402,7 @@ func (s *Store) GarbageBytes() int {
 	garb := 0
 	s.ForEach(func(o *Object) {
 		if !live.Get(o.OID) {
-			garb += o.Size
+			garb += int(o.Size)
 		}
 	})
 	return garb
@@ -415,7 +433,7 @@ func (s *Store) Stats() Stats {
 	s.ForEach(func(o *Object) {
 		cs := st.ByClass[o.Class]
 		cs.Count++
-		cs.Bytes += o.Size
+		cs.Bytes += int(o.Size)
 		st.ByClass[o.Class] = cs
 	})
 	return st

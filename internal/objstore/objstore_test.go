@@ -1,9 +1,11 @@
 package objstore
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustCreate(t *testing.T, s *Store, class Class, size, nslots int) *Object {
@@ -322,7 +324,7 @@ func TestGarbagePartitionProperty(t *testing.T) {
 		s := randomStore(seed, 60)
 		live := s.Reachable()
 		liveBytes := 0
-		live.ForEach(func(oid OID, _ bool) { liveBytes += s.Get(oid).Size })
+		live.ForEach(func(oid OID, _ bool) { liveBytes += int(s.Get(oid).Size) })
 		return liveBytes+s.GarbageBytes() == s.TotalBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -354,5 +356,45 @@ func TestRemoveMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCreateRejectsSizeBeyond32Bits: the header keeps the size in 32 bits, so
+// a larger one is refused with ErrSizeRange instead of being truncated; the
+// bound itself is accepted.
+func TestCreateRejectsSizeBeyond32Bits(t *testing.T) {
+	s := NewStore()
+	for _, size := range []int{MaxSize + 1, 1 << 40} {
+		if _, err := s.CreateWithOID(1, ClassUnknown, size, 0); !errors.Is(err, ErrSizeRange) {
+			t.Errorf("CreateWithOID of size %d = %v, want ErrSizeRange", size, err)
+		}
+	}
+	if s.Len() != 0 || s.NextOID() != 1 || s.TotalBytes() != 0 {
+		t.Errorf("refused creates left Len %d, NextOID %v, TotalBytes %d", s.Len(), s.NextOID(), s.TotalBytes())
+	}
+	if o, err := s.CreateWithOID(1, ClassUnknown, MaxSize, 0); err != nil || int(o.Size) != MaxSize || s.TotalBytes() != MaxSize {
+		t.Errorf("CreateWithOID of size MaxSize: %v, total %d", err, s.TotalBytes())
+	}
+}
+
+// TestHeaderCarriesPlacementIn48Bytes: the placement fields fill what was
+// padding, so every header of every store stays 48 bytes, and a recycled
+// header comes back unplaced whatever its last object's placement was.
+func TestHeaderCarriesPlacementIn48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n != 48 {
+		t.Errorf("object header is %d bytes, want 48", n)
+	}
+	s := NewStore()
+	o := mustCreate(t, s, ClassAtomicPart, 100, 2)
+	o.PartPlus1, o.Offset = 3, 512
+	if err := s.Remove(o.OID); err != nil {
+		t.Fatal(err)
+	}
+	r := mustCreate(t, s, ClassAtomicPart, 100, 2)
+	if r != o {
+		t.Fatal("fixture: the header was not recycled")
+	}
+	if r.PartPlus1 != 0 || r.Offset != 0 {
+		t.Errorf("recycled header placed in %d at %d, want unplaced", r.PartPlus1, r.Offset)
 	}
 }

@@ -59,7 +59,7 @@ func TestStoreMatchesModelUnderChurn(t *testing.T) {
 					}
 					// Fresh or recycled, the object carries nothing of a
 					// previous life.
-					if o.Class != class || o.Size != size || len(o.Slots) != nslots {
+					if o.Class != class || int(o.Size) != size || len(o.Slots) != nslots {
 						t.Fatalf("seed %d: create(%v, %d, %d) returned %+v", seed, class, size, nslots, *o)
 					}
 					for i, v := range o.Slots {
@@ -133,7 +133,7 @@ func checkAgainstModel(t *testing.T, s *Store, model map[OID]*modelObject, roots
 		if o == nil {
 			t.Fatalf("object %v missing from the store", oid)
 		}
-		if o.OID != oid || o.Class != m.class || o.Size != m.size || !slices.Equal(o.Slots, m.slots) {
+		if o.OID != oid || o.Class != m.class || int(o.Size) != m.size || !slices.Equal(o.Slots, m.slots) {
 			t.Fatalf("object %v = %+v, model has %+v", oid, *o, *m)
 		}
 		if s.IsRoot(oid) != roots[oid] {

@@ -26,7 +26,7 @@ func (s *Store) Snapshot() *StoreSnapshot {
 		st.Objects = append(st.Objects, ObjectState{
 			OID:   o.OID,
 			Class: o.Class,
-			Size:  o.Size,
+			Size:  int(o.Size),
 			Slots: append([]OID(nil), o.Slots...),
 		})
 	})

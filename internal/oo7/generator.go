@@ -338,7 +338,7 @@ func (g *Generator) scopeDead(c *compositeState) []trace.DeadObject {
 			kept = append(kept, oid)
 		} else {
 			m.owner = nil
-			dead = append(dead, trace.DeadObject{OID: oid, Size: g.obj(oid).Size})
+			dead = append(dead, trace.DeadObject{OID: oid, Size: int(g.obj(oid).Size)})
 		}
 	}
 	c.scope = kept

@@ -241,9 +241,9 @@ func (g *Generator) severCompositeRef(mod *moduleState, c *compositeState, ref s
 		// composite part was created before anything in its scope, so it
 		// heads a list that is already in OID order.
 		ev.Dead = g.tr.Dead(1 + len(c.scope))
-		ev.Dead[0] = trace.DeadObject{OID: c.oid, Size: g.obj(c.oid).Size}
+		ev.Dead[0] = trace.DeadObject{OID: c.oid, Size: int(g.obj(c.oid).Size)}
 		for i, oid := range c.scope {
-			ev.Dead[1+i] = trace.DeadObject{OID: oid, Size: g.obj(oid).Size}
+			ev.Dead[1+i] = trace.DeadObject{OID: oid, Size: int(g.obj(oid).Size)}
 			g.meta[oid].owner = nil
 		}
 		g.meta[c.oid].owner = nil

@@ -42,7 +42,7 @@ func refScopeDead(st *objstore.Store, root objstore.OID, scope map[objstore.OID]
 	slices.Sort(deadOIDs)
 	var dead []trace.DeadObject
 	for _, oid := range deadOIDs {
-		dead = append(dead, trace.DeadObject{OID: oid, Size: st.Get(oid).Size})
+		dead = append(dead, trace.DeadObject{OID: oid, Size: int(st.Get(oid).Size)})
 		delete(scope, oid)
 	}
 	return dead
@@ -93,9 +93,9 @@ func (r *refOracle) check(tr *trace.Trace) error {
 				want = refScopeDead(r.st, comp, r.scopes[comp])
 			case len(e.Dead) > 0:
 				// Shared structure let go of a composite for the last time.
-				want = []trace.DeadObject{{OID: e.Old, Size: r.st.Get(e.Old).Size}}
+				want = []trace.DeadObject{{OID: e.Old, Size: int(r.st.Get(e.Old).Size)}}
 				for oid := range r.scopes[e.Old] {
-					want = append(want, trace.DeadObject{OID: oid, Size: r.st.Get(oid).Size})
+					want = append(want, trace.DeadObject{OID: oid, Size: int(r.st.Get(oid).Size)})
 				}
 				slices.SortFunc(want, func(a, b trace.DeadObject) int { return cmp.Compare(a.OID, b.OID) })
 				delete(r.scopes, e.Old)

@@ -204,7 +204,7 @@ func TestReorgConservesLiveSize(t *testing.T) {
 	liveBytes := func() int {
 		live := g.Store().Reachable()
 		n := 0
-		live.ForEach(func(oid objstore.OID, _ bool) { n += mustGet(t, g.Store(), oid).Size })
+		live.ForEach(func(oid objstore.OID, _ bool) { n += int(mustGet(t, g.Store(), oid).Size) })
 		return n
 	}
 	before := liveBytes()

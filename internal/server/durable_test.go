@@ -181,6 +181,107 @@ func TestCreateRefusedByTheLogLeavesNoObject(t *testing.T) {
 	}
 }
 
+// TestUnplaceableCreateKeepsTheDatabaseBootable: a create the storage manager
+// refuses — size 0, or larger than a page — used to enter the object store
+// and the log before the manager said no. Once committed, the unplaced object
+// made every later RebuildHeap fail ("size 9000 exceeds page size 8192"). The
+// heap now refuses first, so the commit carries nothing of it.
+func TestUnplaceableCreateKeepsTheDatabaseBootable(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := newTestHeap(t, storage.DefaultConfig())
+	heap.SetDurable(st)
+	if err := heap.Create(1, objstore.ClassUnknown, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{0, 9000} {
+		if err := heap.Create(heap.Store().NextOID(), objstore.ClassUnknown, size, 0); err == nil {
+			t.Errorf("create of size %d accepted", size)
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, _, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	rebuilt := newTestHeap(t, storage.DefaultConfig())
+	if err := RebuildHeap(rebuilt, st2); err != nil {
+		t.Fatalf("rebuild after refused creates: %v", err)
+	}
+	if n := rebuilt.Store().Len(); n != 1 {
+		t.Errorf("rebuilt heap holds %d objects, want the one accepted create", n)
+	}
+	if err := rebuilt.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestOversizedCreateOpIsRefused: the create op checks only that the size is
+// positive, so one client create larger than a page reached the heap. It must
+// get an error response, leave nothing behind, and the engine keep serving; a
+// restart then boots.
+func TestOversizedCreateOpIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	ts := startServer(t, Config{}, EngineConfig{Durable: st})
+	cli, err := Dial(ts.addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	resp, err := cli.Do(ctx, Request{Op: OpCreate, Size: 9000, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusError || !strings.Contains(resp.Error, "exceeds page size") {
+		t.Errorf("create of 9000 bytes: status %q, error %q; want a refusal naming the page size", resp.Status, resp.Error)
+	}
+	oid, err := cli.Create(ctx, 100, 1)
+	if err != nil {
+		t.Fatalf("create after the refusal: %v", err)
+	}
+	mustOK(ctx, t, cli, Request{Op: OpAccess, OID: oid})
+
+	_ = cli.Close()
+	ts.beginDrain()
+	ts.waitFinished(t)
+	if st.NumObjects() != 1 {
+		t.Errorf("store holds %d objects, want the one accepted create", st.NumObjects())
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err = disk.Open(disk.Options{FS: disk.OSFS{Dir: dir}, Fsync: disk.FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	if err := RebuildHeap(newTestHeap(t, storage.DefaultConfig()), st); err != nil {
+		t.Errorf("restart after an oversized create: %v", err)
+	}
+}
+
 // TestFreshHeapBesideRecoveredObjectsIsRefused: an empty heap attached to a
 // store that recovered objects hands out OIDs from 1, which are live. Its
 // first create used to commit — the batch reached the WAL before the store

@@ -360,7 +360,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 	}
 
 	if err := s.apply(e, i); err != nil {
-		if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSlotRange) {
+		if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSizeRange) || errors.Is(err, objstore.ErrSlotRange) {
 			// No generator skips that far ahead or builds one that wide: damage.
 			err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
 		}

@@ -76,6 +76,21 @@ func TestLogAllocRefusesWideObject(t *testing.T) {
 	}
 }
 
+// TestSizeBoundIsTheHeaders: the log refuses a size exactly where the object
+// header does (objstore.MaxSize), so what the simulator and the server accept
+// is what a record can hold.
+func TestSizeBoundIsTheHeaders(t *testing.T) {
+	if err := checkShape(objstore.MaxSize, 0); err != nil {
+		t.Errorf("size %d refused: %v", objstore.MaxSize, err)
+	}
+	if err := checkShape(objstore.MaxSize+1, 0); err == nil {
+		t.Errorf("size %d accepted", objstore.MaxSize+1)
+	}
+	if _, err := objstore.NewStore().CreateWithOID(1, objstore.ClassUnknown, objstore.MaxSize+1, 0); !errors.Is(err, objstore.ErrSizeRange) {
+		t.Errorf("object store accepted size %d: %v", objstore.MaxSize+1, err)
+	}
+}
+
 // TestReplayRefusesWideAlloc: a CRC-valid alloc record with more slots than
 // any writer logs is damage; replay reports it instead of allocating them.
 func TestReplayRefusesWideAlloc(t *testing.T) {

@@ -339,7 +339,7 @@ func FuzzDigestStream(f *testing.F) {
 		i := 0
 		objs.ForEachRooted(func(o *objstore.Object, root bool) {
 			d := got[i]
-			if d.OID != o.OID || d.Class != o.Class || d.Size != o.Size || d.Root != root || !slices.Equal(d.Slots, o.Slots) {
+			if d.OID != o.OID || d.Class != o.Class || d.Size != int(o.Size) || d.Root != root || !slices.Equal(d.Slots, o.Slots) {
 				t.Errorf("object %d decoded as %v class %d size %d root %v with %d slots, want %v class %d size %d root %v with %d slots (slots equal: %v)",
 					i, d.OID, d.Class, d.Size, d.Root, len(d.Slots), o.OID, o.Class, o.Size, root, len(o.Slots), slices.Equal(d.Slots, o.Slots))
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/storage"
@@ -19,10 +18,11 @@ import (
 const MaxSlots = (pagePayload - objRecHdrLen) / 8
 
 // checkShape refuses an object the on-disk format cannot hold: a record keeps
-// the size in 32 bits, and more than MaxSlots slots do not fit a data page.
+// the size in 32 bits, as the object header does (objstore.MaxSize), and more
+// than MaxSlots slots do not fit a data page.
 func checkShape(size, nslots int) error {
-	if size < 0 || uint64(size) > math.MaxUint32 {
-		return fmt.Errorf("object size %d outside [0, %d]", size, uint32(math.MaxUint32))
+	if size < 0 || size > objstore.MaxSize {
+		return fmt.Errorf("object size %d outside [0, %d]", size, uint32(objstore.MaxSize))
 	}
 	if nslots < 0 || nslots > MaxSlots {
 		return fmt.Errorf("%d slots outside [0, %d]", nslots, MaxSlots)
@@ -143,7 +143,7 @@ func (s *Store) Adopt(objs *objstore.Store) {
 // ForEach visits the objects in ascending OID order.
 func (s *Store) ForEach(fn func(ObjectState)) {
 	s.objs.ForEachRooted(func(o *objstore.Object, root bool) {
-		fn(ObjectState{OID: o.OID, Class: o.Class, Size: o.Size, Slots: o.Slots, Root: root})
+		fn(ObjectState{OID: o.OID, Class: o.Class, Size: int(o.Size), Slots: o.Slots, Root: root})
 	})
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // PartitionState is one partition's checkpointable image. The partition's
-// object set is not stored; it is rebuilt from the placement table.
+// object set is not stored; it is rebuilt from the placements.
 type PartitionState struct {
 	Cursor int
 	Used   int
@@ -47,16 +47,19 @@ func (m *Manager) Snapshot() *ManagerState {
 	for _, p := range m.parts {
 		st.Partitions = append(st.Partitions, PartitionState{Cursor: p.cursor, Used: p.used})
 	}
-	st.Placements = make([]PlacementEntry, 0, m.place.Len())
-	m.place.ForEach(func(oid objstore.OID, s slot) {
-		st.Placements = append(st.Placements, PlacementEntry{OID: oid, Placement: m.placement(s)})
+	st.Placements = make([]PlacementEntry, 0, m.store.Len())
+	m.store.ForEach(func(o *objstore.Object) {
+		if o.PartPlus1 != 0 {
+			st.Placements = append(st.Placements, PlacementEntry{OID: o.OID, Placement: m.placement(o)})
+		}
 	})
 	return st
 }
 
 // RestoreManager rebuilds a Manager from a snapshot, validating internal
-// consistency before returning it.
-func RestoreManager(st *ManagerState) (*Manager, error) {
+// consistency before returning it. The placements go into the unplaced
+// headers of objs or, with objs nil, into bare headers in a store of its own.
+func RestoreManager(st *ManagerState, objs *objstore.Store) (*Manager, error) {
 	if st == nil {
 		return nil, fmt.Errorf("storage: nil manager state")
 	}
@@ -64,12 +67,15 @@ func RestoreManager(st *ManagerState) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	if objs != nil {
+		m.store = objs
+	}
 	for i, ps := range st.Partitions {
 		p := m.newPartition()
 		if ps.Cursor < 0 || ps.Cursor > st.Cfg.PartitionBytes() || ps.Used < 0 {
 			return nil, fmt.Errorf("storage: partition %d state out of range: %+v", i, ps)
 		}
-		p.cursor = ps.Cursor
+		p.cursor, p.page = ps.Cursor, ps.Cursor/st.Cfg.PageSize
 		p.used = ps.Used
 		m.occupied += ps.Used
 	}
@@ -79,10 +85,19 @@ func RestoreManager(st *ManagerState) (*Manager, error) {
 		if err := m.checkPlacement(pe.OID, pl); err != nil {
 			return nil, err
 		}
-		if m.place.Get(pe.OID).size != 0 {
-			return nil, fmt.Errorf("storage: duplicate placement for %v in snapshot", pe.OID)
+		o := m.store.Get(pe.OID)
+		if o == nil && objs == nil {
+			o, _ = m.store.CreateWithOID(pe.OID, objstore.ClassUnknown, pl.Size, 0) // refused: o stays nil
 		}
-		m.place.Set(pe.OID, slot{part: int32(pl.Part), offset: int32(pl.Offset), size: int32(pl.Size)})
+		switch {
+		case o == nil:
+			return nil, fmt.Errorf("storage: snapshot places %v, which is not in the snapshot store", pe.OID)
+		case o.PartPlus1 != 0:
+			return nil, fmt.Errorf("storage: duplicate placement for %v in snapshot", pe.OID)
+		case int(o.Size) != pl.Size:
+			return nil, fmt.Errorf("storage: snapshot places %v with size %d, its header says %d", pe.OID, pl.Size, o.Size)
+		}
+		o.PartPlus1, o.Offset = int32(pl.Part)+1, int32(pl.Offset)
 		m.parts[pl.Part].add(pe.OID)
 	}
 	if err := m.buf.Restore(st.Buffer); err != nil {

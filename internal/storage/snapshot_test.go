@@ -81,7 +81,7 @@ func TestManagerSnapshotRoundTrip(t *testing.T) {
 	}
 
 	st := m.Snapshot()
-	r, err := RestoreManager(st)
+	r, err := RestoreManager(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +114,20 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 	bad := *good
 	bad.Placements = append([]PlacementEntry(nil), good.Placements...)
 	bad.Placements[0].Placement.Part = 99
-	if _, err := RestoreManager(&bad); err == nil {
+	if _, err := RestoreManager(&bad, nil); err == nil {
 		t.Error("placement into unknown partition accepted")
 	}
 
 	bad = *good
 	bad.Placements = append(append([]PlacementEntry(nil), good.Placements...), good.Placements[0])
-	if _, err := RestoreManager(&bad); err == nil {
+	if _, err := RestoreManager(&bad, nil); err == nil {
 		t.Error("duplicate placement accepted")
 	}
 
 	bad = *good
 	bad.Partitions = append([]PartitionState(nil), good.Partitions...)
 	bad.Partitions[0].Used += 1000
-	if _, err := RestoreManager(&bad); err == nil {
+	if _, err := RestoreManager(&bad, nil); err == nil {
 		t.Error("used-byte mismatch accepted")
 	}
 
@@ -142,7 +142,7 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 		bad = *good
 		bad.Placements = append([]PlacementEntry(nil), good.Placements...)
 		damage(&bad.Placements[0].Placement)
-		if _, err := RestoreManager(&bad); err == nil {
+		if _, err := RestoreManager(&bad, nil); err == nil {
 			t.Errorf("placement with damaged %s accepted", name)
 		}
 	}
@@ -159,7 +159,7 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 	if len(good.GCDirty) != 1 || len(good.Buffer) != 1 || !good.Buffer[0].Dirty {
 		t.Fatalf("fixture: GCDirty %v, Buffer %v", good.GCDirty, good.Buffer)
 	}
-	if _, err := RestoreManager(good); err != nil {
+	if _, err := RestoreManager(good, nil); err != nil {
 		t.Fatalf("sound state with a collector-dirty page refused: %v", err)
 	}
 	for name, damage := range map[string]func(*ManagerState){
@@ -169,7 +169,7 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 	} {
 		bad = *good
 		damage(&bad)
-		_, err := RestoreManager(&bad)
+		_, err := RestoreManager(&bad, nil)
 		if err == nil {
 			t.Errorf("collector-dirty page %s accepted", name)
 		} else if !strings.Contains(err.Error(), bad.GCDirty[0].String()) {
@@ -177,7 +177,7 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 		}
 	}
 
-	if _, err := RestoreManager(nil); err == nil {
+	if _, err := RestoreManager(nil, nil); err == nil {
 		t.Error("nil state accepted")
 	}
 }

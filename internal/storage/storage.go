@@ -45,7 +45,7 @@ func (c Config) Validate() error {
 	if c.BufferPages <= 0 {
 		return fmt.Errorf("storage: BufferPages %d must be positive", c.BufferPages)
 	}
-	// The placement table stores partition offsets in 32 bits.
+	// An object header keeps its offset in the partition in 32 bits.
 	if c.PageSize > math.MaxInt32/c.PagesPerPartition {
 		return fmt.Errorf("storage: partition of %d pages of %d bytes exceeds 2 GiB", c.PagesPerPartition, c.PageSize)
 	}
@@ -65,6 +65,8 @@ type PageID struct {
 }
 
 func (p PageID) String() string { return fmt.Sprintf("p%d/%d", p.Part, p.Index) }
+
+var noPage = PageID{Part: -1}
 
 // Placement records where an object lives on disk.
 type Placement struct {
@@ -125,6 +127,7 @@ type FaultInjector interface {
 type partition struct {
 	id      PartitionID
 	cursor  int            // bump-allocation offset in bytes; only compaction lowers it
+	page    int            // a page holding the cursor (at a boundary, either), so placing divides nothing
 	used    int            // sum of sizes of objects placed here (live + garbage)
 	objects []objstore.OID // the objects placed here, ascending
 }
@@ -145,23 +148,20 @@ func (p *partition) usedPages(pageSize int) int {
 	return (p.cursor + pageSize - 1) / pageSize
 }
 
-// slot is a Placement as the table stores it, in 16 bytes against
-// Placement's 32: every slot of a resident table chunk costs its width
-// whether or not an object occupies it. The page is offset / PageSize.
-type slot struct {
-	part   int32
-	offset int32
-	size   int32 // positive for every placed object; the zero slot is "unplaced"
-	moved  int32 // set only inside Compact, on the objects that survive it: the new offset, plus one
+// PartOf returns the partition holding o, read from its header; the second
+// result is false while o is unplaced.
+func PartOf(o *objstore.Object) (PartitionID, bool) {
+	return PartitionID(o.PartPlus1 - 1), o.PartPlus1 != 0
 }
 
-// Manager owns the partitions, the object placement table, and the buffer
-// pool. It is the single point through which the simulator performs
-// physical operations, so all I/O accounting happens here.
+// Manager owns the partitions and the buffer pool. It is the single point
+// through which the simulator performs physical operations, so all I/O
+// accounting happens here. Placements live in the headers of its object
+// store: the heap's, or for a manager no heap runs on a store of its own.
 type Manager struct {
 	cfg      Config
 	parts    []*partition
-	place    objstore.Table[slot]
+	store    *objstore.Store
 	occupied int // sum of every partition's used bytes
 	buf      *BufferPool
 	stats    IOStats
@@ -172,9 +172,20 @@ type Manager struct {
 	// fault, when non-nil, may inject an error at the entry of each physical
 	// operation (chaos testing; see package fault).
 	fault FaultInjector
+
+	moves []move // Compact's scratch: the survivors in packing order
+
+	// placed is the page Place pinned last, while pinning it again would
+	// change nothing: it is the pool's dirty front frame, same I/O class.
+	placed PageID
 }
 
-// NewManager returns a Manager with no partitions allocated yet.
+type move struct {
+	o   *objstore.Object
+	off int32
+}
+
+// NewManager returns a Manager with no partitions yet, on a store of its own.
 func NewManager(cfg Config) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -183,8 +194,11 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{cfg: cfg, buf: buf}, nil
+	return &Manager{cfg: cfg, buf: buf, store: objstore.NewStore(), placed: noPage}, nil
 }
+
+// UseStore moves the manager, which must hold nothing yet, onto st.
+func (m *Manager) UseStore(st *objstore.Store) { m.store = st }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector. The
 // injector is consulted before each physical operation mutates any state.
@@ -207,7 +221,7 @@ func (m *Manager) Stats() IOStats { return m.stats }
 // SetIOClass switches I/O attribution and returns the previous class.
 func (m *Manager) SetIOClass(c IOClass) IOClass {
 	prev := m.class
-	m.class = c
+	m.class, m.placed = c, noPage
 	return prev
 }
 
@@ -242,22 +256,26 @@ func (m *Manager) PartitionFreeBytes(id PartitionID) int {
 // PartitionOf returns the partition holding an object. The second result is
 // false if the object has no placement.
 func (m *Manager) PartitionOf(oid objstore.OID) (PartitionID, bool) {
-	s := m.place.Get(oid)
-	return PartitionID(s.part), s.size != 0
+	if o := m.store.Get(oid); o != nil {
+		return PartOf(o)
+	}
+	return 0, false
 }
 
 // PlacementOf returns the full placement of an object.
 func (m *Manager) PlacementOf(oid objstore.OID) (Placement, bool) {
-	s := m.place.Get(oid)
-	return m.placement(s), s.size != 0
+	if o := m.store.Get(oid); o != nil && o.PartPlus1 != 0 {
+		return m.placement(o), true
+	}
+	return Placement{}, false
 }
 
-func (m *Manager) placement(s slot) Placement {
+func (m *Manager) placement(o *objstore.Object) Placement {
 	return Placement{
-		Part:   PartitionID(s.part),
-		Page:   int(s.offset) / m.cfg.PageSize,
-		Offset: int(s.offset),
-		Size:   int(s.size),
+		Part:   PartitionID(o.PartPlus1 - 1),
+		Page:   int(o.Offset) / m.cfg.PageSize,
+		Offset: int(o.Offset),
+		Size:   int(o.Size),
 	}
 }
 
@@ -292,6 +310,7 @@ func (m *Manager) charge(read bool) {
 // when the page is cleaned, dropped, or evicted by whichever class (it is
 // then clean on disk and no longer GC-pending).
 func (m *Manager) pin(pg PageID, dirty, fresh bool) {
+	m.placed = noPage
 	res := m.buf.pin(pg, dirty, fresh, m.class == IOGC)
 	if res.ReadFault {
 		m.charge(true)
@@ -309,87 +328,109 @@ func (m *Manager) newPartition() *partition {
 	return p
 }
 
-// fits reports whether an object of the given size can be bump-allocated in
-// partition p, accounting for the page-boundary skip (objects never span
-// pages).
-func (m *Manager) fits(p *partition, size int) bool {
-	off := p.cursor
-	if rem := m.cfg.PageSize - off%m.cfg.PageSize; size > rem {
-		off += rem // skip to next page boundary
+// next returns where in p an object of the given size would be bump-allocated
+// and on which page (past the cursor's page when the rest of it is too short:
+// objects never span pages), and whether that fits in the partition.
+func (m *Manager) next(p *partition, size int) (off, page int, fits bool) {
+	off, page = p.cursor, p.page
+	if end := (page + 1) * m.cfg.PageSize; size > end-off {
+		off, page = end, page+1
 	}
-	return off+size <= m.cfg.PartitionBytes()
+	return off, page, off+size <= m.cfg.PartitionBytes()
 }
 
-// Allocate places a new object. Objects larger than a page are rejected;
-// workload generators must split them (the OO7 manual is stored as a chain
-// of page-sized segments). Lack of space grows the database by one
-// partition; it never triggers collection.
-func (m *Manager) Allocate(oid objstore.OID, size int) (Placement, error) {
+// CheckSize returns Place's refusal of an object of size bytes, if any: one
+// larger than a page must be split (the OO7 manual is a chain of pages).
+func (m *Manager) CheckSize(oid objstore.OID, size int) error {
 	if size <= 0 {
-		return Placement{}, fmt.Errorf("storage: allocate %v with size %d", oid, size)
+		return fmt.Errorf("storage: allocate %v with size %d", oid, size)
 	}
 	if size > m.cfg.PageSize {
-		return Placement{}, fmt.Errorf("storage: object %v size %d exceeds page size %d",
-			oid, size, m.cfg.PageSize)
+		return fmt.Errorf("storage: object %v size %d exceeds page size %d", oid, size, m.cfg.PageSize)
 	}
-	if m.place.Get(oid).size != 0 {
-		return Placement{}, fmt.Errorf("storage: object %v already placed", oid)
+	return nil
+}
+
+// Allocate places a new object, entering a bare header for it in the
+// manager's store unless the store holds one already.
+func (m *Manager) Allocate(oid objstore.OID, size int) (Placement, error) {
+	o, err := m.store.Get(oid), m.CheckSize(oid, size)
+	switch {
+	case err != nil:
+	case o == nil:
+		o, err = m.store.CreateWithOID(oid, objstore.ClassUnknown, size, 0)
+	case o.PartPlus1 != 0:
+		err = fmt.Errorf("storage: object %v already placed", oid)
+	}
+	if err == nil {
+		err = m.Place(o)
+	}
+	if err != nil {
+		return Placement{}, err
+	}
+	return m.placement(o), nil
+}
+
+// Place places o, an object of the manager's store, over any placement its
+// header carries from a manager that ran on the store before (gc.Heap.Load
+// takes a recovered store over so). Lack of space grows the database by one
+// partition; it never triggers collection.
+func (m *Manager) Place(o *objstore.Object) error {
+	size := int(o.Size)
+	if err := m.CheckSize(o.OID, size); err != nil {
+		return err
 	}
 	if err := m.beforeOp(true); err != nil {
-		return Placement{}, fmt.Errorf("storage: allocate %v: %w", oid, err)
+		return fmt.Errorf("storage: allocate %v: %w", o.OID, err)
 	}
 
 	var target *partition
+	var off, page int
+	fits := false
 	if len(m.parts) > 0 {
-		if p := m.parts[m.allocPart]; m.fits(p, size) {
-			target = p
-		}
+		target = m.parts[m.allocPart]
+		off, page, fits = m.next(target, size)
 	}
-	if target == nil {
-		for _, p := range m.parts {
-			if m.fits(p, size) {
-				target = p
-				break
-			}
-		}
+	for i := 0; !fits && i < len(m.parts); i++ {
+		target = m.parts[i]
+		off, page, fits = m.next(target, size)
 	}
-	if target == nil {
-		target = m.newPartition()
+	if !fits {
+		target, off, page = m.newPartition(), 0, 0
 	}
 	m.allocPart = target.id
-
-	off := target.cursor
-	if rem := m.cfg.PageSize - off%m.cfg.PageSize; size > rem {
-		off += rem
-	}
-	pl := Placement{
-		Part:   target.id,
-		Page:   off / m.cfg.PageSize,
-		Offset: off,
-		Size:   size,
-	}
-	fresh := off%m.cfg.PageSize == 0 // first object on the page: no disk image yet
-	target.cursor = off + size
+	fresh := off == page*m.cfg.PageSize // first object on the page: no disk image yet
+	target.cursor, target.page = off+size, page
 	target.used += size
 	m.occupied += size
-	target.add(oid)
-	m.place.Set(oid, slot{part: int32(pl.Part), offset: int32(off), size: int32(size)})
+	target.add(o.OID)
+	o.PartPlus1, o.Offset = int32(target.id)+1, int32(off)
 
-	m.pin(PageID{pl.Part, pl.Page}, true, fresh)
-	return pl, nil
+	if pg := (PageID{target.id, page}); pg != m.placed {
+		m.pin(pg, true, fresh)
+		m.placed = pg
+	}
+	return nil
 }
 
 // Touch simulates an access to an object: its page is faulted in if absent
 // and marked dirty if write is true.
 func (m *Manager) Touch(oid objstore.OID, write bool) error {
-	s := m.place.Get(oid)
-	if s.size == 0 {
-		return fmt.Errorf("storage: touch of unplaced object %v", oid)
+	if o := m.store.Get(oid); o != nil {
+		return m.TouchObject(o, write)
+	}
+	return fmt.Errorf("storage: touch of unplaced object %v", oid)
+}
+
+// TouchObject is Touch for a caller that holds the object's header.
+func (m *Manager) TouchObject(o *objstore.Object, write bool) error {
+	if o.PartPlus1 == 0 {
+		return fmt.Errorf("storage: touch of unplaced object %v", o.OID)
 	}
 	if err := m.beforeOp(write); err != nil {
-		return fmt.Errorf("storage: touch %v: %w", oid, err)
+		return fmt.Errorf("storage: touch %v: %w", o.OID, err)
 	}
-	m.pin(PageID{PartitionID(s.part), int(s.offset) / m.cfg.PageSize}, write, false)
+	m.pin(PageID{PartitionID(o.PartPlus1 - 1), int(o.Offset) / m.cfg.PageSize}, write, false)
 	return nil
 }
 
@@ -421,7 +462,9 @@ type CompactResult struct {
 // packed from the start of the partition in the given order (the caller
 // supplies Cheney copy order). Every object in live must currently be
 // placed in the partition. Objects placed in the partition but absent from
-// live are reclaimed and lose their placement.
+// live are reclaimed: they lose their placement, and their headers leave the
+// store if they are still in it (gc.Heap removes its dead before it compacts,
+// so there the survivors are exactly the members still in the store).
 //
 // I/O: the caller is expected to have scanned the partition already (see
 // ReadPartition); Compact marks the surviving pages dirty and drops stale
@@ -434,48 +477,63 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, e
 		return CompactResult{}, fmt.Errorf("storage: compact partition %d: %w", id, err)
 	}
 	p := m.parts[id]
-	// First pass, over the survivors in copy order for reference locality.
-	// Copy order can pad page boundaries differently than the original
-	// layout and — rarely, in a nearly full partition — overflow it; in that
-	// case fall back to packing in original-offset order, which can only
-	// shrink every offset and therefore always fits.
-	end, fits, err := m.layout(id, live)
-	if err != nil {
-		return CompactResult{}, err
+	// Claim each survivor by negating its partition field, which the pass
+	// over the members restores: an object listed twice is found claimed, and
+	// a member found unclaimed is not live. A rejected compaction releases.
+	m.moves = slices.Grow(m.moves[:0], len(live))
+	liveBytes := 0
+	for _, oid := range live {
+		o := m.store.Get(oid)
+		if o == nil || o.PartPlus1 != int32(id)+1 {
+			m.release()
+			if o != nil && o.PartPlus1 == -int32(id)-1 {
+				return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", oid)
+			}
+			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
+		}
+		o.PartPlus1 = -o.PartPlus1
+		m.moves = append(m.moves, move{o: o})
+		liveBytes += int(o.Size)
 	}
+	// Pack the survivors in copy order for reference locality. Copy order
+	// can pad page boundaries differently than the original layout and —
+	// rarely, in a nearly full partition — overflow it; in that case fall
+	// back to packing in original-offset order, which can only shrink every
+	// offset and therefore always fits.
+	end, fits := m.layout()
 	if !fits {
-		m.unflag(live)
-		order := append([]objstore.OID(nil), live...)
-		slices.SortFunc(order, func(a, b objstore.OID) int {
-			return int(m.place.Get(a).offset) - int(m.place.Get(b).offset)
-		})
-		if end, fits, _ = m.layout(id, order); !fits {
-			m.unflag(live)
+		slices.SortFunc(m.moves, func(a, b move) int { return int(a.o.Offset) - int(b.o.Offset) })
+		if end, fits = m.layout(); !fits {
+			m.release()
 			return CompactResult{}, fmt.Errorf("storage: compaction of partition %d overflowed its %d bytes",
 				id, m.cfg.PartitionBytes())
 		}
 	}
 
-	// Second pass, over the members in ascending order (the survivors keep
-	// theirs): reclaim every one without the flag, move the others.
-	var res CompactResult
+	// Keep the claimed members, in ascending order; reclaim the rest.
+	res := CompactResult{ReclaimedBytes: p.used - liveBytes}
 	oldPages := p.usedPages(m.cfg.PageSize)
 	kept := p.objects[:0]
 	for _, oid := range p.objects {
-		s := m.place.Get(oid)
-		if s.moved == 0 {
-			res.ReclaimedBytes += int(s.size)
-			res.ReclaimedObjects++
-			m.place.Set(oid, slot{})
+		switch o := m.store.Get(oid); {
+		case o == nil: // removed by its owner
+		case o.PartPlus1 < 0:
+			o.PartPlus1 = -o.PartPlus1
+			kept = append(kept, oid)
 			continue
+		default:
+			o.PartPlus1 = 0
+			_ = m.store.Remove(oid) // cannot fail: the object is present
 		}
-		kept = append(kept, oid)
-		m.place.Set(oid, slot{part: s.part, offset: s.moved - 1, size: s.size})
+		res.ReclaimedObjects++
+	}
+	for _, mv := range m.moves {
+		mv.o.Offset = mv.off
 	}
 	p.objects = kept
-	p.used -= res.ReclaimedBytes
+	p.used = liveBytes
 	m.occupied -= res.ReclaimedBytes
-	p.cursor = end
+	p.cursor, p.page = end, end/m.cfg.PageSize
 
 	res.LivePages = p.usedPages(m.cfg.PageSize)
 	// Surviving pages now hold the compacted image: dirty them. They are
@@ -486,53 +544,40 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, e
 	}
 	// Pages beyond the live region are free space; drop any buffered copies
 	// without write-back.
+	m.placed = noPage
 	for i := res.LivePages; i < oldPages; i++ {
 		m.buf.Drop(PageID{id, i})
 	}
 	return res, nil
 }
 
-// layout is Compact's pass over the survivors: it checks that each object
-// of order is placed in partition id and not yet flagged, and flags it with
-// the offset it gets when the objects are packed in that order. Objects never
-// span pages; the page end is carried along, so no offset is divided. It
-// returns the end of the packed region and whether that lies inside the
-// partition (when it does not, every object is flagged but the offsets mean
-// nothing). On an object that fails the check it leaves none flagged: a
-// rejected compaction changes nothing.
-func (m *Manager) layout(id PartitionID, order []objstore.OID) (int, bool, error) {
+// release undoes Compact's claims.
+func (m *Manager) release() {
+	for _, mv := range m.moves {
+		mv.o.PartPlus1 = -mv.o.PartPlus1
+	}
+}
+
+// layout packs the survivors in m.moves in order, setting their new offsets.
+// Objects never span pages; the page end is carried along, so no offset is
+// divided. It returns the end of the packed region and whether that lies
+// inside the partition (when it does not, the offsets mean nothing).
+func (m *Manager) layout() (int, bool) {
 	cursor, pageEnd, fits := 0, m.cfg.PageSize, true
-	for i, oid := range order {
-		s := m.place.Get(oid)
-		if s.size == 0 || PartitionID(s.part) != id || s.moved != 0 {
-			m.unflag(order[:i])
-			if s.moved != 0 {
-				return 0, false, fmt.Errorf("storage: duplicate live object %v", oid)
-			}
-			return 0, false, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
-		}
-		if cursor+int(s.size) > pageEnd {
+	for i := range m.moves {
+		mv := &m.moves[i]
+		if cursor+int(mv.o.Size) > pageEnd {
 			if pageEnd == m.cfg.PartitionBytes() {
-				// Out of partition. The caller re-packs; go on checking
-				// from offset zero so the flags stay within 32 bits.
+				// Out of partition. The caller re-packs; go on from offset
+				// zero so the offsets stay within 32 bits.
 				fits, pageEnd = false, 0
 			}
 			cursor, pageEnd = pageEnd, pageEnd+m.cfg.PageSize
 		}
-		s.moved = int32(cursor) + 1
-		m.place.Set(oid, s)
-		cursor += int(s.size)
+		mv.off = int32(cursor)
+		cursor += int(mv.o.Size)
 	}
-	return cursor, fits, nil
-}
-
-// unflag clears the flags layout set.
-func (m *Manager) unflag(oids []objstore.OID) {
-	for _, oid := range oids {
-		s := m.place.Get(oid)
-		s.moved = 0
-		m.place.Set(oid, s)
-	}
+	return cursor, fits
 }
 
 // FlushGCDirty writes back every page dirtied under the IOGC class that is
@@ -544,6 +589,7 @@ func (m *Manager) FlushGCDirty() (int, error) {
 		return 0, fmt.Errorf("storage: flush collector pages: %w", err)
 	}
 	n := m.buf.cleanGC()
+	m.placed = noPage
 	m.stats.GCWrites += uint64(n)
 	return n, nil
 }
@@ -555,6 +601,7 @@ func (m *Manager) FlushAll() (int, error) {
 		return 0, fmt.Errorf("storage: flush all: %w", err)
 	}
 	n := 0
+	m.placed = noPage
 	for _, pg := range m.buf.DirtyPages() {
 		if m.buf.Clean(pg) {
 			m.charge(false)
@@ -574,17 +621,16 @@ func (m *Manager) BufferContents() []PageID { return m.buf.Pages() }
 func (m *Manager) CheckInvariants() error {
 	//lint:allow hotpath validation sweep: one count array per call
 	perPart := make([]int, len(m.parts))
+	placed := 0
 	var err error
-	m.place.ForEach(func(oid objstore.OID, s slot) {
-		if err != nil {
+	m.store.ForEach(func(o *objstore.Object) {
+		if err != nil || o.PartPlus1 == 0 {
 			return
 		}
-		if s.moved != 0 {
-			err = fmt.Errorf("storage: %v still carries a compaction flag", oid)
-			return
-		}
-		if err = m.checkPlacement(oid, m.placement(s)); err == nil {
-			perPart[s.part] += int(s.size)
+		pl := m.placement(o)
+		if err = m.checkPlacement(o.OID, pl); err == nil {
+			perPart[pl.Part] += pl.Size
+			placed++
 		}
 	})
 	if err != nil {
@@ -611,8 +657,8 @@ func (m *Manager) CheckInvariants() error {
 	}
 	// Every listed object is placed where it is listed and no list repeats
 	// one, so equal counts mean no placement is missing from its list.
-	if listed != m.place.Len() {
-		return fmt.Errorf("storage: %d placements but the partitions list %d objects", m.place.Len(), listed)
+	if listed != placed {
+		return fmt.Errorf("storage: %d placements but the partitions list %d objects", placed, listed)
 	}
 	if total != m.occupied {
 		return fmt.Errorf("storage: occupied total %d but partitions sum to %d", m.occupied, total)

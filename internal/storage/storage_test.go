@@ -473,7 +473,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	if _, err := m.Allocate(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	m.place.Set(1, slot{part: 0, offset: 95, size: 10}) // spans boundary
+	m.store.Get(1).Offset = 95 // spans boundary
 	err := m.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "spans") {
 		t.Errorf("corruption not detected: %v", err)
@@ -517,5 +517,68 @@ func TestCheckInvariantsCrossChecksTotals(t *testing.T) {
 	objs[0], objs[1] = objs[1], objs[0]
 	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Errorf("unsorted member list not detected: %v", err)
+	}
+}
+
+// TestPlaceAfterCompactionDropsItsPage: Place skips the pool when the object
+// lands on the page it pinned last, which is exact only while that page is
+// still the pool's dirty front frame. A compaction that keeps nothing drops
+// the partition's pages without pinning any; the next placement on page 0
+// must bring it back, dirty.
+func TestPlaceAfterCompactionDropsItsPage(t *testing.T) {
+	m := newTestManager(t, tinyConfig())
+	if _, err := m.Allocate(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Compact(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.BufferContents(); len(got) != 0 {
+		t.Fatalf("fixture: buffer holds %v after the compaction", got)
+	}
+	if _, err := m.Allocate(2, 10); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.BufferContents(); !reflect.DeepEqual(got, []PageID{{0, 0}}) || !m.buf.IsDirty(PageID{0, 0}) {
+		t.Errorf("after placing on the dropped page the buffer holds %v (dirty %v), want p0/0 dirty", got, m.buf.IsDirty(PageID{0, 0}))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPlaceRepinsWhatChanged: Place skips pinning the page it pinned last,
+// which is exact only until something else happens to the pool. After a pin
+// of another page, a flush that cleans the page, or a switch of I/O class, the
+// next placement on that page must pin it as Allocate always did: back in
+// front, dirty, and collector-dirty when placed under IOGC.
+func TestPlaceRepinsWhatChanged(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		class   IOClass
+		between func(m *Manager)
+	}{
+		{"another page pinned", IOApp, func(m *Manager) { _ = m.Touch(1, false) }},
+		{"flushed", IOApp, func(m *Manager) { _, _ = m.FlushAll() }},
+		{"collector pages flushed", IOGC, func(m *Manager) { _, _ = m.FlushGCDirty() }},
+		{"class switched", IOApp, func(m *Manager) { m.SetIOClass(IOGC) }},
+	} {
+		m := newTestManager(t, Config{PageSize: 100, PagesPerPartition: 4, BufferPages: 1})
+		m.SetIOClass(tc.class)
+		if _, err := m.Allocate(1, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Allocate(2, 95); err != nil { // past p0/0's 90 free bytes
+			t.Fatal(err)
+		}
+		tc.between(m) // p0/1, where object 2 went, is the page placed last
+		if _, err := m.Allocate(3, 5); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Snapshot()
+		wantGC := m.IOClass() == IOGC
+		if len(st.Buffer) != 1 || st.Buffer[0] != (FrameState{Page: PageID{0, 1}, Dirty: true}) || (len(st.GCDirty) == 1) != wantGC {
+			t.Errorf("%s: buffer %+v, collector-dirty %v; want p0/1 dirty (collector-dirty %v)", tc.name, st.Buffer, st.GCDirty, wantGC)
+		}
 	}
 }

@@ -267,7 +267,7 @@ func Validate(t *Trace) error {
 		switch e.Kind {
 		case KindCreate:
 			if _, err := st.CreateWithOID(e.OID, e.Class, e.Size, e.Slots); err != nil {
-				if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSlotRange) {
+				if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSizeRange) || errors.Is(err, objstore.ErrSlotRange) {
 					// No generator skips that far ahead or builds one that wide: damage.
 					err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
 				}
@@ -294,7 +294,7 @@ func Validate(t *Trace) error {
 				if o == nil {
 					return fmt.Errorf("event %d: dead annotation for absent object %v", i, d.OID)
 				}
-				if o.Size != d.Size {
+				if int(o.Size) != d.Size {
 					return fmt.Errorf("event %d: dead annotation size %d for %v, store has %d",
 						i, d.Size, d.OID, o.Size)
 				}

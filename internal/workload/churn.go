@@ -216,7 +216,7 @@ func (g *churnGen) replace() error {
 			return fmt.Errorf("workload: replaced file %v vanished", oldFile)
 		}
 		ev.Dead = g.tr.Dead(1)
-		ev.Dead[0] = trace.DeadObject{OID: oldFile, Size: f.Size}
+		ev.Dead[0] = trace.DeadObject{OID: oldFile, Size: int(f.Size)}
 	}
 	g.tr.Append(ev)
 	return nil

@@ -117,7 +117,7 @@ func (g *queueGen) appendEntry() error {
 	if err != nil {
 		return err
 	}
-	g.tr.Append(trace.Event{Kind: trace.KindCreate, OID: e.OID, Class: e.Class, Size: e.Size, Slots: 1})
+	g.tr.Append(trace.Event{Kind: trace.KindCreate, OID: e.OID, Class: e.Class, Size: int(e.Size), Slots: 1})
 	if n := len(g.live); n > 0 {
 		prev := g.live[n-1]
 		if _, err := g.st.SetSlot(prev, 0, e.OID); err != nil {
@@ -149,7 +149,7 @@ func (g *queueGen) trimTail() error {
 		return fmt.Errorf("workload: queue entry %v vanished", oldest)
 	}
 	dead := g.tr.Dead(1)
-	dead[0] = trace.DeadObject{OID: oldest, Size: o.Size}
+	dead[0] = trace.DeadObject{OID: oldest, Size: int(o.Size)}
 	g.tr.Append(trace.Event{Kind: trace.KindOverwrite, OID: g.anchor, Slot: 0, Old: old, New: second, Dead: dead})
 	g.live = g.live[1:]
 	return nil
@@ -166,7 +166,7 @@ func (g *queueGen) fill() error {
 		return err
 	}
 	g.anchor = a.OID
-	g.tr.Append(trace.Event{Kind: trace.KindCreate, OID: a.OID, Class: a.Class, Size: a.Size, Slots: 1})
+	g.tr.Append(trace.Event{Kind: trace.KindCreate, OID: a.OID, Class: a.Class, Size: int(a.Size), Slots: 1})
 	if err := g.st.AddRoot(a.OID); err != nil {
 		return err
 	}
@@ -213,7 +213,7 @@ func (g *queueGen) drain() error {
 		return fmt.Errorf("workload: queue entry %v vanished", last)
 	}
 	dead := g.tr.Dead(1)
-	dead[0] = trace.DeadObject{OID: last, Size: o.Size}
+	dead[0] = trace.DeadObject{OID: last, Size: int(o.Size)}
 	g.tr.Append(trace.Event{Kind: trace.KindOverwrite, OID: g.anchor, Slot: 0, Old: old, New: objstore.NilOID, Dead: dead})
 	g.live = nil
 	return nil
