@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"odbgc/internal/experiments"
-	"odbgc/internal/fault"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
 )
@@ -52,8 +51,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 1, "base seed")
 		csvdir  = fs.String("csvdir", "", "directory to write per-figure CSV series into")
 		plots   = fs.Bool("plot", false, "render each figure as an ASCII chart")
-		faultPr = fs.String("fault-profile", "off", "run every batch under a fault-injection profile: "+strings.Join(fault.ProfileNames(), ", "))
-		faultSd = fs.Int64("fault-seed", 1, "base seed for fault schedules (run i of a batch uses seed+i)")
 		evDir   = fs.String("events-dir", "", "write per-run JSONL event logs under this directory (see cmd/obsdump)")
 		manDir  = fs.String("manifest-dir", "", "write a provenance manifest per experiment into this directory")
 		par     = fs.Int("parallel", 0, "max concurrent runs per batch (0 = GOMAXPROCS)")
@@ -72,22 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *par < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", *par)
-	}
-
-	profile, err := fault.LookupProfile(*faultPr)
-	if err != nil {
-		return err
-	}
-	// The runner hands storage faults to every run's sim.Config; the other
-	// classes wrap layers only gcsim builds.
-	const refused = "-fault-profile %s: experiments applies storage faults only; %s faults are applied by %s"
-	switch {
-	case profile.Estimator():
-		return fmt.Errorf(refused, profile.Name, "estimator", "gcsim -policy saga, pi or coupled")
-	case profile.Trace():
-		return fmt.Errorf(refused, profile.Name, "trace", "gcsim replaying a trace file")
-	case profile.Disk():
-		return fmt.Errorf(refused, profile.Name, "disk", "gcsim -data-dir")
 	}
 
 	names := experiments.Names()
@@ -109,8 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Connectivity: *conn,
 		Runs:         *runs,
 		SeedBase:     *seed,
-		FaultProfile: profile,
-		FaultSeed:    *faultSd,
 		EventsDir:    *evDir,
 		Parallel:     *par,
 	})
@@ -149,9 +128,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				Tool:   "experiments",
 				Config: obs.FlagKVs(fs),
 				Seed:   *seed,
-			}
-			if profile.Storage() {
-				m.FaultSeed = *faultSd
 			}
 			if csvPath != "" {
 				if err := m.AddArtifact(csvPath); err != nil {

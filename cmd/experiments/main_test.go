@@ -139,15 +139,14 @@ func TestExperimentsEventsAndManifest(t *testing.T) {
 	}
 }
 
-// TestExperimentsChaosParallelismIsInvisible: a sweep under bursts of storage
-// faults writes the same CSV bytes, and so the same manifest artifact digest,
-// whether its runs go one at a time or two at a time.
+// TestExperimentsChaosParallelismIsInvisible: a sweep writes the same CSV
+// bytes, and so the same manifest artifact digest, whether its runs go one at
+// a time or two at a time.
 func TestExperimentsChaosParallelismIsInvisible(t *testing.T) {
 	sweep := func(parallel string) ([]byte, string) {
 		csvDir, manDir := t.TempDir(), t.TempDir()
 		var stdout, stderr bytes.Buffer
-		err := run(context.Background(), []string{"-run", "fig4", "-runs", "2",
-			"-fault-profile", "burst-io", "-fault-seed", "11", "-parallel", parallel,
+		err := run(context.Background(), []string{"-run", "fig4", "-runs", "2", "-parallel", parallel,
 			"-csvdir", csvDir, "-manifest-dir", manDir}, &stdout, &stderr)
 		if err != nil {
 			t.Fatalf("-parallel %s: %v", parallel, err)
@@ -221,31 +220,5 @@ func TestExperimentsInterrupt(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s does not validate: %v", path, err)
 		}
-	}
-}
-
-// TestExperimentsRefusesUnappliedFaults: the runner applies storage faults
-// only, so a profile of another class is refused with the tool that applies
-// it, before any run and before any CSV or manifest is written.
-func TestExperimentsRefusesUnappliedFaults(t *testing.T) {
-	for _, c := range []struct{ profile, class string }{
-		{"estimator-dropout", "estimator faults"},
-		{"trace-corrupt", "trace faults"},
-		{"disk-chaos", "disk faults"},
-	} {
-		t.Run(c.profile, func(t *testing.T) {
-			csvDir, manDir := t.TempDir(), t.TempDir()
-			var stdout, stderr bytes.Buffer
-			err := run(context.Background(), []string{"-run", "fig1", "-runs", "1",
-				"-fault-profile", c.profile, "-csvdir", csvDir, "-manifest-dir", manDir}, &stdout, &stderr)
-			if err == nil || !strings.Contains(err.Error(), c.class) || !strings.Contains(err.Error(), "gcsim") {
-				t.Fatalf("error %v, want one naming %s and gcsim", err, c.class)
-			}
-			for _, dir := range []string{csvDir, manDir} {
-				if files, _ := os.ReadDir(dir); len(files) != 0 {
-					t.Errorf("refused run wrote %v into %s", files, dir)
-				}
-			}
-		})
 	}
 }

@@ -8,7 +8,7 @@
 //	gcsim -policy saga -frac 0.05 -estimator fgs-hb -history 0.8 trace.odbt
 //	gcsim -policy fixed -interval 200 -phases -dist trace.odbt
 //	gcsim -compare "saio:0.1,saga:0.1:oracle,pi:0.1,fixed:300,never"
-//	gcsim -fault-profile flaky-io -fault-seed 7       # chaos run
+//	gcsim -policy saga -fault-profile estimator-dropout -fault-seed 7  # chaos run
 //
 // If no trace file is given, a fresh OO7 trace is generated in memory
 // (flags -conn and -seed control it); trace files are replayed as streams.
@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	faultsOn := profile.Storage() || profile.Estimator() || profile.Trace() || profile.Disk()
+	faultsOn := profile.Estimator() || profile.Trace() || profile.Disk()
 
 	if *compare != "" {
 		if faultsOn {
@@ -142,8 +142,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Selection:           sel,
 		PreambleCollections: *preamble,
 		PhysicalFixups:      *fixups,
-		FaultProfile:        profile,
-		FaultSeed:           *faultSeed,
 	}
 
 	var durable *disk.Store
@@ -304,11 +302,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	printSummary(stdout, res)
-	if inj := s.Injector(); inj != nil {
-		st := inj.Stats()
-		fmt.Fprintf(stdout, "fault injection:   %s: %d of %d storage ops failed transiently (%d bursts)\n",
-			profile.Name, st.Injected, st.Ops, st.Bursts)
-	}
 	if chaos != nil {
 		fmt.Fprintf(stdout, "estimator chaos:   %d signals dropped, %d garbled\n", chaos.Dropped(), chaos.Garbled())
 	}

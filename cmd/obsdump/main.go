@@ -127,9 +127,6 @@ func render(e *obs.Envelope) string {
 	case obs.TypeRunStart:
 		s := *e.RunStart
 		line := fmt.Sprintf("run_start   policy=%s selection=%s preamble=%d", s.Policy, s.Selection, s.Preamble)
-		if s.FaultProfile != "" {
-			line += fmt.Sprintf(" faults=%s seed=%d", s.FaultProfile, s.FaultSeed)
-		}
 		if s.Resumed > 0 {
 			line += fmt.Sprintf(" resumed@%d", s.Resumed)
 		}
@@ -149,13 +146,6 @@ func render(e *obs.Envelope) string {
 		c := *e.Collection
 		return fmt.Sprintf("collection  #%d @%d %s part=%d reclaimed=%dB (%d objs) live=%dB garbage=%.3f interval=%d",
 			c.Index, c.Step, c.Phase, c.Partition, c.ReclaimedBytes, c.ReclaimedObjects, c.LiveBytes, float64(c.GarbageFrac), c.Interval)
-	case obs.TypeFault:
-		ft := *e.Fault
-		tag := ""
-		if ft.Burst {
-			tag = " burst"
-		}
-		return fmt.Sprintf("fault       @%d %s op#%d%s", ft.Step, ft.Op, ft.Seq, tag)
 	case obs.TypeCheckpoint:
 		c := *e.Checkpoint
 		return fmt.Sprintf("checkpoint  @%d %s", c.Step, c.Op)

@@ -23,7 +23,6 @@ func writeLog(t *testing.T) string {
 	w.ObservePhase(obs.PhaseChange{Step: 0, Label: "GenDB"})
 	w.ObserveDecision(obs.Decision{Step: 40, Collected: true, DBBytes: 1000, GarbageBytes: 100})
 	w.ObserveCollection(obs.Collection{Index: 1, Step: 40, Phase: "GenDB", ReclaimedBytes: 90})
-	w.ObserveFault(obs.Fault{Step: 41, Op: "read", Seq: 7, Burst: true})
 	w.ObserveCheckpoint(obs.CheckpointMark{Step: 50, Op: "save"})
 	w.ObserveProgress(obs.Progress{Step: 1000, Collections: 1, Phase: "GenDB"})
 	w.ObserveRunEnd(obs.RunEnd{Events: 1200, Collections: 1, Reclaimed: 90})
@@ -44,7 +43,6 @@ func TestObsdumpPrettyPrint(t *testing.T) {
 		"run_start   policy=saio(10%)",
 		`phase       @0 "GenDB"`,
 		"collection  #1 @40 GenDB",
-		"fault       @41 read op#7 burst",
 		"checkpoint  @50 save",
 		"run_end     events=1200",
 	} {
@@ -80,7 +78,7 @@ func TestObsdumpStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "events: 8") || !strings.Contains(out, "summary: 1200 trace events") {
+	if !strings.Contains(out, "events: 7") || !strings.Contains(out, "summary: 1200 trace events") {
 		t.Errorf("stats output wrong:\n%s", out)
 	}
 	// One collection: no distribution lines for a single sample.
@@ -128,13 +126,13 @@ func TestObsdumpCheck(t *testing.T) {
 	if err := run([]string{"-check", path}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stdout.String(), "ok: 8 events") {
+	if !strings.Contains(stdout.String(), "ok: 7 events") {
 		t.Errorf("check verdict wrong: %s", stdout.String())
 	}
 
 	// A corrupt log must fail the check.
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(bad, []byte(`{"v":1,"seq":3,"type":"fault","fault":{"step":1,"op":"read","seq":2}}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"v":1,"seq":3,"type":"checkpoint","checkpoint":{"step":1,"op":"save"}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-check", bad}, &stdout, &stderr); err == nil {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"odbgc/internal/core"
-	"odbgc/internal/fault"
 	"odbgc/internal/metrics"
 	"odbgc/internal/oo7"
 	"odbgc/internal/plot"
@@ -31,12 +30,6 @@ type Options struct {
 	SeedBase int64
 	// Preamble is the cold-start exclusion in collections (default 10).
 	Preamble int
-	// FaultProfile runs every batch under fault injection (see
-	// internal/fault); the zero value injects nothing.
-	FaultProfile fault.Profile
-	// FaultSeed is the base seed for fault schedules; run i of a batch uses
-	// FaultSeed+i.
-	FaultSeed int64
 	// EventsDir writes each simulated run's structured JSONL event log under
 	// EventsDir/<experiment>-batchNNN/run-NNN.jsonl (see internal/obs).
 	EventsDir string
@@ -156,12 +149,9 @@ type Runner struct {
 }
 
 // runMany is sim.RunManyContext with the caller's context and the runner's
-// fault-injection and concurrency options applied. Each batch within an
-// experiment gets its own event-log subdirectory, numbered in execution
-// order.
+// concurrency option applied. Each batch within an experiment gets its own
+// event-log subdirectory, numbered in execution order.
 func (r *Runner) runMany(ctx context.Context, cfg sim.RunnerConfig) (*sim.MultiResult, error) {
-	cfg.FaultProfile = r.opts.FaultProfile
-	cfg.FaultSeed = r.opts.FaultSeed
 	cfg.Parallel = r.opts.Parallel
 	if r.opts.EventsDir != "" {
 		r.batch++

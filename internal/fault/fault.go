@@ -1,13 +1,16 @@
-// Package fault is a deterministic, seedable fault injector for the
-// simulator's three signal paths:
+// Package fault is a deterministic, seedable fault injector for the seams
+// where a real fault can happen:
 //
-//   - storage I/O: the Injector implements the storage.FaultInjector
-//     contract structurally (BeforeOp) and produces transient read/write
-//     errors with configurable probabilities and burst patterns;
 //   - the trace stream: CorruptReader wraps any io.Reader with truncation,
 //     bit-flip corruption, and premature EOF;
 //   - the estimator signal: ChaosEstimator wraps any core.Estimator and
-//     replaces its output with NaN or garbage values.
+//     replaces its output with NaN or garbage values;
+//   - the disk backend: DiskChaos wraps a disk.FS with torn writes, lying
+//     fsyncs, short reads and bit rot;
+//   - the network: NetChaos drives the load generator's slow, dropped,
+//     malformed and bursty requests.
+//
+// The simulated storage manager does no I/O, so it gets no faults.
 //
 // Everything is driven by a splitmix64 generator whose entire state is one
 // uint64, so fault schedules are reproducible from a seed and
@@ -15,35 +18,6 @@
 // seed always yields the same faults, which is what makes chaos runs
 // regression-testable.
 package fault
-
-import (
-	"errors"
-	"fmt"
-)
-
-// TransientError marks an injected fault that is expected to succeed on
-// retry (the storage layer checks faults before mutating state, so the same
-// operation can safely run again). Use IsTransient to classify.
-type TransientError struct {
-	Op    string // operation kind: "read" or "write"
-	Seq   uint64 // how many operations the injector had seen when it fired
-	Burst bool   // whether the fault was part of a burst
-}
-
-// Error implements error.
-func (e *TransientError) Error() string {
-	kind := "fault"
-	if e.Burst {
-		kind = "burst fault"
-	}
-	return fmt.Sprintf("fault: transient %s %s at op %d", e.Op, kind, e.Seq)
-}
-
-// IsTransient reports whether err is (or wraps) an injected transient fault.
-func IsTransient(err error) bool {
-	var te *TransientError
-	return errors.As(err, &te)
-}
 
 // rng is a splitmix64 generator. It is its own state, so it sits in a
 // component's state struct and resumed runs replay the identical fault

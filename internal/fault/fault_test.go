@@ -2,182 +2,13 @@ package fault
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"testing"
-	"time"
 
 	"odbgc/internal/core"
 	"odbgc/internal/gc"
 )
-
-func TestIsTransient(t *testing.T) {
-	te := &TransientError{Op: "read", Seq: 3}
-	if !IsTransient(te) {
-		t.Fatal("bare TransientError not classified")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", te)) {
-		t.Fatal("wrapped TransientError not classified")
-	}
-	if IsTransient(errors.New("disk on fire")) {
-		t.Fatal("ordinary error classified as transient")
-	}
-	if IsTransient(nil) {
-		t.Fatal("nil classified as transient")
-	}
-}
-
-func TestInjectorDeterministic(t *testing.T) {
-	profile, err := LookupProfile("flaky-io")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(seed int64) []bool {
-		in := NewInjector(profile, seed)
-		out := make([]bool, 2000)
-		for i := range out {
-			out[i] = in.BeforeOp(i%3 == 0) != nil
-		}
-		return out
-	}
-	a, b := run(42), run(42)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different fault schedules")
-	}
-	c := run(43)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical fault schedules")
-	}
-	count := 0
-	for _, f := range a {
-		if f {
-			count++
-		}
-	}
-	// ~1% reads + ~2% writes over 2000 ops: expect faults, but not a flood.
-	if count == 0 || count > 200 {
-		t.Fatalf("flaky-io injected %d/2000 faults, outside sane range", count)
-	}
-}
-
-func TestInjectorBursts(t *testing.T) {
-	p := Profile{BurstProb: 0.01, BurstLen: 4}
-	in := NewInjector(p, 7)
-	var runs []int
-	cur := 0
-	for i := 0; i < 10000; i++ {
-		if in.BeforeOp(false) != nil {
-			cur++
-		} else if cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
-		}
-	}
-	if len(runs) == 0 {
-		t.Fatal("no bursts fired in 10000 ops at 1% burst probability")
-	}
-	for _, r := range runs {
-		// Bursts are 4 ops; adjacent bursts can chain into multiples of
-		// longer runs, but a lone 1..3-run means the burst logic broke.
-		if r < p.BurstLen {
-			t.Fatalf("burst run of %d ops, want >= %d", r, p.BurstLen)
-		}
-	}
-	st := in.Stats()
-	if st.Bursts == 0 || st.Injected < uint64(len(runs)*p.BurstLen) {
-		t.Fatalf("stats inconsistent with observed bursts: %+v vs %d runs", st, len(runs))
-	}
-}
-
-func TestInjectorSnapshotResumesFaultStream(t *testing.T) {
-	profile := Profile{ReadErrProb: 0.05, WriteErrProb: 0.05, BurstProb: 0.005, BurstLen: 3}
-	in := NewInjector(profile, 99)
-	for i := 0; i < 500; i++ {
-		in.BeforeOp(i%2 == 0)
-	}
-	snap := in.Snapshot()
-
-	tail := func(in *Injector) []bool {
-		out := make([]bool, 500)
-		for i := range out {
-			out[i] = in.BeforeOp(i%2 == 0) != nil
-		}
-		return out
-	}
-	want := tail(in)
-
-	resumed := NewInjector(profile, 0) // seed irrelevant: state overwritten
-	if err := resumed.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := tail(resumed); !reflect.DeepEqual(got, want) {
-		t.Fatal("restored injector diverged from original fault stream")
-	}
-	if err := resumed.Restore(InjectorState{BurstLeft: -1}); err == nil {
-		t.Fatal("accepted negative burstLeft")
-	}
-}
-
-func TestRetryRecoversFromTransients(t *testing.T) {
-	calls := 0
-	err := DefaultRetry.Do("scan", func() error {
-		calls++
-		if calls < 3 {
-			return &TransientError{Op: "read", Seq: uint64(calls)}
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d, want success on 3rd call", err, calls)
-	}
-}
-
-func TestRetryGivesUpAndWraps(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 3}
-	calls := 0
-	err := cfg.Do("flush", func() error {
-		calls++
-		return &TransientError{Op: "write", Seq: uint64(calls)}
-	})
-	if calls != 3 {
-		t.Fatalf("calls=%d, want 3", calls)
-	}
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("give-up error should wrap the transient fault, got %v", err)
-	}
-}
-
-func TestRetryPassesThroughPermanentErrors(t *testing.T) {
-	boom := errors.New("corrupt superblock")
-	calls := 0
-	err := DefaultRetry.Do("scan", func() error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) || calls != 1 {
-		t.Fatalf("err=%v calls=%d, want immediate pass-through", err, calls)
-	}
-}
-
-func TestRetryBackoffSchedule(t *testing.T) {
-	var delays []time.Duration
-	cfg := RetryConfig{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    4 * time.Millisecond,
-		Sleep:       func(d time.Duration) { delays = append(delays, d) },
-	}
-	_ = cfg.Do("op", func() error { return &TransientError{} })
-	want := []time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond,
-	}
-	if !reflect.DeepEqual(delays, want) {
-		t.Fatalf("backoff schedule %v, want %v", delays, want)
-	}
-}
 
 func TestCorruptReaderTruncates(t *testing.T) {
 	src := bytes.Repeat([]byte{0xAA}, 1000)

@@ -13,12 +13,6 @@ type Profile struct {
 	Name        string
 	Description string
 
-	// Storage I/O faults.
-	ReadErrProb  float64 // per-read probability of a transient error
-	WriteErrProb float64 // per-write probability of a transient error
-	BurstProb    float64 // per-op probability that a burst starts
-	BurstLen     int     // ops that fail once a burst starts
-
 	// Estimator signal faults.
 	EstNaNProb     float64 // per-estimate probability of returning NaN
 	EstGarbageProb float64 // per-estimate probability of a garbage value
@@ -32,11 +26,6 @@ type Profile struct {
 	FsyncLieProb  float64 // per-sync probability of lying about durability
 	ShortReadProb float64 // per-read probability of returning fewer bytes
 	BitRotProb    float64 // per-read probability of one flipped bit
-}
-
-// Storage reports whether the profile injects storage I/O faults.
-func (p Profile) Storage() bool {
-	return p.ReadErrProb > 0 || p.WriteErrProb > 0 || p.BurstProb > 0
 }
 
 // Estimator reports whether the profile injects estimator signal faults.
@@ -62,18 +51,6 @@ var profiles = map[string]Profile{
 		Name:        "off",
 		Description: "no faults (the default)",
 	},
-	"flaky-io": {
-		Name:         "flaky-io",
-		Description:  "independent transient storage errors (1% reads, 2% writes)",
-		ReadErrProb:  0.01,
-		WriteErrProb: 0.02,
-	},
-	"burst-io": {
-		Name:        "burst-io",
-		Description: "storage error bursts: 0.2% chance per op of 5 consecutive failures",
-		BurstProb:   0.002,
-		BurstLen:    5,
-	},
 	"trace-corrupt": {
 		Name:              "trace-corrupt",
 		Description:       "trace stream truncated at 90% with sparse bit flips",
@@ -93,18 +70,6 @@ var profiles = map[string]Profile{
 		Description:    "garbage-signal dropout: 10% NaN, 5% garbage estimates",
 		EstNaNProb:     0.10,
 		EstGarbageProb: 0.05,
-	},
-	"everything": {
-		Name:           "everything",
-		Description:    "all fault classes at once",
-		ReadErrProb:    0.01,
-		WriteErrProb:   0.02,
-		BurstProb:      0.001,
-		BurstLen:       3,
-		EstNaNProb:     0.05,
-		EstGarbageProb: 0.05,
-		// Trace faults are left off here: "everything" targets live runs,
-		// which would not finish on a truncated trace.
 	},
 }
 

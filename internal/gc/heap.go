@@ -569,9 +569,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}
 
 	// Write back what the collector dirtied.
-	if _, err := h.disk.FlushGCDirty(); err != nil {
-		return CollectionResult{}, err
-	}
+	h.disk.FlushGCDirty()
 
 	po := counter(h.po, p)
 	if po != 0 {

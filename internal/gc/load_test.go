@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -108,32 +107,20 @@ func TestLoadRefusalsAreTheSinglePassOnes(t *testing.T) {
 		return storage.ObjectState{OID: oid, Size: 10, Slots: slots}
 	}
 	for _, tc := range []struct {
-		name      string
-		failPlace int // the placement to fail, 0 for none
-		objs      []storage.ObjectState
-		want      string
+		name string
+		objs []storage.ObjectState
+		want string
 	}{
-		{"a placement fault", 3, []storage.ObjectState{obj(1), obj(2), obj(3), obj(4)},
-			"gc: load oid:3: storage: allocate oid:3: injected placement fault"},
-		{"a placement fault in OID order", 2, []storage.ObjectState{obj(5), obj(1), obj(4)},
-			"gc: load oid:4: storage: allocate oid:4: injected placement fault"},
-		{"a placement fault before a dangling slot target", 2, []storage.ObjectState{obj(1, 7), obj(2)},
-			"gc: load oid:2: storage: allocate oid:2: injected placement fault"},
-		{"an object placement refuses", 0, []storage.ObjectState{obj(1), {OID: 2}},
+		{"a placement refusal", []storage.ObjectState{obj(1), obj(2), {OID: 3}, obj(4)},
+			"gc: load oid:3: storage: allocate oid:3 with size 0"},
+		{"a placement refusal in OID order", []storage.ObjectState{obj(1), {OID: 5}, obj(2), {OID: 4}},
+			"gc: load oid:4: storage: allocate oid:4 with size 0"},
+		{"a placement refusal before a dangling slot target", []storage.ObjectState{obj(1, 7), {OID: 2}},
 			"gc: load oid:2: storage: allocate oid:2 with size 0"},
-		{"a dangling slot target", 0, []storage.ObjectState{obj(1, 2, 7), obj(2)},
+		{"a dangling slot target", []storage.ObjectState{obj(1, 2, 7), obj(2)},
 			"gc: load oid:1: slot target oid:7 does not exist"},
 	} {
 		h := testHeap(t)
-		if tc.failPlace > 0 {
-			ops := 0
-			h.disk.SetFaultInjector(faultFunc(func(bool) error {
-				if ops++; ops == tc.failPlace {
-					return errors.New("injected placement fault")
-				}
-				return nil
-			}))
-		}
 		err := h.Load(storeOf(t, tc.objs...))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("load of %s:\n got %v\nwant %s", tc.name, err, tc.want)

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -98,61 +97,3 @@ func TestRestoreHeapRejectsCorruptSnapshot(t *testing.T) {
 		t.Error("nil snapshot accepted")
 	}
 }
-
-// TestCollectRetryHook verifies a retrier installed around the fault injector
-// sees the collector's storage operations and that a retried transient fault
-// leaves the collection result intact.
-func TestCollectRetryHook(t *testing.T) {
-	h := buildSnapshotHeap(t)
-	ref, err := RestoreHeap(h.Snapshot()) // identical twin collected without faults
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	transient := errors.New("transient")
-	remaining := 2 // fail the first two storage ops once each
-	var ops []string
-	faulty := faultFunc(func(write bool) error {
-		if remaining > 0 {
-			remaining--
-			return transient
-		}
-		return nil
-	})
-	h.Disk().SetFaultInjector(faultFunc(func(write bool) error {
-		ops = append(ops, map[bool]string{false: "read", true: "write"}[write])
-		for {
-			err := faulty(write)
-			if err == nil {
-				return nil
-			}
-			if !errors.Is(err, transient) {
-				return err
-			}
-		}
-	}))
-
-	p := mustPart(t, h, 3)
-	res, err := h.Collect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Collect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ReclaimedBytes != want.ReclaimedBytes || res.ReclaimedObjects != want.ReclaimedObjects {
-		t.Fatalf("faulted collection reclaimed %+v, fault-free twin %+v", res, want)
-	}
-	if len(ops) == 0 {
-		t.Fatal("retry hook never invoked")
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// faultFunc adapts a function to storage.FaultInjector.
-type faultFunc func(write bool) error
-
-func (f faultFunc) BeforeOp(write bool) error { return f(write) }

@@ -47,7 +47,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE " + MetricEvents + " counter",
 		MetricCollections + " 1",
-		MetricFaults + " 1",
 		"# TYPE " + MetricIntervalHist + " histogram",
 		MetricIntervalHist + `_bucket{le="+Inf"} 1`,
 	} {

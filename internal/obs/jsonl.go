@@ -57,7 +57,6 @@ const (
 	TypePhase      = "phase"
 	TypeDecision   = "decision"
 	TypeCollection = "collection"
-	TypeFault      = "fault"
 	TypeCheckpoint = "checkpoint"
 	TypeProgress   = "progress"
 	TypeRunEnd     = "run_end"
@@ -66,7 +65,7 @@ const (
 // EventTypes lists every valid event type tag.
 func EventTypes() []string {
 	return []string{TypeRunStart, TypePhase, TypeDecision, TypeCollection,
-		TypeFault, TypeCheckpoint, TypeProgress, TypeRunEnd}
+		TypeCheckpoint, TypeProgress, TypeRunEnd}
 }
 
 // Envelope is one decoded JSONL line: the schema version, a sequence number
@@ -81,7 +80,6 @@ type Envelope struct {
 	Phase      *PhaseChange    `json:"phase,omitempty"`
 	Decision   *Decision       `json:"decision,omitempty"`
 	Collection *Collection     `json:"collection,omitempty"`
-	Fault      *Fault          `json:"fault,omitempty"`
 	Checkpoint *CheckpointMark `json:"checkpoint,omitempty"`
 	Progress   *Progress       `json:"progress,omitempty"`
 	RunEnd     *RunEnd         `json:"run_end,omitempty"`
@@ -98,7 +96,6 @@ func (e *Envelope) Validate() error {
 		TypePhase:      e.Phase != nil,
 		TypeDecision:   e.Decision != nil,
 		TypeCollection: e.Collection != nil,
-		TypeFault:      e.Fault != nil,
 		TypeCheckpoint: e.Checkpoint != nil,
 		TypeProgress:   e.Progress != nil,
 		TypeRunEnd:     e.RunEnd != nil,
@@ -207,9 +204,6 @@ func (w *JSONLWriter) ObserveDecision(e Decision) { w.emit(Envelope{Type: TypeDe
 func (w *JSONLWriter) ObserveCollection(e Collection) {
 	w.emit(Envelope{Type: TypeCollection, Collection: &e})
 }
-
-// ObserveFault implements Observer.
-func (w *JSONLWriter) ObserveFault(e Fault) { w.emit(Envelope{Type: TypeFault, Fault: &e}) }
 
 // ObserveCheckpoint implements Observer.
 func (w *JSONLWriter) ObserveCheckpoint(e CheckpointMark) {

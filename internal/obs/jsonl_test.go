@@ -13,7 +13,6 @@ func emitSample(o Observer) {
 	o.ObservePhase(PhaseChange{Step: 0, Label: "GenDB"})
 	o.ObserveDecision(Decision{Step: 12, Clock: Clock{AppIO: 9, Overwrites: 3}, DBBytes: 100, GarbageBytes: 10, Collected: true, Estimate: 11, Target: 10, NextInterval: 200})
 	o.ObserveCollection(Collection{Index: 1, Step: 12, Phase: "GenDB", Interval: 200, ReclaimedBytes: 512, DBBytes: 100, GarbageFrac: 0.1})
-	o.ObserveFault(Fault{Step: 13, Op: "read", Seq: 40})
 	o.ObserveCheckpoint(CheckpointMark{Step: 14, Op: "save"})
 	o.ObserveProgress(Progress{Step: 1000, Collections: 1, Phase: "GenDB"})
 	o.ObserveRunEnd(RunEnd{Events: 2000, Collections: 5, GarbageFrac: Float(math.NaN())})
@@ -32,7 +31,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTypes := []string{TypeRunStart, TypePhase, TypeDecision, TypeCollection,
-		TypeFault, TypeCheckpoint, TypeProgress, TypeRunEnd}
+		TypeCheckpoint, TypeProgress, TypeRunEnd}
 	if len(events) != len(wantTypes) {
 		t.Fatalf("got %d events, want %d", len(events), len(wantTypes))
 	}
@@ -47,8 +46,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := events[3].Collection.ReclaimedBytes; got != 512 {
 		t.Errorf("collection reclaimed = %d, want 512", got)
 	}
-	if !math.IsNaN(float64(events[7].RunEnd.GarbageFrac)) {
-		t.Errorf("NaN garbage frac did not round-trip: %v", events[7].RunEnd.GarbageFrac)
+	if !math.IsNaN(float64(events[6].RunEnd.GarbageFrac)) {
+		t.Errorf("NaN garbage frac did not round-trip: %v", events[6].RunEnd.GarbageFrac)
 	}
 }
 
@@ -102,11 +101,11 @@ func TestReadAllRejectsBadStreams(t *testing.T) {
 		input string
 		want  string
 	}{
-		{"bad version", `{"v":99,"seq":0,"type":"fault","fault":{"step":1,"op":"read","seq":2}}`, "schema version"},
+		{"bad version", `{"v":99,"seq":0,"type":"checkpoint","checkpoint":{"step":1,"op":"save"}}`, "schema version"},
 		{"unknown type", `{"v":1,"seq":0,"type":"mystery"}`, "unknown event type"},
-		{"missing payload", `{"v":1,"seq":0,"type":"fault"}`, "no \"fault\" payload"},
-		{"two payloads", `{"v":1,"seq":0,"type":"fault","fault":{"step":1,"op":"read","seq":2},"phase":{"step":0,"label":"x"}}`, "payloads"},
-		{"gap in seq", `{"v":1,"seq":5,"type":"fault","fault":{"step":1,"op":"read","seq":2}}`, "sequence"},
+		{"missing payload", `{"v":1,"seq":0,"type":"checkpoint"}`, "no \"checkpoint\" payload"},
+		{"two payloads", `{"v":1,"seq":0,"type":"checkpoint","checkpoint":{"step":1,"op":"save"},"phase":{"step":0,"label":"x"}}`, "payloads"},
+		{"gap in seq", `{"v":1,"seq":5,"type":"checkpoint","checkpoint":{"step":1,"op":"save"}}`, "sequence"},
 		{"not json", `garbage`, "line 1"},
 	}
 	for _, c := range cases {

@@ -8,7 +8,6 @@ const (
 	MetricCollections      = "odbgc_sim_collections_total"
 	MetricDecisions        = "odbgc_sim_decisions_total"
 	MetricReclaimed        = "odbgc_sim_reclaimed_bytes_total"
-	MetricFaults           = "odbgc_sim_faults_injected_total"
 	MetricCheckpoints      = "odbgc_sim_checkpoints_total"
 	MetricPhases           = "odbgc_sim_phase_transitions_total"
 	MetricDBBytes          = "odbgc_sim_database_bytes"
@@ -42,7 +41,6 @@ type Status struct {
 	// AchievedGCIOFrac is cumulative collector I/O over total I/O.
 	AchievedGCIOFrac Float  `json:"achieved_gc_io_frac"`
 	ReclaimedBytes   uint64 `json:"reclaimed_bytes"`
-	FaultsInjected   uint64 `json:"faults_injected"`
 	// Draining is true once graceful shutdown has begun: no new work is
 	// scheduled and in-flight runs are finishing.
 	Draining bool `json:"draining"`
@@ -71,7 +69,6 @@ func NewLive() *Live {
 		{MetricCollections, "garbage collections completed"},
 		{MetricDecisions, "policy decisions (collection attempts) taken"},
 		{MetricReclaimed, "bytes reclaimed by the collector"},
-		{MetricFaults, "storage faults injected"},
 		{MetricCheckpoints, "checkpoints saved or resumed"},
 		{MetricPhases, "application phase transitions"},
 	}
@@ -204,14 +201,6 @@ func (l *Live) ObserveCollection(e Collection) {
 	l.reg.Observe(MetricIntervalHist, float64(e.Interval))
 	l.reg.Observe(MetricYieldHist, float64(e.ReclaimedBytes))
 	l.reg.Observe(MetricCollectionIOHist, float64(e.IO.GCReads+e.IO.GCWrites))
-}
-
-// ObserveFault implements Observer.
-func (l *Live) ObserveFault(e Fault) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.st.FaultsInjected++
-	l.reg.Add(MetricFaults, 1)
 }
 
 // ObserveCheckpoint implements Observer.

@@ -1,7 +1,7 @@
 // Package obs is the simulator's zero-dependency observability layer:
 // typed observer hooks the simulation loop fires at its structural moments
-// (run start/end, policy decisions, collections, phase transitions, fault
-// injections, checkpoint save/resume), a structured JSONL event emitter
+// (run start/end, policy decisions, collections, phase transitions,
+// checkpoint save/resume), a structured JSONL event emitter
 // with a versioned byte-deterministic encoding, an in-process metrics
 // registry with Prometheus text-format exposition, and run provenance
 // manifests that make every persisted result attributable to the exact
@@ -24,6 +24,10 @@ import (
 
 // SchemaVersion identifies the JSONL event schema. Bump on any change to
 // event field sets or semantics; consumers reject versions they don't know.
+// It stayed 1 when the storage-fault event and run_start's optional
+// fault_profile and fault_seed left the schema: no field was added or changed
+// meaning, a run without faults emits the same bytes, and the `fault` line a
+// reader now refuses was written only by the deleted storage-fault profiles.
 const SchemaVersion = 1
 
 // ToolVersion names the emitting build in manifests. It is a hand-bumped
@@ -33,11 +37,9 @@ const ToolVersion = "odbgc-0.3.0"
 
 // RunStart announces a run's static configuration before the first event.
 type RunStart struct {
-	Policy       string `json:"policy"`
-	Selection    string `json:"selection"`
-	Preamble     int    `json:"preamble"`
-	FaultProfile string `json:"fault_profile,omitempty"`
-	FaultSeed    int64  `json:"fault_seed,omitempty"`
+	Policy    string `json:"policy"`
+	Selection string `json:"selection"`
+	Preamble  int    `json:"preamble"`
 	// Resumed is the checkpoint cursor when the run continues a prior one;
 	// zero for fresh runs.
 	Resumed int `json:"resumed,omitempty"`
@@ -156,14 +158,6 @@ func CollectionOf(c core.Collection, step int, phase string) Collection {
 	}
 }
 
-// Fault records one injected storage fault.
-type Fault struct {
-	Step  int    `json:"step"`
-	Op    string `json:"op"`  // "read" or "write"
-	Seq   uint64 `json:"seq"` // the injector's operation counter
-	Burst bool   `json:"burst,omitempty"`
-}
-
 // CheckpointMark records a checkpoint capture or a resume from one.
 type CheckpointMark struct {
 	Step int    `json:"step"`
@@ -204,7 +198,6 @@ type Observer interface {
 	ObservePhase(PhaseChange)
 	ObserveDecision(Decision)
 	ObserveCollection(Collection)
-	ObserveFault(Fault)
 	ObserveCheckpoint(CheckpointMark)
 	ObserveProgress(Progress)
 	ObserveRunEnd(RunEnd)
@@ -257,13 +250,6 @@ func (m Multi) ObserveDecision(e Decision) {
 func (m Multi) ObserveCollection(e Collection) {
 	for _, o := range m {
 		o.ObserveCollection(e)
-	}
-}
-
-// ObserveFault implements Observer.
-func (m Multi) ObserveFault(e Fault) {
-	for _, o := range m {
-		o.ObserveFault(e)
 	}
 }
 

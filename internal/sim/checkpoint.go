@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"odbgc/internal/core"
-	"odbgc/internal/fault"
 	"odbgc/internal/gc"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
@@ -17,9 +16,9 @@ import (
 
 // Checkpoint is a simulation's complete mid-run state: the heap (which
 // embeds the object store and physical storage), the policy and selection
-// controller state, every metrics accumulator, and the fault injector's
-// PRNG. Resuming from a checkpoint and replaying the remaining events
-// produces a Result bit-identical to the uninterrupted run.
+// controller state, and every metrics accumulator. Resuming from a checkpoint
+// and replaying the remaining events produces a Result bit-identical to the
+// uninterrupted run.
 //
 // The trace itself is not part of the checkpoint — the resuming caller
 // replays the same trace and skips the first Step events.
@@ -39,9 +38,6 @@ type Checkpoint struct {
 	PhaseGarb   metrics.MeanState
 	PhaseIOBase storage.IOStats
 	GarbBuckets []metrics.MeanState
-
-	// Injector is present when the run has storage faults configured.
-	Injector *fault.InjectorState
 
 	// Result is the summary-in-progress (events, collection records, phase
 	// marks). Final totals are recomputed by Finish.
@@ -100,10 +96,6 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	for _, m := range s.garbBuckets {
 		cp.GarbBuckets = append(cp.GarbBuckets, m.State())
 	}
-	if s.injector != nil {
-		st := s.injector.Snapshot()
-		cp.Injector = &st
-	}
 	if s.obs != nil {
 		s.obs.ObserveCheckpoint(obs.CheckpointMark{Step: s.step, Op: "save"})
 	}
@@ -157,6 +149,7 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 		collectSafe: cp.CollectSafe,
 		step:        cp.Step,
 		phaseIOBase: cp.PhaseIOBase,
+		obs:         cfg.Observer,
 		res:         res,
 	}
 	if n := len(res.Collections); n > 0 {
@@ -177,18 +170,6 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 		acc := cp.PhaseAcc
 		s.phaseAcc = &acc
 	}
-	if cfg.FaultProfile.Storage() {
-		s.injector = fault.NewInjector(cfg.FaultProfile, cfg.FaultSeed)
-		if cp.Injector != nil {
-			if err := s.injector.Restore(*cp.Injector); err != nil {
-				return nil, fmt.Errorf("sim: restoring fault injector: %w", err)
-			}
-		}
-		s.disk.SetFaultInjector(fault.Retrier{Injector: s.injector})
-	} else if cp.Injector != nil {
-		return nil, fmt.Errorf("sim: checkpoint carries fault-injector state but the config has no storage faults")
-	}
-	s.installObserver()
 	if s.obs != nil {
 		s.obs.ObserveRunStart(s.runStart(cp.Step))
 		s.obs.ObserveCheckpoint(obs.CheckpointMark{Step: cp.Step, Op: "resume"})

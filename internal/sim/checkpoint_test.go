@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
-	"odbgc/internal/fault"
 	"odbgc/internal/gc"
-	"odbgc/internal/oo7"
 	"odbgc/internal/simerr"
 	"odbgc/internal/trace"
 )
@@ -100,27 +98,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeWithFaults: the fault injector's PRNG state rides in
-// the checkpoint, so even the fault schedule resumes bit-identically.
-func TestCheckpointResumeWithFaults(t *testing.T) {
-	profile, err := fault.LookupProfile("flaky-io")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := smallTrace(t, 3, 12)
-	mkConfig := func() Config {
-		pol, err := core.NewSAGA(core.SAGAConfig{Frac: 0.10}, core.OracleEstimator{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{Policy: pol, FaultProfile: profile, FaultSeed: 5}
-	}
-	full, resumed := runSplit(t, tr, mkConfig)
-	if !bytes.Equal(full, resumed) {
-		t.Fatal("resumed chaos run diverged from the uninterrupted run")
-	}
-}
-
 func TestCheckpointRejectsMidConstruction(t *testing.T) {
 	tr := smallTrace(t, 3, 13)
 	pol, err := core.NewFixedRate(500)
@@ -205,39 +182,6 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		_, err = Resume(Config{Policy: mkSAGA()}, bad)
 		if !errors.Is(err, simerr.ErrCorruptCheckpoint) {
 			t.Errorf("checkpoint with damaged %s: Resume = %v, want a corrupt-checkpoint error", name, err)
-		}
-	}
-}
-
-// TestRunManyFaultPlumbing: RunMany wires per-run fault seeds; the whole
-// batch is reproducible.
-func TestRunManyFaultPlumbing(t *testing.T) {
-	profile, err := fault.LookupProfile("flaky-io")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := GenerateTraces(oo7.SmallPrime(3), 31, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() *MultiResult {
-		mr, err := RunMany(RunnerConfig{
-			Traces: traces,
-			MakePolicy: func(int) (core.RatePolicy, error) {
-				return core.NewSAGA(core.SAGAConfig{Frac: 0.10}, core.OracleEstimator{})
-			},
-			FaultProfile: profile,
-			FaultSeed:    91,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mr
-	}
-	a, b := run(), run()
-	for i := range a.Runs {
-		if !bytes.Equal(encodeResult(t, a.Runs[i]), encodeResult(t, b.Runs[i])) {
-			t.Fatalf("run %d: chaos batch not reproducible", i)
 		}
 	}
 }

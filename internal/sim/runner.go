@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"odbgc/internal/core"
-	"odbgc/internal/fault"
 	"odbgc/internal/gc"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
@@ -38,11 +37,6 @@ type RunnerConfig struct {
 	Storage storage.Config
 	// PreambleCollections as in Config.
 	PreambleCollections int
-	// FaultProfile, when it carries storage-fault rates, runs every
-	// simulation under fault injection; run i is seeded with FaultSeed+i so
-	// each run sees an independent but reproducible fault schedule.
-	FaultProfile fault.Profile
-	FaultSeed    int64
 	// EventsDir, when set, writes each run's structured event log to
 	// EventsDir/run-NNN.jsonl (see internal/obs).
 	EventsDir string
@@ -174,8 +168,6 @@ func runOne(ctx context.Context, cfg RunnerConfig, i int) (res *Result, err erro
 		Policy:              policy,
 		Selection:           sel,
 		PreambleCollections: cfg.PreambleCollections,
-		FaultProfile:        cfg.FaultProfile,
-		FaultSeed:           cfg.FaultSeed + int64(i),
 		Observer:            obs.NewMulti(observers...),
 	})
 	if err == nil {

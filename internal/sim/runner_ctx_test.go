@@ -24,7 +24,6 @@ func (nopObserver) ObserveRunStart(obs.RunStart)         {}
 func (nopObserver) ObservePhase(obs.PhaseChange)         {}
 func (nopObserver) ObserveDecision(obs.Decision)         {}
 func (nopObserver) ObserveCollection(obs.Collection)     {}
-func (nopObserver) ObserveFault(obs.Fault)               {}
 func (nopObserver) ObserveCheckpoint(obs.CheckpointMark) {}
 func (nopObserver) ObserveProgress(obs.Progress)         {}
 func (nopObserver) ObserveRunEnd(obs.RunEnd)             {}

@@ -17,7 +17,6 @@ import (
 	"io"
 
 	"odbgc/internal/core"
-	"odbgc/internal/fault"
 	"odbgc/internal/gc"
 	"odbgc/internal/metrics"
 	"odbgc/internal/objstore"
@@ -49,18 +48,8 @@ type Config struct {
 	// physical (direct) pointers instead of the default logical-OID
 	// indirection. Used by the fixup-cost ablation.
 	PhysicalFixups bool
-	// FaultProfile, when it carries storage-fault rates, installs a seeded
-	// fault injector on the storage manager behind fault.DefaultRetry's
-	// bounded retry. Trace and estimator faults are wired by the caller
-	// (wrap the trace reader with fault.CorruptTrace and the estimator with
-	// fault.NewChaosEstimator) since the simulator never sees those layers'
-	// construction.
-	FaultProfile fault.Profile
-	// FaultSeed seeds the fault injector; runs with the same profile and
-	// seed replay the identical fault schedule.
-	FaultSeed int64
 	// Observer, when non-nil, receives lifecycle events (run start/end,
-	// decisions, collections, phase transitions, faults, checkpoints). The
+	// decisions, collections, phase transitions, checkpoints). The
 	// simulator never reads observer state: runs with and without an
 	// observer produce bit-identical results, and a nil observer costs a
 	// single pointer test per hook site.
@@ -189,11 +178,10 @@ type Result struct {
 
 // Simulator replays one trace. Create a fresh Simulator per run.
 type Simulator struct {
-	cfg      Config
-	disk     *storage.Manager
-	heap     *gc.Heap
-	cycle    core.Cycle      // the control loop; Step and idle decide when it runs
-	injector *fault.Injector // nil unless the profile injects storage faults
+	cfg   Config
+	disk  *storage.Manager
+	heap  *gc.Heap
+	cycle core.Cycle // the control loop; Step and idle decide when it runs
 
 	curPhase    string
 	collectSafe bool
@@ -236,54 +224,30 @@ func New(cfg Config) (*Simulator, error) {
 		heap:        heap,
 		cycle:       core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection},
 		collectSafe: true,
+		obs:         cfg.Observer,
 		res: &Result{
 			PolicyName:    cfg.Policy.Name(),
 			SelectionName: cfg.Selection.Name(),
 		},
 	}
-	if cfg.FaultProfile.Storage() {
-		s.injector = fault.NewInjector(cfg.FaultProfile, cfg.FaultSeed)
-		disk.SetFaultInjector(fault.Retrier{Injector: s.injector})
-	}
 	if cfg.Durable != nil {
 		heap.SetDurable(cfg.Durable)
 	}
-	s.installObserver()
 	if s.obs != nil {
 		s.obs.ObserveRunStart(s.runStart(0))
 	}
 	return s, nil
 }
 
-// installObserver wires the config's observer into the simulator and its
-// fault injector. Called from New and Resume.
-func (s *Simulator) installObserver() {
-	s.obs = s.cfg.Observer
-	if s.obs != nil && s.injector != nil {
-		s.injector.SetHook(func(op string, seq uint64, burst bool) {
-			s.obs.ObserveFault(obs.Fault{Step: s.step, Op: op, Seq: seq, Burst: burst})
-		})
-	}
-}
-
 // runStart assembles the RunStart event.
 func (s *Simulator) runStart(resumed int) obs.RunStart {
-	e := obs.RunStart{
+	return obs.RunStart{
 		Policy:    s.cfg.Policy.Name(),
 		Selection: s.cfg.Selection.Name(),
 		Preamble:  s.cfg.PreambleCollections,
 		Resumed:   resumed,
 	}
-	if s.cfg.FaultProfile.Storage() || s.cfg.FaultProfile.Estimator() || s.cfg.FaultProfile.Trace() {
-		e.FaultProfile = s.cfg.FaultProfile.Name
-		e.FaultSeed = s.cfg.FaultSeed
-	}
-	return e
 }
-
-// Injector returns the storage fault injector, or nil when the run has no
-// storage faults configured.
-func (s *Simulator) Injector() *fault.Injector { return s.injector }
 
 // Heap exposes the simulator's heap for inspection in tests.
 func (s *Simulator) Heap() *gc.Heap { return s.heap }

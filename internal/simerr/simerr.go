@@ -26,8 +26,6 @@ import (
 //     SIGINT drain). Not a defect; partial results and checkpoints are valid.
 //   - ErrTimeout: a deadline elapsed — the caller's context expired before
 //     the work finished. The run's partial state must be discarded.
-//   - ErrFaultExhausted: every retry of a transiently failing storage
-//     operation failed; the transient fault turned out not to be.
 //   - ErrCorruptCheckpoint: persisted state — an encoded sim.Checkpoint —
 //     failed validation on load. Safe handling is to discard it and
 //     recompute.
@@ -54,7 +52,6 @@ import (
 var (
 	ErrCanceled          = errors.New("simerr: canceled")
 	ErrTimeout           = errors.New("simerr: timeout")
-	ErrFaultExhausted    = errors.New("simerr: fault retries exhausted")
 	ErrCorruptCheckpoint = errors.New("simerr: corrupt checkpoint")
 	ErrPolicyFailure     = errors.New("simerr: policy failure")
 	ErrCorruptTrace      = errors.New("simerr: corrupt trace")
@@ -73,7 +70,6 @@ const (
 	ClassOK                Class = "ok"
 	ClassCanceled          Class = "canceled"
 	ClassTimeout           Class = "timeout"
-	ClassFaultExhausted    Class = "fault_exhausted"
 	ClassCorruptCheckpoint Class = "corrupt_checkpoint"
 	ClassPolicyFailure     Class = "policy_failure"
 	ClassCorruptTrace      Class = "corrupt_trace"
@@ -88,7 +84,7 @@ const (
 // a fixed order suitable for metric registration.
 func FailureClasses() []Class {
 	return []Class{
-		ClassCanceled, ClassTimeout, ClassFaultExhausted,
+		ClassCanceled, ClassTimeout,
 		ClassCorruptCheckpoint, ClassPolicyFailure, ClassCorruptTrace,
 		ClassOverloaded, ClassSessionClosed,
 		ClassTornWrite, ClassRecoveryFailed,
@@ -111,7 +107,6 @@ var classOf = []struct {
 	{ErrTornWrite, ClassTornWrite},
 	{ErrCorruptCheckpoint, ClassCorruptCheckpoint},
 	{ErrCorruptTrace, ClassCorruptTrace},
-	{ErrFaultExhausted, ClassFaultExhausted},
 	{ErrOverloaded, ClassOverloaded},
 	{ErrSessionClosed, ClassSessionClosed},
 	{ErrPolicyFailure, ClassPolicyFailure},

@@ -177,21 +177,11 @@ func TestGCDirtyFollowsTheFrame(t *testing.T) {
 				dirtied = append(dirtied, PageID{id, i})
 			}
 		case op == 9:
-			before := m.Stats()
-			var n int
-			var err error
-			if want := len(shadow); rng.Intn(3) > 0 {
-				if n, err = m.FlushGCDirty(); n != want {
-					t.Fatalf("step %d: collector flush wrote %d pages, %d were pending", step, n, want)
-				}
-				if d := m.Stats().Sub(before); d != (IOStats{GCWrites: uint64(n)}) {
-					t.Fatalf("step %d: collector flush charged %+v for %d pages", step, d, n)
-				}
-			} else {
-				n, err = m.FlushAll()
-			}
-			if err != nil {
-				t.Fatal(err)
+			before, want := m.Stats(), len(shadow)
+			if n := m.FlushGCDirty(); n != want {
+				t.Fatalf("step %d: collector flush wrote %d pages, %d were pending", step, n, want)
+			} else if d := m.Stats().Sub(before); d != (IOStats{GCWrites: uint64(n)}) {
+				t.Fatalf("step %d: collector flush charged %+v for %d pages", step, d, n)
 			}
 		}
 		if gc {

@@ -21,8 +21,7 @@ type PlacementEntry struct {
 }
 
 // ManagerState is a checkpointable image of a Manager. All fields are
-// exported so the struct round-trips through encoding/gob. The fault
-// injector is runtime wiring and deliberately not part of the state.
+// exported so the struct round-trips through encoding/gob.
 type ManagerState struct {
 	Cfg        Config
 	Partitions []PartitionState // index = PartitionID

@@ -1,66 +1,12 @@
 package storage
 
 import (
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"odbgc/internal/objstore"
 )
-
-// opErr is a test injector failing the nth call with a fixed error.
-type opErr struct {
-	n   int
-	err error
-}
-
-func (o *opErr) BeforeOp(write bool) error {
-	o.n--
-	if o.n == 0 {
-		return o.err
-	}
-	return nil
-}
-
-func TestFaultInjectorAbortsBeforeMutation(t *testing.T) {
-	m := newTestManager(t, tinyConfig())
-	if _, err := m.Allocate(1, 50); err != nil {
-		t.Fatal(err)
-	}
-	before := m.Snapshot()
-	boom := errors.New("boom")
-	m.SetFaultInjector(&opErr{n: 1, err: boom})
-
-	if _, err := m.Allocate(2, 50); !errors.Is(err, boom) {
-		t.Fatalf("allocate under fault: %v, want boom", err)
-	}
-	if err := m.Touch(1, true); !errors.Is(err, boom) {
-		// First call consumed the fault; re-arm.
-		m.SetFaultInjector(&opErr{n: 1, err: boom})
-		if err := m.Touch(1, true); !errors.Is(err, boom) {
-			t.Fatalf("touch under fault: %v, want boom", err)
-		}
-	}
-	m.SetFaultInjector(&opErr{n: 1, err: boom})
-	if err := m.ReadPartition(0); !errors.Is(err, boom) {
-		t.Fatalf("scan under fault: %v, want boom", err)
-	}
-	m.SetFaultInjector(&opErr{n: 1, err: boom})
-	if _, err := m.FlushGCDirty(); !errors.Is(err, boom) {
-		t.Fatalf("flush under fault: %v, want boom", err)
-	}
-
-	// A failed op must not have mutated anything: the snapshot is unchanged,
-	// and retrying after the fault clears succeeds.
-	m.SetFaultInjector(nil)
-	if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
-		t.Fatalf("state mutated by faulted ops:\nbefore %+v\nafter  %+v", before, after)
-	}
-	if _, err := m.Allocate(2, 50); err != nil {
-		t.Fatalf("retry after fault cleared: %v", err)
-	}
-}
 
 func TestManagerSnapshotRoundTrip(t *testing.T) {
 	cfg := tinyConfig()

@@ -112,17 +112,6 @@ func (s IOStats) Sub(t IOStats) IOStats {
 	}
 }
 
-// FaultInjector is consulted at the entry of every physical operation the
-// Manager performs, before any state changes. Returning a non-nil error
-// aborts the operation; because nothing has mutated yet, the caller may
-// safely retry the same operation. Implementations decide transience (see
-// package fault); the Manager only propagates.
-type FaultInjector interface {
-	// BeforeOp is called with the operation's dominant direction: write for
-	// allocation, compaction, flushes, and dirtying touches; read otherwise.
-	BeforeOp(write bool) error
-}
-
 // partition is the manager's internal per-partition state.
 type partition struct {
 	id      PartitionID
@@ -169,10 +158,6 @@ type Manager struct {
 
 	allocPart PartitionID // current allocation target
 
-	// fault, when non-nil, may inject an error at the entry of each physical
-	// operation (chaos testing; see package fault).
-	fault FaultInjector
-
 	moves []move // Compact's scratch: the survivors in packing order
 
 	// placed is the page Place pinned last, while pinning it again would
@@ -199,18 +184,6 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // UseStore moves the manager, which must hold nothing yet, onto st.
 func (m *Manager) UseStore(st *objstore.Store) { m.store = st }
-
-// SetFaultInjector installs (or, with nil, removes) a fault injector. The
-// injector is consulted before each physical operation mutates any state.
-func (m *Manager) SetFaultInjector(f FaultInjector) { m.fault = f }
-
-// beforeOp consults the fault injector, if any.
-func (m *Manager) beforeOp(write bool) error {
-	if m.fault == nil {
-		return nil
-	}
-	return m.fault.BeforeOp(write)
-}
 
 // Config returns the geometry.
 func (m *Manager) Config() Config { return m.cfg }
@@ -380,9 +353,6 @@ func (m *Manager) Place(o *objstore.Object) error {
 	if err := m.CheckSize(o.OID, size); err != nil {
 		return err
 	}
-	if err := m.beforeOp(true); err != nil {
-		return fmt.Errorf("storage: allocate %v: %w", o.OID, err)
-	}
 
 	var target *partition
 	var off, page int
@@ -427,22 +397,15 @@ func (m *Manager) TouchObject(o *objstore.Object, write bool) error {
 	if o.PartPlus1 == 0 {
 		return fmt.Errorf("storage: touch of unplaced object %v", o.OID)
 	}
-	if err := m.beforeOp(write); err != nil {
-		return fmt.Errorf("storage: touch %v: %w", o.OID, err)
-	}
 	m.pin(PageID{PartitionID(o.PartPlus1 - 1), int(o.Offset) / m.cfg.PageSize}, write, false)
 	return nil
 }
 
 // ReadPartition faults in every used page of a partition, as the collector
-// does when scanning. Pages already buffered cost nothing. An injected fault
-// aborts the scan before any page is pinned, so the call is retryable.
+// does when scanning. Pages already buffered cost nothing.
 func (m *Manager) ReadPartition(id PartitionID) error {
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return fmt.Errorf("storage: read of unknown partition %d", id)
-	}
-	if err := m.beforeOp(false); err != nil {
-		return fmt.Errorf("storage: scan partition %d: %w", id, err)
 	}
 	p := m.parts[id]
 	for i := 0; i < p.usedPages(m.cfg.PageSize); i++ {
@@ -472,9 +435,6 @@ type CompactResult struct {
 func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, error) {
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return CompactResult{}, fmt.Errorf("storage: compact of unknown partition %d", id)
-	}
-	if err := m.beforeOp(true); err != nil {
-		return CompactResult{}, fmt.Errorf("storage: compact partition %d: %w", id, err)
 	}
 	p := m.parts[id]
 	// Claim each survivor by negating its partition field, which the pass
@@ -584,31 +544,11 @@ func (m *Manager) layout() (int, bool) {
 // still buffered and dirty, charging the writes to the collector. The
 // collector calls this at the end of a collection so its write cost is
 // attributed to it rather than to later application evictions.
-func (m *Manager) FlushGCDirty() (int, error) {
-	if err := m.beforeOp(true); err != nil {
-		return 0, fmt.Errorf("storage: flush collector pages: %w", err)
-	}
+func (m *Manager) FlushGCDirty() int {
 	n := m.buf.cleanGC()
 	m.placed = noPage
 	m.stats.GCWrites += uint64(n)
-	return n, nil
-}
-
-// FlushAll writes back every dirty buffered page, charging the current I/O
-// class. Used at end of simulation to account for outstanding writes.
-func (m *Manager) FlushAll() (int, error) {
-	if err := m.beforeOp(true); err != nil {
-		return 0, fmt.Errorf("storage: flush all: %w", err)
-	}
-	n := 0
-	m.placed = noPage
-	for _, pg := range m.buf.DirtyPages() {
-		if m.buf.Clean(pg) {
-			m.charge(false)
-			n++
-		}
-	}
-	return n, nil
+	return n
 }
 
 // BufferContents exposes the buffered page set for tests and diagnostics.

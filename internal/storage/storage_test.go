@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -270,8 +269,6 @@ func TestCompactErrors(t *testing.T) {
 	} else {
 		rejected("live object of another partition", 0, 1, other[0], 2)
 	}
-	m.SetFaultInjector(&opErr{n: 1, err: errors.New("injected")})
-	rejected("compaction with an injected fault", 0, 1, 2)
 }
 
 // TestCompactOverflowFallback reproduces the copy-order padding overflow: a
@@ -355,39 +352,15 @@ func TestFlushGCDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := m.Stats()
-	n, err := m.FlushGCDirty()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
+	if n := m.FlushGCDirty(); n != 1 {
 		t.Errorf("flushed %d pages, want 1", n)
 	}
 	if d := m.Stats().Sub(base); d.GCWrites != 1 {
 		t.Errorf("flush charged %+v", d)
 	}
 	// Second flush is a no-op.
-	if n, err := m.FlushGCDirty(); err != nil || n != 0 {
-		t.Errorf("second flush wrote %d pages (err %v)", n, err)
-	}
-}
-
-func TestFlushAll(t *testing.T) {
-	m := newTestManager(t, tinyConfig())
-	for i := 1; i <= 3; i++ {
-		if _, err := m.Allocate(objstore.OID(i), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := m.Stats()
-	n, err := m.FlushAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("FlushAll wrote %d pages, want 3", n)
-	}
-	if d := m.Stats().Sub(base); d.AppWrites != 3 {
-		t.Errorf("FlushAll charged %+v", d)
+	if n := m.FlushGCDirty(); n != 0 {
+		t.Errorf("second flush wrote %d pages", n)
 	}
 }
 
@@ -559,8 +532,7 @@ func TestPlaceRepinsWhatChanged(t *testing.T) {
 		between func(m *Manager)
 	}{
 		{"another page pinned", IOApp, func(m *Manager) { _ = m.Touch(1, false) }},
-		{"flushed", IOApp, func(m *Manager) { _, _ = m.FlushAll() }},
-		{"collector pages flushed", IOGC, func(m *Manager) { _, _ = m.FlushGCDirty() }},
+		{"collector pages flushed", IOGC, func(m *Manager) { m.FlushGCDirty() }},
 		{"class switched", IOApp, func(m *Manager) { m.SetIOClass(IOGC) }},
 	} {
 		m := newTestManager(t, Config{PageSize: 100, PagesPerPartition: 4, BufferPages: 1})
