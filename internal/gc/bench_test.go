@@ -80,7 +80,7 @@ func BenchmarkHeapCollect(b *testing.B) {
 	b.Run("survive", func(b *testing.B) {
 		h := benchHeap(b, 30_000)
 		const p = 7
-		want := len(h.Disk().AppendObjectsIn(nil, p))
+		want := numMembers(b, h, p)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -98,7 +98,7 @@ func BenchmarkHeapCollect(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			h, dead := reclaimHeap(b)
-			members := len(h.Disk().AppendObjectsIn(nil, 0))
+			members := numMembers(b, h, 0)
 			b.StartTimer()
 			res, err := h.Collect(0)
 			if err != nil {
@@ -110,6 +110,15 @@ func BenchmarkHeapCollect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// numMembers returns how many objects are placed in partition p.
+func numMembers(tb testing.TB, h *Heap, p storage.PartitionID) int {
+	members, err := h.Disk().AppendMembers(nil, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return len(members)
 }
 
 // reclaimHeap builds two partitions of 133-byte, 3-slot objects without an

@@ -79,24 +79,23 @@ type Heap struct {
 	// boundaries, so a crash can only lose whole uncommitted batches.
 	durable storage.Backend
 
-	// mark holds the collector's trace marks. A collection takes two fresh
-	// values: it tags every member of its partition with epoch-1 and marks
-	// the ones the trace reaches with epoch, so "placed in this partition and
-	// not reached yet" is one probe, mark == epoch-1. Every collection starts
-	// a new epoch, so marks are never cleared: a survivor's stale mark is
-	// harmless and a reclaimed object's is deleted with it.
-	mark  objstore.Table[uint32]
-	epoch uint32
-
 	// scratch holds Collect's per-collection lists, truncated and reused so
 	// steady-state collection stops allocating. Valid only within one
 	// Collect call.
 	scratch struct {
-		members  []objstore.OID
-		queue    []objstore.OID // partition roots first, then the rest of the live set in copy order
+		members  []*objstore.Object // the partition's headers, then its dead
+		queue    []*objstore.Object // partition roots first, then the rest of the live set in copy order
 		deadList []objstore.OID
 	}
 }
+
+// Collect's marks, kept in the object headers. Outside a collection every
+// header's Mark is zero; Collect tags its partition's members and clears
+// every tag before it can fail, so a non-member reads as neither.
+const (
+	tagged  uint8 = 1 // a member the trace has not reached
+	reached uint8 = 2 // a member the trace has reached
+)
 
 // NewHeap wraps a store and a storage manager, which from now on keeps its
 // placements in the store's object headers. Both must start empty or the
@@ -309,7 +308,8 @@ func (h *Heap) ExternallyReferenced(p storage.PartitionID, dst objstore.OID) boo
 // externalRefs calls fn, in ascending source order, for every pointer slot
 // whose target is placed in another partition than its holder: the
 // remembered-set entries, derived from the graph. It fails on an object or a
-// target without a placement.
+// target without a placement, and on a header carrying a collector mark,
+// which only a collection in progress may set.
 func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID)) error {
 	var err error
 	h.store.ForEach(func(o *objstore.Object) {
@@ -317,8 +317,12 @@ func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID
 			return
 		}
 		srcPart, ok := storage.PartOf(o)
-		if !ok {
+		switch {
+		case !ok:
 			err = fmt.Errorf("gc: object %v in store but not placed", o.OID)
+			return
+		case o.Mark != 0:
+			err = fmt.Errorf("gc: object %v carries collector mark %d outside a collection", o.OID, o.Mark)
 			return
 		}
 		for _, t := range o.Slots {
@@ -439,28 +443,25 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}
 
 	// The lists below live in the reusable scratch. members is ascending,
-	// and so is everything filtered from it.
+	// and so is everything filtered from it. Each member's header is looked
+	// up once, here; the rest of the collection works on the headers.
 	sc := &h.scratch
-	members := h.disk.AppendObjectsIn(sc.members[:0], p)
+	members, err := h.disk.AppendMembers(sc.members[:0], p)
 	sc.members = members
-	h.epoch += 2
-	if h.epoch < 2 {
-		// Wrapped: marks left 2^31 collections ago would read as current.
-		h.mark = objstore.Table[uint32]{}
-		h.epoch = 2
+	if err != nil {
+		return CollectionResult{}, fmt.Errorf("gc: %w", err)
 	}
-	unreached := h.epoch - 1
 
 	// Tag the members. Partition roots — database roots and externally
 	// referenced objects — are reached from the start: they seed the
 	// traversal queue, and live objects are appended behind them.
 	queue := sc.queue[:0]
-	for _, oid := range members {
-		if h.store.IsRoot(oid) || h.ext.Get(oid) > 0 {
-			h.mark.Set(oid, h.epoch)
-			queue = append(queue, oid)
+	for _, o := range members {
+		if h.store.IsRoot(o.OID) || h.ext.Get(o.OID) > 0 {
+			o.Mark = reached
+			queue = append(queue, o)
 		} else {
-			h.mark.Set(oid, unreached)
+			o.Mark = tagged
 		}
 	}
 
@@ -469,29 +470,32 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	// partition are not traversed (their targets carry no tag).
 	liveBytes := 0
 	for head := 0; head < len(queue); head++ {
-		oid := queue[head]
-		o := h.store.Get(oid)
-		if o == nil {
-			return CollectionResult{}, fmt.Errorf("gc: placed object %v missing from store", oid)
-		}
+		o := queue[head]
 		liveBytes += int(o.Size)
 		for _, t := range o.Slots {
-			if h.mark.Get(t) == unreached {
-				h.mark.Set(t, h.epoch)
-				queue = append(queue, t)
+			if t.IsNil() {
+				continue
+			}
+			if to := h.store.Get(t); to != nil && to.Mark == tagged {
+				to.Mark = reached
+				queue = append(queue, to)
 			}
 		}
 	}
 	sc.queue = queue
 	live := queue
 
-	// Everything unreached is garbage. Tear down its bookkeeping and remove
-	// it from the store before compaction, which then keeps what is left.
+	// Everything unreached is garbage. The pass that lists it clears every
+	// tag, before anything below can fail. The dead headers take members'
+	// place in the scratch.
+	dead := members[:0]
 	deadList := sc.deadList[:0]
-	for _, oid := range members {
-		if h.mark.Get(oid) == unreached {
-			deadList = append(deadList, oid)
+	for _, o := range members {
+		if o.Mark == tagged {
+			dead = append(dead, o)
+			deadList = append(deadList, o.OID)
 		}
+		o.Mark = 0
 	}
 	sc.deadList = deadList
 
@@ -505,12 +509,10 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		}
 	}
 
+	// Tear down the dead objects' bookkeeping and remove them from the store
+	// before compaction, which then keeps what is left.
 	reclaimedBytes := 0
-	for _, oid := range deadList {
-		o := h.store.Get(oid)
-		if o == nil {
-			return CollectionResult{}, fmt.Errorf("gc: dead object %v missing from store", oid)
-		}
+	for _, o := range dead {
 		reclaimedBytes += int(o.Size)
 		// A dead object's outgoing cross-partition references leave the
 		// remembered sets, which may unpin garbage in other partitions.
@@ -520,10 +522,10 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 			}
 			tp, ok := h.disk.PartitionOf(t)
 			if !ok {
-				return CollectionResult{}, fmt.Errorf("gc: dead object %v references unplaced %v", oid, t)
+				return CollectionResult{}, fmt.Errorf("gc: dead object %v references unplaced %v", o.OID, t)
 			}
 			if tp != p {
-				if err := h.forget(tp, t, oid); err != nil {
+				if err := h.forget(tp, t, o.OID); err != nil {
 					return CollectionResult{}, err
 				}
 			}
@@ -532,13 +534,13 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		// with respect to true reachability. In oracleless (live) mode the
 		// collector is the discoverer: garbage enters the cumulative ledger
 		// the moment it is reclaimed, keeping created−collected==outstanding.
-		if !h.oracleDead.Get(oid) {
+		if !h.oracleDead.Get(o.OID) {
 			if !h.oracleless {
-				return CollectionResult{}, fmt.Errorf("gc: collector reclaimed %v which the oracle believes live", oid)
+				return CollectionResult{}, fmt.Errorf("gc: collector reclaimed %v which the oracle believes live", o.OID)
 			}
 			h.totalGarbage += uint64(o.Size)
 		} else {
-			h.oracleDead.Set(oid, false)
+			h.oracleDead.Set(o.OID, false)
 			*counterAt(&h.oracleDeadBytes, p) -= int(o.Size)
 			h.garbage -= int(o.Size)
 		}
@@ -548,7 +550,6 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}
 	// Every dead object's slots are read: the targets' headers may go.
 	for _, oid := range deadList {
-		h.mark.Set(oid, 0)
 		if err := h.store.Remove(oid); err != nil {
 			return CollectionResult{}, err
 		}

@@ -242,7 +242,15 @@ func (m *model) compare(h *Heap) error {
 	}
 	poSum, garbage := 0, 0
 	for p := storage.PartitionID(0); int(p) < disk.NumPartitions(); p++ {
-		if got, want := disk.AppendObjectsIn(nil, p), m.members(p); !slices.Equal(got, want) {
+		members, err := disk.AppendMembers(nil, p)
+		if err != nil {
+			return err
+		}
+		var got []objstore.OID
+		for _, o := range members {
+			got = append(got, o.OID)
+		}
+		if want := m.members(p); !slices.Equal(got, want) {
 			return fmt.Errorf("partition %d members %v, model %v", p, got, want)
 		}
 		if h.PartitionOverwrites(p) != m.po[p] {
@@ -289,7 +297,7 @@ func absent(h *Heap, oid objstore.OID) error {
 		return fmt.Errorf("reclaimed %v still a root", oid)
 	case placed:
 		return fmt.Errorf("reclaimed %v still placed", oid)
-	case h.ext.Get(oid) != 0 || h.mark.Get(oid) != 0 || h.oracleDead.Get(oid):
+	case h.ext.Get(oid) != 0 || h.oracleDead.Get(oid):
 		return fmt.Errorf("reclaimed %v still has collector state", oid)
 	case h.Access(oid) == nil:
 		return fmt.Errorf("access of reclaimed %v succeeded", oid)
@@ -359,6 +367,9 @@ func TestDifferentialAgainstMapModel(t *testing.T) {
 				got.IO = storage.IOStats{}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: collect %d = %+v, model %+v", step, p, got, want)
+				}
+				if o := markedHeader(h); o != nil {
+					t.Fatalf("step %d: collect %d left mark %d on %v", step, p, o.Mark, o.OID)
 				}
 				reclaimed = append(reclaimed, gone...)
 				if err := m.compare(h); err != nil {

@@ -1,6 +1,8 @@
 package gc
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -154,67 +156,116 @@ func TestRestoreHeapRejectsDamagedIndexes(t *testing.T) {
 	}
 }
 
-// TestMarkEpochWrap: marks are compared against an epoch that every
-// collection advances. When the epoch wraps, marks left by collections 2^32
-// ago would read as current; the collector must start from a clean table.
-func TestMarkEpochWrap(t *testing.T) {
-	h := buildSnapshotHeap(t)
-	twin, err := RestoreHeap(h.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Object 3 is garbage in partition 0. Give it the mark the wrapped epoch
-	// is about to use, as a collection long ago could have.
-	h.mark.Set(3, 1)
-	h.epoch = ^uint32(0)
-	got, err := h.Collect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := twin.Collect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || got.ReclaimedObjects != 1 {
-		t.Fatalf("collection across the wrap = %+v, twin %+v", got, want)
-	}
-	if h.epoch != 2 {
-		t.Errorf("epoch after wrap = %d, want 2", h.epoch)
-	}
+// refusingReclaims is a durable backend whose log refuses every reclaim.
+type refusingReclaims struct{ nullBackend }
+
+func (refusingReclaims) LogReclaim([]objstore.OID) error { return errors.New("log full") }
+
+// markedHeader returns a header that carries a collector mark, or nil.
+func markedHeader(h *Heap) *objstore.Object {
+	var marked *objstore.Object
+	h.Store().ForEach(func(o *objstore.Object) {
+		if o.Mark != 0 && marked == nil {
+			marked = o
+		}
+	})
+	return marked
 }
 
-// TestMarkEpochWrapForeignTag: the trace follows a pointer when the target's
-// mark equals this collection's member tag, without asking where the target
-// is placed. A mark left in another partition 2^31 collections ago that
-// equals the tag after the wrap would pull a foreign object into the copy;
-// the clean table is what rules that out.
-func TestMarkEpochWrapForeignTag(t *testing.T) {
-	h := buildSnapshotHeap(t)
-	twin, err := RestoreHeap(h.Snapshot())
-	if err != nil {
-		t.Fatal(err)
+// TestNoMarkOutlivesACollection: Collect tags its partition's members in their
+// headers, and every tag is gone when it returns, whether the collection
+// succeeded or failed once the members were tagged. A tag left on an object
+// the trace did not reach would read as a member of the next collection of
+// any partition pointing at it, and pull that foreign object into its copy.
+func TestNoMarkOutlivesACollection(t *testing.T) {
+	// Oracleless, as a live server runs: 1 -> 2 in partition 0 and 5 -> 6 in
+	// partition 1 are live, the other two objects of each are garbage.
+	build := func(t *testing.T) *Heap {
+		h := testHeap(t)
+		h.SetOracleless(true)
+		for oid := objstore.OID(1); oid <= 8; oid++ {
+			mk(t, h, oid, 100, 2)
+		}
+		root(t, h, 1)
+		root(t, h, 5)
+		link(t, h, 1, 0, 2)
+		link(t, h, 5, 0, 6)
+		if mustPart(t, h, 1) != 0 || mustPart(t, h, 5) != 1 {
+			t.Fatal("fixture changed: 1 and 5 are not in partitions 0 and 1")
+		}
+		return h
 	}
-	// Object 5 lives in partition 1 and is referenced from object 1 in
-	// partition 0; 1 is the tag the wrapped epoch is about to hand out.
-	if mustPart(t, h, 5) == mustPart(t, h, 1) {
-		t.Fatal("fixture changed: 5 and 1 share a partition")
+	noMarks := func(t *testing.T, h *Heap, when string) {
+		t.Helper()
+		if o := markedHeader(h); o != nil {
+			t.Fatalf("%s: %v carries mark %d", when, o.OID, o.Mark)
+		}
 	}
-	h.mark.Set(5, 1)
-	h.epoch = ^uint32(0) - 1
-	got, err := h.Collect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := twin.Collect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("collection across the wrap = %+v, twin %+v", got, want)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+
+	t.Run("collected", func(t *testing.T) {
+		h := build(t)
+		for _, p := range []storage.PartitionID{0, 1, 0} {
+			if _, err := h.Collect(p); err != nil {
+				t.Fatalf("collect %d: %v", p, err)
+			}
+			noMarks(t, h, fmt.Sprintf("after collecting %d", p))
+		}
+		if err := h.Check(); err != nil {
+			t.Fatal(err)
+		}
+		// The sweep Check makes reads the marks too.
+		h.Store().Get(2).Mark = tagged
+		if err := h.Check(); err == nil || !strings.Contains(err.Error(), "mark") {
+			t.Errorf("Check with a tagged header: %v", err)
+		}
+	})
+
+	t.Run("compaction refused", func(t *testing.T) {
+		h := build(t)
+		// 2 is listed in partition 0 but its header claims partition 1:
+		// Compact refuses it as a survivor, after the members were tagged
+		// and the dead removed.
+		h.Store().Get(2).PartPlus1 = 2
+		if _, err := h.Collect(0); err == nil || !strings.Contains(err.Error(), "not placed in partition 0") {
+			t.Fatalf("collect with a misplaced survivor: %v", err)
+		}
+		noMarks(t, h, "after the refused compaction")
+	})
+
+	t.Run("reclaim not logged", func(t *testing.T) {
+		h := build(t)
+		h.SetDurable(refusingReclaims{})
+		if _, err := h.Collect(0); err == nil || !strings.Contains(err.Error(), "log full") {
+			t.Fatalf("collect with a refusing log: %v", err)
+		}
+		noMarks(t, h, "after the refused log record")
+		h.SetDurable(nil)
+		// The garbage of partition 0 stays in place, and a client that kept
+		// its OID may store it again: 6 in partition 1 now points at 3. A
+		// tag left on 3 would pull it into partition 1's copy.
+		link(t, h, 6, 1, 3)
+		twin, err := RestoreHeap(h.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.Collect(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Collect(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("collection after the failed one = %+v, twin %+v", got, want)
+		}
+		if !reflect.DeepEqual(h.Snapshot(), twin.Snapshot()) {
+			t.Fatal("heap and twin diverged after the same collection")
+		}
+		if err := h.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // steadyHeap builds a heap of a few partitions with cross-partition

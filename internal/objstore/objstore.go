@@ -7,8 +7,9 @@
 // package storage; reachability-based reclamation is the job of package gc.
 // Keeping the layers separate mirrors the structure of the simulation system
 // described in Cook, Wolf, Zorn (CU-CS-647-93) that the paper builds on. The
-// one exception is two header fields that only package storage writes: where
-// the object is placed, kept beside it instead of in a second OID table.
+// exceptions are header fields other layers write, kept beside the object
+// instead of in a second OID table: where package storage placed it, and the
+// mark package gc tags it with during a collection.
 package objstore
 
 import (
@@ -72,12 +73,14 @@ func (c Class) String() string {
 
 // Object is a logical database object: a size in bytes and pointer slots.
 // The slot array has fixed length per object; a slot holds NilOID when empty.
-// PartPlus1 and Offset fill what would be padding in the 48 bytes: the
-// object's partition plus one (zero while unplaced) and its byte offset there,
-// which only package storage uses.
+// Mark, PartPlus1 and Offset fill what would be padding in the 48 bytes: the
+// collector's mark, which package gc sets during a collection and clears
+// before it returns, and the object's partition plus one (zero while
+// unplaced) and its byte offset there, which only package storage uses.
 type Object struct {
 	OID       OID
 	Class     Class
+	Mark      uint8
 	Size      uint32 // total size in bytes, including pointer slots
 	PartPlus1 int32
 	Offset    int32
@@ -211,7 +214,7 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 		//lint:allow hotpath wide-object fallback: no generator builds one
 		o.Slots = make([]OID, nslots)
 	}
-	o.OID, o.Class, o.Size, o.PartPlus1, o.Offset = oid, class, uint32(size), 0, 0 // unplaced, if recycled
+	o.OID, o.Class, o.Mark, o.Size, o.PartPlus1, o.Offset = oid, class, 0, uint32(size), 0, 0 // unmarked and unplaced, if recycled
 	s.objects.Set(oid, o)
 	s.totalBytes += size
 	if oid >= s.nextOID {
@@ -272,9 +275,9 @@ func (s *Store) Get(oid OID) *Object {
 }
 
 // Remove deletes an object from the table (after it has been reclaimed by
-// the collector) and recycles its memory; pointers to it obtained earlier
-// must not be used again. Removing an absent OID is an error; reclaiming the
-// same object twice indicates a collector bug.
+// the collector) and recycles its memory, unplaced; pointers to it obtained
+// earlier must not be used again. Removing an absent OID is an error;
+// reclaiming the same object twice indicates a collector bug.
 func (s *Store) Remove(oid OID) error {
 	o := s.objects.Get(oid)
 	if o == nil {
@@ -283,6 +286,7 @@ func (s *Store) Remove(oid OID) error {
 	s.objects.Set(oid, nil)
 	s.roots.Set(oid, false)
 	s.totalBytes -= int(o.Size)
+	o.PartPlus1 = 0
 	k := min(len(o.Slots), pooledSlots+1)
 	if k > pooledSlots {
 		o.Slots = nil

@@ -377,24 +377,28 @@ func TestCreateRejectsSizeBeyond32Bits(t *testing.T) {
 	}
 }
 
-// TestHeaderCarriesPlacementIn48Bytes: the placement fields fill what was
-// padding, so every header of every store stays 48 bytes, and a recycled
-// header comes back unplaced whatever its last object's placement was.
+// TestHeaderCarriesPlacementIn48Bytes: the placement fields and the
+// collector's mark fill what was padding, so every header of every store
+// stays 48 bytes. A removed header is unplaced at once, and a recycled one
+// comes back unplaced and unmarked whatever its last object's state was.
 func TestHeaderCarriesPlacementIn48Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Object{}); n != 48 {
 		t.Errorf("object header is %d bytes, want 48", n)
 	}
 	s := NewStore()
 	o := mustCreate(t, s, ClassAtomicPart, 100, 2)
-	o.PartPlus1, o.Offset = 3, 512
+	o.PartPlus1, o.Offset, o.Mark = 3, 512, 2
 	if err := s.Remove(o.OID); err != nil {
 		t.Fatal(err)
+	}
+	if o.PartPlus1 != 0 {
+		t.Errorf("removed header still placed in %d", o.PartPlus1)
 	}
 	r := mustCreate(t, s, ClassAtomicPart, 100, 2)
 	if r != o {
 		t.Fatal("fixture: the header was not recycled")
 	}
-	if r.PartPlus1 != 0 || r.Offset != 0 {
-		t.Errorf("recycled header placed in %d at %d, want unplaced", r.PartPlus1, r.Offset)
+	if r.PartPlus1 != 0 || r.Offset != 0 || r.Mark != 0 {
+		t.Errorf("recycled header placed in %d at %d with mark %d, want unplaced and unmarked", r.PartPlus1, r.Offset, r.Mark)
 	}
 }

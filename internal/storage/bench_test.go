@@ -107,8 +107,8 @@ func TestBufferPoolPinAllocatesNothing(t *testing.T) {
 
 // BenchmarkCompact times Manager.Compact on the paper's geometry: a
 // partition of 700 members of 133 bytes, of which a tenth or nine tenths
-// survive, handed over in a shuffled (copy) order. Each iteration rebuilds
-// the partition with the timer stopped.
+// survive, their headers handed over in a shuffled (copy) order. Each
+// iteration rebuilds the partition with the timer stopped.
 func BenchmarkCompact(b *testing.B) {
 	const members = 700
 	for _, pct := range []int{10, 90} {
@@ -132,8 +132,9 @@ func BenchmarkCompact(b *testing.B) {
 					}
 				}
 				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+				survivors := headers(m, live)
 				b.StartTimer()
-				res, err := m.Compact(0, live)
+				res, err := m.Compact(0, survivors)
 				if err != nil || res.ReclaimedObjects != members-len(live) {
 					b.Fatalf("Compact = %+v, %v with %d of %d surviving", res, err, len(live), members)
 				}

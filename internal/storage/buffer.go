@@ -205,19 +205,8 @@ func (b *BufferPool) IsDirty(pg PageID) bool {
 	return fi >= 0 && b.frames[fi].dirty
 }
 
-// Clean clears the dirty bit of a resident page, returning true if the page
-// was resident and dirty: a write-back, which the Manager charges.
-func (b *BufferPool) Clean(pg PageID) bool {
-	fi := b.lookup(pg)
-	if fi < 0 || !b.frames[fi].dirty {
-		return false
-	}
-	b.frames[fi].dirty, b.frames[fi].gc = false, false
-	return true
-}
-
-// cleanGC cleans every collector-dirtied page, as Clean would, and returns
-// how many there were.
+// cleanGC clears the dirty bit of every collector-dirtied page, a write-back
+// the Manager charges, and returns how many there were.
 func (b *BufferPool) cleanGC() int {
 	n := 0
 	for i := range b.frames[:b.capacity] {
@@ -250,17 +239,6 @@ func (b *BufferPool) oldestFirst(fn func(*frame)) {
 	for fi := b.frames[root].prev; fi != root; fi = b.frames[fi].prev {
 		fn(&b.frames[fi])
 	}
-}
-
-// DirtyPages returns the resident dirty pages in LRU order (oldest first).
-func (b *BufferPool) DirtyPages() []PageID {
-	var out []PageID
-	b.oldestFirst(func(f *frame) {
-		if f.dirty {
-			out = append(out, f.page)
-		}
-	})
-	return out
 }
 
 // gcPages returns the collector-dirtied pages sorted by (Part, Index).

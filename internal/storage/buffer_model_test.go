@@ -15,7 +15,9 @@ import (
 // marked line in Restore, as the reference the differential tests drive the
 // real pool against: same results, same errors, same page order. (Its
 // write-back hook and reference pins left with the real pool's, which lost
-// their last caller when the disk backend began writing its image in runs.)
+// their last caller when the disk backend began writing its image in runs;
+// Clean and DirtyPages left with the real pool's too, whose only callers were
+// tests.)
 type modelPool struct {
 	capacity int
 	lru      *list.List               // front = most recently used
@@ -103,21 +105,6 @@ func (b *modelPool) IsDirty(pg PageID) bool {
 	return ok && el.Value.(*modelFrame).dirty
 }
 
-// Clean clears the dirty bit of a resident page, returning true if the page
-// was resident and dirty.
-func (b *modelPool) Clean(pg PageID) bool {
-	el, ok := b.frames[pg]
-	if !ok {
-		return false
-	}
-	f := el.Value.(*modelFrame)
-	if !f.dirty {
-		return false
-	}
-	f.dirty = false
-	return true
-}
-
 // Drop discards a resident page without write-back (its disk image is
 // obsolete, e.g. freed space after compaction). Returns true if resident.
 func (b *modelPool) Drop(pg PageID) bool {
@@ -128,17 +115,6 @@ func (b *modelPool) Drop(pg PageID) bool {
 	b.lru.Remove(el)
 	delete(b.frames, pg)
 	return true
-}
-
-// DirtyPages returns the resident dirty pages in LRU order (oldest first).
-func (b *modelPool) DirtyPages() []PageID {
-	var out []PageID
-	for el := b.lru.Back(); el != nil; el = el.Prev() {
-		if f := el.Value.(*modelFrame); f.dirty {
-			out = append(out, f.page)
-		}
-	}
-	return out
 }
 
 // Snapshot captures the resident pages in LRU order (oldest first) with
@@ -246,14 +222,10 @@ func (pp *poolPair) step(i int, op, arg byte) {
 		t.Fatalf("step %d (op %d, %v): %s", i, op%16, pg, fmt.Sprintf(format, args...))
 	}
 	switch kind := op % 16; {
-	case kind < 10:
+	case kind < 11:
 		dirty, fresh := op&0x10 != 0, op&0x20 != 0
 		if got, want := pp.pool.Pin(pg, dirty, fresh), pp.model.Pin(pg, dirty, fresh); got != want {
 			fail("Pin = %+v, model %+v", got, want)
-		}
-	case kind == 10:
-		if got, want := pp.pool.Clean(pg), pp.model.Clean(pg); got != want {
-			fail("Clean = %v, model %v", got, want)
 		}
 	case kind == 11:
 		if got, want := pp.pool.Drop(pg), pp.model.Drop(pg); got != want {
@@ -289,8 +261,8 @@ func (pp *poolPair) step(i int, op, arg byte) {
 	if got, want := pp.pool.Pages(), pp.model.Pages(); !reflect.DeepEqual(got, want) {
 		fail("Pages = %v, model %v", got, want)
 	}
-	if got, want := pp.pool.DirtyPages(), pp.model.DirtyPages(); !reflect.DeepEqual(got, want) {
-		fail("DirtyPages = %v, model %v", got, want)
+	if got, want := pp.pool.Snapshot(), pp.model.Snapshot(); !reflect.DeepEqual(got, want) {
+		fail("Snapshot = %v, model %v", got, want)
 	}
 	if pp.pool.Len() != pp.model.Len() || pp.pool.Contains(pg) != pp.model.Contains(pg) ||
 		pp.pool.IsDirty(pg) != pp.model.IsDirty(pg) {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -79,23 +80,6 @@ func TestDirtyBitSticky(t *testing.T) {
 	}
 }
 
-func TestClean(t *testing.T) {
-	b := newPool(t, 2)
-	b.Pin(pg(0, 0), true, true)
-	if !b.Clean(pg(0, 0)) {
-		t.Error("Clean on dirty page returned false")
-	}
-	if b.Clean(pg(0, 0)) {
-		t.Error("Clean on clean page returned true")
-	}
-	if b.Clean(pg(9, 9)) {
-		t.Error("Clean on absent page returned true")
-	}
-	if b.IsDirty(pg(0, 0)) {
-		t.Error("page still dirty after Clean")
-	}
-}
-
 func TestDrop(t *testing.T) {
 	b := newPool(t, 2)
 	b.Pin(pg(0, 0), true, true)
@@ -115,9 +99,9 @@ func TestDirtyPagesOrder(t *testing.T) {
 	b.Pin(pg(0, 0), true, true)
 	b.Pin(pg(0, 1), false, true)
 	b.Pin(pg(0, 2), true, true)
-	dirty := b.DirtyPages()
-	if len(dirty) != 2 || dirty[0] != pg(0, 0) || dirty[1] != pg(0, 2) {
-		t.Errorf("DirtyPages = %v", dirty)
+	want := []FrameState{{Page: pg(0, 0), Dirty: true}, {Page: pg(0, 1)}, {Page: pg(0, 2), Dirty: true}}
+	if got := b.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Snapshot = %v, want %v", got, want)
 	}
 	pages := b.Pages()
 	if len(pages) != 3 || pages[0] != pg(0, 0) || pages[2] != pg(0, 2) {

@@ -59,7 +59,7 @@ func TestCompactMatchesReferenceLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		members := m.AppendObjectsIn(nil, 0)
+		members := memberOIDs(t, m, 0)
 		old := make(map[objstore.OID]Placement, len(members))
 		for _, oid := range members {
 			old[oid], _ = m.PlacementOf(oid)
@@ -80,7 +80,7 @@ func TestCompactMatchesReferenceLayout(t *testing.T) {
 			fallbacks++
 		}
 		usedBefore := m.PartitionUsedBytes(0)
-		res, err := m.Compact(0, live)
+		res, err := m.Compact(0, headers(m, live))
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -163,12 +163,12 @@ func TestGCDirtyFollowsTheFrame(t *testing.T) {
 		case op == 8 && m.NumPartitions() > 0:
 			id := PartitionID(rng.Intn(m.NumPartitions()))
 			var live []objstore.OID
-			for _, oid := range m.AppendObjectsIn(nil, id) {
+			for _, oid := range memberOIDs(t, m, id) {
 				if rng.Intn(4) > 0 {
 					live = append(live, oid)
 				}
 			}
-			res, err := m.Compact(id, live)
+			res, err := m.Compact(id, headers(m, live))
 			if err != nil {
 				t.Fatal(err)
 			}

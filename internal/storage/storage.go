@@ -252,13 +252,24 @@ func (m *Manager) placement(o *objstore.Object) Placement {
 	}
 }
 
-// AppendObjectsIn appends the OIDs placed in a partition to dst, in ascending
-// order for deterministic iteration, and returns the extended slice.
-func (m *Manager) AppendObjectsIn(dst []objstore.OID, id PartitionID) []objstore.OID {
+// AppendMembers appends the headers of the objects placed in a partition to
+// dst, in ascending OID order, and returns the extended slice. A listed
+// object missing from the store is an error: its owner removed it without
+// compacting the partition.
+func (m *Manager) AppendMembers(dst []*objstore.Object, id PartitionID) ([]*objstore.Object, error) {
 	if int(id) < 0 || int(id) >= len(m.parts) {
-		return dst
+		return dst, nil
 	}
-	return append(dst, m.parts[id].objects...)
+	objects := m.parts[id].objects
+	dst = slices.Grow(dst, len(objects))
+	for _, oid := range objects {
+		o := m.store.Get(oid)
+		if o == nil {
+			return dst, fmt.Errorf("storage: partition %d lists %v, which is not in the store", id, oid)
+		}
+		dst = append(dst, o)
+	}
+	return dst, nil
 }
 
 // charge records one read or write against the current I/O class.
@@ -423,16 +434,17 @@ type CompactResult struct {
 
 // Compact rewrites a partition so that exactly the objects in live remain,
 // packed from the start of the partition in the given order (the caller
-// supplies Cheney copy order). Every object in live must currently be
-// placed in the partition. Objects placed in the partition but absent from
-// live are reclaimed: they lose their placement, and their headers leave the
-// store if they are still in it (gc.Heap removes its dead before it compacts,
-// so there the survivors are exactly the members still in the store).
+// supplies Cheney copy order). Every object in live must be a header of the
+// manager's store currently placed in the partition. Objects placed in the
+// partition but absent from live are reclaimed: they lose their placement,
+// and their headers leave the store if they are still in it (gc.Heap removes
+// its dead before it compacts, so there the survivors are exactly the members
+// still in the store).
 //
 // I/O: the caller is expected to have scanned the partition already (see
 // ReadPartition); Compact marks the surviving pages dirty and drops stale
 // pages beyond the new live region from the buffer without write-back.
-func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, error) {
+func (m *Manager) Compact(id PartitionID, live []*objstore.Object) (CompactResult, error) {
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return CompactResult{}, fmt.Errorf("storage: compact of unknown partition %d", id)
 	}
@@ -442,14 +454,13 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, e
 	// a member found unclaimed is not live. A rejected compaction releases.
 	m.moves = slices.Grow(m.moves[:0], len(live))
 	liveBytes := 0
-	for _, oid := range live {
-		o := m.store.Get(oid)
-		if o == nil || o.PartPlus1 != int32(id)+1 {
+	for _, o := range live {
+		if o.PartPlus1 != int32(id)+1 {
 			m.release()
-			if o != nil && o.PartPlus1 == -int32(id)-1 {
-				return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", oid)
+			if o.PartPlus1 == -int32(id)-1 {
+				return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", o.OID)
 			}
-			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
+			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", o.OID, id)
 		}
 		o.PartPlus1 = -o.PartPlus1
 		m.moves = append(m.moves, move{o: o})
@@ -482,8 +493,7 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID) (CompactResult, e
 			kept = append(kept, oid)
 			continue
 		default:
-			o.PartPlus1 = 0
-			_ = m.store.Remove(oid) // cannot fail: the object is present
+			_ = m.store.Remove(oid) // cannot fail: the object is present; unplaces it
 		}
 		res.ReclaimedObjects++
 	}

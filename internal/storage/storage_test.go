@@ -25,6 +25,35 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
+// headers returns the headers Compact takes for oids: the manager's own, and
+// for an OID its store does not hold, an unplaced header of that OID.
+func headers(m *Manager, oids []objstore.OID) []*objstore.Object {
+	out := make([]*objstore.Object, 0, len(oids))
+	for _, oid := range oids {
+		o := m.store.Get(oid)
+		if o == nil {
+			o = &objstore.Object{OID: oid}
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
+// memberOIDs returns the OIDs of the objects placed in a partition, read from
+// the header form.
+func memberOIDs(t testing.TB, m *Manager, id PartitionID) []objstore.OID {
+	t.Helper()
+	members, err := m.AppendMembers(nil, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []objstore.OID
+	for _, o := range members {
+		out = append(out, o.OID)
+	}
+	return out
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{PageSize: 0, PagesPerPartition: 1, BufferPages: 1},
@@ -203,7 +232,7 @@ func TestCompactReclaims(t *testing.T) {
 	if _, err := m.Allocate(4, 60); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Compact(0, []objstore.OID{3, 1})
+	res, err := m.Compact(0, headers(m, []objstore.OID{3, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +270,7 @@ func TestCompactErrors(t *testing.T) {
 	rejected := func(what string, id PartitionID, live ...objstore.OID) {
 		t.Helper()
 		before := m.Snapshot()
-		if _, err := m.Compact(id, live); err == nil {
+		if _, err := m.Compact(id, headers(m, live)); err == nil {
 			t.Errorf("%s accepted", what)
 		}
 		if err := m.CheckInvariants(); err != nil {
@@ -264,10 +293,31 @@ func TestCompactErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if other := m.AppendObjectsIn(nil, 1); len(other) == 0 {
+	if other := memberOIDs(t, m, 1); len(other) == 0 {
 		t.Fatal("fixture: partition 1 is empty")
 	} else {
 		rejected("live object of another partition", 0, 1, other[0], 2)
+	}
+
+	// Eight 50-byte objects fill the four pages. One header grown by a byte
+	// pads every page after it, so neither order fits: the overflow refusal.
+	m = newTestManager(t, tinyConfig())
+	for oid := objstore.OID(1); oid <= 8; oid++ {
+		if _, err := m.Allocate(oid, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.store.Get(1).Size++
+	before := m.Snapshot()
+	if _, err := m.Compact(0, headers(m, memberOIDs(t, m, 0))); err == nil || !strings.Contains(err.Error(), "overflowed") {
+		t.Errorf("overflowing compaction: %v", err)
+	}
+	if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("overflowing compaction mutated state:\nbefore %+v\nafter  %+v", before, after)
+	}
+	m.store.Get(1).Size--
+	if err := m.CheckInvariants(); err != nil {
+		t.Errorf("overflowing compaction left the manager inconsistent: %v", err)
 	}
 }
 
@@ -301,7 +351,7 @@ func TestCompactOverflowFallback(t *testing.T) {
 	for i := 1; i < len(order); i += 2 {
 		worst = append(worst, order[i])
 	}
-	res, err := m.Compact(0, worst)
+	res, err := m.Compact(0, headers(m, worst))
 	if err != nil {
 		t.Fatalf("compact failed: %v", err)
 	}
@@ -371,12 +421,19 @@ func TestObjectsInSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := m.AppendObjectsIn(nil, 0)
+	got := memberOIDs(t, m, 0)
 	if len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 9 {
-		t.Errorf("ObjectsIn = %v", got)
+		t.Errorf("members = %v", got)
 	}
-	if m.AppendObjectsIn(nil, 7) != nil {
-		t.Error("unknown partition returned objects")
+	if got := memberOIDs(t, m, 7); got != nil {
+		t.Errorf("unknown partition returned %v", got)
+	}
+	// A member its owner removed without compacting is reported, not skipped.
+	if err := m.store.Remove(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AppendMembers(nil, 0); err == nil || !strings.Contains(err.Error(), "not in the store") {
+		t.Errorf("member missing from the store: %v", err)
 	}
 }
 
@@ -401,7 +458,7 @@ func TestStorageInvariantProperty(t *testing.T) {
 				next++
 			} else {
 				part := PartitionID(rng.Intn(m.NumPartitions()))
-				members := m.AppendObjectsIn(nil, part)
+				members := memberOIDs(t, m, part)
 				var live []objstore.OID
 				for _, o := range members {
 					if rng.Intn(2) == 0 {
@@ -411,7 +468,7 @@ func TestStorageInvariantProperty(t *testing.T) {
 					}
 				}
 				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-				if _, err := m.Compact(part, live); err != nil {
+				if _, err := m.Compact(part, headers(m, live)); err != nil {
 					return false
 				}
 			}
@@ -464,7 +521,7 @@ func TestCheckInvariantsCrossChecksTotals(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := m.Compact(0, []objstore.OID{3, 1}); err != nil {
+		if _, err := m.Compact(0, headers(m, []objstore.OID{3, 1})); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.CheckInvariants(); err != nil {
