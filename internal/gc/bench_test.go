@@ -168,15 +168,25 @@ func reclaimHeap(b *testing.B) (*Heap, int) {
 	return h, dead
 }
 
-// BenchmarkCheckInvariants times the whole-heap sweep sim.Finish runs at the
-// end of every replay, at 30 000 objects.
+// BenchmarkCheckInvariants times the whole-heap check at 30 000 objects:
+// CheckInvariants, and Check, the form sim.Finish runs at the end of every
+// replay. Both are one trace and one sweep; Check also reports completeness.
 func BenchmarkCheckInvariants(b *testing.B) {
 	h := benchHeap(b, 30_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.CheckInvariants(); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		check func() error
+	}{
+		{"invariants", h.CheckInvariants},
+		{"check", h.Check},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.check(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

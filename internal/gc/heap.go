@@ -34,7 +34,7 @@ type Heap struct {
 	// question the mutator and the collector ask of them (is this object a
 	// partition root?). The (partition, target, source) entries themselves
 	// are a function of the graph and the placement; externalRefs derives
-	// them for the snapshot, the invariant sweep and the fixup ablation.
+	// them for the snapshot and the fixup ablation, and Check recounts them.
 	ext objstore.Table[int32]
 
 	// po[p] counts pointer overwrites whose old target lay in partition p
@@ -80,8 +80,8 @@ type Heap struct {
 	durable storage.Backend
 
 	// scratch holds Collect's per-collection lists, truncated and reused so
-	// steady-state collection stops allocating. Valid only within one
-	// Collect call.
+	// steady-state collection stops allocating. Valid only within one call of
+	// Collect, or of Check, which borrows queue for its trace's stack.
 	scratch struct {
 		members  []*objstore.Object // the partition's headers, then its dead
 		queue    []*objstore.Object // partition roots first, then the rest of the live set in copy order
@@ -89,12 +89,13 @@ type Heap struct {
 	}
 }
 
-// Collect's marks, kept in the object headers. Outside a collection every
-// header's Mark is zero; Collect tags its partition's members and clears
+// Collect's marks and Check's, kept in the object headers. Outside either
+// every header's Mark is zero; Collect tags its partition's members and clears
 // every tag before it can fail, so a non-member reads as neither.
 const (
 	tagged  uint8 = 1 // a member the trace has not reached
 	reached uint8 = 2 // a member the trace has reached
+	checked uint8 = 3 // reached by Check, whose own value leaves a stray tag visible
 )
 
 // NewHeap wraps a store and a storage manager, which from now on keeps its
@@ -142,9 +143,6 @@ func (h *Heap) SetDurable(b storage.Backend) {
 // adopter is a backend that keeps the heap's object store as its state.
 type adopter interface{ Adopt(*objstore.Store) }
 
-// Durable returns the attached durability backend, or nil.
-func (h *Heap) Durable() storage.Backend { return h.durable }
-
 // SetPhysicalFixups switches pointer-fixup I/O charging on or off (see the
 // physicalFixups field). Used by the fixup-cost ablation benchmark.
 func (h *Heap) SetPhysicalFixups(on bool) { h.physicalFixups = on }
@@ -155,9 +153,6 @@ func (h *Heap) SetPhysicalFixups(on bool) { h.physicalFixups = on }
 // becomes a no-op. Flip it before the first overwrite; toggling mid-run
 // would leave the garbage ledger split between the two accounting schemes.
 func (h *Heap) SetOracleless(on bool) { h.oracleless = on }
-
-// Oracleless reports whether the heap runs without the trace oracle.
-func (h *Heap) Oracleless() bool { return h.oracleless }
 
 // Disk returns the physical storage manager.
 func (h *Heap) Disk() *storage.Manager { return h.disk }
@@ -298,18 +293,10 @@ func (h *Heap) forget(p storage.PartitionID, dst, src objstore.OID) error {
 	return nil
 }
 
-// ExternallyReferenced reports whether dst (in partition p) has remembered
-// external references.
-func (h *Heap) ExternallyReferenced(p storage.PartitionID, dst objstore.OID) bool {
-	part, ok := h.disk.PartitionOf(dst)
-	return ok && part == p && h.ext.Get(dst) > 0
-}
-
 // externalRefs calls fn, in ascending source order, for every pointer slot
 // whose target is placed in another partition than its holder: the
 // remembered-set entries, derived from the graph. It fails on an object or a
-// target without a placement, and on a header carrying a collector mark,
-// which only a collection in progress may set.
+// target without a placement.
 func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID)) error {
 	var err error
 	h.store.ForEach(func(o *objstore.Object) {
@@ -317,12 +304,8 @@ func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID
 			return
 		}
 		srcPart, ok := storage.PartOf(o)
-		switch {
-		case !ok:
+		if !ok {
 			err = fmt.Errorf("gc: object %v in store but not placed", o.OID)
-			return
-		case o.Mark != 0:
-			err = fmt.Errorf("gc: object %v carries collector mark %d outside a collection", o.OID, o.Mark)
 			return
 		}
 		for _, t := range o.Slots {
@@ -607,112 +590,155 @@ func (h *Heap) fixExternalPointers(p storage.PartitionID) error {
 }
 
 // Check runs CheckInvariants and CheckOracleComplete — what the simulator
-// verifies at a collection-safe point — over one build of the reachable set.
+// verifies at a collection-safe point — in one trace and one sweep.
 func (h *Heap) Check() error {
-	live := h.store.Reachable()
-	if err := h.checkInvariants(live); err != nil {
-		return err
-	}
-	return h.checkOracleComplete(live)
+	invariants, complete := h.check()
+	return cmp.Or(invariants, complete)
 }
 
 // CheckInvariants cross-validates the heap's incremental bookkeeping against
 // ground truth recomputed from the store. Expensive; used in tests.
-func (h *Heap) CheckInvariants() error { return h.checkInvariants(h.store.Reachable()) }
+func (h *Heap) CheckInvariants() error { invariants, _ := h.check(); return invariants }
 
-func (h *Heap) checkInvariants(live *objstore.Table[bool]) error {
-	if err := h.disk.CheckInvariants(); err != nil {
-		return err
-	}
-	// Recount the remembered external references from the graph and compare.
-	var want objstore.Table[int32]
-	if err := h.externalRefs(func(_ storage.PartitionID, dst, _ objstore.OID) {
-		want.Set(dst, want.Get(dst)+1)
-	}); err != nil {
-		return err
-	}
+// CheckOracleComplete verifies the converse of CheckInvariants' soundness
+// check: every unreachable object is known dead to the oracle. That holds at
+// the simulator's collection-safe points, not in hand-built heaps with
+// untracked garbage; in oracleless (live) mode it passes vacuously.
+func (h *Heap) CheckOracleComplete() error { _, complete := h.check(); return complete }
+
+// check recomputes what the heap keeps incrementally in a trace that marks
+// every reachable header checked and a sweep, driven by the manager, that
+// reports any other mark and zeroes them all: one Store.Get per non-nil slot.
+// It returns the first inconsistency and, apart, the oracle's first miss.
+func (h *Heap) check() (invariants, complete error) {
 	var err error
-	mismatch := func(dst objstore.OID, _ int32) {
-		if err == nil && h.ext.Get(dst) != want.Get(dst) {
-			p, _ := h.disk.PartitionOf(dst)
-			err = fmt.Errorf("gc: partition %d remembers %d external references to %v, ground truth %d",
-				p, h.ext.Get(dst), dst, want.Get(dst))
+	//lint:allow hotpath validation recount: one count per object, grown to the highest target
+	want := make([]int32, 0, h.store.Len()) // references into each target from other partitions
+	stack := h.scratch.queue[:0]            // the trace is depth first, on the list Collect queues in
+	push := func(o *objstore.Object) {
+		if o != nil && o.Mark == 0 {
+			o.Mark = checked
+			stack = append(stack, o)
 		}
 	}
-	want.ForEach(mismatch)
-	h.ext.ForEach(mismatch)
-	if err != nil {
-		return err
+	refs := func(o *objstore.Object, trace bool) {
+		for _, t := range o.Slots {
+			if t.IsNil() {
+				continue
+			}
+			to := h.store.Get(t)
+			switch {
+			case to == nil || to.PartPlus1 == 0:
+				err = cmp.Or(err, fmt.Errorf("gc: object %v references unplaced %v", o.OID, t))
+				continue
+			case to.PartPlus1 != o.PartPlus1:
+				if int(t) >= len(want) {
+					want = append(want, make([]int32, int(t)+1-len(want))...)
+				}
+				want[t]++
+			}
+			if trace {
+				push(to)
+			}
+		}
 	}
-	// Every stored total is the sum of its parts.
+	for _, oid := range h.store.Roots() {
+		push(h.store.Get(oid))
+	}
+	for len(stack) > 0 {
+		o := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		refs(o, true)
+	}
+
+	//lint:allow hotpath validation sweep: one count array per call
+	deadBytes := make([]int, h.disk.NumPartitions())
+	unreached, oracleSeen := 0, 0
+	var sample objstore.OID // the first object whose reachability the oracle has wrong
+	sweepErr := h.disk.CheckSweep(func(o *objstore.Object) {
+		live := o.Mark == checked
+		if !live && o.Mark != 0 {
+			err = cmp.Or(err, fmt.Errorf("gc: object %v carries collector mark %d outside a collection", o.OID, o.Mark))
+		}
+		if o.Mark = 0; o.PartPlus1 == 0 {
+			err = cmp.Or(err, fmt.Errorf("gc: object %v in store but not placed", o.OID))
+		}
+		if !live {
+			unreached++
+			refs(o, false)
+		}
+		dead := h.oracleDead.Get(o.OID)
+		if dead == live && sample.IsNil() {
+			sample = o.OID
+		}
+		switch p := int(o.PartPlus1) - 1; {
+		case !dead:
+		case live: // every oracle-dead object must be truly unreachable (soundness)
+			err = cmp.Or(err, fmt.Errorf("gc: oracle-dead object %v is reachable", o.OID))
+		case p >= 0 && p < len(deadBytes): // else the placement check fails
+			deadBytes[p] += int(o.Size)
+			oracleSeen++
+		}
+	})
+	if !h.oracleless && unreached != h.oracleDead.Len() {
+		complete = fmt.Errorf("gc: %d unreachable objects but oracle knows %d (e.g. %v)",
+			unreached, h.oracleDead.Len(), sample)
+	}
+	err = cmp.Or(sweepErr, err)
+	// Equal counts for every recounted target, and as many targets as stored
+	// counts, mean no stored count lacks a recount.
+	mismatch := func(dst objstore.OID, _ int32) {
+		n := int32(0)
+		if int(dst) < len(want) {
+			n = want[dst]
+		}
+		if err == nil && h.ext.Get(dst) != n {
+			p, _ := h.disk.PartitionOf(dst)
+			err = fmt.Errorf("gc: partition %d remembers %d external references to %v, ground truth %d",
+				p, h.ext.Get(dst), dst, n)
+		}
+	}
+	targets := 0
+	for dst, n := range want {
+		if n != 0 {
+			targets++
+			mismatch(objstore.OID(dst), n)
+		}
+	}
+	if err == nil && targets != h.ext.Len() {
+		h.ext.ForEach(mismatch)
+	}
 	poSum := 0
 	for _, n := range h.po {
 		poSum += n
 	}
-	if poSum != h.poTotal {
-		return fmt.Errorf("gc: overwrite total %d but partition counters sum to %d", h.poTotal, poSum)
-	}
-	// Oracle ledger consistency, partition by partition.
-	//lint:allow hotpath validation sweep: one count array per call
-	deadBytes := make([]int, h.disk.NumPartitions())
-	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
-		if err != nil {
-			return
-		}
-		o := h.store.Get(oid)
-		p, placed := h.disk.PartitionOf(oid)
-		switch {
-		case o == nil || !placed:
-			err = fmt.Errorf("gc: oracle-dead object %v missing from store", oid)
-		case live.Get(oid):
-			// Every oracle-dead object must be truly unreachable (soundness).
-			err = fmt.Errorf("gc: oracle-dead object %v is reachable", oid)
-		default:
-			deadBytes[p] += int(o.Size)
-		}
-	})
-	if err != nil {
-		return err
+	switch {
+	case err != nil:
+		return err, complete
+	case poSum != h.poTotal:
+		return fmt.Errorf("gc: overwrite total %d but partition counters sum to %d", h.poTotal, poSum), complete
+	case oracleSeen != h.oracleDead.Len(): // the sweep met fewer than the oracle knows
+		h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
+			if err == nil && h.store.Get(oid) == nil {
+				err = fmt.Errorf("gc: oracle-dead object %v missing from store", oid)
+			}
+		})
+		return err, complete
 	}
 	sum := 0
-	for p, want := range deadBytes {
+	for p, dead := range deadBytes {
 		got := counter(h.oracleDeadBytes, storage.PartitionID(p))
-		if got != want {
-			return fmt.Errorf("gc: oracle garbage bytes %d in partition %d disagree with dead set total %d", got, p, want)
+		if got != dead {
+			return fmt.Errorf("gc: oracle garbage bytes %d in partition %d disagree with dead set total %d", got, p, dead), complete
 		}
 		sum += got
 	}
 	if sum != h.garbage {
-		return fmt.Errorf("gc: garbage total %d but partitions sum to %d", h.garbage, sum)
+		return fmt.Errorf("gc: garbage total %d but partitions sum to %d", h.garbage, sum), complete
 	}
 	if h.totalGarbage-h.totalCollected != uint64(sum) {
 		return fmt.Errorf("gc: ledger mismatch: created %d - collected %d != outstanding %d",
-			h.totalGarbage, h.totalCollected, sum)
+			h.totalGarbage, h.totalCollected, sum), complete
 	}
-	return nil
-}
-
-// CheckOracleComplete verifies the converse of CheckInvariants' soundness
-// check: every unreachable object is known dead to the oracle. This holds
-// at the simulator's collection-safe points when replaying a well-formed
-// trace, but not in hand-built heaps with untracked garbage — and not in
-// oracleless (live) mode, where unreclaimed garbage is by design unknown;
-// there the check passes vacuously.
-func (h *Heap) CheckOracleComplete() error { return h.checkOracleComplete(h.store.Reachable()) }
-
-func (h *Heap) checkOracleComplete(live *objstore.Table[bool]) error {
-	if h.oracleless {
-		return nil
-	}
-	if dead := h.store.Len() - live.Len(); dead != h.oracleDead.Len() {
-		var sample objstore.OID
-		h.store.ForEach(func(o *objstore.Object) {
-			if !live.Get(o.OID) {
-				sample = o.OID
-			}
-		})
-		return fmt.Errorf("gc: %d unreachable objects but oracle knows %d (e.g. %v)",
-			dead, h.oracleDead.Len(), sample)
-	}
-	return nil
+	return nil, complete
 }

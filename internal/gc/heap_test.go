@@ -51,6 +51,13 @@ func root(t *testing.T, h *Heap, oid objstore.OID) {
 	}
 }
 
+// externallyReferenced reports whether dst, placed in partition p, has
+// remembered external references: whether collecting p keeps it as a root.
+func externallyReferenced(h *Heap, p storage.PartitionID, dst objstore.OID) bool {
+	part, ok := h.disk.PartitionOf(dst)
+	return ok && part == p && h.ext.Get(dst) > 0
+}
+
 func mustPart(t *testing.T, h *Heap, oid objstore.OID) storage.PartitionID {
 	t.Helper()
 	p, ok := h.Disk().PartitionOf(oid)
@@ -120,7 +127,7 @@ func TestCollectKeepsExternallyReferenced(t *testing.T) {
 	if p3 == mustPart(t, h, 1) {
 		t.Fatalf("test setup: 3 not in a different partition")
 	}
-	if !h.ExternallyReferenced(p3, 3) {
+	if !externallyReferenced(h, p3, 3) {
 		t.Fatal("remset missing external reference to 3")
 	}
 	res, err := h.Collect(p3)
@@ -149,11 +156,11 @@ func TestRemsetFollowsOverwrites(t *testing.T) {
 		t.Fatal("setup: 5 must live in its own partition")
 	}
 	link(t, h, 1, 0, 5)
-	if !h.ExternallyReferenced(p5, 5) {
+	if !externallyReferenced(h, p5, 5) {
 		t.Error("remset entry missing after link")
 	}
 	unlink(t, h, 1, 0, 5)
-	if h.ExternallyReferenced(p5, 5) {
+	if externallyReferenced(h, p5, 5) {
 		t.Error("remset entry not removed after unlink")
 	}
 	// Two references from the same source: both must be dropped before the
@@ -161,11 +168,11 @@ func TestRemsetFollowsOverwrites(t *testing.T) {
 	link(t, h, 6, 0, 5)
 	link(t, h, 6, 1, 5)
 	unlink(t, h, 6, 0, 5)
-	if !h.ExternallyReferenced(p5, 5) {
+	if !externallyReferenced(h, p5, 5) {
 		t.Error("remset entry dropped while one reference remains")
 	}
 	unlink(t, h, 6, 1, 5)
-	if h.ExternallyReferenced(p5, 5) {
+	if externallyReferenced(h, p5, 5) {
 		t.Error("remset entry kept after all references removed")
 	}
 	if err := h.CheckInvariants(); err != nil {

@@ -65,7 +65,7 @@ func TestOraclelessSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h2.Oracleless() {
+	if !h2.oracleless {
 		t.Fatal("restored heap lost live mode")
 	}
 	res, err := h2.Collect(0)

@@ -54,9 +54,9 @@ func TestLoadFillsAnEmptyHeap(t *testing.T) {
 	if h.Store().Len() != 5 || h.NumPartitions() != 2 || !h.Store().IsRoot(1) || h.Store().NumRoots() != 1 {
 		t.Errorf("loaded %d objects into %d partitions with %d roots", h.Store().Len(), h.NumPartitions(), h.Store().NumRoots())
 	}
-	if !h.ExternallyReferenced(1, 9) || h.ExternallyReferenced(0, 2) {
+	if !externallyReferenced(h, 1, 9) || externallyReferenced(h, 0, 2) {
 		t.Errorf("remembered sets: 9 external %v (want true), 2 external %v (want false)",
-			h.ExternallyReferenced(1, 9), h.ExternallyReferenced(0, 2))
+			externallyReferenced(h, 1, 9), externallyReferenced(h, 0, 2))
 	}
 	if got := h.Store().NextOID(); got != 10 {
 		t.Errorf("next OID %v, want oid:10", got)

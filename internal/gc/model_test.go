@@ -226,10 +226,10 @@ func (m *model) compare(h *Heap) error {
 			return fmt.Errorf("object %v: placed in %d (%v), model %d", oid, p, ok, m.part[oid])
 		}
 		remembered := len(m.remset[p][oid]) > 0
-		if h.ExternallyReferenced(p, oid) != remembered {
+		if externallyReferenced(h, p, oid) != remembered {
 			return fmt.Errorf("object %v: externally referenced=%v, model %v", oid, !remembered, remembered)
 		}
-		if h.ExternallyReferenced(p+1, oid) {
+		if externallyReferenced(h, p+1, oid) {
 			return fmt.Errorf("object %v reported remembered in a partition it is not in", oid)
 		}
 		dbBytes += o.size
@@ -310,6 +310,8 @@ func absent(h *Heap, oid objstore.OID) error {
 // (some out of OID order), pointer stores, unlinks, root changes and
 // collections. The run is long enough that whole table chunks empty out and
 // are released, after which lookups of the reclaimed OIDs must read absent.
+// After every step Check and the multi-walk check it replaced
+// (referenceCheck) must agree, and accept.
 func TestDifferentialAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -446,6 +448,9 @@ func TestDifferentialAgainstMapModel(t *testing.T) {
 					if err := h.RecordOracleDead(dead); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
+				}
+				if err := agree(t, h, fmt.Sprintf("step %d", step)); err != nil {
+					t.Fatal(err)
 				}
 				if step%97 == 0 {
 					if err := m.compare(h); err != nil {

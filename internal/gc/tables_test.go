@@ -101,9 +101,9 @@ func TestRestoreHeapRebuildsDerivedState(t *testing.T) {
 		}
 		for oid := objstore.OID(1); oid <= 8; oid++ {
 			p, _ := h.Disk().PartitionOf(oid)
-			if h.ExternallyReferenced(p, oid) != r.ExternallyReferenced(p, oid) {
+			if externallyReferenced(h, p, oid) != externallyReferenced(r, p, oid) {
 				t.Errorf("%s: %v externally referenced = %v, original %v", when, oid,
-					r.ExternallyReferenced(p, oid), h.ExternallyReferenced(p, oid))
+					externallyReferenced(r, p, oid), externallyReferenced(h, p, oid))
 			}
 		}
 		if err := r.CheckInvariants(); err != nil {

@@ -9,7 +9,7 @@
 // described in Cook, Wolf, Zorn (CU-CS-647-93) that the paper builds on. The
 // exceptions are header fields other layers write, kept beside the object
 // instead of in a second OID table: where package storage placed it, and the
-// mark package gc tags it with during a collection.
+// mark package gc tags it with during a collection or an invariant check.
 package objstore
 
 import (
@@ -74,8 +74,8 @@ func (c Class) String() string {
 // Object is a logical database object: a size in bytes and pointer slots.
 // The slot array has fixed length per object; a slot holds NilOID when empty.
 // Mark, PartPlus1 and Offset fill what would be padding in the 48 bytes: the
-// collector's mark, which package gc sets during a collection and clears
-// before it returns, and the object's partition plus one (zero while
+// collector's mark, which package gc sets during a collection or a check and
+// clears before it returns, and the object's partition plus one (zero while
 // unplaced) and its byte offset there, which only package storage uses.
 type Object struct {
 	OID       OID
@@ -337,6 +337,7 @@ func (s *Store) NumRoots() int { return s.roots.Len() }
 
 // Roots returns the persistent root set in ascending OID order.
 func (s *Store) Roots() []OID {
+	//lint:allow hotpath the root list is the product, returned to the caller
 	out := make([]OID, 0, s.roots.Len())
 	s.roots.ForEach(func(oid OID, _ bool) { out = append(out, oid) })
 	return out
@@ -396,20 +397,6 @@ func (s *Store) Reachable() *Table[bool] {
 		}
 	}
 	return seen
-}
-
-// GarbageBytes returns the number of bytes occupied by objects that are not
-// reachable from the roots. Like Reachable, this is a whole-database scan
-// meant for validation; the simulator tracks garbage incrementally.
-func (s *Store) GarbageBytes() int {
-	live := s.Reachable()
-	garb := 0
-	s.ForEach(func(o *Object) {
-		if !live.Get(o.OID) {
-			garb += int(o.Size)
-		}
-	})
-	return garb
 }
 
 // Stats summarizes the object table for diagnostics.

@@ -80,8 +80,8 @@ func TestDatabaseInfo(t *testing.T) {
 		t.Errorf("atomic in-degree = %.2f, want ≈ 4", info.AvgAtomicInDegree)
 	}
 	// Everything must be reachable right after GenDB.
-	if garb := g.Store().GarbageBytes(); garb != 0 {
-		t.Errorf("fresh database has %d garbage bytes", garb)
+	if garb := g.Store().Len() - g.Store().Reachable().Len(); garb != 0 {
+		t.Errorf("fresh database has %d unreachable objects", garb)
 	}
 	for _, cs := range []struct {
 		class objstore.Class

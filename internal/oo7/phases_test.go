@@ -113,8 +113,8 @@ func TestSmallVariantBuilds(t *testing.T) {
 	if info.ByClass[objstore.ClassCompositePart].Count != 500 {
 		t.Errorf("Small composites = %d", info.ByClass[objstore.ClassCompositePart].Count)
 	}
-	if garb := g.Store().GarbageBytes(); garb != 0 {
-		t.Errorf("fresh Small database has %d garbage bytes", garb)
+	if garb := g.Store().Len() - g.Store().Reachable().Len(); garb != 0 {
+		t.Errorf("fresh Small database has %d unreachable objects", garb)
 	}
 }
 

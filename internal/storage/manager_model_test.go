@@ -79,7 +79,7 @@ func TestCompactMatchesReferenceLayout(t *testing.T) {
 		if fellBack {
 			fallbacks++
 		}
-		usedBefore := m.PartitionUsedBytes(0)
+		usedBefore := m.parts[0].used
 		res, err := m.Compact(0, headers(m, live))
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
@@ -94,8 +94,8 @@ func TestCompactMatchesReferenceLayout(t *testing.T) {
 				t.Fatalf("iter %d (fallback %v): %v at %+v, reference offset %d", iter, fellBack, oid, pl, off)
 			}
 		}
-		if free := m.PartitionFreeBytes(0); free != cfg.PartitionBytes()-end {
-			t.Fatalf("iter %d: cursor at %d, reference %d", iter, cfg.PartitionBytes()-free, end)
+		if cursor := m.parts[0].cursor; cursor != end {
+			t.Fatalf("iter %d: cursor at %d, reference %d", iter, cursor, end)
 		}
 		wantRes := CompactResult{
 			ReclaimedBytes:   usedBefore - usedLive,

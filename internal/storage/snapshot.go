@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 
 	"odbgc/internal/objstore"
@@ -81,8 +82,8 @@ func RestoreManager(st *ManagerState, objs *objstore.Store) (*Manager, error) {
 	for _, pe := range st.Placements {
 		// Checked before the narrowing below can hide a damaged field.
 		pl := pe.Placement
-		if err := m.checkPlacement(pe.OID, pl); err != nil {
-			return nil, err
+		if err := m.checkPlacement(pe.OID, int(pl.Part), pl.Offset, pl.Size); err != nil || pl.Page != pl.Offset/st.Cfg.PageSize {
+			return nil, cmp.Or(err, fmt.Errorf("storage: %v page %d disagrees with offset %d", pe.OID, pl.Page, pl.Offset))
 		}
 		o := m.store.Get(pe.OID)
 		if o == nil && objs == nil {

@@ -198,33 +198,12 @@ func (m *Manager) SetIOClass(c IOClass) IOClass {
 	return prev
 }
 
-// IOClass returns the current attribution class.
-func (m *Manager) IOClass() IOClass { return m.class }
-
 // NumPartitions returns the number of allocated partitions.
 func (m *Manager) NumPartitions() int { return len(m.parts) }
 
 // OccupiedBytes returns the total bytes of objects placed across all
 // partitions (live + garbage). This is the SAGA notion of database size.
 func (m *Manager) OccupiedBytes() int { return m.occupied }
-
-// PartitionUsedBytes returns the occupied bytes of one partition.
-func (m *Manager) PartitionUsedBytes(id PartitionID) int {
-	if int(id) < 0 || int(id) >= len(m.parts) {
-		return 0
-	}
-	return m.parts[id].used
-}
-
-// PartitionFreeBytes returns the bytes still allocatable in a partition
-// (capacity minus the bump cursor; holes from garbage are not reusable
-// until the partition is compacted).
-func (m *Manager) PartitionFreeBytes(id PartitionID) int {
-	if int(id) < 0 || int(id) >= len(m.parts) {
-		return 0
-	}
-	return m.cfg.PartitionBytes() - m.parts[id].cursor
-}
 
 // PartitionOf returns the partition holding an object. The second result is
 // false if the object has no placement.
@@ -561,25 +540,32 @@ func (m *Manager) FlushGCDirty() int {
 	return n
 }
 
-// BufferContents exposes the buffered page set for tests and diagnostics.
-func (m *Manager) BufferContents() []PageID { return m.buf.Pages() }
-
 // CheckInvariants validates internal consistency; used by tests and the
 // simulator's self-check mode. It verifies that placements and partition
 // member lists agree, that used byte counts match, and that the stored
 // database total is the sum of its parts.
-func (m *Manager) CheckInvariants() error {
-	//lint:allow hotpath validation sweep: one count array per call
-	perPart := make([]int, len(m.parts))
+func (m *Manager) CheckInvariants() error { return m.CheckSweep(func(*objstore.Object) {}) }
+
+// CheckSweep is CheckInvariants in one ascending pass over the store that
+// hands every object, placed or not, to visit; it goes to the end whatever it
+// finds. A placed object must be the next entry of its partition's list, so a
+// list's cursor stops on an entry out of order or placed elsewhere.
+func (m *Manager) CheckSweep(visit func(*objstore.Object)) error {
+	//lint:allow hotpath validation sweep: one state array per call
+	parts := make([]struct{ used, next int }, len(m.parts))
 	placed := 0
 	var err error
 	m.store.ForEach(func(o *objstore.Object) {
+		visit(o)
 		if err != nil || o.PartPlus1 == 0 {
 			return
 		}
-		pl := m.placement(o)
-		if err = m.checkPlacement(o.OID, pl); err == nil {
-			perPart[pl.Part] += pl.Size
+		if err = m.checkPlacement(o.OID, int(o.PartPlus1)-1, int(o.Offset), int(o.Size)); err == nil {
+			sp, objects := &parts[o.PartPlus1-1], m.parts[o.PartPlus1-1].objects
+			sp.used += int(o.Size)
+			if sp.next < len(objects) && objects[sp.next] == o.OID {
+				sp.next++
+			}
 			placed++
 		}
 	})
@@ -588,16 +574,15 @@ func (m *Manager) CheckInvariants() error {
 	}
 	listed, total := 0, 0
 	for _, p := range m.parts {
-		if got := perPart[p.id]; got != p.used {
+		if got := parts[p.id].used; got != p.used {
 			return fmt.Errorf("storage: partition %d used=%d but placements sum to %d", p.id, p.used, got)
 		}
-		for i, oid := range p.objects {
-			if i > 0 && p.objects[i-1] >= oid {
+		if n := parts[p.id].next; n < len(p.objects) {
+			if oid := p.objects[n]; n > 0 && p.objects[n-1] >= oid {
 				return fmt.Errorf("storage: partition %d lists %v out of order", p.id, oid)
 			}
-			if pl, ok := m.PlacementOf(oid); !ok || pl.Part != p.id {
-				return fmt.Errorf("storage: partition %d lists %v but placement says %+v", p.id, oid, pl)
-			}
+			pl, _ := m.PlacementOf(p.objects[n])
+			return fmt.Errorf("storage: partition %d lists %v but placement says %+v", p.id, p.objects[n], pl)
 		}
 		if p.cursor < 0 || p.cursor > m.cfg.PartitionBytes() {
 			return fmt.Errorf("storage: partition %d cursor %d out of range", p.id, p.cursor)
@@ -605,8 +590,7 @@ func (m *Manager) CheckInvariants() error {
 		listed += len(p.objects)
 		total += p.used
 	}
-	// Every listed object is placed where it is listed and no list repeats
-	// one, so equal counts mean no placement is missing from its list.
+	// Every list entry matched a placement: equal counts leave none unlisted.
 	if listed != placed {
 		return fmt.Errorf("storage: %d placements but the partitions list %d objects", placed, listed)
 	}
@@ -616,17 +600,16 @@ func (m *Manager) CheckInvariants() error {
 	return nil
 }
 
-// checkPlacement validates one placement against the geometry.
-func (m *Manager) checkPlacement(oid objstore.OID, pl Placement) error {
+// checkPlacement validates a placement in partition part at byte offset off,
+// size bytes long, against the geometry. Placement derives the page.
+func (m *Manager) checkPlacement(oid objstore.OID, part, off, size int) error {
 	switch {
-	case int(pl.Part) < 0 || int(pl.Part) >= len(m.parts):
-		return fmt.Errorf("storage: %v placed in unknown partition %d", oid, pl.Part)
-	case pl.Size <= 0 || pl.Offset < 0 || pl.Offset > m.cfg.PartitionBytes()-pl.Size:
-		return fmt.Errorf("storage: %v placement out of range: %+v", oid, pl)
-	case pl.Offset/m.cfg.PageSize != pl.Page:
-		return fmt.Errorf("storage: %v page %d disagrees with offset %d", oid, pl.Page, pl.Offset)
-	case pl.Offset%m.cfg.PageSize+pl.Size > m.cfg.PageSize:
-		return fmt.Errorf("storage: %v spans a page boundary: %+v", oid, pl)
+	case part < 0 || part >= len(m.parts):
+		return fmt.Errorf("storage: %v placed in unknown partition %d", oid, part)
+	case size <= 0 || off < 0 || off > m.cfg.PartitionBytes()-size:
+		return fmt.Errorf("storage: %v placement out of range: %+v", oid, Placement{PartitionID(part), off / m.cfg.PageSize, off, size})
+	case off%m.cfg.PageSize+size > m.cfg.PageSize:
+		return fmt.Errorf("storage: %v spans a page boundary: %+v", oid, Placement{PartitionID(part), off / m.cfg.PageSize, off, size})
 	}
 	return nil
 }

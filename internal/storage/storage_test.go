@@ -203,7 +203,7 @@ func TestIOClassAttribution(t *testing.T) {
 		t.Errorf("GC touch charged %+v", d)
 	}
 	m.SetIOClass(IOApp)
-	if m.IOClass() != IOApp {
+	if m.class != IOApp {
 		t.Error("class not restored")
 	}
 }
@@ -249,12 +249,12 @@ func TestCompactReclaims(t *testing.T) {
 	if _, ok := m.PlacementOf(2); ok {
 		t.Error("reclaimed object still placed")
 	}
-	if m.PartitionUsedBytes(0) != 120 {
-		t.Errorf("used = %d", m.PartitionUsedBytes(0))
+	if m.parts[0].used != 120 {
+		t.Errorf("used = %d", m.parts[0].used)
 	}
 	// Freed space is allocatable again: cursor 160, capacity 400.
-	if m.PartitionFreeBytes(0) != 240 {
-		t.Errorf("free = %d, want 240", m.PartitionFreeBytes(0))
+	if m.parts[0].cursor != 160 {
+		t.Errorf("cursor = %d, want 160", m.parts[0].cursor)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -563,13 +563,13 @@ func TestPlaceAfterCompactionDropsItsPage(t *testing.T) {
 	if _, err := m.Compact(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.BufferContents(); len(got) != 0 {
+	if got := m.buf.Pages(); len(got) != 0 {
 		t.Fatalf("fixture: buffer holds %v after the compaction", got)
 	}
 	if _, err := m.Allocate(2, 10); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.BufferContents(); !reflect.DeepEqual(got, []PageID{{0, 0}}) || !m.buf.IsDirty(PageID{0, 0}) {
+	if got := m.buf.Pages(); !reflect.DeepEqual(got, []PageID{{0, 0}}) || !m.buf.IsDirty(PageID{0, 0}) {
 		t.Errorf("after placing on the dropped page the buffer holds %v (dirty %v), want p0/0 dirty", got, m.buf.IsDirty(PageID{0, 0}))
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -605,7 +605,7 @@ func TestPlaceRepinsWhatChanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := m.Snapshot()
-		wantGC := m.IOClass() == IOGC
+		wantGC := m.class == IOGC
 		if len(st.Buffer) != 1 || st.Buffer[0] != (FrameState{Page: PageID{0, 1}, Dirty: true}) || (len(st.GCDirty) == 1) != wantGC {
 			t.Errorf("%s: buffer %+v, collector-dirty %v; want p0/1 dirty (collector-dirty %v)", tc.name, st.Buffer, st.GCDirty, wantGC)
 		}
