@@ -15,7 +15,7 @@ import (
 // sweep, kept as the reference the differential tests hold it to: the
 // manager's placement sweep and a lookup per listed member, a walk of the
 // graph recounting the remembered references, a two-way comparison of the
-// counts, Store.Reachable, a walk of the oracle ledger and a count for
+// counts, Store.Reachable, a walk of the oracle's dead flags and a count for
 // completeness.
 func referenceCheck(h *Heap) error {
 	if err := referenceManagerCheck(h.store, h.disk); err != nil {
@@ -55,21 +55,26 @@ func referenceCheck(h *Heap) error {
 		return fmt.Errorf("gc: overwrite total %d but partition counters sum to %d", h.poTotal, poSum)
 	}
 	deadBytes := make([]int, h.disk.NumPartitions())
-	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
-		o := h.store.Get(oid)
-		p, placed := h.disk.PartitionOf(oid)
+	flagged := 0
+	h.store.ForEach(func(o *objstore.Object) {
+		if !o.Dead {
+			return
+		}
+		flagged++
+		p, placed := storage.PartOf(o)
 		switch {
-		case err != nil:
-		case o == nil || !placed:
-			err = fmt.Errorf("gc: oracle-dead object %v missing from store", oid)
-		case live.Get(oid):
-			err = fmt.Errorf("gc: oracle-dead object %v is reachable", oid)
+		case err != nil || !placed: // externalRefs refused an unplaced object
+		case live.Get(o.OID):
+			err = fmt.Errorf("gc: oracle-dead object %v is reachable", o.OID)
 		default:
 			deadBytes[p] += int(o.Size)
 		}
 	})
 	if err != nil {
 		return err
+	}
+	if flagged != h.oracleDead {
+		return fmt.Errorf("gc: oracle counts %d dead objects but %d headers are flagged dead", h.oracleDead, flagged)
 	}
 	sum := 0
 	for p, want := range deadBytes {
@@ -82,8 +87,8 @@ func referenceCheck(h *Heap) error {
 		return fmt.Errorf("gc: garbage total %d, created %d - collected %d, partitions sum to %d",
 			h.garbage, h.totalGarbage, h.totalCollected, sum)
 	}
-	if dead := h.store.Len() - live.Len(); !h.oracleless && dead != h.oracleDead.Len() {
-		return fmt.Errorf("gc: %d unreachable objects but oracle knows %d", dead, h.oracleDead.Len())
+	if dead := h.store.Len() - live.Len(); !h.oracleless && dead != h.oracleDead {
+		return fmt.Errorf("gc: %d unreachable objects but oracle knows %d", dead, h.oracleDead)
 	}
 	return nil
 }
@@ -221,8 +226,8 @@ func TestCheckCatchesEveryCorruption(t *testing.T) {
 		{"remembered count too high", func(t *testing.T, h *Heap) { h.ext.Set(5, 2) }, "remembers 2 external references to oid:5, ground truth 1"},
 		{"remembered count too low", func(t *testing.T, h *Heap) { h.ext.Set(2, 0) }, "remembers 0 external references to oid:2, ground truth 1"},
 		{"remembered count without a reference", func(t *testing.T, h *Heap) { h.ext.Set(6, 1) }, "remembers 1 external references to oid:6, ground truth 0"},
-		{"reachable oracle-dead object", func(t *testing.T, h *Heap) { h.oracleDead.Set(4, true) }, "oracle-dead object oid:4 is reachable"},
-		{"oracle-dead object missing from the store", func(t *testing.T, h *Heap) { h.oracleDead.Set(99, true) }, "oracle-dead object oid:99 missing from store"},
+		{"reachable oracle-dead object", func(t *testing.T, h *Heap) { h.store.Get(4).Dead = true; h.oracleDead++ }, "oracle-dead object oid:4 is reachable"},
+		{"oracle-dead count drift", func(t *testing.T, h *Heap) { h.oracleDead++ }, "oracle counts 4 dead objects but 3 headers are flagged dead"},
 		{"partition dead bytes drift", func(t *testing.T, h *Heap) { h.oracleDeadBytes[0] += 100; h.oracleDeadBytes[1] -= 100 }, "oracle garbage bytes 200 in partition 0"},
 		{"untracked unreachable object", func(t *testing.T, h *Heap) { unlink(t, h, 2, 0, 4) }, "4 unreachable objects but oracle knows 3 (e.g. oid:4)"},
 		{"member list missing an entry", func(t *testing.T, h *Heap) {

@@ -47,10 +47,11 @@ type Heap struct {
 	// overwrite ticks it once.
 	totalOverwrites uint64
 
-	// Oracle ledger. oracleDead holds objects known unreachable but not yet
-	// reclaimed; oracleDeadBytes indexes their bytes by partition and
-	// garbage is the sum over partitions, sampled at every trace event.
-	oracleDead       objstore.Table[bool]
+	// Oracle ledger. An object known unreachable but not yet reclaimed has
+	// Dead set in its header, and oracleDead counts those headers;
+	// oracleDeadBytes indexes their bytes by partition and garbage is the sum
+	// over partitions, sampled at every trace event.
+	oracleDead       int
 	oracleDeadBytes  []int
 	garbage          int
 	totalGarbage     uint64 // cumulative bytes of garbage ever created
@@ -83,8 +84,9 @@ type Heap struct {
 	// steady-state collection stops allocating. Valid only within one call of
 	// Collect, or of Check, which borrows queue for its trace's stack.
 	scratch struct {
-		members  []*objstore.Object // the partition's headers, then its dead
+		members  []*objstore.Object // the partition's headers, handed to Compact
 		queue    []*objstore.Object // partition roots first, then the rest of the live set in copy order
+		dead     []*objstore.Object // the members the trace did not reach, ascending
 		deadList []objstore.OID
 	}
 }
@@ -329,18 +331,19 @@ func (h *Heap) externalRefs(fn func(p storage.PartitionID, dst, src objstore.OID
 // The collector will eventually rediscover and reclaim them by tracing.
 func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 	for _, oid := range dead {
-		if h.oracleDead.Get(oid) {
-			return fmt.Errorf("gc: object %v declared dead twice", oid)
-		}
 		o := h.store.Get(oid)
 		if o == nil {
 			return fmt.Errorf("gc: oracle-dead object %v not in store", oid)
+		}
+		if o.Dead {
+			return fmt.Errorf("gc: object %v declared dead twice", oid)
 		}
 		p, ok := storage.PartOf(o)
 		if !ok {
 			return fmt.Errorf("gc: oracle-dead object %v has no placement", oid)
 		}
-		h.oracleDead.Set(oid, true)
+		o.Dead = true
+		h.oracleDead++
 		*counterAt(&h.oracleDeadBytes, p) += int(o.Size)
 		h.garbage += int(o.Size)
 		h.totalGarbage += uint64(o.Size)
@@ -363,8 +366,8 @@ func (h *Heap) OracleGarbageIn(p storage.PartitionID) int { return counter(h.ora
 // segment per collection, and dead cross-partition cycles never release.
 func (h *Heap) PinnedGarbageBytes() int {
 	pinned := 0
-	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
-		if o := h.store.Get(oid); o != nil && h.ext.Get(oid) > 0 {
+	h.store.ForEach(func(o *objstore.Object) {
+		if o.Dead && h.ext.Get(o.OID) > 0 {
 			pinned += int(o.Size)
 		}
 	})
@@ -440,7 +443,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	// traversal queue, and live objects are appended behind them.
 	queue := sc.queue[:0]
 	for _, o := range members {
-		if h.store.IsRoot(o.OID) || h.ext.Get(o.OID) > 0 {
+		if o.Root || h.ext.Get(o.OID) > 0 {
 			o.Mark = reached
 			queue = append(queue, o)
 		} else {
@@ -469,9 +472,8 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	live := queue
 
 	// Everything unreached is garbage. The pass that lists it clears every
-	// tag, before anything below can fail. The dead headers take members'
-	// place in the scratch.
-	dead := members[:0]
+	// tag, before anything below can fail.
+	dead := sc.dead[:0]
 	deadList := sc.deadList[:0]
 	for _, o := range members {
 		if o.Mark == tagged {
@@ -480,7 +482,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		}
 		o.Mark = 0
 	}
-	sc.deadList = deadList
+	sc.dead, sc.deadList = dead, deadList
 
 	// Log the whole reclaim as one WAL record before any object leaves the
 	// store: either the commit containing it lands and every reclaimed
@@ -517,13 +519,14 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		// with respect to true reachability. In oracleless (live) mode the
 		// collector is the discoverer: garbage enters the cumulative ledger
 		// the moment it is reclaimed, keeping created−collected==outstanding.
-		if !h.oracleDead.Get(o.OID) {
+		if !o.Dead {
 			if !h.oracleless {
 				return CollectionResult{}, fmt.Errorf("gc: collector reclaimed %v which the oracle believes live", o.OID)
 			}
 			h.totalGarbage += uint64(o.Size)
 		} else {
-			h.oracleDead.Set(o.OID, false)
+			o.Dead = false
+			h.oracleDead--
 			*counterAt(&h.oracleDeadBytes, p) -= int(o.Size)
 			h.garbage -= int(o.Size)
 		}
@@ -539,7 +542,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	}
 
 	// Compact survivors in copy order.
-	if _, err := h.disk.Compact(p, live); err != nil {
+	if _, err := h.disk.Compact(p, members, live); err != nil {
 		return CollectionResult{}, err
 	}
 
@@ -667,12 +670,11 @@ func (h *Heap) check() (invariants, complete error) {
 			unreached++
 			refs(o, false)
 		}
-		dead := h.oracleDead.Get(o.OID)
-		if dead == live && sample.IsNil() {
+		if o.Dead == live && sample.IsNil() {
 			sample = o.OID
 		}
 		switch p := int(o.PartPlus1) - 1; {
-		case !dead:
+		case !o.Dead:
 		case live: // every oracle-dead object must be truly unreachable (soundness)
 			err = cmp.Or(err, fmt.Errorf("gc: oracle-dead object %v is reachable", o.OID))
 		case p >= 0 && p < len(deadBytes): // else the placement check fails
@@ -680,9 +682,9 @@ func (h *Heap) check() (invariants, complete error) {
 			oracleSeen++
 		}
 	})
-	if !h.oracleless && unreached != h.oracleDead.Len() {
+	if !h.oracleless && unreached != h.oracleDead {
 		complete = fmt.Errorf("gc: %d unreachable objects but oracle knows %d (e.g. %v)",
-			unreached, h.oracleDead.Len(), sample)
+			unreached, h.oracleDead, sample)
 	}
 	err = cmp.Or(sweepErr, err)
 	// Equal counts for every recounted target, and as many targets as stored
@@ -717,13 +719,8 @@ func (h *Heap) check() (invariants, complete error) {
 		return err, complete
 	case poSum != h.poTotal:
 		return fmt.Errorf("gc: overwrite total %d but partition counters sum to %d", h.poTotal, poSum), complete
-	case oracleSeen != h.oracleDead.Len(): // the sweep met fewer than the oracle knows
-		h.oracleDead.ForEach(func(oid objstore.OID, _ bool) {
-			if err == nil && h.store.Get(oid) == nil {
-				err = fmt.Errorf("gc: oracle-dead object %v missing from store", oid)
-			}
-		})
-		return err, complete
+	case oracleSeen != h.oracleDead:
+		return fmt.Errorf("gc: oracle counts %d dead objects but %d headers are flagged dead", h.oracleDead, oracleSeen), complete
 	}
 	sum := 0
 	for p, dead := range deadBytes {

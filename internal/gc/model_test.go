@@ -287,6 +287,21 @@ func (m *model) compare(h *Heap) error {
 	return h.CheckInvariants()
 }
 
+// flags checks every header's Root against the model's root set, and the
+// heap's count of oracle-dead headers against the model's dead set.
+func (m *model) flags(h *Heap) error {
+	var err error
+	h.Store().ForEach(func(o *objstore.Object) {
+		if err == nil && o.Root != m.roots[o.OID] {
+			err = fmt.Errorf("header %v: Root=%v, model %v", o.OID, o.Root, m.roots[o.OID])
+		}
+	})
+	if err == nil && h.oracleDead != len(m.dead) {
+		err = fmt.Errorf("heap counts %d oracle-dead objects, model %d", h.oracleDead, len(m.dead))
+	}
+	return err
+}
+
 // absent checks that every layer reports a reclaimed OID as gone.
 func absent(h *Heap, oid objstore.OID) error {
 	_, placed := h.Disk().PartitionOf(oid)
@@ -297,7 +312,7 @@ func absent(h *Heap, oid objstore.OID) error {
 		return fmt.Errorf("reclaimed %v still a root", oid)
 	case placed:
 		return fmt.Errorf("reclaimed %v still placed", oid)
-	case h.ext.Get(oid) != 0 || h.oracleDead.Get(oid):
+	case h.ext.Get(oid) != 0:
 		return fmt.Errorf("reclaimed %v still has collector state", oid)
 	case h.Access(oid) == nil:
 		return fmt.Errorf("access of reclaimed %v succeeded", oid)
@@ -311,7 +326,8 @@ func absent(h *Heap, oid objstore.OID) error {
 // collections. The run is long enough that whole table chunks empty out and
 // are released, after which lookups of the reclaimed OIDs must read absent.
 // After every step Check and the multi-walk check it replaced
-// (referenceCheck) must agree, and accept.
+// (referenceCheck) must agree, and accept, and every header's Root flag and
+// the heap's count of Dead ones must match the model.
 func TestDifferentialAgainstMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -451,6 +467,9 @@ func TestDifferentialAgainstMapModel(t *testing.T) {
 				}
 				if err := agree(t, h, fmt.Sprintf("step %d", step)); err != nil {
 					t.Fatal(err)
+				}
+				if err := m.flags(h); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
 				if step%97 == 0 {
 					if err := m.compare(h); err != nil {

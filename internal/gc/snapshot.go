@@ -96,7 +96,11 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 		PhysicalFixups:   h.physicalFixups,
 		Oracleless:       h.oracleless,
 	}
-	h.oracleDead.ForEach(func(oid objstore.OID, _ bool) { st.OracleDead = append(st.OracleDead, oid) })
+	h.store.ForEach(func(o *objstore.Object) {
+		if o.Dead {
+			st.OracleDead = append(st.OracleDead, o.OID)
+		}
+	})
 	return st
 }
 
@@ -144,10 +148,12 @@ func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 		return nil, err
 	}
 	for _, oid := range st.OracleDead {
-		if store.Get(oid) == nil {
-			return nil, fmt.Errorf("gc: oracle-dead object %v missing from snapshot store", oid)
+		o := store.Get(oid)
+		if o == nil || o.Dead {
+			return nil, fmt.Errorf("gc: snapshot lists oracle-dead object %v twice or without the object", oid)
 		}
-		h.oracleDead.Set(oid, true)
+		o.Dead = true
+		h.oracleDead++
 	}
 	if h.garbage, err = h.restoreCounters(&h.oracleDeadBytes, st.OracleDeadBytes); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"odbgc/internal/objstore"
@@ -58,6 +59,24 @@ func TestHeapSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreHeapRefusesDuplicateOracleDead: a snapshot comes from a
+// checkpoint file, and one that lists an oracle-dead object twice is damaged;
+// it is refused rather than collapsed.
+func TestRestoreHeapRefusesDuplicateOracleDead(t *testing.T) {
+	h := buildSnapshotHeap(t)
+	if err := h.RecordOracleDead([]objstore.OID{7}); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Snapshot()
+	if len(st.OracleDead) != 2 {
+		t.Fatalf("fixture: the snapshot lists %v as oracle-dead, want two objects", st.OracleDead)
+	}
+	st.OracleDead = append(st.OracleDead, st.OracleDead[1])
+	if _, err := RestoreHeap(st); err == nil || !strings.Contains(err.Error(), "oracle-dead object oid:7 twice") {
+		t.Errorf("RestoreHeap with an oracle-dead object listed twice = %v, want a refusal naming it", err)
 	}
 }
 

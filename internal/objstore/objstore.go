@@ -9,7 +9,7 @@
 // described in Cook, Wolf, Zorn (CU-CS-647-93) that the paper builds on. The
 // exceptions are header fields other layers write, kept beside the object
 // instead of in a second OID table: where package storage placed it, and the
-// mark package gc tags it with during a collection or an invariant check.
+// collector's mark and oracle-dead flag, which package gc keeps.
 package objstore
 
 import (
@@ -73,34 +73,31 @@ func (c Class) String() string {
 
 // Object is a logical database object: a size in bytes and pointer slots.
 // The slot array has fixed length per object; a slot holds NilOID when empty.
-// Mark, PartPlus1 and Offset fill what would be padding in the 48 bytes: the
-// collector's mark, which package gc sets during a collection or a check and
-// clears before it returns, and the object's partition plus one (zero while
-// unplaced) and its byte offset there, which only package storage uses.
+// Mark, Root, Dead, PartPlus1 and Offset fill what would be padding in the 48
+// bytes: the collector's mark, which package gc sets during a collection or a
+// check and clears before it returns; the root flag, which the Store's root
+// methods keep; the oracle's dead flag, which only package gc writes; and the
+// object's partition plus one (zero while unplaced) and its byte offset there,
+// which only package storage uses.
 type Object struct {
 	OID       OID
 	Class     Class
 	Mark      uint8
+	Root      bool
+	Dead      bool
 	Size      uint32 // total size in bytes, including pointer slots
 	PartPlus1 int32
 	Offset    int32
 	Slots     []OID // outgoing pointers
 }
 
-// Clone returns a deep copy of the object (slots are copied).
-func (o *Object) Clone() *Object {
-	c := *o
-	c.Slots = append([]OID(nil), o.Slots...)
-	return &c
-}
-
 // Store is the object table: the set of all live-or-garbage objects known to
-// the database, plus the persistent root set. A Store is not safe for
-// concurrent use; the simulator is single-threaded by design (the paper
-// assumes the database is locked during collection).
+// the database, each header flagging whether it is a persistent root. A Store
+// is not safe for concurrent use; the simulator is single-threaded by design
+// (the paper assumes the database is locked during collection).
 type Store struct {
 	objects Table[*Object]
-	roots   Table[bool]
+	roots   int // headers with Root set
 	nextOID OID
 
 	totalBytes int // sum of sizes of all objects present in the table
@@ -172,11 +169,6 @@ func (s *Store) AdvanceNextOID(n OID) {
 // Len returns the number of objects in the table.
 func (s *Store) Len() int { return s.objects.Len() }
 
-// TotalBytes returns the sum of the sizes of every object in the table,
-// whether live or garbage. This is the "occupied bytes" notion of database
-// size used by the SAGA policy targets.
-func (s *Store) TotalBytes() int { return s.totalBytes }
-
 // Create allocates a new object with the given class, size and slot count,
 // assigns it a fresh OID and enters it in the table. All slots start nil.
 func (s *Store) Create(class Class, size, nslots int) (*Object, error) {
@@ -214,7 +206,8 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 		//lint:allow hotpath wide-object fallback: no generator builds one
 		o.Slots = make([]OID, nslots)
 	}
-	o.OID, o.Class, o.Mark, o.Size, o.PartPlus1, o.Offset = oid, class, 0, uint32(size), 0, 0 // unmarked and unplaced, if recycled
+	o.OID, o.Class, o.Size = oid, class, uint32(size)
+	o.Mark, o.Root, o.Dead, o.PartPlus1, o.Offset = 0, false, false, 0, 0 // unmarked, unflagged and unplaced, if recycled
 	s.objects.Set(oid, o)
 	s.totalBytes += size
 	if oid >= s.nextOID {
@@ -234,7 +227,7 @@ func (s *Store) Load(oid OID, class Class, size int, slots []OID, root bool) err
 	}
 	copy(o.Slots, slots)
 	if root {
-		s.roots.Set(oid, true)
+		return s.AddRoot(oid)
 	}
 	return nil
 }
@@ -284,7 +277,9 @@ func (s *Store) Remove(oid OID) error {
 		return fmt.Errorf("objstore: remove of absent object %v", oid)
 	}
 	s.objects.Set(oid, nil)
-	s.roots.Set(oid, false)
+	if o.Root {
+		s.roots--
+	}
 	s.totalBytes -= int(o.Size)
 	o.PartPlus1 = 0
 	k := min(len(o.Slots), pooledSlots+1)
@@ -315,56 +310,58 @@ func (s *Store) SetSlot(src OID, i int, dst OID) (old OID, err error) {
 
 // AddRoot marks an object as a persistent root. Roots are always reachable.
 func (s *Store) AddRoot(oid OID) error {
-	if s.objects.Get(oid) == nil {
+	o := s.objects.Get(oid)
+	if o == nil {
 		return fmt.Errorf("objstore: cannot root absent object %v", oid)
 	}
-	s.roots.Set(oid, true)
+	if !o.Root {
+		o.Root = true
+		s.roots++
+	}
 	return nil
 }
 
 // RemoveRoot clears the root mark from an object. It is not an error if the
 // object was not a root.
 func (s *Store) RemoveRoot(oid OID) {
-	s.roots.Set(oid, false)
+	if o := s.objects.Get(oid); o != nil && o.Root {
+		o.Root = false
+		s.roots--
+	}
 }
 
 // IsRoot reports whether the object is in the persistent root set.
-func (s *Store) IsRoot(oid OID) bool { return s.roots.Get(oid) }
+func (s *Store) IsRoot(oid OID) bool { o := s.objects.Get(oid); return o != nil && o.Root }
 
 // NumRoots returns the size of the persistent root set without building the
 // slice Roots returns — the form statistics paths should use.
-func (s *Store) NumRoots() int { return s.roots.Len() }
+func (s *Store) NumRoots() int { return s.roots }
 
-// Roots returns the persistent root set in ascending OID order.
+// Roots returns the persistent root set in ascending OID order, by a store walk.
 func (s *Store) Roots() []OID {
 	//lint:allow hotpath the root list is the product, returned to the caller
-	out := make([]OID, 0, s.roots.Len())
-	s.roots.ForEach(func(oid OID, _ bool) { out = append(out, oid) })
+	out := make([]OID, 0, s.roots)
+	s.ForEach(func(o *Object) {
+		if o.Root {
+			out = append(out, o.OID)
+		}
+	})
 	return out
 }
 
 // ForEach calls fn for every object in the table in ascending OID order.
 // The order is deterministic so that simulation replay is reproducible.
-// The callback must not create or remove objects.
+// The callback must not create or remove objects. The loop runs over the
+// table's chunks directly: walks that serialize the whole store (a durable
+// checkpoint, its digest) go through here.
 func (s *Store) ForEach(fn func(*Object)) {
-	s.objects.ForEach(func(_ OID, o *Object) { fn(o) })
-}
-
-// ForEachRooted is ForEach with each object's root flag, read from the root
-// table chunk beside the object's instead of looked up per object: the form
-// for walks that serialize the whole store (a durable checkpoint, its digest).
-func (s *Store) ForEachRooted(fn func(o *Object, root bool)) {
-	for i, c := range s.objects.dir {
+	for _, c := range s.objects.dir {
 		if c == nil {
 			continue
 		}
-		var roots *[chunkSize]bool
-		if i < len(s.roots.dir) {
-			roots = s.roots.dir[i]
-		}
-		for j, o := range c {
+		for _, o := range c {
 			if o != nil {
-				fn(o, roots != nil && roots[j])
+				fn(o)
 			}
 		}
 	}
@@ -378,11 +375,10 @@ func (s *Store) Reachable() *Table[bool] {
 	seen := new(Table[bool])
 	// The queue is sized for the whole table up front.
 	//lint:allow hotpath validation-path whole-table scan; the queue is sized once per call
-	queue := make([]OID, 0, s.objects.Len())
-	s.roots.ForEach(func(oid OID, _ bool) {
+	queue := append(make([]OID, 0, s.objects.Len()), s.Roots()...)
+	for _, oid := range queue {
 		seen.Set(oid, true)
-		queue = append(queue, oid)
-	})
+	}
 	for head := 0; head < len(queue); head++ {
 		o := s.objects.Get(queue[head])
 		if o == nil {
@@ -418,7 +414,7 @@ func (s *Store) Stats() Stats {
 	st := Stats{
 		Objects:    s.objects.Len(),
 		TotalBytes: s.totalBytes,
-		Roots:      s.roots.Len(),
+		Roots:      s.roots,
 		ByClass:    make(map[Class]ClassStats),
 	}
 	s.ForEach(func(o *Object) {

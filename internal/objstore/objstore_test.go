@@ -27,8 +27,8 @@ func TestCreateAssignsSequentialOIDs(t *testing.T) {
 	if s.NextOID() != 3 {
 		t.Fatalf("NextOID = %v, want 3", s.NextOID())
 	}
-	if s.Len() != 2 || s.TotalBytes() != 150 {
-		t.Fatalf("Len=%d TotalBytes=%d, want 2/150", s.Len(), s.TotalBytes())
+	if s.Len() != 2 || s.totalBytes != 150 {
+		t.Fatalf("Len=%d TotalBytes=%d, want 2/150", s.Len(), s.totalBytes)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestRemove(t *testing.T) {
 	if err := s.Remove(a.OID); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 || s.TotalBytes() != 0 {
-		t.Errorf("after remove: Len=%d TotalBytes=%d", s.Len(), s.TotalBytes())
+	if s.Len() != 0 || s.totalBytes != 0 {
+		t.Errorf("after remove: Len=%d TotalBytes=%d", s.Len(), s.totalBytes)
 	}
 	if s.IsRoot(a.OID) {
 		t.Error("removed object still a root")
@@ -261,20 +261,6 @@ func TestForEachDeterministicOrder(t *testing.T) {
 	})
 }
 
-func TestClone(t *testing.T) {
-	s := NewStore()
-	a := mustCreate(t, s, ClassAtomicPart, 10, 2)
-	b := mustCreate(t, s, ClassAtomicPart, 10, 0)
-	if _, err := s.SetSlot(a.OID, 0, b.OID); err != nil {
-		t.Fatal(err)
-	}
-	c := a.Clone()
-	c.Slots[0] = NilOID
-	if a.Slots[0] != b.OID {
-		t.Error("Clone shares slot storage with original")
-	}
-}
-
 // randomStore builds a store with n objects and random edges from seed.
 func randomStore(seed int64, n int) *Store {
 	rng := rand.New(rand.NewSource(seed))
@@ -336,7 +322,7 @@ func TestGarbagePartitionProperty(t *testing.T) {
 		live := s.Reachable()
 		liveBytes := 0
 		live.ForEach(func(oid OID, _ bool) { liveBytes += int(s.Get(oid).Size) })
-		return liveBytes+garbageBytes(s) == s.TotalBytes()
+		return liveBytes+garbageBytes(s) == s.totalBytes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -380,25 +366,29 @@ func TestCreateRejectsSizeBeyond32Bits(t *testing.T) {
 			t.Errorf("CreateWithOID of size %d = %v, want ErrSizeRange", size, err)
 		}
 	}
-	if s.Len() != 0 || s.NextOID() != 1 || s.TotalBytes() != 0 {
-		t.Errorf("refused creates left Len %d, NextOID %v, TotalBytes %d", s.Len(), s.NextOID(), s.TotalBytes())
+	if s.Len() != 0 || s.NextOID() != 1 || s.totalBytes != 0 {
+		t.Errorf("refused creates left Len %d, NextOID %v, TotalBytes %d", s.Len(), s.NextOID(), s.totalBytes)
 	}
-	if o, err := s.CreateWithOID(1, ClassUnknown, MaxSize, 0); err != nil || int(o.Size) != MaxSize || s.TotalBytes() != MaxSize {
-		t.Errorf("CreateWithOID of size MaxSize: %v, total %d", err, s.TotalBytes())
+	if o, err := s.CreateWithOID(1, ClassUnknown, MaxSize, 0); err != nil || int(o.Size) != MaxSize || s.totalBytes != MaxSize {
+		t.Errorf("CreateWithOID of size MaxSize: %v, total %d", err, s.totalBytes)
 	}
 }
 
-// TestHeaderCarriesPlacementIn48Bytes: the placement fields and the
-// collector's mark fill what was padding, so every header of every store
-// stays 48 bytes. A removed header is unplaced at once, and a recycled one
-// comes back unplaced and unmarked whatever its last object's state was.
+// TestHeaderCarriesPlacementIn48Bytes: the placement fields, the collector's
+// mark and the root and oracle-dead flags fill what was padding, so every
+// header of every store stays 48 bytes. A removed header is unplaced at once,
+// and a recycled one comes back unplaced, unmarked and unflagged whatever its
+// last object's state was.
 func TestHeaderCarriesPlacementIn48Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Object{}); n != 48 {
 		t.Errorf("object header is %d bytes, want 48", n)
 	}
 	s := NewStore()
 	o := mustCreate(t, s, ClassAtomicPart, 100, 2)
-	o.PartPlus1, o.Offset, o.Mark = 3, 512, 2
+	if err := s.AddRoot(o.OID); err != nil {
+		t.Fatal(err)
+	}
+	o.PartPlus1, o.Offset, o.Mark, o.Dead = 3, 512, 2, true
 	if err := s.Remove(o.OID); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +399,41 @@ func TestHeaderCarriesPlacementIn48Bytes(t *testing.T) {
 	if r != o {
 		t.Fatal("fixture: the header was not recycled")
 	}
-	if r.PartPlus1 != 0 || r.Offset != 0 || r.Mark != 0 {
-		t.Errorf("recycled header placed in %d at %d with mark %d, want unplaced and unmarked", r.PartPlus1, r.Offset, r.Mark)
+	if r.PartPlus1 != 0 || r.Offset != 0 || r.Mark != 0 || r.Root || r.Dead {
+		t.Errorf("recycled header placed in %d at %d with mark %d, root %v, dead %v; want unplaced, unmarked and unflagged",
+			r.PartPlus1, r.Offset, r.Mark, r.Root, r.Dead)
 	}
+}
+
+// TestNumRootsStaysExact: the root count beside the headers' flags moves only
+// when a flag does — not on a second AddRoot of a root or a RemoveRoot of a
+// non-root — and a rooted object's Remove takes it down.
+func TestNumRootsStaysExact(t *testing.T) {
+	s := NewStore()
+	a := mustCreate(t, s, ClassModule, 10, 0)
+	b := mustCreate(t, s, ClassModule, 10, 0)
+	want := func(step string, n int) {
+		t.Helper()
+		if s.NumRoots() != n || len(s.Roots()) != n {
+			t.Errorf("after %s: NumRoots %d, Roots %v; want %d", step, s.NumRoots(), s.Roots(), n)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.AddRoot(a.OID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want("AddRoot twice", 1)
+	s.RemoveRoot(b.OID)
+	want("RemoveRoot of a non-root", 1)
+	if err := s.AddRoot(b.OID); err != nil {
+		t.Fatal(err)
+	}
+	want("AddRoot of a second object", 2)
+	if err := s.Remove(a.OID); err != nil {
+		t.Fatal(err)
+	}
+	want("Remove of a root", 1)
+	s.RemoveRoot(a.OID)
+	want("RemoveRoot of a removed object", 1)
 }

@@ -141,31 +141,21 @@ func checkAgainstModel(t *testing.T, s *Store, model map[OID]*modelObject, roots
 		}
 		bytes += m.size
 	}
-	if s.Len() != len(model) || s.TotalBytes() != bytes || s.NumRoots() != len(roots) {
+	if s.Len() != len(model) || s.totalBytes != bytes || s.NumRoots() != len(roots) {
 		t.Fatalf("Len/TotalBytes/NumRoots = %d/%d/%d, model has %d/%d/%d",
-			s.Len(), s.TotalBytes(), s.NumRoots(), len(model), bytes, len(roots))
+			s.Len(), s.totalBytes, s.NumRoots(), len(model), bytes, len(roots))
 	}
 	seen := 0
-	s.ForEach(func(o *Object) {
-		if model[o.OID] == nil {
-			t.Fatalf("store holds %v, which the model removed", o.OID)
-		}
-		seen++
-	})
-	if seen != len(model) {
-		t.Fatalf("ForEach visited %d objects, model has %d", seen, len(model))
-	}
-	seen = 0
 	var last OID
-	s.ForEachRooted(func(o *Object, root bool) {
-		if o.OID <= last || model[o.OID] == nil || root != roots[o.OID] {
-			t.Fatalf("ForEachRooted gave %v (root %v) after %v; model has it %v, root %v", o.OID, root, last, model[o.OID] != nil, roots[o.OID])
+	s.ForEach(func(o *Object) {
+		if o.OID <= last || model[o.OID] == nil || o.Root != roots[o.OID] {
+			t.Fatalf("ForEach gave %v (root %v) after %v; model has it %v, root %v", o.OID, o.Root, last, model[o.OID] != nil, roots[o.OID])
 		}
 		last = o.OID
 		seen++
 	})
 	if seen != len(model) {
-		t.Fatalf("ForEachRooted visited %d objects, model has %d", seen, len(model))
+		t.Fatalf("ForEach visited %d objects, model has %d", seen, len(model))
 	}
 
 	sentinel := func(oid OID, i int) OID { return oid<<8 | OID(i) | 1<<60 }

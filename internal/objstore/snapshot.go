@@ -50,6 +50,9 @@ func RestoreStore(st *StoreSnapshot) (*Store, error) {
 		}
 	}
 	for _, r := range st.Roots {
+		if s.IsRoot(r) {
+			return nil, fmt.Errorf("objstore: snapshot lists root %v twice", r)
+		}
 		if err := s.AddRoot(r); err != nil {
 			return nil, err
 		}

@@ -2,8 +2,29 @@ package objstore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// TestRestoreStoreRefusesDuplicateRoot: a snapshot comes from a checkpoint
+// file, and one that lists a root twice is damaged; it is refused rather than
+// collapsed.
+func TestRestoreStoreRefusesDuplicateRoot(t *testing.T) {
+	st := &StoreSnapshot{
+		Objects: []ObjectState{{OID: 1, Size: 10}, {OID: 2, Size: 10}},
+		Roots:   []OID{1, 2, 2},
+		NextOID: 3,
+	}
+	if _, err := RestoreStore(st); err == nil || !strings.Contains(err.Error(), "root oid:2 twice") {
+		t.Errorf("RestoreStore with a root listed twice = %v, want a refusal naming it", err)
+	}
+	st.Roots = st.Roots[:2]
+	if s, err := RestoreStore(st); err != nil {
+		t.Errorf("RestoreStore without the duplicate: %v", err)
+	} else if s.NumRoots() != 2 {
+		t.Errorf("RestoreStore without the duplicate restored %d roots, want 2", s.NumRoots())
+	}
+}
 
 func TestStoreSnapshotRoundTrip(t *testing.T) {
 	s := NewStore()

@@ -163,8 +163,8 @@ func TestCreateWithOIDRejectsFarHorizon(t *testing.T) {
 			t.Errorf("lookup of refused OID %d reports it present", uint64(oid))
 		}
 	}
-	if s.Len() != 1 || s.NextOID() != 2 || s.TotalBytes() != 10 {
-		t.Errorf("refused creates changed the store: len=%d next=%v bytes=%d", s.Len(), s.NextOID(), s.TotalBytes())
+	if s.Len() != 1 || s.NextOID() != 2 || s.totalBytes != 10 {
+		t.Errorf("refused creates changed the store: len=%d next=%v bytes=%d", s.Len(), s.NextOID(), s.totalBytes)
 	}
 	if len(s.objects.dir) != 1 {
 		t.Errorf("refused creates grew the directory to %d chunks", len(s.objects.dir))

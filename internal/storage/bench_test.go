@@ -107,14 +107,17 @@ func TestBufferPoolPinAllocatesNothing(t *testing.T) {
 
 // BenchmarkCompact times Manager.Compact on the paper's geometry: a
 // partition of 700 members of 133 bytes, of which a tenth or nine tenths
-// survive, their headers handed over in a shuffled (copy) order. Each
-// iteration rebuilds the partition with the timer stopped.
+// survive, their headers handed over in a shuffled (copy) order beside the
+// members' as AppendMembers lists them. Each iteration rebuilds the partition,
+// fetches the headers and removes the dead from the store, as gc.Heap.Collect
+// does before it compacts, with the timer stopped; Compact allocates nothing.
 func BenchmarkCompact(b *testing.B) {
 	const members = 700
 	for _, pct := range []int{10, 90} {
 		b.Run(fmt.Sprintf("survive=%d%%", pct), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			live := make([]objstore.OID, 0, members)
+			dead := make([]objstore.OID, 0, members)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -122,19 +125,28 @@ func BenchmarkCompact(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				live = live[:0]
+				live, dead = live[:0], dead[:0]
 				for oid := objstore.OID(1); oid <= members; oid++ {
 					if _, err := m.Allocate(oid, 133); err != nil {
 						b.Fatal(err)
 					}
 					if rng.Intn(100) < pct {
 						live = append(live, oid)
+					} else {
+						dead = append(dead, oid)
 					}
 				}
 				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+				listed, err := m.AppendMembers(nil, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, oid := range dead {
+					_ = m.store.Remove(oid)
+				}
 				survivors := headers(m, live)
 				b.StartTimer()
-				res, err := m.Compact(0, survivors)
+				res, err := m.Compact(0, listed, survivors)
 				if err != nil || res.ReclaimedObjects != members-len(live) {
 					b.Fatalf("Compact = %+v, %v with %d of %d surviving", res, err, len(live), members)
 				}

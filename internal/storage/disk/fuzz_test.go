@@ -337,11 +337,11 @@ func FuzzDigestStream(f *testing.F) {
 			t.Fatalf("decoded %d objects, want %d", len(got), objs.Len())
 		}
 		i := 0
-		objs.ForEachRooted(func(o *objstore.Object, root bool) {
+		objs.ForEach(func(o *objstore.Object) {
 			d := got[i]
-			if d.OID != o.OID || d.Class != o.Class || d.Size != int(o.Size) || d.Root != root || !slices.Equal(d.Slots, o.Slots) {
+			if d.OID != o.OID || d.Class != o.Class || d.Size != int(o.Size) || d.Root != o.Root || !slices.Equal(d.Slots, o.Slots) {
 				t.Errorf("object %d decoded as %v class %d size %d root %v with %d slots, want %v class %d size %d root %v with %d slots (slots equal: %v)",
-					i, d.OID, d.Class, d.Size, d.Root, len(d.Slots), o.OID, o.Class, o.Size, root, len(o.Slots), slices.Equal(d.Slots, o.Slots))
+					i, d.OID, d.Class, d.Size, d.Root, len(d.Slots), o.OID, o.Class, o.Size, o.Root, len(o.Slots), slices.Equal(d.Slots, o.Slots))
 			}
 			i++
 		})

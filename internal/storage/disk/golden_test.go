@@ -39,9 +39,9 @@ const (
 // the OID horizon.
 func wordDigest(objs *objstore.Store) string {
 	var buf []byte
-	objs.ForEachRooted(func(o *objstore.Object, root bool) {
+	objs.ForEach(func(o *objstore.Object) {
 		flag := uint64(0)
-		if root {
+		if o.Root {
 			flag = 1
 		}
 		for _, w := range []uint64{uint64(o.OID), uint64(o.Class), uint64(o.Size), flag, uint64(len(o.Slots))} {

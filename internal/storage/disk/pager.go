@@ -141,7 +141,7 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 		sealPage(data, pageHdr{kind: kindData, count: nrecs, next: next, used: uint32(off - pageHdrLen)})
 		img.sum = foldPage(img.sum, no, le.Uint32(data))
 	}
-	s.objs.ForEachRooted(func(o *objstore.Object, root bool) {
+	s.objs.ForEach(func(o *objstore.Object) {
 		if err != nil {
 			return
 		}
@@ -163,7 +163,7 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 		rec := data[off:]
 		le.PutUint64(rec, uint64(o.OID))
 		rec[8] = byte(o.Class)
-		if root {
+		if o.Root {
 			rec[9] = 1
 		}
 		le.PutUint32(rec[10:], uint32(o.Size))

@@ -92,13 +92,13 @@ func digest(objs *objstore.Store) [sha256.Size]byte {
 func writeDigestStream(w io.Writer, objs *objstore.Store) {
 	buf := make([]byte, 0, 2*PageSize)
 	prev := objstore.OID(0)
-	objs.ForEachRooted(func(o *objstore.Object, root bool) {
+	objs.ForEach(func(o *objstore.Object) {
 		if len(buf)+3*binary.MaxVarintLen64+1+8*len(o.Slots) > cap(buf) {
 			_, _ = w.Write(buf) // a hash, or a test's buffer: neither fails
 			buf = buf[:0]
 		}
 		packed := uint64(len(o.Slots)) << 1
-		if root {
+		if o.Root {
 			packed |= 1
 		}
 		buf = binary.AppendUvarint(buf, uint64(o.OID-prev))
@@ -142,8 +142,8 @@ func (s *Store) Adopt(objs *objstore.Store) {
 
 // ForEach visits the objects in ascending OID order.
 func (s *Store) ForEach(fn func(ObjectState)) {
-	s.objs.ForEachRooted(func(o *objstore.Object, root bool) {
-		fn(ObjectState{OID: o.OID, Class: o.Class, Size: int(o.Size), Slots: o.Slots, Root: root})
+	s.objs.ForEach(func(o *objstore.Object) {
+		fn(ObjectState{OID: o.OID, Class: o.Class, Size: int(o.Size), Slots: o.Slots, Root: o.Root})
 	})
 }
 

@@ -80,7 +80,7 @@ func TestCompactMatchesReferenceLayout(t *testing.T) {
 			fallbacks++
 		}
 		usedBefore := m.parts[0].used
-		res, err := m.Compact(0, headers(m, live))
+		res, err := compact(t, m, 0, live)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -168,7 +168,7 @@ func TestGCDirtyFollowsTheFrame(t *testing.T) {
 					live = append(live, oid)
 				}
 			}
-			res, err := m.Compact(id, headers(m, live))
+			res, err := compact(t, m, id, live)
 			if err != nil {
 				t.Fatal(err)
 			}

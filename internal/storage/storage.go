@@ -158,16 +158,9 @@ type Manager struct {
 
 	allocPart PartitionID // current allocation target
 
-	moves []move // Compact's scratch: the survivors in packing order
-
 	// placed is the page Place pinned last, while pinning it again would
 	// change nothing: it is the pool's dirty front frame, same I/O class.
 	placed PageID
-}
-
-type move struct {
-	o   *objstore.Object
-	off int32
 }
 
 // NewManager returns a Manager with no partitions yet, on a store of its own.
@@ -413,71 +406,77 @@ type CompactResult struct {
 
 // Compact rewrites a partition so that exactly the objects in live remain,
 // packed from the start of the partition in the given order (the caller
-// supplies Cheney copy order). Every object in live must be a header of the
-// manager's store currently placed in the partition. Objects placed in the
-// partition but absent from live are reclaimed: they lose their placement,
-// and their headers leave the store if they are still in it (gc.Heap removes
-// its dead before it compacts, so there the survivors are exactly the members
-// still in the store).
+// supplies Cheney copy order). members must be the partition's headers as
+// AppendMembers returned them, and every object in live a header of the
+// manager's store placed in the partition. The other members are reclaimed,
+// read from their headers, not looked up: one its owner removed from the store
+// is unplaced already (gc.Heap removes its dead before it compacts), and one
+// still placed here is unplaced and removed.
 //
 // I/O: the caller is expected to have scanned the partition already (see
 // ReadPartition); Compact marks the surviving pages dirty and drops stale
 // pages beyond the new live region from the buffer without write-back.
-func (m *Manager) Compact(id PartitionID, live []*objstore.Object) (CompactResult, error) {
+func (m *Manager) Compact(id PartitionID, members, live []*objstore.Object) (CompactResult, error) {
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return CompactResult{}, fmt.Errorf("storage: compact of unknown partition %d", id)
 	}
 	p := m.parts[id]
 	// Claim each survivor by negating its partition field, which the pass
 	// over the members restores: an object listed twice is found claimed, and
-	// a member found unclaimed is not live. A rejected compaction releases.
-	m.moves = slices.Grow(m.moves[:0], len(live))
+	// a member found unclaimed is not live. Every refusal releases the claims.
 	liveBytes := 0
-	for _, o := range live {
+	for i, o := range live {
 		if o.PartPlus1 != int32(id)+1 {
-			m.release()
+			release(live[:i])
 			if o.PartPlus1 == -int32(id)-1 {
 				return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", o.OID)
 			}
 			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", o.OID, id)
 		}
 		o.PartPlus1 = -o.PartPlus1
-		m.moves = append(m.moves, move{o: o})
 		liveBytes += int(o.Size)
+	}
+	same := len(members) == len(p.objects)
+	for i := 0; same && i < len(members); i++ {
+		same = members[i].OID == p.objects[i]
+	}
+	if !same {
+		release(live)
+		return CompactResult{}, fmt.Errorf("storage: compact of partition %d given other members than the %d it lists", id, len(p.objects))
 	}
 	// Pack the survivors in copy order for reference locality. Copy order
 	// can pad page boundaries differently than the original layout and —
-	// rarely, in a nearly full partition — overflow it; in that case fall
-	// back to packing in original-offset order, which can only shrink every
-	// offset and therefore always fits.
-	end, fits := m.layout()
-	if !fits {
-		slices.SortFunc(m.moves, func(a, b move) int { return int(a.o.Offset) - int(b.o.Offset) })
-		if end, fits = m.layout(); !fits {
-			m.release()
+	// rarely, in a nearly full partition — overflow it; in that case pack a
+	// copy sorted by original offset instead, which can only shrink every
+	// offset and therefore always fits objects of unchanged size.
+	order := live
+	if _, fits := m.layout(order, false); !fits {
+		//lint:allow hotpath overflow fallback: a copy per rare overflowing compaction
+		order = slices.Clone(live)
+		slices.SortFunc(order, func(a, b *objstore.Object) int { return int(a.Offset) - int(b.Offset) })
+		if _, fits := m.layout(order, false); !fits {
+			release(live)
 			return CompactResult{}, fmt.Errorf("storage: compaction of partition %d overflowed its %d bytes",
 				id, m.cfg.PartitionBytes())
 		}
 	}
+	end, _ := m.layout(order, true)
 
 	// Keep the claimed members, in ascending order; reclaim the rest.
 	res := CompactResult{ReclaimedBytes: p.used - liveBytes}
 	oldPages := p.usedPages(m.cfg.PageSize)
 	kept := p.objects[:0]
-	for _, oid := range p.objects {
-		switch o := m.store.Get(oid); {
-		case o == nil: // removed by its owner
-		case o.PartPlus1 < 0:
+	for _, o := range members {
+		switch {
+		case o.PartPlus1 < 0: // claimed
 			o.PartPlus1 = -o.PartPlus1
-			kept = append(kept, oid)
+			kept = append(kept, o.OID)
 			continue
-		default:
-			_ = m.store.Remove(oid) // cannot fail: the object is present; unplaces it
+		case o.PartPlus1 == 0: // removed by its owner
+		default: // still placed here
+			_ = m.store.Remove(o.OID) // cannot fail: the object is present; unplaces it
 		}
 		res.ReclaimedObjects++
-	}
-	for _, mv := range m.moves {
-		mv.o.Offset = mv.off
 	}
 	p.objects = kept
 	p.used = liveBytes
@@ -500,33 +499,32 @@ func (m *Manager) Compact(id PartitionID, live []*objstore.Object) (CompactResul
 	return res, nil
 }
 
-// release undoes Compact's claims.
-func (m *Manager) release() {
-	for _, mv := range m.moves {
-		mv.o.PartPlus1 = -mv.o.PartPlus1
+// release undoes Compact's claims on objs.
+func release(objs []*objstore.Object) {
+	for _, o := range objs {
+		o.PartPlus1 = -o.PartPlus1
 	}
 }
 
-// layout packs the survivors in m.moves in order, setting their new offsets.
+// layout packs objs in order and, if write is true, sets their new offsets.
 // Objects never span pages; the page end is carried along, so no offset is
-// divided. It returns the end of the packed region and whether that lies
-// inside the partition (when it does not, the offsets mean nothing).
-func (m *Manager) layout() (int, bool) {
-	cursor, pageEnd, fits := 0, m.cfg.PageSize, true
-	for i := range m.moves {
-		mv := &m.moves[i]
-		if cursor+int(mv.o.Size) > pageEnd {
+// divided. It returns the end of the packed region, or false at the first
+// object past the partition's end.
+func (m *Manager) layout(objs []*objstore.Object, write bool) (int, bool) {
+	cursor, pageEnd := 0, m.cfg.PageSize
+	for _, o := range objs {
+		if cursor+int(o.Size) > pageEnd {
 			if pageEnd == m.cfg.PartitionBytes() {
-				// Out of partition. The caller re-packs; go on from offset
-				// zero so the offsets stay within 32 bits.
-				fits, pageEnd = false, 0
+				return cursor, false
 			}
 			cursor, pageEnd = pageEnd, pageEnd+m.cfg.PageSize
 		}
-		mv.off = int32(cursor)
-		cursor += int(mv.o.Size)
+		if write {
+			o.Offset = int32(cursor)
+		}
+		cursor += int(o.Size)
 	}
-	return cursor, fits
+	return cursor, true
 }
 
 // FlushGCDirty writes back every page dirtied under the IOGC class that is

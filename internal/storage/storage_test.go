@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,17 @@ func memberOIDs(t testing.TB, m *Manager, id PartitionID) []objstore.OID {
 		out = append(out, o.OID)
 	}
 	return out
+}
+
+// compact hands Compact the partition's member headers, as AppendMembers
+// lists them, and the headers of live.
+func compact(t testing.TB, m *Manager, id PartitionID, live []objstore.OID) (CompactResult, error) {
+	t.Helper()
+	members, err := m.AppendMembers(nil, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Compact(id, members, headers(m, live))
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -232,7 +244,7 @@ func TestCompactReclaims(t *testing.T) {
 	if _, err := m.Allocate(4, 60); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Compact(0, headers(m, []objstore.OID{3, 1}))
+	res, err := compact(t, m, 0, []objstore.OID{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +282,7 @@ func TestCompactErrors(t *testing.T) {
 	rejected := func(what string, id PartitionID, live ...objstore.OID) {
 		t.Helper()
 		before := m.Snapshot()
-		if _, err := m.Compact(id, headers(m, live)); err == nil {
+		if _, err := compact(t, m, id, live); err == nil {
 			t.Errorf("%s accepted", what)
 		}
 		if err := m.CheckInvariants(); err != nil {
@@ -309,7 +321,7 @@ func TestCompactErrors(t *testing.T) {
 	}
 	m.store.Get(1).Size++
 	before := m.Snapshot()
-	if _, err := m.Compact(0, headers(m, memberOIDs(t, m, 0))); err == nil || !strings.Contains(err.Error(), "overflowed") {
+	if _, err := compact(t, m, 0, memberOIDs(t, m, 0)); err == nil || !strings.Contains(err.Error(), "overflowed") {
 		t.Errorf("overflowing compaction: %v", err)
 	}
 	if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
@@ -319,6 +331,51 @@ func TestCompactErrors(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Errorf("overflowing compaction left the manager inconsistent: %v", err)
 	}
+}
+
+// TestCompactRefusesForeignMembers: Compact reads what became of each member
+// from the header it is handed, so it refuses a members slice that is not the
+// partition's list — one too short or too long, or one holding a header
+// recycled for another object since it was listed — and leaves everything as
+// it was, every survivor's claim released.
+func TestCompactRefusesForeignMembers(t *testing.T) {
+	m := newTestManager(t, tinyConfig())
+	for oid := objstore.OID(1); oid <= 4; oid++ {
+		if _, err := m.Allocate(oid, 60); err != nil {
+			t.Fatal(err)
+		}
+	}
+	members, err := m.AppendMembers(nil, 0)
+	if err != nil || len(members) != 4 {
+		t.Fatalf("fixture: partition 0 holds %d members (%v)", len(members), err)
+	}
+	refused := func(what string, members []*objstore.Object, live ...objstore.OID) {
+		t.Helper()
+		before := m.Snapshot()
+		if _, err := m.Compact(0, members, headers(m, live)); err == nil || !strings.Contains(err.Error(), "member") {
+			t.Errorf("%s: Compact said %v, want a refusal naming the members", what, err)
+		}
+		if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: refused compaction mutated state:\nbefore %+v\nafter  %+v", what, before, after)
+		}
+		m.store.ForEach(func(o *objstore.Object) {
+			if o.PartPlus1 < 0 {
+				t.Errorf("%s: refused compaction left %v claimed (PartPlus1 %d)", what, o.OID, o.PartPlus1)
+			}
+		})
+	}
+	refused("members short by one", members[:3], 1, 3)
+	refused("members with one extra", append(slices.Clone(members), members[0]), 1, 3)
+
+	// Object 2 leaves the store, as the collector's dead do before they are
+	// compacted away, and its header is recycled for object 5.
+	if err := m.store.Remove(2); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := m.store.CreateWithOID(5, objstore.ClassUnknown, 60, 0); err != nil || o != members[1] {
+		t.Fatalf("fixture: object 5 did not recycle object 2's header (%v)", err)
+	}
+	refused("a recycled header", members, 1, 3)
 }
 
 // TestCompactOverflowFallback reproduces the copy-order padding overflow: a
@@ -351,7 +408,7 @@ func TestCompactOverflowFallback(t *testing.T) {
 	for i := 1; i < len(order); i += 2 {
 		worst = append(worst, order[i])
 	}
-	res, err := m.Compact(0, headers(m, worst))
+	res, err := compact(t, m, 0, worst)
 	if err != nil {
 		t.Fatalf("compact failed: %v", err)
 	}
@@ -468,7 +525,7 @@ func TestStorageInvariantProperty(t *testing.T) {
 					}
 				}
 				rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-				if _, err := m.Compact(part, headers(m, live)); err != nil {
+				if _, err := compact(t, m, part, live); err != nil {
 					return false
 				}
 			}
@@ -521,7 +578,7 @@ func TestCheckInvariantsCrossChecksTotals(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := m.Compact(0, headers(m, []objstore.OID{3, 1})); err != nil {
+		if _, err := compact(t, m, 0, []objstore.OID{3, 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.CheckInvariants(); err != nil {
@@ -560,7 +617,7 @@ func TestPlaceAfterCompactionDropsItsPage(t *testing.T) {
 	if _, err := m.Allocate(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Compact(0, nil); err != nil {
+	if _, err := compact(t, m, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.buf.Pages(); len(got) != 0 {
