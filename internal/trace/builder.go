@@ -15,7 +15,7 @@ type Builder struct {
 	dead deadArena
 }
 
-// builderChunk is the events per chunk: 1024 × 112 bytes = 112 KiB.
+// builderChunk is the events per chunk: 1024 × 96 bytes = 96 KiB.
 const builderChunk = 1024
 
 // Append adds an event.

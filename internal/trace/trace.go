@@ -64,17 +64,13 @@ func (k Kind) String() string {
 // Event is one trace record. Field use depends on Kind; unused fields are
 // zero. Events are values and are safe to copy; the Dead slice is owned by
 // the event and must not be mutated by consumers.
+//
+// The field order keeps a held trace small: Kind, Class and Init, one byte
+// each, share the first word, so an event is 96 bytes with no padding. A new
+// field goes where it opens no hole; TestEventLayout is the guard.
 type Event struct {
 	Kind  Kind
-	OID   objstore.OID   // subject object (Create/Access/Update/Overwrite/Root)
 	Class objstore.Class // Create only
-	Size  int            // Create: byte size; Root: 1=add, 0=remove
-	Slots int            // Create: number of pointer slots
-	Slot  int            // Overwrite: slot index in OID
-	Old   objstore.OID   // Overwrite: previous slot value (for validation)
-	New   objstore.OID   // Overwrite: new slot value (may be nil)
-	Label string         // Phase only
-
 	// Init marks an overwrite as an initializing store: wiring performed
 	// while constructing brand-new structure (e.g. connecting a freshly
 	// created object's slots). Initializing stores maintain the object
@@ -82,6 +78,14 @@ type Event struct {
 	// cannot create garbage (Old is always nil) and do not advance the
 	// pointer-overwrite clock.
 	Init bool
+
+	OID   objstore.OID // subject object (Create/Access/Update/Overwrite/Root)
+	Size  int          // Create: byte size; Root: 1=add, 0=remove
+	Slots int          // Create: number of pointer slots
+	Slot  int          // Overwrite: slot index in OID
+	Old   objstore.OID // Overwrite: previous slot value (for validation)
+	New   objstore.OID // Overwrite: new slot value (may be nil)
+	Label string       // Phase only
 
 	// Dead is the oracle annotation on an overwrite: the OIDs that became
 	// unreachable from the roots as a direct result of this overwrite,
@@ -208,20 +212,16 @@ type Stats struct {
 	InitStores int // initializing overwrites
 	IdleTicks  int // quiescence ticks
 	Phases     []string
-	// GarbageBytes is the total oracle garbage created over the trace.
-	GarbageBytes int
-	// GarbageObjects is the total count of objects the oracle saw die.
-	GarbageObjects int
-	// CreatedBytes is the total bytes allocated by create events.
-	CreatedBytes int
-	// BytesPerOverwrite is GarbageBytes / Overwrites (0 if no overwrites).
-	BytesPerOverwrite float64
+
+	GarbageBytes      int     // total oracle garbage created over the trace
+	GarbageObjects    int     // objects the oracle saw die
+	CreatedBytes      int     // bytes allocated by create events
+	BytesPerOverwrite float64 // GarbageBytes / Overwrites (0 if no overwrites)
 }
 
 // ComputeStats scans the trace once and summarizes it.
 func ComputeStats(t *Trace) Stats {
-	var s Stats
-	s.Events = len(t.Events)
+	s := Stats{Events: len(t.Events)}
 	for i := range t.Events {
 		e := &t.Events[i]
 		switch e.Kind {

@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"odbgc/internal/objstore"
 )
@@ -66,6 +67,19 @@ func TestEventString(t *testing.T) {
 		if got := tc.ev.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
+	}
+}
+
+// TestEventLayout: Kind, Class and Init share the event's first word, so an
+// event carries no padding. A loaded trace is held for the whole run; a hole
+// in Event costs every event a word.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 96 {
+		t.Errorf("trace event is %d bytes, want 96: padding is paid by every held event, "+
+			"and 16 B an event is 1.6 MiB of replay-oo7's live heap", n)
+	}
+	if n := unsafe.Sizeof(DeadObject{}); n != 16 {
+		t.Errorf("dead-list entry is %d bytes, want 16", n)
 	}
 }
 
