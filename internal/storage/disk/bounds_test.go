@@ -149,7 +149,7 @@ func TestCheckpointDirectoryKeyBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(encodeMeta(m), slot*PageSize); err != nil {
+	if _, err := f.WriteAt(encodeMeta(make([]byte, PageSize), m), slot*PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

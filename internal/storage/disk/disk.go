@@ -118,6 +118,7 @@ type Store struct {
 	pageCount  uint32
 	freePages  []uint32
 	usedPages  map[uint32]bool // pages the committed image references
+	spareUsed  map[uint32]bool // the previous image's, cleared to collect the next one's
 	dirHead    uint32          // the committed image's first page (meta.dirHead)
 	generation uint64
 
@@ -148,6 +149,7 @@ func Open(opts Options) (*Store, *RecoveryInfo, error) {
 		groupEvery: opts.GroupEvery,
 		walSynced:  true,
 		pageCount:  2, // meta slots always exist
+		spareUsed:  make(map[uint32]bool),
 	}
 	info, err := s.recover()
 	if err != nil {
@@ -450,21 +452,22 @@ func (s *Store) Checkpoint() error {
 	// supersedes the slot, or until the next open recomputes the free list
 	// from the committed image.
 	prevPages, prevGen := s.pageCount, s.generation
-	abort := func(img *checkpointImage, metaMayExist bool) {
+	abort := func(metaMayExist bool) {
 		if metaMayExist {
-			for no := range img.used {
+			for no := range s.spareUsed {
 				s.usedPages[no] = true
 			}
-		}
-		s.generation = prevGen
-		if !metaMayExist {
+		} else {
 			s.pageCount = prevPages
 		}
+		s.generation = prevGen
 		s.rebuildFreeList(s.usedPages)
 	}
-	img, err := s.writeCheckpoint()
+	w := windows.Get().(*pageWindow)
+	defer windows.Put(w)
+	head, sum, err := s.writeCheckpoint(w)
 	if err != nil {
-		abort(nil, false)
+		abort(false)
 		return err
 	}
 	s.generation++
@@ -473,25 +476,26 @@ func (s *Store) Checkpoint() error {
 		seq:        s.seq,
 		nextOID:    uint64(s.objs.NextOID()),
 		pageCount:  s.pageCount,
-		dirHead:    img.head,
+		dirHead:    head,
 		objects:    uint64(s.objs.Len()),
-		sum:        img.sum,
+		sum:        sum,
 	}
 	slot := uint32(s.generation % 2)
-	if _, err := s.heap.WriteAt(encodeMeta(m), int64(slot)*PageSize); err != nil {
-		abort(img, true)
+	// The data pages are out, so the window's first page carries the meta.
+	if _, err := s.heap.WriteAt(encodeMeta(w.buf, m), int64(slot)*PageSize); err != nil {
+		abort(true)
 		return fmt.Errorf("disk: write meta slot %d: %w", slot, err)
 	}
 	if err := s.syncHeap(); err != nil {
-		abort(img, true)
+		abort(true)
 		return err
 	}
 	// The flip is durable: the new image is the committed one. Everything
 	// the WAL holds is absorbed (and was synced before the image was written).
 	s.ckptSeq = s.seq
-	s.usedPages = img.used
-	s.rebuildFreeList(img.used)
-	s.dirHead = img.head
+	s.usedPages, s.spareUsed = s.spareUsed, s.usedPages
+	s.rebuildFreeList(s.usedPages)
+	s.dirHead = head
 	s.checkpoints++
 	s.walTail = 0
 	s.walStale = true

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"odbgc/internal/objstore"
@@ -826,6 +827,75 @@ func TestCheckpointWritesInRuns(t *testing.T) {
 	if s2.Digest() != want || info.BatchesReplayed != 0 {
 		t.Errorf("fragmented image did not round-trip: %+v", info)
 	}
+}
+
+// A checkpoint allocates nothing once warm: it borrows its page window, meta
+// page included, from the pool, builds the image's used-page set in the map
+// the image before the committed one left behind, and rebuilds the free list
+// in its own capacity. The runtime's collector may empty the pool between two
+// runs; the checkpoint after that refills it once, a few allocations that
+// AllocsPerRun's integer average over 100 runs absorbs, so the test forces no
+// collection of its own.
+func TestCheckpointAllocatesNothing(t *testing.T) {
+	fs := memFS{}
+	buildBenchDB(t, fs, 10_000)
+	s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkpoint := func() {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		checkpoint() // the file settles at two alternating images
+	}
+	if n := testing.AllocsPerRun(100, checkpoint); n != 0 {
+		t.Errorf("%v allocations per checkpoint, want 0", n)
+	}
+}
+
+// Stores on different goroutines checkpoint through the one pool of windows:
+// each borrows a window of its own, and each image reopens to its store's
+// state. Run under -race, this is the pool's concurrency check.
+func TestConcurrentCheckpointsShareThePool(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		fs := memFS{}
+		buildBenchDB(t, fs, 2_000+1_000*g)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 10 && err == nil; i++ {
+				err = s.Checkpoint()
+			}
+			want := s.Digest()
+			if cerr := s.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			s2, info, err := Open(Options{FS: fs, Fsync: FsyncNever})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if info.Digest != want || info.BatchesReplayed != 0 {
+				t.Errorf("store %d: reopened image does not hold the checkpointed state: %+v", g, info)
+			}
+			_ = s2.Close() // only read
+		}()
+	}
+	wg.Wait()
 }
 
 // Committing an inconsistent batch (the caller's bug) poisons the store:

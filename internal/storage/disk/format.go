@@ -104,9 +104,11 @@ type meta struct {
 	sum        uint64 // format 3: the image's data pages folded by foldPage, in chain order
 }
 
-// encodeMeta builds a meta page image.
-func encodeMeta(m meta) []byte {
-	page := make([]byte, PageSize)
+// encodeMeta writes m's meta page image over the first PageSize bytes of buf,
+// whatever they held, and returns that page.
+func encodeMeta(buf []byte, m meta) []byte {
+	page := buf[:PageSize]
+	clear(page)
 	p := page[pageHdrLen:]
 	le.PutUint32(p[0:], metaMagic)
 	le.PutUint32(p[4:], metaVersion)

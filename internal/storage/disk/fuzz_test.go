@@ -160,7 +160,7 @@ func restamp(tb testing.TB, heap []byte) {
 		seen[no] = true
 		m.sum = foldPage(m.sum, no, le.Uint32(heap[int(no)*PageSize:]))
 	}
-	copy(heap[slot*PageSize:], encodeMeta(*m))
+	encodeMeta(heap[slot*PageSize:], *m)
 }
 
 // FuzzLoadImage writes arbitrary bytes into one page of a small real image —

@@ -212,3 +212,46 @@ func TestGoldenBytes(t *testing.T) {
 	t.Run("format=2", func(t *testing.T) { pinned(t, "v2", goldenHeapV2SHA256, 2) })
 	t.Run("format=1", func(t *testing.T) { pinned(t, "", goldenHeapSHA256, 1) })
 }
+
+// dirtyingFS fills page windows in the pool with 0xFF before every Sync, so
+// each checkpoint after a commit borrows a window no checkpoint ever cleared.
+type dirtyingFS struct{ FS }
+
+type dirtyingFile struct{ File }
+
+func (fs dirtyingFS) Open(name string) (File, error) {
+	f, err := fs.FS.Open(name)
+	return dirtyingFile{f}, err
+}
+
+func (f dirtyingFile) Sync() error {
+	var taken [2]*pageWindow
+	for i := range taken {
+		taken[i] = windows.Get().(*pageWindow)
+		for j := range taken[i].buf {
+			taken[i].buf[j] = 0xFF
+		}
+	}
+	for _, w := range taken {
+		windows.Put(w)
+	}
+	return f.File.Sync()
+}
+
+// A window a checkpoint borrows may hold anything; the pages it hands out, and
+// the meta page written from its first page, are cleared first, so heap.db
+// comes out byte for byte as from fresh buffers.
+func TestDirtyWindowCannotReachTheFile(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(Options{FS: dirtyingFS{OSFS{Dir: dir}}, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenOps(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV3SHA256 {
+		t.Errorf("sha256(%s) = %s after checkpoints through dirty windows, want %s", heapFile, got, goldenHeapV3SHA256)
+	}
+}

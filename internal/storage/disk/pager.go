@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"sync"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
@@ -25,24 +25,17 @@ func readPage(f File, no uint32, buf []byte) error {
 
 // allocPage hands out the lowest free page, extending the file only when
 // the free list is empty. Lowest-first keeps the allocation order — and
-// therefore every on-disk byte — deterministic.
+// therefore every on-disk byte — deterministic; the list is kept highest
+// first, so popping its last page leaves its capacity for the next rebuild.
 func (s *Store) allocPage() uint32 {
 	if n := len(s.freePages); n > 0 {
-		pg := s.freePages[0]
-		s.freePages = s.freePages[1:]
+		pg := s.freePages[n-1]
+		s.freePages = s.freePages[:n-1]
 		return pg
 	}
 	pg := s.pageCount
 	s.pageCount++
 	return pg
-}
-
-// checkpointImage is what a checkpoint leaves behind besides its pages: which
-// pages the new image occupies, the first of them, and their sum.
-type checkpointImage struct {
-	used map[uint32]bool
-	head uint32
-	sum  uint64
 }
 
 // writeRuns writes pages, held back to back in buf, to the page numbers nos:
@@ -77,20 +70,26 @@ func writeRuns(heap File, nos []uint32, buf []byte) error {
 const windowPages = 32
 
 // pageWindow holds the data pages of an image between being filled and being
-// written: a buffer of at most windowPages pages, allocated for the checkpoint
-// and released with it, that hands out zeroed pages one after the other and
-// writes out what it holds when it is full.
+// written: a buffer of windowPages pages, borrowed from windows for the
+// checkpoint and returned after its meta page, that hands out zeroed pages one
+// after the other and writes out what it holds when it is full.
 type pageWindow struct {
-	heap File
-	buf  []byte
-	nos  []uint32 // numbers of the pages handed out and not yet written
+	buf []byte
+	nos []uint32 // numbers of the pages handed out and not yet written
 }
 
-// next returns a zeroed page that will be written to page number no, for the
-// caller to fill and seal before it asks for another.
-func (w *pageWindow) next(no uint32) ([]byte, error) {
+// windows lends checkpoints their page window. A window left in the pool is
+// freed once two garbage collections pass without a checkpoint taking it.
+var windows = sync.Pool{New: func() any {
+	return &pageWindow{buf: make([]byte, windowPages*PageSize), nos: make([]uint32, 0, windowPages)}
+}}
+
+// next returns a zeroed page that will be written to page number no of heap,
+// for the caller to fill and seal before it asks for another. Clearing it
+// keeps whatever a borrowed window held out of the file.
+func (w *pageWindow) next(heap File, no uint32) ([]byte, error) {
 	if len(w.nos)*PageSize == len(w.buf) {
-		if err := w.flush(); err != nil {
+		if err := w.flush(heap); err != nil {
 			return nil, err
 		}
 	}
@@ -100,9 +99,9 @@ func (w *pageWindow) next(no uint32) ([]byte, error) {
 	return page, nil
 }
 
-// flush writes out the pages handed out so far.
-func (w *pageWindow) flush() error {
-	err := writeRuns(w.heap, w.nos, w.buf)
+// flush writes out to heap the pages handed out so far.
+func (w *pageWindow) flush(heap File) error {
+	err := writeRuns(heap, w.nos, w.buf)
 	w.nos = w.nos[:0]
 	return err
 }
@@ -119,27 +118,26 @@ func (w *pageWindow) flush() error {
 // whose contents depend on a committed batch reaches disk before that batch's
 // WAL records do. Every object fits a page: nothing wider than MaxSlots
 // enters the object store (LogAlloc and replay refuse it, and Heap.Create
-// removes an object LogAlloc refused).
-func (s *Store) writeCheckpoint() (*checkpointImage, error) {
+// removes an object LogAlloc refused). It returns the image's first page and
+// its sum, and leaves the pages it occupies in s.spareUsed.
+func (s *Store) writeCheckpoint(datas *pageWindow) (head uint32, sum uint64, err error) {
 	if err := s.syncWAL(); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	img := &checkpointImage{used: make(map[uint32]bool, len(s.usedPages)), sum: sumBasis} // about as many pages as the last image
-	// A data page holds at least one record.
-	datas := &pageWindow{heap: s.heap, buf: make([]byte, min(s.objs.Len(), windowPages)*PageSize)}
+	clear(s.spareUsed)
+	sum = sumBasis
 	var (
 		data  []byte // the data page being filled, nil before the first
 		no    uint32 // its page number
 		off   int    // fill offset on data
 		nrecs uint16
-		err   error
 	)
 	// A page is sealed once the number of the page after it is known: it is
 	// taken from the free list when that page is started, the order pages
 	// have always left the free list in.
 	sealData := func(next uint32) {
 		sealPage(data, pageHdr{kind: kindData, count: nrecs, next: next, used: uint32(off - pageHdrLen)})
-		img.sum = foldPage(img.sum, no, le.Uint32(data))
+		sum = foldPage(sum, no, le.Uint32(data))
 	}
 	s.objs.ForEach(func(o *objstore.Object) {
 		if err != nil {
@@ -147,13 +145,13 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 		}
 		if data == nil || off+objRecLen(len(o.Slots)) > PageSize {
 			next := s.allocPage()
-			img.used[next] = true
+			s.spareUsed[next] = true
 			if data == nil {
-				img.head = next
+				head = next
 			} else {
 				sealData(next)
 			}
-			if data, err = datas.next(next); err != nil {
+			if data, err = datas.next(s.heap, next); err != nil {
 				return
 			}
 			no = next
@@ -175,15 +173,12 @@ func (s *Store) writeCheckpoint() (*checkpointImage, error) {
 		nrecs++
 	})
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	if data != nil {
 		sealData(0)
 	}
-	if err := datas.flush(); err != nil {
-		return nil, err
-	}
-	return img, nil
+	return head, sum, datas.flush(s.heap)
 }
 
 // loadedImage is what loadCheckpoint recovered from heap.db.
@@ -406,15 +401,14 @@ func decodeData(page []byte, no uint32, hdr pageHdr, objs *objstore.Store, last 
 	return nil
 }
 
-// rebuildFreeList recomputes the free list from the committed image: every
-// page in [2, pageCount) that the image does not reference. Pages written
-// for a checkpoint whose meta flip never landed return here automatically.
+// rebuildFreeList recomputes the free list, highest page first: every page in
+// [2, pageCount) the committed image does not reference. Pages written for a
+// checkpoint whose meta flip never landed return here automatically.
 func (s *Store) rebuildFreeList(used map[uint32]bool) {
 	s.freePages = s.freePages[:0]
-	for no := uint32(2); no < s.pageCount; no++ {
+	for no := s.pageCount - 1; no >= 2; no-- { // pageCount is at least 2
 		if !used[no] {
 			s.freePages = append(s.freePages, no)
 		}
 	}
-	slices.Sort(s.freePages)
 }
