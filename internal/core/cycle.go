@@ -52,9 +52,9 @@ func (c *Collection) Frac(bytes float64) float64 {
 
 // Cycle is the paper's feedback loop, written once: ask the rate policy,
 // pick a partition, collect it, feed the yield back, schedule the next
-// interval. The simulator and the server engine drive the same Cycle; what
-// stays theirs is when to ask (Due), the time base of the GC span, and where
-// the durable commit boundary falls (AfterCollect).
+// interval. sim.Loop asks the policy and runs it, for the simulator and the
+// server engine alike; where the durable commit boundary falls (AfterCollect)
+// stays the driver's.
 type Cycle struct {
 	Heap      *gc.Heap
 	Policy    RatePolicy

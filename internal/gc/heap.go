@@ -196,9 +196,12 @@ func (h *Heap) AddRoot(oid objstore.OID) error {
 }
 
 // RemoveRoot unregisters a persistent root, logging the change when a
-// durability backend is attached.
+// durability backend is attached. An absent object is refused before anything
+// is logged: recovery could not apply the record.
 func (h *Heap) RemoveRoot(oid objstore.OID) error {
-	h.store.RemoveRoot(oid)
+	if err := h.store.RemoveRoot(oid); err != nil {
+		return err
+	}
 	if h.durable != nil {
 		if err := h.durable.LogRoot(oid, false); err != nil {
 			return fmt.Errorf("gc: log unroot %v: %w", oid, err)

@@ -153,6 +153,9 @@ const MaxSize = 1<<32 - 1
 // ErrSizeRange marks a create refused because its size exceeds MaxSize.
 var ErrSizeRange = errors.New("objstore: object size out of range")
 
+// ErrAbsent marks a root change refused because the object does not exist.
+var ErrAbsent = errors.New("objstore: absent object")
+
 // NextOID returns the OID that the next Create call will assign.
 func (s *Store) NextOID() OID { return s.nextOID }
 
@@ -312,7 +315,7 @@ func (s *Store) SetSlot(src OID, i int, dst OID) (old OID, err error) {
 func (s *Store) AddRoot(oid OID) error {
 	o := s.objects.Get(oid)
 	if o == nil {
-		return fmt.Errorf("objstore: cannot root absent object %v", oid)
+		return fmt.Errorf("%w %v: cannot root it", ErrAbsent, oid)
 	}
 	if !o.Root {
 		o.Root = true
@@ -322,12 +325,17 @@ func (s *Store) AddRoot(oid OID) error {
 }
 
 // RemoveRoot clears the root mark from an object. It is not an error if the
-// object was not a root.
-func (s *Store) RemoveRoot(oid OID) {
-	if o := s.objects.Get(oid); o != nil && o.Root {
+// object was not a root, but it is one if the object does not exist.
+func (s *Store) RemoveRoot(oid OID) error {
+	o := s.objects.Get(oid)
+	if o == nil {
+		return fmt.Errorf("%w %v: cannot unroot it", ErrAbsent, oid)
+	}
+	if o.Root {
 		o.Root = false
 		s.roots--
 	}
+	return nil
 }
 
 // IsRoot reports whether the object is in the persistent root set.

@@ -138,6 +138,34 @@ func TestCheckpointEveryCountsCommittedBatches(t *testing.T) {
 	}
 }
 
+// TestRefusedOpsStageNothing: a create of size 0 or −1 and an unroot of an
+// object that does not exist are refused by the heap before the object store
+// or the log sees them. Each is answered StatusError, leaves no object, and
+// commits no batch.
+func TestRefusedOpsStageNothing(t *testing.T) {
+	commits, _ := durableCounts(t, func(ctx context.Context, cli *Client) {
+		for _, req := range []Request{
+			{Op: OpCreate, Size: 0, Slots: 1},
+			{Op: OpCreate, Size: -1},
+			{Op: OpUnroot, OID: 7},
+		} {
+			resp, err := cli.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != StatusError {
+				t.Errorf("%s of size %d, oid %d: status %q, want %q", req.Op, req.Size, req.OID, resp.Status, StatusError)
+			}
+		}
+		if n := mustOK(ctx, t, cli, Request{Op: OpStats}).Stats.Objects; n != 0 {
+			t.Errorf("refused ops left %d objects", n)
+		}
+	})
+	if commits != 0 {
+		t.Errorf("refused ops committed %v batches, want 0", commits)
+	}
+}
+
 // TestCreateRefusedByTheLogLeavesNoObject: an object LogAlloc refuses — more
 // slots than a data page holds, a size beyond 32 bits — used to stay in the
 // heap's object store. That store is what a checkpoint writes, so a refused

@@ -12,15 +12,17 @@ import (
 	"odbgc/internal/objstore"
 	"odbgc/internal/obs"
 	"odbgc/internal/obs/span"
+	"odbgc/internal/sim"
 	"odbgc/internal/simerr"
 	"odbgc/internal/storage"
 	"odbgc/internal/storage/disk"
+	"odbgc/internal/trace"
 )
 
 // EngineConfig parameterizes the request engine.
 type EngineConfig struct {
-	// Policy decides when the online collector runs; consulted after every
-	// admitted request against the live clock. Required.
+	// Policy decides when the online collector runs; consulted after each
+	// request that leaves the heap collect-safe (sim.Loop.Due). Required.
 	Policy core.RatePolicy
 	// Selection picks the partition each collection processes. Required.
 	Selection gc.SelectionPolicy
@@ -32,9 +34,9 @@ type EngineConfig struct {
 	// sustained arrival above QueueDepth/d keeps the queue full. Zero means
 	// requests cost only their real work.
 	ServiceDelay time.Duration
-	// Breaker, when set, is observed after every collection so its state
-	// reaches /metrics. It should be the same value wired into the Policy's
-	// estimator.
+	// Breaker, when set, is observed after every turn of the control loop so
+	// its state reaches /metrics. It should be the same value wired into the
+	// Policy's estimator.
 	Breaker *Breaker
 	// Metrics is the serving-path metrics sink (nil for none).
 	Metrics *Metrics
@@ -42,8 +44,8 @@ type EngineConfig struct {
 	// (nil for none). Step carries the admitted-request count.
 	Observer obs.Observer
 	// Recorder is the span flight recorder (nil disables tracing; the nil
-	// fast path costs one pointer test per request). Collections that run
-	// while a request is in service emit GC child spans attributed to it.
+	// fast path costs one pointer test per request). A collection a request
+	// triggers emits a GC span that is the child of the request's span.
 	Recorder *span.Recorder
 	// Durable, when non-nil, is the write-ahead-logging backend the heap
 	// records every mutation to; NewEngine attaches it to the heap. The
@@ -104,7 +106,7 @@ type Engine struct {
 	cfg     EngineConfig
 	heap    *gc.Heap
 	durable *stagedBackend // cfg.Durable as the heap logs to it; nil without one
-	cycle   core.Cycle     // the control loop; process decides when it runs
+	loop    sim.Loop       // the control loop, shared with the simulator
 	queue   chan *call
 
 	// epoch anchors the engine tick clock: Now() is nanoseconds since
@@ -113,7 +115,6 @@ type Engine struct {
 
 	draining atomic.Bool
 	requests uint64 // admitted requests processed (engine goroutine only)
-	gcSeq    uint64 // collection spans emitted (engine goroutine only)
 	commits  uint64 // durable batches committed (engine goroutine only)
 
 	// ewmaMs is the exponentially weighted mean service time in
@@ -143,7 +144,8 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 		e.durable = &stagedBackend{Backend: cfg.Durable}
 		heap.SetDurable(e.durable)
 	}
-	e.cycle = core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim}
+	e.loop = sim.Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim},
+		Observer: cfg.Observer, Spans: cfg.Recorder, Now: e.Now, OnSpan: e.gcSpan}
 	return e, nil
 }
 
@@ -303,8 +305,8 @@ func (e *Engine) Run(ctx context.Context) error {
 }
 
 // process executes one admitted call: deadline check, the op itself, the
-// artificial service delay, then a GC policy consultation — the online
-// equivalent of the simulator's per-event ShouldCollect probe.
+// durable commit, the artificial service delay, the response, and then the
+// question the simulator asks before its next event: is a collection due?
 func (e *Engine) process(c *call) {
 	start := time.Now()
 	startTick := e.Now()
@@ -345,7 +347,7 @@ func (e *Engine) process(c *call) {
 	// GC after responding: collection time is not billed to the request
 	// that happened to trigger it — but the collection's span is parented
 	// to it, attributing the pause to the traffic that provoked it.
-	if e.cycle.Due() {
+	if e.loop.Due() {
 		e.collect(parent)
 	}
 
@@ -399,78 +401,62 @@ func (e *Engine) fail(id uint64, err error) Response {
 	return Response{ID: id, Status: StatusError, Error: err.Error()}
 }
 
-// apply executes one op against the heap.
+// apply executes one op: it turns the request into the events a replay of
+// it would hold and steps them through the loop.
 func (e *Engine) apply(req Request) Response {
+	ok := Response{ID: req.ID, Status: StatusOK}
+	ev := trace.Event{OID: objstore.OID(req.OID)}
 	switch req.Op {
 	case OpPing:
-		return Response{ID: req.ID, Status: StatusOK}
+		return ok
+	case OpStats:
+		ok.Stats = e.stats()
+		return ok
 	case OpCreate:
-		if req.Size <= 0 {
-			return e.fail(req.ID, fmt.Errorf("create: size %d must be positive", req.Size))
-		}
 		// Refused before the heap sees it: the object store would allocate
 		// the slot array first, and a durable backend could log an object
 		// this wide but never checkpoint it.
 		if req.Slots < 0 || req.Slots > disk.MaxSlots {
 			return e.fail(req.ID, fmt.Errorf("create: %d slots outside [0, %d]", req.Slots, disk.MaxSlots))
 		}
-		oid := e.heap.Store().NextOID()
-		if err := e.heap.Create(oid, objstore.ClassUnknown, req.Size, req.Slots); err != nil {
+		ev = trace.Event{Kind: trace.KindCreate, OID: e.heap.Store().NextOID(), Size: req.Size, Slots: req.Slots}
+		if err := e.loop.Apply(&ev); err != nil {
 			return e.fail(req.ID, err)
 		}
 		// New objects are pinned as roots until the client links them into
 		// the graph and unroots them: without replay annotations, an
 		// unpinned object could be reclaimed between its create and the
 		// set that makes it reachable.
-		if err := e.heap.AddRoot(oid); err != nil {
-			return e.fail(req.ID, err)
-		}
-		return Response{ID: req.ID, Status: StatusOK, OID: uint64(oid)}
+		ok.OID = uint64(ev.OID)
+		ev = trace.Event{Kind: trace.KindRoot, OID: ev.OID, Size: 1}
 	case OpAccess:
-		if err := e.heap.Access(objstore.OID(req.OID)); err != nil {
-			return e.fail(req.ID, err)
-		}
-		return Response{ID: req.ID, Status: StatusOK}
+		ev.Kind = trace.KindAccess
 	case OpUpdate:
-		if err := e.heap.Update(objstore.OID(req.OID)); err != nil {
-			return e.fail(req.ID, err)
-		}
-		return Response{ID: req.ID, Status: StatusOK}
+		ev.Kind = trace.KindUpdate
 	case OpSet:
-		src := objstore.OID(req.OID)
-		o := e.heap.Store().Get(src)
+		o := e.heap.Store().Get(ev.OID)
 		if o == nil {
-			return e.fail(req.ID, fmt.Errorf("set: absent object %v", src))
+			return e.fail(req.ID, fmt.Errorf("set: absent object %v", ev.OID))
 		}
 		if req.Slot < 0 || req.Slot >= len(o.Slots) {
-			return e.fail(req.ID, fmt.Errorf("set: slot %d out of range [0,%d) on %v", req.Slot, len(o.Slots), src))
+			return e.fail(req.ID, fmt.Errorf("set: slot %d out of range [0,%d) on %v", req.Slot, len(o.Slots), ev.OID))
 		}
-		old := o.Slots[req.Slot]
 		// An overwrite of a nil slot is an initializing store: it cannot
 		// create garbage and does not advance the overwrite clock.
-		init := old.IsNil()
-		if err := e.heap.Overwrite(src, req.Slot, old, objstore.OID(req.Dst), init); err != nil {
-			return e.fail(req.ID, err)
-		}
-		return Response{ID: req.ID, Status: StatusOK, Old: uint64(old)}
+		old := o.Slots[req.Slot]
+		ev = trace.Event{Kind: trace.KindOverwrite, OID: ev.OID, Slot: req.Slot, Old: old, New: objstore.OID(req.Dst), Init: old.IsNil()}
+		ok.Old = uint64(old)
 	case OpRoot:
-		if err := e.heap.AddRoot(objstore.OID(req.OID)); err != nil {
-			return e.fail(req.ID, err)
-		}
-		return Response{ID: req.ID, Status: StatusOK}
+		ev.Kind, ev.Size = trace.KindRoot, 1
 	case OpUnroot:
-		if e.heap.Store().Get(objstore.OID(req.OID)) == nil {
-			return e.fail(req.ID, fmt.Errorf("unroot: absent object %v", objstore.OID(req.OID)))
-		}
-		if err := e.heap.RemoveRoot(objstore.OID(req.OID)); err != nil {
-			return e.fail(req.ID, err)
-		}
-		return Response{ID: req.ID, Status: StatusOK}
-	case OpStats:
-		return Response{ID: req.ID, Status: StatusOK, Stats: e.stats()}
+		ev.Kind = trace.KindRoot
 	default:
 		return e.fail(req.ID, fmt.Errorf("unknown op %q", req.Op))
 	}
+	if err := e.loop.Apply(&ev); err != nil {
+		return e.fail(req.ID, err)
+	}
+	return ok
 }
 
 // Snapshot returns the engine's statistics. Safe only while the engine
@@ -507,38 +493,19 @@ func (e *Engine) stats() *Stats {
 	return st
 }
 
-// collect takes one turn of the control loop and does the serving-side
-// bookkeeping around it: breaker and error metrics, the GC span, and the
-// observer events. parent is the span ID of the request whose processing
-// triggered this collection (0 when tracing is off).
+// collect takes one turn of the control loop, its span the child of span
+// parent. A failed turn is counted and fed to the breaker, and the engine
+// keeps serving: client traffic must not die with the collector.
 func (e *Engine) collect(parent uint64) {
-	start, queued := e.Now(), len(e.queue)
-	c, err := e.cycle.Run()
+	_, err := e.loop.Collect(parent, int(e.requests), "serving", false)
 	if err != nil {
-		// A failed collection is a policy-path failure: count it, feed the
-		// breaker, and keep serving — the heap refuses to mutate on the
-		// error paths that matter, and client traffic must not die with
-		// the collector.
-		err = simerr.WrapPolicyFailure("online collection", err)
-		e.cfg.Metrics.Error(simerr.Classify(err))
-		if e.cfg.Breaker != nil {
-			e.cfg.Breaker.RecordFailure()
-		}
-	}
-	if err == nil && !c.Collected {
-		e.emitDecision(c)
-		return
+		e.cfg.Metrics.Error(simerr.Classify(simerr.WrapPolicyFailure("online collection", err)))
 	}
 	if b := e.cfg.Breaker; b != nil {
+		if err != nil {
+			b.RecordFailure()
+		}
 		e.cfg.Metrics.BreakerObserve(b.State(), b.Trips(), b.Recoveries())
-	}
-	e.emitGCSpan(parent, start, queued, c, err)
-	if err != nil {
-		return
-	}
-	e.emitDecision(c)
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.ObserveCollection(obs.CollectionOf(c, int(e.requests), "serving"))
 	}
 }
 
@@ -551,40 +518,12 @@ func (e *Engine) commitReclaim() {
 	}
 }
 
-// emitGCSpan records a collection that began at engine tick start as a child
-// span of the request that triggered it: the pause duration lands in the
-// service stage, the GC pause histogram gets the sample with the span as
-// exemplar, and the parent is pinned so the link in the flight recorder
-// survives eviction. c is the zero record when the collection failed.
-func (e *Engine) emitGCSpan(parent uint64, start int64, queued int, c core.Collection, failed error) {
-	rec := e.cfg.Recorder
-	if rec == nil {
-		return
+// gcSpan adds the serving side to a GC span: the requests queued behind it,
+// the breaker state, and the pause sample, with the span as its exemplar.
+func (e *Engine) gcSpan(g *span.Span, failed error) {
+	g.QueuedBehind = len(e.queue)
+	if failed == nil && e.cfg.Breaker != nil {
+		g.Breaker = e.cfg.Breaker.State().String()
 	}
-	e.gcSeq++
-	gsp := rec.Start(span.KindGC, "collect", span.GCID(e.gcSeq), parent, start)
-	gsp.Seq = e.gcSeq
-	gsp.QueuedBehind = queued
-	gsp.SetCollection(c)
-	outcome := span.OutcomeError
-	if failed == nil {
-		outcome = span.OutcomeOK
-		if e.cfg.Breaker != nil {
-			gsp.Breaker = e.cfg.Breaker.State().String()
-		}
-	}
-	end := e.Now()
-	gsp.SetStage(span.StageService, end-start)
-	e.cfg.Metrics.Stage(MetricGCPause, float64(end-start)/1e6, gsp.ID)
-	if parent != 0 {
-		rec.PinID(parent)
-	}
-	rec.Finish(gsp, end, outcome)
-}
-
-// emitDecision reports one policy consultation to the observer.
-func (e *Engine) emitDecision(c core.Collection) {
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.ObserveDecision(obs.DecisionOf(c, int(e.requests), false))
-	}
+	e.cfg.Metrics.Stage(MetricGCPause, float64(g.Stages[span.StageService])/1e6, g.ID)
 }

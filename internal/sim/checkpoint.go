@@ -61,7 +61,7 @@ func gobClone[T any](v T) (T, error) {
 // event just applied was a create or initializing store) is rejected because
 // the restored heap could not pass its reachability validation.
 func (s *Simulator) Checkpoint() (*Checkpoint, error) {
-	if !s.collectSafe {
+	if s.loop.midBuild {
 		return nil, fmt.Errorf("sim: checkpoint at event %d is mid-construction; step past the initializing stores first", s.step)
 	}
 	policy, err := core.SnapshotComponent(s.cfg.Policy)
@@ -81,7 +81,7 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Step:        s.step,
 		CurPhase:    s.curPhase,
-		CollectSafe: s.collectSafe,
+		CollectSafe: !s.loop.midBuild,
 		Heap:        s.heap.Snapshot(),
 		Policy:      policy,
 		Selection:   selection,
@@ -96,8 +96,8 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	for _, m := range s.garbBuckets {
 		cp.GarbBuckets = append(cp.GarbBuckets, m.State())
 	}
-	if s.obs != nil {
-		s.obs.ObserveCheckpoint(obs.CheckpointMark{Step: s.step, Op: "save"})
+	if s.cfg.Observer != nil {
+		s.cfg.Observer.ObserveCheckpoint(obs.CheckpointMark{Step: s.step, Op: "save"})
 	}
 	return cp, nil
 }
@@ -140,20 +140,12 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: cloning result: %w", err)
 	}
-	s := &Simulator{
-		cfg:         cfg,
-		disk:        heap.Disk(),
-		heap:        heap,
-		cycle:       core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection},
-		curPhase:    cp.CurPhase,
-		collectSafe: cp.CollectSafe,
-		step:        cp.Step,
-		phaseIOBase: cp.PhaseIOBase,
-		obs:         cfg.Observer,
-		res:         res,
-	}
+	s := assemble(cfg, heap, res)
+	s.curPhase, s.step, s.phaseIOBase = cp.CurPhase, cp.Step, cp.PhaseIOBase
+	// GC span IDs go on from the collection the checkpoint had reached.
+	s.loop.midBuild, s.loop.spans = !cp.CollectSafe, heap.Collections()
 	if n := len(res.Collections); n > 0 {
-		s.cycle.LastOverwrites = res.Collections[n-1].Clock.Overwrites
+		s.loop.Cycle.LastOverwrites = res.Collections[n-1].Clock.Overwrites
 	}
 	s.phaseGarb, err = metrics.MeanFromState(cp.PhaseGarb)
 	if err != nil {
@@ -170,9 +162,9 @@ func Resume(cfg Config, cp *Checkpoint) (*Simulator, error) {
 		acc := cp.PhaseAcc
 		s.phaseAcc = &acc
 	}
-	if s.obs != nil {
-		s.obs.ObserveRunStart(s.runStart(cp.Step))
-		s.obs.ObserveCheckpoint(obs.CheckpointMark{Step: cp.Step, Op: "resume"})
+	if cfg.Observer != nil {
+		cfg.Observer.ObserveRunStart(s.runStart(cp.Step))
+		cfg.Observer.ObserveCheckpoint(obs.CheckpointMark{Step: cp.Step, Op: "resume"})
 	}
 	return s, nil
 }

@@ -45,7 +45,7 @@ func runSplit(t *testing.T, tr *trace.Trace, mkConfig func() Config) (full, resu
 	}
 	half := len(tr.Events) / 2
 	i := 0
-	for ; i < len(tr.Events) && (i < half || !s2.collectSafe); i++ {
+	for ; i < len(tr.Events) && (i < half || s2.loop.midBuild); i++ {
 		if err := s2.Step(&tr.Events[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestCheckpointRejectsMidConstruction(t *testing.T) {
 		if err := s.Step(&tr.Events[i]); err != nil {
 			t.Fatal(err)
 		}
-		if !s.collectSafe {
+		if s.loop.midBuild {
 			if _, err := s.Checkpoint(); err == nil {
 				t.Fatal("checkpoint accepted mid-construction")
 			}
@@ -138,7 +138,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(tr.Events)/2 || !s.collectSafe; i++ {
+	for i := 0; i < len(tr.Events)/2 || s.loop.midBuild; i++ {
 		if err := s.Step(&tr.Events[i]); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckp
 	}
 	half := len(tr.Events) / 2
 	i := 0
-	for ; i < len(tr.Events) && (i < half || !s.collectSafe); i++ {
+	for ; i < len(tr.Events) && (i < half || s.loop.midBuild); i++ {
 		if err := s.Step(&tr.Events[i]); err != nil {
 			t.Fatal(err)
 		}

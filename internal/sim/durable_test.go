@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"testing"
 
 	"odbgc/internal/core"
 	"odbgc/internal/objstore"
 	"odbgc/internal/oo7"
+	"odbgc/internal/simerr"
 	"odbgc/internal/storage/disk"
 	"odbgc/internal/storage/disk/crashtest"
 	"odbgc/internal/trace"
@@ -155,4 +157,35 @@ func TestDurableMidRunCrashMatchesLiveState(t *testing.T) {
 	if got := gobBytes(t, snapshotFromDisk(rec)); !bytes.Equal(got, liveSnap) {
 		t.Fatal("recovered snapshot is not byte-identical to the live store at the crash point")
 	}
+}
+
+// TestUnrootOfAbsentObjectKeepsRecovery: a damaged trace's unroot of an object
+// that does not exist is refused as a corrupt trace before the heap logs it,
+// so the WAL holds nothing recovery could not apply. It used to be committed,
+// and every later open failed on "root change on absent oid:7".
+func TestUnrootOfAbsentObjectKeepsRecovery(t *testing.T) {
+	s, st, fs := durableSim(t)
+	for _, e := range []trace.Event{
+		{Kind: trace.KindCreate, OID: 1, Size: 64},
+		{Kind: trace.KindRoot, OID: 1, Size: 1},
+	} {
+		if err := s.Step(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Step(&trace.Event{Kind: trace.KindRoot, OID: 7}); !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrAbsent) {
+		t.Errorf("unroot of an absent object: %v, want a corrupt-trace error wrapping objstore.ErrAbsent", err)
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	img := fs.Materialize(len(fs.Ops()), -1, true)
+	rec, _, err := disk.Open(disk.Options{FS: crashtest.FromImage(img)})
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if rec.NumObjects() != 1 {
+		t.Errorf("recovered %d objects, want 1", rec.NumObjects())
+	}
+	_ = rec.Close()
 }

@@ -1,0 +1,114 @@
+package sim
+
+import (
+	"fmt"
+
+	"odbgc/internal/core"
+	"odbgc/internal/objstore"
+	"odbgc/internal/obs"
+	"odbgc/internal/obs/span"
+	"odbgc/internal/trace"
+)
+
+// Loop is the control loop both drivers run: the one mapping of trace events
+// onto the heap, the collect-safe rule, and the one turn of core.Cycle that
+// reports as the decision and collection events and the GC span. The server
+// engine steps the events a replay of each request would hold, so the same
+// ops make the same collections in both.
+type Loop struct {
+	Cycle core.Cycle
+	// Observer and Spans receive what Collect reports (nil for none).
+	Observer obs.Observer
+	Spans    *span.Recorder
+	// Now reads the GC span's clock; nil means the simulated I/O clock.
+	Now func() int64
+	// OnSpan, when non-nil, adds the driver's fields to a GC span.
+	OnSpan func(g *span.Span, failed error)
+
+	midBuild    bool           // the last event was a create or an initializing store
+	spans       uint64         // GC spans recorded, the sequence of their IDs
+	deadScratch []objstore.OID // reused for RecordOracleDead, which copies it
+}
+
+// Apply maps one event onto the heap; phase and idle events are the driver's.
+// The collect-safe state follows the event, whether the heap takes it or not.
+func (l *Loop) Apply(e *trace.Event) error {
+	h := l.Cycle.Heap
+	l.midBuild = e.Kind == trace.KindCreate || (e.Kind == trace.KindOverwrite && e.Init)
+	switch e.Kind {
+	case trace.KindCreate:
+		return h.Create(e.OID, e.Class, e.Size, e.Slots)
+	case trace.KindAccess:
+		return h.Access(e.OID)
+	case trace.KindUpdate:
+		return h.Update(e.OID)
+	case trace.KindOverwrite:
+		if err := h.Overwrite(e.OID, e.Slot, e.Old, e.New, e.Init); err != nil || len(e.Dead) == 0 {
+			return err
+		}
+		dead := l.deadScratch[:0]
+		for _, d := range e.Dead {
+			dead = append(dead, d.OID)
+		}
+		l.deadScratch = dead
+		return h.RecordOracleDead(dead)
+	case trace.KindRoot:
+		if e.Size == 1 {
+			return h.AddRoot(e.OID)
+		}
+		return h.RemoveRoot(e.OID)
+	case trace.KindPhase, trace.KindIdle:
+		return nil
+	}
+	return fmt.Errorf("unknown event kind %d", e.Kind)
+}
+
+// Due reports whether the rate policy wants a collection now. It is never
+// asked right after a create or an initializing store.
+func (l *Loop) Due() bool { return !l.midBuild && l.Cycle.Due() }
+
+// Collect takes one turn of the control loop and reports it: the decision
+// event, and for a collection the collection event and a GC span, the child
+// of span parent. step and phase are the driver's position; idle marks a turn
+// at a quiescence tick. A failed turn reports only an error span.
+func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.Collection, error) {
+	var start int64
+	if l.Spans != nil {
+		start = l.now()
+	}
+	c, err := l.Cycle.Run()
+	if l.Spans != nil && (err != nil || c.Collected) {
+		l.spans++
+		g := l.Spans.Start(span.KindGC, "collect", span.GCID(l.spans), parent, start)
+		g.Seq = l.spans
+		g.SetCollection(c)
+		end := l.now()
+		g.SetStage(span.StageService, end-start)
+		if l.OnSpan != nil {
+			l.OnSpan(g, err)
+		}
+		l.Spans.PinID(parent)
+		outcome := span.OutcomeOK
+		if err != nil {
+			outcome = span.OutcomeError
+		}
+		l.Spans.Finish(g, end, outcome)
+	}
+	if err != nil || l.Observer == nil {
+		return c, err
+	}
+	l.Observer.ObserveDecision(obs.DecisionOf(c, step, idle))
+	if c.Collected {
+		l.Observer.ObserveCollection(obs.CollectionOf(c, step, phase))
+	}
+	return c, nil
+}
+
+// now reads the span clock.
+func (l *Loop) now() int64 {
+	if l.Now != nil {
+		return l.Now()
+	}
+	ck := l.Cycle.Clock()
+	return int64(ck.AppIO + ck.GCIO)
+}

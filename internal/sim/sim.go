@@ -178,15 +178,13 @@ type Result struct {
 
 // Simulator replays one trace. Create a fresh Simulator per run.
 type Simulator struct {
-	cfg   Config
-	disk  *storage.Manager
-	heap  *gc.Heap
-	cycle core.Cycle // the control loop; Step and idle decide when it runs
+	cfg  Config
+	disk *storage.Manager
+	heap *gc.Heap
+	loop Loop // the control loop, shared with the server engine
 
-	curPhase    string
-	collectSafe bool
-	step        int
-	obs         obs.Observer // nil when unobserved; hooks are guarded
+	curPhase string
+	step     int
 
 	// Per-phase accumulation.
 	phaseAcc    *PhaseSummary
@@ -197,11 +195,6 @@ type Simulator struct {
 	// the run (short runs get shorter preambles).
 	garbBuckets []metrics.Mean
 	res         *Result
-
-	// deadScratch carries each overwrite event's dead OIDs to
-	// RecordOracleDead, which copies them into its ledger — reusing it keeps
-	// the per-event path allocation-free.
-	deadScratch []objstore.OID
 }
 
 // New constructs a simulator.
@@ -218,25 +211,20 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	heap := gc.NewHeap(objstore.NewStore(), disk)
 	heap.SetPhysicalFixups(cfg.PhysicalFixups)
-	s := &Simulator{
-		cfg:         cfg,
-		disk:        disk,
-		heap:        heap,
-		cycle:       core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection},
-		collectSafe: true,
-		obs:         cfg.Observer,
-		res: &Result{
-			PolicyName:    cfg.Policy.Name(),
-			SelectionName: cfg.Selection.Name(),
-		},
-	}
+	s := assemble(cfg, heap, &Result{PolicyName: cfg.Policy.Name(), SelectionName: cfg.Selection.Name()})
 	if cfg.Durable != nil {
 		heap.SetDurable(cfg.Durable)
 	}
-	if s.obs != nil {
-		s.obs.ObserveRunStart(s.runStart(0))
+	if cfg.Observer != nil {
+		cfg.Observer.ObserveRunStart(s.runStart(0))
 	}
 	return s, nil
+}
+
+// assemble builds a simulator over heap with its control loop.
+func assemble(cfg Config, heap *gc.Heap, res *Result) *Simulator {
+	return &Simulator{cfg: cfg, disk: heap.Disk(), heap: heap, res: res,
+		loop: Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection}, Observer: cfg.Observer, Spans: cfg.Spans}}
 }
 
 // runStart assembles the RunStart event.
@@ -314,18 +302,27 @@ func (s *Simulator) Step(e *trace.Event) error {
 	i := s.step
 	s.step++
 
-	// Collections happen between events, but never immediately after a
-	// create or initializing store: those are mid-construction moments
-	// where new structure is not yet wired to the graph.
-	if s.collectSafe && s.cycle.Due() {
+	// Collections happen between events, when Loop.Due says so.
+	if s.loop.Due() {
 		if err := s.collect(false); err != nil {
 			return fmt.Errorf("sim: event %d: %w", i, err)
 		}
 	}
 
-	if err := s.apply(e, i); err != nil {
-		if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSizeRange) || errors.Is(err, objstore.ErrSlotRange) {
-			// No generator skips that far ahead or builds one that wide: damage.
+	var err error // idle ticks ask before Apply clears the collect-safe state
+	switch e.Kind {
+	case trace.KindPhase:
+		s.phase(e.Label, i)
+	case trace.KindIdle:
+		err = s.idle(e.Size)
+	}
+	if err == nil {
+		err = s.loop.Apply(e)
+	}
+	if err != nil {
+		if errors.Is(err, objstore.ErrOIDRange) || errors.Is(err, objstore.ErrSizeRange) ||
+			errors.Is(err, objstore.ErrSlotRange) || errors.Is(err, objstore.ErrAbsent) {
+			// No generator emits these: the trace is damaged.
 			err = fmt.Errorf("%w: %w", simerr.ErrCorruptTrace, err)
 		}
 		return fmt.Errorf("sim: event %d (%s): %w", i, e.String(), err)
@@ -344,7 +341,6 @@ func (s *Simulator) Step(e *trace.Event) error {
 			}
 		}
 	}
-	s.collectSafe = !(e.Kind == trace.KindCreate || (e.Kind == trace.KindOverwrite && e.Init))
 
 	// Sample at each database event (application events only).
 	switch e.Kind {
@@ -364,69 +360,38 @@ func (s *Simulator) Step(e *trace.Event) error {
 		}
 	}
 
-	if s.obs != nil && s.step%progressEvery == 0 {
-		s.obs.ObserveProgress(obs.Progress{
+	if s.cfg.Observer != nil && s.step%progressEvery == 0 {
+		s.cfg.Observer.ObserveProgress(obs.Progress{
 			Step:        s.step,
 			Collections: len(s.res.Collections),
 			Phase:       s.curPhase,
-			Clock:       obs.ClockOf(s.cycle.Clock()),
+			Clock:       obs.ClockOf(s.loop.Cycle.Clock()),
 		})
 	}
 	return nil
 }
 
-func (s *Simulator) apply(e *trace.Event, idx int) error {
-	switch e.Kind {
-	case trace.KindCreate:
-		return s.heap.Create(e.OID, e.Class, e.Size, e.Slots)
-	case trace.KindAccess:
-		return s.heap.Access(e.OID)
-	case trace.KindUpdate:
-		return s.heap.Update(e.OID)
-	case trace.KindOverwrite:
-		if err := s.heap.Overwrite(e.OID, e.Slot, e.Old, e.New, e.Init); err != nil {
-			return err
-		}
-		if len(e.Dead) > 0 {
-			dead := s.deadScratch[:0]
-			for _, d := range e.Dead {
-				dead = append(dead, d.OID)
-			}
-			s.deadScratch = dead
-			return s.heap.RecordOracleDead(dead)
-		}
-		return nil
-	case trace.KindPhase:
-		s.closePhase()
-		s.curPhase = e.Label
-		s.res.Phases = append(s.res.Phases, PhaseMark{
-			Label:       e.Label,
-			EventIndex:  idx,
+// phase closes the current phase and opens the one a phase event starts.
+func (s *Simulator) phase(label string, idx int) {
+	s.closePhase()
+	s.curPhase = label
+	s.res.Phases = append(s.res.Phases, PhaseMark{
+		Label:       label,
+		EventIndex:  idx,
+		Collections: len(s.res.Collections),
+		Overwrites:  s.heap.OverwriteClock(),
+	})
+	//lint:allow hotpath one accumulator per phase, retained in the result
+	s.phaseAcc = &PhaseSummary{Label: label}
+	s.phaseGarb = metrics.Mean{}
+	s.phaseIOBase = s.disk.Stats()
+	if s.cfg.Observer != nil {
+		s.cfg.Observer.ObservePhase(obs.PhaseChange{
+			Step:        idx,
+			Label:       label,
 			Collections: len(s.res.Collections),
 			Overwrites:  s.heap.OverwriteClock(),
 		})
-		//lint:allow hotpath one accumulator per phase, retained in the result
-		s.phaseAcc = &PhaseSummary{Label: e.Label}
-		s.phaseGarb = metrics.Mean{}
-		s.phaseIOBase = s.disk.Stats()
-		if s.obs != nil {
-			s.obs.ObservePhase(obs.PhaseChange{
-				Step:        idx,
-				Label:       e.Label,
-				Collections: len(s.res.Collections),
-				Overwrites:  s.heap.OverwriteClock(),
-			})
-		}
-		return nil
-	case trace.KindRoot:
-		if e.Size == 1 {
-			return s.heap.AddRoot(e.OID)
-		}
-		return s.heap.RemoveRoot(e.OID)
-	case trace.KindIdle:
-		return s.idle(e.Size)
-	default:
-		return fmt.Errorf("unknown event kind %d", e.Kind)
 	}
 }
 
@@ -439,7 +404,7 @@ func (s *Simulator) idle(ticks int) error {
 		return nil
 	}
 	for i := 0; i < ticks; i++ {
-		if !s.collectSafe || !ic.ShouldCollectIdle(s.cycle.Clock(), s.heap) {
+		if s.loop.midBuild || !ic.ShouldCollectIdle(s.loop.Cycle.Clock(), s.heap) {
 			return nil
 		}
 		if err := s.collect(true); err != nil {
@@ -450,36 +415,16 @@ func (s *Simulator) idle(ticks int) error {
 }
 
 // collect takes one turn of the control loop and books it: the record for
-// the time-varying figures, the phase accumulators, the GC span on the
-// simulated I/O clock, and the observer events.
+// the time-varying figures and the phase accumulators.
 func (s *Simulator) collect(idle bool) error {
-	c, err := s.cycle.Run()
-	if err != nil {
+	c, err := s.loop.Collect(0, s.step, s.curPhase, idle)
+	if err != nil || !c.Collected {
 		return err
 	}
-	if c.Collected {
-		s.res.Collections = append(s.res.Collections, s.record(c))
-		if s.phaseAcc != nil {
-			s.phaseAcc.Collections++
-			s.phaseAcc.Reclaimed += c.Result.ReclaimedBytes
-		}
-		if s.cfg.Spans != nil {
-			// Same span schema as the live server, on the simulated I/O clock:
-			// the collection starts where the pre-collection clock stood and
-			// ends after its own I/O. One trace format from gcsim to odbgcd.
-			g := s.cfg.Spans.Start(span.KindGC, "collect", span.GCID(uint64(c.Index)), 0, int64(c.Before.AppIO+c.Before.GCIO))
-			g.Seq = uint64(c.Index)
-			g.SetCollection(c)
-			end := int64(c.After.AppIO + c.After.GCIO)
-			g.SetStage(span.StageService, end-g.Start)
-			s.cfg.Spans.Finish(g, end, span.OutcomeOK)
-		}
-	}
-	if s.obs != nil {
-		s.obs.ObserveDecision(obs.DecisionOf(c, s.step, idle))
-		if c.Collected {
-			s.obs.ObserveCollection(obs.CollectionOf(c, s.step, s.curPhase))
-		}
+	s.res.Collections = append(s.res.Collections, s.record(c))
+	if s.phaseAcc != nil {
+		s.phaseAcc.Collections++
+		s.phaseAcc.Reclaimed += c.Result.ReclaimedBytes
 	}
 	return nil
 }
@@ -571,8 +516,8 @@ func (s *Simulator) Finish() (*Result, error) {
 	r.GarbageFrac = garb.Value()
 	r.GarbageFracMin = garb.Min()
 	r.GarbageFracMax = garb.Max()
-	if s.obs != nil {
-		s.obs.ObserveRunEnd(obs.RunEnd{
+	if s.cfg.Observer != nil {
+		s.cfg.Observer.ObserveRunEnd(obs.RunEnd{
 			Events:       r.Events,
 			Collections:  len(r.Collections),
 			Preamble:     r.EffectivePreamble,

@@ -28,7 +28,7 @@ func runChecked(t *testing.T, s *Simulator, tr *trace.Trace, every int) *Result 
 		if err := s.Step(&tr.Events[i]); err != nil {
 			t.Fatal(err)
 		}
-		if s.collectSafe && (i+1)%every == 0 {
+		if !s.loop.midBuild && (i+1)%every == 0 {
 			if err := s.heap.Check(); err != nil {
 				t.Fatalf("invariant check after event %d: %v", i, err)
 			}

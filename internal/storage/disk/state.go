@@ -56,13 +56,10 @@ func replay(objs *objstore.Store, op walOp) error {
 		}
 		o.Slots[op.slot] = op.dst
 	case recRoot:
-		if objs.Get(op.oid) == nil {
-			return fmt.Errorf("root change on absent %v", op.oid)
-		}
 		if op.on {
 			return objs.AddRoot(op.oid)
 		}
-		objs.RemoveRoot(op.oid)
+		return objs.RemoveRoot(op.oid)
 	case recReclaim:
 		for _, oid := range op.oids {
 			if err := objs.Remove(oid); err != nil {

@@ -305,8 +305,8 @@ func Validate(t *Trace) error {
 				if err := st.AddRoot(e.OID); err != nil {
 					return fmt.Errorf("event %d: %w", i, err)
 				}
-			} else {
-				st.RemoveRoot(e.OID)
+			} else if err := st.RemoveRoot(e.OID); err != nil {
+				return fmt.Errorf("event %d: %w", i, err)
 			}
 		case KindIdle:
 			// Quiescence changes no state.

@@ -114,6 +114,7 @@ func TestValidateRejections(t *testing.T) {
 		{"missing dead annotation", func(tr *Trace) { tr.Events[5].Dead = nil }, "mismatch"},
 		{"access absent", func(tr *Trace) { tr.Events[4].OID = 42 }, "absent"},
 		{"duplicate create", func(tr *Trace) { tr.Events[2].OID = 1 }, "duplicate"},
+		{"unroot absent", func(tr *Trace) { tr.Append(Event{Kind: KindRoot, OID: 42}) }, "absent"},
 	}
 	for _, m := range mutations {
 		tr := validChain()
