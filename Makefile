@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc loc-check test test-short test-race race vet lint lint-fix-report lint-allocbudget fuzz bench-e2e profile experiments results-check examples server-smoke crash-drill clean
+.PHONY: all build loc loc-check test test-short test-race race vet lint lint-fix-report fuzz bench-e2e profile experiments results-check examples server-smoke crash-drill clean
 
 all: build vet lint test
 
@@ -36,19 +36,14 @@ vet:
 
 # Repository invariants, nine analyzers: determinism (direct and through the
 # call graph), panic-free libraries, snapshot completeness, context
-# threading, error discipline, cancelable goroutines, the performance layer
-# (hotpath: hot-path allocation, boxing, defer, and append-growth checks,
-# plus the allocation budget in lint/allocbudget.json), and lock discipline
-# (lockcheck) — see README "Code invariants" and internal/analysis.
+# threading, error discipline, cancelable goroutines, no defer in a loop
+# (loopdefer), and lock discipline (lockcheck) — see README "Code invariants"
+# and internal/analysis. Allocations on the benchmarked paths are held by the
+# testing.AllocsPerRun pins beside each layer, which `make test` runs.
 # `go run ./cmd/odbglint -only lockcheck ./...` reruns one of them.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/odbglint -allocbudget ./...
-
-# Re-baseline the per-hot-function allocation budget after deliberate
-# changes; the diff to lint/allocbudget.json is the reviewable artifact.
-lint-allocbudget:
-	$(GO) run ./cmd/odbglint -write-allocbudget ./...
+	$(GO) run ./cmd/odbglint ./...
 
 # Every open finding as a file:line path, one per line, for editors and
 # scripted triage. Exits zero even with findings; `make lint` is the gate.
@@ -90,9 +85,9 @@ fuzz:
 # that must repeat exactly); where the time goes is read from a profile of a
 # layer benchmark (profile below; they live in internal/*/bench_test.go, the
 # root package's reproduce the paper's tables and figures at reduced scale);
-# allocation counts are pinned by testing.AllocsPerRun beside each layer and
-# by lint/allocbudget.json. CI runs every benchmark in the module once, so
-# none can stop building or running unnoticed.
+# allocation counts are pinned by testing.AllocsPerRun beside each layer. CI
+# runs every benchmark in the module once, so none can stop building or
+# running unnoticed.
 
 # The repository benchmark (BENCHMARK.json, bench/README.md) on WORKLOADS (by
 # default the two replay workloads): one untraced run (end-to-end metrics) and

@@ -20,29 +20,21 @@
 //	           wrapping of classified errors
 //	goleak     go statements whose goroutines can never observe
 //	           cancellation
-//	hotpath    on hot loop paths: compiler-confirmed heap allocations,
-//	           allocating interface conversions (boxing), defer statements,
-//	           and append-growth with a derivable length
+//	loopdefer  defer statements inside for and range bodies
 //	lockcheck  mutex discipline: every Lock reaches an Unlock on every
 //	           path, no double-lock, no copied locks, no blocking calls
 //	           while a hot-package mutex is held
 //
 // ctxflow, errflow, goleak, detrand's chain search and lockcheck are dataflow
 // analyzers built on the control-flow graphs of internal/analysis/cfg and the
-// whole-module call graph of internal/analysis/callgraph. hotpath is the
-// performance layer: it marks the hot region (benchmark bodies, curated
-// simulator/trace/server roots, unbounded serving loops, closed over the call
-// graph) and internal/analysis/escape turns `go build -gcflags='-m=2 -l'`
-// diagnostics into the allocation facts its checks join against.
+// whole-module call graph of internal/analysis/callgraph. Allocations on the
+// paths the benchmarks time are not linted: testing.AllocsPerRun pins beside
+// each layer hold them at run time (README "Code invariants"). loopdefer keeps
+// the one class no pin sees.
 //
 // -json emits the findings as a JSON array (file/line/col/analyzer/message
 // and, for call-graph findings, the call chain) for CI artifacts and
 // scripted triage.
-//
-// The performance layer also maintains an allocation budget:
-//
-//	go run ./cmd/odbglint -allocbudget ./...        # fail on hot-path allocation growth
-//	go run ./cmd/odbglint -write-allocbudget ./...  # re-baseline lint/allocbudget.json
 //
 // A genuinely intended violation is suppressed in place with
 //
@@ -59,19 +51,15 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"odbgc/internal/analysis"
-	"odbgc/internal/analysis/allocbudget"
-	"odbgc/internal/analysis/callgraph"
 	"odbgc/internal/analysis/ctxflow"
 	"odbgc/internal/analysis/detrand"
 	"odbgc/internal/analysis/errflow"
-	"odbgc/internal/analysis/escape"
 	"odbgc/internal/analysis/goleak"
-	"odbgc/internal/analysis/hotpath"
 	"odbgc/internal/analysis/lockcheck"
+	"odbgc/internal/analysis/loopdefer"
 	"odbgc/internal/analysis/maporder"
 	"odbgc/internal/analysis/nopanic"
 	"odbgc/internal/analysis/snapcover"
@@ -85,7 +73,7 @@ var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	errflow.Analyzer,
 	goleak.Analyzer,
-	hotpath.Analyzer,
+	loopdefer.Analyzer,
 	lockcheck.Analyzer,
 }
 
@@ -93,19 +81,14 @@ var analyzers = []*analysis.Analyzer{
 // went, so -only can refuse one by pointing at its successor.
 var retired = map[string]string{
 	"detrand-transitive": "folded into detrand",
-	"hotalloc":           "folded into hotpath",
-	"hotbox":             "folded into hotpath",
-	"hotdefer":           "folded into hotpath",
-	"prealloc":           "folded into hotpath",
+	"hotalloc":           "folded into hotpath, since deleted; the AllocsPerRun pins keep its class",
+	"hotbox":             "folded into hotpath, since deleted; the AllocsPerRun pins keep its class",
+	"hotdefer":           "folded into hotpath, since deleted; loopdefer keeps its class",
+	"prealloc":           "folded into hotpath, since deleted; the AllocsPerRun pins keep its class",
+	"hotpath":            "deleted; the AllocsPerRun pins beside each layer keep allocation, boxing, append growth and the budget, loopdefer keeps defer in a loop",
 	"guarded":            "deleted; -race on the concurrent suites keeps its class",
 	"lifecycle":          "deleted; the crash-point sweep and the stores' own refusals keep its class",
 }
-
-// factAnalyzers names the analyzers that consume compiler escape facts; the
-// driver prewarms the fact tables (bounded-parallel `go build` runs over
-// the hot packages) when any of them — or the allocation budget — is in
-// play.
-var factAnalyzers = map[string]bool{"hotpath": true}
 
 // selectAnalyzers filters the suite down to the comma-separated names in
 // only; an empty only keeps everything. Unknown names are an error so a
@@ -137,11 +120,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	only := flag.String("only", "", "run only the named analyzers (comma-separated)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of file:line text")
-	checkBudget := flag.Bool("allocbudget", false, "also fail when a hot function allocates on more lines than lint/allocbudget.json records")
-	writeBudget := flag.Bool("write-allocbudget", false, "recompute the allocation budget and rewrite the budget file")
-	budgetFile := flag.String("allocbudget-file", filepath.Join("lint", "allocbudget.json"), "allocation budget file")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: odbglint [-only analyzer,...] [-allocbudget|-write-allocbudget] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: odbglint [-only analyzer,...] [-json] [packages]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -172,19 +152,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "odbglint:", err)
 		os.Exit(2)
 	}
-	mod := analysis.NewModule(pkgs)
-
-	needFacts := *checkBudget || *writeBudget
-	for _, a := range suite {
-		if factAnalyzers[a.Name] {
-			needFacts = true
-		}
-	}
-	if needFacts {
-		prewarmFacts(mod)
-	}
-
-	findings, err := analysis.RunModule(mod, suite)
+	findings, err := analysis.RunPackages(pkgs, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "odbglint:", err)
 		os.Exit(2)
@@ -205,44 +173,8 @@ func main() {
 		}
 	}
 
-	failures := len(findings)
-	switch {
-	case *writeBudget:
-		b, err := allocbudget.Compute(mod)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "odbglint:", err)
-			os.Exit(2)
-		}
-		if err := b.Write(*budgetFile); err != nil {
-			fmt.Fprintln(os.Stderr, "odbglint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "odbglint: wrote %s (%d budgeted function(s))\n", *budgetFile, len(b.Functions))
-	case *checkBudget:
-		b, err := allocbudget.Compute(mod)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "odbglint:", err)
-			os.Exit(2)
-		}
-		recorded, err := allocbudget.Load(*budgetFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "odbglint:", err)
-			os.Exit(2)
-		}
-		regs := allocbudget.Diff(recorded, b)
-		for _, r := range regs {
-			fmt.Println(r)
-		}
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "odbglint: %d allocation budget regression(s); fix the allocation or re-baseline with -write-allocbudget\n", len(regs))
-		}
-		failures += len(regs)
-	}
-
-	if failures > 0 {
-		if len(findings) > 0 {
-			fmt.Fprintf(os.Stderr, "odbglint: %d finding(s)\n", len(findings))
-		}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "odbglint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
@@ -279,24 +211,4 @@ func printJSON(findings []analysis.Finding) {
 		fmt.Fprintln(os.Stderr, "odbglint:", err)
 		os.Exit(2)
 	}
-}
-
-// prewarmFacts builds escape fact tables for the packages that contain hot
-// functions, in parallel, before the analyzers run sequentially.
-func prewarmFacts(mod *analysis.Module) {
-	g := callgraph.For(mod)
-	region := hotpath.For(mod)
-	seen := make(map[*analysis.Package]bool)
-	var hotPkgs []*analysis.Package
-	for _, n := range region.Functions(g) {
-		if !seen[n.Pkg] {
-			seen[n.Pkg] = true
-			hotPkgs = append(hotPkgs, n.Pkg)
-		}
-	}
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	escape.Prewarm(mod, hotPkgs, workers)
 }

@@ -41,7 +41,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	want := []string{
 		"detrand", "maporder", "nopanic", "snapcover",
-		"ctxflow", "errflow", "goleak", "hotpath", "lockcheck",
+		"ctxflow", "errflow", "goleak", "loopdefer", "lockcheck",
 	}
 	var got []string
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
@@ -85,8 +85,8 @@ func TestOnlyFlag(t *testing.T) {
 		t.Errorf("odbglint -only nosuch error does not name the problem:\n%s", out)
 	}
 
-	// The seven names retired in PR 22 are refused like any unknown name,
-	// and the refusal says where the check went: no alias brings one back.
+	// The names of deleted analyzers are refused like any unknown name, and
+	// the refusal says where the check went: no alias brings one back.
 	for name, successor := range map[string]string{
 		"detrand-transitive": "detrand",
 		"hotalloc":           "hotpath",
@@ -95,6 +95,7 @@ func TestOnlyFlag(t *testing.T) {
 		"prealloc":           "hotpath",
 		"guarded":            "deleted",
 		"lifecycle":          "deleted",
+		"hotpath":            "AllocsPerRun pins",
 	} {
 		cmd = exec.Command("go", "run", "./cmd/odbglint", "-only", name, "./internal/simerr/...")
 		cmd.Dir = root
@@ -118,7 +119,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Skip("go run is slow")
 	}
 	cmd := exec.Command("go", "run", "./cmd/odbglint",
-		"-json", "-only", "lockcheck,hotpath", "./internal/simerr/...")
+		"-json", "-only", "lockcheck,loopdefer", "./internal/simerr/...")
 	cmd.Dir = moduleRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err != nil {

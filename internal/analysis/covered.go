@@ -17,7 +17,7 @@ var ConcurrentDirs = []string{
 // appears as a complete path-segment run inside the import path, so
 // "internal/sim" covers "odbgc/internal/sim" and "odbgc/internal/sim/replay"
 // but not "odbgc/internal/simulator". The analyzers that gate on package
-// location (detrand, ctxflow, lockcheck, hotpath's roots) all share this
+// location (detrand, ctxflow, lockcheck) all share this
 // predicate so their notions of coverage cannot drift apart.
 func PathCovered(pkgPath string, dirs []string) bool {
 	for _, d := range dirs {

@@ -37,13 +37,6 @@ func (m *Module) Memo(key string, build func() (any, error)) (any, error) {
 	return v, nil
 }
 
-// Memoized reports whether key already has a cached artifact — batch
-// prewarmers use it to skip work another path already did.
-func (m *Module) Memoized(key string) bool {
-	_, ok := m.memo[key]
-	return ok
-}
-
 // AllowedAt reports whether a well-formed //lint:allow comment for the named
 // analyzer covers pos, looking across every package of the module. Unlike
 // the per-package suppression filter applied to findings, this lets a

@@ -64,13 +64,7 @@ func runPackage(mod *Module, pkg *Package, analyzers []*Analyzer) ([]Finding, er
 // interprocedural analyzers (errflow's wrap discipline, detrand's chain
 // search) see the complete call graph of the run.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return RunModule(NewModule(pkgs), analyzers)
-}
-
-// RunModule is RunPackages over a caller-built module — the driver uses it
-// to prewarm module-wide artifacts (escape fact tables) into the same memo
-// the analyzers will read.
-func RunModule(mod *Module, analyzers []*Analyzer) ([]Finding, error) {
+	mod := NewModule(pkgs)
 	var out []Finding
 	for _, pkg := range mod.Packages {
 		fs, err := runPackage(mod, pkg, analyzers)
@@ -98,8 +92,7 @@ func sortFindings(fs []Finding) {
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
 		}
-		// One analyzer can report twice at one position (hotpath's
-		// allocation and boxing messages).
+		// One analyzer can report twice at one position.
 		return a.Message < b.Message
 	})
 }

@@ -214,7 +214,7 @@ func (h *Heap) RemoveRoot(oid objstore.OID) error {
 func (h *Heap) Access(oid objstore.OID) error {
 	o := h.store.Get(oid)
 	if o == nil {
-		return fmt.Errorf("gc: access of absent object %v", oid)
+		return fmt.Errorf("gc: access: %w %v", objstore.ErrAbsent, oid)
 	}
 	return h.disk.TouchObject(o, false)
 }
@@ -223,7 +223,7 @@ func (h *Heap) Access(oid objstore.OID) error {
 func (h *Heap) Update(oid objstore.OID) error {
 	o := h.store.Get(oid)
 	if o == nil {
-		return fmt.Errorf("gc: update of absent object %v", oid)
+		return fmt.Errorf("gc: update: %w %v", objstore.ErrAbsent, oid)
 	}
 	return h.disk.TouchObject(o, true)
 }
@@ -618,7 +618,6 @@ func (h *Heap) CheckOracleComplete() error { _, complete := h.check(); return co
 // It returns the first inconsistency and, apart, the oracle's first miss.
 func (h *Heap) check() (invariants, complete error) {
 	var err error
-	//lint:allow hotpath validation recount: one count per object, grown to the highest target
 	want := make([]int32, 0, h.store.Len()) // references into each target from other partitions
 	stack := h.scratch.queue[:0]            // the trace is depth first, on the list Collect queues in
 	push := func(o *objstore.Object) {
@@ -657,7 +656,6 @@ func (h *Heap) check() (invariants, complete error) {
 		refs(o, true)
 	}
 
-	//lint:allow hotpath validation sweep: one count array per call
 	deadBytes := make([]int, h.disk.NumPartitions())
 	unreached, oracleSeen := 0, 0
 	var sample objstore.OID // the first object whose reachability the oracle has wrong

@@ -153,7 +153,8 @@ const MaxSize = 1<<32 - 1
 // ErrSizeRange marks a create refused because its size exceeds MaxSize.
 var ErrSizeRange = errors.New("objstore: object size out of range")
 
-// ErrAbsent marks a root change refused because the object does not exist.
+// ErrAbsent marks an operation refused because the object it names does not
+// exist: a root change here, an access or update in the heap above.
 var ErrAbsent = errors.New("objstore: absent object")
 
 // NextOID returns the OID that the next Create call will assign.
@@ -206,7 +207,6 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 	}
 	o := s.alloc(nslots)
 	if nslots > pooledSlots {
-		//lint:allow hotpath wide-object fallback: no generator builds one
 		o.Slots = make([]OID, nslots)
 	}
 	o.OID, o.Class, o.Size = oid, class, uint32(size)
@@ -248,14 +248,12 @@ func (s *Store) alloc(nslots int) *Object {
 		return f[len(f)-1]
 	}
 	if len(s.headers) == 0 {
-		//lint:allow hotpath slab refill: one allocation per headerSlab creates
 		s.headers = make([]Object, headerSlab)
 	}
 	o := &s.headers[0]
 	s.headers = s.headers[1:]
 	if nslots > 0 && k <= pooledSlots {
 		if len(s.slots) < nslots {
-			//lint:allow hotpath slab refill: one allocation per slotSlab slots
 			s.slots = make([]OID, slotSlab)
 		}
 		o.Slots, s.slots = s.slots[:nslots:nslots], s.slots[nslots:]
@@ -347,7 +345,6 @@ func (s *Store) NumRoots() int { return s.roots }
 
 // Roots returns the persistent root set in ascending OID order, by a store walk.
 func (s *Store) Roots() []OID {
-	//lint:allow hotpath the root list is the product, returned to the caller
 	out := make([]OID, 0, s.roots)
 	s.ForEach(func(o *Object) {
 		if o.Root {
@@ -379,10 +376,8 @@ func (s *Store) ForEach(fn func(*Object)) {
 // by breadth-first traversal of pointer slots. It is O(objects) and intended
 // for validation, statistics, and tests — not for the simulation fast path.
 func (s *Store) Reachable() *Table[bool] {
-	//lint:allow hotpath the reachable set is the product, returned to the caller
 	seen := new(Table[bool])
 	// The queue is sized for the whole table up front.
-	//lint:allow hotpath validation-path whole-table scan; the queue is sized once per call
 	queue := append(make([]OID, 0, s.objects.Len()), s.Roots()...)
 	for _, oid := range queue {
 		seen.Set(oid, true)

@@ -240,9 +240,7 @@ func (r *Reader) Read() (*Envelope, error) {
 		if len(line) == 0 {
 			continue
 		}
-		//lint:allow hotpath the envelope is the product: the caller retains it
 		var env Envelope
-		//lint:allow hotpath json.Unmarshal takes its target as any
 		if err := json.Unmarshal(line, &env); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", r.line, err)
 		}

@@ -307,3 +307,33 @@ func TestSnapshotOrderedByStart(t *testing.T) {
 		}
 	}
 }
+
+// TestStartFinishAllocatesNothing: once the rings are full, a span that
+// starts and finishes reuses the one its Finish evicted, through the pool:
+// request spans through the bulk ring (and the retained one when slow), GC
+// spans through the retained ring.
+func TestStartFinishAllocatesNothing(t *testing.T) {
+	r := NewRecorder(Config{Capacity: 16})
+	var seq uint64
+	request := func() {
+		seq++
+		reqSpan(t, r, 1, seq, int64(seq), int64(seq%7), OutcomeOK)
+	}
+	gc := func() {
+		seq++
+		sp := r.Start(KindGC, "collect", GCID(seq), RequestID(1, seq), int64(seq))
+		r.Finish(sp, int64(seq)+3, OutcomeOK)
+	}
+	for i := 0; i < 64; i++ {
+		request()
+		gc()
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{{"request", request}, {"gc", gc}} {
+		if n := testing.AllocsPerRun(1000, c.fn); n != 0 {
+			t.Errorf("%s span: %v allocations per Start and Finish, want 0", c.name, n)
+		}
+	}
+}

@@ -472,7 +472,6 @@ func (e *Engine) Requests() uint64 { return e.requests }
 // engine goroutine, so the reads need no locks.
 func (e *Engine) stats() *Stats {
 	disk := e.heap.Disk().Stats()
-	//lint:allow hotpath the snapshot escapes to the requester by design
 	st := &Stats{
 		Objects:        e.heap.Store().Len(),
 		DBBytes:        e.heap.DatabaseBytes(),

@@ -1,0 +1,66 @@
+package server
+
+import (
+	"strings"
+	"testing"
+
+	"odbgc/internal/simerr"
+)
+
+// TestApplyAllocatesNothing: an access, an update and a pointer store step
+// through the loop on tables and lists the heap already has. The set flips
+// one slot between two targets, so every call forgets one reference and
+// records another.
+func TestApplyAllocatesNothing(t *testing.T) {
+	eng, _ := benchEngine(t)
+	apply := func(req Request) {
+		if resp := eng.apply(req); resp.Status != StatusOK {
+			t.Fatalf("%+v answered %+v", req, resp)
+		}
+	}
+	var oids [3]uint64
+	for i := range oids {
+		resp := eng.apply(Request{Op: OpCreate, Size: 100, Slots: 2})
+		if resp.Status != StatusOK {
+			t.Fatalf("create answered %+v", resp)
+		}
+		oids[i] = resp.OID
+	}
+	i := 0
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"access", func() { apply(Request{Op: OpAccess, OID: oids[0]}) }},
+		{"update", func() { apply(Request{Op: OpUpdate, OID: oids[0]}) }},
+		{"set", func() {
+			apply(Request{Op: OpSet, OID: oids[0], Slot: 1, Dst: oids[1+i%2]})
+			i++
+		}},
+	} {
+		if n := testing.AllocsPerRun(200, c.fn); n != 0 {
+			t.Errorf("%s: %v allocations per request, want 0", c.name, n)
+		}
+	}
+}
+
+// TestAbsentObjectIsOtherError: a client's access or update of an OID that
+// does not exist is the client's mistake, not a damaged trace. The heap's
+// refusal wraps objstore.ErrAbsent, which simerr does not classify, so the
+// server counts it as "other".
+func TestAbsentObjectIsOtherError(t *testing.T) {
+	eng, _ := benchEngine(t)
+	reg := eng.cfg.Metrics.Registry()
+	for _, op := range []string{OpAccess, OpUpdate} {
+		resp := eng.apply(Request{ID: 1, Op: op, OID: 7})
+		if resp.Status != StatusError || !strings.Contains(resp.Error, "absent") {
+			t.Errorf("%s of an absent object answered %+v, want an error naming it absent", op, resp)
+		}
+	}
+	if got := reg.Counter(ErrorMetric(simerr.ClassOther)); got != 2 {
+		t.Errorf("%s = %v, want 2", ErrorMetric(simerr.ClassOther), got)
+	}
+	if got := reg.Counter(ErrorMetric(simerr.ClassCorruptTrace)); got != 0 {
+		t.Errorf("%s = %v, want 0", ErrorMetric(simerr.ClassCorruptTrace), got)
+	}
+}

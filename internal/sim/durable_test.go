@@ -189,3 +189,23 @@ func TestUnrootOfAbsentObjectKeepsRecovery(t *testing.T) {
 	}
 	_ = rec.Close()
 }
+
+// TestAccessOfAbsentObjectIsCorruptTrace: a damaged trace's access or update of
+// an object that does not exist is a corrupt trace, as its unroot is. Both used
+// to be refused with a plain error, classified as an ordinary failure.
+func TestAccessOfAbsentObjectIsCorruptTrace(t *testing.T) {
+	for _, kind := range []trace.Kind{trace.KindAccess, trace.KindUpdate} {
+		t.Run(kind.String(), func(t *testing.T) {
+			s, _, _ := durableSim(t)
+			if err := s.Step(&trace.Event{Kind: trace.KindCreate, OID: 1, Size: 64}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Step(&trace.Event{Kind: kind, OID: 7}); !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrAbsent) {
+				t.Errorf("%v of an absent object: %v, want a corrupt-trace error wrapping objstore.ErrAbsent", kind, err)
+			}
+			if err := s.Step(&trace.Event{Kind: kind, OID: 1}); err != nil {
+				t.Errorf("%v of the object that exists: %v", kind, err)
+			}
+		})
+	}
+}

@@ -381,7 +381,6 @@ func (s *Simulator) phase(label string, idx int) {
 		Collections: len(s.res.Collections),
 		Overwrites:  s.heap.OverwriteClock(),
 	})
-	//lint:allow hotpath one accumulator per phase, retained in the result
 	s.phaseAcc = &PhaseSummary{Label: label}
 	s.phaseGarb = metrics.Mean{}
 	s.phaseIOBase = s.disk.Stats()

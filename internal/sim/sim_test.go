@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
+	"odbgc/internal/objstore"
 	"odbgc/internal/oo7"
 	"odbgc/internal/trace"
 )
@@ -119,5 +120,54 @@ func TestEndToEndFixedRate(t *testing.T) {
 		}
 		prevIO = float64(res.Final.TotalIO())
 		prevReclaimed = float64(res.TotalReclaimed)
+	}
+}
+
+// TestStepAllocatesNothing: at steady state a replay step allocates nothing.
+// Over 2 000 created and rooted objects, a pointer overwrite that flips
+// between two targets and an access touch only tables and lists the heap
+// already has: under SAIO-10 % (replay-oo7's policy, which runs no collection
+// here) and under fixed(10), where every tenth overwrite also collects.
+func TestStepAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		policy func() (core.RatePolicy, error)
+	}{
+		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }},
+		{"fixed-10", func() (core.RatePolicy, error) { return core.NewFixedRate(10) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pol, err := c.policy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Policy: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func(e trace.Event) {
+				if err := s.Step(&e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const n = 2000
+			for oid := objstore.OID(1); oid <= n; oid++ {
+				step(trace.Event{Kind: trace.KindCreate, OID: oid, Class: objstore.ClassAtomicPart, Size: 100, Slots: 2})
+				step(trace.Event{Kind: trace.KindRoot, OID: oid, Size: 1})
+			}
+			targets := [2]objstore.OID{2, n}
+			step(trace.Event{Kind: trace.KindOverwrite, OID: 1, New: targets[0], Init: true})
+			i := 0
+			if a := testing.AllocsPerRun(500, func() {
+				step(trace.Event{Kind: trace.KindOverwrite, OID: 1, Old: targets[i%2], New: targets[(i+1)%2]})
+				i++
+			}); a != 0 {
+				t.Errorf("overwrite: %v allocations per step, want 0", a)
+			}
+			if a := testing.AllocsPerRun(500, func() { step(trace.Event{Kind: trace.KindAccess, OID: n / 2}) }); a != 0 {
+				t.Errorf("access: %v allocations per step, want 0", a)
+			}
+			t.Logf("%d collections", len(s.res.Collections))
+		})
 	}
 }

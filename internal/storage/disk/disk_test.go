@@ -857,6 +857,58 @@ func TestCheckpointAllocatesNothing(t *testing.T) {
 	}
 }
 
+// What a durable engine pays per acknowledged request allocates nothing under
+// any fsync policy: the store stages into its own buffers, encodes into its
+// reused batch buffer and appends with one write. "set" is a pointer store; in
+// "lifecycle" one batch creates, roots, unroots and reclaims an object under
+// the same OID, as a create and a later collection log it.
+func TestCommitAllocatesNothing(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncGroup, FsyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			s, _, err := Open(Options{FS: memFS{}, Fsync: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for oid := objstore.OID(1); oid <= 2; oid++ {
+				if err := s.LogAlloc(oid, objstore.ClassAtomicPart, 128, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			set := func() {
+				if err := s.LogSet(1, i%2, 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			if n := testing.AllocsPerRun(200, set); n != 0 {
+				t.Errorf("set: %v allocations per commit, want 0", n)
+			}
+			dead := []objstore.OID{3}
+			lifecycle := func() {
+				for _, err := range []error{
+					s.LogAlloc(3, objstore.ClassAtomicPart, 64, 1),
+					s.LogRoot(3, true),
+					s.LogRoot(3, false),
+					s.LogReclaim(dead),
+					s.Commit(),
+				} {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if n := testing.AllocsPerRun(200, lifecycle); n != 0 {
+				t.Errorf("lifecycle: %v allocations per commit, want 0", n)
+			}
+		})
+	}
+}
+
 // Stores on different goroutines checkpoint through the one pool of windows:
 // each borrows a window of its own, and each image reopens to its store's
 // state. Run under -race, this is the pool's concurrency check.

@@ -278,7 +278,6 @@ func (m *Manager) pin(pg PageID, dirty, fresh bool) {
 
 // newPartition appends an empty partition.
 func (m *Manager) newPartition() *partition {
-	//lint:allow hotpath the partition is the product, retained by the manager for the database's life
 	p := &partition{id: PartitionID(len(m.parts))}
 	m.parts = append(m.parts, p)
 	return p
@@ -451,7 +450,6 @@ func (m *Manager) Compact(id PartitionID, members, live []*objstore.Object) (Com
 	// offset and therefore always fits objects of unchanged size.
 	order := live
 	if _, fits := m.layout(order, false); !fits {
-		//lint:allow hotpath overflow fallback: a copy per rare overflowing compaction
 		order = slices.Clone(live)
 		slices.SortFunc(order, func(a, b *objstore.Object) int { return int(a.Offset) - int(b.Offset) })
 		if _, fits := m.layout(order, false); !fits {
@@ -549,7 +547,6 @@ func (m *Manager) CheckInvariants() error { return m.CheckSweep(func(*objstore.O
 // finds. A placed object must be the next entry of its partition's list, so a
 // list's cursor stops on an entry out of order or placed elsewhere.
 func (m *Manager) CheckSweep(visit func(*objstore.Object)) error {
-	//lint:allow hotpath validation sweep: one state array per call
 	parts := make([]struct{ used, next int }, len(m.parts))
 	placed := 0
 	var err error

@@ -264,12 +264,10 @@ func (r *Reader) Read() (Event, error) {
 				return e, fmt.Errorf("trace: implausible phase label length %d", n)
 			}
 			if cap(r.labelBuf) < int(n) {
-				//lint:allow hotpath label scratch grows to the longest label once
 				r.labelBuf = make([]byte, n)
 			}
 			buf := r.labelBuf[:n]
 			_, err = io.ReadFull(r.br, buf)
-			//lint:allow hotpath phase labels are rare (one per phase) and must be immutable strings
 			e.Label = string(buf)
 		}
 	case KindRoot:

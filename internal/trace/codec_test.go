@@ -234,3 +234,47 @@ func TestReadJSONRejectsUnknownKind(t *testing.T) {
 		t.Errorf("unknown kind error = %v", err)
 	}
 }
+
+// TestReadAllocatesNothing: decoding an event allocates nothing, kind by kind
+// (a kind that allocated while the others did not would vanish in a mixed
+// stream's per-event average). A dead list is carved from the reader's arena,
+// one chunk per 1 024 entries; only a phase label, one string per phase,
+// allocates.
+func TestReadAllocatesNothing(t *testing.T) {
+	const n = 1000
+	for _, e := range []Event{
+		{Kind: KindCreate, OID: 9, Class: objstore.ClassAtomicPart, Size: 100, Slots: 3},
+		{Kind: KindAccess, OID: 9},
+		{Kind: KindUpdate, OID: 9},
+		{Kind: KindOverwrite, OID: 9, Slot: 1, Old: 4, New: 5, Dead: []DeadObject{{OID: 4, Size: 100}}},
+		{Kind: KindRoot, OID: 9, Size: 1},
+		{Kind: KindIdle, Size: 3},
+	} {
+		t.Run(e.Kind.String(), func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= n; i++ { // AllocsPerRun reads one more as its warm-up
+				if err := w.Write(&e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(n, func() {
+				if _, err := r.Read(); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Errorf("%v allocations per %v event, want 0", a, e.Kind)
+			}
+		})
+	}
+}
