@@ -154,9 +154,11 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 			info.Objects, *dataDir, openMs+rebuildMs, openMs, rebuildMs, info.Format, info.CheckpointSeq, info.BatchesReplayed, info.RecordsReplayed, info.TornTail)
 		switch info.Format {
 		case 1:
-			fmt.Fprintln(stdout, "checkpoint image is format 1 (data pages plus a directory); the next checkpoint rewrites it as format 3")
+			fmt.Fprintln(stdout, "checkpoint image is format 1 (data pages plus a directory); the next checkpoint rewrites it as format 4")
 		case 2:
-			fmt.Fprintln(stdout, "checkpoint image is format 2 (data pages, no image sum); the next checkpoint rewrites it as format 3")
+			fmt.Fprintln(stdout, "checkpoint image is format 2 (data pages, no image sum); the next checkpoint rewrites it as format 4")
+		case 3:
+			fmt.Fprintln(stdout, "checkpoint image is format 3 (no state chain); the next checkpoint rewrites it as format 4")
 		}
 		if info.MetaFallback {
 			fmt.Fprintf(stdout, "a checkpoint meta page or the newer image was damaged; the other slot's checkpoint (seq %d) served, and the WAL replayed past it\n", info.CheckpointSeq)

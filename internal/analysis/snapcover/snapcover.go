@@ -1,11 +1,11 @@
 // Package snapcover cross-checks snapshot completeness: every field of
 // every state struct declared in a snapshot.go or checkpoint.go file must
 // be populated by an encoder and consumed by a decoder somewhere in the
-// same package. The convention throughout the simulator is that
-// checkpointable components keep their wire image in such a struct
-// (gc.HeapSnapshot, storage.ManagerState, the core policy states,
-// sim.Checkpoint); adding a field to the live object means adding it to the
-// state struct, the snapshot method, and the restore function together.
+// same package. The convention for the rate policies and estimators is
+// that each keeps its mutable state in such a struct (the core policy
+// states in core/snapshot.go); adding a field to the live object means
+// adding it to the state struct, the snapshot method, and the restore
+// function together.
 // Forgetting either half used to be a silent resume corruption — the gob
 // round-trip happily drops what nobody writes and nobody reads. snapcover
 // makes it a build-time error at the field's declaration.

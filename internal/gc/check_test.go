@@ -186,11 +186,11 @@ func managerField(m *storage.Manager, part int, name string) reflect.Value {
 // heap and requires Check, and the reference it replaced, to refuse it with
 // the error naming it. Whatever Check finds, no header keeps a mark.
 func TestCheckCatchesEveryCorruption(t *testing.T) {
-	// buildSnapshotHeap, with garbage in partition 1 too: 1 (root) -> 2 -> 4
+	// buildImageHeap, with garbage in partition 1 too: 1 (root) -> 2 -> 4
 	// and 1 -> 5 -> 6 across partitions 0 and 1; 3, 7 and 8 are dead and
 	// known to the oracle.
 	build := func(t *testing.T) *Heap {
-		h := buildSnapshotHeap(t)
+		h := buildImageHeap(t)
 		if err := h.RecordOracleDead([]objstore.OID{7, 8}); err != nil {
 			t.Fatal(err)
 		}

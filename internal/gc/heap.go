@@ -34,7 +34,7 @@ type Heap struct {
 	// question the mutator and the collector ask of them (is this object a
 	// partition root?). The (partition, target, source) entries themselves
 	// are a function of the graph and the placement; externalRefs derives
-	// them for the snapshot and the fixup ablation, and Check recounts them.
+	// them for the fixup ablation, and Check recounts them.
 	ext objstore.Table[int32]
 
 	// po[p] counts pointer overwrites whose old target lay in partition p
@@ -238,7 +238,7 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	// corrupt trace cannot leave the slot half-applied.
 	o := h.store.Get(src)
 	if o == nil {
-		return fmt.Errorf("gc: overwrite on absent object %v", src)
+		return fmt.Errorf("gc: overwrite: %w %v", objstore.ErrAbsent, src)
 	}
 	if slot < 0 || slot >= len(o.Slots) {
 		return fmt.Errorf("gc: overwrite slot %d out of range on %v", slot, src)
@@ -345,13 +345,19 @@ func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 		if !ok {
 			return fmt.Errorf("gc: oracle-dead object %v has no placement", oid)
 		}
-		o.Dead = true
-		h.oracleDead++
-		*counterAt(&h.oracleDeadBytes, p) += int(o.Size)
-		h.garbage += int(o.Size)
-		h.totalGarbage += uint64(o.Size)
+		h.markDead(o, p)
 	}
 	return nil
+}
+
+// markDead flags o, placed in partition p, oracle-dead and enters it in the
+// ledger.
+func (h *Heap) markDead(o *objstore.Object, p storage.PartitionID) {
+	o.Dead = true
+	h.oracleDead++
+	*counterAt(&h.oracleDeadBytes, p) += int(o.Size)
+	h.garbage += int(o.Size)
+	h.totalGarbage += uint64(o.Size)
 }
 
 // ActualGarbageBytes returns the oracle's exact count of unreclaimed

@@ -25,11 +25,22 @@ func storeOf(t *testing.T, objs ...storage.ObjectState) *objstore.Store {
 	t.Helper()
 	st := objstore.NewStore()
 	for _, o := range objs {
-		if err := st.Load(o.OID, o.Class, o.Size, o.Slots, o.Root); err != nil {
-			t.Fatal(err)
-		}
+		enter(t, st, o)
 	}
 	return st
+}
+
+// enter creates o in st whole: header, slots and root flag.
+func enter(t *testing.T, st *objstore.Store, o storage.ObjectState) {
+	t.Helper()
+	obj, err := st.CreateWithOID(o.OID, o.Class, o.Size, len(o.Slots))
+	if err == nil && o.Root {
+		err = st.AddRoot(o.OID)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(obj.Slots, o.Slots)
 }
 
 // TestLoadFillsAnEmptyHeap is the small case by hand: two partitions' worth of
@@ -153,13 +164,9 @@ func TestLoadBytesPerObject(t *testing.T) {
 		for k := range slots {
 			slots[k] = oid + 1 + objstore.OID(k)
 		}
-		if err := st.Load(oid, objstore.ClassAssembly, 200, slots, true); err != nil {
-			t.Fatal(err)
-		}
+		enter(t, st, storage.ObjectState{OID: oid, Class: objstore.ClassAssembly, Size: 200, Slots: slots, Root: true})
 		for k := range slots {
-			if err := st.Load(slots[k], objstore.ClassAtomicPart, 100, nil, false); err != nil {
-				t.Fatal(err)
-			}
+			enter(t, st, storage.ObjectState{OID: slots[k], Class: objstore.ClassAtomicPart, Size: 100})
 		}
 	}
 	before := heap()

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -183,26 +184,49 @@ func (m *model) collect(p storage.PartitionID) (want CollectionResult, reclaimed
 	return want, reclaimed
 }
 
-func (m *model) remsetEntries() []RemsetEntry {
-	var out []RemsetEntry
+// remsetEntry is one remembered-set counter: Count pointer slots of Src
+// reference Dst, placed in partition Part, from another partition.
+type remsetEntry struct {
+	Part     storage.PartitionID
+	Dst, Src objstore.OID
+	Count    int
+}
+
+func sortRemset(out []remsetEntry) []remsetEntry {
+	slices.SortFunc(out, func(a, b remsetEntry) int {
+		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src))
+	})
+	return out
+}
+
+func (m *model) remsetEntries() []remsetEntry {
+	var out []remsetEntry
 	for p, dsts := range m.remset {
 		for dst, srcs := range dsts {
 			for src, n := range srcs {
-				out = append(out, RemsetEntry{Part: p, Dst: dst, Src: src, Count: n})
+				out = append(out, remsetEntry{Part: p, Dst: dst, Src: src, Count: n})
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b RemsetEntry) int {
-		switch {
-		case a.Part != b.Part:
-			return int(a.Part) - int(b.Part)
-		case a.Dst != b.Dst:
-			return int(a.Dst) - int(b.Dst)
-		default:
-			return int(a.Src) - int(b.Src)
-		}
+	return sortRemset(out)
+}
+
+// heapRemset derives the heap's remembered sets from its graph and placement,
+// one entry per distinct (partition, target, source).
+func heapRemset(h *Heap) ([]remsetEntry, error) {
+	var out []remsetEntry
+	err := h.externalRefs(func(p storage.PartitionID, dst, src objstore.OID) {
+		out = append(out, remsetEntry{Part: p, Dst: dst, Src: src, Count: 1})
 	})
-	return out
+	merged := sortRemset(out)[:0]
+	for _, e := range out {
+		if n := len(merged); n > 0 && merged[n-1].Part == e.Part && merged[n-1].Dst == e.Dst && merged[n-1].Src == e.Src {
+			merged[n-1].Count++
+		} else {
+			merged = append(merged, e)
+		}
+	}
+	return merged, err
 }
 
 // compare checks everything the heap, the store and the manager expose
@@ -272,17 +296,22 @@ func (m *model) compare(h *Heap) error {
 	case h.PinnedGarbageBytes() != pinned:
 		return fmt.Errorf("pinned garbage %d, model %d", h.PinnedGarbageBytes(), pinned)
 	}
-	snap := h.Snapshot()
-	if want := m.remsetEntries(); !slices.Equal(snap.Remset, want) {
-		return fmt.Errorf("snapshot remembered sets\n got %v\nwant %v", snap.Remset, want)
+	remset, err := heapRemset(h)
+	if want := m.remsetEntries(); err != nil || !slices.Equal(remset, want) {
+		return fmt.Errorf("remembered sets (%v)\n got %v\nwant %v", err, remset, want)
 	}
-	var dead []objstore.OID
+	var dead, flagged []objstore.OID
 	for oid := range m.dead {
 		dead = append(dead, oid)
 	}
 	slices.Sort(dead)
-	if !slices.Equal(snap.OracleDead, dead) {
-		return fmt.Errorf("snapshot oracle-dead %v, model %v", snap.OracleDead, dead)
+	st.ForEach(func(o *objstore.Object) {
+		if o.Dead {
+			flagged = append(flagged, o.OID)
+		}
+	})
+	if !slices.Equal(flagged, dead) {
+		return fmt.Errorf("oracle-dead headers %v, model %v", flagged, dead)
 	}
 	return h.CheckInvariants()
 }

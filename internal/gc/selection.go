@@ -1,6 +1,8 @@
 package gc
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 
@@ -209,4 +211,71 @@ func NewSelectionPolicy(name string, seed int64) (SelectionPolicy, error) {
 	default:
 		return nil, fmt.Errorf("gc: unknown selection policy %q", name)
 	}
+}
+
+// The stateful selection policies keep their mutable fields in the state
+// structs below and implement core.Snapshotter structurally (gc cannot import
+// core), so a checkpoint carries where a sweep or a random sequence stood.
+
+// roundRobinState is RoundRobin's mutable state.
+type roundRobinState struct {
+	Next storage.PartitionID // the cursor: the next partition to pick
+}
+
+// hybridState is Hybrid's mutable state.
+type hybridState struct {
+	Sweeping bool                // greedy picks stopped paying: sweep in order
+	Sweep    storage.PartitionID // the sweep's round-robin cursor
+	LastPick storage.PartitionID
+	HavePick bool
+}
+
+// randomState is RandomSelection's mutable state: the seed is configuration,
+// so the steps drawn since seeding say where the sequence stands.
+type randomState struct {
+	Draws uint64
+}
+
+func encodeState(st any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeState replaces *st with what data decodes to, only if it decodes.
+func decodeState[T any](data []byte, st *T) error {
+	var next T
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&next); err != nil {
+		return err
+	}
+	*st = next
+	return nil
+}
+
+// SnapshotState implements core.Snapshotter.
+func (s *RoundRobin) SnapshotState() ([]byte, error) { return encodeState(s.st) }
+
+// RestoreState implements core.Snapshotter.
+func (s *RoundRobin) RestoreState(data []byte) error { return decodeState(data, &s.st) }
+
+// SnapshotState implements core.Snapshotter.
+func (h *Hybrid) SnapshotState() ([]byte, error) { return encodeState(h.st) }
+
+// RestoreState implements core.Snapshotter.
+func (h *Hybrid) RestoreState(data []byte) error { return decodeState(data, &h.st) }
+
+// SnapshotState implements core.Snapshotter.
+func (s *RandomSelection) SnapshotState() ([]byte, error) { return encodeState(s.st) }
+
+// RestoreState implements core.Snapshotter: it reseeds the generator and
+// replays the recorded number of steps, so the sequence continues exactly.
+func (s *RandomSelection) RestoreState(data []byte) error {
+	var st randomState
+	if err := decodeState(data, &st); err != nil {
+		return err
+	}
+	s.rewind(st.Draws)
+	return nil
 }

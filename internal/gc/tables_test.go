@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -60,7 +61,7 @@ func TestCheckInvariantsCrossChecksTotals(t *testing.T) {
 		"count too low":   {func(h *Heap) { h.ext.Set(5, 0) }, "ground truth 1"},
 		"count too high":  {func(h *Heap) { h.ext.Set(7, 2) }, "ground truth 0"},
 	} {
-		h := buildSnapshotHeap(t)
+		h := buildImageHeap(t)
 		if err := h.RecordOracleDead([]objstore.OID{7, 8}); err != nil { // partition 1 gets garbage too
 			t.Fatal(err)
 		}
@@ -74,19 +75,16 @@ func TestCheckInvariantsCrossChecksTotals(t *testing.T) {
 	}
 }
 
-// TestRestoreHeapRebuildsDerivedState: the per-object reference counts and
-// the running totals are not in the snapshot. A restored heap must answer
-// every query the original answers, before and after more work.
-func TestRestoreHeapRebuildsDerivedState(t *testing.T) {
-	h := buildSnapshotHeap(t)
+// TestLoadedImageRebuildsDerivedState: the per-object reference counts and the
+// oracle's garbage by partition are not in the image. A restored heap must
+// answer every query the original answers, before and after more work.
+func TestLoadedImageRebuildsDerivedState(t *testing.T) {
+	h := buildImageHeap(t)
 	unlink(t, h, 5, 0, 6) // a non-zero overwrite counter in partition 1
 	if err := h.RecordOracleDead([]objstore.OID{6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreHeap(h.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := twin(t, h)
 	same := func(when string) {
 		t.Helper()
 		if h.ActualGarbageBytes() != r.ActualGarbageBytes() || h.ActualGarbageBytes() == 0 && when == "restored" {
@@ -123,36 +121,8 @@ func TestRestoreHeapRebuildsDerivedState(t *testing.T) {
 		}
 	}
 	same("after a collection")
-	if !reflect.DeepEqual(h.Snapshot(), r.Snapshot()) {
+	if !bytes.Equal(image(t, h), image(t, r)) {
 		t.Error("heaps diverged after identical work")
-	}
-}
-
-// TestRestoreHeapRejectsDamagedIndexes: a partition index or an OID damaged
-// into the far distance must fail the restore, not size a table by it.
-func TestRestoreHeapRejectsDamagedIndexes(t *testing.T) {
-	good := buildSnapshotHeap(t).Snapshot()
-
-	bad := *good
-	bad.Overwrites = append([]PartitionCounter(nil), good.Overwrites...)
-	bad.Overwrites[0].Part = 1 << 40
-	if _, err := RestoreHeap(&bad); err == nil {
-		t.Error("overwrite counter for partition 2^40 accepted")
-	}
-
-	bad = *good
-	bad.OracleDeadBytes = []PartitionCounter{{Part: -1, Value: 100}}
-	if _, err := RestoreHeap(&bad); err == nil {
-		t.Error("garbage counter for partition -1 accepted")
-	}
-
-	bad = *good
-	disk := *good.Disk
-	disk.Placements = append([]storage.PlacementEntry(nil), good.Disk.Placements...)
-	disk.Placements[len(disk.Placements)-1].OID ^= 1 << 55
-	bad.Disk = &disk
-	if _, err := RestoreHeap(&bad); err == nil || !strings.Contains(err.Error(), "not in the snapshot store") {
-		t.Errorf("placement for an OID 2^55 away: %v", err)
 	}
 }
 
@@ -244,10 +214,8 @@ func TestNoMarkOutlivesACollection(t *testing.T) {
 		// its OID may store it again: 6 in partition 1 now points at 3. A
 		// tag left on 3 would pull it into partition 1's copy.
 		link(t, h, 6, 1, 3)
-		twin, err := RestoreHeap(h.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
+		twin := twin(t, h)
+		twin.SetOracleless(true) // the image does not carry the mode
 		got, err := h.Collect(1)
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +227,7 @@ func TestNoMarkOutlivesACollection(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("collection after the failed one = %+v, twin %+v", got, want)
 		}
-		if !reflect.DeepEqual(h.Snapshot(), twin.Snapshot()) {
+		if !bytes.Equal(image(t, h), image(t, twin)) {
 			t.Fatal("heap and twin diverged after the same collection")
 		}
 		if err := h.Check(); err != nil {

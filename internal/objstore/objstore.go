@@ -128,7 +128,7 @@ func NewStore() *Store {
 // MaxOIDGap is how far past the allocation horizon (NextOID) CreateWithOID
 // still accepts an OID. Generators, the server and recovery all hand out OIDs
 // densely, so a larger jump is a damaged input — a bit-flipped trace event, a
-// corrupt snapshot — and honouring it would size the table directory by the
+// corrupt image — and honouring it would size the table directory by the
 // damage. Recovery, whose survivors can sit far apart, declares its horizon
 // with AdvanceNextOID first. The durable backend replays its image and log
 // through CreateWithOID, so the same bound holds there.
@@ -217,22 +217,6 @@ func (s *Store) CreateWithOID(oid OID, class Class, size, nslots int) (*Object, 
 		s.nextOID = oid + 1
 	}
 	return o, nil
-}
-
-// Load enters an object whole — header, slots and root flag in one step — with
-// CreateWithOID's refusals. The slots are copied as given:
-// whether each target exists can only be asked once every object is in, and is
-// the caller's to ask (gc.Heap.Load does).
-func (s *Store) Load(oid OID, class Class, size int, slots []OID, root bool) error {
-	o, err := s.CreateWithOID(oid, class, size, len(slots))
-	if err != nil {
-		return err
-	}
-	copy(o.Slots, slots)
-	if root {
-		return s.AddRoot(oid)
-	}
-	return nil
 }
 
 // alloc returns a header for CreateWithOID to fill in: the last one freed

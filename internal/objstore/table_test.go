@@ -180,41 +180,3 @@ func TestCreateWithOIDRejectsFarHorizon(t *testing.T) {
 		t.Errorf("OID below a declared horizon refused: %v", err)
 	}
 }
-
-func TestRestoreStoreRejectsFarOID(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 3; i++ {
-		if _, err := s.Create(ClassModule, 10, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Snapshot()
-	if _, err := RestoreStore(st); err != nil {
-		t.Fatal(err)
-	}
-	st.Objects[2].OID ^= 1 << 50 // one flipped bit
-	if _, err := RestoreStore(st); !errors.Is(err, ErrOIDRange) {
-		t.Errorf("RestoreStore with a bit-flipped OID = %v, want ErrOIDRange", err)
-	}
-}
-
-// TestRestoreStoreSparseSurvivors: survivors may sit further apart than the
-// create gap as long as they lie below the snapshot's horizon.
-func TestRestoreStoreSparseSurvivors(t *testing.T) {
-	st := &StoreSnapshot{
-		Objects: []ObjectState{{OID: 3, Size: 10}, {OID: 3 + 5*MaxOIDGap, Size: 10}},
-		Roots:   []OID{3},
-		NextOID: 4 + 5*MaxOIDGap,
-	}
-	s, err := RestoreStore(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || s.NextOID() != st.NextOID || !s.IsRoot(3) {
-		t.Errorf("restored len=%d next=%v root=%v", s.Len(), s.NextOID(), s.IsRoot(3))
-	}
-	st.NextOID = 3 + 5*MaxOIDGap // now below the highest object
-	if _, err := RestoreStore(st); err == nil {
-		t.Error("NextOID below the highest object accepted")
-	}
-}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"odbgc/internal/core"
@@ -24,9 +26,9 @@ func encodeResult(t *testing.T, res *Result) []byte {
 }
 
 // runSplit replays tr twice with identically configured simulators: once
-// straight through, once checkpointing near the midpoint (serializing the
-// checkpoint through its wire format) and resuming into a fresh simulator.
-// Returns the canonical encodings of both results.
+// straight through, once checkpointing near the midpoint and resuming from
+// the image into a fresh simulator. Returns the canonical encodings of both
+// results.
 func runSplit(t *testing.T, tr *trace.Trace, mkConfig func() Config) (full, resumed []byte) {
 	t.Helper()
 
@@ -50,20 +52,11 @@ func runSplit(t *testing.T, tr *trace.Trace, mkConfig func() Config) (full, resu
 			t.Fatal(err)
 		}
 	}
-	cp, err := s2.Checkpoint()
+	img, err := s2.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s3, err := Resume(mkConfig(), cp2)
+	s3, err := Resume(mkConfig(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,25 +158,80 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		t.Fatalf("matching config rejected: %v", err)
 	}
 
-	// A heap image that fails validation is a corrupt checkpoint, whichever
-	// field took the damage; an OID flipped into the far distance must not
-	// size a table on the way to that verdict.
-	for name, damage := range map[string]func(*gc.HeapSnapshot){
-		"object OID":    func(h *gc.HeapSnapshot) { h.Store.Objects[len(h.Store.Objects)-1].OID ^= 1 << 57 },
-		"placement OID": func(h *gc.HeapSnapshot) { h.Disk.Placements[0].OID ^= 1 << 57 },
-		"remset entry":  func(h *gc.HeapSnapshot) { h.Remset = h.Remset[1:] },
-		"used bytes":    func(h *gc.HeapSnapshot) { h.Disk.Partitions[0].Used++ },
+	// An image that fails validation is a corrupt checkpoint, wherever the
+	// damage lies; an OID flipped into the far distance must not size a
+	// table on the way to that verdict. Each page is resealed, so the damage
+	// reaches the checks behind the checksums.
+	oid := binary.LittleEndian.Uint64(pagePayload(cp, false, 0))
+	nparts := int(binary.LittleEndian.Uint32(pagePayload(cp, true, 0)[12:]))
+	for name, damage := range map[string][]byte{
+		"object OID":    damaged(cp, false, 0, binary.LittleEndian.AppendUint64(nil, oid^1<<57)),
+		"object flags":  damaged(cp, false, 9, []byte{0x80}),
+		"placement":     damaged(cp, true, 16+8*nparts, []byte{0x7f}),
+		"used bytes":    damaged(cp, true, 20, []byte{0xff}),
+		"unsealed page": func() []byte { img := bytes.Clone(cp); img[3*pageSize-1] ^= 1; return img }(),
 	} {
-		bad, err := gobClone(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		damage(bad.Heap)
-		_, err = Resume(Config{Policy: mkSAGA()}, bad)
+		_, err = Resume(Config{Policy: mkSAGA()}, damage)
 		if !errors.Is(err, simerr.ErrCorruptCheckpoint) {
 			t.Errorf("checkpoint with damaged %s: Resume = %v, want a corrupt-checkpoint error", name, err)
 		}
 	}
+}
+
+// The layout of a checkpoint image (disk's image format 4), as far as the
+// damage below needs it: 8 KB pages, each headed by a CRC32-C of the rest of
+// the page, a kind byte, a record count, the number of the next page of its
+// chain and the payload bytes used. A simulator's image is a fresh database's
+// first checkpoint, so its meta is page 1; its payload names the object
+// chain's first page at offset 36 and the state chain's at 56, and holds their
+// pages' sum at 48: FNV-1a over each page's number and CRC, in chain order.
+const (
+	pageSize = 8192
+	pageHdr  = 15
+)
+
+// chains returns the pages of img's object chain and of its state chain.
+func chains(img []byte) (objects, state []int) {
+	meta := img[pageSize+pageHdr:]
+	walk := func(at int) (pages []int) {
+		for no := int(binary.LittleEndian.Uint32(meta[at:])); no != 0; no = int(binary.LittleEndian.Uint32(img[no*pageSize+7:])) {
+			pages = append(pages, no)
+		}
+		return pages
+	}
+	return walk(36), walk(56)
+}
+
+// pagePayload returns the payload of the first page of the state chain, or
+// of the object chain.
+func pagePayload(img []byte, state bool, off int) []byte {
+	objects, st := chains(img)
+	no := objects[0]
+	if state {
+		no = st[0]
+	}
+	return img[no*pageSize+pageHdr+off : (no+1)*pageSize]
+}
+
+// damaged returns a copy of img with b written at offset off of the payload of
+// the first page of the state chain, or of the object chain, that page's CRC
+// restamped and the meta's sum refolded.
+func damaged(img []byte, state bool, off int, b []byte) []byte {
+	img = bytes.Clone(img)
+	copy(pagePayload(img, state, off), b)
+	crc := crc32.MakeTable(crc32.Castagnoli)
+	le := binary.LittleEndian
+	objects, st := chains(img)
+	sum := uint64(0xcbf2_9ce4_8422_2325)
+	for _, no := range append(objects, st...) {
+		page := img[no*pageSize:][:pageSize]
+		le.PutUint32(page, crc32.Checksum(page[4:], crc))
+		sum = (sum ^ (uint64(no)<<32 | uint64(le.Uint32(page)))) * 0x100_0000_01b3
+	}
+	meta := img[pageSize:][:pageSize]
+	le.PutUint64(meta[pageHdr+48:], sum)
+	le.PutUint32(meta, crc32.Checksum(meta[4:], crc))
+	return img
 }
 
 // TestResumeBitIdenticalEveryComponent: a checkpoint carries the state of

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
 	"odbgc/internal/obs/span"
+	"odbgc/internal/storage/disk"
 	"odbgc/internal/trace"
 )
 
@@ -33,12 +35,8 @@ func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckp
 			t.Fatal(err)
 		}
 	}
-	cp, err := s.Checkpoint()
+	ckpt, err = s.Checkpoint()
 	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
 	for ; i < len(tr.Events); i++ {
@@ -56,7 +54,7 @@ func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckp
 		garb.Add(float64(c.Index), c.ActualGarbageFrac)
 		recl.Add(float64(c.Index), float64(c.ReclaimedBytes))
 	}
-	return buf.Bytes(), metrics.CSV("collection", garb, recl)
+	return ckpt, metrics.CSV("collection", garb, recl)
 }
 
 // TestRepeatedRunByteIdentical runs the identical trace through identically
@@ -236,16 +234,17 @@ func TestSpanPathDeterministic(t *testing.T) {
 type goldenArtifacts struct{ ckpt, csv, events string }
 
 // TestGoldenArtifactDigests pins those digests for the two replay workloads of
-// the repository benchmark (SAIO 10 % and fixed-rate 50). They were recorded
-// before the object tables replaced the hash maps under gc.Heap,
-// storage.Manager and objstore.Store: a data-layout change must reproduce
-// every byte, so a digest may only change together with a deliberate change
-// to the simulated behaviour or to a snapshot struct.
+// the repository benchmark (SAIO 10 % and fixed-rate 50). The csv and events
+// digests were recorded before the object tables replaced the hash maps under
+// gc.Heap, storage.Manager and objstore.Store: a data-layout change must
+// reproduce every byte, so a digest may only change together with a
+// deliberate change to the simulated behaviour or to the checkpoint image.
 //
-// The checkpoint is digested as the JSON of what its gob bytes decode to,
-// without the nested policy and selection streams: gob numbers types in the
-// order a process first encodes them, so the raw bytes depend on which tests
-// ran earlier (TestRepeatedRunByteIdentical covers them within one process).
+// The checkpoint is digested as its image rewritten without the policy and
+// selection records and with the run record as JSON: those three are gob
+// streams, and gob numbers types in the order a process first encodes them,
+// so their bytes depend on which tests ran earlier
+// (TestRepeatedRunByteIdentical covers them within one process).
 func TestGoldenArtifactDigests(t *testing.T) {
 	tr := smallTrace(t, 3, 1)
 	for _, tc := range []struct {
@@ -254,12 +253,12 @@ func TestGoldenArtifactDigests(t *testing.T) {
 		want   goldenArtifacts
 	}{
 		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, goldenArtifacts{
-			ckpt:   "2f6578d4b47bcca32d560fb00fc525c6542607348c5a7f3c88c94f835e569ffe",
+			ckpt:   "e8f39eb759e52f27d94f1aca2447526063eba22857aff6bb26c69e7a373d9da1",
 			csv:    "c58d3453b1f1344f7b90754f8980107ff263df90670abedef968f19e1133524f",
 			events: "a3c7e34d334a75cf9bf180697fce80089d180c92ef6da0ec33ef1232233fe153",
 		}},
 		{"fixed-50", func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, goldenArtifacts{
-			ckpt:   "4ddd3bc5570d814243e7567b9a26193dd4e5cbe3de11c416a1d48c403f94f395",
+			ckpt:   "303a6779bc28ebd1ea21aea1d09b132e8b3c53d930195618ca931f26f601b268",
 			csv:    "3caee188ee996aa39da5c765c70094d8ec8e56bad9f210545636d5cca59ca827",
 			events: "0b8f5f27dedb0df29a10152914d1aa1ae4ab86dd7f6f6ce1e8ccdc06c1e65af5",
 		}},
@@ -277,12 +276,19 @@ func TestGoldenArtifactDigests(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			cp, err := ReadCheckpoint(bytes.NewReader(ckpt))
+			objs, mgr, recs, err := disk.ReadImage(ckpt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp.Policy, cp.Selection = nil, nil
-			canonical, err := json.Marshal(cp)
+			var r run
+			if err := gob.NewDecoder(bytes.NewReader(recs[3])).Decode(&r); err != nil {
+				t.Fatal(err)
+			}
+			runJSON, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonical, err := disk.WriteImage(objs, mgr, recs[0], nil, nil, runJSON)
 			if err != nil {
 				t.Fatal(err)
 			}

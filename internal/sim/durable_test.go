@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -15,24 +14,16 @@ import (
 	"odbgc/internal/trace"
 )
 
-// snapshotFromDisk rebuilds an objstore.StoreSnapshot from the committed
-// state a disk store recovered, in the same canonical (ascending-OID)
-// order Store.Snapshot produces, so the two encode to identical bytes when
-// the states match.
-func snapshotFromDisk(st *disk.Store) *objstore.StoreSnapshot {
-	snap := &objstore.StoreSnapshot{NextOID: st.NextOID()}
-	st.ForEach(func(o disk.ObjectState) {
-		snap.Objects = append(snap.Objects, objstore.ObjectState{
-			OID:   o.OID,
-			Class: o.Class,
-			Size:  o.Size,
-			Slots: append([]objstore.OID(nil), o.Slots...),
-		})
-		if o.Root {
-			snap.Roots = append(snap.Roots, o.OID)
-		}
-	})
-	return snap
+// objectImage is the checkpoint image of objs alone, as Checkpoint writes it:
+// two stores with equal images hold the same objects, slots, roots and OID
+// horizon.
+func objectImage(t *testing.T, objs *objstore.Store) []byte {
+	t.Helper()
+	img, err := disk.WriteImage(objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
 // tinyTrace generates a scaled-down OO7 run (~5k events): big enough to
@@ -48,15 +39,6 @@ func tinyTrace(t *testing.T, seed int64) *trace.Trace {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-func gobBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // durableSim builds a simulator whose heap logs to a disk store over an
@@ -82,9 +64,9 @@ func durableSim(t *testing.T) (*Simulator, *disk.Store, *crashtest.JournalFS) {
 
 // TestSnapshotRoundTripsThroughDiskBackend is the satellite round-trip:
 // run a simulation against the durable backend, crash it (materialize the
-// journaled bytes), recover, and demand the recovered state's snapshot is
-// byte-identical to the live store's snapshot — same objects, slots,
-// roots, and OID horizon.
+// journaled bytes), recover, and demand the recovered state's image is
+// byte-identical to the live store's — same objects, slots, roots, and OID
+// horizon.
 func TestSnapshotRoundTripsThroughDiskBackend(t *testing.T) {
 	tr := tinyTrace(t, 5)
 	s, st, fs := durableSim(t)
@@ -95,7 +77,7 @@ func TestSnapshotRoundTripsThroughDiskBackend(t *testing.T) {
 	if res.TotalReclaimed == 0 {
 		t.Fatal("run reclaimed nothing; the round trip would not cover reclaim records")
 	}
-	liveSnap := gobBytes(t, s.Heap().Store().Snapshot())
+	liveImage := objectImage(t, s.Heap().Store())
 	liveDigest := st.Digest()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -116,8 +98,8 @@ func TestSnapshotRoundTripsThroughDiskBackend(t *testing.T) {
 	if info.BatchesReplayed != 0 {
 		t.Errorf("post-checkpoint recovery replayed %d batches, want 0", info.BatchesReplayed)
 	}
-	if got := gobBytes(t, snapshotFromDisk(rec)); !bytes.Equal(got, liveSnap) {
-		t.Fatal("recovered snapshot is not byte-identical to the live store snapshot")
+	if got := objectImage(t, rec.Objects()); !bytes.Equal(got, liveImage) {
+		t.Fatal("recovered image is not byte-identical to the live store's")
 	}
 }
 
@@ -138,7 +120,7 @@ func TestDurableMidRunCrashMatchesLiveState(t *testing.T) {
 	if s.Heap().Collections() == 0 {
 		t.Fatal("no collections before the crash point; reclaim replay not covered")
 	}
-	liveSnap := gobBytes(t, s.Heap().Store().Snapshot())
+	liveImage := objectImage(t, s.Heap().Store())
 	liveDigest := st.Digest()
 
 	// SIGKILL: keep every journaled write, synced or not, and recover.
@@ -154,8 +136,8 @@ func TestDurableMidRunCrashMatchesLiveState(t *testing.T) {
 	if info.BatchesReplayed == 0 {
 		t.Error("mid-run recovery replayed no batches; the crash point is not exercising the WAL")
 	}
-	if got := gobBytes(t, snapshotFromDisk(rec)); !bytes.Equal(got, liveSnap) {
-		t.Fatal("recovered snapshot is not byte-identical to the live store at the crash point")
+	if got := objectImage(t, rec.Objects()); !bytes.Equal(got, liveImage) {
+		t.Fatal("recovered image is not byte-identical to the live store's at the crash point")
 	}
 }
 
@@ -207,5 +189,18 @@ func TestAccessOfAbsentObjectIsCorruptTrace(t *testing.T) {
 				t.Errorf("%v of the object that exists: %v", kind, err)
 			}
 		})
+	}
+}
+
+// TestOverwriteOfAbsentObjectIsCorruptTrace: a damaged trace's overwrite in an
+// object that does not exist is a corrupt trace, as its access is.
+func TestOverwriteOfAbsentObjectIsCorruptTrace(t *testing.T) {
+	s, _, _ := durableSim(t)
+	if err := s.Step(&trace.Event{Kind: trace.KindCreate, OID: 1, Size: 64, Slots: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e := trace.Event{Kind: trace.KindOverwrite, OID: 7, Slot: 0, Old: objstore.NilOID, New: 1}
+	if err := s.Step(&e); !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrAbsent) {
+		t.Errorf("%v: %v, want a corrupt-trace error wrapping objstore.ErrAbsent", e.String(), err)
 	}
 }

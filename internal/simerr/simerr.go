@@ -26,9 +26,9 @@ import (
 //     SIGINT drain). Not a defect; partial results and checkpoints are valid.
 //   - ErrTimeout: a deadline elapsed — the caller's context expired before
 //     the work finished. The run's partial state must be discarded.
-//   - ErrCorruptCheckpoint: persisted state — an encoded sim.Checkpoint —
-//     failed validation on load. Safe handling is to discard it and
-//     recompute.
+//   - ErrCorruptCheckpoint: persisted state — a simulator's checkpoint
+//     image (sim.Resume) — failed validation on load. Safe handling is to
+//     discard it and recompute.
 //   - ErrPolicyFailure: a rate policy, estimator, or selection policy could
 //     not be built or misbehaved; retrying without a config change is futile.
 //   - ErrCorruptTrace: an input event stream is truncated or damaged.

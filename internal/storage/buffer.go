@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // BufferPool is a page-granular LRU cache. It tracks residency and dirty
@@ -50,13 +49,18 @@ type PinResult struct {
 	Victim    PageID // valid when WroteBack
 }
 
+// maxBufferPages bounds a pool's capacity. The pool's frames and index are
+// allocated whole, 40 MB at the bound, so a page count read from a damaged
+// checkpoint image cannot size an allocation past it.
+const maxBufferPages = 1 << 20
+
 // NewBufferPool returns an LRU pool holding up to capacity pages.
 func NewBufferPool(capacity int) (*BufferPool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("storage: buffer capacity %d must be positive", capacity)
 	}
-	if capacity > 1<<30 {
-		return nil, fmt.Errorf("storage: buffer capacity %d exceeds %d pages", capacity, 1<<30)
+	if capacity > maxBufferPages {
+		return nil, fmt.Errorf("storage: buffer capacity %d exceeds %d pages", capacity, maxBufferPages)
 	}
 	log2 := bits.Len(uint(2*capacity - 1))
 	b := &BufferPool{
@@ -241,41 +245,27 @@ func (b *BufferPool) oldestFirst(fn func(*frame)) {
 	}
 }
 
-// gcPages returns the collector-dirtied pages sorted by (Part, Index).
-func (b *BufferPool) gcPages() []PageID {
-	out := []PageID{}
-	b.oldestFirst(func(f *frame) {
-		if f.gc {
-			out = append(out, f.page)
-		}
-	})
-	slices.SortFunc(out, func(x, y PageID) int {
-		if x.Part != y.Part {
-			return int(x.Part) - int(y.Part)
-		}
-		return x.Index - y.Index
-	})
-	return out
-}
-
-// FrameState records one buffered page for checkpointing.
+// FrameState records one buffered page for checkpointing: its dirty bit and,
+// on a dirty page, its collector-dirty flag.
 type FrameState struct {
 	Page  PageID
 	Dirty bool
+	GC    bool
 }
 
 // Snapshot captures the resident pages in LRU order (oldest first) with
-// their dirty bits, for checkpointing.
+// their dirty bits and collector-dirty flags, for checkpointing.
 func (b *BufferPool) Snapshot() []FrameState {
 	out := make([]FrameState, 0, b.n)
 	b.oldestFirst(func(f *frame) {
-		out = append(out, FrameState{Page: f.page, Dirty: f.dirty})
+		out = append(out, FrameState{Page: f.page, Dirty: f.dirty, GC: f.gc})
 	})
 	return out
 }
 
 // Restore replaces the pool contents with a snapshot taken by Snapshot.
-// Frames are given oldest-first and must fit the capacity. A snapshot that
+// Frames are given oldest-first and must fit the capacity; a page is listed
+// once, and only a dirty one carries the collector-dirty flag. A snapshot that
 // is refused leaves the pool empty.
 func (b *BufferPool) Restore(frames []FrameState) error {
 	if len(frames) > b.capacity {
@@ -285,28 +275,14 @@ func (b *BufferPool) Restore(frames []FrameState) error {
 	for _, fs := range frames {
 		// The frames fit, so a pin takes a free frame, evicting nothing,
 		// unless the page is there already.
-		if b.pin(fs.Page, fs.Dirty, true, false).Hit {
+		if b.pin(fs.Page, fs.Dirty, true, fs.GC).Hit {
 			b.reset()
 			return fmt.Errorf("storage: duplicate page %v in buffer snapshot", fs.Page)
 		}
-	}
-	return nil
-}
-
-// restoreGC flags the pages a snapshot lists as collector-dirtied. Each must
-// be resident and dirty, and listed once: the flag has no other meaning.
-func (b *BufferPool) restoreGC(pages []PageID) error {
-	for _, pg := range pages {
-		fi := b.lookup(pg)
-		switch {
-		case fi < 0:
-			return fmt.Errorf("storage: collector-dirty page %v in snapshot is not buffered", pg)
-		case !b.frames[fi].dirty:
-			return fmt.Errorf("storage: collector-dirty page %v in snapshot is buffered clean", pg)
-		case b.frames[fi].gc:
-			return fmt.Errorf("storage: duplicate collector-dirty page %v in snapshot", pg)
+		if fs.GC && !fs.Dirty {
+			b.reset()
+			return fmt.Errorf("storage: collector-dirty page %v in buffer snapshot is clean", fs.Page)
 		}
-		b.frames[fi].gc = true
 	}
 	return nil
 }

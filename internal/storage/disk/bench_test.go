@@ -3,7 +3,6 @@ package disk
 import (
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"slices"
 	"testing"
 
@@ -15,8 +14,6 @@ import (
 // 8 MB file inside every checkpoint.
 type memFS map[string]*memFile
 
-type memFile struct{ data []byte }
-
 func (fs memFS) Open(name string) (File, error) {
 	if fs[name] == nil {
 		fs[name] = &memFile{}
@@ -25,42 +22,6 @@ func (fs memFS) Open(name string) (File, error) {
 }
 
 func (fs memFS) Remove(name string) error { delete(fs, name); return nil }
-
-func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(f.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// WriteAt extends the file within its capacity when it can: a benchmark that
-// presizes the file (slices.Grow) then times the backend and not growslice.
-func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	if n, end := len(f.data), int(off)+len(p); end > n {
-		f.data = slices.Grow(f.data, end-n)[:end]
-		if int(off) > n {
-			clear(f.data[n:off]) // a hole reads as zeros, whatever a truncate left there
-		}
-	}
-	return copy(f.data[off:], p), nil
-}
-
-func (f *memFile) Size() (int64, error) { return int64(len(f.data)), nil }
-
-func (f *memFile) Truncate(size int64) error {
-	if size > int64(len(f.data)) {
-		return fmt.Errorf("memFile: truncate to %d beyond %d bytes", size, len(f.data))
-	}
-	f.data = f.data[:size]
-	return nil
-}
-
-func (f *memFile) Sync() error  { return nil }
-func (f *memFile) Close() error { return nil }
 
 // benchSizes are the object counts the layer benchmarks run at: one where a
 // checkpoint image is a few hundred pages, and the restart workload's.

@@ -161,7 +161,7 @@ func TestCheckpointDirectoryKeyBound(t *testing.T) {
 }
 
 // TestImageChainBounds: the pages of an image are found by following a chain,
-// of data pages in formats 2 and 3 and of directory pages in format 1, and the
+// of data pages in formats 2 to 4 and of directory pages in format 1, and the
 // chain is on disk, CRC-valid or not. A chain that comes back to a page it has
 // passed used to be followed forever; one that runs into a meta slot or past
 // the image's page count used to be believed, although the free list does not
@@ -169,8 +169,8 @@ func TestCheckpointDirectoryKeyBound(t *testing.T) {
 // format. (The older slot's image cannot stand in: each heap.db is opened
 // without its WAL, which would have to hold the batches between the two.)
 func TestImageChainBounds(t *testing.T) {
-	var pinned [2][]byte
-	for i, name := range []string{heapFile, filepath.Join("v2", heapFile)} {
+	var pinned [3][]byte
+	for i, name := range []string{heapFile, filepath.Join("v2", heapFile), filepath.Join("v3", heapFile)} {
 		var err error
 		if pinned[i], err = os.ReadFile(filepath.Join("testdata", name)); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestImageChainBounds(t *testing.T) {
 	images := []struct {
 		name string
 		heap []byte
-	}{{"format=1", pinned[0]}, {"format=2", pinned[1]}, {"format=3", smallImage(t)}}
+	}{{"format=1", pinned[0]}, {"format=2", pinned[1]}, {"format=3", pinned[2]}, {"format=4", smallImage(t)}}
 	// setHdr rewrites the count and next fields of page no and reseals it.
 	setHdr := func(heap []byte, no uint32, count uint16, next uint32) {
 		le.PutUint16(heap[int(no)*PageSize+5:], count)

@@ -349,11 +349,14 @@ func crashCheckpoint(t *testing.T, fs *JournalFS, begin int, want [32]byte) (poi
 	return points, formats
 }
 
+// written is the image format a checkpoint writes.
+const written = 4
+
 // sweepMigration opens the pinned pair in the disk package's testdata/sub,
-// written in image format from, and checkpoints it, which writes format 3 onto
+// written in image format from, and checkpoints it, which writes format 4 onto
 // free pages, and kills that checkpoint everywhere crashCheckpoint does. Until
 // the checkpoint's flush the old image is the committed one, after it the
-// format-3 image: every crash must recover the same state from one or the
+// format-4 image: every crash must recover the same state from one or the
 // other, and both must be seen.
 func sweepMigration(t *testing.T, sub string, from int) {
 	files := map[string][]byte{}
@@ -381,19 +384,23 @@ func sweepMigration(t *testing.T, sub string, from int) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if formats[from] == 0 || formats[3] == 0 {
-		t.Errorf("recoveries by image format: %v, want some from each of %d and 3", formats, from)
+	if formats[from] == 0 || formats[written] == 0 {
+		t.Errorf("recoveries by image format: %v, want some from each of %d and %d", formats, from, written)
 	}
-	t.Logf("swept %d crash points over the %d operations of the migrating checkpoint; recovered from format %d %d times, format 3 %d times", points, ops, from, formats[from], formats[3])
+	t.Logf("swept %d crash points over the %d operations of the migrating checkpoint; recovered from format %d %d times, format %d %d times", points, ops, from, formats[from], written, formats[written])
 }
 
 // TestFormat1ImageMigrates crashes the checkpoint that rewrites a format-1
-// image (data pages plus a directory) as format 3.
+// image (data pages plus a directory) as format 4.
 func TestFormat1ImageMigrates(t *testing.T) { sweepMigration(t, "", 1) }
 
 // TestFormat2ImageMigrates crashes the checkpoint that rewrites a format-2
-// image (data pages, no sum) as format 3.
+// image (data pages, no sum) as format 4.
 func TestFormat2ImageMigrates(t *testing.T) { sweepMigration(t, "v2", 2) }
+
+// TestFormat3ImageMigrates crashes the checkpoint that rewrites a format-3
+// image (data pages and their sum, no state chain) as format 4.
+func TestFormat3ImageMigrates(t *testing.T) { sweepMigration(t, "v3", 3) }
 
 // TestRecordIsDeterministic re-records the same seed and demands the same
 // journal and digests — the property that makes sweep failures exactly

@@ -70,7 +70,7 @@ type Options struct {
 type RecoveryInfo struct {
 	CheckpointSeq   uint64 // last batch absorbed by the checkpoint image
 	CheckpointPages int    // pages read to load the image
-	Format          int    // image format loaded: 0 none, 1 or 2 (rewritten by the next checkpoint), or 3
+	Format          int    // image format loaded: 0 none, 1 to 3 (rewritten by the next checkpoint), or 4
 	BatchesReplayed int    // WAL batches applied beyond the checkpoint
 	RecordsReplayed int    // records inside those batches
 	WALBytes        int64  // WAL bytes scanned
@@ -431,8 +431,13 @@ func (s *Store) syncHeap() error {
 // overwrite, and replays the WAL, which still holds every batch since it.
 // Once the flush is done every batch in the WAL is at or below the image's
 // sequence, which replay skips, so the file is only marked stale here; the
-// next Commit (or Close) cuts it in front of a Sync it performs anyway.
-func (s *Store) Checkpoint() error {
+// next Commit (or Close) cuts it in front of a Sync it performs anyway. The
+// image carries no state chain.
+func (s *Store) Checkpoint() error { return s.checkpoint(nil) }
+
+// checkpoint is Checkpoint writing state, when not empty, as the image's
+// state chain.
+func (s *Store) checkpoint(state []byte) error {
 	if s.closed {
 		return fmt.Errorf("disk: store is closed")
 	}
@@ -465,7 +470,7 @@ func (s *Store) Checkpoint() error {
 	}
 	w := windows.Get().(*pageWindow)
 	defer windows.Put(w)
-	head, sum, err := s.writeCheckpoint(w)
+	head, stateHead, sum, err := s.writeCheckpoint(w, state)
 	if err != nil {
 		abort(false)
 		return err
@@ -479,6 +484,7 @@ func (s *Store) Checkpoint() error {
 		dirHead:    head,
 		objects:    uint64(s.objs.Len()),
 		sum:        sum,
+		stateHead:  stateHead,
 	}
 	slot := uint32(s.generation % 2)
 	// The data pages are out, so the window's first page carries the meta.

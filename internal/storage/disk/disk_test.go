@@ -835,7 +835,9 @@ func TestCheckpointWritesInRuns(t *testing.T) {
 // in its own capacity. The runtime's collector may empty the pool between two
 // runs; the checkpoint after that refills it once, a few allocations that
 // AllocsPerRun's integer average over 100 runs absorbs, so the test forces no
-// collection of its own.
+// collection of its own. Under the race detector the pool drops Puts on
+// purpose, so a checkpoint can find it empty any time: there the checkpoints
+// run and their allocations are not counted.
 func TestCheckpointAllocatesNothing(t *testing.T) {
 	fs := memFS{}
 	buildBenchDB(t, fs, 10_000)
@@ -852,7 +854,11 @@ func TestCheckpointAllocatesNothing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		checkpoint() // the file settles at two alternating images
 	}
-	if n := testing.AllocsPerRun(100, checkpoint); n != 0 {
+	n := testing.AllocsPerRun(100, checkpoint)
+	if raceEnabled {
+		t.Skipf("race detector: sync.Pool drops Puts, so %v allocations per checkpoint are not counted", n)
+	}
+	if n != 0 {
 		t.Errorf("%v allocations per checkpoint, want 0", n)
 	}
 }

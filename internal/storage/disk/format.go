@@ -16,12 +16,14 @@ const (
 	pagePayload = PageSize - pageHdrLen
 
 	metaMagic = 0x4f44_4247 // "ODBG"
-	// metaVersion is the image format checkpoints write: 3, data pages
-	// chained in OID order under a meta page that carries their sum
-	// (foldPage). Format 2 — the same without the sum — and format 1 — the
-	// same data pages, found through a directory of (OID, page, slot) entries
-	// — still open; nothing writes them.
-	metaVersion = 3
+	// metaVersion is the image format checkpoints write: 4, data pages
+	// chained in OID order and, when the image carries one, a chain of state
+	// pages, under a meta page that carries the sum of both (foldPage) and
+	// names the state chain's first page. Format 3 — the same without a state
+	// chain — format 2 — format 3 without the sum — and format 1 — the same
+	// data pages, found through a directory of (OID, page, slot) entries —
+	// still open; nothing writes them.
+	metaVersion = 4
 
 	heapFile = "heap.db"
 	walFile  = "wal.log"
@@ -32,6 +34,7 @@ const (
 	kindMeta = iota + 1
 	kindDir  // format 1 only
 	kindData
+	kindState // format 4
 )
 
 // WAL record types.
@@ -101,7 +104,8 @@ type meta struct {
 	pageCount  uint32 // heap.db size in pages at checkpoint time
 	dirHead    uint32 // first page of the image's chain (format 1: of its directory), 0 = empty
 	objects    uint64 // object count, for validation
-	sum        uint64 // format 3: the image's data pages folded by foldPage, in chain order
+	sum        uint64 // format 3 on: the image's data pages, then its state pages, folded by foldPage in chain order
+	stateHead  uint32 // format 4: first page of the image's state chain, 0 = none
 }
 
 // encodeMeta writes m's meta page image over the first PageSize bytes of buf,
@@ -119,7 +123,8 @@ func encodeMeta(buf []byte, m meta) []byte {
 	le.PutUint32(p[36:], m.dirHead)
 	le.PutUint64(p[40:], m.objects)
 	le.PutUint64(p[48:], m.sum)
-	sealPage(page, pageHdr{kind: kindMeta, used: 56})
+	le.PutUint32(p[56:], m.stateHead)
+	sealPage(page, pageHdr{kind: kindMeta, used: 60})
 	return page
 }
 
@@ -181,6 +186,9 @@ func decodeMeta(page []byte, pageNo uint32) (*meta, error) {
 	if v >= 3 {
 		m.sum = le.Uint64(p[48:])
 	}
+	if v >= 4 {
+		m.stateHead = le.Uint32(p[56:])
+	}
 	return m, nil
 }
 
@@ -189,8 +197,15 @@ func decodeMeta(page []byte, pageNo uint32) (*meta, error) {
 const dirEntryLen = 8 + 4 + 2
 
 // objRecHdrLen is the fixed part of one object record on a data page: oid u64,
-// class u8, root u8, size u32, nslots u32. The slots follow, u64 each.
+// class u8, flags u8, size u32, nslots u32. The slots follow, u64 each.
 const objRecHdrLen = 8 + 1 + 1 + 4 + 4
+
+// The flag bits of an object record. Only an image with a state chain sets
+// flagDead: the oracle's verdict is the simulator's state, not the database's.
+const (
+	flagRoot = 1 << iota
+	flagDead
+)
 
 // objRecLen returns the wire size of one object record on a data page.
 func objRecLen(nslots int) int { return objRecHdrLen + 8*nslots }

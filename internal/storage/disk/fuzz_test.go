@@ -9,10 +9,12 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
+	"odbgc/internal/storage"
 )
 
 // walSeed builds a well-formed WAL image: two committed batches and one
@@ -117,17 +119,50 @@ func reseal(heap []byte, no uint32) {
 	le.PutUint32(page, crc32.Checksum(page[4:], castagnoli))
 }
 
-// newestMeta decodes both meta slots of heap and returns the newer one and its
-// slot.
-func newestMeta(tb testing.TB, heap []byte) (*meta, int) {
+// stateImage returns a real image with a state chain, as WriteImage writes a
+// simulator's checkpoint: 40 objects of two slots placed by a storage manager
+// on 256-byte pages, every fourth rooted and every fifth flagged oracle-dead,
+// some pages collector-dirty, and four records, the last one long enough to
+// carry the state chain onto a second page. It returns the image and the
+// manager's state.
+func stateImage(tb testing.TB) (img, state []byte) {
 	tb.Helper()
-	var metas [2]*meta
-	for no := range metas {
-		m, err := decodeMeta(heap[no*PageSize:][:PageSize], uint32(no))
+	objs := objstore.NewStore()
+	m, err := storage.NewManager(storage.Config{PageSize: 256, PagesPerPartition: 4, BufferPages: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.UseStore(objs)
+	for oid := objstore.OID(1); oid <= 40; oid++ {
+		o, err := objs.CreateWithOID(oid, objstore.ClassAtomicPart, 60+int(oid%7), 2)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		metas[no] = m
+		o.Slots[0], o.Root, o.Dead = oid-1, oid%4 == 0, oid%5 == 0
+		if _, err := m.Allocate(oid, int(o.Size)); err != nil {
+			tb.Fatal(err)
+		}
+		if oid%9 == 0 {
+			m.SetIOClass(storage.IOGC)
+			if err := m.Touch(oid-3, true); err != nil {
+				tb.Fatal(err)
+			}
+			m.SetIOClass(storage.IOApp)
+		}
+	}
+	img, err = WriteImage(objs, m, []byte("heap"), []byte("policy"), []byte("selection"), bytes.Repeat([]byte("run"), 3000))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img, m.AppendState(nil)
+}
+
+// newestMeta decodes both meta slots of heap and returns the newer one and its
+// slot, or nil when neither decodes.
+func newestMeta(heap []byte) (*meta, int) {
+	var metas [2]*meta
+	for no := range metas {
+		metas[no], _ = decodeMeta(heap[no*PageSize:][:PageSize], uint32(no))
 	}
 	if metas[0] == nil || (metas[1] != nil && metas[1].generation > metas[0].generation) {
 		return metas[1], 1
@@ -135,66 +170,94 @@ func newestMeta(tb testing.TB, heap []byte) (*meta, int) {
 	return metas[0], 0
 }
 
-// imageChain returns the pages of the chain the newest meta slot of heap
-// names, in order — the data pages of formats 2 and 3, format 1's directory
-// pages — and the image's page count.
+// imageChain returns the pages of the chains the newest meta slot of heap
+// names, in order — the data pages of formats 2 to 4 and then the state
+// pages of format 4, format 1's directory pages — and the image's page count.
 func imageChain(tb testing.TB, heap []byte) (chain []uint32, pageCount uint32) {
 	tb.Helper()
-	m, _ := newestMeta(tb, heap)
-	for no := m.dirHead; no != 0; no = le.Uint32(heap[int(no)*PageSize+7:]) {
-		chain = append(chain, no)
+	m, _ := newestMeta(heap)
+	if m == nil {
+		tb.Fatal("no meta slot decodes")
+	}
+	for _, head := range []uint32{m.dirHead, m.stateHead} {
+		for no := head; no != 0; no = le.Uint32(heap[int(no)*PageSize+7:]) {
+			chain = append(chain, no)
+		}
 	}
 	return chain, m.pageCount
 }
 
-// restamp rewrites the newest meta slot of heap with the sum of the chain it
-// names as heap now holds it, so that damage written into an image page
+// restamp rewrites the newest meta slot of heap with the sum of the chains it
+// names as heap now holds them, so that damage written into an image page
 // reaches the loader's other checks instead of the sum. The walk stops where
-// the loader would refuse the chain.
-func restamp(tb testing.TB, heap []byte) {
-	tb.Helper()
-	m, slot := newestMeta(tb, heap)
+// the loader would refuse a chain. A meta that does not decode is left as it is.
+func restamp(heap []byte) {
+	m, slot := newestMeta(heap)
+	if m == nil {
+		return
+	}
 	m.sum = sumBasis
 	seen := map[uint32]bool{}
-	for no := m.dirHead; no >= 2 && no < m.pageCount && !seen[no] && int(no+1)*PageSize <= len(heap); no = le.Uint32(heap[int(no)*PageSize+7:]) {
-		seen[no] = true
-		m.sum = foldPage(m.sum, no, le.Uint32(heap[int(no)*PageSize:]))
+	for _, head := range []uint32{m.dirHead, m.stateHead} {
+		for no := head; no >= 2 && no < m.pageCount && !seen[no] && int(no+1)*PageSize <= len(heap); no = le.Uint32(heap[int(no)*PageSize+7:]) {
+			seen[no] = true
+			m.sum = foldPage(m.sum, no, le.Uint32(heap[int(no)*PageSize:]))
+		}
 	}
 	encodeMeta(heap[slot*PageSize:], *m)
 }
 
 // FuzzLoadImage writes arbitrary bytes into one page of a small real image —
 // header or payload, past the CRC, which is then restamped, and with stamp set
-// the meta's image sum with it — and runs recovery over it. Open must succeed
-// or fail as recovery failure or torn write, never panic or hang; and an image
-// it accepts must checkpoint and reopen to the state it recovered. Without
-// stamp, a changed page of the newer image must be refused: the sum catches
-// it, and the older image cannot stand in (the heap has no WAL to cover the
-// batch between them). The meta slots are not written into: their damage is
-// the dual-slot fallback's, tested by the torn-flip tests.
+// the meta's image sum with it — and loads it. Without state, the image is
+// smallImage and the load is recovery: Open must succeed or fail as recovery
+// failure or torn write, never panic or hang; an image it accepts must
+// checkpoint and reopen to the state it recovered; and without stamp, a
+// changed page of the newer image must be refused: the sum catches it, and the
+// older image cannot stand in (the heap has no WAL to cover the batch between
+// them). The meta slots are not written into: their damage is the dual-slot
+// fallback's, tested by the torn-flip tests. With state, the image is
+// stateImage, its one meta page can be written into too, and the load is
+// ReadImage's: it must succeed or fail, never panic or hang; an image it
+// accepts must write back, through WriteImage, to one that reads back and
+// writes back to the same bytes; and without stamp, a changed page must be
+// refused.
 func FuzzLoadImage(f *testing.F) {
 	heap := smallImage(f)
 	chain, pageCount := imageChain(f, heap)
+	stateHeap, state := stateImage(f)
+	stateChain, _ := imageChain(f, stateHeap)
 	next := func(no uint32) []byte { return le.AppendUint32(nil, no) }
 	// page is the fuzz's page argument that picks page no; an offset
 	// argument counts from the end of the CRC.
 	page := func(no uint32) uint8 { return uint8(no - 2) }
-	f.Add(page(chain[0]), uint16(5-4), []byte{0, 0, byte(chain[0]), 0, 0, 0}, true) // no records, and next names itself
-	f.Add(page(chain[1]), uint16(7-4), next(chain[0]), true)                        // a two-page cycle
-	f.Add(page(chain[0]), uint16(7-4), next(1), true)                               // a meta page
-	f.Add(page(chain[0]), uint16(7-4), next(pageCount), true)                       // a page beyond the image
-	f.Add(page(chain[0]), uint16(pageHdrLen+14-4), []byte{0xff, 0xff, 0, 0}, true)  // a record overrunning its page
-	f.Add(page(chain[1]), uint16(pageHdrLen-4), []byte{1}, true)                    // an OID below the previous page's
-	f.Add(page(chain[1]), uint16(pageHdrLen+objRecHdrLen-4), []byte{0x7f}, false)   // a slot changed under the old sum
-	f.Fuzz(func(t *testing.T, pg uint8, off uint16, data []byte, stamp bool) {
-		img := slices.Clone(heap)
-		no := 2 + uint32(pg)%uint32(len(img)/PageSize-2)
+	f.Add(page(chain[0]), uint16(5-4), []byte{0, 0, byte(chain[0]), 0, 0, 0}, true, false) // no records, and next names itself
+	f.Add(page(chain[1]), uint16(7-4), next(chain[0]), true, false)                        // a two-page cycle
+	f.Add(page(chain[0]), uint16(7-4), next(1), true, false)                               // a meta page
+	f.Add(page(chain[0]), uint16(7-4), next(pageCount), true, false)                       // a page beyond the image
+	f.Add(page(chain[0]), uint16(pageHdrLen+14-4), []byte{0xff, 0xff, 0, 0}, true, false)  // a record overrunning its page
+	f.Add(page(chain[1]), uint16(pageHdrLen-4), []byte{1}, true, false)                    // an OID below the previous page's
+	f.Add(page(chain[1]), uint16(pageHdrLen+objRecHdrLen-4), []byte{0x7f}, false, false)   // a slot changed under the old sum
+	for _, d := range stateDamage(f, stateHeap, state) {
+		f.Add(d.pg, d.off, d.data, d.stamp, true)
+	}
+	f.Fuzz(func(t *testing.T, pg uint8, off uint16, data []byte, stamp, state bool) {
+		base, in, no := heap, chain, 2+uint32(pg)%uint32(len(heap)/PageSize-2)
+		if state {
+			base, in, no = stateHeap, stateChain, 1+uint32(pg)%uint32(len(stateHeap)/PageSize-1)
+		}
+		img := slices.Clone(base)
 		copy(img[int(no)*PageSize:][:PageSize][4+int(off)%(PageSize-4):], data)
 		reseal(img, no)
 		if stamp {
-			restamp(t, img)
+			restamp(img)
 		}
-		changed := !bytes.Equal(img[int(no)*PageSize:][:PageSize], heap[int(no)*PageSize:][:PageSize])
+		changed := !bytes.Equal(img[int(no)*PageSize:][:PageSize], base[int(no)*PageSize:][:PageSize])
+		refuse := !stamp && changed && slices.Contains(in, no)
+		if state {
+			loadState(t, img, refuse)
+			return
+		}
 		fs := memFS{heapFile: &memFile{data: img}}
 		s, info, err := Open(Options{FS: fs, Fsync: FsyncNever})
 		if err != nil {
@@ -203,7 +266,7 @@ func FuzzLoadImage(f *testing.F) {
 			}
 			return
 		}
-		if !stamp && changed && slices.Contains(chain, no) {
+		if refuse {
 			t.Fatalf("page %d of the image changed under its old sum, and the image was accepted", no)
 		}
 		if err := s.Checkpoint(); err != nil {
@@ -221,6 +284,85 @@ func FuzzLoadImage(f *testing.F) {
 			t.Fatalf("an accepted image did not checkpoint to the state it recovered")
 		}
 	})
+}
+
+// damage is one write FuzzLoadImage makes into a page of an image, and a
+// piece of the refusal it must meet.
+type damage struct {
+	name  string
+	pg    uint8
+	off   uint16
+	data  []byte
+	stamp bool
+	want  string
+}
+
+// stateDamage is the damage FuzzLoadImage seeds into stateImage's image img,
+// of manager state state, where pg picks page pg+1: 0 is the meta. The
+// manager's state starts the first state page: geometry and partition count,
+// 16 bytes; each partition's cursor and used bytes; each object's PartPlus1
+// and Offset; the frames; the collector-dirty pages; counters, class and
+// target; then the records, each behind its length.
+func stateDamage(tb testing.TB, img, state []byte) []damage {
+	m, _ := newestMeta(img)
+	chain, _ := imageChain(tb, img)
+	first := uint8(m.stateHead - 1)
+	parts := int(le.Uint32(state[12:]))
+	placements := 16 + 8*parts
+	frames := placements + 8*int(m.objects)
+	u32 := func(v uint32) []byte { return le.AppendUint32(nil, v) }
+	at := func(off int) uint16 { return uint16(pageHdrLen + off - 4) }
+	return []damage{
+		{"a placement past its partition's cursor", first, at(16), u32(1), true, "past partition 0's cursor 1"},
+		{"two objects overlapping in one partition", first, at(placements + 8 + 4), u32(le.Uint32(state[placements+4:])), true, "overlap in partition 0"},
+		{"a frame naming a page no partition has", first, at(frames + 4), u32(uint32(parts)), true, "no partition has the page"},
+		{"a truncated control record", first, at(len(state) + 4 + len("heap")), u32(1 << 20), true, "state record 1 overruns"},
+		{"a stateHead that names a data page", 0, at(56), u32(chain[0]), true, "reached twice"},
+		{"a record changed under the old sum", first, at(len(state) + 2), []byte{0x7f}, false, "did not land"},
+	}
+}
+
+// TestStateImageDamageIsRefused: each damage FuzzLoadImage seeds into an
+// image with a state chain is refused, by the check it was written for.
+func TestStateImageDamageIsRefused(t *testing.T) {
+	img, state := stateImage(t)
+	if _, _, _, err := ReadImage(img); err != nil {
+		t.Fatalf("sound image refused: %v", err)
+	}
+	for _, d := range stateDamage(t, img, state) {
+		bad := slices.Clone(img)
+		no := 1 + uint32(d.pg)
+		copy(bad[int(no)*PageSize+4+int(d.off):], d.data)
+		reseal(bad, no)
+		if d.stamp {
+			restamp(bad)
+		}
+		if _, _, _, err := ReadImage(bad); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Errorf("%s: ReadImage = %v, want an error containing %q", d.name, err, d.want)
+		}
+	}
+}
+
+// loadState is FuzzLoadImage's load of an image with a state chain.
+func loadState(t *testing.T, img []byte, refuse bool) {
+	objs, m, recs, err := ReadImage(img)
+	if err != nil {
+		return
+	}
+	if refuse {
+		t.Fatal("an image page changed under its old sum, and the image was read")
+	}
+	again, err := WriteImage(objs, m, recs...)
+	if err != nil {
+		t.Fatalf("an image that read did not write back: %v", err)
+	}
+	objs, m, recs, err = ReadImage(again)
+	if err != nil {
+		t.Fatalf("an image written back did not read: %v", err)
+	}
+	if third, err := WriteImage(objs, m, recs...); err != nil || !bytes.Equal(third, again) {
+		t.Fatalf("an image written back read to another state (%v)", err)
+	}
 }
 
 // digestSpec is one object of FuzzDigestStream's spec: the OID gap after the

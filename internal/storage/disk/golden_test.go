@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -19,11 +20,14 @@ import (
 // is the same state through today's compact stream (writeDigestStream), which
 // RecoveryInfo.Digest and Store.Digest report. goldenHeapV2SHA256 is heap.db
 // as goldenOps wrote it in format 2 (at 508e474), and testdata/v2/ holds that
-// pair. goldenHeapV3SHA256 is heap.db as goldenOps writes it now, in format 3;
-// the WAL and the state are unchanged by the format. A change that moves any
-// of them has changed the on-disk format, the checkpoint's page-allocation or
-// write order, the recovered state, or the canonical digest stream, and has to
-// say so.
+// pair; goldenHeapV3SHA256 is heap.db as goldenOps wrote it in format 3 (at
+// 6868f9a), and testdata/v3/ holds that pair. goldenHeapV4SHA256 is heap.db as
+// goldenOps writes it now, in format 4, which differs from the format-3 file
+// in its two meta pages alone: a checkpoint writes no state chain. The WAL and
+// the state are unchanged by the format. A change that moves any of them has
+// changed the on-disk format, the checkpoint's page-allocation or write
+// order, the recovered state, or the canonical digest stream, and has to say
+// so.
 const (
 	goldenStateDigest   = "d19b4126bd0cb5d3369de505f241b1afee934dffb1d6c48305e1fbbf4c2b979b"
 	goldenCompactDigest = "0e1c2df45acf74dbac9a40e02418a3a9ba2b5f02e0d0e929f0f71b010b0c421a"
@@ -31,6 +35,7 @@ const (
 	goldenWALSHA256     = "e877aebc1767fca31e0c3ff10abb0346afb146cccffe50428c1279f4cbbe3b2e"
 	goldenHeapV2SHA256  = "b894648d0eee42c38312ea28a683d8bed2c78e55ab0c3ca9d84458e0da99f489"
 	goldenHeapV3SHA256  = "869be5db8ac493a144fc3856a40ef7866065e2e1e45a7f4ae2873e9440bd8789"
+	goldenHeapV4SHA256  = "718edfcf3e0716e4e5aa474d10aa153118e9d94bcef78251243aca16d0b60023"
 )
 
 // wordDigest is the digest's earlier stream, kept so goldenStateDigest still
@@ -147,7 +152,7 @@ func fileSHA256(t *testing.T, path string) string {
 // TestGoldenBytes pins "same bytes": the state goldenOps commits and the state
 // recovery rebuilds on reopening, each through both digest streams, and the
 // SHA-256 of both files — of the files goldenOps writes now, and of the
-// format-1 and format-2 pairs in testdata/.
+// format-1, -2 and -3 pairs in testdata/.
 func TestGoldenBytes(t *testing.T) {
 	// reopen opens the store in dir and checks what it recovers, and that
 	// opening it rewrote neither file.
@@ -174,7 +179,7 @@ func TestGoldenBytes(t *testing.T) {
 		}
 	}
 
-	t.Run("format=3", func(t *testing.T) {
+	t.Run("format=4", func(t *testing.T) {
 		dir := t.TempDir()
 		s, _ := openTemp(t, dir, FsyncAlways)
 		goldenOps(t, s)
@@ -182,13 +187,25 @@ func TestGoldenBytes(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV3SHA256 {
-			t.Errorf("sha256(%s) = %s, want %s", heapFile, got, goldenHeapV3SHA256)
+		if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV4SHA256 {
+			t.Errorf("sha256(%s) = %s, want %s", heapFile, got, goldenHeapV4SHA256)
 		}
 		if got := fileSHA256(t, filepath.Join(dir, walFile)); got != goldenWALSHA256 {
 			t.Errorf("sha256(%s) = %s, want %s", walFile, got, goldenWALSHA256)
 		}
-		reopen(t, dir, goldenHeapV3SHA256, 3)
+		// Page for page, the image is the format-3 one but for the metas.
+		v4, err := os.ReadFile(filepath.Join(dir, heapFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v3, err := os.ReadFile(filepath.Join("testdata", "v3", heapFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v4) != len(v3) || !bytes.Equal(v4[2*PageSize:], v3[2*PageSize:]) {
+			t.Errorf("the format-4 heap.db (%d bytes) differs from the format-3 one (%d bytes) past its meta pages", len(v4), len(v3))
+		}
+		reopen(t, dir, goldenHeapV4SHA256, 4)
 	})
 
 	// pinned copies the pair in testdata/sub, checked against its recorded
@@ -209,6 +226,7 @@ func TestGoldenBytes(t *testing.T) {
 		}
 		reopen(t, dir, heapSHA, format)
 	}
+	t.Run("format=3", func(t *testing.T) { pinned(t, "v3", goldenHeapV3SHA256, 3) })
 	t.Run("format=2", func(t *testing.T) { pinned(t, "v2", goldenHeapV2SHA256, 2) })
 	t.Run("format=1", func(t *testing.T) { pinned(t, "", goldenHeapSHA256, 1) })
 }
@@ -251,7 +269,7 @@ func TestDirtyWindowCannotReachTheFile(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV3SHA256 {
-		t.Errorf("sha256(%s) = %s after checkpoints through dirty windows, want %s", heapFile, got, goldenHeapV3SHA256)
+	if got := fileSHA256(t, filepath.Join(dir, heapFile)); got != goldenHeapV4SHA256 {
+		t.Errorf("sha256(%s) = %s after checkpoints through dirty windows, want %s", heapFile, got, goldenHeapV4SHA256)
 	}
 }

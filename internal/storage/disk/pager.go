@@ -107,10 +107,11 @@ func (w *pageWindow) flush(heap File) error {
 }
 
 // writeCheckpoint serializes the committed state into fresh pages and writes
-// them: data pages holding object records in ascending OID order, each sealed
-// with the number of the page after it and folded into the image's sum, which
-// go out through a window as they fill. Nothing here waits for them to reach
-// the device: Checkpoint's one flush covers them and the meta that vouches for
+// them: data pages holding object records in ascending OID order, then, when
+// state is not empty, state pages holding its bytes, each page sealed with the
+// number of the next of its chain and folded into the image's sum, which go
+// out through a window as they fill. Nothing here waits for them to reach the
+// device: Checkpoint's one flush covers them and the meta that vouches for
 // them by their sum. Pages come from the free list, so the previous
 // checkpoint's image is never overwritten — a crash mid-checkpoint recovers
 // from the old image plus the intact WAL. This is the only place image pages
@@ -118,51 +119,59 @@ func (w *pageWindow) flush(heap File) error {
 // whose contents depend on a committed batch reaches disk before that batch's
 // WAL records do. Every object fits a page: nothing wider than MaxSlots
 // enters the object store (LogAlloc and replay refuse it, and Heap.Create
-// removes an object LogAlloc refused). It returns the image's first page and
-// its sum, and leaves the pages it occupies in s.spareUsed.
-func (s *Store) writeCheckpoint(datas *pageWindow) (head uint32, sum uint64, err error) {
+// removes an object LogAlloc refused). It returns the first page of each
+// chain and the sum, and leaves the pages it occupies in s.spareUsed.
+func (s *Store) writeCheckpoint(datas *pageWindow, state []byte) (head, stateHead uint32, sum uint64, err error) {
 	if err := s.syncWAL(); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	clear(s.spareUsed)
 	sum = sumBasis
 	var (
-		data  []byte // the data page being filled, nil before the first
+		kind  = uint8(kindData)
+		page  []byte // the page being filled, nil before a chain's first
 		no    uint32 // its page number
-		off   int    // fill offset on data
+		off   int    // fill offset on page
 		nrecs uint16
 	)
 	// A page is sealed once the number of the page after it is known: it is
 	// taken from the free list when that page is started, the order pages
 	// have always left the free list in.
-	sealData := func(next uint32) {
-		sealPage(data, pageHdr{kind: kindData, count: nrecs, next: next, used: uint32(off - pageHdrLen)})
-		sum = foldPage(sum, no, le.Uint32(data))
+	seal := func(next uint32) {
+		sealPage(page, pageHdr{kind: kind, count: nrecs, next: next, used: uint32(off - pageHdrLen)})
+		sum = foldPage(sum, no, le.Uint32(page))
+	}
+	// turn starts a page of the chain, sealing the one before it, and stores
+	// the chain's first page number in *head.
+	turn := func(head *uint32) {
+		next := s.allocPage()
+		s.spareUsed[next] = true
+		if page == nil {
+			*head = next
+		} else {
+			seal(next)
+		}
+		page, err = datas.next(s.heap, next)
+		no, off, nrecs = next, pageHdrLen, 0
 	}
 	s.objs.ForEach(func(o *objstore.Object) {
 		if err != nil {
 			return
 		}
-		if data == nil || off+objRecLen(len(o.Slots)) > PageSize {
-			next := s.allocPage()
-			s.spareUsed[next] = true
-			if data == nil {
-				head = next
-			} else {
-				sealData(next)
-			}
-			if data, err = datas.next(s.heap, next); err != nil {
+		if page == nil || off+objRecLen(len(o.Slots)) > PageSize {
+			if turn(&head); err != nil {
 				return
 			}
-			no = next
-			off, nrecs = pageHdrLen, 0
 		}
 
-		rec := data[off:]
+		rec := page[off:]
 		le.PutUint64(rec, uint64(o.OID))
 		rec[8] = byte(o.Class)
 		if o.Root {
-			rec[9] = 1
+			rec[9] = flagRoot
+		}
+		if o.Dead && state != nil {
+			rec[9] |= flagDead
 		}
 		le.PutUint32(rec[10:], uint32(o.Size))
 		le.PutUint32(rec[14:], uint32(len(o.Slots)))
@@ -172,13 +181,21 @@ func (s *Store) writeCheckpoint(datas *pageWindow) (head uint32, sum uint64, err
 		off += objRecLen(len(o.Slots))
 		nrecs++
 	})
+	if err == nil && page != nil {
+		seal(0)
+	}
+	for kind, page = kindState, nil; err == nil && len(state) > 0; state = state[off-pageHdrLen:] {
+		if turn(&stateHead); err == nil {
+			off += copy(page[off:], state)
+		}
+	}
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	if data != nil {
-		sealData(0)
+	if page != nil {
+		seal(0)
 	}
-	return head, sum, datas.flush(s.heap)
+	return head, stateHead, sum, datas.flush(s.heap)
 }
 
 // loadedImage is what loadCheckpoint recovered from heap.db.
@@ -193,16 +210,16 @@ type loadedImage struct {
 	// only if the WAL still reaches refused.seq.
 	refused    *meta
 	refusedErr error
+	state      []byte // the bytes of the image's state chain; ReadImage decodes them
 }
 
 // load folds the image m names into li.
-func (li *loadedImage) load(heap File, m *meta) error {
+func (li *loadedImage) load(heap File, m *meta) (err error) {
 	li.objs.AdvanceNextOID(objstore.OID(m.nextOID))
-	if err := loadImage(heap, m, li.objs, li.used, &li.pagesRead); err != nil {
-		return err
+	if li.state, err = loadImage(heap, m, li.objs, li.used, &li.pagesRead); err == nil {
+		li.m = m
 	}
-	li.m = m
-	return nil
+	return err
 }
 
 // loadCheckpoint rebuilds the committed state from the newest valid meta slot.
@@ -286,15 +303,17 @@ func loadCheckpoint(heap File) (*loadedImage, error) {
 	return older, nil
 }
 
-// loadImage folds the image m names into objs and marks every page it reads in
-// used. A format-2 or -3 image is a chain of data pages; format 3 also holds
-// the chain to the sum its meta carries. A format-1 image has the
+// loadImage folds the image m names into objs, marks every page it reads in
+// used and returns the bytes of its state chain, if it has one. A format-2, -3
+// or -4 image is a chain of data pages; format 3 on also holds the image to the
+// sum its meta carries, and format 4 can add a chain of state pages, summed
+// after the data pages. A format-1 image has the
 // same data pages, unchained, and a chain of directory pages whose entries
 // name them in order; the directory is read only for that order. Either chain
 // is taken on no trust: a page reached twice, a meta page, or a page at or
 // beyond the image's page count — which rebuildFreeList would hand out again —
 // ends the load instead of looping or being believed.
-func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, pagesRead *int) error {
+func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, pagesRead *int) ([]byte, error) {
 	var dir, data [PageSize]byte
 	read := func(buf *[PageSize]byte, no uint32, kind uint8) (pageHdr, error) {
 		switch {
@@ -330,15 +349,15 @@ func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, p
 		for no := m.dirHead; no != 0; {
 			hdr, err := read(&dir, no, kindDir)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if int(hdr.count)*dirEntryLen > int(hdr.used) {
-				return fmt.Errorf("directory page %d: %d entries overrun payload", no, hdr.count)
+				return nil, fmt.Errorf("directory page %d: %d entries overrun payload", no, hdr.count)
 			}
 			for i := 0; i < int(hdr.count); i++ {
 				if p := le.Uint32(dir[pageHdrLen+i*dirEntryLen+8:]); p != dataNo || dataNo == 0 {
 					if _, err := loadData(p); err != nil {
-						return err
+						return nil, err
 					}
 					dataNo = p
 				}
@@ -349,18 +368,28 @@ func loadImage(heap File, m *meta, objs *objstore.Store, used map[uint32]bool, p
 		for no := m.dirHead; no != 0; {
 			next, err := loadData(no)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			no = next
 		}
 	}
+	var state []byte
+	for no := m.stateHead; no != 0; {
+		hdr, err := read(&data, no, kindState)
+		if err != nil {
+			return nil, err
+		}
+		sum = foldPage(sum, no, le.Uint32(data[:]))
+		state = append(state, data[pageHdrLen:pageHdrLen+int(hdr.used)]...)
+		no = hdr.next
+	}
 	if m.format >= 3 && sum != m.sum {
-		return fmt.Errorf("image pages sum to %016x, meta says %016x: a page of the image did not land", sum, m.sum)
+		return nil, fmt.Errorf("image pages sum to %016x, meta says %016x: a page of the image did not land", sum, m.sum)
 	}
 	if uint64(objs.Len()) != m.objects {
-		return fmt.Errorf("image holds %d objects, meta says %d", objs.Len(), m.objects)
+		return nil, fmt.Errorf("image holds %d objects, meta says %d", objs.Len(), m.objects)
 	}
-	return nil
+	return state, nil
 }
 
 // decodeData folds the records of one data page into objs in page order, each
@@ -385,6 +414,9 @@ func decodeData(page []byte, no uint32, hdr pageHdr, objs *objstore.Store, last 
 		if oid <= *last || oid >= objs.NextOID() {
 			return fmt.Errorf("page %d: record %d is %v, want one in (%v, %v)", no, i, oid, *last, objs.NextOID())
 		}
+		if rec[9]&^(flagRoot|flagDead) != 0 {
+			return fmt.Errorf("page %d: record %d has flags %#x", no, i, rec[9])
+		}
 		o, err := objs.CreateWithOID(oid, objstore.Class(rec[8]), int(le.Uint32(rec[10:])), nslots)
 		if err != nil {
 			return fmt.Errorf("page %d: %w", no, err)
@@ -392,9 +424,10 @@ func decodeData(page []byte, no uint32, hdr pageHdr, objs *objstore.Store, last 
 		for si := range o.Slots {
 			o.Slots[si] = objstore.OID(le.Uint64(rec[objRecHdrLen+8*si:]))
 		}
-		if rec[9] != 0 {
+		if rec[9]&flagRoot != 0 {
 			_ = objs.AddRoot(oid) // cannot fail: the object was just created
 		}
+		o.Dead = rec[9]&flagDead != 0
 		*last = oid
 		off += objRecLen(nslots)
 	}

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -155,3 +156,60 @@ func (s *Store) NumObjects() int { return s.objs.Len() }
 // the committed state; with records staged, a heap running on the store has
 // already applied them and they count.
 func (s *Store) Digest() [sha256.Size]byte { return digest(s.objs) }
+
+// WriteImage returns the heap.db that checkpointing objs into an empty
+// database writes. With m, the storage manager running on objs, the image
+// carries a state chain: m's state (storage.Manager.AppendState), then each
+// record, a uint32 length and its bytes; its object records then also carry
+// each object's oracle-dead flag. Without m it is the image Checkpoint writes.
+// A simulator's checkpoint is such an image (sim.Simulator.Checkpoint).
+func WriteImage(objs *objstore.Store, m *storage.Manager, records ...[]byte) ([]byte, error) {
+	// A store with no WAL: with no batch awaiting a sync, the checkpoint syncs
+	// none, and it writes pages from 2 on, after the two meta slots.
+	heap := &memFile{}
+	s := &Store{heap: heap, objs: objs, adopted: true, walSynced: true, pageCount: 2,
+		usedPages: make(map[uint32]bool), spareUsed: make(map[uint32]bool)}
+	var state []byte
+	if m != nil {
+		state = m.AppendState(nil)
+		for _, r := range records {
+			state = append(le.AppendUint32(state, uint32(len(r))), r...)
+		}
+	}
+	if err := s.checkpoint(state); err != nil {
+		return nil, err
+	}
+	return heap.data, nil
+}
+
+// ReadImage loads a heap.db WriteImage wrote with a state chain, through the
+// loader Open uses and every check it makes, and decodes the chain: the
+// storage manager's state (storage.DecodeManager, which refuses what the
+// image's checksums cannot see), then the records to its end. It returns the
+// objects, with the placements the state gives them in their headers, the
+// manager restored on them, and the records; the partitions' member lists
+// are left to gc.Heap.Load. Open itself reads the state chain's pages and
+// leaves them undecoded.
+func ReadImage(img []byte) (*objstore.Store, *storage.Manager, [][]byte, error) {
+	li, err := loadCheckpoint(&memFile{data: img})
+	if err == nil && (li.refused != nil || li.m == nil || li.m.stateHead == 0) {
+		err = cmp.Or(li.refusedErr, fmt.Errorf("disk: image carries no state chain"))
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m, rest, err := storage.DecodeManager(li.state, li.objs)
+	var records [][]byte
+	for err == nil && len(rest) > 0 {
+		if len(rest) < 4 || int(le.Uint32(rest)) > len(rest)-4 {
+			err = fmt.Errorf("disk: state record %d overruns the state chain's %d bytes left", len(records), len(rest))
+			break
+		}
+		n := 4 + int(le.Uint32(rest))
+		records, rest = append(records, rest[4:n:n]), rest[n:]
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return li.objs, m, records, nil
+}

@@ -7,9 +7,11 @@
 //
 //	heap.db — 8 KB pages. Pages 0 and 1 are alternating meta pages (the
 //	          one with the higher generation and a valid checksum wins);
-//	          the rest hold checkpoint images: directory pages mapping
-//	          OID → (page, slot) and data pages holding object records.
-//	          Every page carries a CRC32-C over its payload.
+//	          the rest hold checkpoint images: data pages holding object
+//	          records, chained in OID order, and in a simulator's image a
+//	          chain of state pages (format 4; format 1 had directory pages
+//	          instead of the chain). Every page carries a CRC32-C over its
+//	          payload.
 //	wal.log — length-prefixed, CRC32-C-checksummed records. A batch is
 //	          the records since the previous commit record; recovery
 //	          applies a batch only when its commit record is intact, so
@@ -32,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // FS is the filesystem surface the backend runs on. Production uses OSFS;
@@ -94,3 +97,44 @@ func (f osFile) Size() (int64, error) {
 	}
 	return st.Size(), nil
 }
+
+// memFile is a file held in memory: WriteImage writes an image into one and
+// ReadImage reads one, and the tests and layer benchmarks run stores on them,
+// which then time the backend's own work and not a disk's.
+type memFile struct{ data []byte }
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(f.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// WriteAt extends the file within its capacity when it can: a benchmark that
+// presizes the file (slices.Grow) then times the backend and not growslice.
+func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if n, end := len(f.data), int(off)+len(p); end > n {
+		f.data = slices.Grow(f.data, end-n)[:end]
+		if int(off) > n {
+			clear(f.data[n:off]) // a hole reads as zeros, whatever a truncate left there
+		}
+	}
+	return copy(f.data[off:], p), nil
+}
+
+func (f *memFile) Size() (int64, error) { return int64(len(f.data)), nil }
+
+func (f *memFile) Truncate(size int64) error {
+	if size > int64(len(f.data)) {
+		return fmt.Errorf("memFile: truncate to %d beyond %d bytes", size, len(f.data))
+	}
+	f.data = f.data[:size]
+	return nil
+}
+
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }

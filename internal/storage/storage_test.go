@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -281,14 +282,14 @@ func TestCompactErrors(t *testing.T) {
 	// A rejected compaction changes nothing, its own survivor flags included.
 	rejected := func(what string, id PartitionID, live ...objstore.OID) {
 		t.Helper()
-		before := m.Snapshot()
+		before := m.AppendState(nil)
 		if _, err := compact(t, m, id, live); err == nil {
 			t.Errorf("%s accepted", what)
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Errorf("%s: rejected compaction left the manager inconsistent: %v", what, err)
 		}
-		if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+		if after := m.AppendState(nil); !bytes.Equal(before, after) {
 			t.Errorf("%s: rejected compaction mutated state:\nbefore %+v\nafter  %+v", what, before, after)
 		}
 	}
@@ -320,11 +321,11 @@ func TestCompactErrors(t *testing.T) {
 		}
 	}
 	m.store.Get(1).Size++
-	before := m.Snapshot()
+	before := m.AppendState(nil)
 	if _, err := compact(t, m, 0, memberOIDs(t, m, 0)); err == nil || !strings.Contains(err.Error(), "overflowed") {
 		t.Errorf("overflowing compaction: %v", err)
 	}
-	if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+	if after := m.AppendState(nil); !bytes.Equal(before, after) {
 		t.Errorf("overflowing compaction mutated state:\nbefore %+v\nafter  %+v", before, after)
 	}
 	m.store.Get(1).Size--
@@ -351,11 +352,11 @@ func TestCompactRefusesForeignMembers(t *testing.T) {
 	}
 	refused := func(what string, members []*objstore.Object, live ...objstore.OID) {
 		t.Helper()
-		before := m.Snapshot()
+		before := m.AppendState(nil)
 		if _, err := m.Compact(0, members, headers(m, live)); err == nil || !strings.Contains(err.Error(), "member") {
 			t.Errorf("%s: Compact said %v, want a refusal naming the members", what, err)
 		}
-		if after := m.Snapshot(); !reflect.DeepEqual(before, after) {
+		if after := m.AppendState(nil); !bytes.Equal(before, after) {
 			t.Errorf("%s: refused compaction mutated state:\nbefore %+v\nafter  %+v", what, before, after)
 		}
 		m.store.ForEach(func(o *objstore.Object) {
@@ -661,10 +662,9 @@ func TestPlaceRepinsWhatChanged(t *testing.T) {
 		if _, err := m.Allocate(3, 5); err != nil {
 			t.Fatal(err)
 		}
-		st := m.Snapshot()
-		wantGC := m.class == IOGC
-		if len(st.Buffer) != 1 || st.Buffer[0] != (FrameState{Page: PageID{0, 1}, Dirty: true}) || (len(st.GCDirty) == 1) != wantGC {
-			t.Errorf("%s: buffer %+v, collector-dirty %v; want p0/1 dirty (collector-dirty %v)", tc.name, st.Buffer, st.GCDirty, wantGC)
+		frames, wantGC := m.buf.Snapshot(), m.class == IOGC
+		if len(frames) != 1 || frames[0] != (FrameState{Page: PageID{0, 1}, Dirty: true, GC: wantGC}) {
+			t.Errorf("%s: buffer %+v; want p0/1 dirty (collector-dirty %v)", tc.name, frames, wantGC)
 		}
 	}
 }
