@@ -2,21 +2,49 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// odbglint is the linter the tests run: built once per test binary, as CI's
+// lint job builds it, instead of one go run per invocation.
+var odbglint string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if testing.Short() {
+		os.Exit(m.Run())
+	}
+	dir, err := os.MkdirTemp("", "odbglint-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	odbglint = filepath.Join(dir, "odbglint")
+	if out, err := exec.Command("go", "build", "-o", odbglint, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build ./cmd/odbglint: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 // TestLintTreeClean runs the multichecker over the whole module exactly the
 // way `make lint` and CI do, so a lint failure anywhere reproduces locally
 // with one command: go run ./cmd/odbglint ./...
 func TestLintTreeClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("whole-module lint run is slow")
+		t.Skip("the linter is not built under -short")
 	}
 	root := moduleRoot(t)
-	cmd := exec.Command("go", "run", "./cmd/odbglint", "./...")
+	cmd := exec.Command(odbglint, "./...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -27,20 +55,20 @@ func TestLintTreeClean(t *testing.T) {
 	}
 }
 
-// TestListAnalyzers asserts -list prints the nine analyzers, one per line,
+// TestListAnalyzers asserts -list prints the eight analyzers, one per line,
 // and nothing else.
 func TestListAnalyzers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("go run is slow")
+		t.Skip("the linter is not built under -short")
 	}
-	cmd := exec.Command("go", "run", "./cmd/odbglint", "-list")
+	cmd := exec.Command(odbglint, "-list")
 	cmd.Dir = moduleRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("odbglint -list: %v\n%s", err, out)
 	}
 	want := []string{
-		"detrand", "maporder", "nopanic", "snapcover",
+		"detrand", "maporder", "nopanic",
 		"ctxflow", "errflow", "goleak", "loopdefer", "lockcheck",
 	}
 	var got []string
@@ -56,11 +84,11 @@ func TestListAnalyzers(t *testing.T) {
 // package, and a typo is a hard error rather than an accidental no-op lint.
 func TestOnlyFlag(t *testing.T) {
 	if testing.Short() {
-		t.Skip("go run is slow")
+		t.Skip("the linter is not built under -short")
 	}
 	root := moduleRoot(t)
 
-	cmd := exec.Command("go", "run", "./cmd/odbglint", "-only", "goleak,ctxflow", "./internal/simerr/...")
+	cmd := exec.Command(odbglint, "-only", "goleak,ctxflow", "./internal/simerr/...")
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("odbglint -only goleak,ctxflow: %v\n%s", err, out)
@@ -69,13 +97,13 @@ func TestOnlyFlag(t *testing.T) {
 	// internal/sim carries //lint:allow directives for unselected analyzers
 	// (detrand, goleak); running a subset must not misreport them as
 	// naming unknown analyzers.
-	cmd = exec.Command("go", "run", "./cmd/odbglint", "-only", "errflow", "./internal/sim/")
+	cmd = exec.Command(odbglint, "-only", "errflow", "./internal/sim/")
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("odbglint -only errflow over a package with detrand allows: %v\n%s", err, out)
 	}
 
-	cmd = exec.Command("go", "run", "./cmd/odbglint", "-only", "nosuch", "./internal/simerr/...")
+	cmd = exec.Command(odbglint, "-only", "nosuch", "./internal/simerr/...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err == nil {
@@ -96,8 +124,9 @@ func TestOnlyFlag(t *testing.T) {
 		"guarded":            "deleted",
 		"lifecycle":          "deleted",
 		"hotpath":            "AllocsPerRun pins",
+		"snapcover":          "TestPolicySnapshotRoundTrips",
 	} {
-		cmd = exec.Command("go", "run", "./cmd/odbglint", "-only", name, "./internal/simerr/...")
+		cmd = exec.Command(odbglint, "-only", name, "./internal/simerr/...")
 		cmd.Dir = root
 		out, err := cmd.CombinedOutput()
 		if err == nil {
@@ -116,10 +145,9 @@ func TestOnlyFlag(t *testing.T) {
 // consumers never special-case success.
 func TestJSONOutput(t *testing.T) {
 	if testing.Short() {
-		t.Skip("go run is slow")
+		t.Skip("the linter is not built under -short")
 	}
-	cmd := exec.Command("go", "run", "./cmd/odbglint",
-		"-json", "-only", "lockcheck,loopdefer", "./internal/simerr/...")
+	cmd := exec.Command(odbglint, "-json", "-only", "lockcheck,loopdefer", "./internal/simerr/...")
 	cmd.Dir = moduleRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -8,8 +8,9 @@
 // that the analyzers could be ported to the upstream API by changing imports
 // alone. The simulator's reproducibility contract — seeded randomness only,
 // no wall-clock reads, no map-iteration-order leaks, panic-free library
-// boundaries, complete snapshot coverage — is enforced by the analyzers
-// under internal/analysis/{detrand,maporder,nopanic,snapcover}.
+// boundaries — is enforced by the analyzers under
+// internal/analysis/{detrand,maporder,nopanic}; snapshot coverage is held at
+// run time by the snapshot round-trip and resume tests.
 package analysis
 
 import (

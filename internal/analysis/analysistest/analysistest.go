@@ -31,6 +31,16 @@ import (
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
+// fset and stdlib are shared by every fixture a test binary loads: the
+// standard library is read from the compiler's export data once per package
+// per binary, and its objects' positions live in the same file set as the
+// fixtures'. The importer is not safe for concurrent use, so fixtures are
+// loaded from tests that do not run in parallel.
+var (
+	fset   = token.NewFileSet()
+	stdlib = importer.ForCompiler(fset, "gc", nil)
+)
+
 // Run analyzes the fixture package in dir (all non-test .go files), checking
 // the findings that survive //lint:allow filtering against the fixture's
 // want comments. pkgPath is the import path the fixture package pretends to
@@ -135,7 +145,7 @@ func nextQuoted(s string) (string, string, error) {
 // fixture functions.
 func LoadPackage(t *testing.T, dir string, pkgPath string) *analysis.Package {
 	t.Helper()
-	pkg, err := loadFixture(token.NewFileSet(), dir, pkgPath)
+	pkg, err := loadFixture(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
@@ -144,7 +154,7 @@ func LoadPackage(t *testing.T, dir string, pkgPath string) *analysis.Package {
 
 // loadFixture parses and typechecks the fixture package. Fixture files may
 // import only the standard library.
-func loadFixture(fset *token.FileSet, dir string, pkgPath string) (*analysis.Package, error) {
+func loadFixture(dir string, pkgPath string) (*analysis.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -171,7 +181,7 @@ func loadFixture(fset *token.FileSet, dir string, pkgPath string) (*analysis.Pac
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: stdlib}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -33,6 +34,7 @@ type listedPackage struct {
 	Name       string
 	Dir        string
 	GoFiles    []string
+	Export     string
 	Standard   bool
 	DepOnly    bool
 }
@@ -40,13 +42,14 @@ type listedPackage struct {
 // Load lists the packages matching patterns under dir (a directory inside
 // the module), parses their non-test Go files, and typechecks them. Module
 // packages are typechecked from source; imports outside the module (the
-// standard library) are resolved with the stdlib source importer, so no
-// external tooling beyond the go command itself is required.
+// standard library) are read from the compiler's export data, which the
+// same go list run builds into the build cache (-export), so no external
+// tooling beyond the go command itself is required.
 //
 // Only packages directly matched by the patterns are returned; their
 // intra-module dependencies are loaded as needed but not analyzed.
 func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-json", "-deps", "--"}, patterns...)
+	args := append([]string{"list", "-e", "-json", "-export", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -62,7 +65,14 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 		built: make(map[string]*Package),
 		busy:  make(map[string]bool),
 	}
-	ld.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	exports := make(map[string]string) // standard import path -> export file
+	ld.std = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("analysis: no export data for %s", path)
+		}
+		return os.Open(file)
+	}).(types.ImporterFrom)
 
 	var roots []string
 	dec := json.NewDecoder(&stdout)
@@ -73,7 +83,11 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
-		if lp.Standard || len(lp.GoFiles) == 0 {
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+			continue
+		}
+		if len(lp.GoFiles) == 0 {
 			continue
 		}
 		p := lp
@@ -96,7 +110,8 @@ func Load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error
 }
 
 // loader typechecks module packages on demand, in dependency order, sharing
-// one file set and one stdlib importer across the whole run.
+// one file set and one export-data importer for the standard library across
+// the whole run.
 type loader struct {
 	fset  *token.FileSet
 	std   types.ImporterFrom
@@ -154,8 +169,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom implements types.ImporterFrom: module packages are typechecked
-// by the loader itself, everything else falls through to the source
-// importer.
+// by the loader itself, everything else is read from its export data.
 func (l *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

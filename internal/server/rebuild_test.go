@@ -230,6 +230,30 @@ func TestLoadMatchesMutationPath(t *testing.T) {
 	t.Run("damaged", testLoadRefusals)
 }
 
+// TestRebuildRefusesAnAdoptedStore loads a recovered store twice: the first
+// heap adopts the store, so a second, fresh heap given the same store must be
+// refused, and the refusal must leave the first heap intact. The first heap
+// runs oracleless, as NewEngine runs it: the recovered state holds garbage no
+// oracle has seen.
+func TestRebuildRefusesAnAdoptedStore(t *testing.T) {
+	cfg := storage.DefaultConfig()
+	st := randomCommittedState(t, 1, cfg.PageSize, 200)
+	first, second := newTestHeap(t, cfg), newTestHeap(t, cfg)
+	if err := RebuildHeap(first, st); err != nil {
+		t.Fatal(err)
+	}
+	first.SetOracleless(true)
+	if err := RebuildHeap(second, st); err == nil {
+		t.Fatal("a second heap rebuilt from a store the first one adopted")
+	}
+	if first.Store() != st.Objects() || first.Store().Len() != st.NumObjects() {
+		t.Fatalf("the first heap no longer holds the store: %d of %d objects", first.Store().Len(), st.NumObjects())
+	}
+	if err := first.Check(); err != nil {
+		t.Errorf("the first heap after the refusal: %v", err)
+	}
+}
+
 // loadDamaged is recovery's route for a damaged state: each object enters an
 // object store below the horizon next, and the heap is loaded on that store.
 func loadDamaged(heap *gc.Heap, next objstore.OID, state []storage.ObjectState) error {
