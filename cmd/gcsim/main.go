@@ -296,8 +296,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		for i := 0; i < len(res.Collections); i += *every {
 			c := res.Collections[i]
 			fmt.Fprintf(stdout, "#%4d %-9s ow=%7d interval=%5d part=%3d reclaimed=%7dB live=%7dB garbage=%.3f gcio=%d\n",
-				c.Index, c.Phase, c.Clock.Overwrites, c.Interval, c.Partition,
-				c.ReclaimedBytes, c.LiveBytes, c.ActualGarbageFrac, c.IO.GCIO())
+				c.Index, c.Phase, c.After.Overwrites, c.Interval, c.Result.Partition,
+				c.Result.ReclaimedBytes, c.Result.LiveBytes, c.GarbageFrac(), c.Result.IO.GCIO())
 		}
 	}
 
@@ -424,7 +424,7 @@ func printDistributions(w io.Writer, res *sim.Result) error {
 	}
 	maxYield, maxInterval := 1.0, 1.0
 	for _, c := range res.Collections {
-		if v := float64(c.ReclaimedBytes); v > maxYield {
+		if v := float64(c.Result.ReclaimedBytes); v > maxYield {
 			maxYield = v
 		}
 		if v := float64(c.Interval); v > maxInterval {
@@ -440,7 +440,7 @@ func printDistributions(w io.Writer, res *sim.Result) error {
 		return err
 	}
 	for _, c := range res.Collections {
-		yield.Add(float64(c.ReclaimedBytes))
+		yield.Add(float64(c.Result.ReclaimedBytes))
 		interval.Add(float64(c.Interval))
 	}
 	fmt.Fprintf(w, "\ncollection yield distribution (bytes, mean %.0f):\n%s", yield.Mean(), yield.String())
@@ -565,6 +565,6 @@ func printSummary(w io.Writer, res *sim.Result) {
 		res.FinalDBBytes, res.Partitions, res.FinalGarbage, res.FinalPinnedGarbage)
 	for _, m := range res.Phases {
 		fmt.Fprintf(w, "phase %-9s at event %d, collection %d, overwrite %d\n",
-			m.Label, m.EventIndex, m.Collections, m.Overwrites)
+			m.Label, m.Step, m.Collections, m.Overwrites)
 	}
 }

@@ -49,8 +49,8 @@ func main() {
 			fmt.Printf("---- phase %s ----\n", label)
 		}
 		fmt.Printf("#%3d ow=%6d int=%4d yield=%6dB %s\n",
-			c.Index, c.Clock.Overwrites, c.Interval, c.ReclaimedBytes,
-			strip(c.ActualGarbageFrac, c.EstimatedGarbageFrac))
+			c.Index, c.After.Overwrites, c.Interval, c.Result.ReclaimedBytes,
+			strip(c.GarbageFrac(), c.EstimatedFrac()))
 	}
 
 	fmt.Printf("\nmean sampled garbage: %.2f%% (requested %.0f%%) over %d collections\n",

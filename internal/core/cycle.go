@@ -15,15 +15,16 @@ type Diagnostics interface {
 	LastInterval() uint64
 }
 
-// Collection is the record of one turn of the control loop. The simulator's
-// CollectionRecord, the observer's Collection and Decision events and the GC
-// span are all conversions of it.
+// Collection is the record of one turn of the control loop. The simulator
+// keeps it as is (sim.Result.Collections); the observer's Collection and
+// Decision events and the GC span are its only conversions.
 type Collection struct {
 	// Collected is false when the selection policy found no partition worth
 	// collecting: the rate policy was rescheduled off an empty result and
 	// Index, Interval and Result are zero.
 	Collected bool
-	Index     int // 1-based count of collections the heap has run
+	Index     int    // 1-based count of collections the heap has run
+	Phase     string // the driver's application phase (sim.Loop.Collect sets it)
 
 	// Before is the clock the turn started at, After the clock the rate
 	// policy was told (equal to Before when nothing was collected).
@@ -41,9 +42,17 @@ type Collection struct {
 	NextInterval uint64  // overwrites until the next collection
 }
 
-// Frac is bytes (GarbageBytes, Estimate, Target) as a fraction of the
-// database; zero for an empty database.
-func (c *Collection) Frac(bytes float64) float64 {
+// GarbageFrac is GarbageBytes as a fraction of the database.
+func (c *Collection) GarbageFrac() float64 { return c.frac(float64(c.GarbageBytes)) }
+
+// EstimatedFrac is Estimate as a fraction of the database.
+func (c *Collection) EstimatedFrac() float64 { return c.frac(c.Estimate) }
+
+// TargetFrac is Target as a fraction of the database.
+func (c *Collection) TargetFrac() float64 { return c.frac(c.Target) }
+
+// frac is bytes as a fraction of the database; zero for an empty database.
+func (c *Collection) frac(bytes float64) float64 {
 	if c.DatabaseBytes <= 0 {
 		return 0
 	}

@@ -120,7 +120,7 @@ func TestCycleCallOrder(t *testing.T) {
 		t.Errorf("post-collection state %d bytes, %d garbage; want 200, 0", rec.DatabaseBytes, rec.GarbageBytes)
 	}
 	if rec.Estimate != 30 || rec.Target != 60 || rec.NextInterval != 7 ||
-		rec.Frac(rec.Estimate) != 0.15 || rec.Frac(rec.Target) != 0.3 {
+		rec.EstimatedFrac() != 0.15 || rec.TargetFrac() != 0.3 {
 		t.Errorf("diagnostics %+v", rec)
 	}
 

@@ -26,11 +26,12 @@ import (
 )
 
 // Clock is a snapshot of the simulator's cumulative counters, taken before
-// each application event and after each collection.
+// each application event and after each collection. Its JSON names are the
+// event log's (obs).
 type Clock struct {
-	AppIO      uint64 // cumulative application I/O operations
-	GCIO       uint64 // cumulative collector I/O operations
-	Overwrites uint64 // cumulative (non-initializing) pointer overwrites
+	AppIO      uint64 `json:"app_io"`     // cumulative application I/O operations
+	GCIO       uint64 `json:"gc_io"`      // cumulative collector I/O operations
+	Overwrites uint64 `json:"overwrites"` // cumulative (non-initializing) pointer overwrites
 }
 
 // HeapState is the view of the database the policies and estimators read.

@@ -362,9 +362,9 @@ func (r *Runner) Fig6(ctx context.Context) (*Report, error) {
 		estd := &metrics.Series{Name: estName + "_estimated_pct"}
 		for _, c := range res.Collections {
 			x := float64(c.Index)
-			target.Add(x, c.TargetGarbageFrac*100)
-			actual.Add(x, c.ActualGarbageFrac*100)
-			estd.Add(x, c.EstimatedGarbageFrac*100)
+			target.Add(x, c.TargetFrac()*100)
+			actual.Add(x, c.GarbageFrac()*100)
+			estd.Add(x, c.EstimatedFrac()*100)
 		}
 		rep.Series = append(rep.Series, target, actual, estd)
 		rep.Notes = append(rep.Notes, fmt.Sprintf("%s: %d collections, mean sampled garbage %.2f%%",
@@ -405,8 +405,8 @@ func (r *Runner) Fig7a(ctx context.Context) (*Report, error) {
 		actual := &metrics.Series{Name: fmt.Sprintf("h%.0f_actual_pct", h*100)}
 		estd := &metrics.Series{Name: fmt.Sprintf("h%.0f_estimated_pct", h*100)}
 		for _, c := range res.Collections {
-			actual.Add(float64(c.Index), c.ActualGarbageFrac*100)
-			estd.Add(float64(c.Index), c.EstimatedGarbageFrac*100)
+			actual.Add(float64(c.Index), c.GarbageFrac()*100)
+			estd.Add(float64(c.Index), c.EstimatedFrac()*100)
 		}
 		rep.Series = append(rep.Series, actual, estd)
 		rep.Notes = append(rep.Notes, fmt.Sprintf("h=%.2f: %d collections, mean sampled garbage %.2f%%",
@@ -450,8 +450,8 @@ func (r *Runner) Fig7b(ctx context.Context) (*Report, error) {
 	for _, c := range res.Collections {
 		x := float64(c.Index)
 		rate.Add(x, float64(c.Interval))
-		yield.Add(x, float64(c.ReclaimedBytes))
-		garb.Add(x, c.ActualGarbageFrac*100)
+		yield.Add(x, float64(c.Result.ReclaimedBytes))
+		garb.Add(x, c.GarbageFrac()*100)
 	}
 	rep.Series = []*metrics.Series{rate, yield, garb}
 	for _, m := range res.Phases {

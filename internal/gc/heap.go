@@ -75,10 +75,13 @@ type Heap struct {
 	oracleless bool
 
 	// durable, when non-nil, receives a WAL record for every logical
-	// mutation (alloc, pointer store, root change, reclaim). The heap never
-	// calls Commit — the owner (server engine, simulator) decides batch
-	// boundaries, so a crash can only lose whole uncommitted batches.
+	// mutation (alloc, pointer store, root change, reclaim). The heap commits
+	// only when its owner (server engine, simulator) calls Commit, so the
+	// owner decides batch boundaries and a crash can only lose whole
+	// uncommitted batches. staged is whether a record was logged since the
+	// last commit.
 	durable storage.Backend
+	staged  bool
 
 	// scratch holds Collect's per-collection lists, truncated and reused so
 	// steady-state collection stops allocating. Valid only within one call of
@@ -142,6 +145,28 @@ func (h *Heap) SetDurable(b storage.Backend) {
 	}
 }
 
+// Commit commits the durable batch the heap has staged and reports whether it
+// sealed one: whether a record was logged since the last successful commit.
+// Without a backend it does nothing.
+func (h *Heap) Commit() (sealed bool, err error) {
+	if h.durable == nil {
+		return false, nil
+	}
+	if err := h.durable.Commit(); err != nil {
+		return false, err
+	}
+	sealed, h.staged = h.staged, false
+	return sealed, nil
+}
+
+// logged notes the outcome of a Log call: a record it logged is staged.
+func (h *Heap) logged(err error) error {
+	if err == nil {
+		h.staged = true
+	}
+	return err
+}
+
 // adopter is a backend that keeps the heap's object store as its state.
 type adopter interface{ Adopt(*objstore.Store) }
 
@@ -170,7 +195,7 @@ func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) 
 		return err
 	}
 	if h.durable != nil {
-		if err := h.durable.LogAlloc(oid, class, size, nslots); err != nil {
+		if err := h.logged(h.durable.LogAlloc(oid, class, size, nslots)); err != nil {
 			// An object the log refused must not stay in a store a backend
 			// may checkpoint. Remove cannot fail: the object was just made.
 			_ = h.store.Remove(oid)
@@ -188,7 +213,7 @@ func (h *Heap) AddRoot(oid objstore.OID) error {
 		return err
 	}
 	if h.durable != nil {
-		if err := h.durable.LogRoot(oid, true); err != nil {
+		if err := h.logged(h.durable.LogRoot(oid, true)); err != nil {
 			return fmt.Errorf("gc: log root %v: %w", oid, err)
 		}
 	}
@@ -203,7 +228,7 @@ func (h *Heap) RemoveRoot(oid objstore.OID) error {
 		return err
 	}
 	if h.durable != nil {
-		if err := h.durable.LogRoot(oid, false); err != nil {
+		if err := h.logged(h.durable.LogRoot(oid, false)); err != nil {
 			return fmt.Errorf("gc: log unroot %v: %w", oid, err)
 		}
 	}
@@ -255,7 +280,7 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	}
 	o.Slots[slot] = dst
 	if h.durable != nil {
-		if err := h.durable.LogSet(src, slot, dst); err != nil {
+		if err := h.logged(h.durable.LogSet(src, slot, dst)); err != nil {
 			return fmt.Errorf("gc: log set %v[%d]: %w", src, slot, err)
 		}
 	}
@@ -498,7 +523,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	// object stays dead across a crash, or the batch is lost and recovery
 	// resurrects none of them piecemeal.
 	if h.durable != nil && len(deadList) > 0 {
-		if err := h.durable.LogReclaim(deadList); err != nil {
+		if err := h.logged(h.durable.LogReclaim(deadList)); err != nil {
 			return CollectionResult{}, fmt.Errorf("gc: log reclaim of %d objects: %w", len(deadList), err)
 		}
 	}

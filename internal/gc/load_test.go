@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -185,5 +186,48 @@ func TestLoadBytesPerObject(t *testing.T) {
 		t.Errorf("%.2f heap bytes per object beyond the store, want at most %.2f", got, limit)
 	} else {
 		t.Logf("%.2f heap bytes per object beyond the store (limit %.2f)", got, limit)
+	}
+}
+
+// flakyCommit is a durable backend whose commit fails while *fail is set.
+type flakyCommit struct {
+	nullBackend
+	fail *bool
+}
+
+func (b flakyCommit) Commit() error {
+	if *b.fail {
+		return errors.New("disk gone")
+	}
+	return nil
+}
+
+// TestCommitSealsOnlyStagedBatches pins what Commit reports: a batch is
+// sealed when a record was logged since the last successful commit, a failed
+// commit keeps the records staged, and a heap without a backend seals nothing.
+func TestCommitSealsOnlyStagedBatches(t *testing.T) {
+	h := testHeap(t)
+	if sealed, err := h.Commit(); sealed || err != nil {
+		t.Fatalf("commit without a backend = (%v, %v), want (false, nil)", sealed, err)
+	}
+	fail := false
+	h.SetDurable(flakyCommit{fail: &fail})
+	if sealed, err := h.Commit(); sealed || err != nil {
+		t.Fatalf("commit with nothing logged = (%v, %v), want (false, nil)", sealed, err)
+	}
+	mk(t, h, 1, 100, 0)
+	fail = true
+	if sealed, err := h.Commit(); sealed || err == nil {
+		t.Fatalf("failed commit = (%v, %v), want (false, error)", sealed, err)
+	}
+	fail = false
+	if sealed, err := h.Commit(); !sealed || err != nil {
+		t.Fatalf("commit after a failed one = (%v, %v), want (true, nil)", sealed, err)
+	}
+	if err := h.Access(1); err != nil {
+		t.Fatal(err)
+	}
+	if sealed, err := h.Commit(); sealed || err != nil {
+		t.Fatalf("commit after a read = (%v, %v), want (false, nil)", sealed, err)
 	}
 }

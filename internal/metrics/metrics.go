@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -150,15 +149,6 @@ func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 // Len returns the point count.
 func (s *Series) Len() int { return len(s.Points) }
 
-// MeanY returns the mean of the Y values, or NaN when empty.
-func (s *Series) MeanY() float64 {
-	var m Mean
-	for _, p := range s.Points {
-		m.Add(p.Y)
-	}
-	return m.Value()
-}
-
 // CSV renders series sharing an X axis as comma-separated text with a
 // header row. Series of different lengths are padded with empty cells.
 func CSV(xName string, series ...*Series) string {
@@ -237,27 +227,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Percentile returns the p-quantile (0..1) of values using linear
-// interpolation; it sorts a copy.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	vs := append([]float64(nil), values...)
-	sort.Float64s(vs)
-	if p <= 0 {
-		return vs[0]
-	}
-	if p >= 1 {
-		return vs[len(vs)-1]
-	}
-	pos := p * float64(len(vs)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(vs) {
-		return vs[lo]
-	}
-	return vs[lo]*(1-frac) + vs[lo+1]*frac
 }

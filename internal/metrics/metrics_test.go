@@ -97,11 +97,8 @@ func TestSeries(t *testing.T) {
 	s := &Series{Name: "y"}
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if s.Len() != 2 || s.MeanY() != 15 {
-		t.Errorf("series = %+v meanY = %v", s, s.MeanY())
-	}
-	if !math.IsNaN((&Series{}).MeanY()) {
-		t.Error("empty MeanY not NaN")
+	if s.Len() != 2 || s.Points[1] != (Point{2, 20}) {
+		t.Errorf("series = %+v", s)
 	}
 }
 
@@ -137,25 +134,6 @@ func TestTableRendering(t *testing.T) {
 	idx := strings.Index(lines[0], "value")
 	if lines[2][idx:idx+1] != "1" || lines[3][idx:idx+5] != "12345" {
 		t.Errorf("misaligned table:\n%s", out)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vs := []float64{4, 1, 3, 2}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		if got := Percentile(vs, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Error("empty percentile not NaN")
-	}
-	// Input must not be mutated (sorted copy).
-	if vs[0] != 4 {
-		t.Error("Percentile mutated input")
 	}
 }
 

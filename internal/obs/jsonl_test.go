@@ -5,13 +5,15 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"odbgc/internal/core"
 )
 
 // emitSample drives one of every event type through an observer.
 func emitSample(o Observer) {
 	o.ObserveRunStart(RunStart{Policy: "saga(10%,fgs-hb(0.80))", Selection: "updated-pointer", Preamble: 10})
 	o.ObservePhase(PhaseChange{Step: 0, Label: "GenDB"})
-	o.ObserveDecision(Decision{Step: 12, Clock: Clock{AppIO: 9, Overwrites: 3}, DBBytes: 100, GarbageBytes: 10, Collected: true, Estimate: 11, Target: 10, NextInterval: 200})
+	o.ObserveDecision(Decision{Step: 12, Clock: core.Clock{AppIO: 9, Overwrites: 3}, DBBytes: 100, GarbageBytes: 10, Collected: true, Estimate: 11, Target: 10, NextInterval: 200})
 	o.ObserveCollection(Collection{Index: 1, Step: 12, Phase: "GenDB", Interval: 200, ReclaimedBytes: 512, DBBytes: 100, GarbageFrac: 0.1})
 	o.ObserveCheckpoint(CheckpointMark{Step: 14, Op: "save"})
 	o.ObserveProgress(Progress{Step: 1000, Collections: 1, Phase: "GenDB"})

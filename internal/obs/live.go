@@ -1,6 +1,10 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+
+	"odbgc/internal/core"
+)
 
 // Metric names the Live observer maintains.
 const (
@@ -27,13 +31,13 @@ const (
 // Status is the run-status document the HTTP endpoint serves: live progress
 // in simulated time, updated by the Live observer as events arrive.
 type Status struct {
-	Running     bool   `json:"running"`
-	Policy      string `json:"policy"`
-	Selection   string `json:"selection"`
-	Phase       string `json:"phase"`
-	Step        int    `json:"events_consumed"`
-	Collections int    `json:"collections"`
-	Clock       Clock  `json:"clock"`
+	Running     bool       `json:"running"`
+	Policy      string     `json:"policy"`
+	Selection   string     `json:"selection"`
+	Phase       string     `json:"phase"`
+	Step        int        `json:"events_consumed"`
+	Collections int        `json:"collections"`
+	Clock       core.Clock `json:"clock"`
 	// AchievedGarbageFrac and TargetGarbageFrac compare the controller's
 	// achieved garbage share against its target as of the last collection.
 	AchievedGarbageFrac Float `json:"achieved_garbage_frac"`
@@ -137,7 +141,7 @@ func (l *Live) advanceStep(step int) {
 	l.st.Step = step
 }
 
-func (l *Live) setClock(c Clock) {
+func (l *Live) setClock(c core.Clock) {
 	l.st.Clock = c
 	l.reg.Set(MetricAppIO, float64(c.AppIO))
 	l.reg.Set(MetricGCIO, float64(c.GCIO))

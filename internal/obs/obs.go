@@ -45,31 +45,6 @@ type RunStart struct {
 	Resumed int `json:"resumed,omitempty"`
 }
 
-// Clock mirrors core.Clock with stable JSON names.
-type Clock struct {
-	AppIO      uint64 `json:"app_io"`
-	GCIO       uint64 `json:"gc_io"`
-	Overwrites uint64 `json:"overwrites"`
-}
-
-// ClockOf converts a core.Clock.
-func ClockOf(c core.Clock) Clock {
-	return Clock{AppIO: c.AppIO, GCIO: c.GCIO, Overwrites: c.Overwrites}
-}
-
-// IO mirrors storage.IOStats with stable JSON names.
-type IO struct {
-	AppReads  uint64 `json:"app_reads"`
-	AppWrites uint64 `json:"app_writes"`
-	GCReads   uint64 `json:"gc_reads"`
-	GCWrites  uint64 `json:"gc_writes"`
-}
-
-// IOOf converts a storage.IOStats.
-func IOOf(s storage.IOStats) IO {
-	return IO{AppReads: s.AppReads, AppWrites: s.AppWrites, GCReads: s.GCReads, GCWrites: s.GCWrites}
-}
-
 // PhaseChange marks an application phase transition.
 type PhaseChange struct {
 	Step        int    `json:"step"` // event cursor when the phase began
@@ -83,15 +58,15 @@ type PhaseChange struct {
 // its outputs (estimate, target, chosen interval, whether a partition was
 // actually collected).
 type Decision struct {
-	Step         int    `json:"step"`
-	Clock        Clock  `json:"clock"`
-	DBBytes      int    `json:"db_bytes"`
-	GarbageBytes int    `json:"garbage_bytes"`
-	Collected    bool   `json:"collected"`
-	Estimate     Float  `json:"estimate"`      // estimated garbage bytes (0 for non-estimating policies)
-	Target       Float  `json:"target"`        // target garbage bytes
-	NextInterval uint64 `json:"next_interval"` // overwrites until the next collection (0 = policy-internal)
-	Idle         bool   `json:"idle,omitempty"`
+	Step         int        `json:"step"`
+	Clock        core.Clock `json:"clock"`
+	DBBytes      int        `json:"db_bytes"`
+	GarbageBytes int        `json:"garbage_bytes"`
+	Collected    bool       `json:"collected"`
+	Estimate     Float      `json:"estimate"`      // estimated garbage bytes (0 for non-estimating policies)
+	Target       Float      `json:"target"`        // target garbage bytes
+	NextInterval uint64     `json:"next_interval"` // overwrites until the next collection (0 = policy-internal)
+	Idle         bool       `json:"idle,omitempty"`
 }
 
 // DecisionOf converts one turn of the control loop, collected or not; step
@@ -99,7 +74,7 @@ type Decision struct {
 func DecisionOf(c core.Collection, step int, idle bool) Decision {
 	return Decision{
 		Step:         step,
-		Clock:        ClockOf(c.After),
+		Clock:        c.After,
 		DBBytes:      c.DatabaseBytes,
 		GarbageBytes: c.GarbageBytes,
 		Collected:    c.Collected,
@@ -113,47 +88,47 @@ func DecisionOf(c core.Collection, step int, idle bool) Decision {
 // Collection records one completed collection: core.Collection in the event
 // log's schema.
 type Collection struct {
-	Index            int    `json:"index"`
-	Step             int    `json:"step"`
-	Phase            string `json:"phase"`
-	Clock            Clock  `json:"clock"`
-	Interval         uint64 `json:"interval"`
-	Partition        int    `json:"partition"`
-	ReclaimedBytes   int    `json:"reclaimed_bytes"`
-	ReclaimedObjects int    `json:"reclaimed_objects"`
-	LiveBytes        int    `json:"live_bytes"`
-	PartitionPO      int    `json:"partition_po"`
-	IO               IO     `json:"io"`
-	CumulativeIO     IO     `json:"cumulative_io"`
-	DBBytes          int    `json:"db_bytes"`
-	GarbageBytes     int    `json:"garbage_bytes"`
-	GarbageFrac      Float  `json:"garbage_frac"`
-	EstimatedFrac    Float  `json:"estimated_frac"`
-	TargetFrac       Float  `json:"target_frac"`
-	NextInterval     uint64 `json:"next_interval"`
+	Index            int             `json:"index"`
+	Step             int             `json:"step"`
+	Phase            string          `json:"phase"`
+	Clock            core.Clock      `json:"clock"`
+	Interval         uint64          `json:"interval"`
+	Partition        int             `json:"partition"`
+	ReclaimedBytes   int             `json:"reclaimed_bytes"`
+	ReclaimedObjects int             `json:"reclaimed_objects"`
+	LiveBytes        int             `json:"live_bytes"`
+	PartitionPO      int             `json:"partition_po"`
+	IO               storage.IOStats `json:"io"`
+	CumulativeIO     storage.IOStats `json:"cumulative_io"`
+	DBBytes          int             `json:"db_bytes"`
+	GarbageBytes     int             `json:"garbage_bytes"`
+	GarbageFrac      Float           `json:"garbage_frac"`
+	EstimatedFrac    Float           `json:"estimated_frac"`
+	TargetFrac       Float           `json:"target_frac"`
+	NextInterval     uint64          `json:"next_interval"`
 }
 
-// CollectionOf converts a completed collection; step and phase are the
-// driver's position when it ran.
-func CollectionOf(c core.Collection, step int, phase string) Collection {
+// CollectionOf converts a completed collection; step is the driver's cursor
+// when it ran.
+func CollectionOf(c core.Collection, step int) Collection {
 	return Collection{
 		Index:            c.Index,
 		Step:             step,
-		Phase:            phase,
-		Clock:            ClockOf(c.After),
+		Phase:            c.Phase,
+		Clock:            c.After,
 		Interval:         c.Interval,
 		Partition:        int(c.Result.Partition),
 		ReclaimedBytes:   c.Result.ReclaimedBytes,
 		ReclaimedObjects: c.Result.ReclaimedObjects,
 		LiveBytes:        c.Result.LiveBytes,
 		PartitionPO:      c.Result.PartitionPO,
-		IO:               IOOf(c.Result.IO),
-		CumulativeIO:     IOOf(c.CumulativeIO),
+		IO:               c.Result.IO,
+		CumulativeIO:     c.CumulativeIO,
 		DBBytes:          c.DatabaseBytes,
 		GarbageBytes:     c.GarbageBytes,
-		GarbageFrac:      Float(c.Frac(float64(c.GarbageBytes))),
-		EstimatedFrac:    Float(c.Frac(c.Estimate)),
-		TargetFrac:       Float(c.Frac(c.Target)),
+		GarbageFrac:      Float(c.GarbageFrac()),
+		EstimatedFrac:    Float(c.EstimatedFrac()),
+		TargetFrac:       Float(c.TargetFrac()),
 		NextInterval:     c.NextInterval,
 	}
 }
@@ -167,10 +142,10 @@ type CheckpointMark struct {
 // Progress is a coarse heartbeat the simulator emits every 1000 trace
 // events so live consumers can track a long run between collections.
 type Progress struct {
-	Step        int    `json:"step"`
-	Collections int    `json:"collections"`
-	Phase       string `json:"phase"`
-	Clock       Clock  `json:"clock"`
+	Step        int        `json:"step"`
+	Collections int        `json:"collections"`
+	Phase       string     `json:"phase"`
+	Clock       core.Clock `json:"clock"`
 }
 
 // RunEnd carries the run's summary.

@@ -144,8 +144,8 @@ func (sp *Span) SetCollection(c core.Collection) {
 	sp.ReclaimedBytes = c.Result.ReclaimedBytes
 	sp.ReclaimedObjects = c.Result.ReclaimedObjects
 	sp.TracedObjects = c.Result.LiveObjects
-	sp.EstimateFrac = obs.Float(c.Frac(c.Estimate))
-	sp.TargetFrac = obs.Float(c.Frac(c.Target))
+	sp.EstimateFrac = obs.Float(c.EstimatedFrac())
+	sp.TargetFrac = obs.Float(c.TargetFrac())
 }
 
 // Duration returns End-Start (0 for a nil span).

@@ -4,42 +4,8 @@ import (
 	"fmt"
 
 	"odbgc/internal/gc"
-	"odbgc/internal/objstore"
-	"odbgc/internal/storage"
 	"odbgc/internal/storage/disk"
 )
-
-// stagedBackend is EngineConfig.Durable as the engine hands it to the heap:
-// it counts the records the heap has staged since the last counted commit,
-// which is how the engine tells a commit that sealed a batch from one that
-// found nothing to seal. Engine goroutine only.
-type stagedBackend struct {
-	storage.Backend
-	staged int
-}
-
-func (b *stagedBackend) note(err error) error {
-	if err == nil {
-		b.staged++
-	}
-	return err
-}
-
-func (b *stagedBackend) LogAlloc(oid objstore.OID, class objstore.Class, size, nslots int) error {
-	return b.note(b.Backend.LogAlloc(oid, class, size, nslots))
-}
-
-func (b *stagedBackend) LogSet(src objstore.OID, slot int, dst objstore.OID) error {
-	return b.note(b.Backend.LogSet(src, slot, dst))
-}
-
-func (b *stagedBackend) LogRoot(oid objstore.OID, on bool) error {
-	return b.note(b.Backend.LogRoot(oid, on))
-}
-
-func (b *stagedBackend) LogReclaim(oids []objstore.OID) error {
-	return b.note(b.Backend.LogReclaim(oids))
-}
 
 // RebuildHeap makes an empty heap run on the object store a durable store
 // recovered at open (gc.Heap.Load), and the durable store keep that one store

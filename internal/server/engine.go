@@ -103,11 +103,10 @@ type call struct {
 // request order. Sessions talk to it through Submit, which enforces
 // admission control: the queue is the only buffer, and it is bounded.
 type Engine struct {
-	cfg     EngineConfig
-	heap    *gc.Heap
-	durable *stagedBackend // cfg.Durable as the heap logs to it; nil without one
-	loop    sim.Loop       // the control loop, shared with the simulator
-	queue   chan *call
+	cfg   EngineConfig
+	heap  *gc.Heap
+	loop  sim.Loop // the control loop, shared with the simulator
+	queue chan *call
 
 	// epoch anchors the engine tick clock: Now() is nanoseconds since
 	// construction, the timestamp base for every span this engine touches.
@@ -140,9 +139,7 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 		epoch: time.Now(),
 	}
 	if cfg.Durable != nil {
-		heap.SetDurable(cfg.Durable) // bare first, so a disk.Store adopts the heap's object store
-		e.durable = &stagedBackend{Backend: cfg.Durable}
-		heap.SetDurable(e.durable)
+		heap.SetDurable(cfg.Durable)
 	}
 	e.loop = sim.Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim},
 		Observer: cfg.Observer, Spans: cfg.Recorder, Now: e.Now, OnSpan: e.gcSpan}
@@ -372,21 +369,17 @@ func (e *Engine) process(c *call) {
 // nothing staged is not a batch: it counts toward no checkpoint, so reads
 // never checkpoint a database they did not change.
 func (e *Engine) commitDurable() error {
-	d := e.durable
-	if d == nil {
-		return nil
-	}
-	if err := d.Commit(); err != nil {
+	sealed, err := e.heap.Commit()
+	if err != nil {
 		return fmt.Errorf("durable commit: %w", err)
 	}
-	if d.staged == 0 {
+	if !sealed {
 		return nil
 	}
-	d.staged = 0
 	e.commits++
 	e.cfg.Metrics.DurableCommit()
 	if every := e.cfg.CheckpointEvery; every > 0 && e.commits%uint64(every) == 0 {
-		if err := d.Checkpoint(); err != nil {
+		if err := e.cfg.Durable.Checkpoint(); err != nil {
 			e.cfg.Metrics.Error(simerr.Classify(err))
 		} else {
 			e.cfg.Metrics.DurableCheckpoint()

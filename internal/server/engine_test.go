@@ -44,21 +44,22 @@ func TestApplyAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestAbsentObjectIsOtherError: a client's access or update of an OID that
-// does not exist is the client's mistake, not a damaged trace. The heap's
-// refusal wraps objstore.ErrAbsent, which simerr does not classify, so the
-// server counts it as "other".
+// TestAbsentObjectIsOtherError: a client's access, update or set of an OID
+// that does not exist is the client's mistake, not a damaged trace. The
+// heap's refusal wraps objstore.ErrAbsent, which simerr does not classify,
+// and the engine refuses a set before the heap sees it, so the server counts
+// all three as "other".
 func TestAbsentObjectIsOtherError(t *testing.T) {
 	eng, _ := benchEngine(t)
 	reg := eng.cfg.Metrics.Registry()
-	for _, op := range []string{OpAccess, OpUpdate} {
+	for _, op := range []string{OpAccess, OpUpdate, OpSet} {
 		resp := eng.apply(Request{ID: 1, Op: op, OID: 7})
 		if resp.Status != StatusError || !strings.Contains(resp.Error, "absent") {
 			t.Errorf("%s of an absent object answered %+v, want an error naming it absent", op, resp)
 		}
 	}
-	if got := reg.Counter(ErrorMetric(simerr.ClassOther)); got != 2 {
-		t.Errorf("%s = %v, want 2", ErrorMetric(simerr.ClassOther), got)
+	if got := reg.Counter(ErrorMetric(simerr.ClassOther)); got != 3 {
+		t.Errorf("%s = %v, want 3", ErrorMetric(simerr.ClassOther), got)
 	}
 	if got := reg.Counter(ErrorMetric(simerr.ClassCorruptTrace)); got != 0 {
 		t.Errorf("%s = %v, want 0", ErrorMetric(simerr.ClassCorruptTrace), got)

@@ -35,7 +35,7 @@ func TestSAGAOracleHoldsTargetThroughPhases(t *testing.T) {
 	n := 0
 	for _, c := range res.Collections[res.EffectivePreamble:] {
 		n++
-		if c.ActualGarbageFrac < 0.05 || c.ActualGarbageFrac > 0.15 {
+		if c.GarbageFrac() < 0.05 || c.GarbageFrac() > 0.15 {
 			out++
 		}
 	}
@@ -105,7 +105,7 @@ func TestEstimateTracksActualFGSHB(t *testing.T) {
 	var sumAbs float64
 	n := 0
 	for _, c := range res.Collections[res.EffectivePreamble:] {
-		sumAbs += math.Abs(c.EstimatedGarbageFrac - c.ActualGarbageFrac)
+		sumAbs += math.Abs(c.EstimatedFrac() - c.GarbageFrac())
 		n++
 	}
 	if n == 0 {
@@ -206,10 +206,10 @@ func TestReorg2YieldDrops(t *testing.T) {
 	for _, c := range res.Collections {
 		switch c.Phase {
 		case "Reorg1":
-			r1 += float64(c.ReclaimedBytes)
+			r1 += float64(c.Result.ReclaimedBytes)
 			n1++
 		case "Reorg2":
-			r2 += float64(c.ReclaimedBytes)
+			r2 += float64(c.Result.ReclaimedBytes)
 			n2++
 		}
 	}
@@ -248,7 +248,7 @@ func TestHistoryParameterTradeoff(t *testing.T) {
 		var sum float64
 		n := 0
 		for _, c := range res.Collections[res.EffectivePreamble:] {
-			sum += math.Abs(c.EstimatedGarbageFrac - c.ActualGarbageFrac)
+			sum += math.Abs(c.EstimatedFrac() - c.GarbageFrac())
 			n++
 		}
 		if n == 0 {

@@ -105,7 +105,7 @@ func Resume(cfg Config, img []byte) (*Simulator, error) {
 	// GC span IDs go on from the collection the checkpoint had reached.
 	s.loop.spans = heap.Collections()
 	if n := len(s.res.Collections); n > 0 {
-		s.loop.Cycle.LastOverwrites = s.res.Collections[n-1].Clock.Overwrites
+		s.loop.Cycle.LastOverwrites = s.res.Collections[n-1].After.Overwrites
 	}
 	if cfg.Observer != nil {
 		cfg.Observer.ObserveRunStart(s.runStart(s.step))

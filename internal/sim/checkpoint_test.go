@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -237,20 +238,25 @@ func damaged(img []byte, state bool, off int, b []byte) []byte {
 // TestResumeBitIdenticalEveryComponent: a checkpoint carries the state of
 // every rate policy, estimator and selection policy, so a run checkpointed
 // at its midpoint and resumed collects exactly where the uninterrupted run
-// does. It covers every core.NewPolicy name over FGS/HB, SAGA over every
-// estimator, and fixed(50) under every selection policy.
+// does. It covers every core.NewPolicy name over FGS/HB, SAIO with a c_hist
+// window too (its history and last application clock are read only then),
+// SAGA over every estimator, and fixed(50) under every selection policy.
 func TestResumeBitIdenticalEveryComponent(t *testing.T) {
 	tr := smallTrace(t, 3, 11)
-	type combo struct{ policy, estimator, selection string }
+	type combo struct {
+		policy, estimator, selection string
+		hist                         int // SAIO's c_hist
+	}
 	var combos []combo
 	for _, p := range []string{"saio", "saga", "pi", "coupled", "fixed", "never"} {
-		combos = append(combos, combo{p, "fgs-hb", "updated-pointer"})
+		combos = append(combos, combo{p, "fgs-hb", "updated-pointer", 0})
 	}
+	combos = append(combos, combo{"saio", "fgs-hb", "updated-pointer", 3})
 	for _, e := range []string{"oracle", "cgs-cb", "fgs-window", "fgs-pp", "fallback"} {
-		combos = append(combos, combo{"saga", e, "updated-pointer"})
+		combos = append(combos, combo{"saga", e, "updated-pointer", 0})
 	}
 	for _, s := range []string{"random", "round-robin", "oracle-max-garbage", "hybrid"} {
-		combos = append(combos, combo{"fixed", "fgs-hb", s})
+		combos = append(combos, combo{"fixed", "fgs-hb", s, 0})
 	}
 	collections := func(t *testing.T, encoded []byte) []byte {
 		t.Helper()
@@ -268,9 +274,13 @@ func TestResumeBitIdenticalEveryComponent(t *testing.T) {
 		return buf.Bytes()
 	}
 	for _, c := range combos {
-		t.Run(c.policy+"/"+c.estimator+"/"+c.selection, func(t *testing.T) {
+		policy := c.policy
+		if c.hist > 0 {
+			policy = fmt.Sprintf("%s(hist=%d)", c.policy, c.hist)
+		}
+		t.Run(policy+"/"+c.estimator+"/"+c.selection, func(t *testing.T) {
 			mkConfig := func() Config {
-				pol, err := core.NewPolicy(c.policy, core.PolicyParams{Frac: 0.10, Interval: 50,
+				pol, err := core.NewPolicy(c.policy, core.PolicyParams{Frac: 0.10, Interval: 50, Hist: c.hist,
 					Estimator: func() (core.Estimator, error) { return core.NewEstimator(c.estimator, 0) }})
 				if err != nil {
 					t.Fatal(err)

@@ -27,8 +27,8 @@ func TestChurnFGSSlopeTrapDiagnostics(t *testing.T) {
 	for i, c := range res.Collections {
 		if i%4 == 0 {
 			t.Logf("#%3d %-8s ow=%6d int=%5d part=%3d po=%5d reclaimed=%7d act=%8d (%.3f) est=%9.0f next=%5d db=%d",
-				c.Index, c.Phase, c.Clock.Overwrites, c.Interval, c.Partition, c.PartitionPO,
-				c.ReclaimedBytes, c.ActualGarbageBytes, c.ActualGarbageFrac, c.EstimatedGarbageBytes, c.NextInterval, c.DatabaseBytes)
+				c.Index, c.Phase, c.After.Overwrites, c.Interval, c.Result.Partition, c.Result.PartitionPO,
+				c.Result.ReclaimedBytes, c.GarbageBytes, c.GarbageFrac(), c.Estimate, c.NextInterval, c.DatabaseBytes)
 		}
 	}
 }

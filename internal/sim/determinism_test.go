@@ -51,8 +51,8 @@ func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckp
 	garb := &metrics.Series{Name: "garbage_frac"}
 	recl := &metrics.Series{Name: "reclaimed_bytes"}
 	for _, c := range res.Collections {
-		garb.Add(float64(c.Index), c.ActualGarbageFrac)
-		recl.Add(float64(c.Index), float64(c.ReclaimedBytes))
+		garb.Add(float64(c.Index), c.GarbageFrac())
+		recl.Add(float64(c.Index), float64(c.Result.ReclaimedBytes))
 	}
 	return ckpt, metrics.CSV("collection", garb, recl)
 }
@@ -253,12 +253,12 @@ func TestGoldenArtifactDigests(t *testing.T) {
 		want   goldenArtifacts
 	}{
 		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, goldenArtifacts{
-			ckpt:   "e8f39eb759e52f27d94f1aca2447526063eba22857aff6bb26c69e7a373d9da1",
+			ckpt:   "1b7c627f6ee9e3921a04a5d6eca69a5d850afc4ed64cce568ab899f9a92f34b1",
 			csv:    "c58d3453b1f1344f7b90754f8980107ff263df90670abedef968f19e1133524f",
 			events: "a3c7e34d334a75cf9bf180697fce80089d180c92ef6da0ec33ef1232233fe153",
 		}},
 		{"fixed-50", func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, goldenArtifacts{
-			ckpt:   "303a6779bc28ebd1ea21aea1d09b132e8b3c53d930195618ca931f26f601b268",
+			ckpt:   "94167344de1b2138ede87fcd424cdc6380466b43c927810e8175b98e5acb10aa",
 			csv:    "3caee188ee996aa39da5c765c70094d8ec8e56bad9f210545636d5cca59ca827",
 			events: "0b8f5f27dedb0df29a10152914d1aa1ae4ab86dd7f6f6ce1e8ccdc06c1e65af5",
 		}},

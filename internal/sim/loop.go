@@ -69,14 +69,16 @@ func (l *Loop) Due() bool { return !l.midBuild && l.Cycle.Due() }
 
 // Collect takes one turn of the control loop and reports it: the decision
 // event, and for a collection the collection event and a GC span, the child
-// of span parent. step and phase are the driver's position; idle marks a turn
-// at a quiescence tick. A failed turn reports only an error span.
+// of span parent. step and phase are the driver's position, and the record
+// carries phase; idle marks a turn at a quiescence tick. A failed turn
+// reports only an error span.
 func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.Collection, error) {
 	var start int64
 	if l.Spans != nil {
 		start = l.now()
 	}
 	c, err := l.Cycle.Run()
+	c.Phase = phase
 	if l.Spans != nil && (err != nil || c.Collected) {
 		l.spans++
 		g := l.Spans.Start(span.KindGC, "collect", span.GCID(l.spans), parent, start)
@@ -99,7 +101,7 @@ func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.C
 	}
 	l.Observer.ObserveDecision(obs.DecisionOf(c, step, idle))
 	if c.Collected {
-		l.Observer.ObserveCollection(obs.CollectionOf(c, step, phase))
+		l.Observer.ObserveCollection(obs.CollectionOf(c, step))
 	}
 	return c, nil
 }

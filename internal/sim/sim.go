@@ -88,41 +88,6 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// CollectionRecord captures one collection for the time-varying figures.
-type CollectionRecord struct {
-	Index     int    // collection number, 1-based
-	Phase     string // application phase during which it ran
-	Clock     core.Clock
-	Interval  uint64 // overwrites since the previous collection
-	Partition storage.PartitionID
-
-	ReclaimedBytes   int
-	ReclaimedObjects int
-	LiveBytes        int
-	PartitionPO      int
-	IO               storage.IOStats // this collection's I/O
-	CumulativeIO     storage.IOStats // run totals just after this collection
-
-	// Post-collection state.
-	DatabaseBytes      int
-	ActualGarbageBytes int
-	ActualGarbageFrac  float64
-
-	// SAGA diagnostics (zero for other policies).
-	EstimatedGarbageBytes float64
-	EstimatedGarbageFrac  float64
-	TargetGarbageFrac     float64
-	NextInterval          uint64
-}
-
-// PhaseMark records where an application phase began.
-type PhaseMark struct {
-	Label       string
-	EventIndex  int
-	Collections int    // collections completed when the phase began
-	Overwrites  uint64 // overwrite clock when the phase began
-}
-
 // PhaseSummary aggregates one application phase of a run.
 type PhaseSummary struct {
 	Label       string
@@ -143,8 +108,8 @@ type Result struct {
 
 	// Totals over the full run.
 	Final          storage.IOStats
-	Collections    []CollectionRecord
-	Phases         []PhaseMark
+	Collections    []core.Collection // the control loop's record of each, for the time-varying figures
+	Phases         []obs.PhaseChange // where each application phase began
 	PhaseSummaries []PhaseSummary
 	FinalDBBytes   int
 	FinalGarbage   int
@@ -332,7 +297,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 	// a crash can only lose whole events. Phase boundaries additionally
 	// checkpoint, bounding replay work to one phase of WAL.
 	if s.cfg.Durable != nil {
-		if err := s.cfg.Durable.Commit(); err != nil {
+		if _, err := s.heap.Commit(); err != nil {
 			return fmt.Errorf("sim: durable commit after event %d: %w", i, err)
 		}
 		if e.Kind == trace.KindPhase {
@@ -365,7 +330,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 			Step:        s.step,
 			Collections: len(s.res.Collections),
 			Phase:       s.curPhase,
-			Clock:       obs.ClockOf(s.loop.Cycle.Clock()),
+			Clock:       s.loop.Cycle.Clock(),
 		})
 	}
 	return nil
@@ -375,22 +340,13 @@ func (s *Simulator) Step(e *trace.Event) error {
 func (s *Simulator) phase(label string, idx int) {
 	s.closePhase()
 	s.curPhase = label
-	s.res.Phases = append(s.res.Phases, PhaseMark{
-		Label:       label,
-		EventIndex:  idx,
-		Collections: len(s.res.Collections),
-		Overwrites:  s.heap.OverwriteClock(),
-	})
+	mark := obs.PhaseChange{Step: idx, Label: label, Collections: len(s.res.Collections), Overwrites: s.heap.OverwriteClock()}
+	s.res.Phases = append(s.res.Phases, mark)
 	s.phaseAcc = &PhaseSummary{Label: label}
 	s.phaseGarb = metrics.Mean{}
 	s.phaseIOBase = s.disk.Stats()
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.ObservePhase(obs.PhaseChange{
-			Step:        idx,
-			Label:       label,
-			Collections: len(s.res.Collections),
-			Overwrites:  s.heap.OverwriteClock(),
-		})
+		s.cfg.Observer.ObservePhase(mark)
 	}
 }
 
@@ -413,43 +369,19 @@ func (s *Simulator) idle(ticks int) error {
 	return nil
 }
 
-// collect takes one turn of the control loop and books it: the record for
-// the time-varying figures and the phase accumulators.
+// collect takes one turn of the control loop and books it: the loop's record
+// for the time-varying figures and the phase accumulators.
 func (s *Simulator) collect(idle bool) error {
 	c, err := s.loop.Collect(0, s.step, s.curPhase, idle)
 	if err != nil || !c.Collected {
 		return err
 	}
-	s.res.Collections = append(s.res.Collections, s.record(c))
+	s.res.Collections = append(s.res.Collections, c)
 	if s.phaseAcc != nil {
 		s.phaseAcc.Collections++
 		s.phaseAcc.Reclaimed += c.Result.ReclaimedBytes
 	}
 	return nil
-}
-
-// record converts the control loop's record to the persisted one.
-func (s *Simulator) record(c core.Collection) CollectionRecord {
-	return CollectionRecord{
-		Index:                 c.Index,
-		Phase:                 s.curPhase,
-		Clock:                 c.After,
-		Interval:              c.Interval,
-		Partition:             c.Result.Partition,
-		ReclaimedBytes:        c.Result.ReclaimedBytes,
-		ReclaimedObjects:      c.Result.ReclaimedObjects,
-		LiveBytes:             c.Result.LiveBytes,
-		PartitionPO:           c.Result.PartitionPO,
-		IO:                    c.Result.IO,
-		CumulativeIO:          c.CumulativeIO,
-		DatabaseBytes:         c.DatabaseBytes,
-		ActualGarbageBytes:    c.GarbageBytes,
-		ActualGarbageFrac:     c.Frac(float64(c.GarbageBytes)),
-		EstimatedGarbageBytes: c.Estimate,
-		EstimatedGarbageFrac:  c.Frac(c.Estimate),
-		TargetGarbageFrac:     c.Frac(c.Target),
-		NextInterval:          c.NextInterval,
-	}
 }
 
 // closePhase finalizes the current phase summary, if one is open.
@@ -469,7 +401,7 @@ func (s *Simulator) closePhase() {
 func (s *Simulator) Finish() (*Result, error) {
 	s.closePhase()
 	if s.cfg.Durable != nil {
-		if err := s.cfg.Durable.Commit(); err != nil {
+		if _, err := s.heap.Commit(); err != nil {
 			return nil, fmt.Errorf("sim: final durable commit: %w", err)
 		}
 		if err := s.cfg.Durable.Checkpoint(); err != nil {

@@ -51,7 +51,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 	for i := range inMem.Collections {
 		a, b := inMem.Collections[i], streamed.Collections[i]
-		if a.Partition != b.Partition || a.ReclaimedBytes != b.ReclaimedBytes || a.Clock != b.Clock {
+		if a.Result.Partition != b.Result.Partition || a.Result.ReclaimedBytes != b.Result.ReclaimedBytes || a.After != b.After {
 			t.Fatalf("collection %d differs: %+v vs %+v", i, a, b)
 		}
 	}

@@ -85,12 +85,13 @@ const (
 	IOGC
 )
 
-// IOStats counts page reads and writes by attribution class.
+// IOStats counts page reads and writes by attribution class. Its JSON names
+// are the event log's (obs).
 type IOStats struct {
-	AppReads  uint64
-	AppWrites uint64
-	GCReads   uint64
-	GCWrites  uint64
+	AppReads  uint64 `json:"app_reads"`
+	AppWrites uint64 `json:"app_writes"`
+	GCReads   uint64 `json:"gc_reads"`
+	GCWrites  uint64 `json:"gc_writes"`
 }
 
 // AppIO returns total application I/O operations (reads + writes).

@@ -106,8 +106,9 @@ type (
 
 	// Result summarizes a simulation run.
 	Result = sim.Result
-	// CollectionRecord is one collection in a Result's time series.
-	CollectionRecord = sim.CollectionRecord
+	// CollectionRecord is one collection in a Result's time series: the
+	// control loop's record of it.
+	CollectionRecord = core.Collection
 	// MultiResult aggregates several seeded runs.
 	MultiResult = sim.MultiResult
 	// Report is one regenerated paper table or figure.

@@ -110,6 +110,7 @@ wait "$load" || {
 # The manifest, event log, and trace dump were flushed on the drain path.
 test -s "$work/run.manifest.json"
 test -s "$work/events.jsonl"
+"$work/obsdump" -check "$work/events.jsonl"
 grep -q '"summary_sha256"' "$work/run.manifest.json" || grep -q '"sha256"' "$work/run.manifest.json"
 test -s "$work/traces.jsonl"
 grep -q '"outcome":"shed"' "$work/traces.jsonl"
