@@ -45,10 +45,10 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("/metrics content type %q", ctype)
 	}
 	for _, want := range []string{
-		"# TYPE " + MetricEvents + " counter",
-		MetricCollections + " 1",
-		"# TYPE " + MetricIntervalHist + " histogram",
-		MetricIntervalHist + `_bucket{le="+Inf"} 1`,
+		"# TYPE odbgc_control_steps_total counter",
+		"odbgc_gc_collections_total 1",
+		"# TYPE odbgc_control_interval_overwrites histogram",
+		`odbgc_control_interval_overwrites_bucket{le="+Inf"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

@@ -6,28 +6,6 @@ import (
 	"odbgc/internal/core"
 )
 
-// Metric names the Live observer maintains.
-const (
-	MetricEvents           = "odbgc_sim_events_total"
-	MetricCollections      = "odbgc_sim_collections_total"
-	MetricDecisions        = "odbgc_sim_decisions_total"
-	MetricReclaimed        = "odbgc_sim_reclaimed_bytes_total"
-	MetricCheckpoints      = "odbgc_sim_checkpoints_total"
-	MetricPhases           = "odbgc_sim_phase_transitions_total"
-	MetricDBBytes          = "odbgc_sim_database_bytes"
-	MetricGarbageBytes     = "odbgc_sim_garbage_bytes"
-	MetricGarbageFrac      = "odbgc_sim_garbage_fraction"
-	MetricEstimatedFrac    = "odbgc_sim_estimated_garbage_fraction"
-	MetricTargetFrac       = "odbgc_sim_target_garbage_fraction"
-	MetricGCIOFrac         = "odbgc_sim_gc_io_fraction"
-	MetricAppIO            = "odbgc_sim_app_io_ops"
-	MetricGCIO             = "odbgc_sim_gc_io_ops"
-	MetricIntervalHist     = "odbgc_sim_collection_interval_overwrites"
-	MetricYieldHist        = "odbgc_sim_collection_yield_bytes"
-	MetricCollectionIOHist = "odbgc_sim_collection_io_ops"
-	MetricDraining         = "odbgc_sim_draining"
-)
-
 // Status is the run-status document the HTTP endpoint serves: live progress
 // in simulated time, updated by the Live observer as events arrive.
 type Status struct {
@@ -55,49 +33,50 @@ type Status struct {
 // Live is an Observer that folds events into a metrics Registry and a
 // queryable Status snapshot — the backing store for the /metrics and
 // /statusz HTTP endpoints. All methods lock, so a scraper may read while
-// the simulation writes.
+// the simulation writes. Its metrics are named odbgc_control_* (the
+// controller's loop: steps, decisions and their inputs and outputs),
+// odbgc_heap_* (the database it controls) and odbgc_gc_* (the collections
+// it runs); a server adds odbgc_server_* beside them.
 type Live struct {
 	reg *Registry
 
+	steps, decisions, phases, checkpoints            *Counter
+	collections, reclaimed                           *Counter
+	estimatedFrac, targetFrac, gcIOFrac, appIO, gcIO *Gauge
+	dbBytes, garbageBytes, garbageFrac               *Gauge
+	draining                                         *Gauge
+	interval, yield, collectionIO                    *Histogram
+
 	mu       sync.Mutex
 	st       Status
-	lastStep int // high-water mark backing the events counter
+	lastStep int // high-water mark backing the steps counter
 }
 
 // NewLive builds a Live observer over a fresh registry with the standard
-// simulator metrics registered.
+// control-loop metrics declared.
 func NewLive() *Live {
-	reg := NewRegistry()
-	counters := []struct{ name, help string }{
-		{MetricEvents, "application trace events consumed"},
-		{MetricCollections, "garbage collections completed"},
-		{MetricDecisions, "policy decisions (collection attempts) taken"},
-		{MetricReclaimed, "bytes reclaimed by the collector"},
-		{MetricCheckpoints, "checkpoints saved or resumed"},
-		{MetricPhases, "application phase transitions"},
+	r := NewRegistry()
+	return &Live{
+		reg:           r,
+		steps:         r.NewCounter("odbgc_control_steps_total", "application trace events consumed"),
+		decisions:     r.NewCounter("odbgc_control_decisions_total", "policy decisions (collection attempts) taken"),
+		phases:        r.NewCounter("odbgc_control_phase_transitions_total", "application phase transitions"),
+		checkpoints:   r.NewCounter("odbgc_control_checkpoints_total", "checkpoints saved or resumed"),
+		estimatedFrac: r.NewGauge("odbgc_control_estimated_garbage_fraction", "estimator's garbage fraction at the last collection"),
+		targetFrac:    r.NewGauge("odbgc_control_target_garbage_fraction", "policy's target garbage fraction at the last collection"),
+		gcIOFrac:      r.NewGauge("odbgc_control_gc_io_fraction", "cumulative collector I/O over total I/O"),
+		appIO:         r.NewGauge("odbgc_control_app_io_ops", "cumulative application I/O operations"),
+		gcIO:          r.NewGauge("odbgc_control_gc_io_ops", "cumulative collector I/O operations"),
+		interval:      r.NewHistogram("odbgc_control_interval_overwrites", "overwrites between consecutive collections", 0, 2000, 20),
+		dbBytes:       r.NewGauge("odbgc_heap_database_bytes", "database size in bytes (live plus garbage)"),
+		garbageBytes:  r.NewGauge("odbgc_heap_garbage_bytes", "unreclaimed garbage bytes"),
+		garbageFrac:   r.NewGauge("odbgc_heap_garbage_fraction", "garbage as a fraction of database size"),
+		collections:   r.NewCounter("odbgc_gc_collections_total", "garbage collections completed"),
+		reclaimed:     r.NewCounter("odbgc_gc_reclaimed_bytes_total", "bytes reclaimed by the collector"),
+		yield:         r.NewHistogram("odbgc_gc_yield_bytes", "bytes reclaimed per collection", 0, 100_000, 20),
+		collectionIO:  r.NewHistogram("odbgc_gc_collection_io_ops", "collector I/O operations per collection", 0, 400, 20),
+		draining:      r.NewGauge("odbgc_server_draining", "1 while graceful shutdown is draining in-flight work"),
 	}
-	for _, c := range counters {
-		// Registration of compile-time constant names cannot fail.
-		_ = reg.RegisterCounter(c.name, c.help)
-	}
-	gauges := []struct{ name, help string }{
-		{MetricDBBytes, "database size in bytes (live plus garbage)"},
-		{MetricGarbageBytes, "unreclaimed garbage bytes"},
-		{MetricGarbageFrac, "garbage as a fraction of database size"},
-		{MetricEstimatedFrac, "estimator's garbage fraction at the last collection"},
-		{MetricTargetFrac, "policy's target garbage fraction at the last collection"},
-		{MetricGCIOFrac, "cumulative collector I/O over total I/O"},
-		{MetricAppIO, "cumulative application I/O operations"},
-		{MetricGCIO, "cumulative collector I/O operations"},
-	}
-	for _, g := range gauges {
-		_ = reg.RegisterGauge(g.name, g.help)
-	}
-	_ = reg.RegisterHistogram(MetricIntervalHist, "overwrites between consecutive collections", 0, 2000, 20)
-	_ = reg.RegisterHistogram(MetricYieldHist, "bytes reclaimed per collection", 0, 100_000, 20)
-	_ = reg.RegisterHistogram(MetricCollectionIOHist, "collector I/O operations per collection", 0, 400, 20)
-	_ = reg.RegisterGauge(MetricDraining, "1 while graceful shutdown is draining in-flight work")
-	return &Live{reg: reg}
 }
 
 // Registry exposes the underlying registry (for /metrics).
@@ -121,7 +100,7 @@ func (l *Live) SetDraining(on bool) {
 	if on {
 		v = 1
 	}
-	l.reg.Set(MetricDraining, v)
+	l.draining.Set(v)
 }
 
 // Draining reports whether graceful shutdown has begun.
@@ -132,10 +111,10 @@ func (l *Live) Draining() bool {
 }
 
 // advanceStep moves the event cursor forward, advancing the monotone
-// events counter by the delta (hooks carry absolute cursors).
+// steps counter by the delta (hooks carry absolute cursors).
 func (l *Live) advanceStep(step int) {
 	if step > l.lastStep {
-		l.reg.Add(MetricEvents, float64(step-l.lastStep))
+		l.steps.Add(float64(step - l.lastStep))
 		l.lastStep = step
 	}
 	l.st.Step = step
@@ -143,12 +122,12 @@ func (l *Live) advanceStep(step int) {
 
 func (l *Live) setClock(c core.Clock) {
 	l.st.Clock = c
-	l.reg.Set(MetricAppIO, float64(c.AppIO))
-	l.reg.Set(MetricGCIO, float64(c.GCIO))
+	l.appIO.Set(float64(c.AppIO))
+	l.gcIO.Set(float64(c.GCIO))
 	if tot := c.AppIO + c.GCIO; tot > 0 {
 		frac := float64(c.GCIO) / float64(tot)
 		l.st.AchievedGCIOFrac = Float(frac)
-		l.reg.Set(MetricGCIOFrac, frac)
+		l.gcIOFrac.Set(frac)
 	}
 }
 
@@ -169,7 +148,7 @@ func (l *Live) ObservePhase(e PhaseChange) {
 	defer l.mu.Unlock()
 	l.st.Phase = e.Label
 	l.advanceStep(e.Step)
-	l.reg.Add(MetricPhases, 1)
+	l.phases.Add(1)
 }
 
 // ObserveDecision implements Observer.
@@ -178,9 +157,9 @@ func (l *Live) ObserveDecision(e Decision) {
 	defer l.mu.Unlock()
 	l.advanceStep(e.Step)
 	l.setClock(e.Clock)
-	l.reg.Add(MetricDecisions, 1)
-	l.reg.Set(MetricDBBytes, float64(e.DBBytes))
-	l.reg.Set(MetricGarbageBytes, float64(e.GarbageBytes))
+	l.decisions.Add(1)
+	l.dbBytes.Set(float64(e.DBBytes))
+	l.garbageBytes.Set(float64(e.GarbageBytes))
 }
 
 // ObserveCollection implements Observer.
@@ -195,23 +174,23 @@ func (l *Live) ObserveCollection(e Collection) {
 	l.st.ReclaimedBytes += uint64(e.ReclaimedBytes)
 	l.setClock(e.Clock)
 
-	l.reg.Add(MetricCollections, 1)
-	l.reg.Add(MetricReclaimed, float64(e.ReclaimedBytes))
-	l.reg.Set(MetricDBBytes, float64(e.DBBytes))
-	l.reg.Set(MetricGarbageBytes, float64(e.GarbageBytes))
-	l.reg.Set(MetricGarbageFrac, float64(e.GarbageFrac))
-	l.reg.Set(MetricEstimatedFrac, float64(e.EstimatedFrac))
-	l.reg.Set(MetricTargetFrac, float64(e.TargetFrac))
-	l.reg.Observe(MetricIntervalHist, float64(e.Interval))
-	l.reg.Observe(MetricYieldHist, float64(e.ReclaimedBytes))
-	l.reg.Observe(MetricCollectionIOHist, float64(e.IO.GCReads+e.IO.GCWrites))
+	l.collections.Add(1)
+	l.reclaimed.Add(float64(e.ReclaimedBytes))
+	l.dbBytes.Set(float64(e.DBBytes))
+	l.garbageBytes.Set(float64(e.GarbageBytes))
+	l.garbageFrac.Set(float64(e.GarbageFrac))
+	l.estimatedFrac.Set(float64(e.EstimatedFrac))
+	l.targetFrac.Set(float64(e.TargetFrac))
+	l.interval.Observe(float64(e.Interval))
+	l.yield.Observe(float64(e.ReclaimedBytes))
+	l.collectionIO.Observe(float64(e.IO.GCReads + e.IO.GCWrites))
 }
 
 // ObserveCheckpoint implements Observer.
 func (l *Live) ObserveCheckpoint(e CheckpointMark) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.reg.Add(MetricCheckpoints, 1)
+	l.checkpoints.Add(1)
 }
 
 // ObserveProgress implements Observer.

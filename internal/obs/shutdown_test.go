@@ -77,8 +77,8 @@ func TestHealthzDraining(t *testing.T) {
 	}
 
 	_, _, metrics := get(t, srv, "/metrics")
-	if !strings.Contains(metrics, MetricDraining+" 1") {
-		t.Errorf("/metrics missing %s 1:\n%s", MetricDraining, metrics)
+	if !strings.Contains(metrics, "odbgc_server_draining 1") {
+		t.Errorf("/metrics missing odbgc_server_draining 1:\n%s", metrics)
 	}
 
 	_, _, statusz := get(t, srv, "/statusz")

@@ -13,13 +13,14 @@ import (
 )
 
 // collectionLog keeps the engine's collection events. The engine calls only
-// the two methods defined here; the embedded nil Observer covers the rest of
-// the interface.
+// the three methods defined here; the embedded nil Observer covers the rest
+// of the interface.
 type collectionLog struct {
 	obs.Observer
 	got []obs.Collection
 }
 
+func (l *collectionLog) ObserveRunStart(obs.RunStart)       {}
 func (l *collectionLog) ObserveDecision(obs.Decision)       {}
 func (l *collectionLog) ObserveCollection(e obs.Collection) { l.got = append(l.got, e) }
 

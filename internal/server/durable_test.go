@@ -89,8 +89,7 @@ func durableCounts(t *testing.T, ops func(ctx context.Context, cli *Client)) (co
 	_ = cli.Close()
 	ts.beginDrain()
 	ts.waitFinished(t)
-	reg := ts.live.Registry()
-	return reg.Counter(MetricDurableCommits), reg.Counter(MetricDurableCheckpoints)
+	return ts.m().durableCommits.Value(), ts.m().durableCheckpoints.Value()
 }
 
 func mustOK(ctx context.Context, t *testing.T, cli *Client, req Request) Response {

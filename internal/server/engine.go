@@ -38,10 +38,12 @@ type EngineConfig struct {
 	// its state reaches /metrics. It should be the same value wired into the
 	// Policy's estimator.
 	Breaker *Breaker
-	// Metrics is the serving-path metrics sink (nil for none).
+	// Metrics is the serving-path metrics sink; nil gets one on a private
+	// registry.
 	Metrics *Metrics
-	// Observer receives Decision/Collection events as the online GC runs
-	// (nil for none). Step carries the admitted-request count.
+	// Observer receives the run's RunStart from NewEngine, then
+	// Decision/Collection events as the online GC runs (nil for none). Step
+	// carries the admitted-request count.
 	Observer obs.Observer
 	// Recorder is the span flight recorder (nil disables tracing; the nil
 	// fast path costs one pointer test per request). A collection a request
@@ -76,6 +78,9 @@ func (c *EngineConfig) validate() error {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1024
+	}
+	if c.Metrics == nil {
+		c.Metrics = NewMetrics(obs.NewRegistry())
 	}
 	return nil
 }
@@ -123,7 +128,9 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over the heap. The heap must be in oracleless
-// mode (the server has no replay annotations); NewEngine enforces it.
+// mode (the server has no replay annotations); NewEngine enforces it. It
+// announces the run's policy and selection to the observer, as a replay does
+// before its first event.
 func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 	if heap == nil {
 		return nil, fmt.Errorf("server: engine requires a heap")
@@ -143,6 +150,9 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 	}
 	e.loop = sim.Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim},
 		Observer: cfg.Observer, Spans: cfg.Recorder, Now: e.Now, OnSpan: e.gcSpan}
+	if cfg.Observer != nil {
+		cfg.Observer.ObserveRunStart(obs.RunStart{Policy: cfg.Policy.Name(), Selection: cfg.Selection.Name()})
+	}
 	return e, nil
 }
 
@@ -206,18 +216,23 @@ func (e *Engine) Submit(ctx context.Context, req Request, sp *span.Span) Respons
 
 // admit stamps c's enqueue tick and queues it, or reports false with the
 // response that refuses it. Once admitted, c belongs to the engine until
-// its response has been received from c.done.
+// its response has been received from c.done, and counts as in flight until
+// the engine sends that response.
 func (e *Engine) admit(c *call) (Response, bool) {
 	if e.draining.Load() {
 		return Response{ID: c.req.ID, Status: StatusClosed,
 			Error: simerr.SessionClosedf("server draining").Error()}, false
 	}
 	c.enq = e.Now()
+	m := e.cfg.Metrics
+	// Counted before the send, so the engine's -1 can never come first.
+	m.inflight.Add(1)
 	select {
 	case e.queue <- c:
 		return Response{}, true
 	default:
-		e.cfg.Metrics.Shed()
+		m.inflight.Add(-1)
+		m.shed.Add(1)
 		return Response{ID: c.req.ID, Status: StatusShed,
 			Error:        simerr.Overloadedf("admission queue full (%d deep)", cap(e.queue)).Error(),
 			RetryAfterMs: e.retryAfterMs()}, false
@@ -228,7 +243,7 @@ func (e *Engine) admit(c *call) (Response, bool) {
 // an admitted call, for cause (a context error).
 func (e *Engine) gaveUp(id uint64, cause error) Response {
 	err := simerr.FromContext(cause)
-	e.cfg.Metrics.Error(simerr.Classify(err))
+	e.cfg.Metrics.failed(err)
 	return Response{ID: id, Status: StatusError, Error: err.Error()}
 }
 
@@ -305,6 +320,7 @@ func (e *Engine) Run(ctx context.Context) error {
 // durable commit, the artificial service delay, the response, and then the
 // question the simulator asks before its next event: is a collection due?
 func (e *Engine) process(c *call) {
+	m := e.cfg.Metrics
 	start := time.Now()
 	startTick := e.Now()
 	queueNs := startTick - c.enq
@@ -312,14 +328,15 @@ func (e *Engine) process(c *call) {
 		// The waiter's deadline passed while the call sat in queue; skip
 		// the work — under overload, executing dead requests only digs the
 		// hole deeper.
-		e.cfg.Metrics.Expired()
-		e.cfg.Metrics.Stage(MetricStageQueue, float64(queueNs)/1e6, c.spanID)
+		m.expired.Add(1)
+		m.stageQueue.ObserveExemplar(float64(queueNs)/1e6, c.spanID)
+		m.inflight.Add(-1)
 		c.done <- Response{ID: c.req.ID, Status: StatusError, Expired: true,
 			QueueUs: queueNs / 1e3,
 			Error:   simerr.FromContext(context.DeadlineExceeded).Error()}
 		return
 	}
-	e.cfg.Metrics.RequestStart()
+	m.requests.Add(1)
 	e.requests++
 	resp := e.apply(c.req)
 	// Commit the WAL batch this request staged before acknowledging it: an
@@ -336,8 +353,11 @@ func (e *Engine) process(c *call) {
 	serviceNs := e.Now() - startTick
 	resp.QueueUs = queueNs / 1e3
 	resp.ServiceUs = serviceNs / 1e3
-	e.cfg.Metrics.Stage(MetricStageQueue, float64(queueNs)/1e6, c.spanID)
-	e.cfg.Metrics.Stage(MetricStageService, float64(serviceNs)/1e6, c.spanID)
+	m.stageQueue.ObserveExemplar(float64(queueNs)/1e6, c.spanID)
+	m.stageService.ObserveExemplar(float64(serviceNs)/1e6, c.spanID)
+	// Admission to response: the queue wait and service the response reports.
+	m.latency.Observe(float64(resp.QueueUs+resp.ServiceUs) / 1e3)
+	m.inflight.Add(-1)
 	parent := c.spanID // the send hands c back to its waiter, who may reuse it
 	c.done <- resp
 
@@ -348,8 +368,8 @@ func (e *Engine) process(c *call) {
 		e.collect(parent)
 	}
 
+	// The retry-after hint wants the engine's occupancy, collection included.
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	e.cfg.Metrics.RequestEnd(ms)
 	const w = 0.9 // smoothing for the retry-after hint
 	prev := math.Float64frombits(e.ewmaMs.Load())
 	if prev == 0 {
@@ -377,12 +397,12 @@ func (e *Engine) commitDurable() error {
 		return nil
 	}
 	e.commits++
-	e.cfg.Metrics.DurableCommit()
+	e.cfg.Metrics.durableCommits.Add(1)
 	if every := e.cfg.CheckpointEvery; every > 0 && e.commits%uint64(every) == 0 {
 		if err := e.cfg.Durable.Checkpoint(); err != nil {
-			e.cfg.Metrics.Error(simerr.Classify(err))
+			e.cfg.Metrics.failed(err)
 		} else {
-			e.cfg.Metrics.DurableCheckpoint()
+			e.cfg.Metrics.durableCheckpoints.Add(1)
 		}
 	}
 	return nil
@@ -390,7 +410,7 @@ func (e *Engine) commitDurable() error {
 
 // fail classifies, counts, and formats an op error.
 func (e *Engine) fail(id uint64, err error) Response {
-	e.cfg.Metrics.Error(simerr.Classify(err))
+	e.cfg.Metrics.failed(err)
 	return Response{ID: id, Status: StatusError, Error: err.Error()}
 }
 
@@ -491,13 +511,13 @@ func (e *Engine) stats() *Stats {
 func (e *Engine) collect(parent uint64) {
 	_, err := e.loop.Collect(parent, int(e.requests), "serving", false)
 	if err != nil {
-		e.cfg.Metrics.Error(simerr.Classify(simerr.WrapPolicyFailure("online collection", err)))
+		e.cfg.Metrics.failed(simerr.WrapPolicyFailure("online collection", err))
 	}
 	if b := e.cfg.Breaker; b != nil {
 		if err != nil {
 			b.RecordFailure()
 		}
-		e.cfg.Metrics.BreakerObserve(b.State(), b.Trips(), b.Recoveries())
+		e.cfg.Metrics.breakerObserve(b)
 	}
 }
 
@@ -506,7 +526,7 @@ func (e *Engine) collect(parent uint64) {
 // before any later batch can build on the space it freed.
 func (e *Engine) commitReclaim() {
 	if err := e.commitDurable(); err != nil {
-		e.cfg.Metrics.Error(simerr.Classify(err))
+		e.cfg.Metrics.failed(err)
 	}
 }
 
@@ -517,5 +537,5 @@ func (e *Engine) gcSpan(g *span.Span, failed error) {
 	if failed == nil && e.cfg.Breaker != nil {
 		g.Breaker = e.cfg.Breaker.State().String()
 	}
-	e.cfg.Metrics.Stage(MetricGCPause, float64(g.Stages[span.StageService])/1e6, g.ID)
+	e.cfg.Metrics.gcPause.ObserveExemplar(float64(g.Stages[span.StageService])/1e6, g.ID)
 }

@@ -51,17 +51,17 @@ func TestApplyAllocatesNothing(t *testing.T) {
 // all three as "other".
 func TestAbsentObjectIsOtherError(t *testing.T) {
 	eng, _ := benchEngine(t)
-	reg := eng.cfg.Metrics.Registry()
 	for _, op := range []string{OpAccess, OpUpdate, OpSet} {
 		resp := eng.apply(Request{ID: 1, Op: op, OID: 7})
 		if resp.Status != StatusError || !strings.Contains(resp.Error, "absent") {
 			t.Errorf("%s of an absent object answered %+v, want an error naming it absent", op, resp)
 		}
 	}
-	if got := reg.Counter(ErrorMetric(simerr.ClassOther)); got != 3 {
-		t.Errorf("%s = %v, want 3", ErrorMetric(simerr.ClassOther), got)
+	errs := eng.cfg.Metrics.errors
+	if got := errs[simerr.ClassOther].Value(); got != 3 {
+		t.Errorf("odbgc_server_errors_other_total = %v, want 3", got)
 	}
-	if got := reg.Counter(ErrorMetric(simerr.ClassCorruptTrace)); got != 0 {
-		t.Errorf("%s = %v, want 0", ErrorMetric(simerr.ClassCorruptTrace), got)
+	if got := errs[simerr.ClassCorruptTrace].Value(); got != 0 {
+		t.Errorf("odbgc_server_errors_corrupt_trace_total = %v, want 0", got)
 	}
 }

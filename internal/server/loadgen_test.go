@@ -87,7 +87,7 @@ func TestRunLoadAgainstServer(t *testing.T) {
 	if st.Objects == 0 {
 		t.Error("no objects survive the load run; workers create hubs at minimum")
 	}
-	if got := ts.counter(MetricMalformed); rep.MalformedSent > 0 && got == 0 {
+	if got := ts.m().malformed.Value(); rep.MalformedSent > 0 && got == 0 {
 		t.Errorf("client sent %d malformed frames but server counted none", rep.MalformedSent)
 	}
 

@@ -1,11 +1,20 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"odbgc/internal/core"
+	"odbgc/internal/gc"
+	"odbgc/internal/objstore"
 	"odbgc/internal/obs"
+	"odbgc/internal/simerr"
+	"odbgc/internal/storage"
 	"odbgc/internal/storage/disk"
 )
 
@@ -14,11 +23,12 @@ import (
 // registered over 0-100 ms in 5 ms buckets, where every pause fell in the
 // first), and still catch a pathological pause in the overflow bucket.
 func TestGCPauseHistogramResolvesAPause(t *testing.T) {
+	const name = "odbgc_server_gc_pause_ms"
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	m.Stage(MetricGCPause, 0.1, 1)
-	m.Stage(MetricGCPause, 0.4, 2)
-	m.Stage(MetricGCPause, 50, 3)
+	m.gcPause.ObserveExemplar(0.1, 1)
+	m.gcPause.ObserveExemplar(0.4, 2)
+	m.gcPause.ObserveExemplar(50, 3)
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -28,10 +38,10 @@ func TestGCPauseHistogramResolvesAPause(t *testing.T) {
 	for _, line := range strings.Split(sb.String(), "\n") {
 		var le string
 		var cum int
-		if !strings.HasPrefix(line, MetricGCPause+"_bucket{") {
+		if !strings.HasPrefix(line, name+"_bucket{") {
 			continue
 		}
-		if _, err := fmt.Sscanf(strings.TrimPrefix(line, MetricGCPause+"_bucket"), "{le=%q} %d", &le, &cum); err != nil {
+		if _, err := fmt.Sscanf(strings.TrimPrefix(line, name+"_bucket"), "{le=%q} %d", &le, &cum); err != nil {
 			t.Fatalf("bucket line %q: %v", line, err)
 		}
 		for k := range firstAt {
@@ -51,38 +61,178 @@ func TestGCPauseHistogramResolvesAPause(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestLevelGaugesCountInAndOut: open sessions and requests in flight are
-// levels moved by +1 and -1. (They went through the counter path, which
-// updates no gauge and drops a negative delta, and read 0 for good.)
+// levels moved by +1 and -1 on the paths that open and retire them. (They
+// once went through the counter path, which updates no gauge and drops a
+// negative delta, and read 0 for good.)
 func TestLevelGaugesCountInAndOut(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	levels := func() [2]float64 {
-		return [2]float64{reg.Gauge(MetricSessionsActive), reg.Gauge(MetricInflight)}
+	ts := startServer(t, Config{}, EngineConfig{})
+	m := ts.m()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var clis [2]*Client
+	for i := range clis {
+		cli, err := Dial(ts.addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		if _, err := cli.Do(ctx, Request{Op: OpPing}); err != nil {
+			t.Fatal(err)
+		}
+		clis[i] = cli
 	}
-	m.SessionStart()
-	m.SessionStart()
-	m.RequestStart()
-	if got := levels(); got != [2]float64{2, 1} {
-		t.Errorf("two sessions open, one request in flight: gauges read %v", got)
+	if got := m.sessionsActive.Value(); got != 2 {
+		t.Errorf("two sessions open: gauge reads %v", got)
 	}
-	m.RequestEnd(0.5)
-	m.SessionEnd()
-	if got := levels(); got != [2]float64{1, 0} {
-		t.Errorf("one session left, no request in flight: gauges read %v", got)
+	if got := m.inflight.Value(); got != 0 {
+		t.Errorf("every request answered: in flight reads %v", got)
 	}
-	m.SessionEnd()
-	if got := levels(); got != [2]float64{0, 0} {
-		t.Errorf("everything retired: gauges read %v", got)
+	_ = clis[0].Close()
+	waitFor(t, "one session to retire", func() bool { return m.sessionsActive.Value() == 1 })
+	_ = clis[1].Close()
+	waitFor(t, "both sessions to retire", func() bool { return m.sessionsActive.Value() == 0 })
+	if s, r := m.sessionsTotal.Value(), m.requests.Value(); s != 2 || r != 2 {
+		t.Errorf("totals: %v sessions, %v requests; want 2 and 2", s, r)
 	}
-	if s, r := reg.Counter(MetricSessionsTotal), reg.Counter(MetricRequests); s != 2 || r != 1 {
-		t.Errorf("totals: %v sessions, %v requests; want 2 and 1", s, r)
+}
+
+// TestInflightCountsQueuedCalls: a request is in flight from admission to
+// its response, queue wait included, so calls admitted before the engine
+// runs all count; each leaves the level as its response goes out.
+func TestInflightCountsQueuedCalls(t *testing.T) {
+	eng, m := benchEngine(t)
+	var calls [3]*call
+	for i := range calls {
+		calls[i] = &call{req: Request{ID: uint64(i + 1), Op: OpPing}, done: make(chan Response, 1)}
+		if resp, ok := eng.admit(calls[i]); !ok {
+			t.Fatalf("call %d refused: %+v", i, resp)
+		}
 	}
-	var nop *Metrics // the no-op sink takes the same calls
-	nop.SessionStart()
-	nop.RequestStart()
-	nop.RequestEnd(1)
-	nop.SessionEnd()
+	if got := m.inflight.Value(); got != 3 {
+		t.Errorf("three calls queued: in flight reads %v, want 3", got)
+	}
+	runEngine(t, eng)
+	for _, c := range calls {
+		<-c.done
+	}
+	if got := m.inflight.Value(); got != 0 {
+		t.Errorf("every call answered: in flight reads %v, want 0", got)
+	}
+}
+
+// TestRequestLatencyIsQueuePlusService: the latency histogram holds one
+// sample per executed request, each the queue wait plus service time the
+// response reports, so it measures admission to response: calls that waited
+// in the queue before the engine ran count their wait, and the collections a
+// fixed rate of 4 runs after responding count for none.
+func TestRequestLatencyIsQueuePlusService(t *testing.T) {
+	mgr, err := storage.NewManager(storage.Config{PageSize: 1024, PagesPerPartition: 4, BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := core.NewFixedRate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(gc.NewHeap(objstore.NewStore(), mgr), EngineConfig{Policy: pol, Selection: gc.UpdatedPointer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.cfg.Metrics
+	var n int
+	var wantMs float64
+	count := func(resp Response) {
+		n++
+		wantMs += float64(resp.QueueUs+resp.ServiceUs) / 1e3
+	}
+	var queued [3]*call
+	for i := range queued {
+		queued[i] = &call{req: Request{ID: uint64(i + 1), Op: OpPing}, done: make(chan Response, 1)}
+		if resp, ok := eng.admit(queued[i]); !ok {
+			t.Fatalf("call %d refused: %+v", i, resp)
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	runEngine(t, eng)
+	for _, c := range queued {
+		count(<-c.done)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	do := func(req Request) Response {
+		t.Helper()
+		resp := eng.Submit(ctx, req, nil)
+		if resp.Status != StatusOK {
+			t.Fatalf("%+v answered %+v", req, resp)
+		}
+		count(resp)
+		return resp
+	}
+	// Each child hung off the hub's one slot turns the previous one into
+	// garbage: an overwrite per round, a collection every fourth.
+	hub := do(Request{Op: OpCreate, Size: 64, Slots: 1}).OID
+	for i := 0; i < 60; i++ {
+		child := do(Request{Op: OpCreate, Size: 64}).OID
+		do(Request{Op: OpSet, OID: hub, Slot: 0, Dst: child})
+		do(Request{Op: OpUnroot, OID: child})
+	}
+	if eng.heap.Collections() == 0 {
+		t.Fatal("no collection ran: the case does not test what the latency leaves out")
+	}
+	got, sumMs := m.latency.Value()
+	if got != n {
+		t.Errorf("_count = %d, want %d requests", got, n)
+	}
+	if d := math.Abs(sumMs - wantMs); d > float64(n)*1e-3 {
+		t.Errorf("_sum = %v ms, want %v ms (queue + service) within 1 µs per request", sumMs, wantMs)
+	}
+}
+
+// TestMetricNamesTakeOneNamespace scrapes a registry holding every metric
+// a server declares, each failure class's counter included: every family
+// has a valid name under odbgc_{server,control,heap,gc}_ and is declared
+// once.
+func TestMetricNamesTakeOneNamespace(t *testing.T) {
+	live := obs.NewLive()
+	NewMetrics(live.Registry())
+	var sb strings.Builder
+	if err := live.Registry().WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	valid := regexp.MustCompile(`^odbgc_(server|control|heap|gc)_[a-z0-9_]+$`)
+	seen := make(map[string]int)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if !strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		name := strings.Fields(line)[2]
+		seen[name]++
+		if !valid.MatchString(name) || strings.HasPrefix(name, "odbgc_sim_") {
+			t.Errorf("family %q is outside the namespace", name)
+		}
+		if seen[name] == 2 {
+			t.Errorf("family %q declared more than once", name)
+		}
+	}
+	for _, class := range simerr.FailureClasses() {
+		if name := fmt.Sprintf("odbgc_server_errors_%s_total", class); seen[name] != 1 {
+			t.Errorf("failure class %s: %s declared %d times, want once", class, name, seen[name])
+		}
+	}
+	if len(seen) < 18 {
+		t.Errorf("scrape holds %d families; the control loop alone declares 18", len(seen))
+	}
 }
 
 // TestRecoveryObservePublishesFallback: the meta-fallback gauge reads 1 when
@@ -93,17 +243,24 @@ func TestRecoveryObservePublishesFallback(t *testing.T) {
 		reg := obs.NewRegistry()
 		m := NewMetrics(reg)
 		m.RecoveryObserve(&disk.RecoveryInfo{MetaFallback: fallback, TornTail: !fallback, Objects: 7}, 1.5, 2.5)
-		want := map[string]float64{MetricRecoveryFallback: flag(fallback), MetricRecoveryTornTail: flag(!fallback), MetricRecoveryObjects: 7}
-		for name, v := range want {
-			if got := reg.Gauge(name); got != v {
-				t.Errorf("fallback %v: %s = %v, want %v", fallback, name, got, v)
+		for _, g := range []struct {
+			name string
+			h    *obs.Gauge
+			want float64
+		}{
+			{"meta_fallback", m.recoveryFallback, flag(fallback)},
+			{"torn_tail", m.recoveryTornTail, flag(!fallback)},
+			{"objects", m.recoveryObjects, 7},
+		} {
+			if got := g.h.Value(); got != g.want {
+				t.Errorf("fallback %v: %s = %v, want %v", fallback, g.name, got, g.want)
 			}
 		}
 		var sb strings.Builder
 		if err := reg.WriteText(&sb); err != nil {
 			t.Fatal(err)
 		}
-		if line := fmt.Sprintf("%s %v\n", MetricRecoveryFallback, flag(fallback)); !strings.Contains(sb.String(), line) {
+		if line := fmt.Sprintf("odbgc_server_recovery_meta_fallback %v\n", flag(fallback)); !strings.Contains(sb.String(), line) {
 			t.Errorf("fallback %v: /metrics text lacks %q", fallback, line)
 		}
 	}

@@ -64,7 +64,8 @@ type Server struct {
 	sessSeq  uint64       // accepted-session counter (accept goroutine only); seeds span IDs
 }
 
-// New builds a server over an engine. Metrics may be nil.
+// New builds a server over an engine. A nil m shares the engine's metrics,
+// which are on a private registry when the engine was given none.
 func New(cfg Config, engine *Engine, m *Metrics) (*Server, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("server: nil engine")
@@ -73,6 +74,9 @@ func New(cfg Config, engine *Engine, m *Metrics) (*Server, error) {
 		return nil, fmt.Errorf("server: MaxSessions %d must be positive", cfg.MaxSessions)
 	}
 	cfg.applyDefaults()
+	if m == nil {
+		m = engine.cfg.Metrics
+	}
 	return &Server{cfg: cfg, engine: engine, m: m, conns: make(map[net.Conn]struct{})}, nil
 }
 
@@ -153,7 +157,7 @@ func (s *Server) Serve(ctx context.Context, drain <-chan struct{}) error {
 		if s.sessions.Load() >= int64(s.cfg.MaxSessions) {
 			// Session-level load shedding: tell the client to back off and
 			// free the socket; never queue unbounded connections.
-			s.m.Shed()
+			s.m.shed.Add(1)
 			_ = WriteFrame(conn, Response{Status: StatusShed,
 				Error:        simerr.Overloadedf("session limit %d reached", s.cfg.MaxSessions).Error(),
 				RetryAfterMs: s.engine.retryAfterMs()})
@@ -164,11 +168,12 @@ func (s *Server) Serve(ctx context.Context, drain <-chan struct{}) error {
 		s.sessions.Add(1)
 		s.sessSeq++
 		sess := s.sessSeq
-		s.m.SessionStart()
+		s.m.sessionsTotal.Add(1)
+		s.m.sessionsActive.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer s.m.SessionEnd()
+			defer s.m.sessionsActive.Add(-1)
 			defer s.sessions.Add(-1)
 			defer s.untrack(conn)
 			defer func() { _ = conn.Close() }()
@@ -281,11 +286,11 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 				// Hostile or corrupt bytes: the frame boundary is gone, so
 				// the connection cannot be saved. Best-effort error frame,
 				// then close. No span: the request never decoded.
-				s.m.Malformed()
+				s.m.malformed.Add(1)
 				_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 				_ = WriteFrame(conn, Response{Status: StatusError, Error: err.Error()})
 			case isTimeout(err) && !s.draining.Load():
-				s.m.IdleReaped()
+				s.m.idleReaped.Add(1)
 			case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 				// Client went away between frames (or mid-frame); normal.
 			}
@@ -300,10 +305,10 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 			// Accept-to-first-frame is charged once per session; it precedes
 			// the span's own window, so it lives outside the stage-sum check.
 			sp.SetStage(span.StageAccept, arrival-acceptTick)
-			s.m.Stage(MetricStageAccept, float64(arrival-acceptTick)/1e6, sp.SpanID())
+			s.m.stageAccept.ObserveExemplar(float64(arrival-acceptTick)/1e6, sp.SpanID())
 		}
 		sp.SetStage(span.StageDecode, decoded-arrival)
-		s.m.Stage(MetricStageDecode, float64(decoded-arrival)/1e6, sp.SpanID())
+		s.m.stageDecode.ObserveExemplar(float64(decoded-arrival)/1e6, sp.SpanID())
 		resp = wait.submit(ctx, req, sp)
 		// Queue and service stages come back as response metadata: the
 		// engine never touches the session's span, only its ID, so there is
@@ -315,7 +320,7 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 		werr := fr.write(&resp)
 		wEnd := s.engine.Now()
 		sp.SetStage(span.StageWrite, wEnd-wStart)
-		s.m.Stage(MetricStageWrite, float64(wEnd-wStart)/1e6, sp.SpanID())
+		s.m.stageWrite.ObserveExemplar(float64(wEnd-wStart)/1e6, sp.SpanID())
 		rec.Finish(sp, wEnd, outcomeOf(resp))
 		if werr != nil {
 			return

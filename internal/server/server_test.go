@@ -51,6 +51,9 @@ func startServer(t *testing.T, scfg Config, ecfg EngineConfig) *testSrv {
 	}
 	live := obs.NewLive()
 	ecfg.Metrics = NewMetrics(live.Registry())
+	if ecfg.Observer == nil {
+		ecfg.Observer = live
+	}
 	eng, err := NewEngine(heap, ecfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +105,8 @@ func (ts *testSrv) waitFinished(t *testing.T) {
 	}
 }
 
-func (ts *testSrv) counter(name string) float64 { return ts.live.Registry().Counter(name) }
+// m is the serving stack's metrics.
+func (ts *testSrv) m() *Metrics { return ts.eng.cfg.Metrics }
 
 // assertGoroutinesReturn waits for the goroutine count to come back to the
 // baseline: the leak check backing satellite requirement 3.
@@ -273,7 +277,7 @@ func TestServerShedsUnderFlood(t *testing.T) {
 	if retryHintMissing != 0 {
 		t.Errorf("%d shed responses lacked a retry-after hint", retryHintMissing)
 	}
-	if got := ts.counter(MetricShed); int(got) != shed {
+	if got := ts.m().shed.Value(); int(got) != shed {
 		t.Errorf("odbgc_server_shed_total = %v, client saw %d sheds", got, shed)
 	}
 
@@ -383,9 +387,9 @@ func TestIdleSessionReaped(t *testing.T) {
 		t.Fatal("idle connection received data instead of a close")
 	}
 	deadline := time.Now().Add(time.Second)
-	for ts.counter(MetricIdleReaped) < 1 {
+	for ts.m().idleReaped.Value() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("odbgc_server_idle_reaped_total = %v, want >= 1", ts.counter(MetricIdleReaped))
+			t.Fatalf("odbgc_server_idle_reaped_total = %v, want >= 1", ts.m().idleReaped.Value())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -418,7 +422,7 @@ func TestMalformedFrameRejected(t *testing.T) {
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("connection survived a malformed frame")
 	}
-	if got := ts.counter(MetricMalformed); got < 1 {
+	if got := ts.m().malformed.Value(); got < 1 {
 		t.Errorf("odbgc_server_malformed_total = %v, want >= 1", got)
 	}
 }
@@ -455,7 +459,7 @@ func TestSessionLimitSheds(t *testing.T) {
 	if resp.RetryAfterMs < 1 {
 		t.Errorf("shed frame lacks a retry-after hint: %+v", resp)
 	}
-	if got := ts.counter(MetricShed); got < 1 {
+	if got := ts.m().shed.Value(); got < 1 {
 		t.Errorf("odbgc_server_shed_total = %v, want >= 1", got)
 	}
 }
@@ -475,5 +479,20 @@ func TestDrainAnswersClosed(t *testing.T) {
 	resp := ts.eng.Submit(context.Background(), Request{Op: OpPing}, nil)
 	if resp.Status != StatusClosed {
 		t.Fatalf("post-drain submit answered %q, want closed", resp.Status)
+	}
+}
+
+// TestServerStatusNamesTheRun: a serving engine announces its run, so the
+// status document reads running, with the policy and selection it serves
+// under, before the first request.
+func TestServerStatusNamesTheRun(t *testing.T) {
+	ts := startServer(t, Config{}, EngineConfig{})
+	st := ts.live.Status()
+	if !st.Running || st.Policy != ts.eng.cfg.Policy.Name() || st.Selection != ts.eng.cfg.Selection.Name() {
+		t.Errorf("status reads running %v, policy %q, selection %q; want true, %q, %q",
+			st.Running, st.Policy, st.Selection, ts.eng.cfg.Policy.Name(), ts.eng.cfg.Selection.Name())
+	}
+	if st.Policy == "" || st.Selection == "" {
+		t.Errorf("status names no policy or selection: %+v", st)
 	}
 }

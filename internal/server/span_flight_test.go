@@ -162,7 +162,8 @@ func TestFlightRecorderUnderFlood(t *testing.T) {
 		t.Fatalf("WriteText: %v", err)
 	}
 	text := sb.String()
-	for _, name := range []string{MetricStageDecode, MetricStageQueue, MetricStageService, MetricStageWrite, MetricGCPause} {
+	for _, name := range []string{"odbgc_server_stage_decode_ms", "odbgc_server_stage_queue_wait_ms",
+		"odbgc_server_stage_service_ms", "odbgc_server_stage_write_ms", "odbgc_server_gc_pause_ms"} {
 		if !strings.Contains(text, name+"_bucket") {
 			t.Errorf("/metrics missing histogram %s", name)
 		}

@@ -102,7 +102,7 @@ func TestMalformedFrameBehindGoodOne(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection survived a malformed frame")
 	}
-	if got := ts.counter(MetricMalformed); got != 1 {
+	if got := ts.m().malformed.Value(); got != 1 {
 		t.Errorf("odbgc_server_malformed_total = %v, want 1", got)
 	}
 }
@@ -133,7 +133,7 @@ func TestDrainWakesSessionInBufferedRead(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Errorf("drain with one idle session took %v, want about DrainGrace (100ms)", took)
 	}
-	if got := ts.counter(MetricIdleReaped); got != 0 {
+	if got := ts.m().idleReaped.Value(); got != 0 {
 		t.Errorf("drained session counted as idle-reaped (%v)", got)
 	}
 }

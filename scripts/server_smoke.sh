@@ -82,10 +82,10 @@ echo "server-smoke: live /debug/traces scrape holds shed spans"
 # that this resolves well before the burst ends.
 for _ in $(seq 1 35); do
   curl -fsS "http://$http/metrics" -o "$work/metrics_gc.txt" || true
-  grep -Eq '^odbgc_sim_collections_total [1-9]' "$work/metrics_gc.txt" && break
+  grep -Eq '^odbgc_gc_collections_total [1-9]' "$work/metrics_gc.txt" && break
   sleep 0.2
 done
-grep -Eq '^odbgc_sim_collections_total [1-9]' "$work/metrics_gc.txt" || {
+grep -Eq '^odbgc_gc_collections_total [1-9]' "$work/metrics_gc.txt" || {
   echo "server-smoke: no online collection before the drain point" >&2
   exit 1
 }
