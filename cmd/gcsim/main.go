@@ -35,7 +35,6 @@ import (
 	"odbgc/internal/obs/span"
 	"odbgc/internal/oo7"
 	"odbgc/internal/sim"
-	"odbgc/internal/storage/disk"
 	"odbgc/internal/trace"
 )
 
@@ -79,8 +78,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		manifest  = fs.String("manifest", "", "write a run provenance manifest (config, seeds, trace identity, artifact digests) to this path")
 		httpAddr  = fs.String("http", "", `serve /metrics, /healthz, /statusz and /debug/pprof on this address (e.g. ":8080") while running`)
 		serveFor  = fs.Duration("serve-after", 0, "with -http, keep serving this long after the run completes")
-		dataDir   = fs.String("data-dir", "", "persist the run to a crash-safe disk store in this directory (WAL + checksummed pages)")
-		fsyncMode = fs.String("fsync", "group", "with -data-dir, WAL fsync policy: always, group, never")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	faultsOn := profile.Estimator() || profile.Trace() || profile.Disk()
+	faultsOn := profile.Estimator() || profile.Trace()
 
 	if *compare != "" {
 		if faultsOn {
@@ -106,9 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if profile.Trace() && fs.NArg() == 0 {
 		return fmt.Errorf("-fault-profile %s: trace faults apply only to a trace file; name one (gcsim [flags] trace.odbt)", profile.Name)
-	}
-	if profile.Disk() && *dataDir == "" {
-		return fmt.Errorf("-fault-profile %s: disk faults apply only to the durable store; add -data-dir", profile.Name)
 	}
 
 	// When the fault profile corrupts the estimator signal, the estimator is
@@ -142,41 +136,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Selection:           sel,
 		PreambleCollections: *preamble,
 		PhysicalFixups:      *fixups,
-	}
-
-	var durable *disk.Store
-	closeDurable := func() error {
-		if durable == nil {
-			return nil
-		}
-		err := durable.Close()
-		durable = nil
-		if err != nil {
-			return fmt.Errorf("closing durable store %s: %w", *dataDir, err)
-		}
-		return nil
-	}
-	defer func() { _ = closeDurable() }()
-	if *dataDir != "" {
-		fpol, err := disk.ParseFsyncPolicy(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		var dfs disk.FS = disk.OSFS{Dir: *dataDir}
-		if profile.Disk() {
-			dfs = fault.NewDiskChaos(dfs, profile, *faultSeed)
-		}
-		st, info, err := disk.Open(disk.Options{FS: dfs, Fsync: fpol})
-		if err != nil {
-			return fmt.Errorf("opening durable store in %s: %w", *dataDir, err)
-		}
-		if info.Objects > 0 {
-			_ = st.Close()
-			return fmt.Errorf("data dir %s holds %d objects from an earlier run; replaying a trace over recovered state would collide — point -data-dir at a fresh directory", *dataDir, info.Objects)
-		}
-		durable = st
-		cfg.Durable = st
-		fmt.Fprintf(stdout, "durable store in %s (fsync=%s)\n", *dataDir, fpol)
 	}
 
 	// Observability taps must exist before the simulator: sim.New announces
@@ -312,15 +271,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err := printDistributions(stdout, res); err != nil {
 			return err
 		}
-	}
-
-	if durable != nil {
-		st := durable.Stats()
-		fmt.Fprintf(stdout, "durable store:     %d commits, %d checkpoints, %d objects, %d pages (%d free), wal seq %d\n",
-			st.Commits, st.Checkpoints, st.Objects, st.PageCount, st.FreePages, st.Seq)
-	}
-	if err := closeDurable(); err != nil {
-		return err
 	}
 
 	// The event log must be flushed before the manifest digests it.

@@ -257,7 +257,6 @@ func TestGcsimRefusesUnappliedFaults(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"disk without data dir", []string{"-fault-profile", "disk-chaos"}, "-data-dir"},
 		{"trace without trace file", []string{"-fault-profile", "trace-corrupt"}, "trace file"},
 		{"estimator without estimator", []string{"-policy", "saio", "-fault-profile", "estimator-dropout"}, "-policy saga"},
 	}

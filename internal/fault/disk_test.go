@@ -118,20 +118,3 @@ func TestDiskChaosDeterministic(t *testing.T) {
 		t.Errorf("same seed produced different fault schedules: %+v vs %+v", a, b)
 	}
 }
-
-func TestDiskProfileRegistered(t *testing.T) {
-	p, err := LookupProfile("disk-chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Disk() {
-		t.Error("disk-chaos profile reports no disk faults")
-	}
-	off, err := LookupProfile("off")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Disk() {
-		t.Error("off profile reports disk faults")
-	}
-}

@@ -21,7 +21,8 @@ type Profile struct {
 	TraceTruncateFrac float64 // cut the stream at this fraction of its length (0 = off)
 	TraceBitFlipProb  float64 // per-byte probability of flipping one bit
 
-	// Disk backend faults (applied by DiskChaos around a disk.FS).
+	// Disk backend faults (applied by DiskChaos around a disk.FS). No named
+	// profile sets them: no command opens a store through DiskChaos.
 	TornWriteProb float64 // per-write probability that only a prefix lands
 	FsyncLieProb  float64 // per-sync probability of lying about durability
 	ShortReadProb float64 // per-read probability of returning fewer bytes
@@ -38,11 +39,6 @@ func (p Profile) Trace() bool {
 	return p.TraceTruncateFrac > 0 || p.TraceBitFlipProb > 0
 }
 
-// Disk reports whether the profile injects disk backend faults.
-func (p Profile) Disk() bool {
-	return p.TornWriteProb > 0 || p.FsyncLieProb > 0 || p.ShortReadProb > 0 || p.BitRotProb > 0
-}
-
 // profiles is the registry of named chaos profiles. Rates are deliberately
 // aggressive relative to real hardware so short simulations exercise every
 // recovery path.
@@ -56,14 +52,6 @@ var profiles = map[string]Profile{
 		Description:       "trace stream truncated at 90% with sparse bit flips",
 		TraceTruncateFrac: 0.9,
 		TraceBitFlipProb:  0.0005,
-	},
-	"disk-chaos": {
-		Name:          "disk-chaos",
-		Description:   "disk backend faults: 1% torn writes, 2% fsync lies, 0.5% short reads, 0.5% bit rot",
-		TornWriteProb: 0.01,
-		FsyncLieProb:  0.02,
-		ShortReadProb: 0.005,
-		BitRotProb:    0.005,
 	},
 	"estimator-dropout": {
 		Name:           "estimator-dropout",

@@ -76,7 +76,7 @@ type Heap struct {
 
 	// durable, when non-nil, receives a WAL record for every logical
 	// mutation (alloc, pointer store, root change, reclaim). The heap commits
-	// only when its owner (server engine, simulator) calls Commit, so the
+	// only when its owner (the server engine) calls Commit, so the
 	// owner decides batch boundaries and a crash can only lose whole
 	// uncommitted batches. staged is whether a record was logged since the
 	// last commit.

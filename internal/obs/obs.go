@@ -139,8 +139,9 @@ type CheckpointMark struct {
 	Op   string `json:"op"` // "save" or "resume"
 }
 
-// Progress is a coarse heartbeat the simulator emits every 1000 trace
-// events so live consumers can track a long run between collections.
+// Progress is a coarse heartbeat both drivers emit every 1000 steps (trace
+// events in a replay, admitted requests in a server) so live consumers can
+// track a run between collections.
 type Progress struct {
 	Step        int        `json:"step"`
 	Collections int        `json:"collections"`

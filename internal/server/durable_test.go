@@ -9,9 +9,14 @@ import (
 	"time"
 
 	"odbgc/internal/core"
+	"odbgc/internal/fault"
+	"odbgc/internal/gc"
 	"odbgc/internal/objstore"
+	"odbgc/internal/obs"
+	"odbgc/internal/simerr"
 	"odbgc/internal/storage"
 	"odbgc/internal/storage/disk"
+	"odbgc/internal/storage/disk/crashtest"
 )
 
 // TestWideCreateRefusedOverTheWire: an object with more slots than a
@@ -362,5 +367,113 @@ func TestFreshHeapBesideRecoveredObjectsIsRefused(t *testing.T) {
 	defer st.Close()
 	if got := st.Digest(); got != want {
 		t.Errorf("reopened digest %x, want %x", got[:6], want[:6])
+	}
+}
+
+// TestDiskChaosUnderTheEngine: the engine that owns the WAL serves a few
+// thousand creates, sets and unroots on a store whose filesystem tears 1 %
+// of writes, lies on 2 % of fsyncs, and shortens or rots 0.5 % of reads each.
+// Every response is OK or carries a classified error, a torn write reaches
+// /metrics, Run returns on drain, and opening the store again afterwards
+// recovers it or refuses with a classified error.
+func TestDiskChaosUnderTheEngine(t *testing.T) {
+	chaos := fault.NewDiskChaos(crashtest.NewJournalFS(), fault.Profile{
+		TornWriteProb: 0.01, FsyncLieProb: 0.02, ShortReadProb: 0.005, BitRotProb: 0.005,
+	}, 77)
+	st, _, err := disk.Open(disk.Options{FS: chaos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := storage.NewManager(storage.Config{PageSize: 1024, PagesPerPartition: 4, BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := core.NewFixedRate(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics(obs.NewRegistry())
+	eng, err := NewEngine(gc.NewHeap(objstore.NewStore(), mgr), EngineConfig{
+		Policy: pol, Selection: gc.UpdatedPointer{}, Metrics: m, Durable: st, CheckpointEvery: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- eng.Run(context.Background()) }()
+
+	// Creates, sets between rooted objects and unroots of the oldest, so
+	// every request is one the engine accepts when its commit lands. A
+	// request whose commit tore still changed the heap, and its batch
+	// commits with the next one: a failed unroot unroots all the same.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var rooted []uint64
+	failed := 0
+	for i := 0; i < 3000; i++ {
+		req := Request{ID: uint64(i), Op: OpCreate, Size: 64, Slots: 2}
+		switch {
+		case len(rooted) < 2 || i%5 == 0 || i%5 == 2:
+		case i%5 == 4:
+			req = Request{ID: uint64(i), Op: OpUnroot, OID: rooted[0]}
+			rooted = rooted[1:]
+		default:
+			req = Request{ID: uint64(i), Op: OpSet, OID: rooted[i%len(rooted)], Slot: i % 2, Dst: rooted[(7*i+3)%len(rooted)]}
+		}
+		resp := eng.Submit(ctx, req, nil)
+		switch {
+		case resp.Status == StatusOK:
+			if req.Op == OpCreate {
+				rooted = append(rooted, resp.OID)
+			}
+		case resp.Status == StatusError && strings.Contains(resp.Error, "simerr: "):
+			failed++
+		default:
+			t.Fatalf("%+v answered %+v: neither OK nor a classified error", req, resp)
+		}
+	}
+	eng.BeginDrain()
+	eng.CloseQueue()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("Run after drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return on drain")
+	}
+	if err := st.Close(); err != nil && simerr.Classify(err) == simerr.ClassOther {
+		t.Errorf("close: unclassified error %v", err)
+	}
+	served := chaos.Stats()
+	t.Logf("serving met %+v; %d requests failed, %v checkpoints", served, failed, m.durableCheckpoints.Value())
+	if served == (fault.DiskChaosStats{}) {
+		t.Fatal("serving met no fault")
+	}
+	if got := m.errors[simerr.ClassOther].Value(); got != 0 {
+		t.Errorf("odbgc_server_errors_other_total = %v, want 0", got)
+	}
+	if torn := m.errors[simerr.ClassTornWrite].Value(); served.TornWrites > 0 && torn == 0 {
+		t.Errorf("%d torn writes injected, odbgc_server_errors_torn_write_total reads 0", served.TornWrites)
+	}
+
+	// Reopening reads what the chaos wrote, through the same short reads
+	// and rot; it opens until one of those landed.
+	for opens := 0; chaos.Stats().ShortReads+chaos.Stats().BitFlips == 0; opens++ {
+		if opens == 200 {
+			t.Fatal("200 opens met no short read or bit rot")
+		}
+		re, info, err := disk.Open(disk.Options{FS: chaos})
+		if err != nil {
+			if simerr.Classify(err) == simerr.ClassOther {
+				t.Errorf("reopen refused with an unclassified error: %v", err)
+			}
+			t.Logf("open %d refused (classified %s): %v", opens, simerr.Classify(err), err)
+			continue
+		}
+		if err := re.Close(); err != nil && simerr.Classify(err) == simerr.ClassOther {
+			t.Errorf("close after reopen: unclassified error %v", err)
+		}
+		t.Logf("open %d recovered %d objects, replayed %d batches", opens, info.Objects, info.BatchesReplayed)
 	}
 }

@@ -19,6 +19,9 @@ import (
 	"odbgc/internal/trace"
 )
 
+// servingPhase is the phase a serving run's collections and heartbeats name.
+const servingPhase = "serving"
+
 // EngineConfig parameterizes the request engine.
 type EngineConfig struct {
 	// Policy decides when the online collector runs; consulted after each
@@ -42,8 +45,9 @@ type EngineConfig struct {
 	// registry.
 	Metrics *Metrics
 	// Observer receives the run's RunStart from NewEngine, then
-	// Decision/Collection events as the online GC runs (nil for none). Step
-	// carries the admitted-request count.
+	// Decision/Collection events as the online GC runs and a Progress
+	// heartbeat every 1 000 admitted requests (nil for none). Step carries
+	// the admitted-request count.
 	Observer obs.Observer
 	// Recorder is the span flight recorder (nil disables tracing; the nil
 	// fast path costs one pointer test per request). A collection a request
@@ -317,8 +321,9 @@ func (e *Engine) Run(ctx context.Context) error {
 }
 
 // process executes one admitted call: deadline check, the op itself, the
-// durable commit, the artificial service delay, the response, and then the
-// question the simulator asks before its next event: is a collection due?
+// durable commit, the artificial service delay, the response, the question
+// the simulator asks before its next event (is a collection due?), and the
+// heartbeat a replay gives after each event.
 func (e *Engine) process(c *call) {
 	m := e.cfg.Metrics
 	start := time.Now()
@@ -367,6 +372,7 @@ func (e *Engine) process(c *call) {
 	if e.loop.Due() {
 		e.collect(parent)
 	}
+	e.loop.Heartbeat(int(e.requests), int(e.heap.Collections()), servingPhase)
 
 	// The retry-after hint wants the engine's occupancy, collection included.
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
@@ -509,7 +515,7 @@ func (e *Engine) stats() *Stats {
 // parent. A failed turn is counted and fed to the breaker, and the engine
 // keeps serving: client traffic must not die with the collector.
 func (e *Engine) collect(parent uint64) {
-	_, err := e.loop.Collect(parent, int(e.requests), "serving", false)
+	_, err := e.loop.Collect(parent, int(e.requests), servingPhase, false)
 	if err != nil {
 		e.cfg.Metrics.failed(simerr.WrapPolicyFailure("online collection", err))
 	}

@@ -2,8 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
@@ -263,5 +267,65 @@ func TestRecoveryObservePublishesFallback(t *testing.T) {
 		if line := fmt.Sprintf("odbgc_server_recovery_meta_fallback %v\n", flag(fallback)); !strings.Contains(sb.String(), line) {
 			t.Errorf("fallback %v: /metrics text lacks %q", fallback, line)
 		}
+	}
+}
+
+// TestServingRunReportsItsStep: a serving run heartbeats as a replay does,
+// so /statusz and odbgc_control_steps_total follow the requests served even
+// when no collection falls due.
+func TestServingRunReportsItsStep(t *testing.T) {
+	ts := startServer(t, Config{}, EngineConfig{})
+	cli, err := Dial(ts.addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// Accesses advance no overwrite clock, so fixed(4) never falls due.
+	const served = 1500
+	oid := mustOK(ctx, t, cli, Request{Op: OpCreate, Size: 64, Slots: 1}).OID
+	for i := 1; i < served; i++ {
+		mustOK(ctx, t, cli, Request{Op: OpAccess, OID: oid})
+	}
+	if d := ts.m().requests.Value(); d != served {
+		t.Fatalf("%v requests served, want %d", d, served)
+	}
+
+	srv := httptest.NewServer(obs.Handler(ts.live))
+	defer srv.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var st struct {
+		Step        int `json:"events_consumed"`
+		Collections int `json:"collections"`
+	}
+	if err := json.Unmarshal(get("/statusz"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Collections != 0 {
+		t.Fatalf("%d collections ran; the run must never fall due", st.Collections)
+	}
+	// The heartbeat comes every 1 000 requests, so the step lags by less.
+	if st.Step < 1000 || served-st.Step >= 1000 {
+		t.Errorf("/statusz events_consumed = %d after %d requests; want within 1 000 below it and at least 1 000", st.Step, served)
+	}
+	steps := regexp.MustCompile(`(?m)^odbgc_control_steps_total (\S+)$`).FindSubmatch(get("/metrics"))
+	if steps == nil {
+		t.Fatal("/metrics has no odbgc_control_steps_total sample")
+	}
+	if got := string(steps[1]); got != fmt.Sprint(st.Step) {
+		t.Errorf("odbgc_control_steps_total = %s, want the step /statusz reads, %d", got, st.Step)
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"odbgc/internal/core"
 	"odbgc/internal/fault"
 	"odbgc/internal/simerr"
-	"odbgc/internal/storage/disk"
-	"odbgc/internal/storage/disk/crashtest"
 	"odbgc/internal/trace"
 )
 
@@ -57,8 +55,8 @@ func chaosPolicy(t *testing.T, profile fault.Profile, seed int64) core.RatePolic
 // TestChaosProfilesNeverPanicOrHang drives every registered fault profile
 // through a full run. The contract: a chaos run either finishes (possibly
 // degraded) or fails with a structured error — it never panics and never
-// hangs past the deadline. A disk profile runs on a durable store over an
-// in-memory filesystem and must inject at least one fault.
+// hangs past the deadline. Disk faults are the server engine's, which owns
+// the WAL: TestDiskChaosUnderTheEngine in internal/server.
 func TestChaosProfilesNeverPanicOrHang(t *testing.T) {
 	tr := smallTrace(t, 3, 5)
 	for _, name := range fault.ProfileNames() {
@@ -67,18 +65,7 @@ func TestChaosProfilesNeverPanicOrHang(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Policy: chaosPolicy(t, profile, 101)}
-			var chaos *fault.DiskChaos
-			if profile.Disk() {
-				chaos = fault.NewDiskChaos(crashtest.NewJournalFS(), profile, 77)
-				st, _, err := disk.Open(disk.Options{FS: chaos})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { _ = st.Close() }()
-				cfg.Durable = st
-			}
-			s, err := New(cfg)
+			s, err := New(Config{Policy: chaosPolicy(t, profile, 101)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,9 +107,6 @@ func TestChaosProfilesNeverPanicOrHang(t *testing.T) {
 			default:
 				t.Logf("finished: events=%d collections=%d garbFrac=%.4f",
 					res.Events, len(res.Collections), res.GarbageFrac)
-			}
-			if chaos != nil && chaos.Stats() == (fault.DiskChaosStats{}) {
-				t.Error("disk-fault profile injected no fault")
 			}
 		})
 	}

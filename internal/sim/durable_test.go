@@ -41,9 +41,24 @@ func tinyTrace(t *testing.T, seed int64) *trace.Trace {
 	return tr
 }
 
-// durableSim builds a simulator whose heap logs to a disk store over an
-// in-memory journaling FS, with a fixed-rate policy aggressive enough that
-// collections (and thus WAL reclaim records) actually happen.
+// fixedSim builds a simulator under a fixed-rate policy aggressive enough
+// that collections (and thus WAL reclaim records) actually happen.
+func fixedSim(t *testing.T) *Simulator {
+	t.Helper()
+	pol, err := core.NewFixedRate(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// durableSim is fixedSim with its heap logging to a disk store over an
+// in-memory journaling FS. The simulator persists nothing itself: the test
+// drives the store through durableStep.
 func durableSim(t *testing.T) (*Simulator, *disk.Store, *crashtest.JournalFS) {
 	t.Helper()
 	fs := crashtest.NewJournalFS()
@@ -51,15 +66,29 @@ func durableSim(t *testing.T) (*Simulator, *disk.Store, *crashtest.JournalFS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := core.NewFixedRate(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Policy: pol, Durable: st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := fixedSim(t)
+	s.Heap().SetDurable(st)
 	return s, st, fs
+}
+
+// durableStep steps one event and commits what it staged, with any
+// collection at its boundary, as one batch, so a crash loses whole events;
+// a phase event also checkpoints, bounding replay to one phase of WAL. An
+// event the simulator refuses commits nothing.
+func durableStep(t *testing.T, s *Simulator, st *disk.Store, e *trace.Event) error {
+	t.Helper()
+	if err := s.Step(e); err != nil {
+		return err
+	}
+	if _, err := s.Heap().Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Kind == trace.KindPhase {
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nil
 }
 
 // TestSnapshotRoundTripsThroughDiskBackend is the satellite round-trip:
@@ -70,8 +99,16 @@ func durableSim(t *testing.T) (*Simulator, *disk.Store, *crashtest.JournalFS) {
 func TestSnapshotRoundTripsThroughDiskBackend(t *testing.T) {
 	tr := tinyTrace(t, 5)
 	s, st, fs := durableSim(t)
-	res, err := s.Run(tr)
+	for i := range tr.Events {
+		if err := durableStep(t, s, st, &tr.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Finish()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalReclaimed == 0 {
@@ -94,7 +131,7 @@ func TestSnapshotRoundTripsThroughDiskBackend(t *testing.T) {
 	if info.Digest != liveDigest {
 		t.Fatal("recovered digest differs from the live store's committed digest")
 	}
-	// Finish checkpointed, so recovery must replay nothing.
+	// The store checkpointed after Finish, so recovery must replay nothing.
 	if info.BatchesReplayed != 0 {
 		t.Errorf("post-checkpoint recovery replayed %d batches, want 0", info.BatchesReplayed)
 	}
@@ -106,14 +143,14 @@ func TestSnapshotRoundTripsThroughDiskBackend(t *testing.T) {
 // TestDurableMidRunCrashMatchesLiveState kills the store mid-run with no
 // final checkpoint: the WAL tail alone must reproduce the live heap at the
 // last committed event, exercising replay of alloc/set/root/reclaim
-// records together (the simulator commits once per event, so the durable
+// records together (durableStep commits once per event, so the durable
 // state tracks the live store exactly).
 func TestDurableMidRunCrashMatchesLiveState(t *testing.T) {
 	tr := tinyTrace(t, 7)
 	s, st, fs := durableSim(t)
 	n := len(tr.Events) / 2
 	for i := range tr.Events[:n] {
-		if err := s.Step(&tr.Events[i]); err != nil {
+		if err := durableStep(t, s, st, &tr.Events[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,11 +188,11 @@ func TestUnrootOfAbsentObjectKeepsRecovery(t *testing.T) {
 		{Kind: trace.KindCreate, OID: 1, Size: 64},
 		{Kind: trace.KindRoot, OID: 1, Size: 1},
 	} {
-		if err := s.Step(&e); err != nil {
+		if err := durableStep(t, s, st, &e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Step(&trace.Event{Kind: trace.KindRoot, OID: 7}); !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrAbsent) {
+	if err := durableStep(t, s, st, &trace.Event{Kind: trace.KindRoot, OID: 7}); !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(err, objstore.ErrAbsent) {
 		t.Errorf("unroot of an absent object: %v, want a corrupt-trace error wrapping objstore.ErrAbsent", err)
 	}
 	if err := st.Commit(); err != nil {
@@ -178,7 +215,7 @@ func TestUnrootOfAbsentObjectKeepsRecovery(t *testing.T) {
 func TestAccessOfAbsentObjectIsCorruptTrace(t *testing.T) {
 	for _, kind := range []trace.Kind{trace.KindAccess, trace.KindUpdate} {
 		t.Run(kind.String(), func(t *testing.T) {
-			s, _, _ := durableSim(t)
+			s := fixedSim(t)
 			if err := s.Step(&trace.Event{Kind: trace.KindCreate, OID: 1, Size: 64}); err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +232,7 @@ func TestAccessOfAbsentObjectIsCorruptTrace(t *testing.T) {
 // TestOverwriteOfAbsentObjectIsCorruptTrace: a damaged trace's overwrite in an
 // object that does not exist is a corrupt trace, as its access is.
 func TestOverwriteOfAbsentObjectIsCorruptTrace(t *testing.T) {
-	s, _, _ := durableSim(t)
+	s := fixedSim(t)
 	if err := s.Step(&trace.Event{Kind: trace.KindCreate, OID: 1, Size: 64, Slots: 1}); err != nil {
 		t.Fatal(err)
 	}

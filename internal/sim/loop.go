@@ -10,6 +10,10 @@ import (
 	"odbgc/internal/trace"
 )
 
+// progressEvery is how many steps apart Loop.Heartbeat reports an
+// obs.Progress.
+const progressEvery = 1000
+
 // Loop is the control loop both drivers run: the one mapping of trace events
 // onto the heap, the collect-safe rule, and the one turn of core.Cycle that
 // reports as the decision and collection events and the GC span. The server
@@ -104,6 +108,19 @@ func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.C
 		l.Observer.ObserveCollection(obs.CollectionOf(c, step))
 	}
 	return c, nil
+}
+
+// Heartbeat reports an obs.Progress every progressEvery steps, so a live
+// consumer tracks a run between collections: step is the driver's position
+// after its latest event or request. It inlines; progress is the rare send.
+func (l *Loop) Heartbeat(step, collections int, phase string) {
+	if l.Observer != nil && step%progressEvery == 0 {
+		l.progress(step, collections, phase)
+	}
+}
+
+func (l *Loop) progress(step, collections int, phase string) {
+	l.Observer.ObserveProgress(obs.Progress{Step: step, Collections: collections, Phase: phase, Clock: l.Cycle.Clock()})
 }
 
 // now reads the span clock.

@@ -27,10 +27,6 @@ import (
 	"odbgc/internal/trace"
 )
 
-// progressEvery is how many trace events apart the simulator emits an
-// obs.Progress heartbeat (only when Config.Observer is set).
-const progressEvery = 1000
-
 // Config parameterizes a single simulation run.
 type Config struct {
 	// Storage geometry; zero value means storage.DefaultConfig().
@@ -60,13 +56,6 @@ type Config struct {
 	// and without a recorder are bit-identical, and the nil case costs one
 	// pointer test per collection.
 	Spans *span.Recorder
-	// Durable, when non-nil, write-ahead-logs every heap mutation to this
-	// backend. The simulator commits one batch per trace event (so a crash
-	// loses at most the event in flight) and checkpoints at phase
-	// boundaries and at Finish. The caller owns the backend's lifecycle
-	// (Open before New, Close after Finish). Simulation results are
-	// bit-identical with and without a backend attached.
-	Durable storage.Backend
 }
 
 func (c *Config) applyDefaults() error {
@@ -177,9 +166,6 @@ func New(cfg Config) (*Simulator, error) {
 	heap := gc.NewHeap(objstore.NewStore(), disk)
 	heap.SetPhysicalFixups(cfg.PhysicalFixups)
 	s := assemble(cfg, heap, &Result{PolicyName: cfg.Policy.Name(), SelectionName: cfg.Selection.Name()})
-	if cfg.Durable != nil {
-		heap.SetDurable(cfg.Durable)
-	}
 	if cfg.Observer != nil {
 		cfg.Observer.ObserveRunStart(s.runStart(0))
 	}
@@ -292,20 +278,6 @@ func (s *Simulator) Step(e *trace.Event) error {
 		}
 		return fmt.Errorf("sim: event %d (%s): %w", i, e.String(), err)
 	}
-	// One durable batch per event: the WAL records staged by this event
-	// (and by any collection that ran at its boundary) commit together, so
-	// a crash can only lose whole events. Phase boundaries additionally
-	// checkpoint, bounding replay work to one phase of WAL.
-	if s.cfg.Durable != nil {
-		if _, err := s.heap.Commit(); err != nil {
-			return fmt.Errorf("sim: durable commit after event %d: %w", i, err)
-		}
-		if e.Kind == trace.KindPhase {
-			if err := s.cfg.Durable.Checkpoint(); err != nil {
-				return fmt.Errorf("sim: durable checkpoint at phase %q: %w", e.Label, err)
-			}
-		}
-	}
 
 	// Sample at each database event (application events only).
 	switch e.Kind {
@@ -325,14 +297,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 		}
 	}
 
-	if s.cfg.Observer != nil && s.step%progressEvery == 0 {
-		s.cfg.Observer.ObserveProgress(obs.Progress{
-			Step:        s.step,
-			Collections: len(s.res.Collections),
-			Phase:       s.curPhase,
-			Clock:       s.loop.Cycle.Clock(),
-		})
-	}
+	s.loop.Heartbeat(s.step, len(s.res.Collections), s.curPhase)
 	return nil
 }
 
@@ -400,14 +365,6 @@ func (s *Simulator) closePhase() {
 // once at end of trace.
 func (s *Simulator) Finish() (*Result, error) {
 	s.closePhase()
-	if s.cfg.Durable != nil {
-		if _, err := s.heap.Commit(); err != nil {
-			return nil, fmt.Errorf("sim: final durable commit: %w", err)
-		}
-		if err := s.cfg.Durable.Checkpoint(); err != nil {
-			return nil, fmt.Errorf("sim: final durable checkpoint: %w", err)
-		}
-	}
 	if err := s.heap.Check(); err != nil {
 		return nil, fmt.Errorf("sim: final invariant check: %w", err)
 	}

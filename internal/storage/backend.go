@@ -12,8 +12,8 @@ import "odbgc/internal/objstore"
 //
 // Log* calls stage records into the current batch; Commit makes the batch
 // atomic and (depending on the backend's fsync policy) durable. Callers
-// decide batch boundaries: the live server commits per request, the
-// simulator per trace event. Implementations must tolerate empty commits.
+// decide batch boundaries: the live server commits per request and per
+// collection. Implementations must tolerate empty commits.
 type Backend interface {
 	// LogAlloc records the creation of an object with all slots nil.
 	LogAlloc(oid objstore.OID, class objstore.Class, size, nslots int) error
