@@ -3,6 +3,7 @@ package oo7
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/trace"
@@ -55,19 +56,21 @@ type Generator struct {
 	// discarded.
 	err error
 
-	// meta is the oracle's per-object state, indexed by OID: the mirror
-	// assigns OIDs densely from 1 and never reuses one, so create extends it
-	// by one entry per object. epoch stamps one use of the mark or victim
-	// field — "set" means "equal to the epoch taken for this pass" — so
-	// neither is ever cleared; 2^32 passes would need a 400 GB trace.
+	// meta is the oracle's per-object state, indexed by OID (dense from 1,
+	// never reused). epoch stamps one use of the mark or victim field —
+	// "set" means "equal to the epoch taken for this pass" — so neither is
+	// ever cleared; 2^32 passes would need a 400 GB trace.
 	meta  []objMeta
 	epoch uint32
 
-	// Scratch reused across calls: scopeDead's DFS stack, and the part-index
-	// and rewire lists the deletions of one reorg batch are carved from.
+	// Scratch reused across calls: the walks' DFS stack, the objects a cut
+	// retired, and the part-index and rewire lists the deletions of one reorg
+	// batch are carved from.
 	stack     []objstore.OID
+	gone      []objstore.OID
 	idxArena  []int
 	connArena []connSlot
+	walks     int // cuts the reference counts could not settle
 }
 
 // objMeta is what the oracle knows about one object beyond the mirror store.
@@ -76,7 +79,10 @@ type objMeta struct {
 	// composite part itself: its own state); nil for shared structure and
 	// for objects already declared dead.
 	owner *compositeState
-	// mark is scopeDead's and the traversals' visited stamp.
+	// refs counts the slots of the owner's scope, the composite part's
+	// included, that point at the object.
+	refs uint32
+	// mark is the scope walk's and the traversals' visited stamp.
 	mark uint32
 	// victim stamps the atomic parts deleteHalf is deleting. It is apart
 	// from mark because deleteHalf's overwrites run scopeDead while the
@@ -135,11 +141,6 @@ func (g *Generator) Store() *objstore.Store { return g.st }
 
 // Params returns the generator's parameters.
 func (g *Generator) Params() Params { return g.p }
-
-// Err returns the first internal-consistency error the generator hit, or
-// nil. Every phase method also returns it, so callers that check phase
-// errors never need Err directly.
-func (g *Generator) Err() error { return g.err }
 
 // setErr records the first failure; later calls keep the original.
 func (g *Generator) setErr(err error) {
@@ -218,8 +219,8 @@ func (g *Generator) create(class objstore.Class, size, nslots int) objstore.OID 
 		g.setErr(err)
 		return objstore.NilOID
 	}
-	for len(g.meta) <= int(o.OID) {
-		g.meta = append(g.meta, objMeta{})
+	if int(o.OID) >= len(g.meta) { // doubling: append's 1.25× recopies too often
+		g.meta = append(g.meta, make([]objMeta, int(o.OID)+1)...)
 	}
 	g.tr.Append(trace.Event{
 		Kind: trace.KindCreate, OID: o.OID, Class: class, Size: size, Slots: nslots,
@@ -264,18 +265,34 @@ func (g *Generator) addRoot(oid objstore.OID) {
 	g.tr.Append(trace.Event{Kind: trace.KindRoot, OID: oid, Size: 1})
 }
 
-// initStore wires a slot during construction of new structure. The old
-// value must be nil and no garbage can result.
-func (g *Generator) initStore(src objstore.OID, slot int, dst objstore.OID) {
+// setSlot stores dst in src[slot], moving the reference the slot held inside
+// src's scope, and returns the old target; false once the generator failed.
+func (g *Generator) setSlot(src objstore.OID, slot int, dst objstore.OID) (objstore.OID, bool) {
 	if g.err != nil {
-		return
+		return objstore.NilOID, false
 	}
 	old, err := g.st.SetSlot(src, slot, dst)
 	if err != nil {
 		g.setErr(err)
-		return
+		return old, false
 	}
-	if !old.IsNil() {
+	if c := g.meta[src].owner; c != nil {
+		if m := &g.meta[old]; !old.IsNil() && m.owner == c {
+			m.refs--
+		}
+		if m := &g.meta[dst]; !dst.IsNil() && m.owner == c {
+			m.refs++
+		}
+	}
+	return old, true
+}
+
+// initStore wires a slot during construction of new structure. The old
+// value must be nil and no garbage can result.
+func (g *Generator) initStore(src objstore.OID, slot int, dst objstore.OID) {
+	if old, ok := g.setSlot(src, slot, dst); !ok {
+		return
+	} else if !old.IsNil() {
 		g.setErr(fmt.Errorf("oo7: init store over non-nil slot %v[%d]", src, slot))
 		return
 	}
@@ -289,60 +306,98 @@ func (g *Generator) initStore(src objstore.OID, slot int, dst objstore.OID) {
 // unreachable ones are computed exactly and attached as the oracle
 // annotation.
 func (g *Generator) overwrite(src objstore.OID, slot int, dst objstore.OID, scope *compositeState) {
-	if g.err != nil {
-		return
-	}
-	old, err := g.st.SetSlot(src, slot, dst)
-	if err != nil {
-		g.setErr(err)
+	old, ok := g.setSlot(src, slot, dst)
+	if !ok {
 		return
 	}
 	e := trace.Event{Kind: trace.KindOverwrite, OID: src, Slot: slot, Old: old, New: dst}
 	if scope != nil {
-		e.Dead = g.scopeDead(scope)
+		e.Dead = g.scopeDead(scope, old)
 	}
 	g.tr.Append(e)
 }
 
-// scopeDead recomputes reachability of the composite's private objects and
-// returns (and retires) the ones that just became unreachable: one marked
-// depth-first walk from the composite part, then one pass over the scope in
-// OID order that moves the unmarked into the dead list — sorted because the
-// scope is — and closes the scope up over them.
-func (g *Generator) scopeDead(c *compositeState) []trace.DeadObject {
+// scopeDead returns (and retires) the objects of c's scope that the cut of a
+// pointer to old made unreachable, in OID order. Only what old reaches can
+// die: nothing if old is outside the scope or held by the composite part.
+// Objects left without references die in a cascade from old; one it leaves
+// referenced but not held may be in a dead cycle, and a walk settles that.
+func (g *Generator) scopeDead(c *compositeState, old objstore.OID) []trace.DeadObject {
+	held := g.obj(c.oid).Slots // the composite part's: live while it is
+	if old.IsNil() || g.meta[old].owner != c || old == c.oid || slices.Contains(held, old) {
+		return nil
+	}
+	gone, settled := g.gone[:0], g.meta[old].refs == 0
+	if settled {
+		g.meta[old].owner = nil
+		gone = append(gone, old)
+	}
+	for i := 0; i < len(gone); i++ { // gone is the cascade's work list too
+		for _, t := range g.obj(gone[i]).Slots {
+			if m := &g.meta[t]; t.IsNil() || m.owner != c || t == c.oid {
+				continue
+			} else if m.refs--; m.refs == 0 {
+				m.owner = nil
+				gone = append(gone, t)
+			} else if settled && !slices.Contains(held, t) {
+				settled = false
+			}
+		}
+	}
+	if !settled {
+		g.walks++
+		gone = g.walkScope(c, gone)
+	}
+	if g.gone = gone; len(gone) == 0 {
+		return nil
+	}
+	slices.Sort(gone)
+	list := g.tr.Dead(len(gone))
+	for i, oid := range gone {
+		list[i] = trace.DeadObject{OID: oid, Size: int(g.obj(oid).Size)}
+	}
+	// The scope is ascending too: close it up over the dead from the first.
+	from, _ := slices.BinarySearch(c.scope, gone[0])
+	kept, next := c.scope[:from], 0
+	for _, oid := range c.scope[from:] {
+		if next < len(gone) && oid == gone[next] {
+			next++
+		} else {
+			kept = append(kept, oid)
+		}
+	}
+	c.scope = kept
+	return list
+}
+
+// walkScope retires, appending it to gone, every scope object a marked walk
+// from the composite part does not reach; its live targets lose its references.
+func (g *Generator) walkScope(c *compositeState, gone []objstore.OID) []objstore.OID {
 	g.epoch++
-	live := 0
 	stack := append(g.stack[:0], c.oid)
 	for len(stack) > 0 {
 		oid := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, t := range g.obj(oid).Slots {
-			if t.IsNil() {
-				continue
-			}
-			if m := &g.meta[t]; m.owner == c && m.mark != g.epoch {
+			if m := &g.meta[t]; !t.IsNil() && m.owner == c && m.mark != g.epoch {
 				m.mark = g.epoch
-				live++
 				stack = append(stack, t)
 			}
 		}
 	}
 	g.stack = stack
-	if live == len(c.scope) {
-		return nil
-	}
-	dead := g.tr.Dead(len(c.scope) - live)[:0]
-	kept := c.scope[:0]
 	for _, oid := range c.scope {
-		if m := &g.meta[oid]; m.mark == g.epoch {
-			kept = append(kept, oid)
-		} else {
+		if m := &g.meta[oid]; m.owner == c && m.mark != g.epoch {
 			m.owner = nil
-			dead = append(dead, trace.DeadObject{OID: oid, Size: int(g.obj(oid).Size)})
+			gone = append(gone, oid)
+			for _, t := range g.obj(oid).Slots {
+				if m := &g.meta[t]; !t.IsNil() && m.owner == c && m.mark == g.epoch {
+					m.refs--
+				}
+			}
 		}
 	}
-	c.scope = kept
-	return dead
+	return gone
 }
 
 // --- GenDB -------------------------------------------------------------------
@@ -440,10 +495,7 @@ func (g *Generator) genManual(module objstore.OID) {
 	remaining := g.p.ManualBytes
 	var prev objstore.OID
 	for i := 0; i < segs; i++ {
-		size := g.p.ManualSegBytes
-		if size > remaining {
-			size = remaining
-		}
+		size := min(g.p.ManualSegBytes, remaining)
 		remaining -= size
 		seg := g.create(objstore.ClassManual, size, 1)
 		if i == 0 {
@@ -480,7 +532,7 @@ func (g *Generator) genComposite(base objstore.OID, k int) *compositeState {
 	}
 	for i := 0; i < g.p.NumAtomicPerComp; i++ {
 		for k := 0; k < g.p.NumConnPerAtomic; k++ {
-			target := c.parts[g.randPartIndexExcept(c, i)]
+			target := g.randPartExcept(c, c.parts[i])
 			conn := g.createPrivate(c, objstore.ClassConnection, g.p.ConnBytes, 1)
 			g.initStore(conn, 0, target)
 			g.initStore(c.parts[i], k, conn)
@@ -499,10 +551,7 @@ func (g *Generator) createDocument(c *compositeState, wireHead func(objstore.OID
 	remaining := g.p.DocumentBytes
 	var head, prev objstore.OID
 	for remaining > 0 {
-		size := segBytes
-		if size > remaining {
-			size = remaining
-		}
+		size := min(segBytes, remaining)
 		remaining -= size
 		seg := g.createPrivate(c, objstore.ClassDocument, size, 1)
 		if head.IsNil() {
@@ -516,30 +565,10 @@ func (g *Generator) createDocument(c *compositeState, wireHead func(objstore.OID
 	return head
 }
 
-// randPartIndexExcept returns a random index of a non-vacant part slot,
-// excluding index self (no self-connections). Params.Validate guarantees at
-// least two parts, so rejection sampling converges fast; the deterministic
-// scan afterwards only fires — and records an error — if every other slot
-// is vacant, which would be a generator bug.
-func (g *Generator) randPartIndexExcept(c *compositeState, self int) int {
-	for tries := 0; tries < 1000; tries++ {
-		i := g.rng.Intn(len(c.parts))
-		if i != self && !c.parts[i].IsNil() {
-			return i
-		}
-	}
-	for i := range c.parts {
-		if i != self && !c.parts[i].IsNil() {
-			return i
-		}
-	}
-	g.setErr(fmt.Errorf("oo7: no connectable atomic part found"))
-	return 0
-}
-
-// randCurrentPartExcept returns a random live part OID, excluding the given
-// one. Same convergence argument as randPartIndexExcept.
-func (g *Generator) randCurrentPartExcept(c *compositeState, self objstore.OID) objstore.OID {
+// randPartExcept returns a random live part OID other than self. Params
+// guarantees two parts, so rejection sampling converges; the scan after it
+// records an error only if every other slot is vacant, a generator bug.
+func (g *Generator) randPartExcept(c *compositeState, self objstore.OID) objstore.OID {
 	for tries := 0; tries < 1000; tries++ {
 		i := g.rng.Intn(len(c.parts))
 		if !c.parts[i].IsNil() && c.parts[i] != self {

@@ -10,6 +10,7 @@ package oo7
 
 import (
 	"fmt"
+	"slices"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/trace"
@@ -119,7 +120,7 @@ func (g *Generator) Q1(n int) error {
 	comps := g.liveComposites()
 	for i := 0; i < n; i++ {
 		c := comps[g.rng.Intn(len(comps))]
-		g.access(c.parts[g.randPartIndexExcept(c, -1)])
+		g.access(g.randPartExcept(c, objstore.NilOID))
 	}
 	return g.err
 }
@@ -215,20 +216,9 @@ func (g *Generator) ReplaceComposites(n int) error {
 // annotating the event with the full subtree when it was the last
 // reference, and drops fully-dead composites from the module's tracking.
 func (g *Generator) severCompositeRef(mod *moduleState, c *compositeState, ref slotRef) {
-	if g.err != nil {
-		return
-	}
-	kept := c.refs[:0]
-	for _, r := range c.refs {
-		if r != ref {
-			kept = append(kept, r)
-		}
-	}
-	c.refs = kept
-
-	old, err := g.st.SetSlot(ref.obj, ref.slot, objstore.NilOID)
-	if err != nil {
-		g.setErr(err)
+	c.refs = slices.DeleteFunc(c.refs, func(r slotRef) bool { return r == ref })
+	old, ok := g.setSlot(ref.obj, ref.slot, objstore.NilOID)
+	if !ok {
 		return
 	}
 	if old != c.oid {
@@ -236,7 +226,7 @@ func (g *Generator) severCompositeRef(mod *moduleState, c *compositeState, ref s
 		return
 	}
 	ev := trace.Event{Kind: trace.KindOverwrite, OID: ref.obj, Slot: ref.slot, Old: old, New: objstore.NilOID}
-	if len(kept) == 0 {
+	if len(c.refs) == 0 {
 		// Last reference: the composite and its whole private scope die. The
 		// composite part was created before anything in its scope, so it
 		// heads a list that is already in OID order.
@@ -248,12 +238,7 @@ func (g *Generator) severCompositeRef(mod *moduleState, c *compositeState, ref s
 		}
 		g.meta[c.oid].owner = nil
 		c.scope = nil
-		for i, cc := range mod.composites {
-			if cc == c {
-				mod.composites = append(mod.composites[:i], mod.composites[i+1:]...)
-				break
-			}
-		}
+		mod.composites = slices.DeleteFunc(mod.composites, func(cc *compositeState) bool { return cc == c })
 	}
 	g.tr.Append(ev)
 }

@@ -3,6 +3,7 @@ package oo7
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -108,8 +109,28 @@ func (r *refOracle) check(tr *trace.Trace) error {
 	return nil
 }
 
+// checkRefs recounts, for every object of c's scope, the slots of the
+// composite part and of the scope that point at it.
+func checkRefs(g *Generator, c *compositeState) error {
+	want := map[objstore.OID]uint32{}
+	for _, src := range append([]objstore.OID{c.oid}, c.scope...) {
+		for _, t := range g.st.Get(src).Slots {
+			if !t.IsNil() && g.meta[t].owner == c {
+				want[t]++
+			}
+		}
+	}
+	for _, oid := range c.scope {
+		if got := g.meta[oid].refs; got != want[oid] {
+			return fmt.Errorf("composite %v: %v counts %d references, the scope holds %d", c.oid, oid, got, want[oid])
+		}
+	}
+	return nil
+}
+
 // checkScopes asserts what replaced the sort: every live composite's scope is
-// strictly ascending, and the owner array describes exactly the same sets.
+// strictly ascending, the owner array describes exactly the same sets, and
+// every reference count is what the scope's slots hold.
 func checkScopes(t *testing.T, g *Generator, after string) {
 	t.Helper()
 	owned := 0
@@ -123,6 +144,9 @@ func checkScopes(t *testing.T, g *Generator, after string) {
 				if g.meta[oid].owner != c {
 					t.Fatalf("after %s: %v is in composite %v's scope but not owned by it", after, oid, c.oid)
 				}
+			}
+			if err := checkRefs(g, c); err != nil {
+				t.Fatalf("after %s: %v", after, err)
 			}
 			if g.meta[c.oid].owner != c {
 				t.Fatalf("after %s: composite %v does not own itself", after, c.oid)
@@ -198,4 +222,120 @@ func TestOracleMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOO7CutsNeedNoWalk: every cut the four phases make is settled from the
+// reference counts alone — the oracle never walks a composite.
+func TestOO7CutsNeedNoWalk(t *testing.T) {
+	for _, conn := range []int{3, 9} {
+		g, err := NewGenerator(SmallPrime(conn), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []func() error{g.GenDB, g.Reorg1, g.Traverse, g.Reorg2} {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g.walks != 0 {
+			t.Errorf("conn=%d: %d cuts walked the composite, want 0", conn, g.walks)
+		}
+	}
+}
+
+// cutChecker drives overwrites inside one hand-built composite and checks
+// each dead list against a full walk of the scope as it stood.
+type cutChecker struct {
+	t *testing.T
+	g *Generator
+	c *compositeState
+}
+
+// newCutChecker builds a rooted module holding one composite part with
+// nslots slots and an empty scope.
+func newCutChecker(t *testing.T, seed int64, nslots int) *cutChecker {
+	g, err := NewGenerator(SmallPrime(3), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := g.create(objstore.ClassModule, 100, 1)
+	g.addRoot(mod)
+	c := &compositeState{}
+	c.oid = g.create(objstore.ClassCompositePart, 100, nslots)
+	g.meta[c.oid].owner = c
+	g.initStore(mod, 0, c.oid)
+	return &cutChecker{t: t, g: g, c: c}
+}
+
+// private creates a scope object with two slots; the next store must wire it.
+func (k *cutChecker) private(size int) objstore.OID {
+	return k.g.createPrivate(k.c, objstore.ClassAtomicPart, size, 2)
+}
+
+// store overwrites src[slot] with dst, scoped to the composite, and returns
+// the dead list after comparing it with the reference walk's.
+func (k *cutChecker) store(src objstore.OID, slot int, dst objstore.OID) []trace.DeadObject {
+	k.t.Helper()
+	scope := map[objstore.OID]struct{}{}
+	for _, oid := range k.c.scope {
+		scope[oid] = struct{}{}
+	}
+	k.g.tr = trace.Builder{}
+	k.g.overwrite(src, slot, dst, k.c)
+	if err := k.g.err; err != nil {
+		k.t.Fatal(err)
+	}
+	events := k.g.Trace().Events
+	got := events[len(events)-1].Dead
+	if want := refScopeDead(k.g.st, k.c.oid, scope); !slices.Equal(got, want) {
+		k.t.Fatalf("%v[%d] = %v: dead list %v, a full walk says %v", src, slot, dst, got, want)
+	}
+	if err := checkRefs(k.g, k.c); err != nil {
+		k.t.Fatal(err)
+	}
+	return got
+}
+
+// TestScopeDeadMatchesWalk: on composites whose private objects point at
+// each other at random — cycles included — every cut and rewire yields the
+// dead list a full walk of the scope yields. A cut that lets a cycle go is
+// one the reference counts cannot settle: it must take the walk.
+func TestScopeDeadMatchesWalk(t *testing.T) {
+	// Composite → a ⇄ b: cutting the composite's slot leaves each with a
+	// reference from the other.
+	k := newCutChecker(t, 1, 2)
+	a := k.private(10)
+	k.store(k.c.oid, 0, a)
+	b := k.private(20)
+	k.store(a, 0, b)
+	k.store(b, 0, a)
+	if dead := k.store(k.c.oid, 0, objstore.NilOID); len(dead) != 2 || k.g.walks != 1 {
+		t.Fatalf("cutting a two-object cycle loose: dead %v after %d walks, want both after 1", dead, k.g.walks)
+	}
+
+	walkedDead := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := newCutChecker(t, seed, 3)
+		for step := 0; step < 400; step++ {
+			srcs := append([]objstore.OID{k.c.oid}, k.c.scope...)
+			src := srcs[rng.Intn(len(srcs))]
+			slot := rng.Intn(len(k.g.st.Get(src).Slots))
+			var dst objstore.OID
+			switch r := rng.Intn(10); {
+			case r < 4 || len(k.c.scope) == 0:
+				dst = k.private(1 + rng.Intn(100))
+			case r < 9:
+				dst = k.c.scope[rng.Intn(len(k.c.scope))]
+			}
+			walks := k.g.walks
+			if dead := k.store(src, slot, dst); k.g.walks > walks && len(dead) > 0 {
+				walkedDead++
+			}
+		}
+	}
+	if walkedDead == 0 {
+		t.Fatal("no random cut that killed anything took the walk")
+	}
+	t.Logf("%d random cuts settled by the walk killed something", walkedDead)
 }

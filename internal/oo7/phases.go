@@ -62,10 +62,7 @@ func (g *Generator) reorg(label string, clustered bool) error {
 	// batch, then interleave reinsertions round-robin so consecutive
 	// allocations belong to different composites and a composite's
 	// replacement parts scatter over partitions.
-	all := make([]*compositeState, 0, len(g.modules)*g.p.NumCompPerModule)
-	for _, mod := range g.modules {
-		all = append(all, mod.composites...)
-	}
+	all := g.liveComposites()
 	batch := g.p.declusterBatch()
 	var dels []deletion // reused across batches
 	for start := 0; start < len(all); start += batch {
@@ -196,7 +193,7 @@ func (g *Generator) insertPart(c *compositeState, slot int) {
 	g.overwrite(c.oid, 1+slot, part, nil)
 	c.parts[slot] = part
 	for k := 0; k < g.p.NumConnPerAtomic; k++ {
-		target := g.randCurrentPartExcept(c, part)
+		target := g.randPartExcept(c, part)
 		conn := g.createPrivate(c, objstore.ClassConnection, g.p.ConnBytes, 1)
 		g.initStore(conn, 0, target)
 		g.initStore(part, k, conn)
@@ -208,7 +205,7 @@ func (g *Generator) insertPart(c *compositeState, slot int) {
 func (g *Generator) rewire(d deletion) {
 	c := d.comp
 	for _, r := range d.rewires {
-		target := g.randCurrentPartExcept(c, r.part)
+		target := g.randPartExcept(c, r.part)
 		conn := g.createPrivate(c, objstore.ClassConnection, g.p.ConnBytes, 1)
 		g.initStore(conn, 0, target)
 		g.overwrite(r.part, r.slot, conn, nil)

@@ -370,17 +370,13 @@ func TestFreshHeapBesideRecoveredObjectsIsRefused(t *testing.T) {
 	}
 }
 
-// TestDiskChaosUnderTheEngine: the engine that owns the WAL serves a few
-// thousand creates, sets and unroots on a store whose filesystem tears 1 %
-// of writes, lies on 2 % of fsyncs, and shortens or rots 0.5 % of reads each.
-// Every response is OK or carries a classified error, a torn write reaches
-// /metrics, Run returns on drain, and opening the store again afterwards
-// recovers it or refuses with a classified error.
-func TestDiskChaosUnderTheEngine(t *testing.T) {
-	chaos := fault.NewDiskChaos(crashtest.NewJournalFS(), fault.Profile{
-		TornWriteProb: 0.01, FsyncLieProb: 0.02, ShortReadProb: 0.005, BitRotProb: 0.005,
-	}, 77)
-	st, _, err := disk.Open(disk.Options{FS: chaos})
+// chaosLoad serves 3 000 creates, sets between rooted objects and unroots of
+// the oldest through an engine over fs, drains it and closes the store. It
+// returns the engine's metrics and how many requests failed, each with a
+// classified error.
+func chaosLoad(t *testing.T, fs disk.FS) (*Metrics, int) {
+	t.Helper()
+	st, _, err := disk.Open(disk.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +398,7 @@ func TestDiskChaosUnderTheEngine(t *testing.T) {
 	ran := make(chan error, 1)
 	go func() { ran <- eng.Run(context.Background()) }()
 
-	// Creates, sets between rooted objects and unroots of the oldest, so
-	// every request is one the engine accepts when its commit lands. A
+	// Every request is one the engine accepts when its commit lands. A
 	// request whose commit tore still changed the heap, and its batch
 	// commits with the next one: a failed unroot unroots all the same.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -445,6 +440,21 @@ func TestDiskChaosUnderTheEngine(t *testing.T) {
 	if err := st.Close(); err != nil && simerr.Classify(err) == simerr.ClassOther {
 		t.Errorf("close: unclassified error %v", err)
 	}
+	return m, failed
+}
+
+// TestDiskChaosUnderTheEngine: the engine that owns the WAL serves a few
+// thousand creates, sets and unroots on a store whose filesystem tears 1 %
+// of writes, lies on 2 % of fsyncs, and shortens or rots 0.5 % of reads each.
+// Every response is OK or carries a classified error, a torn write reaches
+// /metrics, Run returns on drain, and opening the store again afterwards
+// recovers the objects the first reopen recovered: only a flipped bit may
+// make an open refuse.
+func TestDiskChaosUnderTheEngine(t *testing.T) {
+	chaos := fault.NewDiskChaos(crashtest.NewJournalFS(), fault.Profile{
+		TornWriteProb: 0.01, FsyncLieProb: 0.02, ShortReadProb: 0.005, BitRotProb: 0.005,
+	}, 77)
+	m, failed := chaosLoad(t, chaos)
 	served := chaos.Stats()
 	t.Logf("serving met %+v; %d requests failed, %v checkpoints", served, failed, m.durableCheckpoints.Value())
 	if served == (fault.DiskChaosStats{}) {
@@ -458,15 +468,21 @@ func TestDiskChaosUnderTheEngine(t *testing.T) {
 	}
 
 	// Reopening reads what the chaos wrote, through the same short reads
-	// and rot; it opens until one of those landed.
+	// and rot; it opens until one of those landed. A short read is resumed,
+	// so it cannot make an open refuse (at seed 77, open 11 meets one).
+	recovered := -1
 	for opens := 0; chaos.Stats().ShortReads+chaos.Stats().BitFlips == 0; opens++ {
 		if opens == 200 {
 			t.Fatal("200 opens met no short read or bit rot")
 		}
+		flips := chaos.Stats().BitFlips
 		re, info, err := disk.Open(disk.Options{FS: chaos})
 		if err != nil {
 			if simerr.Classify(err) == simerr.ClassOther {
 				t.Errorf("reopen refused with an unclassified error: %v", err)
+			}
+			if chaos.Stats().BitFlips == flips {
+				t.Errorf("open %d refused with no bit flipped: %v", opens, err)
 			}
 			t.Logf("open %d refused (classified %s): %v", opens, simerr.Classify(err), err)
 			continue
@@ -474,6 +490,56 @@ func TestDiskChaosUnderTheEngine(t *testing.T) {
 		if err := re.Close(); err != nil && simerr.Classify(err) == simerr.ClassOther {
 			t.Errorf("close after reopen: unclassified error %v", err)
 		}
+		if recovered >= 0 && info.Objects != recovered {
+			t.Errorf("open %d recovered %d objects, an earlier open %d", opens, info.Objects, recovered)
+		}
+		recovered = info.Objects
 		t.Logf("open %d recovered %d objects, replayed %d batches", opens, info.Objects, info.BatchesReplayed)
+	}
+}
+
+// TestShortReadsRefuseNoOpen: a store the engine wrote on a sound
+// filesystem is opened 200 times through short reads only, at three rates,
+// one seed per open. A short read is a fact about the device, not about the
+// bytes: every open must recover what a plain open recovers. Classifying
+// each short read as a torn page refused 3, 7 and 24 of the 200.
+func TestShortReadsRefuseNoOpen(t *testing.T) {
+	fs := crashtest.NewJournalFS()
+	if _, failed := chaosLoad(t, fs); failed != 0 {
+		t.Fatalf("%d requests failed on a sound filesystem", failed)
+	}
+	st, want, err := disk.Open(disk.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{0.001, 0.005, 0.02} {
+		refused, met := 0, uint64(0)
+		for seed := int64(1); seed <= 200; seed++ {
+			chaos := fault.NewDiskChaos(fs, fault.Profile{ShortReadProb: rate}, seed)
+			st, info, err := disk.Open(disk.Options{FS: chaos})
+			met += chaos.Stats().ShortReads
+			if err != nil {
+				refused++
+				t.Logf("rate %g seed %d: %v", rate, seed, err)
+				continue
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if info.Objects != want.Objects || info.BatchesReplayed != want.BatchesReplayed || info.Digest != want.Digest {
+				t.Errorf("rate %g seed %d: recovered %d objects, %d batches; a plain open %d, %d, or another state",
+					rate, seed, info.Objects, info.BatchesReplayed, want.Objects, want.BatchesReplayed)
+			}
+		}
+		t.Logf("short-read rate %g: %d of 200 opens refused, %d short reads met", rate, refused, met)
+		if refused != 0 {
+			t.Errorf("short-read rate %g: %d of 200 opens refused, want 0", rate, refused)
+		}
+		if met == 0 {
+			t.Errorf("short-read rate %g: 200 opens met no short read", rate)
+		}
 	}
 }

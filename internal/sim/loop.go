@@ -47,11 +47,11 @@ func (l *Loop) Apply(e *trace.Event) error {
 	case trace.KindUpdate:
 		return h.Update(e.OID)
 	case trace.KindOverwrite:
-		if err := h.Overwrite(e.OID, e.Slot, e.Old, e.New, e.Init); err != nil || len(e.Dead) == 0 {
+		if err := h.Overwrite(e.OID, e.Slot, e.Old, e.New, e.Init); err != nil || len(e.DeadObjects()) == 0 {
 			return err
 		}
 		dead := l.deadScratch[:0]
-		for _, d := range e.Dead {
+		for _, d := range e.DeadObjects() {
 			dead = append(dead, d.OID)
 		}
 		l.deadScratch = dead

@@ -2,9 +2,7 @@ package disk
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
-	"io"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
@@ -196,13 +194,8 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 		return nil, fmt.Errorf("disk: wal size: %w", err)
 	}
 	data := make([]byte, walSize)
-	if walSize > 0 {
-		if n, rerr := s.wal.ReadAt(data, 0); int64(n) != walSize {
-			if rerr == nil || errors.Is(rerr, io.EOF) {
-				rerr = fmt.Errorf("short read: %d of %d bytes", n, walSize)
-			}
-			return nil, simerr.WrapRecoveryFailed("read wal", rerr)
-		}
+	if err := readFull(s.wal, data, 0); err != nil {
+		return nil, simerr.WrapRecoveryFailed("read wal", err)
 	}
 	scan, err := scanWAL(data, s.ckptSeq, s.objs)
 	if err != nil {

@@ -10,17 +10,29 @@ import (
 	"odbgc/internal/simerr"
 )
 
-// readPage reads one full page. A short read of a page the committed image
-// references is torn-write corruption.
+// readPage reads one full page. A page the committed image references that
+// cannot be read whole is torn-write corruption.
 func readPage(f File, no uint32, buf []byte) error {
-	n, err := f.ReadAt(buf[:PageSize], int64(no)*PageSize)
-	if n == PageSize {
-		return nil
+	if err := readFull(f, buf[:PageSize], int64(no)*PageSize); err != nil {
+		return simerr.WrapTornWrite(fmt.Sprintf("page %d", no), err)
 	}
-	if err == nil || errors.Is(err, io.EOF) {
-		err = fmt.Errorf("short read: %d bytes", n)
+	return nil
+}
+
+// readFull reads len(p) bytes at off. A device may return fewer, even with
+// io.EOF, and the rest on the next call, so a short read is resumed, up to 8
+// times; only one that makes no progress, where the file ends, is short.
+func readFull(f File, p []byte, off int64) error {
+	for got, try := 0, 0; got < len(p); try++ {
+		n, err := f.ReadAt(p[got:], off+int64(got))
+		if got += n; got < len(p) && (n == 0 || try == 8) {
+			if err == nil || errors.Is(err, io.EOF) {
+				err = fmt.Errorf("short read: %d of %d bytes", got, len(p))
+			}
+			return err
+		}
 	}
-	return simerr.WrapTornWrite(fmt.Sprintf("page %d", no), err)
+	return nil
 }
 
 // allocPage hands out the lowest free page, extending the file only when

@@ -1,7 +1,7 @@
 package trace
 
 // Builder accumulates the events of a trace whose length is not known until
-// it ends: a generator's output, a decoded stream. Events land in fixed-size
+// it ends: a generator's output, a JSON-lines stream. Events land in fixed-size
 // chunks, so nothing already appended is moved or re-cleared as the trace
 // grows; Trace copies them once into a slice of exactly the final length.
 // Appending to one []Event instead regrows a pointer-bearing array 1.25× at a
@@ -35,7 +35,7 @@ func (b *Builder) Len() int { return len(b.full)*builderChunk + len(b.cur) }
 // Dead returns an n-entry dead list for the producer to fill and attach to
 // the event it appends next. The entries are carved from a shared arena (see
 // deadArena); the event owns them from then on.
-func (b *Builder) Dead(n int) []DeadObject { return b.dead.alloc(n) }
+func (b *Builder) Dead(n int) []DeadObject { return b.dead.take(n) }
 
 // Trace returns the events appended so far as a Trace whose Events slice is
 // exactly sized (cap == len). It is a snapshot: the builder keeps its chunks
@@ -52,7 +52,8 @@ func (b *Builder) Trace() *Trace {
 // deadArena hands out Event.Dead backing storage in chunks, so producing a
 // trace performs one allocation per ~4096 dead-list entries instead of one
 // per overwrite event. Handed-out slices are never reused — events own them
-// for good — the arena only batches the allocations.
+// for good — the arena only batches the allocations. ReadAll starts one as a
+// single chunk of exactly the entries it counted.
 type deadArena struct {
 	free []DeadObject // unused tail of the current chunk
 }
@@ -60,14 +61,19 @@ type deadArena struct {
 // deadArenaChunk is the arena granularity: 4096 entries = 64 KiB.
 const deadArenaChunk = 4096
 
-// alloc carves an n-entry slice out of the arena, starting a new chunk when
-// the current one is exhausted. The slice's capacity is n, so appending to it
-// copies it out rather than running into its neighbour.
-func (a *deadArena) alloc(n int) []DeadObject {
+// room returns the n entries the arena hands out next, starting a new chunk
+// when the current one is too short, and take hands them out: a decoder that
+// fails half way takes nothing. A list's capacity is its length, so appending
+// to it copies it out rather than running into its neighbour.
+func (a *deadArena) room(n int) []DeadObject {
 	if len(a.free) < n {
 		a.free = make([]DeadObject, max(n, deadArenaChunk))
 	}
-	out := a.free[:n:n]
+	return a.free[:n:n]
+}
+
+func (a *deadArena) take(n int) []DeadObject {
+	list := a.room(n)
 	a.free = a.free[n:]
-	return out
+	return list
 }

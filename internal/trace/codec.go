@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
@@ -18,7 +21,7 @@ import (
 //	version uint16 (little endian)
 //	events  repeated, each:
 //	    kind   uint8
-//	    fields varint-encoded per kind (see encodeEvent)
+//	    fields varint-encoded per kind (see Writer.Write)
 //	trailer kind byte 0xFF
 //
 // The binary codec is the production format: compact and fast. A JSON-lines
@@ -42,8 +45,8 @@ var ErrTruncated = fmt.Errorf("%w: truncated stream (missing trailer)", simerr.E
 // Writer streams events to an io.Writer in the binary format. Close must be
 // called to emit the trailer and flush buffered data.
 type Writer struct {
-	bw     *bufio.Writer
-	tmp    [binary.MaxVarintLen64]byte
+	w      io.Writer
+	buf    []byte // encoded, not yet written
 	count  int
 	closed bool
 	err    error
@@ -51,42 +54,11 @@ type Writer struct {
 
 // NewWriter writes the header and returns a Writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing magic: %w", err)
-	}
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], formatVersion)
-	if _, err := bw.Write(v[:]); err != nil {
-		return nil, fmt.Errorf("trace: writing version: %w", err)
-	}
-	return &Writer{bw: bw}, nil
+	buf := append(make([]byte, 0, 2*window), magic[:]...)
+	return &Writer{w: w, buf: binary.LittleEndian.AppendUint16(buf, formatVersion)}, nil
 }
 
-func (w *Writer) uvarint(x uint64) {
-	if w.err != nil {
-		return
-	}
-	n := binary.PutUvarint(w.tmp[:], x)
-	_, w.err = w.bw.Write(w.tmp[:n])
-}
-
-func (w *Writer) byteVal(b byte) {
-	if w.err != nil {
-		return
-	}
-	w.err = w.bw.WriteByte(b)
-}
-
-func (w *Writer) stringVal(s string) {
-	w.uvarint(uint64(len(s)))
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.bw.WriteString(s)
-}
-
-// Write appends one event.
+// Write appends one event; one of an unknown kind leaves nothing behind.
 func (w *Writer) Write(e *Event) error {
 	if w.closed {
 		return errors.New("trace: write after Close")
@@ -94,44 +66,47 @@ func (w *Writer) Write(e *Event) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.byteVal(byte(e.Kind))
+	b := append(w.buf, byte(e.Kind))
 	switch e.Kind {
 	case KindCreate:
-		w.uvarint(uint64(e.OID))
-		w.byteVal(byte(e.Class))
-		w.uvarint(uint64(e.Size))
-		w.uvarint(uint64(e.Slots))
+		b = append(binary.AppendUvarint(b, uint64(e.OID)), byte(e.Class))
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.Size)), uint64(e.Slots))
 	case KindAccess, KindUpdate:
-		w.uvarint(uint64(e.OID))
+		b = binary.AppendUvarint(b, uint64(e.OID))
 	case KindOverwrite:
-		w.uvarint(uint64(e.OID))
-		w.uvarint(uint64(e.Slot))
-		w.uvarint(uint64(e.Old))
-		w.uvarint(uint64(e.New))
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.OID)), uint64(e.Slot))
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.Old)), uint64(e.New))
 		var flags byte
 		if e.Init {
 			flags |= 1
 		}
-		w.byteVal(flags)
-		w.uvarint(uint64(len(e.Dead)))
-		for _, d := range e.Dead {
-			w.uvarint(uint64(d.OID))
-			w.uvarint(uint64(d.Size))
+		b = binary.AppendUvarint(append(b, flags), uint64(len(e.DeadObjects())))
+		for _, d := range e.DeadObjects() {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(d.OID)), uint64(d.Size))
 		}
 	case KindPhase:
-		w.stringVal(e.Label)
+		b = append(binary.AppendUvarint(b, uint64(len(e.Label))), e.Label...)
 	case KindRoot:
-		w.uvarint(uint64(e.OID))
-		w.uvarint(uint64(e.Size))
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.OID)), uint64(e.Size))
 	case KindIdle:
-		w.uvarint(uint64(e.Size))
+		b = binary.AppendUvarint(b, uint64(e.Size))
 	default:
 		return fmt.Errorf("trace: cannot encode event kind %d", e.Kind)
 	}
-	if w.err == nil {
-		w.count++
+	w.buf = b
+	w.count++
+	if len(w.buf) >= window {
+		w.flush()
 	}
 	return w.err
+}
+
+// flush writes the buffered bytes; a failure sticks.
+func (w *Writer) flush() {
+	if w.err == nil {
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
 }
 
 // Count returns the number of events written so far.
@@ -143,23 +118,148 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.byteVal(trailerByte)
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
+	w.buf = append(w.buf, trailerByte)
+	w.flush()
+	return w.err
 }
 
-// Reader streams events from the binary format.
-type Reader struct {
-	br   *bufio.Reader
-	done bool
+// window is what the Writer buffers and the size of the Reader's window.
+const window = 1 << 16
 
-	// dead backs the decoded events' Dead lists.
-	dead deadArena
-	// labelBuf is the scratch buffer phase labels are read into before the
-	// (unavoidable) string conversion.
-	labelBuf []byte
+// errShort reports that the bytes at hand end inside the event being decoded.
+var errShort = errors.New("trace: event runs past the bytes at hand")
+
+// decoder is the format's one event decoder, over bytes in memory: a whole
+// stream for ReadAll, a Reader's window.
+type decoder struct {
+	p     []byte     // the bytes at hand
+	off   int        // p[:off] is decoded
+	err   error      // the first failure in the event being decoded
+	dead  *deadArena // backs the lists; nil counts them and sets no list or label
+	ndead int        // dead-list entries decoded or counted
+}
+
+// uvarint decodes one varint; one of a single byte without a call.
+func (d *decoder) uvarint() uint64 {
+	if i := d.off; i < len(d.p) && d.p[i] < 0x80 {
+		d.off++
+		return uint64(d.p[i])
+	}
+	return d.longUvarint()
+}
+
+func (d *decoder) longUvarint() uint64 {
+	v, n := binary.Uvarint(d.p[d.off:])
+	switch {
+	case d.err != nil:
+	case n == 0:
+		d.err = errShort
+	case n < 0:
+		d.err = errors.New("binary: varint overflows a 64-bit integer")
+	default:
+		d.off += n
+		return v
+	}
+	return 0
+}
+
+func (d *decoder) byteVal() byte {
+	if d.off < len(d.p) {
+		d.off++
+		return d.p[d.off-1]
+	}
+	d.err = cmp.Or(d.err, errShort)
+	return 0
+}
+
+// event decodes the next event into e. It returns io.EOF after the trailer,
+// errShort, consuming nothing, when the bytes end inside the event, and
+// another error for bytes no Writer produces.
+func (d *decoder) event(e *Event) error {
+	start := d.off
+	if start == len(d.p) {
+		return errShort
+	}
+	kb := d.p[start]
+	d.off++
+	e.Kind = Kind(kb)
+	switch e.Kind {
+	case KindCreate:
+		e.OID = objstore.OID(d.uvarint())
+		e.Class = objstore.Class(d.byteVal())
+		e.Size = int(d.uvarint())
+		e.Slots = int(d.uvarint())
+	case KindAccess, KindUpdate:
+		e.OID = objstore.OID(d.uvarint())
+	case KindOverwrite:
+		e.OID = objstore.OID(d.uvarint())
+		e.Slot = int(d.uvarint())
+		e.Old = objstore.OID(d.uvarint())
+		e.New = objstore.OID(d.uvarint())
+		e.Init = d.byteVal()&1 != 0
+		if n := d.uvarint(); d.err == nil && n > 1<<24 {
+			return fmt.Errorf("trace: implausible dead-list length %d", n)
+		} else if d.err == nil && n > 0 {
+			e.Dead = d.deadList(int(n))
+		}
+	case KindPhase:
+		if n := d.uvarint(); d.err == nil && n > 1<<16 {
+			return fmt.Errorf("trace: implausible phase label length %d", n)
+		} else if d.err == nil && int(n) > len(d.p)-d.off {
+			d.err = errShort
+		} else if d.off += int(n); d.err == nil && d.dead != nil {
+			e.Label = string(d.p[d.off-int(n) : d.off])
+		}
+	case KindRoot:
+		e.OID = objstore.OID(d.uvarint())
+		e.Size = int(d.uvarint())
+	case KindIdle:
+		e.Size = int(d.uvarint())
+	case Kind(trailerByte):
+		return io.EOF
+	default:
+		return fmt.Errorf("trace: unknown event kind byte %d", kb)
+	}
+	err := d.err
+	d.err = nil
+	if errors.Is(err, errShort) {
+		d.off = start
+	} else if err != nil {
+		err = fmt.Errorf("trace: decoding %v event: %w", e.Kind, err)
+	}
+	return err
+}
+
+// deadList decodes n dead-list entries. Each takes two bytes at least, so a
+// count the bytes at hand cannot back is walked, never sized: the walk ends
+// in errShort or a decode error.
+func (d *decoder) deadList(n int) []DeadObject {
+	var list []DeadObject
+	if d.dead != nil && n <= (len(d.p)-d.off)/2 {
+		list = d.dead.room(n)
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		if oid, size := d.uvarint(), d.uvarint(); list != nil {
+			list[i] = DeadObject{OID: objstore.OID(oid), Size: int(size)}
+		}
+	}
+	if d.err == nil {
+		d.ndead += n
+		if list != nil {
+			d.dead.take(n)
+		}
+	}
+	return list
+}
+
+// Reader streams events from the binary format. It decodes from a window of
+// the stream it refills, doubled only for an event longer than the window.
+type Reader struct {
+	src    io.Reader
+	d      decoder // over the window
+	srcErr error   // why src gave no more bytes: io.EOF at its end
+	done   bool
+	dead   deadArena // backs the decoded events' Dead lists
 
 	// Lenient, when set before reading, makes truncation non-fatal: a stream
 	// that ends without its trailer (cleanly between events or mid-event)
@@ -177,129 +277,69 @@ func (r *Reader) Truncated() bool { return r.truncated }
 
 // NewReader validates the header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] || hdr[3] != magic[3] {
+	if [4]byte(hdr[:4]) != magic {
 		return nil, errors.New("trace: bad magic (not a trace file)")
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != formatVersion {
 		return nil, fmt.Errorf("trace: unsupported format version %d", v)
 	}
-	return &Reader{br: br}, nil
-}
-
-func (r *Reader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(r.br)
+	rd := &Reader{src: r}
+	rd.d.dead = &rd.dead
+	return rd, nil
 }
 
 // Read returns the next event, or io.EOF after the trailer.
 func (r *Reader) Read() (Event, error) {
 	var e Event
-	if r.done {
-		return e, io.EOF
-	}
-	kb, err := r.br.ReadByte()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			// Clean event boundary, but no trailer: the stream was cut.
-			return e, r.truncation()
-		}
-		return e, err
-	}
-	if kb == trailerByte {
-		r.done = true
-		return e, io.EOF
-	}
-	e.Kind = Kind(kb)
-	rd := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = r.uvarint()
-		return v
-	}
-	switch e.Kind {
-	case KindCreate:
-		e.OID = objstore.OID(rd())
-		var cb byte
-		if err == nil {
-			cb, err = r.br.ReadByte()
-		}
-		e.Class = objstore.Class(cb)
-		e.Size = int(rd())
-		e.Slots = int(rd())
-	case KindAccess, KindUpdate:
-		e.OID = objstore.OID(rd())
-	case KindOverwrite:
-		e.OID = objstore.OID(rd())
-		e.Slot = int(rd())
-		e.Old = objstore.OID(rd())
-		e.New = objstore.OID(rd())
-		var flags byte
-		if err == nil {
-			flags, err = r.br.ReadByte()
-		}
-		e.Init = flags&1 != 0
-		n := rd()
-		if err == nil && n > 0 {
-			if n > 1<<24 {
-				return e, fmt.Errorf("trace: implausible dead-list length %d", n)
+	for !r.done {
+		switch err := r.d.event(&e); {
+		case err == nil:
+			return e, nil
+		case errors.Is(err, io.EOF):
+			r.done = true
+		case !errors.Is(err, errShort):
+			return Event{}, err
+		case errors.Is(r.srcErr, io.EOF):
+			// The stream was cut: a strict Reader says so, a lenient one drops
+			// the partial event and ends. Either way the Reader is finished.
+			r.done, r.truncated = true, true
+			if r.Lenient {
+				return Event{}, io.EOF
 			}
-			// The count is a claim until its entries arrive: the list starts
-			// in the arena, at most one chunk ahead of the bytes read, and a
-			// longer one grows by append as entries actually decode.
-			e.Dead = r.dead.alloc(min(int(n), deadArenaChunk))[:0]
-			for i := uint64(0); i < n && err == nil; i++ {
-				e.Dead = append(e.Dead, DeadObject{OID: objstore.OID(rd()), Size: int(rd())})
-			}
+			return Event{}, errCut
+		case r.srcErr != nil:
+			return Event{}, fmt.Errorf("trace: reading: %w", r.srcErr)
+		default:
+			r.fill()
 		}
-	case KindPhase:
-		n := rd()
-		if err == nil {
-			if n > 1<<16 {
-				return e, fmt.Errorf("trace: implausible phase label length %d", n)
-			}
-			if cap(r.labelBuf) < int(n) {
-				r.labelBuf = make([]byte, n)
-			}
-			buf := r.labelBuf[:n]
-			_, err = io.ReadFull(r.br, buf)
-			e.Label = string(buf)
-		}
-	case KindRoot:
-		e.OID = objstore.OID(rd())
-		e.Size = int(rd())
-	case KindIdle:
-		e.Size = int(rd())
-	default:
-		return e, fmt.Errorf("trace: unknown event kind byte %d", kb)
 	}
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// The stream ended inside an event: truncation. In lenient mode
-			// the partial event is discarded and the stream ends normally.
-			return Event{}, r.truncation()
-		}
-		return e, fmt.Errorf("trace: decoding %v event: %w", e.Kind, err)
-	}
-	return e, nil
+	return Event{}, io.EOF
 }
 
-// truncation converts an end-of-stream-without-trailer condition into the
-// mode-appropriate result: io.EOF when lenient, ErrTruncated otherwise.
-// Either way the Reader is finished.
-func (r *Reader) truncation() error {
-	r.done = true
-	r.truncated = true
-	if r.Lenient {
-		return io.EOF
+// fill moves the undecoded bytes to the front of the window, doubles a
+// window they fill, and reads until it is full or the stream ends: an event
+// is decoded from its start again after a fill, so a partial fill could
+// make a long one cost its length squared.
+func (r *Reader) fill() {
+	d := &r.d
+	d.p, d.off = d.p[:copy(d.p, d.p[d.off:])], 0
+	if len(d.p) == cap(d.p) {
+		d.p = slices.Grow(d.p, max(cap(d.p), window))
 	}
-	return fmt.Errorf("%w: %w", ErrTruncated, io.ErrUnexpectedEOF)
+	n, err := io.ReadFull(r.src, d.p[len(d.p):cap(d.p)])
+	d.p = d.p[:len(d.p)+n]
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		err = io.EOF
+	}
+	r.srcErr = err
 }
+
+// errCut is the error of a strict read of a stream cut short.
+var errCut = fmt.Errorf("%w: %w", ErrTruncated, io.ErrUnexpectedEOF)
 
 // ReadAll decodes an entire stream into a Trace.
 func ReadAll(r io.Reader) (*Trace, error) {
@@ -315,23 +355,42 @@ func ReadAllLenient(r io.Reader) (*Trace, bool, error) {
 	return readAll(r, true)
 }
 
+// readAll reads the stream whole and counts its events and dead-list
+// entries, then allocates the events and the lists' backing once, each
+// exactly sized, and decodes every event in place.
 func readAll(r io.Reader, lenient bool) (*Trace, bool, error) {
-	tr, err := NewReader(r)
-	if err != nil {
+	if _, err := NewReader(r); err != nil {
 		return nil, false, err
 	}
-	tr.Lenient = lenient
-	var b Builder
-	for {
-		e, err := tr.Read()
-		if errors.Is(err, io.EOF) {
-			return b.Trace(), tr.Truncated(), nil
-		}
-		if err != nil {
-			return nil, tr.Truncated(), err
-		}
-		b.Append(e)
+	var in bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		in.Grow(l.Len() + bytes.MinRead) // ReadFrom wants MinRead spare bytes
 	}
+	if _, err := in.ReadFrom(r); err != nil {
+		return nil, false, fmt.Errorf("trace: reading: %w", err)
+	}
+	count := decoder{p: in.Bytes()}
+	var scratch Event
+	n, err := 0, count.event(&scratch)
+	for ; err == nil; err = count.event(&scratch) {
+		n++
+	}
+	truncated := errors.Is(err, errShort)
+	switch {
+	case errors.Is(err, io.EOF), truncated && lenient:
+	case truncated:
+		return nil, true, errCut
+	default:
+		return nil, false, err
+	}
+	events := make([]Event, n)
+	d := decoder{p: in.Bytes(), dead: &deadArena{free: make([]DeadObject, count.ndead)}}
+	for i := range events {
+		if err := d.event(&events[i]); err != nil {
+			return nil, truncated, err
+		}
+	}
+	return &Trace{Events: events}, truncated, nil
 }
 
 // WriteAll encodes an entire Trace to w.
@@ -350,22 +409,17 @@ func WriteAll(w io.Writer, t *Trace) error {
 
 // jsonEvent mirrors Event with stable JSON field names for the text codec.
 type jsonEvent struct {
-	Kind  string           `json:"kind"`
-	OID   uint64           `json:"oid,omitempty"`
-	Class uint8            `json:"class,omitempty"`
-	Size  int              `json:"size,omitempty"`
-	Slots int              `json:"slots,omitempty"`
-	Slot  int              `json:"slot,omitempty"`
-	Old   uint64           `json:"old,omitempty"`
-	New   uint64           `json:"new,omitempty"`
-	Label string           `json:"label,omitempty"`
-	Init  bool             `json:"init,omitempty"`
-	Dead  []jsonDeadObject `json:"dead,omitempty"`
-}
-
-type jsonDeadObject struct {
-	OID  uint64 `json:"oid"`
-	Size int    `json:"size"`
+	Kind  string       `json:"kind"`
+	OID   uint64       `json:"oid,omitempty"`
+	Class uint8        `json:"class,omitempty"`
+	Size  int          `json:"size,omitempty"`
+	Slots int          `json:"slots,omitempty"`
+	Slot  int          `json:"slot,omitempty"`
+	Old   uint64       `json:"old,omitempty"`
+	New   uint64       `json:"new,omitempty"`
+	Label string       `json:"label,omitempty"`
+	Init  bool         `json:"init,omitempty"`
+	Dead  []DeadObject `json:"dead,omitempty"`
 }
 
 var kindFromName = func() map[string]Kind {
@@ -394,9 +448,7 @@ func WriteJSON(w io.Writer, t *Trace) error {
 			Label: e.Label,
 			Init:  e.Init,
 		}
-		for _, d := range e.Dead {
-			je.Dead = append(je.Dead, jsonDeadObject{OID: uint64(d.OID), Size: d.Size})
-		}
+		je.Dead = e.DeadObjects()
 		if err := enc.Encode(&je); err != nil {
 			return fmt.Errorf("trace: encoding JSON event %d: %w", i, err)
 		}
@@ -436,9 +488,7 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		}
 		if len(je.Dead) > 0 {
 			e.Dead = b.Dead(len(je.Dead))
-			for i, d := range je.Dead {
-				e.Dead[i] = DeadObject{OID: objstore.OID(d.OID), Size: d.Size}
-			}
+			copy(e.Dead, je.Dead)
 		}
 		b.Append(e)
 	}

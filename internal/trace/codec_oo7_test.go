@@ -41,9 +41,10 @@ func TestBinaryRoundTripOO7(t *testing.T) {
 }
 
 // TestReadAllAllocationBound: decoding the seed-1 OO7 trace allocates at most
-// 2.5× the bytes of the trace it returns — the events twice (chunks, then the
-// exactly sized slice), the dead lists once, the reader's buffers. Growing one
-// slice by append read 5.8×.
+// 1.2× the bytes of the trace it returns. The events and the dead lists are
+// each allocated once, exactly sized, and decoded in place; the rest is the
+// input, read whole (1.09× in all). Decoding into chunks and copying them
+// into the result read 2.0×; growing one slice by append read 5.8×.
 func TestReadAllAllocationBound(t *testing.T) {
 	tr, err := oo7.FullTrace(oo7.SmallPrime(3), 1)
 	if err != nil {
@@ -63,8 +64,8 @@ func TestReadAllAllocationBound(t *testing.T) {
 		result += uint64(len(out.Events[i].Dead)) * uint64(unsafe.Sizeof(trace.DeadObject{}))
 	}
 	t.Logf("ReadAll allocated %d bytes for a %d-byte trace (%.2fx)", allocated, result, float64(allocated)/float64(result))
-	if 2*allocated > 5*result {
-		t.Errorf("ReadAll allocated %d bytes, more than 2.5x the %d it returned", allocated, result)
+	if 5*allocated > 6*result {
+		t.Errorf("ReadAll allocated %d bytes, more than 1.2x the %d it returned", allocated, result)
 	}
 	if cap(out.Events) != len(out.Events) {
 		t.Errorf("decoded trace has len %d, cap %d", len(out.Events), cap(out.Events))

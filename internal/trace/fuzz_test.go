@@ -13,7 +13,8 @@ import (
 )
 
 // FuzzReader ensures the binary decoder never panics or over-allocates on
-// corrupted input: it must either produce events or fail with an error.
+// corrupted input: it must either produce events or fail with an error, and
+// ReadAll must agree with the streaming Reader.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid encoding and a few mutations.
 	var buf bytes.Buffer
@@ -56,12 +57,21 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// ReadAll decodes the same stream whole, with the same decoder: it
+		// must reach the stream's verdict.
+		all, allErr := ReadAll(bytes.NewReader(data))
 		for i := 0; i < 1<<20; i++ {
 			_, err := r.Read()
 			if err == io.EOF {
+				if allErr != nil || all.Len() != i {
+					t.Fatalf("stream read %d events cleanly; ReadAll %v", i, allErr)
+				}
 				return
 			}
 			if err != nil {
+				if allErr == nil || errors.Is(allErr, ErrTruncated) != errors.Is(err, ErrTruncated) {
+					t.Fatalf("stream failed with %v; ReadAll with %v", err, allErr)
+				}
 				// A lenient pass over the same bytes must terminate cleanly
 				// whenever the strict error was truncation, and must never
 				// yield more than the strict pass plus the partial event.

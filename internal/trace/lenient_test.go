@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
+
+	"odbgc/internal/objstore"
 )
 
 // TestReaderErrTruncated checks that every way a stream can end without its
@@ -132,5 +136,112 @@ func TestReaderTrailingGarbage(t *testing.T) {
 	}
 	if n != validChain().Len() {
 		t.Errorf("decoded %d events, want %d", n, validChain().Len())
+	}
+}
+
+// stream reads data through a Reader fed one byte per Read, so every event
+// crosses a refill of its window. It returns the events, the truncation
+// verdict and the error that ended the stream (nil for a clean end).
+func stream(data []byte, lenient bool) ([]Event, bool, error) {
+	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+	if err != nil {
+		return nil, false, err
+	}
+	r.Lenient = lenient
+	var events []Event
+	for {
+		e, err := r.Read()
+		if err == io.EOF {
+			return events, r.Truncated(), nil
+		}
+		if err != nil {
+			return events, r.Truncated(), err
+		}
+		events = append(events, e)
+	}
+}
+
+// sameEvents compares two event lists, nil and empty alike.
+func sameEvents(a, b []Event) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// TestDecodersAgreeOnEveryPrefix: ReadAll, ReadAllLenient and a streaming
+// Reader, strict and lenient, decode the same events from every prefix of a
+// trace, and reach the same verdict on it: complete, truncated, or refused.
+func TestDecodersAgreeOnEveryPrefix(t *testing.T) {
+	chain := validChain()
+	chain.Append(Event{Kind: KindPhase, Label: "Reorg1"})
+	chain.Append(Event{Kind: KindIdle, Size: 3})
+	chain.Append(Event{Kind: KindCreate, OID: 300, Class: objstore.ClassAtomicPart, Size: 1 << 20, Slots: 3})
+	chain.Append(Event{Kind: KindOverwrite, OID: 1, Slot: 0, New: 300, Dead: []DeadObject{{OID: 129, Size: 1}, {OID: 4, Size: 70000}}})
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, chain); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for cut := 0; cut <= len(full); cut++ {
+		data := full[:cut]
+		strict, serr := ReadAll(bytes.NewReader(data))
+		lenient, ltrunc, lerr := ReadAllLenient(bytes.NewReader(data))
+		events, _, err := stream(data, false)
+		levents, lstreamTrunc, lstreamErr := stream(data, true)
+		if cut < 6 { // the header
+			if serr == nil || lerr == nil || err == nil || lstreamErr == nil {
+				t.Fatalf("cut %d: a header cut short was accepted: %v, %v, %v, %v", cut, serr, lerr, err, lstreamErr)
+			}
+			continue
+		}
+		complete := cut == len(full)
+		if complete != (err == nil) || complete != (serr == nil) {
+			t.Fatalf("cut %d: stream ended with %v, ReadAll with %v", cut, err, serr)
+		}
+		if !complete && (!errors.Is(err, ErrTruncated) || !errors.Is(serr, ErrTruncated)) {
+			t.Fatalf("cut %d: stream ended with %v, ReadAll with %v; want truncation", cut, err, serr)
+		}
+		if lerr != nil || lstreamErr != nil || ltrunc != !complete || lstreamTrunc != !complete {
+			t.Fatalf("cut %d: lenient ReadAll (%v, truncated %v), lenient stream (%v, truncated %v)",
+				cut, lerr, ltrunc, lstreamErr, lstreamTrunc)
+		}
+		if !sameEvents(events, chain.Events[:len(events)]) {
+			t.Fatalf("cut %d: streamed events differ from the trace's", cut)
+		}
+		if !sameEvents(levents, events) || !sameEvents(lenient.Events, events) {
+			t.Fatalf("cut %d: lenient decoders yield %d and %d events, the stream %d",
+				cut, len(levents), len(lenient.Events), len(events))
+		}
+		if complete && !sameEvents(strict.Events, chain.Events) {
+			t.Fatal("ReadAll decodes the whole trace differently")
+		}
+	}
+}
+
+// TestReaderGrowsItsWindow: an event longer than the Reader's window, fed
+// one byte per Read, decodes whole and the same as ReadAll decodes it.
+func TestReaderGrowsItsWindow(t *testing.T) {
+	long := make([]DeadObject, window/2)
+	for i := range long {
+		long[i] = DeadObject{OID: objstore.OID(1000 + i), Size: 200 + i}
+	}
+	tr := validChain()
+	tr.Append(Event{Kind: KindOverwrite, OID: 1, New: 1, Dead: long})
+	tr.Append(Event{Kind: KindAccess, OID: 1})
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 2*window {
+		t.Fatalf("the long event is %d bytes, want it to outgrow the window twice", buf.Len())
+	}
+	events, _, err := stream(buf.Bytes(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(events, tr.Events) || !reflect.DeepEqual(all.Events, tr.Events) {
+		t.Fatal("a trace with an event longer than the window did not round-trip")
 	}
 }

@@ -95,14 +95,18 @@ type Event struct {
 
 // DeadObject records one object that an overwrite made unreachable.
 type DeadObject struct {
-	OID  objstore.OID
-	Size int
+	OID  objstore.OID `json:"oid"`
+	Size int          `json:"size"`
 }
+
+// DeadObjects returns the oracle annotation, the objects the overwrite made
+// unreachable (nil for none). The list is the event's: do not modify it.
+func (e *Event) DeadObjects() []DeadObject { return e.Dead }
 
 // DeadBytes sums the sizes in the oracle annotation.
 func (e *Event) DeadBytes() int {
 	n := 0
-	for _, d := range e.Dead {
+	for _, d := range e.DeadObjects() {
 		n += d.Size
 	}
 	return n
@@ -123,7 +127,7 @@ func (e *Event) String() string {
 			tag = " init"
 		}
 		return fmt.Sprintf("overwrite%s %v[%d] %v -> %v dead=%d(%dB)",
-			tag, e.OID, e.Slot, e.Old, e.New, len(e.Dead), e.DeadBytes())
+			tag, e.OID, e.Slot, e.Old, e.New, len(e.DeadObjects()), e.DeadBytes())
 	case KindPhase:
 		return fmt.Sprintf("phase %q", e.Label)
 	case KindRoot:
@@ -162,10 +166,10 @@ func (e *Event) Validate() error {
 		if e.Init && !e.Old.IsNil() {
 			return fmt.Errorf("trace: initializing overwrite on %v has non-nil old value", e.OID)
 		}
-		if e.Init && len(e.Dead) > 0 {
+		if e.Init && len(e.DeadObjects()) > 0 {
 			return fmt.Errorf("trace: initializing overwrite on %v claims to create garbage", e.OID)
 		}
-		for _, d := range e.Dead {
+		for _, d := range e.DeadObjects() {
 			if d.OID.IsNil() || d.Size < 0 {
 				return fmt.Errorf("trace: overwrite %v has invalid dead entry %+v", e.OID, d)
 			}
@@ -239,7 +243,7 @@ func ComputeStats(t *Trace) Stats {
 				s.Overwrites++
 			}
 			s.GarbageBytes += e.DeadBytes()
-			s.GarbageObjects += len(e.Dead)
+			s.GarbageObjects += len(e.DeadObjects())
 		case KindPhase:
 			s.Phases = append(s.Phases, e.Label)
 		case KindIdle:
@@ -286,7 +290,7 @@ func Validate(t *Trace) error {
 				return fmt.Errorf("event %d: overwrite %v[%d] recorded old %v, store has %v",
 					i, e.OID, e.Slot, e.Old, old)
 			}
-			for _, d := range e.Dead {
+			for _, d := range e.DeadObjects() {
 				if oracleDead.Get(d.OID) {
 					return fmt.Errorf("event %d: object %v reported dead twice", i, d.OID)
 				}
