@@ -59,11 +59,12 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Quicker race pass over just the concurrent packages: the batch runner, the
-# serving stack, the live observers and the durable store. The crash-point
-# sweep under -race (disk/crashtest) is crash-drill's.
+# Quicker race pass over just the concurrent packages: the label intern
+# table, the batch runner, the serving stack, the live observers and the
+# durable store. The crash-point sweep under -race (disk/crashtest) is
+# crash-drill's.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/server/ ./internal/obs/... ./internal/storage/disk/
+	$(GO) test -race ./internal/trace/ ./internal/sim/ ./internal/server/ ./internal/obs/... ./internal/storage/disk/
 
 # Short fuzz passes over the trace decoders, the WAL scanner, the image
 # loader, the state digest's stream (decoded back to the state it hashes),

@@ -187,10 +187,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// A generated trace is replayed from memory, a trace file as a stream.
+	// A generated trace is replayed from memory, a trace file as a stream; a
+	// lenient read takes the file whole, to end a cut one where it is safe.
 	var tr *trace.Trace
 	var rd *trace.Reader
 	var traceID *obs.TraceIdentity
+	var truncated bool
+	var dropped int
 	switch fs.NArg() {
 	case 0:
 		tr, err = oo7.FullTrace(oo7.SmallPrime(*conn), *seed)
@@ -229,11 +232,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			// Events is filled in after the run; the file digest pins identity.
 			traceID = &obs.TraceIdentity{Source: "file:" + filepath.Base(fs.Arg(0)), SHA256: sum}
 		}
-		rd, err = trace.NewReader(r)
+		if *lenient {
+			tr, truncated, dropped, err = trace.ReadAllLenient(r)
+		} else {
+			rd, err = trace.NewReader(r)
+		}
 		if err != nil {
 			return err
 		}
-		rd.Lenient = *lenient
 	default:
 		return fmt.Errorf("usage: gcsim [flags] [trace.odbt]")
 	}
@@ -247,8 +253,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if rd != nil && rd.Truncated() {
-		fmt.Fprintf(stdout, "note: trace was truncated; ran on the surviving %d-event prefix\n", res.Events)
+	if truncated {
+		fmt.Fprintf(stdout, "note: trace was truncated; ran on the surviving %d-event prefix (%d trailing build events dropped)\n", res.Events, dropped)
 	}
 
 	if *perColl {

@@ -305,7 +305,7 @@ func (r *Runner) Fig2(ctx context.Context) (*Report, error) {
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		if e.Kind == trace.KindPhase {
-			cur = e.Label
+			cur = e.Label.String()
 			perPhase[cur] = &agg{}
 			order = append(order, cur)
 			continue

@@ -100,7 +100,7 @@ func TestReadManifestRejectsUnknownVersion(t *testing.T) {
 func TestHashTrace(t *testing.T) {
 	mk := func(label string) *trace.Trace {
 		tr := &trace.Trace{}
-		tr.Append(trace.Event{Kind: trace.KindPhase, Label: label})
+		tr.Append(trace.Event{Kind: trace.KindPhase, Label: trace.MakeLabel(label)})
 		return tr
 	}
 	a1, err := HashTrace(mk("Gen"))

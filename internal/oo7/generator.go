@@ -206,7 +206,7 @@ func (g *Generator) emitPhase(label string) {
 	if g.p.IdleBetweenPhases > 0 && label != PhaseGenDB {
 		g.tr.Append(trace.Event{Kind: trace.KindIdle, Size: g.p.IdleBetweenPhases})
 	}
-	g.tr.Append(trace.Event{Kind: trace.KindPhase, Label: label})
+	g.tr.Append(trace.Event{Kind: trace.KindPhase, Label: trace.MakeLabel(label)})
 }
 
 func (g *Generator) create(class objstore.Class, size, nslots int) objstore.OID {

@@ -82,14 +82,15 @@ func TestGoldenTraceDigests(t *testing.T) {
 // builder's chunks and in the exactly sized result (120 MB when one slice was
 // regrown under them). Connectivity 9 is Fig 8's far end, the largest trace
 // the figures generate; its byte ceiling keeps connectivity 3's headroom
-// (1.66× the 25.3 MB and 67.4 MB these read with 96-byte events).
+// (1.7× the 22.3 MB and 56.3 MB these read with 80-byte events; 40 and 106
+// MiB while events were 96 bytes).
 func TestFullTraceAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		conn     int
 		maxBytes uint64
 	}{
-		{3, 40 << 20},
-		{9, 106 << 20},
+		{3, 36 << 20},
+		{9, 90 << 20},
 	} {
 		var tr *trace.Trace
 		var before, after runtime.MemStats

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -449,11 +450,22 @@ func chaosLoad(t *testing.T, fs disk.FS) (*Metrics, int) {
 // Every response is OK or carries a classified error, a torn write reaches
 // /metrics, Run returns on drain, and opening the store again afterwards
 // recovers the objects the first reopen recovered: only a flipped bit may
-// make an open refuse.
+// make an open refuse. Each of seeds 1–32 and 77 is a fault schedule of its
+// own, held to every one of these.
 func TestDiskChaosUnderTheEngine(t *testing.T) {
+	seeds := []int64{77}
+	for seed := int64(1); seed <= 32; seed++ {
+		seeds = append(seeds, seed)
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { diskChaosUnderTheEngine(t, seed) })
+	}
+}
+
+func diskChaosUnderTheEngine(t *testing.T, seed int64) {
 	chaos := fault.NewDiskChaos(crashtest.NewJournalFS(), fault.Profile{
 		TornWriteProb: 0.01, FsyncLieProb: 0.02, ShortReadProb: 0.005, BitRotProb: 0.005,
-	}, 77)
+	}, seed)
 	m, failed := chaosLoad(t, chaos)
 	served := chaos.Stats()
 	t.Logf("serving met %+v; %d requests failed, %v checkpoints", served, failed, m.durableCheckpoints.Value())

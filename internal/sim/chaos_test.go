@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -81,12 +82,13 @@ func TestChaosProfilesNeverPanicOrHang(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Streamed strictly, so the run meets the damage where it is:
+				// a decode error or a cut surfaces as the run's error.
 				rd, err := trace.NewReader(corrupted)
 				if err != nil {
 					t.Logf("reader rejected corrupt header (structured): %v", err)
 					return
 				}
-				rd.Lenient = true
 				src = rd
 			} else {
 				src = &sliceSource{events: tr.Events}
@@ -202,19 +204,58 @@ func TestTruncatedTraceLenientDegradesGracefully(t *testing.T) {
 	}
 
 	// Lenient: the run finishes on the surviving prefix.
-	rd, err = trace.NewReader(bytes.NewReader(cut))
+	prefix, truncated, _, err := trace.ReadAllLenient(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd.Lenient = true
-	res, err := newSim().RunStream(rd)
+	if !truncated {
+		t.Fatal("reader did not notice the truncation")
+	}
+	res, err := newSim().Run(prefix)
 	if err != nil {
 		t.Fatalf("lenient run failed: %v", err)
 	}
-	if !rd.Truncated() {
-		t.Fatal("reader did not notice the truncation")
-	}
 	if res.Events == 0 || res.Events >= len(tr.Events) {
 		t.Fatalf("lenient run saw %d events, want a proper prefix of %d", res.Events, len(tr.Events))
+	}
+}
+
+// TestLenientCutsFinishChecked: the seed-1 OO7 trace cut anywhere and read
+// leniently replays to a clean Finish. The prefix ends where the simulator
+// could collect, so Heap.Check finds every unreachable object known to the
+// oracle. A strict read of each cut still fails with the cut error.
+func TestLenientCutsFinishChecked(t *testing.T) {
+	var buf bytes.Buffer
+	if err := trace.WriteAll(&buf, smallTrace(t, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	cuts := []int{6000}
+	for cut := 1021; cut < 64<<10; cut += 1021 {
+		cuts = append(cuts, cut)
+	}
+	rng := rand.New(rand.NewSource(46))
+	for range 25 {
+		cuts = append(cuts, 6+rng.Intn(len(data)-7))
+	}
+	for _, cut := range cuts {
+		if _, err := trace.ReadAll(bytes.NewReader(data[:cut])); !errors.Is(err, trace.ErrTruncated) {
+			t.Fatalf("cut at %d: strict read = %v, want ErrTruncated", cut, err)
+		}
+		prefix, truncated, _, err := trace.ReadAllLenient(bytes.NewReader(data[:cut]))
+		if err != nil || !truncated {
+			t.Fatalf("cut at %d: lenient read: truncated %v, err %v", cut, truncated, err)
+		}
+		pol, err := core.NewSAIO(core.SAIOConfig{Frac: 0.10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(prefix); err != nil {
+			t.Errorf("cut at %d (%d events): %v", cut, prefix.Len(), err)
+		}
 	}
 }

@@ -29,7 +29,7 @@ type Loop struct {
 	// OnSpan, when non-nil, adds the driver's fields to a GC span.
 	OnSpan func(g *span.Span, failed error)
 
-	midBuild    bool           // the last event was a create or an initializing store
+	midBuild    bool           // the last event built (trace.Event.Builds)
 	spans       uint64         // GC spans recorded, the sequence of their IDs
 	deadScratch []objstore.OID // reused for RecordOracleDead, which copies it
 }
@@ -38,7 +38,7 @@ type Loop struct {
 // The collect-safe state follows the event, whether the heap takes it or not.
 func (l *Loop) Apply(e *trace.Event) error {
 	h := l.Cycle.Heap
-	l.midBuild = e.Kind == trace.KindCreate || (e.Kind == trace.KindOverwrite && e.Init)
+	l.midBuild = e.Builds()
 	switch e.Kind {
 	case trace.KindCreate:
 		return h.Create(e.OID, e.Class, e.Size, e.Slots)
@@ -68,7 +68,7 @@ func (l *Loop) Apply(e *trace.Event) error {
 }
 
 // Due reports whether the rate policy wants a collection now. It is never
-// asked right after a create or an initializing store.
+// asked right after an event that builds.
 func (l *Loop) Due() bool { return !l.midBuild && l.Cycle.Due() }
 
 // Collect takes one turn of the control loop and reports it: the decision

@@ -263,7 +263,7 @@ func (s *Simulator) Step(e *trace.Event) error {
 	var err error // idle ticks ask before Apply clears the collect-safe state
 	switch e.Kind {
 	case trace.KindPhase:
-		s.phase(e.Label, i)
+		s.phase(e.Label.String(), i)
 	case trace.KindIdle:
 		err = s.idle(e.Size)
 	}

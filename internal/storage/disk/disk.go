@@ -210,6 +210,11 @@ func (s *Store) recover() (*RecoveryInfo, error) {
 	s.seq = scan.lastSeq
 	s.walTail = scan.tail
 	if scan.tail != walSize {
+		// A tear reads the same twice; a read fault may garble acknowledged batches.
+		again := make([]byte, walSize-scan.tail)
+		if err := readFull(s.wal, again, scan.tail); err != nil || string(again) != string(data[scan.tail:]) {
+			return nil, simerr.WrapRecoveryFailed(fmt.Sprintf("wal past offset %d does not read the same twice", scan.tail), err)
+		}
 		// Drop the torn or uncommitted tail so new batches append onto a
 		// clean boundary and a re-scan of the file is byte-stable.
 		if err := s.wal.Truncate(scan.tail); err != nil {

@@ -253,6 +253,84 @@ func TestMidBatchTearDropsWholeBatch(t *testing.T) {
 	}
 }
 
+// rotOnceFS flips one bit of the WAL byte at offset at in the first read that
+// covers it: a fault on the read path, not in the file.
+type rotOnceFS struct {
+	FS
+	at   int64
+	done bool
+}
+
+func (f *rotOnceFS) Open(name string) (File, error) {
+	file, err := f.FS.Open(name)
+	if err != nil || name != walFile {
+		return file, err
+	}
+	return &rotOnceFile{File: file, fs: f}, nil
+}
+
+type rotOnceFile struct {
+	File
+	fs *rotOnceFS
+}
+
+func (f *rotOnceFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	if i := f.fs.at - off; !f.fs.done && i >= 0 && i < int64(n) {
+		p[i] ^= 0x10
+		f.fs.done = true
+	}
+	return n, err
+}
+
+// TestWALReadFaultIsNotATear: a bit flipped on the read path inside the first
+// of three batches reads as damage, but not the same twice. Recovery refuses
+// the open and leaves the WAL whole, so the next open recovers all three;
+// cutting there would have dropped two acknowledged batches. A batch missing
+// from the file before a later one that landed (unsynced writes under
+// FsyncGroup keep no order) reads the same twice and still rolls back to the
+// batch before it.
+func TestWALReadFaultIsNotATear(t *testing.T) {
+	crashed := func() (memFS, []int) {
+		fs := memFS{}
+		s, _, err := Open(Options{FS: fs, Fsync: FsyncGroup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ends []int // WAL length after each commit
+		for oid := objstore.OID(1); oid <= 3; oid++ {
+			if err := errors.Join(s.LogAlloc(oid, objstore.ClassModule, 100, 2), s.LogRoot(oid, true), s.Commit()); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, len(fs[walFile].data))
+		}
+		return fs, ends // never closed: a crash
+	}
+
+	fs, _ := crashed()
+	wal := slices.Clone(fs[walFile].data)
+	rot := &rotOnceFS{FS: fs, at: 10}
+	if _, _, err := Open(Options{FS: rot}); !errors.Is(err, simerr.ErrRecoveryFailed) || !rot.done {
+		t.Fatalf("open through a read fault: %v (fault landed: %v), want ErrRecoveryFailed", err, rot.done)
+	}
+	if !slices.Equal(fs[walFile].data, wal) {
+		t.Fatal("the refused open changed the WAL")
+	}
+	if _, info, err := Open(Options{FS: fs}); err != nil || info.Objects != 3 || info.BatchesReplayed != 3 {
+		t.Fatalf("open after the read fault: %+v, %v; want 3 objects in 3 batches", info, err)
+	}
+
+	fs, ends := crashed()
+	clear(fs[walFile].data[ends[0]:ends[1]])
+	_, info, err := Open(Options{FS: fs})
+	if err != nil || !info.TornTail || info.Objects != 1 || info.BatchesReplayed != 1 {
+		t.Fatalf("open with batch 2 lost: %+v, %v; want a tear after batch 1", info, err)
+	}
+	if len(fs[walFile].data) != ends[0] {
+		t.Errorf("WAL is %d bytes after the roll-back, want %d", len(fs[walFile].data), ends[0])
+	}
+}
+
 func TestCorruptDataPageFailsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTemp(t, dir, FsyncAlways)

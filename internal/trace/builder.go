@@ -15,7 +15,7 @@ type Builder struct {
 	dead deadArena
 }
 
-// builderChunk is the events per chunk: 1024 × 96 bytes = 96 KiB.
+// builderChunk is the events per chunk: 1024 × 80 bytes = 80 KiB.
 const builderChunk = 1024
 
 // Append adds an event.

@@ -75,7 +75,7 @@ func TestDecodedTracesAreExactlySized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenient, _, err := ReadAllLenient(bytes.NewReader(bin.Bytes()[:bin.Len()-1]))
+	lenient, _, _, err := ReadAllLenient(bytes.NewReader(bin.Bytes()[:bin.Len()-1]))
 	if err != nil {
 		t.Fatal(err)
 	}

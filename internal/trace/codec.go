@@ -36,10 +36,9 @@ const (
 
 // ErrTruncated reports that a binary stream ended before its 0xFF trailer:
 // either cleanly between events or mid-event. Callers distinguish it from
-// other decode errors with errors.Is; a lenient Reader converts it into a
-// normal end of stream after yielding every complete event. It carries
-// simerr.ErrCorruptTrace so batch supervisors and the obs layer classify it
-// without importing this package's sentinel.
+// other decode errors with errors.Is; ReadAllLenient returns the prefix
+// before the cut instead. It carries simerr.ErrCorruptTrace so batch
+// supervisors and the obs layer classify it without importing this package.
 var ErrTruncated = fmt.Errorf("%w: truncated stream (missing trailer)", simerr.ErrCorruptTrace)
 
 // Writer streams events to an io.Writer in the binary format. Close must be
@@ -85,7 +84,8 @@ func (w *Writer) Write(e *Event) error {
 			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(d.OID)), uint64(d.Size))
 		}
 	case KindPhase:
-		b = append(binary.AppendUvarint(b, uint64(len(e.Label))), e.Label...)
+		label := e.Label.String()
+		b = append(binary.AppendUvarint(b, uint64(len(label))), label...)
 	case KindRoot:
 		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.OID)), uint64(e.Size))
 	case KindIdle:
@@ -208,7 +208,7 @@ func (d *decoder) event(e *Event) error {
 		} else if d.err == nil && int(n) > len(d.p)-d.off {
 			d.err = errShort
 		} else if d.off += int(n); d.err == nil && d.dead != nil {
-			e.Label = string(d.p[d.off-int(n) : d.off])
+			e.Label, d.err = labelOf(d.p[d.off-int(n):d.off], true)
 		}
 	case KindRoot:
 		e.OID = objstore.OID(d.uvarint())
@@ -260,20 +260,7 @@ type Reader struct {
 	srcErr error   // why src gave no more bytes: io.EOF at its end
 	done   bool
 	dead   deadArena // backs the decoded events' Dead lists
-
-	// Lenient, when set before reading, makes truncation non-fatal: a stream
-	// that ends without its trailer (cleanly between events or mid-event)
-	// yields the events read so far and then io.EOF instead of ErrTruncated.
-	// Truncated() reports whether that happened. Decode errors other than
-	// truncation (bad kinds, implausible lengths) remain fatal.
-	Lenient bool
-
-	truncated bool
 }
-
-// Truncated reports whether a lenient Reader hit end of stream without the
-// trailer. It is meaningful once Read has returned io.EOF.
-func (r *Reader) Truncated() bool { return r.truncated }
 
 // NewReader validates the header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
@@ -304,12 +291,8 @@ func (r *Reader) Read() (Event, error) {
 		case !errors.Is(err, errShort):
 			return Event{}, err
 		case errors.Is(r.srcErr, io.EOF):
-			// The stream was cut: a strict Reader says so, a lenient one drops
-			// the partial event and ends. Either way the Reader is finished.
-			r.done, r.truncated = true, true
-			if r.Lenient {
-				return Event{}, io.EOF
-			}
+			// The stream was cut; the Reader is finished.
+			r.done = true
 			return Event{}, errCut
 		case r.srcErr != nil:
 			return Event{}, fmt.Errorf("trace: reading: %w", r.srcErr)
@@ -343,54 +326,58 @@ var errCut = fmt.Errorf("%w: %w", ErrTruncated, io.ErrUnexpectedEOF)
 
 // ReadAll decodes an entire stream into a Trace.
 func ReadAll(r io.Reader) (*Trace, error) {
-	t, _, err := readAll(r, false)
+	t, _, _, err := readAll(r, false)
 	return t, err
 }
 
-// ReadAllLenient decodes a possibly-truncated stream, returning every
-// complete event read before the cut. The second result reports whether the
-// stream was in fact truncated. Errors other than truncation are returned
-// as-is.
-func ReadAllLenient(r io.Reader) (*Trace, bool, error) {
+// ReadAllLenient decodes a possibly-truncated stream. Of a stream cut short
+// it keeps the events up to the last that does not build (Event.Builds), so
+// the prefix ends where a simulator could collect, and counts the dropped
+// build events. Errors other than truncation are returned as-is.
+func ReadAllLenient(r io.Reader) (t *Trace, truncated bool, dropped int, err error) {
 	return readAll(r, true)
 }
 
 // readAll reads the stream whole and counts its events and dead-list
 // entries, then allocates the events and the lists' backing once, each
 // exactly sized, and decodes every event in place.
-func readAll(r io.Reader, lenient bool) (*Trace, bool, error) {
+func readAll(r io.Reader, lenient bool) (*Trace, bool, int, error) {
 	if _, err := NewReader(r); err != nil {
-		return nil, false, err
+		return nil, false, 0, err
 	}
-	var in bytes.Buffer
-	if l, ok := r.(interface{ Len() int }); ok {
-		in.Grow(l.Len() + bytes.MinRead) // ReadFrom wants MinRead spare bytes
+	in := bytes.NewBuffer(nil)
+	if l, ok := r.(interface{ Len() int }); ok { // not in.Grow: with -race it allocates twice
+		in = bytes.NewBuffer(make([]byte, 0, l.Len()+bytes.MinRead)) // ReadFrom wants MinRead spare bytes
 	}
 	if _, err := in.ReadFrom(r); err != nil {
-		return nil, false, fmt.Errorf("trace: reading: %w", err)
+		return nil, false, 0, fmt.Errorf("trace: reading: %w", err)
 	}
 	count := decoder{p: in.Bytes()}
 	var scratch Event
-	n, err := 0, count.event(&scratch)
+	n, safe, err := 0, 0, count.event(&scratch)
 	for ; err == nil; err = count.event(&scratch) {
-		n++
+		if n++; !scratch.Builds() {
+			safe = n
+		}
 	}
-	truncated := errors.Is(err, errShort)
+	truncated, dropped := errors.Is(err, errShort), 0
 	switch {
-	case errors.Is(err, io.EOF), truncated && lenient:
+	case errors.Is(err, io.EOF):
+	case truncated && lenient:
+		n, dropped = safe, n-safe
 	case truncated:
-		return nil, true, errCut
+		return nil, true, 0, errCut
 	default:
-		return nil, false, err
+		return nil, false, 0, err
 	}
 	events := make([]Event, n)
 	d := decoder{p: in.Bytes(), dead: &deadArena{free: make([]DeadObject, count.ndead)}}
 	for i := range events {
 		if err := d.event(&events[i]); err != nil {
-			return nil, truncated, err
+			return nil, truncated, dropped, err
 		}
 	}
-	return &Trace{Events: events}, truncated, nil
+	return &Trace{Events: events}, truncated, dropped, nil
 }
 
 // WriteAll encodes an entire Trace to w.
@@ -445,7 +432,7 @@ func WriteJSON(w io.Writer, t *Trace) error {
 			Slot:  e.Slot,
 			Old:   uint64(e.Old),
 			New:   uint64(e.New),
-			Label: e.Label,
+			Label: e.Label.String(),
 			Init:  e.Init,
 		}
 		je.Dead = e.DeadObjects()
@@ -483,8 +470,11 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 			Slot:  je.Slot,
 			Old:   objstore.OID(je.Old),
 			New:   objstore.OID(je.New),
-			Label: je.Label,
 			Init:  je.Init,
+		}
+		var err error
+		if e.Label, err = labelOf([]byte(je.Label), true); err != nil {
+			return nil, fmt.Errorf("trace: JSON event %d: %w", i, err)
 		}
 		if len(je.Dead) > 0 {
 			e.Dead = b.Dead(len(je.Dead))

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -43,7 +45,7 @@ func randomEvent(rng *rand.Rand) Event {
 		}
 	case KindPhase:
 		labels := []string{"GenDB", "Reorg1", "Traverse", "Reorg2", "Custom/π"}
-		e.Label = labels[rng.Intn(len(labels))]
+		e.Label = MakeLabel(labels[rng.Intn(len(labels))])
 	case KindRoot:
 		e.OID = oid()
 		e.Size = rng.Intn(2)
@@ -238,8 +240,8 @@ func TestReadJSONRejectsUnknownKind(t *testing.T) {
 // TestReadAllocatesNothing: decoding an event allocates nothing, kind by kind
 // (a kind that allocated while the others did not would vanish in a mixed
 // stream's per-event average). A dead list is carved from the reader's arena,
-// one chunk per 1 024 entries; only a phase label, one string per phase,
-// allocates.
+// one chunk per 1 024 entries, and a phase label once interned is looked up
+// in place.
 func TestReadAllocatesNothing(t *testing.T) {
 	const n = 1000
 	for _, e := range []Event{
@@ -249,6 +251,7 @@ func TestReadAllocatesNothing(t *testing.T) {
 		{Kind: KindOverwrite, OID: 9, Slot: 1, Old: 4, New: 5, Dead: []DeadObject{{OID: 4, Size: 100}}},
 		{Kind: KindRoot, OID: 9, Size: 1},
 		{Kind: KindIdle, Size: 3},
+		{Kind: KindPhase, Label: MakeLabel("Reorg1")},
 	} {
 		t.Run(e.Kind.String(), func(t *testing.T) {
 			var buf bytes.Buffer
@@ -276,5 +279,46 @@ func TestReadAllocatesNothing(t *testing.T) {
 				t.Errorf("%v allocations per %v event, want 0", a, e.Kind)
 			}
 		})
+	}
+}
+
+// TestDecodedLabelsAreBounded: the intern table outlives every trace, so both
+// codecs refuse a trace that would grow it past maxLabels texts, and intern
+// nothing past the bound. Each side
+// runs on an emptied table (which holds the empty text), and the process's
+// table is put back after.
+func TestDecodedLabelsAreBounded(t *testing.T) {
+	index, text := labels.index, labels.text
+	defer func() { labels.index, labels.text = index, text }()
+	empty := func() { labels.index, labels.text = map[string]Label{"": 0}, []string{""} }
+	for _, tc := range []struct {
+		name string
+		fit  int // distinct labels that fit
+		size int // bytes per label
+	}{
+		{"short", maxLabels - 1, 8},
+		{"long", maxLabels - 1, 1 << 10},
+	} {
+		empty() // the writer's
+		var b Builder
+		for i := 0; i <= tc.fit; i++ {
+			b.Append(Event{Kind: KindPhase, Label: MakeLabel(fmt.Sprintf("%0*d", tc.size, i))})
+		}
+		var bin, js bytes.Buffer
+		if err := errors.Join(WriteAll(&bin, b.Trace()), WriteJSON(&js, b.Trace())); err != nil {
+			t.Fatal(err)
+		}
+		for codec, read := range map[string]func() (*Trace, error){
+			"binary": func() (*Trace, error) { return ReadAll(bytes.NewReader(bin.Bytes())) },
+			"json":   func() (*Trace, error) { return ReadJSON(bytes.NewReader(js.Bytes())) },
+		} {
+			empty() // the reader's
+			if _, err := read(); !errors.Is(err, errTooManyLabels) {
+				t.Errorf("%s/%s: %d distinct labels read: %v, want %v", tc.name, codec, tc.fit+1, err, errTooManyLabels)
+			}
+			if got := len(labels.text); got != 1+tc.fit {
+				t.Errorf("%s/%s: the table holds %d texts after the refusal, want %d", tc.name, codec, got, 1+tc.fit)
+			}
+		}
 	}
 }

@@ -72,26 +72,17 @@ func FuzzReader(f *testing.F) {
 				if allErr == nil || errors.Is(allErr, ErrTruncated) != errors.Is(err, ErrTruncated) {
 					t.Fatalf("stream failed with %v; ReadAll with %v", err, allErr)
 				}
-				// A lenient pass over the same bytes must terminate cleanly
-				// whenever the strict error was truncation, and must never
-				// yield more than the strict pass plus the partial event.
+				// A lenient read of the same bytes must succeed whenever the
+				// strict error was truncation, and keep the events the stream
+				// read before the cut but the trailing build events it drops.
 				if errors.Is(err, ErrTruncated) {
-					lr, lerr := NewReader(bytes.NewReader(data))
-					if lerr != nil {
-						t.Fatalf("lenient NewReader failed after strict succeeded: %v", lerr)
+					lenient, truncated, dropped, lerr := ReadAllLenient(bytes.NewReader(data))
+					if lerr != nil || !truncated {
+						t.Fatalf("lenient read of truncated input: truncated %v, err %v", truncated, lerr)
 					}
-					lr.Lenient = true
-					for {
-						_, lerr = lr.Read()
-						if lerr != nil {
-							break
-						}
-					}
-					if lerr != io.EOF {
-						t.Fatalf("lenient reader on truncated input: %v, want io.EOF", lerr)
-					}
-					if !lr.Truncated() {
-						t.Fatal("lenient reader did not report truncation")
+					if lenient.Len()+dropped != i {
+						t.Fatalf("lenient read kept %d events and dropped %d; the stream read %d",
+							lenient.Len(), dropped, i)
 					}
 				}
 				return
@@ -133,7 +124,7 @@ func TestDamagedDeadListLengthSizesNothing(t *testing.T) {
 
 	var tr *Trace
 	var truncated bool
-	if n := allocatedBytes(func() { tr, truncated, err = ReadAllLenient(bytes.NewReader(hugeDeadList)) }); n >= budget {
+	if n := allocatedBytes(func() { tr, truncated, _, err = ReadAllLenient(bytes.NewReader(hugeDeadList)) }); n >= budget {
 		t.Errorf("ReadAllLenient allocated %d bytes on a 16-byte stream, want < %d", n, budget)
 	}
 	if err != nil || !truncated || tr.Len() != 0 {

@@ -33,14 +33,11 @@ func TestReaderErrTruncated(t *testing.T) {
 		if !errors.Is(err, ErrTruncated) {
 			t.Errorf("cut %d: err = %v, want ErrTruncated", cut, err)
 		}
-		if !r.Truncated() {
-			t.Errorf("cut %d: Truncated() = false after truncation error", cut)
-		}
 	}
 }
 
-// TestReaderLenientYieldsPrefix checks that a lenient reader returns every
-// complete event before the cut and then ends cleanly.
+// TestReaderLenientYieldsPrefix checks that a lenient read returns a prefix
+// of the events before the cut, one that does not end in a build event.
 func TestReaderLenientYieldsPrefix(t *testing.T) {
 	chain := validChain()
 	var buf bytes.Buffer
@@ -51,12 +48,15 @@ func TestReaderLenientYieldsPrefix(t *testing.T) {
 	// Cut at every byte position past the header; lenient decoding must
 	// never error and must yield a prefix of the original events.
 	for cut := 6; cut < len(full); cut++ {
-		got, truncated, err := ReadAllLenient(bytes.NewReader(full[:cut]))
+		got, truncated, _, err := ReadAllLenient(bytes.NewReader(full[:cut]))
 		if err != nil {
 			t.Fatalf("cut %d: lenient read failed: %v", cut, err)
 		}
 		if cut < len(full)-1 && !truncated {
 			t.Fatalf("cut %d: truncation not reported", cut)
+		}
+		if n := got.Len(); n > 0 && got.Events[n-1].Builds() {
+			t.Fatalf("cut %d: the prefix ends in %v, a build event", cut, got.Events[n-1].String())
 		}
 		if got.Len() > chain.Len() {
 			t.Fatalf("cut %d: lenient read invented events: %d > %d", cut, got.Len(), chain.Len())
@@ -69,17 +69,17 @@ func TestReaderLenientYieldsPrefix(t *testing.T) {
 		}
 	}
 	// The full stream decodes without a truncation report.
-	got, truncated, err := ReadAllLenient(bytes.NewReader(full))
-	if err != nil || truncated {
-		t.Fatalf("full stream: err=%v truncated=%v", err, truncated)
+	got, truncated, dropped, err := ReadAllLenient(bytes.NewReader(full))
+	if err != nil || truncated || dropped != 0 {
+		t.Fatalf("full stream: err=%v truncated=%v dropped=%d", err, truncated, dropped)
 	}
 	if got.Len() != chain.Len() {
 		t.Fatalf("full stream decoded %d events, want %d", got.Len(), chain.Len())
 	}
 }
 
-// TestReaderLenientKeepsOtherErrorsFatal ensures lenient mode does not paper
-// over genuine corruption (an unknown event kind byte).
+// TestReaderLenientKeepsOtherErrorsFatal ensures a lenient read does not
+// paper over genuine corruption (an unknown event kind byte).
 func TestReaderLenientKeepsOtherErrorsFatal(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -95,21 +95,13 @@ func TestReaderLenientKeepsOtherErrorsFatal(t *testing.T) {
 	data := buf.Bytes()
 	// Overwrite the trailer with a bogus kind byte followed by nothing.
 	data[len(data)-1] = 0x7E
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Lenient = true
-	if _, err := r.Read(); err != nil {
-		t.Fatalf("first event: %v", err)
-	}
-	if _, err := r.Read(); err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("bogus kind byte in lenient mode: err = %v, want fatal decode error", err)
+	if _, _, _, err := ReadAllLenient(bytes.NewReader(data)); err == nil || errors.Is(err, ErrTruncated) {
+		t.Fatalf("bogus kind byte in a lenient read: err = %v, want fatal decode error", err)
 	}
 }
 
 // TestReaderTrailingGarbage: bytes after the trailer are ignored; the reader
-// reports clean EOF and no truncation.
+// reports clean EOF, not truncation.
 func TestReaderTrailingGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, validChain()); err != nil {
@@ -131,31 +123,27 @@ func TestReaderTrailingGarbage(t *testing.T) {
 		}
 		n++
 	}
-	if r.Truncated() {
-		t.Error("trailing garbage reported as truncation")
-	}
 	if n != validChain().Len() {
 		t.Errorf("decoded %d events, want %d", n, validChain().Len())
 	}
 }
 
 // stream reads data through a Reader fed one byte per Read, so every event
-// crosses a refill of its window. It returns the events, the truncation
-// verdict and the error that ended the stream (nil for a clean end).
-func stream(data []byte, lenient bool) ([]Event, bool, error) {
+// crosses a refill of its window. It returns the events and the error that
+// ended the stream (nil for a clean end).
+func stream(data []byte) ([]Event, error) {
 	r, err := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	r.Lenient = lenient
 	var events []Event
 	for {
 		e, err := r.Read()
 		if err == io.EOF {
-			return events, r.Truncated(), nil
+			return events, nil
 		}
 		if err != nil {
-			return events, r.Truncated(), err
+			return events, err
 		}
 		events = append(events, e)
 	}
@@ -166,14 +154,17 @@ func sameEvents(a, b []Event) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
-// TestDecodersAgreeOnEveryPrefix: ReadAll, ReadAllLenient and a streaming
-// Reader, strict and lenient, decode the same events from every prefix of a
-// trace, and reach the same verdict on it: complete, truncated, or refused.
+// TestDecodersAgreeOnEveryPrefix: ReadAll and a streaming Reader decode the
+// same events from every prefix of a trace and reach the same verdict on it:
+// complete, truncated, or refused. ReadAllLenient keeps the streamed events
+// of a truncated prefix but its trailing run of build events, and says how
+// many it dropped.
 func TestDecodersAgreeOnEveryPrefix(t *testing.T) {
 	chain := validChain()
-	chain.Append(Event{Kind: KindPhase, Label: "Reorg1"})
+	chain.Append(Event{Kind: KindPhase, Label: MakeLabel("Reorg1")})
 	chain.Append(Event{Kind: KindIdle, Size: 3})
 	chain.Append(Event{Kind: KindCreate, OID: 300, Class: objstore.ClassAtomicPart, Size: 1 << 20, Slots: 3})
+	chain.Append(Event{Kind: KindOverwrite, OID: 300, Slot: 2, New: 1, Init: true})
 	chain.Append(Event{Kind: KindOverwrite, OID: 1, Slot: 0, New: 300, Dead: []DeadObject{{OID: 129, Size: 1}, {OID: 4, Size: 70000}}})
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, chain); err != nil {
@@ -183,12 +174,11 @@ func TestDecodersAgreeOnEveryPrefix(t *testing.T) {
 	for cut := 0; cut <= len(full); cut++ {
 		data := full[:cut]
 		strict, serr := ReadAll(bytes.NewReader(data))
-		lenient, ltrunc, lerr := ReadAllLenient(bytes.NewReader(data))
-		events, _, err := stream(data, false)
-		levents, lstreamTrunc, lstreamErr := stream(data, true)
+		lenient, ltrunc, dropped, lerr := ReadAllLenient(bytes.NewReader(data))
+		events, err := stream(data)
 		if cut < 6 { // the header
-			if serr == nil || lerr == nil || err == nil || lstreamErr == nil {
-				t.Fatalf("cut %d: a header cut short was accepted: %v, %v, %v, %v", cut, serr, lerr, err, lstreamErr)
+			if serr == nil || lerr == nil || err == nil {
+				t.Fatalf("cut %d: a header cut short was accepted: %v, %v, %v", cut, serr, lerr, err)
 			}
 			continue
 		}
@@ -199,16 +189,19 @@ func TestDecodersAgreeOnEveryPrefix(t *testing.T) {
 		if !complete && (!errors.Is(err, ErrTruncated) || !errors.Is(serr, ErrTruncated)) {
 			t.Fatalf("cut %d: stream ended with %v, ReadAll with %v; want truncation", cut, err, serr)
 		}
-		if lerr != nil || lstreamErr != nil || ltrunc != !complete || lstreamTrunc != !complete {
-			t.Fatalf("cut %d: lenient ReadAll (%v, truncated %v), lenient stream (%v, truncated %v)",
-				cut, lerr, ltrunc, lstreamErr, lstreamTrunc)
+		if lerr != nil || ltrunc != !complete {
+			t.Fatalf("cut %d: lenient ReadAll: %v, truncated %v", cut, lerr, ltrunc)
 		}
 		if !sameEvents(events, chain.Events[:len(events)]) {
 			t.Fatalf("cut %d: streamed events differ from the trace's", cut)
 		}
-		if !sameEvents(levents, events) || !sameEvents(lenient.Events, events) {
-			t.Fatalf("cut %d: lenient decoders yield %d and %d events, the stream %d",
-				cut, len(levents), len(lenient.Events), len(events))
+		kept := len(events)
+		for !complete && kept > 0 && events[kept-1].Builds() {
+			kept--
+		}
+		if !sameEvents(lenient.Events, events[:kept]) || dropped != len(events)-kept {
+			t.Fatalf("cut %d: lenient ReadAll kept %d events and dropped %d; the stream read %d, %d of them trailing builds",
+				cut, len(lenient.Events), dropped, len(events), len(events)-kept)
 		}
 		if complete && !sameEvents(strict.Events, chain.Events) {
 			t.Fatal("ReadAll decodes the whole trace differently")
@@ -233,7 +226,7 @@ func TestReaderGrowsItsWindow(t *testing.T) {
 	if buf.Len() < 2*window {
 		t.Fatalf("the long event is %d bytes, want it to outgrow the window twice", buf.Len())
 	}
-	events, _, err := stream(buf.Bytes(), false)
+	events, err := stream(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
@@ -66,8 +67,9 @@ func (k Kind) String() string {
 // the event and must not be mutated by consumers.
 //
 // The field order keeps a held trace small: Kind, Class and Init, one byte
-// each, share the first word, so an event is 96 bytes with no padding. A new
-// field goes where it opens no hole; TestEventLayout is the guard.
+// each, and the 4-byte Label index share the first word, so an event is 80
+// bytes with no padding. A new field goes where it opens no hole;
+// TestEventLayout is the guard.
 type Event struct {
 	Kind  Kind
 	Class objstore.Class // Create only
@@ -77,7 +79,8 @@ type Event struct {
 	// graph and dirty pages but are invisible to the rate policies — they
 	// cannot create garbage (Old is always nil) and do not advance the
 	// pointer-overwrite clock.
-	Init bool
+	Init  bool
+	Label Label // Phase only
 
 	OID   objstore.OID // subject object (Create/Access/Update/Overwrite/Root)
 	Size  int          // Create: byte size; Root: 1=add, 0=remove
@@ -85,12 +88,60 @@ type Event struct {
 	Slot  int          // Overwrite: slot index in OID
 	Old   objstore.OID // Overwrite: previous slot value (for validation)
 	New   objstore.OID // Overwrite: new slot value (may be nil)
-	Label string       // Phase only
 
 	// Dead is the oracle annotation on an overwrite: the OIDs that became
 	// unreachable from the roots as a direct result of this overwrite,
 	// together with their sizes. Nil when no garbage was created.
 	Dead []DeadObject
+}
+
+// Label names an application phase: a 4-byte index into the intern table of
+// label texts, not a 16-byte string. The zero Label is the empty text.
+type Label uint32
+
+// labels is the intern table: append-only, safe for concurrent use, keeping
+// each distinct text for the life of the process. A decode may not grow it
+// past maxLabels texts (of at most 64 KiB each): it outlives every trace.
+var labels = struct {
+	sync.RWMutex
+	index map[string]Label
+	text  []string
+}{index: map[string]Label{"": 0}, text: []string{""}}
+
+const maxLabels = 1 << 12
+
+var errTooManyLabels = fmt.Errorf("trace: implausible phase labels: over %d distinct ones in the process", maxLabels)
+
+// MakeLabel returns the label of text, interning text on its first use.
+func MakeLabel(text string) Label { l, _ := labelOf([]byte(text), false); return l }
+
+// labelOf is MakeLabel for bytes; a label already interned allocates nothing.
+// A bounded call refuses a new text the table has no room for.
+func labelOf(text []byte, bounded bool) (Label, error) {
+	labels.RLock()
+	l, ok := labels.index[string(text)]
+	labels.RUnlock()
+	if ok {
+		return l, nil
+	}
+	labels.Lock()
+	defer labels.Unlock()
+	if l, ok = labels.index[string(text)]; !ok { // unless a racing caller added it
+		if bounded && len(labels.text) >= maxLabels {
+			return 0, errTooManyLabels
+		}
+		l = Label(len(labels.text))
+		labels.text = append(labels.text, string(text))
+		labels.index[labels.text[l]] = l
+	}
+	return l, nil
+}
+
+// String returns the label's text. Every Label is MakeLabel's or zero.
+func (l Label) String() string {
+	labels.RLock()
+	defer labels.RUnlock()
+	return labels.text[l]
 }
 
 // DeadObject records one object that an overwrite made unreachable.
@@ -102,6 +153,10 @@ type DeadObject struct {
 // DeadObjects returns the oracle annotation, the objects the overwrite made
 // unreachable (nil for none). The list is the event's: do not modify it.
 func (e *Event) DeadObjects() []DeadObject { return e.Dead }
+
+// Builds reports whether the event is a create or an initializing store, after
+// which an object may be unreached yet not dead: no place to collect or end.
+func (e *Event) Builds() bool { return e.Kind == KindCreate || (e.Kind == KindOverwrite && e.Init) }
 
 // DeadBytes sums the sizes in the oracle annotation.
 func (e *Event) DeadBytes() int {
@@ -175,7 +230,7 @@ func (e *Event) Validate() error {
 			}
 		}
 	case KindPhase:
-		if e.Label == "" {
+		if e.Label == 0 {
 			return fmt.Errorf("trace: phase with empty label")
 		}
 	case KindRoot:
@@ -245,7 +300,7 @@ func ComputeStats(t *Trace) Stats {
 			s.GarbageBytes += e.DeadBytes()
 			s.GarbageObjects += len(e.DeadObjects())
 		case KindPhase:
-			s.Phases = append(s.Phases, e.Label)
+			s.Phases = append(s.Phases, e.Label.String())
 		case KindIdle:
 			s.IdleTicks += e.Size
 		}

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -28,7 +30,7 @@ func TestEventValidate(t *testing.T) {
 			Dead: []DeadObject{{OID: 2, Size: 1}}}, "garbage"},
 		{"dead nil oid", Event{Kind: KindOverwrite, OID: 1,
 			Dead: []DeadObject{{Size: 1}}}, "invalid dead"},
-		{"valid phase", Event{Kind: KindPhase, Label: "GenDB"}, ""},
+		{"valid phase", Event{Kind: KindPhase, Label: MakeLabel("GenDB")}, ""},
 		{"phase empty", Event{Kind: KindPhase}, "empty label"},
 		{"valid root", Event{Kind: KindRoot, OID: 1, Size: 1}, ""},
 		{"root bad size", Event{Kind: KindRoot, OID: 1, Size: 2}, "want 0 or 1"},
@@ -59,7 +61,7 @@ func TestEventString(t *testing.T) {
 		{Event{Kind: KindAccess, OID: 2}, "access oid:2"},
 		{Event{Kind: KindOverwrite, OID: 3, Slot: 1, Old: 4, New: 0, Init: true},
 			"overwrite init oid:3[1] oid:4 -> nil dead=0(0B)"},
-		{Event{Kind: KindPhase, Label: "Traverse"}, `phase "Traverse"`},
+		{Event{Kind: KindPhase, Label: MakeLabel("Traverse")}, `phase "Traverse"`},
 		{Event{Kind: KindRoot, OID: 5, Size: 1}, "root + oid:5"},
 		{Event{Kind: KindRoot, OID: 5, Size: 0}, "root - oid:5"},
 	}
@@ -70,16 +72,58 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-// TestEventLayout: Kind, Class and Init share the event's first word, so an
-// event carries no padding. A loaded trace is held for the whole run; a hole
+// TestEventLayout: Kind, Class, Init and the Label index share the event's
+// first word, so an event carries no padding. A loaded trace is held for the whole run; a hole
 // in Event costs every event a word.
 func TestEventLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n != 96 {
-		t.Errorf("trace event is %d bytes, want 96: padding is paid by every held event, "+
+	if n := unsafe.Sizeof(Event{}); n != 80 {
+		t.Errorf("trace event is %d bytes, want 80: padding is paid by every held event, "+
 			"and 16 B an event is 1.6 MiB of replay-oo7's live heap", n)
 	}
 	if n := unsafe.Sizeof(DeadObject{}); n != 16 {
 		t.Errorf("dead-list entry is %d bytes, want 16", n)
+	}
+}
+
+// TestLabelIntern: goroutines interning overlapping label sets at once get
+// one Label per distinct text, and each Label's String is its text.
+func TestLabelIntern(t *testing.T) {
+	const workers, texts = 8, 64
+	got := make([][]Label, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Worker w interns texts w .. w+texts-1, so neighbours share all
+			// but one, and each finds some already interned.
+			for i := range texts {
+				got[w] = append(got[w], MakeLabel(fmt.Sprintf("intern-%d", w+i)))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[Label]string{}
+	for w, ls := range got {
+		for i, l := range ls {
+			text := fmt.Sprintf("intern-%d", w+i)
+			if l == 0 || l.String() != text {
+				t.Fatalf("worker %d: MakeLabel(%q) = %d, whose text is %q", w, text, l, l.String())
+			}
+			if prev, ok := seen[l]; ok && prev != text {
+				t.Fatalf("label %d names both %q and %q", l, prev, text)
+			}
+			seen[l] = text
+			if again := MakeLabel(text); again != l {
+				t.Fatalf("%q interned as %d and %d", text, l, again)
+			}
+		}
+	}
+	if n := len(seen); n != workers+texts-1 {
+		t.Errorf("%d labels for %d distinct texts", n, workers+texts-1)
+	}
+	if MakeLabel("") != 0 || Label(0).String() != "" {
+		t.Error("the empty text is not the zero Label")
 	}
 }
 
@@ -142,7 +186,7 @@ func TestValidateDoubleDead(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	tr := validChain()
-	tr.Append(Event{Kind: KindPhase, Label: "P1"})
+	tr.Append(Event{Kind: KindPhase, Label: MakeLabel("P1")})
 	tr.Append(Event{Kind: KindOverwrite, OID: 1, Slot: 0, New: 0, Init: true})
 	tr.Append(Event{Kind: KindUpdate, OID: 1})
 	s := ComputeStats(tr)

@@ -137,7 +137,7 @@ func Churn(p ChurnParams, seed int64) (*trace.Trace, error) {
 }
 
 func (g *churnGen) phase(label string) {
-	g.tr.Append(trace.Event{Kind: trace.KindPhase, Label: label})
+	g.tr.Append(trace.Event{Kind: trace.KindPhase, Label: trace.MakeLabel(label)})
 }
 
 func (g *churnGen) fileSize() int {

@@ -109,7 +109,7 @@ func TestChurnQuietPhaseIsReadOnly(t *testing.T) {
 	inQuiet := false
 	for _, e := range tr.Events {
 		if e.Kind == trace.KindPhase {
-			inQuiet = e.Label == PhaseQuiet
+			inQuiet = e.Label.String() == PhaseQuiet
 			continue
 		}
 		if inQuiet && e.Kind != trace.KindAccess {

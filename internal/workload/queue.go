@@ -103,7 +103,7 @@ func Queue(p QueueParams, seed int64) (*trace.Trace, error) {
 }
 
 func (g *queueGen) phase(label string) {
-	g.tr.Append(trace.Event{Kind: trace.KindPhase, Label: label})
+	g.tr.Append(trace.Event{Kind: trace.KindPhase, Label: trace.MakeLabel(label)})
 }
 
 func (g *queueGen) entrySize() int {

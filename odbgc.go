@@ -77,6 +77,8 @@ type (
 	Trace = trace.Trace
 	// Event is a single trace record.
 	Event = trace.Event
+	// Label names a phase event's phase (MakeLabel, Label.String).
+	Label = trace.Label
 	// TraceStats summarizes a trace.
 	TraceStats = trace.Stats
 
@@ -146,6 +148,8 @@ var (
 	// NewSelectionPolicy builds a partition-selection policy by name:
 	// "updated-pointer", "random", "round-robin", "oracle-max-garbage".
 	NewSelectionPolicy = gc.NewSelectionPolicy
+	// MakeLabel interns a phase name for the life of the process.
+	MakeLabel = trace.MakeLabel
 	// NewOO7Generator returns a phase-by-phase OO7 trace generator.
 	NewOO7Generator = oo7.NewGenerator
 	// SmallPrime returns the paper's Small' OO7 parameters for a

@@ -2,6 +2,7 @@ package odbgc
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -28,6 +29,29 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if math.Abs(res.GCIOFrac-0.15) > 0.05 {
 		t.Errorf("SAIO 15%%: achieved %.4f", res.GCIOFrac)
+	}
+}
+
+// TestFacadeLabels: a phase event's Label reads back as its name and compares
+// equal to the facade's MakeLabel of that name.
+func TestFacadeLabels(t *testing.T) {
+	tr, err := GenerateOO7Trace(OO7Options{Connectivity: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range tr.Events {
+		if e.Label == 0 {
+			continue
+		}
+		var l Label = MakeLabel(e.Label.String())
+		if l != e.Label {
+			t.Errorf("MakeLabel(%q) = %d, the event's Label is %d", e.Label.String(), l, e.Label)
+		}
+		names = append(names, e.Label.String())
+	}
+	if want := ComputeTraceStats(tr).Phases; len(names) == 0 || !slices.Equal(names, want) {
+		t.Errorf("phase labels %q, the trace's phases %q", names, want)
 	}
 }
 
