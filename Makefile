@@ -68,9 +68,9 @@ race:
 
 # Short fuzz passes over the trace decoders, the WAL scanner, the image
 # loader, the state digest's stream (decoded back to the state it hashes),
-# the typed frame codec (differentially against encoding/json) and
-# the buffer pool (differentially against the container/list + map pool it
-# replaced).
+# the typed frame codec (differentially against encoding/json), the
+# buffer pool (differentially against the container/list + map pool it
+# replaced) and the JSONL event log (what it reads re-emits to a fixed point).
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzJSONReader -fuzztime 15s ./internal/trace/
@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDigestStream -fuzztime 15s ./internal/storage/disk/
 	$(GO) test -fuzz FuzzFrameCodec -fuzztime 15s ./internal/server/
 	$(GO) test -fuzz FuzzBufferPool -fuzztime 15s ./internal/storage/
+	$(GO) test -fuzz FuzzEventLog -fuzztime 15s ./internal/obs/
 
 # Measuring has one path. A performance claim is made on the repository
 # benchmark (bench-e2e below: alternated parent/change pairs, spreads, counts

@@ -19,13 +19,13 @@ func writeLog(t *testing.T) string {
 		t.Fatal(err)
 	}
 	w := obs.NewJSONLWriter(f)
-	w.ObserveRunStart(obs.RunStart{Policy: "saio(10%)", Selection: "updated-pointer", Preamble: 10})
-	w.ObservePhase(obs.PhaseChange{Step: 0, Label: "GenDB"})
-	w.ObserveDecision(obs.Decision{Step: 40, Collected: true, DBBytes: 1000, GarbageBytes: 100})
-	w.ObserveCollection(obs.Collection{Index: 1, Step: 40, Phase: "GenDB", ReclaimedBytes: 90})
-	w.ObserveCheckpoint(obs.CheckpointMark{Step: 50, Op: "save"})
-	w.ObserveProgress(obs.Progress{Step: 1000, Collections: 1, Phase: "GenDB"})
-	w.ObserveRunEnd(obs.RunEnd{Events: 1200, Collections: 1, Reclaimed: 90})
+	w.Observe(obs.Envelope{RunStart: &obs.RunStart{Policy: "saio(10%)", Selection: "updated-pointer", Preamble: 10}})
+	w.Observe(obs.Envelope{Phase: &obs.PhaseChange{Step: 0, Label: "GenDB"}})
+	w.Observe(obs.Envelope{Decision: &obs.Decision{Step: 40, Collected: true, DBBytes: 1000, GarbageBytes: 100}})
+	w.Observe(obs.Envelope{Collection: &obs.Collection{Index: 1, Step: 40, Phase: "GenDB", ReclaimedBytes: 90}})
+	w.Observe(obs.Envelope{Checkpoint: &obs.CheckpointMark{Step: 50, Op: "save"}})
+	w.Observe(obs.Envelope{Progress: &obs.Progress{Step: 1000, Collections: 1, Phase: "GenDB"}})
+	w.Observe(obs.Envelope{RunEnd: &obs.RunEnd{Events: 1200, Collections: 1, Reclaimed: 90}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestObsdumpStatsDistributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := obs.NewJSONLWriter(f)
-	w.ObserveRunStart(obs.RunStart{Policy: "saga", Selection: "updated-pointer"})
+	w.Observe(obs.Envelope{RunStart: &obs.RunStart{Policy: "saga", Selection: "updated-pointer"}})
 	for i := 1; i <= 20; i++ {
-		w.ObserveCollection(obs.Collection{
+		w.Observe(obs.Envelope{Collection: &obs.Collection{
 			Index: i, Step: i * 50, Phase: "GenDB",
 			ReclaimedBytes: 100 * i, Interval: 50,
-		})
+		}})
 	}
-	w.ObserveRunEnd(obs.RunEnd{Events: 1000, Collections: 20})
+	w.Observe(obs.Envelope{RunEnd: &obs.RunEnd{Events: 1000, Collections: 20}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,22 @@ import (
 // torn writes (a prefix lands, the rest does not), fsync lies (Sync
 // reports success without syncing), short reads, and bit rot (a flipped
 // bit in read data, which the backend's checksums must catch). Like every
-// injector in this package it is deterministic: profile + seed fixes the
+// injector in this package it is deterministic: rates + seed fix the
 // entire fault schedule.
 type DiskChaos struct {
 	inner disk.FS
 	rng   rng
-	p     Profile
+	p     DiskFaults
 	stats DiskChaosStats
+}
+
+// DiskFaults are DiskChaos's rates. They are not part of a named Profile: no
+// command opens a store through DiskChaos, only tests do.
+type DiskFaults struct {
+	TornWriteProb float64 // per-write probability that only a prefix lands
+	FsyncLieProb  float64 // per-sync probability of lying about durability
+	ShortReadProb float64 // per-read probability of returning fewer bytes
+	BitRotProb    float64 // per-read probability of one flipped bit
 }
 
 // DiskChaosStats counts the faults a DiskChaos has injected.
@@ -30,8 +39,8 @@ type DiskChaosStats struct {
 	BitFlips   uint64
 }
 
-// NewDiskChaos wraps inner with the profile's disk fault rates.
-func NewDiskChaos(inner disk.FS, p Profile, seed int64) *DiskChaos {
+// NewDiskChaos wraps inner with the fault rates p.
+func NewDiskChaos(inner disk.FS, p DiskFaults, seed int64) *DiskChaos {
 	return &DiskChaos{inner: inner, rng: newRNG(seed), p: p}
 }
 

@@ -2,11 +2,14 @@ package fault
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
 	"odbgc/internal/storage/disk"
+	"odbgc/internal/storage/disk/crashtest"
 )
 
 // seedStore builds a small committed store on dir and closes it.
@@ -33,74 +36,164 @@ func seedStore(t *testing.T, dir string) {
 	}
 }
 
-func TestDiskChaosTornWriteClassifies(t *testing.T) {
-	p := Profile{TornWriteProb: 1}
-	fs := NewDiskChaos(disk.OSFS{Dir: t.TempDir()}, p, 7)
-	s, _, err := disk.Open(disk.Options{FS: fs})
+// TestDiskFaultClasses maps each DiskChaos class, injected at every
+// operation of Open on a seeded store or of one Commit on it, to the
+// simerr class the operation must return (ClassOK: it succeeds). fires says
+// whether the operation meets the class at all: a commit reads nothing and
+// an open of a checkpointed store writes nothing, so those rows must count
+// no fault. Rot that sits in the WAL file itself, rather than in what a read
+// returns, has no row: recovery reads it as a torn tail and rolls back, and
+// telling it apart needs a durable record of how far the WAL was synced.
+//
+// The floor follows: seeds 1–32 each power-cut a run whose fsyncs lied
+// (fsyncLieFloor). A lie on a checkpoint's sync may leave the older image
+// beside a WAL the next commit already cut; recovery then refuses, which
+// the rows allow, rather than open a state with a gap.
+func TestDiskFaultClasses(t *testing.T) {
+	rows := []struct {
+		name   string
+		at     string // "open" or "commit"
+		faults DiskFaults
+		want   simerr.Class
+		fires  bool
+	}{
+		{"torn write/open", "open", DiskFaults{TornWriteProb: 1}, simerr.ClassOK, false},
+		{"torn write/commit", "commit", DiskFaults{TornWriteProb: 1}, simerr.ClassTornWrite, true},
+		{"fsync lie/open", "open", DiskFaults{FsyncLieProb: 1}, simerr.ClassOK, false},
+		{"fsync lie/commit", "commit", DiskFaults{FsyncLieProb: 1}, simerr.ClassOK, true},
+		{"short read/open", "open", DiskFaults{ShortReadProb: 1}, simerr.ClassOK, true},
+		{"short read/commit", "commit", DiskFaults{ShortReadProb: 1}, simerr.ClassOK, false},
+		{"bit rot/open", "open", DiskFaults{BitRotProb: 1}, simerr.ClassRecoveryFailed, true},
+		{"bit rot/commit", "commit", DiskFaults{BitRotProb: 1}, simerr.ClassOK, false},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedStore(t, dir)
+			fs := NewDiskChaos(disk.OSFS{Dir: dir}, DiskFaults{}, 7)
+			if r.at == "open" {
+				fs.p = r.faults
+			}
+			s, _, err := disk.Open(disk.Options{FS: fs})
+			if err == nil && r.at == "commit" {
+				if err = s.LogAlloc(2, objstore.ClassModule, 100, 1); err != nil {
+					t.Fatal(err)
+				}
+				fs.p = r.faults
+				err = s.Commit()
+			}
+			if s != nil {
+				_ = s.Close()
+			}
+			got := simerr.Classify(err)
+			t.Logf("%+v: %v", fs.Stats(), err)
+			if got != r.want {
+				t.Errorf("%s classified %q, want %q: %v", r.at, got, r.want, err)
+			}
+			if fired := fs.Stats() != (DiskChaosStats{}); fired != r.fires {
+				t.Errorf("faults counted %+v; want any: %v", fs.Stats(), r.fires)
+			}
+		})
+	}
+	refusals := 0
+	for seed := int64(1); seed <= 32; seed++ {
+		t.Run(fmt.Sprintf("fsync lie/power cut/seed=%d", seed), func(t *testing.T) {
+			if fsyncLieFloor(t, seed) {
+				refusals++
+			}
+		})
+	}
+	t.Logf("%d of 32 power cuts after lying fsyncs refused to recover", refusals)
+}
+
+// floorCommits is the length of each run TestDiskFaultClasses power-cuts
+// under lying fsyncs; the store is checkpointed after every seventh commit,
+// so the last two batches reach recovery through the WAL alone.
+const floorCommits = 30
+
+// fsyncLieFloor runs floorCommits FsyncAlways commits on a journaling
+// filesystem whose fsyncs lie at 30 %, then cuts the power, which keeps only
+// what a real sync covered. A lie may lose acknowledged batches, but only
+// those after the last batch the journal shows a real WAL sync after (the
+// floor): recovery must land exactly on a commit boundary at or past it, or
+// refuse as recovery_failed. It reports a refusal.
+func fsyncLieFloor(t *testing.T, seed int64) (refused bool) {
+	jfs := crashtest.NewJournalFS()
+	fs := NewDiskChaos(jfs, DiskFaults{FsyncLieProb: 0.3}, seed)
+	s, _, err := disk.Open(disk.Options{FS: fs, Fsync: disk.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = s.Close() }()
-	if err := s.LogAlloc(1, objstore.ClassModule, 100, 1); err != nil {
-		t.Fatal(err)
+	digests := [][32]byte{s.Digest()} // digests[i]: the state after batch i
+	var walEnds []int                 // walEnds[i]: journal length past batch i+1's WAL write
+	for c := 1; c <= floorCommits; c++ {
+		oid := objstore.OID(c)
+		if err := s.LogAlloc(oid, objstore.ClassModule, 100, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LogRoot(oid, true); err != nil {
+			t.Fatal(err)
+		}
+		before := len(jfs.Ops())
+		if err := s.Commit(); err != nil {
+			t.Fatalf("commit %d: %v", c, err)
+		}
+		w := slices.IndexFunc(jfs.Ops()[before:], func(op crashtest.Op) bool { return op.Kind == crashtest.OpWrite })
+		walEnds = append(walEnds, before+w+1)
+		digests = append(digests, s.Digest())
+		if c%7 == 0 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after commit %d: %v", c, err)
+			}
+		}
 	}
-	err = s.Commit()
-	if err == nil {
-		t.Fatal("commit through a 100% torn-write disk succeeded")
+	ops := jfs.Ops()
+	synced, heapSyncs := 0, 0
+	for i, op := range ops {
+		if op.Kind == crashtest.OpSync && op.File == "wal.log" {
+			synced = i + 1
+		}
+		if op.Kind == crashtest.OpSync && op.File == "heap.db" {
+			heapSyncs++
+		}
 	}
-	if !errors.Is(err, simerr.ErrTornWrite) {
-		t.Errorf("commit error is not a torn write: %v", err)
+	floor := 0
+	for i, end := range walEnds {
+		if end <= synced {
+			floor = i + 1
+		}
 	}
-	if got := simerr.Classify(err); got != simerr.ClassTornWrite {
-		t.Errorf("Classify = %q", got)
-	}
-	if fs.Stats().TornWrites == 0 {
-		t.Error("no torn write counted")
-	}
-}
-
-func TestDiskChaosBitRotFailsRecoveryAsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	seedStore(t, dir)
-	fs := NewDiskChaos(disk.OSFS{Dir: dir}, Profile{BitRotProb: 1}, 11)
-	_, _, err := disk.Open(disk.Options{FS: fs})
-	if err == nil {
-		t.Fatal("recovery through 100% bit rot succeeded")
-	}
-	class := simerr.Classify(err)
-	if class != simerr.ClassRecoveryFailed && class != simerr.ClassTornWrite {
-		t.Errorf("rot classified as %q, want corruption", class)
-	}
-	if fs.Stats().BitFlips == 0 {
-		t.Error("no bit flip counted")
-	}
-}
-
-func TestDiskChaosFsyncLiesAreCountedAndSilent(t *testing.T) {
-	fs := NewDiskChaos(disk.OSFS{Dir: t.TempDir()}, Profile{FsyncLieProb: 1}, 3)
-	s, _, err := disk.Open(disk.Options{FS: fs})
+	re, info, err := disk.Open(disk.Options{FS: crashtest.FromImage(jfs.Materialize(len(ops), 0, false))})
 	if err != nil {
+		t.Logf("%+v, %d of %d checkpoints synced: %v", fs.Stats(), heapSyncs, floorCommits/7, err)
+		if !errors.Is(err, simerr.ErrRecoveryFailed) {
+			t.Errorf("recovery refused as %q, want recovery_failed: %v", simerr.Classify(err), err)
+		}
+		if heapSyncs == floorCommits/7 {
+			t.Error("recovery refused, yet no fsync lied across a checkpoint")
+		}
+		return true
+	}
+	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogAlloc(1, objstore.ClassModule, 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatalf("a lying fsync must not surface an error: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	switch at := slices.Index(digests, info.Digest); {
+	case at < 0:
+		t.Error("recovered a state no commit left")
+	case at < floor:
+		t.Errorf("recovered batch %d, below the floor %d", at, floor)
 	}
 	if fs.Stats().FsyncLies == 0 {
 		t.Error("no fsync lie counted")
 	}
+	return false
 }
 
 func TestDiskChaosDeterministic(t *testing.T) {
 	run := func() DiskChaosStats {
 		dir := t.TempDir()
 		seedStore(t, dir)
-		p := Profile{TornWriteProb: 0.3, FsyncLieProb: 0.3, ShortReadProb: 0.2, BitRotProb: 0.2}
+		p := DiskFaults{TornWriteProb: 0.3, FsyncLieProb: 0.3, ShortReadProb: 0.2, BitRotProb: 0.2}
 		fs := NewDiskChaos(disk.OSFS{Dir: dir}, p, 99)
 		s, _, err := disk.Open(disk.Options{FS: fs})
 		if err == nil {

@@ -20,13 +20,6 @@ type Profile struct {
 	// Trace stream faults (applied by CorruptReader).
 	TraceTruncateFrac float64 // cut the stream at this fraction of its length (0 = off)
 	TraceBitFlipProb  float64 // per-byte probability of flipping one bit
-
-	// Disk backend faults (applied by DiskChaos around a disk.FS). No named
-	// profile sets them: no command opens a store through DiskChaos.
-	TornWriteProb float64 // per-write probability that only a prefix lands
-	FsyncLieProb  float64 // per-sync probability of lying about durability
-	ShortReadProb float64 // per-read probability of returning fewer bytes
-	BitRotProb    float64 // per-read probability of one flipped bit
 }
 
 // Estimator reports whether the profile injects estimator signal faults.

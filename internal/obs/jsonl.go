@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Float is a float64 whose JSON encoding is total: NaN encodes as null and
@@ -51,7 +52,7 @@ func (f *Float) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Event type tags, one per Observer hook.
+// Event type tags, one per payload.
 const (
 	TypeRunStart   = "run_start"
 	TypePhase      = "phase"
@@ -68,9 +69,9 @@ func EventTypes() []string {
 		TypeCheckpoint, TypeProgress, TypeRunEnd}
 }
 
-// Envelope is one decoded JSONL line: the schema version, a sequence number
-// assigned in emission order, the event type tag, and exactly one non-nil
-// payload field matching the tag.
+// Envelope is one event: the schema version, a sequence number assigned in
+// emission order, the event type tag, and exactly one non-nil payload field
+// matching the tag. Drivers set the payload only; JSONLWriter stamps the rest.
 type Envelope struct {
 	V    int    `json:"v"`
 	Seq  uint64 `json:"seq"`
@@ -85,36 +86,42 @@ type Envelope struct {
 	RunEnd     *RunEnd         `json:"run_end,omitempty"`
 }
 
+// payloadType returns the tag of the payload the envelope carries and how
+// many payloads it carries: the one place a payload is paired with its tag.
+func (e *Envelope) payloadType() (tag string, n int) {
+	for _, p := range [...]struct {
+		tag string
+		set bool
+	}{
+		{TypeRunStart, e.RunStart != nil},
+		{TypePhase, e.Phase != nil},
+		{TypeDecision, e.Decision != nil},
+		{TypeCollection, e.Collection != nil},
+		{TypeCheckpoint, e.Checkpoint != nil},
+		{TypeProgress, e.Progress != nil},
+		{TypeRunEnd, e.RunEnd != nil},
+	} {
+		if p.set {
+			tag, n = p.tag, n+1
+		}
+	}
+	return tag, n
+}
+
 // Validate checks the envelope's structural invariants: a known schema
 // version, a known type tag, and a payload that matches the tag.
 func (e *Envelope) Validate() error {
 	if e.V != SchemaVersion {
 		return fmt.Errorf("obs: unknown schema version %d (have %d)", e.V, SchemaVersion)
 	}
-	payloads := map[string]bool{
-		TypeRunStart:   e.RunStart != nil,
-		TypePhase:      e.Phase != nil,
-		TypeDecision:   e.Decision != nil,
-		TypeCollection: e.Collection != nil,
-		TypeCheckpoint: e.Checkpoint != nil,
-		TypeProgress:   e.Progress != nil,
-		TypeRunEnd:     e.RunEnd != nil,
-	}
-	present, ok := payloads[e.Type]
-	if !ok {
+	if !slices.Contains(EventTypes(), e.Type) {
 		return fmt.Errorf("obs: unknown event type %q", e.Type)
 	}
-	if !present {
-		return fmt.Errorf("obs: event %d typed %q carries no %q payload", e.Seq, e.Type, e.Type)
-	}
-	n := 0
-	for _, p := range payloads {
-		if p {
-			n++
-		}
-	}
-	if n != 1 {
+	switch tag, n := e.payloadType(); {
+	case n > 1:
 		return fmt.Errorf("obs: event %d carries %d payloads; want exactly one", e.Seq, n)
+	case tag != e.Type:
+		return fmt.Errorf("obs: event %d typed %q carries no %q payload", e.Seq, e.Type, e.Type)
 	}
 	return nil
 }
@@ -123,8 +130,8 @@ func (e *Envelope) Validate() error {
 // io.Writer. The encoding is versioned (every line carries SchemaVersion)
 // and byte-deterministic: identical runs produce identical files because
 // every field derives from simulated state and encoding/json writes struct
-// fields in declaration order. The writer buffers; call Close (or at least
-// Flush) before reading the output.
+// fields in declaration order. The writer buffers; call Close before reading
+// the output.
 type JSONLWriter struct {
 	bw  *bufio.Writer
 	c   io.Closer // non-nil when the writer owns the underlying file
@@ -132,8 +139,8 @@ type JSONLWriter struct {
 	err error // first write error; subsequent events are dropped
 }
 
-// NewJSONLWriter wraps w. The caller retains ownership of w; Close only
-// flushes.
+// NewJSONLWriter wraps w. When w is an io.Closer the writer takes it over:
+// Close flushes and then closes w.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	jw := &JSONLWriter{bw: bufio.NewWriter(w)}
 	if c, ok := w.(io.Closer); ok {
@@ -142,21 +149,9 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	return jw
 }
 
-// Err returns the first error encountered while writing, if any. Observer
-// hooks cannot return errors, so emission failures are latched here for the
-// caller to check at Close time.
-func (w *JSONLWriter) Err() error { return w.err }
-
-// Flush flushes buffered lines to the underlying writer.
-func (w *JSONLWriter) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	return w.bw.Flush()
-}
-
 // Close flushes and, when the underlying writer is an io.Closer, closes it.
-// It returns the first error seen over the writer's whole life.
+// It returns the first error seen over the writer's whole life: Observe
+// cannot return one, so an encoding or write failure is latched until here.
 func (w *JSONLWriter) Close() error {
 	ferr := w.bw.Flush()
 	var cerr error
@@ -172,12 +167,20 @@ func (w *JSONLWriter) Close() error {
 	return cerr
 }
 
-func (w *JSONLWriter) emit(env Envelope) {
+// Observe implements Observer: it stamps the schema version, the next
+// sequence number and the type of the envelope's payload, and writes the
+// envelope as one line. An envelope without exactly one payload is latched
+// as the writer's error.
+func (w *JSONLWriter) Observe(env Envelope) {
 	if w.err != nil {
 		return
 	}
-	env.V = SchemaVersion
-	env.Seq = w.seq
+	env.V, env.Seq = SchemaVersion, w.seq
+	env.Type, _ = env.payloadType()
+	if err := env.Validate(); err != nil {
+		w.err = err
+		return
+	}
 	w.seq++
 	b, err := json.Marshal(&env)
 	if err != nil {
@@ -190,31 +193,6 @@ func (w *JSONLWriter) emit(env Envelope) {
 	}
 	w.err = w.bw.WriteByte('\n')
 }
-
-// ObserveRunStart implements Observer.
-func (w *JSONLWriter) ObserveRunStart(e RunStart) { w.emit(Envelope{Type: TypeRunStart, RunStart: &e}) }
-
-// ObservePhase implements Observer.
-func (w *JSONLWriter) ObservePhase(e PhaseChange) { w.emit(Envelope{Type: TypePhase, Phase: &e}) }
-
-// ObserveDecision implements Observer.
-func (w *JSONLWriter) ObserveDecision(e Decision) { w.emit(Envelope{Type: TypeDecision, Decision: &e}) }
-
-// ObserveCollection implements Observer.
-func (w *JSONLWriter) ObserveCollection(e Collection) {
-	w.emit(Envelope{Type: TypeCollection, Collection: &e})
-}
-
-// ObserveCheckpoint implements Observer.
-func (w *JSONLWriter) ObserveCheckpoint(e CheckpointMark) {
-	w.emit(Envelope{Type: TypeCheckpoint, Checkpoint: &e})
-}
-
-// ObserveProgress implements Observer.
-func (w *JSONLWriter) ObserveProgress(e Progress) { w.emit(Envelope{Type: TypeProgress, Progress: &e}) }
-
-// ObserveRunEnd implements Observer.
-func (w *JSONLWriter) ObserveRunEnd(e RunEnd) { w.emit(Envelope{Type: TypeRunEnd, RunEnd: &e}) }
 
 // Reader decodes a JSONL event stream line by line.
 type Reader struct {

@@ -11,13 +11,13 @@ import (
 
 // emitSample drives one of every event type through an observer.
 func emitSample(o Observer) {
-	o.ObserveRunStart(RunStart{Policy: "saga(10%,fgs-hb(0.80))", Selection: "updated-pointer", Preamble: 10})
-	o.ObservePhase(PhaseChange{Step: 0, Label: "GenDB"})
-	o.ObserveDecision(Decision{Step: 12, Clock: core.Clock{AppIO: 9, Overwrites: 3}, DBBytes: 100, GarbageBytes: 10, Collected: true, Estimate: 11, Target: 10, NextInterval: 200})
-	o.ObserveCollection(Collection{Index: 1, Step: 12, Phase: "GenDB", Interval: 200, ReclaimedBytes: 512, DBBytes: 100, GarbageFrac: 0.1})
-	o.ObserveCheckpoint(CheckpointMark{Step: 14, Op: "save"})
-	o.ObserveProgress(Progress{Step: 1000, Collections: 1, Phase: "GenDB"})
-	o.ObserveRunEnd(RunEnd{Events: 2000, Collections: 5, GarbageFrac: Float(math.NaN())})
+	o.Observe(Envelope{RunStart: &RunStart{Policy: "saga(10%,fgs-hb(0.80))", Selection: "updated-pointer", Preamble: 10}})
+	o.Observe(Envelope{Phase: &PhaseChange{Step: 0, Label: "GenDB"}})
+	o.Observe(Envelope{Decision: &Decision{Step: 12, Clock: core.Clock{AppIO: 9, Overwrites: 3}, DBBytes: 100, GarbageBytes: 10, Collected: true, Estimate: 11, Target: 10, NextInterval: 200}})
+	o.Observe(Envelope{Collection: &Collection{Index: 1, Step: 12, Phase: "GenDB", Interval: 200, ReclaimedBytes: 512, DBBytes: 100, GarbageFrac: 0.1}})
+	o.Observe(Envelope{Checkpoint: &CheckpointMark{Step: 14, Op: "save"}})
+	o.Observe(Envelope{Progress: &Progress{Step: 1000, Collections: 1, Phase: "GenDB"}})
+	o.Observe(Envelope{RunEnd: &RunEnd{Events: 2000, Collections: 5, GarbageFrac: Float(math.NaN())}})
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
@@ -138,4 +138,51 @@ func TestMultiFansOutAndElidesNil(t *testing.T) {
 			t.Errorf("observer %d: collections %d, want 5", i, got)
 		}
 	}
+}
+
+// FuzzEventLog: any bytes are decoded or refused by ReadAll, never a panic,
+// and a log it accepts reaches a fixed point: its envelopes re-emitted
+// through a fresh JSONLWriter read back, and emitting what was read back
+// writes the same bytes again.
+func FuzzEventLog(f *testing.F) {
+	var sample bytes.Buffer
+	w := NewJSONLWriter(&sample)
+	emitSample(w)
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample.Bytes())
+	for _, line := range bytes.SplitAfter(sample.Bytes(), []byte("\n")) {
+		f.Add(line)
+	}
+	f.Add([]byte(`{"v":1,"seq":0,"type":"phase","phase":{"step":1.0,"label":"<é\xff>"},"extra":[1]}` + "\n\n"))
+	f.Add([]byte(`{"v":1,"seq":0,"type":"run_end","run_end":{"gc_io_frac":"+Inf","garbage_frac":null}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		envs, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := emitAll(t, envs)
+		back, err := ReadAll(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("re-emitted log refused: %v\n%s", err, first)
+		}
+		if second := emitAll(t, back); !bytes.Equal(first, second) {
+			t.Fatalf("re-emitting the log read back changed it:\n%s\n---\n%s", first, second)
+		}
+	})
+}
+
+// emitAll writes envs through a fresh JSONLWriter and returns its bytes.
+func emitAll(t *testing.T, envs []*Envelope) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewJSONLWriter(&buf)
+	for _, e := range envs {
+		w.Observe(*e)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -32,7 +32,7 @@ type Status struct {
 
 // Live is an Observer that folds events into a metrics Registry and a
 // queryable Status snapshot — the backing store for the /metrics and
-// /statusz HTTP endpoints. All methods lock, so a scraper may read while
+// /statusz HTTP endpoints. Every method locks, so a scraper may read while
 // the simulation writes. Its metrics are named odbgc_control_* (the
 // controller's loop: steps, decisions and their inputs and outputs),
 // odbgc_heap_* (the database it controls) and odbgc_gc_* (the collections
@@ -111,7 +111,7 @@ func (l *Live) Draining() bool {
 }
 
 // advanceStep moves the event cursor forward, advancing the monotone
-// steps counter by the delta (hooks carry absolute cursors).
+// steps counter by the delta (events carry absolute cursors).
 func (l *Live) advanceStep(step int) {
 	if step > l.lastStep {
 		l.steps.Add(float64(step - l.lastStep))
@@ -131,87 +131,64 @@ func (l *Live) setClock(c core.Clock) {
 	}
 }
 
-// ObserveRunStart implements Observer.
-func (l *Live) ObserveRunStart(e RunStart) {
+// Observe implements Observer: it folds the envelope's payload into the
+// status and the metrics under one lock.
+func (l *Live) Observe(e Envelope) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.st.Running = true
-	l.st.Policy = e.Policy
-	l.st.Selection = e.Selection
-	l.lastStep = e.Resumed
-	l.st.Step = e.Resumed
-}
+	switch {
+	case e.RunStart != nil:
+		l.st.Running = true
+		l.st.Policy = e.RunStart.Policy
+		l.st.Selection = e.RunStart.Selection
+		l.lastStep = e.RunStart.Resumed
+		l.st.Step = e.RunStart.Resumed
+	case e.Phase != nil:
+		l.st.Phase = e.Phase.Label
+		l.advanceStep(e.Phase.Step)
+		l.phases.Add(1)
+	case e.Decision != nil:
+		d := e.Decision
+		l.advanceStep(d.Step)
+		l.setClock(d.Clock)
+		l.decisions.Add(1)
+		l.dbBytes.Set(float64(d.DBBytes))
+		l.garbageBytes.Set(float64(d.GarbageBytes))
+	case e.Collection != nil:
+		c := e.Collection
+		l.advanceStep(c.Step)
+		l.st.Collections = c.Index
+		l.st.Phase = c.Phase
+		l.st.AchievedGarbageFrac = c.GarbageFrac
+		l.st.TargetGarbageFrac = c.TargetFrac
+		l.st.ReclaimedBytes += uint64(c.ReclaimedBytes)
+		l.setClock(c.Clock)
 
-// ObservePhase implements Observer.
-func (l *Live) ObservePhase(e PhaseChange) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.st.Phase = e.Label
-	l.advanceStep(e.Step)
-	l.phases.Add(1)
-}
-
-// ObserveDecision implements Observer.
-func (l *Live) ObserveDecision(e Decision) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.advanceStep(e.Step)
-	l.setClock(e.Clock)
-	l.decisions.Add(1)
-	l.dbBytes.Set(float64(e.DBBytes))
-	l.garbageBytes.Set(float64(e.GarbageBytes))
-}
-
-// ObserveCollection implements Observer.
-func (l *Live) ObserveCollection(e Collection) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.advanceStep(e.Step)
-	l.st.Collections = e.Index
-	l.st.Phase = e.Phase
-	l.st.AchievedGarbageFrac = e.GarbageFrac
-	l.st.TargetGarbageFrac = e.TargetFrac
-	l.st.ReclaimedBytes += uint64(e.ReclaimedBytes)
-	l.setClock(e.Clock)
-
-	l.collections.Add(1)
-	l.reclaimed.Add(float64(e.ReclaimedBytes))
-	l.dbBytes.Set(float64(e.DBBytes))
-	l.garbageBytes.Set(float64(e.GarbageBytes))
-	l.garbageFrac.Set(float64(e.GarbageFrac))
-	l.estimatedFrac.Set(float64(e.EstimatedFrac))
-	l.targetFrac.Set(float64(e.TargetFrac))
-	l.interval.Observe(float64(e.Interval))
-	l.yield.Observe(float64(e.ReclaimedBytes))
-	l.collectionIO.Observe(float64(e.IO.GCReads + e.IO.GCWrites))
-}
-
-// ObserveCheckpoint implements Observer.
-func (l *Live) ObserveCheckpoint(e CheckpointMark) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.checkpoints.Add(1)
-}
-
-// ObserveProgress implements Observer.
-func (l *Live) ObserveProgress(e Progress) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.advanceStep(e.Step)
-	l.st.Collections = e.Collections
-	l.st.Phase = e.Phase
-	l.setClock(e.Clock)
-}
-
-// ObserveRunEnd implements Observer.
-func (l *Live) ObserveRunEnd(e RunEnd) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.st.Running = false
-	l.advanceStep(e.Events)
-	l.st.Collections = e.Collections
-	l.st.AchievedGarbageFrac = e.GarbageFrac
-	l.st.AchievedGCIOFrac = e.GCIOFrac
-	final := e
-	l.st.Final = &final
+		l.collections.Add(1)
+		l.reclaimed.Add(float64(c.ReclaimedBytes))
+		l.dbBytes.Set(float64(c.DBBytes))
+		l.garbageBytes.Set(float64(c.GarbageBytes))
+		l.garbageFrac.Set(float64(c.GarbageFrac))
+		l.estimatedFrac.Set(float64(c.EstimatedFrac))
+		l.targetFrac.Set(float64(c.TargetFrac))
+		l.interval.Observe(float64(c.Interval))
+		l.yield.Observe(float64(c.ReclaimedBytes))
+		l.collectionIO.Observe(float64(c.IO.GCReads + c.IO.GCWrites))
+	case e.Checkpoint != nil:
+		l.checkpoints.Add(1)
+	case e.Progress != nil:
+		p := e.Progress
+		l.advanceStep(p.Step)
+		l.st.Collections = p.Collections
+		l.st.Phase = p.Phase
+		l.setClock(p.Clock)
+	case e.RunEnd != nil:
+		r := *e.RunEnd
+		l.st.Running = false
+		l.advanceStep(r.Events)
+		l.st.Collections = r.Collections
+		l.st.AchievedGarbageFrac = r.GarbageFrac
+		l.st.AchievedGCIOFrac = r.GCIOFrac
+		l.st.Final = &r
+	}
 }

@@ -1,8 +1,9 @@
-// Package obs is the simulator's zero-dependency observability layer:
-// typed observer hooks the simulation loop fires at its structural moments
-// (run start/end, policy decisions, collections, phase transitions,
-// checkpoint save/resume), a structured JSONL event emitter
-// with a versioned byte-deterministic encoding, an in-process metrics
+// Package obs is the simulator's zero-dependency observability layer: one
+// observer method the drivers call at their structural moments (run
+// start/end, policy decisions, collections, phase transitions, checkpoint
+// save/resume, progress), each event an Envelope carrying one typed payload;
+// a structured JSONL event emitter that writes those envelopes with a
+// versioned byte-deterministic encoding, an in-process metrics
 // registry with Prometheus text-format exposition, and run provenance
 // manifests that make every persisted result attributable to the exact
 // configuration, seeds, and trace that produced it.
@@ -13,7 +14,7 @@
 // clock. The wall clock appears only at the HTTP boundary (uptime on the
 // status endpoint), under a reasoned //lint:allow, so detrand stays green
 // over this package. A nil Observer in sim.Config costs nothing: the
-// simulator guards every hook with a nil check and allocates no event
+// simulator guards every send with a nil check and allocates no event
 // structs.
 package obs
 
@@ -164,19 +165,16 @@ type RunEnd struct {
 	TotalIO      uint64 `json:"total_io"`
 }
 
-// Observer receives simulation lifecycle events. Implementations must not
-// mutate anything the simulator reads — hooks are strictly write-only taps.
-// All methods are called from the simulation goroutine, in deterministic
-// order; implementations that share state with other goroutines (e.g. an
-// HTTP status endpoint) do their own locking.
+// Observer receives a run's events. A driver sends each event as an
+// Envelope with exactly one payload pointer set and leaves V, Seq and Type
+// zero: JSONLWriter stamps those as it writes, from the payload, so the tag
+// cannot disagree with it. Implementations are write-only taps: they must not
+// mutate the payload or anything the simulator reads, and they copy what they
+// keep. Observe is called from the driver's goroutine, in deterministic order;
+// implementations that share state with other goroutines (e.g. an HTTP status
+// endpoint) do their own locking.
 type Observer interface {
-	ObserveRunStart(RunStart)
-	ObservePhase(PhaseChange)
-	ObserveDecision(Decision)
-	ObserveCollection(Collection)
-	ObserveCheckpoint(CheckpointMark)
-	ObserveProgress(Progress)
-	ObserveRunEnd(RunEnd)
+	Observe(Envelope)
 }
 
 // Multi fans events out to several observers in order.
@@ -201,51 +199,9 @@ func NewMulti(obs ...Observer) Observer {
 	return m
 }
 
-// ObserveRunStart implements Observer.
-func (m Multi) ObserveRunStart(e RunStart) {
+// Observe implements Observer.
+func (m Multi) Observe(e Envelope) {
 	for _, o := range m {
-		o.ObserveRunStart(e)
-	}
-}
-
-// ObservePhase implements Observer.
-func (m Multi) ObservePhase(e PhaseChange) {
-	for _, o := range m {
-		o.ObservePhase(e)
-	}
-}
-
-// ObserveDecision implements Observer.
-func (m Multi) ObserveDecision(e Decision) {
-	for _, o := range m {
-		o.ObserveDecision(e)
-	}
-}
-
-// ObserveCollection implements Observer.
-func (m Multi) ObserveCollection(e Collection) {
-	for _, o := range m {
-		o.ObserveCollection(e)
-	}
-}
-
-// ObserveCheckpoint implements Observer.
-func (m Multi) ObserveCheckpoint(e CheckpointMark) {
-	for _, o := range m {
-		o.ObserveCheckpoint(e)
-	}
-}
-
-// ObserveProgress implements Observer.
-func (m Multi) ObserveProgress(e Progress) {
-	for _, o := range m {
-		o.ObserveProgress(e)
-	}
-}
-
-// ObserveRunEnd implements Observer.
-func (m Multi) ObserveRunEnd(e RunEnd) {
-	for _, o := range m {
-		o.ObserveRunEnd(e)
+		o.Observe(e)
 	}
 }

@@ -150,23 +150,21 @@ func (p *askLog) LastInterval() uint64 {
 // turnLog keeps a driver's decision and collection events with the driver's
 // own position (step, phase) blanked, which is all that may differ.
 type turnLog struct {
-	obs.Observer
 	decisions   []obs.Decision
 	collections []obs.Collection
 }
 
-func (l *turnLog) ObserveRunStart(obs.RunStart)         {}
-func (l *turnLog) ObserveRunEnd(obs.RunEnd)             {}
-func (l *turnLog) ObservePhase(obs.PhaseChange)         {}
-func (l *turnLog) ObserveProgress(obs.Progress)         {}
-func (l *turnLog) ObserveCheckpoint(obs.CheckpointMark) {}
-func (l *turnLog) ObserveDecision(e obs.Decision) {
-	e.Step = 0
-	l.decisions = append(l.decisions, e)
-}
-func (l *turnLog) ObserveCollection(e obs.Collection) {
-	e.Step, e.Phase = 0, ""
-	l.collections = append(l.collections, e)
+func (l *turnLog) Observe(e obs.Envelope) {
+	switch {
+	case e.Decision != nil:
+		d := *e.Decision
+		d.Step = 0
+		l.decisions = append(l.decisions, d)
+	case e.Collection != nil:
+		c := *e.Collection
+		c.Step, c.Phase = 0, ""
+		l.collections = append(l.collections, c)
+	}
 }
 
 // driverRun is what one driver made of a stream.

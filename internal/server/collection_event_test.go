@@ -12,17 +12,16 @@ import (
 	"odbgc/internal/storage"
 )
 
-// collectionLog keeps the engine's collection events. The engine calls only
-// the three methods defined here; the embedded nil Observer covers the rest
-// of the interface.
+// collectionLog keeps the engine's collection events.
 type collectionLog struct {
-	obs.Observer
 	got []obs.Collection
 }
 
-func (l *collectionLog) ObserveRunStart(obs.RunStart)       {}
-func (l *collectionLog) ObserveDecision(obs.Decision)       {}
-func (l *collectionLog) ObserveCollection(e obs.Collection) { l.got = append(l.got, e) }
+func (l *collectionLog) Observe(e obs.Envelope) {
+	if e.Collection != nil {
+		l.got = append(l.got, *e.Collection)
+	}
+}
 
 // TestEngineCollectionEventCarriesCycleRecord checks that a serving-side
 // collection event is the control loop's whole record: the interval since the

@@ -463,7 +463,7 @@ func TestDiskChaosUnderTheEngine(t *testing.T) {
 }
 
 func diskChaosUnderTheEngine(t *testing.T, seed int64) {
-	chaos := fault.NewDiskChaos(crashtest.NewJournalFS(), fault.Profile{
+	chaos := fault.NewDiskChaos(crashtest.NewJournalFS(), fault.DiskFaults{
 		TornWriteProb: 0.01, FsyncLieProb: 0.02, ShortReadProb: 0.005, BitRotProb: 0.005,
 	}, seed)
 	m, failed := chaosLoad(t, chaos)
@@ -530,7 +530,7 @@ func TestShortReadsRefuseNoOpen(t *testing.T) {
 	for _, rate := range []float64{0.001, 0.005, 0.02} {
 		refused, met := 0, uint64(0)
 		for seed := int64(1); seed <= 200; seed++ {
-			chaos := fault.NewDiskChaos(fs, fault.Profile{ShortReadProb: rate}, seed)
+			chaos := fault.NewDiskChaos(fs, fault.DiskFaults{ShortReadProb: rate}, seed)
 			st, info, err := disk.Open(disk.Options{FS: chaos})
 			met += chaos.Stats().ShortReads
 			if err != nil {

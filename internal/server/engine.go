@@ -155,7 +155,7 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 	e.loop = sim.Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim},
 		Observer: cfg.Observer, Spans: cfg.Recorder, Now: e.Now, OnSpan: e.gcSpan}
 	if cfg.Observer != nil {
-		cfg.Observer.ObserveRunStart(obs.RunStart{Policy: cfg.Policy.Name(), Selection: cfg.Selection.Name()})
+		cfg.Observer.Observe(obs.Envelope{RunStart: &obs.RunStart{Policy: cfg.Policy.Name(), Selection: cfg.Selection.Name()}})
 	}
 	return e, nil
 }

@@ -46,7 +46,7 @@ func (s *Simulator) Checkpoint() ([]byte, error) {
 		return nil, fmt.Errorf("sim: writing checkpoint image: %w", err)
 	}
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.ObserveCheckpoint(obs.CheckpointMark{Step: s.step, Op: "save"})
+		s.cfg.Observer.Observe(obs.Envelope{Checkpoint: &obs.CheckpointMark{Step: s.step, Op: "save"}})
 	}
 	return img, nil
 }
@@ -108,8 +108,8 @@ func Resume(cfg Config, img []byte) (*Simulator, error) {
 		s.loop.Cycle.LastOverwrites = s.res.Collections[n-1].After.Overwrites
 	}
 	if cfg.Observer != nil {
-		cfg.Observer.ObserveRunStart(s.runStart(s.step))
-		cfg.Observer.ObserveCheckpoint(obs.CheckpointMark{Step: s.step, Op: "resume"})
+		cfg.Observer.Observe(obs.Envelope{RunStart: s.runStart(s.step)})
+		cfg.Observer.Observe(obs.Envelope{Checkpoint: &obs.CheckpointMark{Step: s.step, Op: "resume"}})
 	}
 	return s, nil
 }

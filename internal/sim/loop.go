@@ -103,9 +103,11 @@ func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.C
 	if err != nil || l.Observer == nil {
 		return c, err
 	}
-	l.Observer.ObserveDecision(obs.DecisionOf(c, step, idle))
+	d := obs.DecisionOf(c, step, idle)
+	l.Observer.Observe(obs.Envelope{Decision: &d})
 	if c.Collected {
-		l.Observer.ObserveCollection(obs.CollectionOf(c, step))
+		col := obs.CollectionOf(c, step)
+		l.Observer.Observe(obs.Envelope{Collection: &col})
 	}
 	return c, nil
 }
@@ -120,7 +122,7 @@ func (l *Loop) Heartbeat(step, collections int, phase string) {
 }
 
 func (l *Loop) progress(step, collections int, phase string) {
-	l.Observer.ObserveProgress(obs.Progress{Step: step, Collections: collections, Phase: phase, Clock: l.Cycle.Clock()})
+	l.Observer.Observe(obs.Envelope{Progress: &obs.Progress{Step: step, Collections: collections, Phase: phase, Clock: l.Cycle.Clock()}})
 }
 
 // now reads the span clock.

@@ -17,35 +17,26 @@ import (
 	"odbgc/internal/simerr"
 )
 
-// nopObserver is an embeddable no-op obs.Observer.
-type nopObserver struct{}
-
-func (nopObserver) ObserveRunStart(obs.RunStart)         {}
-func (nopObserver) ObservePhase(obs.PhaseChange)         {}
-func (nopObserver) ObserveDecision(obs.Decision)         {}
-func (nopObserver) ObserveCollection(obs.Collection)     {}
-func (nopObserver) ObserveCheckpoint(obs.CheckpointMark) {}
-func (nopObserver) ObserveProgress(obs.Progress)         {}
-func (nopObserver) ObserveRunEnd(obs.RunEnd)             {}
-
 // gaugeObserver tracks how many runs are between RunStart and RunEnd, and
 // the high-water mark of that gauge.
 type gaugeObserver struct {
-	nopObserver
 	cur, max atomic.Int32
 }
 
-func (g *gaugeObserver) ObserveRunStart(obs.RunStart) {
-	cur := g.cur.Add(1)
-	for {
-		max := g.max.Load()
-		if cur <= max || g.max.CompareAndSwap(max, cur) {
-			return
+func (g *gaugeObserver) Observe(e obs.Envelope) {
+	switch {
+	case e.RunEnd != nil:
+		g.cur.Add(-1)
+	case e.RunStart != nil:
+		cur := g.cur.Add(1)
+		for {
+			max := g.max.Load()
+			if cur <= max || g.max.CompareAndSwap(max, cur) {
+				return
+			}
 		}
 	}
 }
-
-func (g *gaugeObserver) ObserveRunEnd(obs.RunEnd) { g.cur.Add(-1) }
 
 func saioRunnerConfig(t *testing.T, n int) RunnerConfig {
 	t.Helper()

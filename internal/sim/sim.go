@@ -48,7 +48,7 @@ type Config struct {
 	// decisions, collections, phase transitions, checkpoints). The
 	// simulator never reads observer state: runs with and without an
 	// observer produce bit-identical results, and a nil observer costs a
-	// single pointer test per hook site.
+	// single pointer test per event site.
 	Observer obs.Observer
 	// Spans, when non-nil, receives one KindGC span per collection in the
 	// same schema the live server emits, timed on the simulated I/O clock.
@@ -167,7 +167,7 @@ func New(cfg Config) (*Simulator, error) {
 	heap.SetPhysicalFixups(cfg.PhysicalFixups)
 	s := assemble(cfg, heap, &Result{PolicyName: cfg.Policy.Name(), SelectionName: cfg.Selection.Name()})
 	if cfg.Observer != nil {
-		cfg.Observer.ObserveRunStart(s.runStart(0))
+		cfg.Observer.Observe(obs.Envelope{RunStart: s.runStart(0)})
 	}
 	return s, nil
 }
@@ -179,8 +179,8 @@ func assemble(cfg Config, heap *gc.Heap, res *Result) *Simulator {
 }
 
 // runStart assembles the RunStart event.
-func (s *Simulator) runStart(resumed int) obs.RunStart {
-	return obs.RunStart{
+func (s *Simulator) runStart(resumed int) *obs.RunStart {
+	return &obs.RunStart{
 		Policy:    s.cfg.Policy.Name(),
 		Selection: s.cfg.Selection.Name(),
 		Preamble:  s.cfg.PreambleCollections,
@@ -311,7 +311,7 @@ func (s *Simulator) phase(label string, idx int) {
 	s.phaseGarb = metrics.Mean{}
 	s.phaseIOBase = s.disk.Stats()
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.ObservePhase(mark)
+		s.cfg.Observer.Observe(obs.Envelope{Phase: &mark})
 	}
 }
 
@@ -405,7 +405,7 @@ func (s *Simulator) Finish() (*Result, error) {
 	r.GarbageFracMin = garb.Min()
 	r.GarbageFracMax = garb.Max()
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.ObserveRunEnd(obs.RunEnd{
+		s.cfg.Observer.Observe(obs.Envelope{RunEnd: &obs.RunEnd{
 			Events:       r.Events,
 			Collections:  len(r.Collections),
 			Preamble:     r.EffectivePreamble,
@@ -417,7 +417,7 @@ func (s *Simulator) Finish() (*Result, error) {
 			FinalGarbage: r.FinalGarbage,
 			Partitions:   r.Partitions,
 			TotalIO:      r.Final.TotalIO(),
-		})
+		}})
 	}
 	return r, nil
 }
