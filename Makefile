@@ -66,14 +66,13 @@ test-race:
 race:
 	$(GO) test -race ./internal/trace/ ./internal/sim/ ./internal/server/ ./internal/obs/... ./internal/storage/disk/
 
-# Short fuzz passes over the trace decoders, the WAL scanner, the image
+# Short fuzz passes over the trace decoder, the WAL scanner, the image
 # loader, the state digest's stream (decoded back to the state it hashes),
 # the typed frame codec (differentially against encoding/json), the
 # buffer pool (differentially against the container/list + map pool it
 # replaced) and the JSONL event log (what it reads re-emits to a fixed point).
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/trace/
-	$(GO) test -fuzz FuzzJSONReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 15s ./internal/storage/disk/
 	$(GO) test -fuzz FuzzLoadImage -fuzztime 15s ./internal/storage/disk/

@@ -25,14 +25,12 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"odbgc/internal/core"
 	"odbgc/internal/fault"
 	"odbgc/internal/gc"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
-	"odbgc/internal/obs/span"
 	"odbgc/internal/oo7"
 	"odbgc/internal/sim"
 	"odbgc/internal/trace"
@@ -74,15 +72,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault schedule (independent of -seed)")
 		lenient   = fs.Bool("lenient", false, "tolerate a truncated trace file: run on the surviving prefix")
 		eventsOut = fs.String("events", "", "write a structured JSONL event log to this path (see cmd/obsdump)")
-		spansOut  = fs.String("spans", "", "write GC collection spans (same schema as the live server's flight recorder) to this path as JSONL")
 		manifest  = fs.String("manifest", "", "write a run provenance manifest (config, seeds, trace identity, artifact digests) to this path")
-		httpAddr  = fs.String("http", "", `serve /metrics, /healthz, /statusz and /debug/pprof on this address (e.g. ":8080") while running`)
-		serveFor  = fs.Duration("serve-after", 0, "with -http, keep serving this long after the run completes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(*every, *frac, *history, *preamble, *serveFor, *httpAddr); err != nil {
+	if err := validateFlags(*every, *frac, *history, *preamble); err != nil {
 		return err
 	}
 
@@ -96,8 +91,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if faultsOn {
 			return fmt.Errorf("-compare does not support fault injection; run policies one at a time")
 		}
-		if *eventsOut != "" || *spansOut != "" || *manifest != "" || *httpAddr != "" {
-			return fmt.Errorf("-compare does not support -events, -spans, -manifest or -http; run policies one at a time")
+		if *eventsOut != "" || *manifest != "" {
+			return fmt.Errorf("-compare does not support -events or -manifest; run policies one at a time")
 		}
 		return runCompare(stdout, fs, *compare, *selection, *preamble, *conn, *seed, *fixups)
 	}
@@ -138,9 +133,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		PhysicalFixups:      *fixups,
 	}
 
-	// Observability taps must exist before the simulator: sim.New announces
-	// the run to its observer.
-	var observers []obs.Observer
+	// The event log must exist before the simulator: sim.New announces the
+	// run to its observer.
 	var events *obs.JSONLWriter
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
@@ -148,7 +142,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		events = obs.NewJSONLWriter(f)
-		observers = append(observers, events)
+		cfg.Observer = events
 	}
 	closeEvents := func() error {
 		if events == nil {
@@ -162,25 +156,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	defer func() { _ = closeEvents() }()
-	var live *obs.Live
-	if *httpAddr != "" {
-		live = obs.NewLive()
-		bound, stopServe, err := obs.ListenAndServe(*httpAddr, live)
-		if err != nil {
-			return fmt.Errorf("starting metrics server: %w", err)
-		}
-		defer stopServe()
-		fmt.Fprintf(stdout, "serving metrics on http://%s/metrics\n", bound)
-		observers = append(observers, live)
-	}
-	cfg.Observer = obs.NewMulti(observers...)
-	var spanRec *span.Recorder
-	if *spansOut != "" {
-		// Generous capacity: a simulation run should dump every collection
-		// span, not just a retained tail.
-		spanRec = span.NewRecorder(span.Config{Capacity: 8192})
-		cfg.Spans = spanRec
-	}
 
 	s, err := sim.New(cfg)
 	if err != nil {
@@ -260,9 +235,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *perColl {
 		for i := 0; i < len(res.Collections); i += *every {
 			c := res.Collections[i]
-			fmt.Fprintf(stdout, "#%4d %-9s ow=%7d interval=%5d part=%3d reclaimed=%7dB live=%7dB garbage=%.3f gcio=%d\n",
+			fmt.Fprintf(stdout, "#%4d %-9s ow=%7d interval=%5d part=%3d reclaimed=%7dB live=%7dB traced=%5d garbage=%.3f gcio=%d\n",
 				c.Index, c.Phase, c.After.Overwrites, c.Interval, c.Result.Partition,
-				c.Result.ReclaimedBytes, c.Result.LiveBytes, c.GarbageFrac(), c.Result.IO.GCIO())
+				c.Result.ReclaimedBytes, c.Result.LiveBytes, c.Result.LiveObjects, c.GarbageFrac(), c.Result.IO.GCIO())
 		}
 	}
 
@@ -282,20 +257,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// The event log must be flushed before the manifest digests it.
 	if err := closeEvents(); err != nil {
 		return err
-	}
-	if spanRec != nil {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			return err
-		}
-		nsp, err := spanRec.Dump(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing span log %s: %w", *spansOut, err)
-		}
-		fmt.Fprintf(stdout, "spans:             %s (%d collection spans)\n", *spansOut, nsp)
 	}
 	if *manifest != "" {
 		if traceID != nil && traceID.Events == 0 {
@@ -317,11 +278,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		if *spansOut != "" {
-			if err := m.AddArtifact(*spansOut); err != nil {
-				return err
-			}
-		}
 		if err := m.SetSummary(obs.Summary{
 			Events:      res.Events,
 			Collections: len(res.Collections),
@@ -337,19 +293,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "manifest:          %s (summary %s)\n", *manifest, m.SummarySHA256[:12])
 	}
-	if *serveFor > 0 {
-		fmt.Fprintf(stdout, "run complete; serving metrics for another %s\n", *serveFor)
-		select {
-		case <-time.After(*serveFor):
-		case <-ctx.Done():
-		}
-	}
 	return nil
 }
 
 // validateFlags rejects out-of-range flag values with actionable errors
 // instead of silently clamping them.
-func validateFlags(logEvery int, frac, history float64, preamble int, serveFor time.Duration, httpAddr string) error {
+func validateFlags(logEvery int, frac, history float64, preamble int) error {
 	if logEvery < 1 {
 		return fmt.Errorf("-logevery must be >= 1 (got %d)", logEvery)
 	}
@@ -361,12 +310,6 @@ func validateFlags(logEvery int, frac, history float64, preamble int, serveFor t
 	}
 	if preamble < 0 {
 		return fmt.Errorf("-preamble must be >= 0 (got %d)", preamble)
-	}
-	if serveFor < 0 {
-		return fmt.Errorf("-serve-after must be >= 0 (got %s)", serveFor)
-	}
-	if serveFor > 0 && httpAddr == "" {
-		return fmt.Errorf("-serve-after needs -http to say where to serve")
 	}
 	return nil
 }

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"odbgc/internal/core"
 	"odbgc/internal/obs"
 	"odbgc/internal/oo7"
+	"odbgc/internal/sim"
 	"odbgc/internal/trace"
 )
 
@@ -46,13 +49,48 @@ func TestGcsimPolicyVariants(t *testing.T) {
 	}
 }
 
+// TestGcsimPerCollectionLog: -log prints every -logevery'th collection, and
+// its traced= field is the objects the collection traced, the survivors of
+// the collected partition.
 func TestGcsimPerCollectionLog(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run(context.Background(), []string{"-policy", "fixed", "-interval", "400", "-log", "-logevery", "10"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stdout.String(), "#   1 ") {
-		t.Errorf("per-collection log missing:\n%s", stdout.String())
+	var lines []string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(l, "#") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) < 2 || !strings.HasPrefix(lines[0], "#   1 ") || !strings.HasPrefix(lines[1], "#  11 ") {
+		t.Fatalf("per-collection log missing or not every 10th:\n%s", stdout.String())
+	}
+
+	tr, err := oo7.FullTrace(oo7.SmallPrime(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := core.NewFixedRate(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(sim.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range lines[:2] {
+		c := res.Collections[10*i]
+		if c.Result.LiveObjects == 0 {
+			t.Fatalf("collection %d traced no objects", c.Index)
+		}
+		if want := fmt.Sprintf(" traced=%5d ", c.Result.LiveObjects); !strings.Contains(l, want) {
+			t.Errorf("collection %d: %q lacks %q", c.Index, l, want)
+		}
 	}
 }
 
@@ -164,8 +202,6 @@ func TestGcsimFlagValidation(t *testing.T) {
 		{"frac above one", []string{"-frac", "1.5"}, "-frac"},
 		{"history negative", []string{"-history", "-1"}, "-history"},
 		{"preamble negative", []string{"-preamble", "-1"}, "-preamble"},
-		{"serve-after negative", []string{"-http", ":0", "-serve-after", "-1s"}, "-serve-after"},
-		{"serve-after without http", []string{"-serve-after", "1s"}, "-http"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -233,19 +269,6 @@ func TestGcsimEventsAndManifest(t *testing.T) {
 	}
 	if mA.SummarySHA256 != mB.SummarySHA256 || mA.Artifacts[0].SHA256 != mB.Artifacts[0].SHA256 {
 		t.Error("identical-seed runs produced different manifest digests")
-	}
-}
-
-// TestGcsimHTTP runs with -http and scrapes the endpoints after the run, the
-// CLI-level counterpart of the handler tests in internal/obs.
-func TestGcsimHTTP(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-policy", "saio", "-http", "127.0.0.1:0",
-		"-serve-after", "1ms"}, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(stdout.String(), "serving metrics on http://") {
-		t.Errorf("bound address not announced:\n%s", stdout.String())
 	}
 }
 

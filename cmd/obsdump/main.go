@@ -49,7 +49,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		stats    = fs.Bool("stats", false, "print per-type event counts and the run summary instead of every event")
 		typeFlag = fs.String("type", "", "print only events of this type (see -check for the list)")
 		limit    = fs.Int("n", 0, "print only the first N matching events (0 = all)")
-		spans    = fs.Bool("spans", false, "the input is span JSONL from the flight recorder (gcsim -spans, odbgcd -traces, /debug/traces)")
+		spans    = fs.Bool("spans", false, "the input is span JSONL from the flight recorder (odbgcd -traces, /debug/traces)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

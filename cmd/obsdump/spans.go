@@ -12,7 +12,7 @@ import (
 )
 
 // runSpans is the -spans mode: the input is span JSONL from the flight
-// recorder (gcsim -spans, odbgcd -traces, or a /debug/traces scrape) rather
+// recorder (odbgcd -traces or a /debug/traces scrape) rather
 // than an event log. -check validates structure and parent links; otherwise
 // every span is rendered followed by per-stage latency percentiles and a
 // critical-path breakdown over the request spans.

@@ -5,11 +5,11 @@
 // Usage:
 //
 //	oo7gen -o trace.odbt [-conn 3] [-seed 1] [-phases GenDB,Reorg1,Traverse,Reorg2]
-//	       [-json] [-validate] [-small] [-workload oo7|churn]
+//	       [-validate] [-small] [-workload oo7|churn]
 //
-// The binary format is compact; -json writes JSON lines for inspection and
-// interchange. -validate replays the trace and cross-checks the oracle
-// garbage annotations against true reachability before writing.
+// The output is the binary trace format; tracedump prints it as text.
+// -validate replays the trace and cross-checks the oracle garbage
+// annotations against true reachability before writing.
 package main
 
 import (
@@ -39,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		conn     = fs.Int("conn", 3, "NumConnPerAtomic: connectivity between atomic parts (3, 6 or 9)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		phases   = fs.String("phases", strings.Join(oo7.Phases, ","), "comma-separated OO7 phases to generate, in order")
-		asJSON   = fs.Bool("json", false, "write JSON lines instead of the binary format")
 		validate = fs.Bool("validate", false, "validate the trace before writing")
 		small    = fs.Bool("small", false, "use the original OO7 Small parameters (500 composites, 7 levels) instead of Small'")
 		docProb  = fs.Float64("docreplace", -1, "probability a reorg replaces a composite's document (-1 keeps the default)")
@@ -91,13 +90,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		closeOut = f.Close
 		w = f
 	}
-	var err error
-	if *asJSON {
-		err = trace.WriteJSON(w, tr)
-	} else {
-		err = trace.WriteAll(w, tr)
-	}
-	if err != nil {
+	if err := trace.WriteAll(w, tr); err != nil {
 		_ = closeOut()
 		return err
 	}

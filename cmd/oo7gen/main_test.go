@@ -33,18 +33,14 @@ func TestRunGeneratesValidBinaryTrace(t *testing.T) {
 	}
 }
 
-func TestRunJSONOutput(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "t.json")
+// TestRunQuietPhaseSubset: -o - writes the binary trace to stdout, -phases
+// limits it to the named phases, and -q leaves stderr empty.
+func TestRunQuietPhaseSubset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-o", out, "-json", "-q", "-phases", "GenDB"}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-o", "-", "-q", "-phases", "GenDB"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadJSON(f)
+	tr, err := trace.ReadAll(&stdout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		events   = fs.Bool("events", false, "print events")
 		validate = fs.Bool("validate", false, "replay and validate the trace")
 		limit    = fs.Int("n", 0, "with -events, print only the first N events (0 = all)")
-		fromJSON = fs.Bool("json", false, "input is JSON lines rather than binary")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: tracedump [flags] trace.odbt")
+	}
+	if *limit < 0 {
+		return fmt.Errorf("-n must be >= 0 (got %d)", *limit)
 	}
 
 	f, err := os.Open(fs.Arg(0))
@@ -46,12 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer func() { _ = f.Close() }()
 
-	var tr *trace.Trace
-	if *fromJSON {
-		tr, err = trace.ReadJSON(f)
-	} else {
-		tr, err = trace.ReadAll(f)
-	}
+	tr, err := trace.ReadAll(f)
 	if err != nil {
 		return err
 	}

@@ -81,4 +81,7 @@ func TestDumpErrors(t *testing.T) {
 	if err := run([]string{junk}, &stdout, &stderr); err == nil {
 		t.Error("junk file accepted")
 	}
+	if err := run([]string{"-n", "-1", junk}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "-n must be >= 0") {
+		t.Errorf("-n -1: %v, want a refusal naming -n", err)
+	}
 }

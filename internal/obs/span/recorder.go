@@ -16,6 +16,8 @@ const (
 	slowRecalc      = 64  // finishes between slow-threshold recomputations
 	slowQuantile    = 90  // percentile above which an ok span is "slow"
 	maxPendingPins  = 64  // pins recorded before their span has finished
+	spikeSheds      = 16  // shed spans among the last spikeWindow that trip OnSpike
+	spikeWindow     = 64  // finished request spans per shed-spike window
 )
 
 // Config parameterizes a Recorder. The zero value is usable: default
@@ -24,13 +26,10 @@ type Config struct {
 	// Capacity is the span count of each ring (bulk and retained);
 	// defaultCapacity when <= 0. All memory is allocated up front.
 	Capacity int
-	// SpikeSheds and SpikeWindow arm shed-spike detection: OnSpike fires
-	// whenever at least SpikeSheds of the last SpikeWindow finished request
-	// spans were shed. Defaults 16 of 64. OnSpike runs on the goroutine that
-	// finished the tripping span, outside the recorder lock.
-	SpikeSheds  int
-	SpikeWindow int
-	OnSpike     func(shed, window int)
+	// OnSpike, when non-nil, fires whenever at least spikeSheds of the last
+	// spikeWindow finished request spans were shed. It runs on the
+	// goroutine that finished the tripping span, outside the recorder lock.
+	OnSpike func(shed, window int)
 }
 
 // Stats is a point-in-time counter snapshot of recorder activity.
@@ -129,15 +128,6 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = defaultCapacity
 	}
-	if cfg.SpikeSheds <= 0 {
-		cfg.SpikeSheds = 16
-	}
-	if cfg.SpikeWindow < cfg.SpikeSheds {
-		cfg.SpikeWindow = 64
-		if cfg.SpikeWindow < cfg.SpikeSheds {
-			cfg.SpikeWindow = cfg.SpikeSheds
-		}
-	}
 	r := &Recorder{cfg: cfg}
 	r.bulk.buf = make([]*Span, cfg.Capacity)
 	r.ret.buf = make([]*Span, cfg.Capacity)
@@ -220,8 +210,8 @@ func (r *Recorder) observeRequest(sp *Span, outcome string, spike *bool) bool {
 		r.winShed++
 	}
 	r.winCount++
-	if r.winCount >= r.cfg.SpikeWindow {
-		if r.winShed >= r.cfg.SpikeSheds {
+	if r.winCount >= spikeWindow {
+		if r.winShed >= spikeSheds {
 			*spike = true
 		} else {
 			r.winShed, r.winCount = 0, 0

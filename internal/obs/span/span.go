@@ -1,14 +1,13 @@
-// Package span is the request-scoped tracing layer for the serving stack
-// and the simulator: deterministic span IDs (derived from session and
-// sequence numbers, never randomness), parent links from GC-pause spans to
-// the requests that overlapped them, and fixed-cardinality stage timings
-// for the full request lifecycle — accept, frame decode, admission-queue
-// wait, engine service, response write.
+// Package span is the request-scoped tracing layer for the serving stack:
+// deterministic span IDs (derived from session and sequence numbers, never
+// randomness), parent links from GC-pause spans to the requests that
+// overlapped them, and fixed-cardinality stage timings for the full request
+// lifecycle — accept, frame decode, admission-queue wait, engine service,
+// response write.
 //
 // All timestamps are caller-supplied ticks: the live server passes
-// nanoseconds since engine start, the simulator passes its simulated I/O
-// clock. The package itself never reads a clock, so it is usable from the
-// deterministic core, and span dumps from identical runs are byte-identical.
+// nanoseconds since engine start. The package itself never reads a clock, so
+// it is usable from the deterministic core.
 //
 // Spans are retained by a Recorder (see recorder.go), a preallocated
 // ring-buffer flight recorder with tail-based retention, and serialized as
@@ -19,7 +18,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -96,8 +94,8 @@ type Span struct {
 	Session uint64 `json:"session,omitempty"`
 	Seq     uint64 `json:"seq,omitempty"`
 
-	// Start and End are caller-clock ticks (nanoseconds since engine start
-	// on the live server, the simulated I/O clock under gcsim).
+	// Start and End are caller-clock ticks: nanoseconds since engine start
+	// on the live server.
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
 	// Stages holds per-stage durations in ticks, indexed by Stage*.
@@ -323,6 +321,3 @@ func CheckAll(spans []*Span) (dangling int, err error) {
 	}
 	return dangling, nil
 }
-
-// errTruncated guards ReadAll misuse surfaces in tests.
-var _ = errors.Is

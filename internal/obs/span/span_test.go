@@ -190,13 +190,15 @@ func TestPendingPinConsumedAtFinish(t *testing.T) {
 	}
 }
 
+// TestSpikeCallback: a window of 64 request spans, every other one shed,
+// trips OnSpike once with the whole window's counts.
 func TestSpikeCallback(t *testing.T) {
 	fired := 0
 	var gotShed, gotWin int
-	r := NewRecorder(Config{Capacity: 32, SpikeSheds: 4, SpikeWindow: 8,
+	r := NewRecorder(Config{Capacity: 32,
 		OnSpike: func(shed, window int) { fired++; gotShed, gotWin = shed, window }})
 	var tick int64
-	for i := uint64(1); i <= 8; i++ {
+	for i := uint64(1); i <= spikeWindow; i++ {
 		tick += 10
 		out := OutcomeOK
 		if i%2 == 0 {
@@ -207,8 +209,8 @@ func TestSpikeCallback(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("OnSpike fired %d times, want 1", fired)
 	}
-	if gotShed < 4 || gotWin < 8 {
-		t.Fatalf("OnSpike(%d, %d), want >=4 of >=8", gotShed, gotWin)
+	if gotShed != spikeWindow/2 || gotWin != spikeWindow {
+		t.Fatalf("OnSpike(%d, %d), want (%d, %d)", gotShed, gotWin, spikeWindow/2, spikeWindow)
 	}
 	if st := r.Stats(); st.Spikes != 1 {
 		t.Fatalf("stats.Spikes = %d, want 1", st.Spikes)

@@ -12,7 +12,6 @@ import (
 	"odbgc/internal/core"
 	"odbgc/internal/metrics"
 	"odbgc/internal/obs"
-	"odbgc/internal/obs/span"
 	"odbgc/internal/storage/disk"
 	"odbgc/internal/trace"
 )
@@ -155,76 +154,6 @@ func TestObserverPathDeterministic(t *testing.T) {
 	}
 	if csvA != csvPlain || csvA != csvB {
 		t.Error("observer changed the rendered CSV")
-	}
-}
-
-// TestSpanPathDeterministic makes the same two promises for the span tap: a
-// recorder-enabled run dumps byte-identical span JSONL across identical-seed
-// runs, and attaching a recorder leaves the checkpoint and CSV byte-identical
-// to the bare run — the flight recorder observes the collector, it never
-// feeds back into it. This is also the proof behind the "free when disabled"
-// claim: the bare run exercises the nil-recorder fast path at every
-// collection.
-func TestSpanPathDeterministic(t *testing.T) {
-	tr := smallTrace(t, 3, 19)
-	mkConfig := func() Config {
-		est, err := core.NewFGSHB(0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, err := core.NewSAGA(core.SAGAConfig{Frac: 0.10}, est)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{Policy: pol}
-	}
-	traced := func() (ckpt []byte, csv string, dump []byte) {
-		rec := span.NewRecorder(span.Config{Capacity: 4096})
-		ckpt, csv = runForArtifacts(t, tr, func() Config {
-			cfg := mkConfig()
-			cfg.Spans = rec
-			return cfg
-		})
-		if st := rec.Stats(); st.Started != st.Finished {
-			t.Fatalf("%d spans started, %d finished", st.Started, st.Finished)
-		}
-		var buf bytes.Buffer
-		if _, err := rec.Dump(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return ckpt, csv, buf.Bytes()
-	}
-
-	ckptA, csvA, dumpA := traced()
-	ckptB, csvB, dumpB := traced()
-	if !bytes.Equal(dumpA, dumpB) {
-		t.Error("identical traced runs dumped different span bytes")
-	}
-	spans, err := span.ReadAll(bytes.NewReader(dumpA))
-	if err != nil {
-		t.Fatalf("span dump does not validate: %v", err)
-	}
-	if len(spans) == 0 {
-		t.Fatal("traced run recorded no spans")
-	}
-	if dangling, err := span.CheckAll(spans); err != nil || dangling != 0 {
-		t.Fatalf("CheckAll = (%d, %v), want (0, nil)", dangling, err)
-	}
-	for _, sp := range spans {
-		if sp.Kind != span.KindGC {
-			t.Fatalf("sim emitted a non-GC span: %+v", sp)
-		}
-		if sp.Stages[span.StageService] <= 0 || sp.ReclaimedObjects == 0 {
-			t.Fatalf("collection span missing pause/reclaim data: %+v", sp)
-		}
-	}
-
-	ckptPlain, csvPlain := runForArtifacts(t, tr, mkConfig)
-	if !bytes.Equal(ckptA, ckptPlain) || !bytes.Equal(ckptA, ckptB) {
-		t.Error("span recorder changed the serialized checkpoint bytes")
-	}
-	if csvA != csvPlain || csvA != csvB {
-		t.Error("span recorder changed the rendered CSV")
 	}
 }
 

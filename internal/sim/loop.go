@@ -24,7 +24,7 @@ type Loop struct {
 	// Observer and Spans receive what Collect reports (nil for none).
 	Observer obs.Observer
 	Spans    *span.Recorder
-	// Now reads the GC span's clock; nil means the simulated I/O clock.
+	// Now reads the GC span's clock; it must be set when Spans is.
 	Now func() int64
 	// OnSpan, when non-nil, adds the driver's fields to a GC span.
 	OnSpan func(g *span.Span, failed error)
@@ -79,7 +79,7 @@ func (l *Loop) Due() bool { return !l.midBuild && l.Cycle.Due() }
 func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.Collection, error) {
 	var start int64
 	if l.Spans != nil {
-		start = l.now()
+		start = l.Now()
 	}
 	c, err := l.Cycle.Run()
 	c.Phase = phase
@@ -88,7 +88,7 @@ func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.C
 		g := l.Spans.Start(span.KindGC, "collect", span.GCID(l.spans), parent, start)
 		g.Seq = l.spans
 		g.SetCollection(c)
-		end := l.now()
+		end := l.Now()
 		g.SetStage(span.StageService, end-start)
 		if l.OnSpan != nil {
 			l.OnSpan(g, err)
@@ -123,13 +123,4 @@ func (l *Loop) Heartbeat(step, collections int, phase string) {
 
 func (l *Loop) progress(step, collections int, phase string) {
 	l.Observer.Observe(obs.Envelope{Progress: &obs.Progress{Step: step, Collections: collections, Phase: phase, Clock: l.Cycle.Clock()}})
-}
-
-// now reads the span clock.
-func (l *Loop) now() int64 {
-	if l.Now != nil {
-		return l.Now()
-	}
-	ck := l.Cycle.Clock()
-	return int64(ck.AppIO + ck.GCIO)
 }

@@ -21,7 +21,6 @@ import (
 	"odbgc/internal/metrics"
 	"odbgc/internal/objstore"
 	"odbgc/internal/obs"
-	"odbgc/internal/obs/span"
 	"odbgc/internal/simerr"
 	"odbgc/internal/storage"
 	"odbgc/internal/trace"
@@ -50,12 +49,6 @@ type Config struct {
 	// observer produce bit-identical results, and a nil observer costs a
 	// single pointer test per event site.
 	Observer obs.Observer
-	// Spans, when non-nil, receives one KindGC span per collection in the
-	// same schema the live server emits, timed on the simulated I/O clock.
-	// Like Observer, the simulator never reads recorder state: runs with
-	// and without a recorder are bit-identical, and the nil case costs one
-	// pointer test per collection.
-	Spans *span.Recorder
 }
 
 func (c *Config) applyDefaults() error {
@@ -175,7 +168,7 @@ func New(cfg Config) (*Simulator, error) {
 // assemble builds a simulator over heap with its control loop.
 func assemble(cfg Config, heap *gc.Heap, res *Result) *Simulator {
 	return &Simulator{cfg: cfg, disk: heap.Disk(), heap: heap, res: res,
-		loop: Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection}, Observer: cfg.Observer, Spans: cfg.Spans}}
+		loop: Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection}, Observer: cfg.Observer}}
 }
 
 // runStart assembles the RunStart event.

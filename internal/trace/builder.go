@@ -1,9 +1,9 @@
 package trace
 
 // Builder accumulates the events of a trace whose length is not known until
-// it ends: a generator's output, a JSON-lines stream. Events land in fixed-size
-// chunks, so nothing already appended is moved or re-cleared as the trace
-// grows; Trace copies them once into a slice of exactly the final length.
+// it ends, such as a generator's output. Events land in fixed-size chunks, so
+// nothing already appended is moved or re-cleared as the trace grows; Trace
+// copies them once into a slice of exactly the final length.
 // Appending to one []Event instead regrows a pointer-bearing array 1.25× at a
 // time: about five times the final bytes allocated and cleared, and up to a
 // quarter of the result left as unused capacity.

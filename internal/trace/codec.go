@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,8 +22,7 @@ import (
 //	    fields varint-encoded per kind (see Writer.Write)
 //	trailer kind byte 0xFF
 //
-// The binary codec is the production format: compact and fast. A JSON-lines
-// codec is also provided for debugging and interchange.
+// oo7gen writes it; gcsim, tracedump and the odbgc facade read it.
 
 var magic = [4]byte{'O', 'D', 'B', 'T'}
 
@@ -392,94 +389,4 @@ func WriteAll(w io.Writer, t *Trace) error {
 		}
 	}
 	return tw.Close()
-}
-
-// jsonEvent mirrors Event with stable JSON field names for the text codec.
-type jsonEvent struct {
-	Kind  string       `json:"kind"`
-	OID   uint64       `json:"oid,omitempty"`
-	Class uint8        `json:"class,omitempty"`
-	Size  int          `json:"size,omitempty"`
-	Slots int          `json:"slots,omitempty"`
-	Slot  int          `json:"slot,omitempty"`
-	Old   uint64       `json:"old,omitempty"`
-	New   uint64       `json:"new,omitempty"`
-	Label string       `json:"label,omitempty"`
-	Init  bool         `json:"init,omitempty"`
-	Dead  []DeadObject `json:"dead,omitempty"`
-}
-
-var kindFromName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
-	}
-	return m
-}()
-
-// WriteJSON encodes the trace as JSON lines (one event per line).
-func WriteJSON(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range t.Events {
-		e := &t.Events[i]
-		je := jsonEvent{
-			Kind:  e.Kind.String(),
-			OID:   uint64(e.OID),
-			Class: uint8(e.Class),
-			Size:  e.Size,
-			Slots: e.Slots,
-			Slot:  e.Slot,
-			Old:   uint64(e.Old),
-			New:   uint64(e.New),
-			Label: e.Label.String(),
-			Init:  e.Init,
-		}
-		je.Dead = e.DeadObjects()
-		if err := enc.Encode(&je); err != nil {
-			return fmt.Errorf("trace: encoding JSON event %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSON decodes a JSON-lines trace.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var b Builder
-	// One decode target reused across the stream; Decode only sets fields
-	// present in the line, so it is cleared each iteration.
-	var je jsonEvent
-	for i := 0; ; i++ {
-		je = jsonEvent{}
-		if err := dec.Decode(&je); errors.Is(err, io.EOF) {
-			return b.Trace(), nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decoding JSON event %d: %w", i, err)
-		}
-		k, ok := kindFromName[je.Kind]
-		if !ok {
-			return nil, fmt.Errorf("trace: JSON event %d has unknown kind %q", i, je.Kind)
-		}
-		e := Event{
-			Kind:  k,
-			OID:   objstore.OID(je.OID),
-			Class: objstore.Class(je.Class),
-			Size:  je.Size,
-			Slots: je.Slots,
-			Slot:  je.Slot,
-			Old:   objstore.OID(je.Old),
-			New:   objstore.OID(je.New),
-			Init:  je.Init,
-		}
-		var err error
-		if e.Label, err = labelOf([]byte(je.Label), true); err != nil {
-			return nil, fmt.Errorf("trace: JSON event %d: %w", i, err)
-		}
-		if len(je.Dead) > 0 {
-			e.Dead = b.Dead(len(je.Dead))
-			copy(e.Dead, je.Dead)
-		}
-		b.Append(e)
-	}
 }

@@ -109,36 +109,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		in := &Trace{}
-		for i := 0; i < int(n%32)+1; i++ {
-			in.Append(randomEvent(rng))
-		}
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, in); err != nil {
-			return false
-		}
-		out, err := ReadJSON(&buf)
-		if err != nil {
-			return false
-		}
-		if out.Len() != in.Len() {
-			return false
-		}
-		for i := range in.Events {
-			if !eventsEqual(&in.Events[i], &out.Events[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestReaderRejectsBadMagic(t *testing.T) {
 	_, err := NewReader(strings.NewReader("NOPE\x01\x00"))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
@@ -230,13 +200,6 @@ func TestWriterCount(t *testing.T) {
 	}
 }
 
-func TestReadJSONRejectsUnknownKind(t *testing.T) {
-	_, err := ReadJSON(strings.NewReader(`{"kind":"explode","oid":1}` + "\n"))
-	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Errorf("unknown kind error = %v", err)
-	}
-}
-
 // TestReadAllocatesNothing: decoding an event allocates nothing, kind by kind
 // (a kind that allocated while the others did not would vanish in a mixed
 // stream's per-event average). A dead list is carved from the reader's arena,
@@ -282,11 +245,10 @@ func TestReadAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDecodedLabelsAreBounded: the intern table outlives every trace, so both
-// codecs refuse a trace that would grow it past maxLabels texts, and intern
-// nothing past the bound. Each side
-// runs on an emptied table (which holds the empty text), and the process's
-// table is put back after.
+// TestDecodedLabelsAreBounded: the intern table outlives every trace, so the
+// decoder refuses a trace that would grow it past maxLabels texts, and interns
+// nothing past the bound. Writer and reader each run on an emptied table
+// (which holds the empty text), and the process's table is put back after.
 func TestDecodedLabelsAreBounded(t *testing.T) {
 	index, text := labels.index, labels.text
 	defer func() { labels.index, labels.text = index, text }()
@@ -304,21 +266,16 @@ func TestDecodedLabelsAreBounded(t *testing.T) {
 		for i := 0; i <= tc.fit; i++ {
 			b.Append(Event{Kind: KindPhase, Label: MakeLabel(fmt.Sprintf("%0*d", tc.size, i))})
 		}
-		var bin, js bytes.Buffer
-		if err := errors.Join(WriteAll(&bin, b.Trace()), WriteJSON(&js, b.Trace())); err != nil {
+		var bin bytes.Buffer
+		if err := WriteAll(&bin, b.Trace()); err != nil {
 			t.Fatal(err)
 		}
-		for codec, read := range map[string]func() (*Trace, error){
-			"binary": func() (*Trace, error) { return ReadAll(bytes.NewReader(bin.Bytes())) },
-			"json":   func() (*Trace, error) { return ReadJSON(bytes.NewReader(js.Bytes())) },
-		} {
-			empty() // the reader's
-			if _, err := read(); !errors.Is(err, errTooManyLabels) {
-				t.Errorf("%s/%s: %d distinct labels read: %v, want %v", tc.name, codec, tc.fit+1, err, errTooManyLabels)
-			}
-			if got := len(labels.text); got != 1+tc.fit {
-				t.Errorf("%s/%s: the table holds %d texts after the refusal, want %d", tc.name, codec, got, 1+tc.fit)
-			}
+		empty() // the reader's
+		if _, err := ReadAll(&bin); !errors.Is(err, errTooManyLabels) {
+			t.Errorf("%s: %d distinct labels read: %v, want %v", tc.name, tc.fit+1, err, errTooManyLabels)
+		}
+		if got := len(labels.text); got != 1+tc.fit {
+			t.Errorf("%s: the table holds %d texts after the refusal, want %d", tc.name, got, 1+tc.fit)
 		}
 	}
 }

@@ -205,26 +205,6 @@ func TestValidateRejectsDamagedSlotCount(t *testing.T) {
 	}
 }
 
-// FuzzJSONReader does the same for the JSON-lines decoder.
-func FuzzJSONReader(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, validChain()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{"kind":"create","oid":1,"size":-5}`))
-	f.Add([]byte(`{"kind":`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadJSON(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode without panicking.
-		var out bytes.Buffer
-		_ = WriteJSON(&out, tr)
-	})
-}
-
 // FuzzRoundTrip checks that any trace assembled from decoded events
 // re-encodes and re-decodes to the same event strings.
 func FuzzRoundTrip(f *testing.F) {

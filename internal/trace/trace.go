@@ -146,8 +146,8 @@ func (l Label) String() string {
 
 // DeadObject records one object that an overwrite made unreachable.
 type DeadObject struct {
-	OID  objstore.OID `json:"oid"`
-	Size int          `json:"size"`
+	OID  objstore.OID
+	Size int
 }
 
 // DeadObjects returns the oracle annotation, the objects the overwrite made
