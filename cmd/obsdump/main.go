@@ -1,6 +1,8 @@
-// Command obsdump inspects JSONL event logs written by gcsim -events and
-// experiments -events-dir: a human-readable rendering, per-type counts, and a
-// strict schema/sequence check for CI.
+// Command obsdump inspects JSONL event streams: the event logs gcsim -events,
+// experiments -events-dir and odbgcd -events write, and the span dumps of the
+// flight recorder (odbgcd -traces, /debug/traces). It prints a human-readable
+// rendering, per-type counts, or a strict schema/sequence check for CI. The
+// payloads say which kind of stream a file holds.
 //
 // Usage:
 //
@@ -9,8 +11,8 @@
 //	obsdump -check run.jsonl          # validate schema + sequence, print nothing
 //	obsdump -type collection run.jsonl
 //	obsdump -n 20 run.jsonl
-//	obsdump -spans traces.jsonl       # flight-recorder spans: lines + stage table
-//	obsdump -spans -check traces.jsonl
+//	obsdump traces.jsonl              # a span dump: one line per span + stage table
+//	obsdump -check traces.jsonl       # ... plus span and parent-link checks
 package main
 
 import (
@@ -49,7 +51,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		stats    = fs.Bool("stats", false, "print per-type event counts and the run summary instead of every event")
 		typeFlag = fs.String("type", "", "print only events of this type (see -check for the list)")
 		limit    = fs.Int("n", 0, "print only the first N matching events (0 = all)")
-		spans    = fs.Bool("spans", false, "the input is span JSONL from the flight recorder (odbgcd -traces, /debug/traces)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,12 +60,6 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	}
 	if *limit < 0 {
 		return fmt.Errorf("-n must be >= 0 (got %d)", *limit)
-	}
-	if *spans {
-		if *stats || *typeFlag != "" {
-			return fmt.Errorf("-spans supports -check and -n only (span dumps always end with the stage table)")
-		}
-		return runSpans(sd, fs.Arg(0), *check, *limit, stdout)
 	}
 	if *typeFlag != "" {
 		known := false
@@ -90,6 +85,21 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	events, err := obs.ReadAll(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", fs.Arg(0), err)
+	}
+	spans := make([]*obs.Span, 0, len(events))
+	for _, e := range events {
+		if e.Span != nil {
+			spans = append(spans, e.Span)
+		}
+	}
+	switch {
+	case len(spans) == 0:
+	case len(spans) < len(events):
+		return fmt.Errorf("%s: %d span envelopes among %d events; a stream is an event log or a span dump", fs.Arg(0), len(spans), len(events)-len(spans))
+	case *stats || *typeFlag != "":
+		return fmt.Errorf("%s is a span dump: it takes -check and -n only (it always ends with the stage table)", fs.Arg(0))
+	default:
+		return runSpans(sd, fs.Arg(0), spans, *check, *limit, stdout)
 	}
 	if *check {
 		fmt.Fprintf(stdout, "%s: ok: %d events, schema v%d\n", fs.Arg(0), len(events), obs.SchemaVersion)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"odbgc/internal/obs"
 	"odbgc/internal/obs/span"
 )
 
@@ -15,33 +16,31 @@ import (
 func writeSpanLog(t *testing.T) string {
 	t.Helper()
 	rec := span.NewRecorder(span.Config{Capacity: 16})
-	okID := span.RequestID(1, 1)
-	sp := rec.Start(span.KindRequest, "set", okID, 0, 100)
+	okID := obs.RequestID(1, 1)
+	sp := rec.Start(obs.KindRequest, "set", okID, 0, 100)
 	sp.Session, sp.Seq = 1, 1
-	sp.SetStage(span.StageDecode, 2)
-	sp.SetStage(span.StageQueue, 10)
-	sp.SetStage(span.StageService, 30)
-	sp.SetStage(span.StageWrite, 3)
-	g := rec.Start(span.KindGC, "collect", span.GCID(1), okID, 120)
+	sp.SetStage(obs.StageDecode, 2)
+	sp.SetStage(obs.StageQueue, 10)
+	sp.SetStage(obs.StageService, 30)
+	sp.SetStage(obs.StageWrite, 3)
+	g := rec.Start(obs.KindGC, "collect", obs.GCID(1), okID, 120)
 	g.Partition, g.ReclaimedBytes, g.ReclaimedObjects = 3, 4096, 17
-	g.SetStage(span.StageService, 9)
+	g.SetStage(obs.StageService, 9)
 	rec.PinID(okID)
-	rec.Finish(g, 129, span.OutcomeOK)
-	rec.Finish(sp, 150, span.OutcomeOK)
-	shed := rec.Start(span.KindRequest, "ping", span.RequestID(2, 1), 0, 200)
+	rec.Finish(g, 129, obs.OutcomeOK)
+	rec.Finish(sp, 150, obs.OutcomeOK)
+	shed := rec.Start(obs.KindRequest, "ping", obs.RequestID(2, 1), 0, 200)
 	shed.Session, shed.Seq = 2, 1
-	shed.SetStage(span.StageQueue, 60)
-	rec.Finish(shed, 265, span.OutcomeShed)
+	shed.SetStage(obs.StageQueue, 60)
+	rec.Finish(shed, 265, obs.OutcomeShed)
 
 	path := filepath.Join(t.TempDir(), "traces.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Dump closes the file.
 	if _, err := rec.Dump(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -50,7 +49,7 @@ func writeSpanLog(t *testing.T) string {
 func TestObsdumpSpansRender(t *testing.T) {
 	path := writeSpanLog(t)
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-spans", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{path}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
@@ -74,7 +73,7 @@ func TestObsdumpSpansRender(t *testing.T) {
 func TestObsdumpSpansCheck(t *testing.T) {
 	path := writeSpanLog(t)
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-spans", "-check", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-check", path}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(stdout.String(), "ok: 3 spans (2 requests, 1 gc, 0 dangling parents)") {
@@ -87,12 +86,51 @@ func TestObsdumpSpansCheck(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-spans", "-check", bad}, &stdout, &stderr); err == nil {
+	if err := run([]string{"-check", bad}, &stdout, &stderr); err == nil {
 		t.Error("-check accepted a span with end before start")
 	}
 
-	// -spans composes with -check/-n only.
-	if err := run([]string{"-spans", "-stats", path}, &stdout, &stderr); err == nil {
-		t.Error("-spans -stats not rejected")
+	// A span dump composes with -check/-n only.
+	for _, flag := range [][]string{{"-stats"}, {"-type", "collection"}} {
+		if err := run(append(flag, path), &stdout, &stderr); err == nil {
+			t.Errorf("%v on a span dump not rejected", flag)
+		}
+	}
+	// The payloads say what a file is: there is no -spans flag, and a
+	// stream mixing spans with events is neither kind.
+	if err := run([]string{"-spans", path}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-spans: %v, want an undefined flag", err)
+	}
+	mixed := filepath.Join(t.TempDir(), "mixed.jsonl")
+	goodSpan := `{"v":1,"seq":0,"type":"span","span":{"id":1048577,"kind":"request","outcome":"ok","start":10,"end":50}}` + "\n"
+	event := `{"v":1,"seq":1,"type":"progress","progress":{"step":1000,"collections":0,"phase":"serving","clock":{}}}` + "\n"
+	if err := os.WriteFile(mixed, []byte(goodSpan+event), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-check", mixed}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "span envelopes among") {
+		t.Errorf("mixed stream: %v, want it refused", err)
+	}
+}
+
+// TestObsdumpSpansLimit: -n bounds the span lines, and the stage table
+// still follows them.
+func TestObsdumpSpansLimit(t *testing.T) {
+	path := writeSpanLog(t)
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-n", "1", path}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	out := stdout.String()
+	n := 0
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "request ") || strings.HasPrefix(l, "gc ") {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("-n 1 printed %d span lines:\n%s", n, out)
+	}
+	if !strings.Contains(out, "per-stage latency over 2 request spans") {
+		t.Errorf("-n 1 dropped the stage table:\n%s", out)
 	}
 }

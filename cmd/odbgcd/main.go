@@ -384,15 +384,13 @@ func buildPolicy(name string, frac float64, interval int, initialIv uint64, prim
 	return pol, breaker, err
 }
 
-// dumpTraces writes the recorder's current snapshot as span JSONL to path.
+// dumpTraces writes the recorder's current snapshot to path. Dump closes
+// the file.
 func dumpTraces(rec *span.Recorder, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := rec.Dump(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	_, err = rec.Dump(f)
+	return err
 }

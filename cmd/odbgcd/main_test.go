@@ -72,6 +72,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "run.json")
 	events := filepath.Join(dir, "events.jsonl")
+	traces := filepath.Join(dir, "traces.jsonl")
 
 	sd := obs.NewShutdown(context.Background())
 	var out syncBuffer
@@ -81,7 +82,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-policy", "fixed", "-interval", "4",
 			"-page-size", "1024", "-pages-per-partition", "4", "-buffer-pages", "8",
-			"-manifest", manifest, "-events", events,
+			"-manifest", manifest, "-events", events, "-traces", traces,
 		}, &out, io.Discard)
 	}()
 
@@ -147,10 +148,39 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	if !strings.Contains(out.String(), "drained:") {
 		t.Errorf("no drain summary in output:\n%s", out.String())
 	}
-	for _, p := range []string{manifest, events} {
+	for _, p := range []string{manifest, events, traces} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			t.Errorf("artifact %s missing or empty (err=%v)", p, err)
 		}
+	}
+
+	// The drained span dump is an event stream of span envelopes: it reads
+	// back through obs.ReadAll, holds the collections' GC spans, and every
+	// GC span's parent request is in it.
+	f, err := os.Open(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	envs, err := obs.ReadAll(f)
+	if err != nil {
+		t.Fatalf("reading the span dump: %v", err)
+	}
+	spans, gcSpans := make([]*obs.Span, 0, len(envs)), 0
+	for _, e := range envs {
+		if e.Span == nil {
+			t.Fatalf("span dump holds a %q envelope", e.Type)
+		}
+		spans = append(spans, e.Span)
+		if e.Span.Kind == obs.KindGC {
+			gcSpans++
+		}
+	}
+	if gcSpans == 0 {
+		t.Errorf("span dump of %d spans holds no GC span", len(spans))
+	}
+	if dangling, err := obs.CheckAll(spans); err != nil || dangling != 0 {
+		t.Errorf("CheckAll on the drained dump = (%d dangling, %v), want (0, nil)", dangling, err)
 	}
 }
 

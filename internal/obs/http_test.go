@@ -66,14 +66,13 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/statusz not JSON: %v\n%s", err, body)
 	}
-	if st.Running {
-		t.Error("/statusz: run ended but still reported running")
+	if !st.Running {
+		t.Error("/statusz: a started run is not reported running")
 	}
-	if st.Policy != "saga(10%,fgs-hb(0.80))" || st.Collections != 5 {
+	// Live folds no run_end (a serving run sends none): the count is the
+	// last heartbeat's.
+	if st.Policy != "saga(10%,fgs-hb(0.80))" || st.Collections != 1 {
 		t.Errorf("/statusz: policy %q collections %d", st.Policy, st.Collections)
-	}
-	if st.Final == nil || st.Final.Events != 2000 {
-		t.Errorf("/statusz: final summary missing or wrong: %+v", st.Final)
 	}
 	if st.UptimeSeconds < 0 {
 		t.Errorf("/statusz: negative uptime %v", st.UptimeSeconds)

@@ -61,9 +61,12 @@ const (
 	TypeCheckpoint = "checkpoint"
 	TypeProgress   = "progress"
 	TypeRunEnd     = "run_end"
+	// TypeSpan tags a flight-recorder span; span dumps carry only these,
+	// and event logs none.
+	TypeSpan = "span"
 )
 
-// EventTypes lists every valid event type tag.
+// EventTypes lists every type tag an event log carries.
 func EventTypes() []string {
 	return []string{TypeRunStart, TypePhase, TypeDecision, TypeCollection,
 		TypeCheckpoint, TypeProgress, TypeRunEnd}
@@ -84,6 +87,7 @@ type Envelope struct {
 	Checkpoint *CheckpointMark `json:"checkpoint,omitempty"`
 	Progress   *Progress       `json:"progress,omitempty"`
 	RunEnd     *RunEnd         `json:"run_end,omitempty"`
+	Span       *Span           `json:"span,omitempty"`
 }
 
 // payloadType returns the tag of the payload the envelope carries and how
@@ -100,6 +104,7 @@ func (e *Envelope) payloadType() (tag string, n int) {
 		{TypeCheckpoint, e.Checkpoint != nil},
 		{TypeProgress, e.Progress != nil},
 		{TypeRunEnd, e.RunEnd != nil},
+		{TypeSpan, e.Span != nil},
 	} {
 		if p.set {
 			tag, n = p.tag, n+1
@@ -114,7 +119,7 @@ func (e *Envelope) Validate() error {
 	if e.V != SchemaVersion {
 		return fmt.Errorf("obs: unknown schema version %d (have %d)", e.V, SchemaVersion)
 	}
-	if !slices.Contains(EventTypes(), e.Type) {
+	if e.Type != TypeSpan && !slices.Contains(EventTypes(), e.Type) {
 		return fmt.Errorf("obs: unknown event type %q", e.Type)
 	}
 	switch tag, n := e.payloadType(); {

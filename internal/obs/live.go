@@ -26,21 +26,20 @@ type Status struct {
 	// Draining is true once graceful shutdown has begun: no new work is
 	// scheduled and in-flight runs are finishing.
 	Draining bool `json:"draining"`
-	// Final is set once the run has ended.
-	Final *RunEnd `json:"final,omitempty"`
 }
 
 // Live is an Observer that folds events into a metrics Registry and a
 // queryable Status snapshot — the backing store for the /metrics and
-// /statusz HTTP endpoints. Every method locks, so a scraper may read while
-// the simulation writes. Its metrics are named odbgc_control_* (the
-// controller's loop: steps, decisions and their inputs and outputs),
-// odbgc_heap_* (the database it controls) and odbgc_gc_* (the collections
-// it runs); a server adds odbgc_server_* beside them.
+// /statusz HTTP endpoints of a serving run, which sends run_start, decision,
+// collection and progress events; it ignores the rest. Every method locks,
+// so a scraper may read while the engine writes. Its metrics are named
+// odbgc_control_* (the controller's loop: steps, decisions and their inputs
+// and outputs), odbgc_heap_* (the database it controls) and odbgc_gc_* (the
+// collections it runs); a server adds odbgc_server_* beside them.
 type Live struct {
 	reg *Registry
 
-	steps, decisions, phases, checkpoints            *Counter
+	steps, decisions                                 *Counter
 	collections, reclaimed                           *Counter
 	estimatedFrac, targetFrac, gcIOFrac, appIO, gcIO *Gauge
 	dbBytes, garbageBytes, garbageFrac               *Gauge
@@ -60,8 +59,6 @@ func NewLive() *Live {
 		reg:           r,
 		steps:         r.NewCounter("odbgc_control_steps_total", "application trace events consumed"),
 		decisions:     r.NewCounter("odbgc_control_decisions_total", "policy decisions (collection attempts) taken"),
-		phases:        r.NewCounter("odbgc_control_phase_transitions_total", "application phase transitions"),
-		checkpoints:   r.NewCounter("odbgc_control_checkpoints_total", "checkpoints saved or resumed"),
 		estimatedFrac: r.NewGauge("odbgc_control_estimated_garbage_fraction", "estimator's garbage fraction at the last collection"),
 		targetFrac:    r.NewGauge("odbgc_control_target_garbage_fraction", "policy's target garbage fraction at the last collection"),
 		gcIOFrac:      r.NewGauge("odbgc_control_gc_io_fraction", "cumulative collector I/O over total I/O"),
@@ -143,10 +140,6 @@ func (l *Live) Observe(e Envelope) {
 		l.st.Selection = e.RunStart.Selection
 		l.lastStep = e.RunStart.Resumed
 		l.st.Step = e.RunStart.Resumed
-	case e.Phase != nil:
-		l.st.Phase = e.Phase.Label
-		l.advanceStep(e.Phase.Step)
-		l.phases.Add(1)
 	case e.Decision != nil:
 		d := e.Decision
 		l.advanceStep(d.Step)
@@ -174,21 +167,11 @@ func (l *Live) Observe(e Envelope) {
 		l.interval.Observe(float64(c.Interval))
 		l.yield.Observe(float64(c.ReclaimedBytes))
 		l.collectionIO.Observe(float64(c.IO.GCReads + c.IO.GCWrites))
-	case e.Checkpoint != nil:
-		l.checkpoints.Add(1)
 	case e.Progress != nil:
 		p := e.Progress
 		l.advanceStep(p.Step)
 		l.st.Collections = p.Collections
 		l.st.Phase = p.Phase
 		l.setClock(p.Clock)
-	case e.RunEnd != nil:
-		r := *e.RunEnd
-		l.st.Running = false
-		l.advanceStep(r.Events)
-		l.st.Collections = r.Collections
-		l.st.AchievedGarbageFrac = r.GarbageFrac
-		l.st.AchievedGCIOFrac = r.GCIOFrac
-		l.st.Final = &r
 	}
 }

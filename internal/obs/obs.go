@@ -6,16 +6,19 @@
 // versioned byte-deterministic encoding, an in-process metrics
 // registry with Prometheus text-format exposition, and run provenance
 // manifests that make every persisted result attributable to the exact
-// configuration, seeds, and trace that produced it.
+// configuration, seeds, and trace that produced it. The serving stack's
+// request and GC spans (Span) are one more envelope payload: the flight
+// recorder in package span dumps them through the same writer.
 //
 // Determinism contract: observers are write-only — the simulator never
 // reads anything back from them — and every field of every event derives
 // from simulated time (core.Clock) and simulated state, never from the wall
-// clock. The wall clock appears only at the HTTP boundary (uptime on the
-// status endpoint), under a reasoned //lint:allow, so detrand stays green
-// over this package. A nil Observer in sim.Config costs nothing: the
-// simulator guards every send with a nil check and allocates no event
-// structs.
+// clock. A Span carries wall-clock ticks, but the caller reads them and
+// passes them in; this package still reads no clock. The wall clock appears
+// only at the HTTP boundary (uptime on the status endpoint), under a
+// reasoned //lint:allow, so detrand stays green over this package. A nil
+// Observer in sim.Config costs nothing: the simulator guards every send with
+// a nil check and allocates no event structs.
 package obs
 
 import (
@@ -29,6 +32,9 @@ import (
 // fault_profile and fault_seed left the schema: no field was added or changed
 // meaning, a run without faults emits the same bytes, and the `fault` line a
 // reader now refuses was written only by the deleted storage-fault profiles.
+// It stayed 1 when the span payload joined: span dumps already carried
+// "v":1 in an envelope of this shape, so a dump written before reads back
+// unchanged, and no event-log line changed.
 const SchemaVersion = 1
 
 // ToolVersion names the emitting build in manifests. It is a hand-bumped
@@ -132,6 +138,18 @@ func CollectionOf(c core.Collection, step int) Collection {
 		TargetFrac:       Float(c.TargetFrac()),
 		NextInterval:     c.NextInterval,
 	}
+}
+
+// SetCollection fills a GC span's attribution from the collection it
+// timed: core.Collection in the span's schema, beside CollectionOf so the
+// two records cannot drift apart.
+func (sp *Span) SetCollection(c core.Collection) {
+	sp.Partition = int(c.Result.Partition)
+	sp.ReclaimedBytes = c.Result.ReclaimedBytes
+	sp.ReclaimedObjects = c.Result.ReclaimedObjects
+	sp.TracedObjects = c.Result.LiveObjects
+	sp.EstimateFrac = Float(c.EstimatedFrac())
+	sp.TargetFrac = Float(c.TargetFrac())
 }
 
 // CheckpointMark records a checkpoint capture or a resume from one.

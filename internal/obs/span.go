@@ -1,29 +1,6 @@
-// Package span is the request-scoped tracing layer for the serving stack:
-// deterministic span IDs (derived from session and sequence numbers, never
-// randomness), parent links from GC-pause spans to the requests that
-// overlapped them, and fixed-cardinality stage timings for the full request
-// lifecycle — accept, frame decode, admission-queue wait, engine service,
-// response write.
-//
-// All timestamps are caller-supplied ticks: the live server passes
-// nanoseconds since engine start. The package itself never reads a clock, so
-// it is usable from the deterministic core.
-//
-// Spans are retained by a Recorder (see recorder.go), a preallocated
-// ring-buffer flight recorder with tail-based retention, and serialized as
-// versioned JSONL envelopes with the same discipline as the obs event log.
-package span
+package obs
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"odbgc/internal/core"
-	"odbgc/internal/obs"
-)
+import "fmt"
 
 // Stage indices into Span.Stages. StageAccept (connection accept to first
 // request arrival) is charged only on a session's first span and lies
@@ -81,10 +58,10 @@ func GCID(n uint64) uint64 {
 // IsGCID reports whether id lies in the GC span ID space.
 func IsGCID(id uint64) bool { return id>>63 == 1 }
 
-// Span is one traced unit of work. Request spans carry per-stage timings;
-// GC spans carry collection attribution (what was traced and reclaimed,
-// what the estimator said, the breaker state) plus a parent link to the
-// request span in whose shadow the collection ran.
+// Span is one traced unit of work, the payload of a "span" envelope. Request
+// spans carry per-stage timings; GC spans carry collection attribution (what
+// was traced and reclaimed, what the estimator said, the breaker state) plus
+// a parent link to the request span in whose shadow the collection ran.
 type Span struct {
 	ID      uint64 `json:"id"`
 	Parent  uint64 `json:"parent,omitempty"`
@@ -102,14 +79,14 @@ type Span struct {
 	Stages [NumStages]int64 `json:"stages"`
 
 	// GC attribution (KindGC spans only).
-	Partition        int       `json:"partition,omitempty"`
-	ReclaimedBytes   int       `json:"reclaimed_bytes,omitempty"`
-	ReclaimedObjects int       `json:"reclaimed_objects,omitempty"`
-	TracedObjects    int       `json:"traced_objects,omitempty"`
-	EstimateFrac     obs.Float `json:"estimate_frac,omitempty"`
-	TargetFrac       obs.Float `json:"target_frac,omitempty"`
-	Breaker          string    `json:"breaker,omitempty"`
-	QueuedBehind     int       `json:"queued_behind,omitempty"`
+	Partition        int    `json:"partition,omitempty"`
+	ReclaimedBytes   int    `json:"reclaimed_bytes,omitempty"`
+	ReclaimedObjects int    `json:"reclaimed_objects,omitempty"`
+	TracedObjects    int    `json:"traced_objects,omitempty"`
+	EstimateFrac     Float  `json:"estimate_frac,omitempty"`
+	TargetFrac       Float  `json:"target_frac,omitempty"`
+	Breaker          string `json:"breaker,omitempty"`
+	QueuedBehind     int    `json:"queued_behind,omitempty"`
 
 	// Pinned marks a request span kept alive because a GC span names it as
 	// parent; the flight recorder never evicts pinned spans before unpinned
@@ -133,17 +110,6 @@ func (sp *Span) SetStage(stage int, ticks int64) {
 		return
 	}
 	sp.Stages[stage] = ticks
-}
-
-// SetCollection fills a KindGC span's attribution fields from the control
-// loop's record.
-func (sp *Span) SetCollection(c core.Collection) {
-	sp.Partition = int(c.Result.Partition)
-	sp.ReclaimedBytes = c.Result.ReclaimedBytes
-	sp.ReclaimedObjects = c.Result.ReclaimedObjects
-	sp.TracedObjects = c.Result.LiveObjects
-	sp.EstimateFrac = obs.Float(c.EstimatedFrac())
-	sp.TargetFrac = obs.Float(c.TargetFrac())
 }
 
 // Duration returns End-Start (0 for a nil span).
@@ -205,89 +171,6 @@ func (sp *Span) Check() error {
 		return fmt.Errorf("span %#x: stage sum %d exceeds duration %d", sp.ID, inSpan, sp.End-sp.Start)
 	}
 	return nil
-}
-
-// SchemaVersion is the span envelope schema version; every JSONL line
-// carries it.
-const SchemaVersion = 1
-
-// TypeSpan is the envelope type tag for a span payload.
-const TypeSpan = "span"
-
-// Envelope is one span JSONL line, following the obs event-log discipline:
-// schema version, contiguous sequence number, type tag, one payload.
-type Envelope struct {
-	V    int    `json:"v"`
-	Seq  uint64 `json:"seq"`
-	Type string `json:"type"`
-	Span *Span  `json:"span,omitempty"`
-}
-
-// Validate checks the envelope's structural invariants.
-func (e *Envelope) Validate() error {
-	if e.V != SchemaVersion {
-		return fmt.Errorf("span: unknown schema version %d (have %d)", e.V, SchemaVersion)
-	}
-	if e.Type != TypeSpan {
-		return fmt.Errorf("span: unknown envelope type %q", e.Type)
-	}
-	if e.Span == nil {
-		return fmt.Errorf("span: envelope %d carries no span payload", e.Seq)
-	}
-	return nil
-}
-
-// WriteJSONL writes spans as one envelope per line, sequence numbers
-// assigned in slice order. The encoding is byte-deterministic for a given
-// span slice.
-func WriteJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	for i := range spans {
-		env := Envelope{V: SchemaVersion, Seq: uint64(i), Type: TypeSpan, Span: &spans[i]}
-		b, err := json.Marshal(&env)
-		if err != nil {
-			return fmt.Errorf("span: encoding span %d: %w", i, err)
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadAll decodes and validates a span JSONL dump: every line must carry
-// the schema version, the span type tag, a payload, and a contiguous
-// sequence number.
-func ReadAll(rd io.Reader) ([]*Span, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []*Span
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var env Envelope
-		if err := json.Unmarshal(raw, &env); err != nil {
-			return out, fmt.Errorf("span: line %d: %w", line, err)
-		}
-		if err := env.Validate(); err != nil {
-			return out, fmt.Errorf("span: line %d: %w", line, err)
-		}
-		if want := uint64(len(out)); env.Seq != want {
-			return out, fmt.Errorf("span: line %d: sequence %d, want %d", line, env.Seq, want)
-		}
-		out = append(out, env.Span)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("span: line %d: %w", line, err)
-	}
-	return out, nil
 }
 
 // CheckAll validates a span dump's integrity: every span passes Check, IDs

@@ -1,12 +1,25 @@
+// Package span is the serving stack's flight recorder: a preallocated
+// ring-buffer store of request and GC spans (obs.Span) with tail-based
+// retention — shed, errored, expired, slowest-percentile and GC spans are
+// kept, and a request a GC span names as its parent is pinned. Span IDs are
+// deterministic (obs.RequestID, obs.GCID), never random.
+//
+// All timestamps are caller-supplied ticks: the live server passes
+// nanoseconds since engine start. The package itself never reads a clock.
+//
+// A dump is an obs event stream whose every envelope carries a span
+// payload, written through obs.JSONLWriter: obs.ReadAll reads it back and
+// obs.CheckAll checks it.
 package span
 
 import (
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"slices"
+	"odbgc/internal/obs"
 )
 
 // Recorder defaults.
@@ -50,11 +63,11 @@ type Stats struct {
 // span is stolen by pinning. add always succeeds and returns the displaced
 // occupant, if any.
 type ring struct {
-	buf  []*Span
+	buf  []*obs.Span
 	head int
 }
 
-func (r *ring) add(sp *Span) *Span {
+func (r *ring) add(sp *obs.Span) *obs.Span {
 	old := r.buf[r.head]
 	r.buf[r.head] = sp
 	r.head++
@@ -65,7 +78,7 @@ func (r *ring) add(sp *Span) *Span {
 }
 
 // take removes and returns the span with the given ID, or nil.
-func (r *ring) take(id uint64) *Span {
+func (r *ring) take(id uint64) *obs.Span {
 	for i, sp := range r.buf {
 		if sp != nil && sp.ID == id {
 			r.buf[i] = nil
@@ -129,24 +142,24 @@ func NewRecorder(cfg Config) *Recorder {
 		cfg.Capacity = defaultCapacity
 	}
 	r := &Recorder{cfg: cfg}
-	r.bulk.buf = make([]*Span, cfg.Capacity)
-	r.ret.buf = make([]*Span, cfg.Capacity)
-	r.pool.New = func() any { return new(Span) }
+	r.bulk.buf = make([]*obs.Span, cfg.Capacity)
+	r.ret.buf = make([]*obs.Span, cfg.Capacity)
+	r.pool.New = func() any { return new(obs.Span) }
 	return r
 }
 
 // Start begins a span at the caller-supplied tick and returns it for the
 // caller to fill. The span is owned by the caller until Finish; the
 // recorder never touches it in between. Returns nil on a nil recorder.
-func (r *Recorder) Start(kind, op string, id, parent uint64, start int64) *Span {
+func (r *Recorder) Start(kind, op string, id, parent uint64, start int64) *obs.Span {
 	if r == nil {
 		return nil
 	}
-	sp, ok := r.pool.Get().(*Span)
+	sp, ok := r.pool.Get().(*obs.Span)
 	if !ok {
 		return nil
 	}
-	*sp = Span{ID: id, Parent: parent, Kind: kind, Op: op, Start: start}
+	*sp = obs.Span{ID: id, Parent: parent, Kind: kind, Op: op, Start: start}
 	r.started.Add(1)
 	return sp
 }
@@ -156,7 +169,7 @@ func (r *Recorder) Start(kind, op string, id, parent uint64, start int64) *Span 
 // spans, and ok spans slower than the rolling slow-tail threshold go to the
 // retained ring; everything else cycles through the bulk ring. No-op on a
 // nil recorder or nil span.
-func (r *Recorder) Finish(sp *Span, end int64, outcome string) {
+func (r *Recorder) Finish(sp *obs.Span, end int64, outcome string) {
 	if r == nil || sp == nil {
 		return
 	}
@@ -167,7 +180,7 @@ func (r *Recorder) Finish(sp *Span, end int64, outcome string) {
 	r.mu.Lock()
 	r.st.Finished++
 	keep := false
-	if sp.Kind == KindGC {
+	if sp.Kind == obs.KindGC {
 		r.st.GCSpans++
 		keep = true
 	} else {
@@ -202,10 +215,10 @@ func (r *Recorder) Finish(sp *Span, end int64, outcome string) {
 // observeRequest folds a finished request span into the slow-tail and
 // shed-spike windows and reports whether the span merits retention. Caller
 // holds r.mu.
-func (r *Recorder) observeRequest(sp *Span, outcome string, spike *bool) bool {
+func (r *Recorder) observeRequest(sp *obs.Span, outcome string, spike *bool) bool {
 	dur := sp.End - sp.Start
-	keep := outcome != OutcomeOK
-	if outcome == OutcomeShed {
+	keep := outcome != obs.OutcomeOK
+	if outcome == obs.OutcomeShed {
 		r.st.Shed++
 		r.winShed++
 	}
@@ -217,7 +230,7 @@ func (r *Recorder) observeRequest(sp *Span, outcome string, spike *bool) bool {
 			r.winShed, r.winCount = 0, 0
 		}
 	}
-	if outcome == OutcomeOK {
+	if outcome == obs.OutcomeOK {
 		r.recent[r.recentIdx] = dur
 		r.recentIdx++
 		if r.recentIdx == slowWindow {
@@ -246,7 +259,7 @@ func (r *Recorder) observeRequest(sp *Span, outcome string, spike *bool) bool {
 // retain places a span in the retained ring, evicting the clock-hand victim
 // but skipping pinned occupants for as long as any unpinned slot exists.
 // Caller holds r.mu.
-func (r *Recorder) retain(sp *Span) {
+func (r *Recorder) retain(sp *obs.Span) {
 	for range r.ret.buf {
 		v := r.ret.buf[r.ret.head]
 		if v == nil || !v.Pinned {
@@ -264,8 +277,8 @@ func (r *Recorder) retain(sp *Span) {
 }
 
 // release recycles an evicted span through the pool. Caller holds r.mu.
-func (r *Recorder) release(sp *Span) {
-	*sp = Span{}
+func (r *Recorder) release(sp *obs.Span) {
+	*sp = obs.Span{}
 	r.pool.Put(sp)
 }
 
@@ -286,7 +299,7 @@ func (r *Recorder) consumePin(id uint64) bool {
 // named it as the request it ran under. If the span is still in flight the
 // pin is parked in a small fixed table and consumed when the span finishes;
 // if the table is full the oldest pending pin is dropped (the parent may
-// then age out of a dump, which CheckAll reports as a dangling reference
+// then age out of a dump, which obs.CheckAll reports as a dangling reference
 // rather than an error). No-op on a nil recorder or zero ID.
 func (r *Recorder) PinID(id uint64) {
 	if r == nil || id == 0 {
@@ -313,7 +326,9 @@ func (r *Recorder) PinID(id uint64) {
 		}
 	}
 	if slot < 0 {
-		slot = 0
+		// Full: the first slot's pin leaves, the rest move up, and the new
+		// pin takes the freed last slot.
+		slot = len(r.pins) - 1
 		copy(r.pins[:], r.pins[1:])
 	}
 	r.pins[slot] = id
@@ -322,12 +337,12 @@ func (r *Recorder) PinID(id uint64) {
 
 // Snapshot copies every span currently held by either ring, ordered by
 // start tick then ID — a deterministic order for a deterministic span set.
-func (r *Recorder) Snapshot() []Span {
+func (r *Recorder) Snapshot() []obs.Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Span, 0, len(r.ret.buf)+len(r.bulk.buf))
+	out := make([]obs.Span, 0, len(r.ret.buf)+len(r.bulk.buf))
 	for _, sp := range r.ret.buf {
 		if sp != nil {
 			out = append(out, *sp)
@@ -339,7 +354,7 @@ func (r *Recorder) Snapshot() []Span {
 		}
 	}
 	r.mu.Unlock()
-	slices.SortFunc(out, func(a, b Span) int {
+	slices.SortFunc(out, func(a, b obs.Span) int {
 		if a.Start != b.Start {
 			if a.Start < b.Start {
 				return -1
@@ -370,14 +385,19 @@ func (r *Recorder) Stats() Stats {
 	return st
 }
 
-// Dump writes a Snapshot as span JSONL and returns the span count.
+// Dump writes a Snapshot as obs envelopes, one span payload each, and
+// returns the span count. Like every obs.JSONLWriter it takes over w when w
+// is an io.Closer: Dump closes it.
 func (r *Recorder) Dump(w io.Writer) (int, error) {
 	spans := r.Snapshot()
-	return len(spans), WriteJSONL(w, spans)
+	jw := obs.NewJSONLWriter(w)
+	for i := range spans {
+		jw.Observe(obs.Envelope{Span: &spans[i]})
+	}
+	return len(spans), jw.Close()
 }
 
-// ServeHTTP serves the flight recorder as span JSONL — the /debug/traces
-// endpoint.
+// ServeHTTP serves the flight recorder's dump — the /debug/traces endpoint.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if _, err := r.Dump(w); err != nil {

@@ -1,9 +1,13 @@
 package span
 
+// The recorder's tests speak the span vocabulary package obs defines
+// (kinds, outcomes, stages, IDs, Span, CheckAll) on nearly every line; the
+// dot import keeps them short.
 import (
 	"bytes"
-	"strings"
 	"testing"
+
+	. "odbgc/internal/obs"
 )
 
 // reqSpan runs one ok request span of the given duration through r.
@@ -18,30 +22,6 @@ func reqSpan(t *testing.T, r *Recorder, session, seq uint64, start, dur int64, o
 	sp.SetStage(StageService, dur)
 	r.Finish(sp, start+dur, outcome)
 	return id
-}
-
-func TestIDSpaces(t *testing.T) {
-	if got := RequestID(3, 7); got != 3<<20|7 {
-		t.Fatalf("RequestID(3,7) = %#x", got)
-	}
-	if IsGCID(RequestID(1, 1)) {
-		t.Fatalf("request ID landed in the GC space")
-	}
-	if !IsGCID(GCID(1)) {
-		t.Fatalf("GC ID outside the GC space")
-	}
-	// Distinct (session, seq) pairs within the sequence field width give
-	// distinct IDs.
-	seen := map[uint64]bool{}
-	for s := uint64(1); s <= 8; s++ {
-		for q := uint64(1); q <= 64; q++ {
-			id := RequestID(s, q)
-			if seen[id] {
-				t.Fatalf("duplicate ID %#x for (%d,%d)", id, s, q)
-			}
-			seen[id] = true
-		}
-	}
 }
 
 func TestNilRecorderIsFree(t *testing.T) {
@@ -217,6 +197,9 @@ func TestSpikeCallback(t *testing.T) {
 	}
 }
 
+// TestJSONLRoundTripAndCheck: a dump is an obs event stream of span
+// envelopes — obs.ReadAll reads it back, CheckAll passes it, and dumping the
+// same recorder twice writes the same bytes.
 func TestJSONLRoundTripAndCheck(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 16})
 	parent := reqSpan(t, r, 1, 1, 100, 50, OutcomeShed)
@@ -228,9 +211,16 @@ func TestJSONLRoundTripAndCheck(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Dump = (%d, %v), want (2, nil)", n, err)
 	}
-	spans, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	envs, err := ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadAll: %v", err)
+	}
+	spans := make([]*Span, 0, len(envs))
+	for _, e := range envs {
+		if e.Type != TypeSpan {
+			t.Fatalf("dump holds a %q envelope", e.Type)
+		}
+		spans = append(spans, e.Span)
 	}
 	if len(spans) != 2 {
 		t.Fatalf("read %d spans, want 2", len(spans))
@@ -238,7 +228,6 @@ func TestJSONLRoundTripAndCheck(t *testing.T) {
 	if dangling, err := CheckAll(spans); err != nil || dangling != 0 {
 		t.Fatalf("CheckAll = (%d, %v)", dangling, err)
 	}
-	// Byte-determinism: dumping the same recorder twice is identical.
 	var buf2 bytes.Buffer
 	if _, err := r.Dump(&buf2); err != nil {
 		t.Fatalf("second Dump: %v", err)
@@ -248,52 +237,59 @@ func TestJSONLRoundTripAndCheck(t *testing.T) {
 	}
 }
 
-func TestReadAllRejectsBadEnvelopes(t *testing.T) {
-	cases := map[string]string{
-		"bad version": `{"v":9,"seq":0,"type":"span","span":{"id":1,"kind":"request","outcome":"ok"}}`,
-		"bad type":    `{"v":1,"seq":0,"type":"event","span":{"id":1,"kind":"request","outcome":"ok"}}`,
-		"no payload":  `{"v":1,"seq":0,"type":"span"}`,
-		"seq gap":     `{"v":1,"seq":5,"type":"span","span":{"id":1,"kind":"request","outcome":"ok"}}`,
-		"not json":    `nope`,
+// TestDumpBytes pins a dump of one request span and the GC span it
+// triggered to literal bytes: the /debug/traces and odbgcd -traces format
+// that readers outside the process parse.
+func TestDumpBytes(t *testing.T) {
+	const want = `{"v":1,"seq":0,"type":"span","span":{"id":3145733,"kind":"request","op":"set","outcome":"ok","session":3,"seq":5,"start":1000,"end":2000,"stages":[40,20,300,500,60],"pinned":true}}
+{"v":1,"seq":1,"type":"span","span":{"id":9223372036854775810,"parent":3145733,"kind":"gc","op":"collect","outcome":"ok","seq":2,"start":1900,"end":2150,"stages":[0,0,0,250,0],"partition":4,"reclaimed_bytes":8192,"reclaimed_objects":31,"traced_objects":12,"estimate_frac":0.125,"target_frac":0.1,"breaker":"closed","queued_behind":3}}
+`
+	r := NewRecorder(Config{Capacity: 8})
+	req := r.Start(KindRequest, "set", RequestID(3, 5), 0, 1000)
+	req.Session, req.Seq = 3, 5
+	for stage, d := range [NumStages]int64{40, 20, 300, 500, 60} {
+		req.SetStage(stage, d)
 	}
-	for name, line := range cases {
-		if _, err := ReadAll(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("%s: ReadAll accepted %q", name, line)
-		}
+	g := r.Start(KindGC, "collect", GCID(2), RequestID(3, 5), 1900)
+	g.Seq = 2
+	g.Partition, g.ReclaimedBytes, g.ReclaimedObjects, g.TracedObjects = 4, 8192, 31, 12
+	g.EstimateFrac, g.TargetFrac = 0.125, 0.1
+	g.Breaker, g.QueuedBehind = "closed", 3
+	g.SetStage(StageService, 250)
+	r.PinID(RequestID(3, 5))
+	r.Finish(g, 2150, OutcomeOK)
+	r.Finish(req, 2000, OutcomeOK)
+	var buf bytes.Buffer
+	if _, err := r.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Errorf("dump bytes changed:\n got %s\nwant %s", got, want)
 	}
 }
 
-func TestCheckCatchesCorruption(t *testing.T) {
-	ok := Span{ID: RequestID(1, 1), Kind: KindRequest, Outcome: OutcomeOK, Start: 10, End: 30}
-	ok.Stages[StageService] = 15
-	if err := ok.Check(); err != nil {
-		t.Fatalf("valid span rejected: %v", err)
+// TestFullPinTableDropsOnlyTheOldest: one pin more than the pending table
+// holds, all parked before any span finishes, costs the oldest pin and no
+// other.
+func TestFullPinTableDropsOnlyTheOldest(t *testing.T) {
+	r := NewRecorder(Config{Capacity: 2 * maxPendingPins})
+	spans := make([]*Span, maxPendingPins+1)
+	for i := range spans {
+		seq := uint64(i + 1)
+		spans[i] = r.Start(KindRequest, "set", RequestID(1, seq), 0, int64(seq))
+		r.PinID(RequestID(1, seq))
 	}
-	bad := []Span{ok, ok, ok, ok, ok}
-	bad[0].ID = 0
-	bad[1].End = 5 // before start
-	bad[2].Stages[StageQueue] = -1
-	bad[3].Stages[StageService] = 1000 // exceeds duration
-	bad[4].Outcome = "maybe"
-	for i := range bad {
-		if err := bad[i].Check(); err == nil {
-			t.Errorf("corruption %d not caught: %+v", i, bad[i])
+	for i, sp := range spans {
+		r.Finish(sp, int64(i+2), OutcomeOK)
+	}
+	snap := r.Snapshot()
+	if len(snap) != len(spans) {
+		t.Fatalf("snapshot holds %d of %d spans", len(snap), len(spans))
+	}
+	for _, sp := range snap {
+		if want := sp.ID != RequestID(1, 1); sp.Pinned != want {
+			t.Errorf("seq %d: pinned %v, want %v", sp.ID&(1<<20-1), sp.Pinned, want)
 		}
-	}
-	// A GC span parented to another GC span is structural corruption.
-	g := Span{ID: GCID(2), Parent: GCID(1), Kind: KindGC, Outcome: OutcomeOK}
-	if err := g.Check(); err == nil {
-		t.Errorf("gc-parented gc span not caught")
-	}
-	// Dangling parent is counted, not fatal.
-	d := &Span{ID: GCID(3), Parent: RequestID(9, 9), Kind: KindGC, Outcome: OutcomeOK}
-	if dangling, err := CheckAll([]*Span{d}); err != nil || dangling != 1 {
-		t.Errorf("CheckAll dangling = (%d, %v), want (1, nil)", dangling, err)
-	}
-	// Duplicate IDs are fatal.
-	a, b := ok, ok
-	if _, err := CheckAll([]*Span{&a, &b}); err == nil {
-		t.Errorf("duplicate IDs not caught")
 	}
 }
 

@@ -124,6 +124,7 @@ type Engine struct {
 	draining atomic.Bool
 	requests uint64 // admitted requests processed (engine goroutine only)
 	commits  uint64 // durable batches committed (engine goroutine only)
+	pauses   uint64 // turns that collected or failed, n in GCID(n) (engine goroutine only)
 
 	// ewmaMs is the exponentially weighted mean service time in
 	// milliseconds, stored as float64 bits so Submit (session goroutines)
@@ -153,7 +154,7 @@ func NewEngine(heap *gc.Heap, cfg EngineConfig) (*Engine, error) {
 		heap.SetDurable(cfg.Durable)
 	}
 	e.loop = sim.Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection, AfterCollect: e.commitReclaim},
-		Observer: cfg.Observer, Spans: cfg.Recorder, Now: e.Now, OnSpan: e.gcSpan}
+		Observer: cfg.Observer}
 	if cfg.Observer != nil {
 		cfg.Observer.Observe(obs.Envelope{RunStart: &obs.RunStart{Policy: cfg.Policy.Name(), Selection: cfg.Selection.Name()}})
 	}
@@ -202,7 +203,7 @@ func (e *Engine) retryAfterMs() int {
 //
 // sp is the request's span (nil when tracing is off); Submit only copies
 // its ID into the call, so the span remains session-owned throughout.
-func (e *Engine) Submit(ctx context.Context, req Request, sp *span.Span) Response {
+func (e *Engine) Submit(ctx context.Context, req Request, sp *obs.Span) Response {
 	c := &call{req: req, done: make(chan Response, 1), spanID: sp.SpanID()}
 	if dl, ok := ctx.Deadline(); ok {
 		c.deadline = dl
@@ -266,7 +267,7 @@ type waiter struct {
 
 // submit is Submit with the waiter's timeout as the deadline; ctx only
 // cancels.
-func (w *waiter) submit(ctx context.Context, req Request, sp *span.Span) Response {
+func (w *waiter) submit(ctx context.Context, req Request, sp *obs.Span) Response {
 	if w.c == nil {
 		w.c = &call{done: make(chan Response, 1)}
 	}
@@ -511,11 +512,39 @@ func (e *Engine) stats() *Stats {
 	return st
 }
 
-// collect takes one turn of the control loop, its span the child of span
-// parent. A failed turn is counted and fed to the breaker, and the engine
-// keeps serving: client traffic must not die with the collector.
+// collect takes one turn of the control loop. A turn that collected or
+// failed is a pause: its engine ticks, the decision and collection sends
+// included, are a gc_pause_ms sample, and with a recorder attached a GC span
+// times it — the child of span parent, the request that triggered it, which
+// the recorder pins — carrying the collection, the requests queued behind it
+// and the breaker state. A failed turn is counted and fed to the breaker, and
+// the engine keeps serving: client traffic must not die with the collector.
 func (e *Engine) collect(parent uint64) {
-	_, err := e.loop.Collect(parent, int(e.requests), servingPhase, false)
+	start := e.Now()
+	c, err := e.loop.Collect(int(e.requests), servingPhase, false)
+	if err != nil || c.Collected {
+		end := e.Now()
+		e.pauses++
+		var id uint64
+		if rec := e.cfg.Recorder; rec != nil {
+			id = obs.GCID(e.pauses)
+			g := rec.Start(obs.KindGC, "collect", id, parent, start)
+			g.Seq = e.pauses
+			g.SetCollection(c)
+			g.SetStage(obs.StageService, end-start)
+			g.QueuedBehind = len(e.queue)
+			outcome := obs.OutcomeError
+			if err == nil {
+				outcome = obs.OutcomeOK
+				if e.cfg.Breaker != nil {
+					g.Breaker = e.cfg.Breaker.State().String()
+				}
+			}
+			rec.PinID(parent)
+			rec.Finish(g, end, outcome)
+		}
+		e.cfg.Metrics.gcPause.ObserveExemplar(float64(end-start)/1e6, id)
+	}
 	if err != nil {
 		e.cfg.Metrics.failed(simerr.WrapPolicyFailure("online collection", err))
 	}
@@ -534,14 +563,4 @@ func (e *Engine) commitReclaim() {
 	if err := e.commitDurable(); err != nil {
 		e.cfg.Metrics.failed(err)
 	}
-}
-
-// gcSpan adds the serving side to a GC span: the requests queued behind it,
-// the breaker state, and the pause sample, with the span as its exemplar.
-func (e *Engine) gcSpan(g *span.Span, failed error) {
-	g.QueuedBehind = len(e.queue)
-	if failed == nil && e.cfg.Breaker != nil {
-		g.Breaker = e.cfg.Breaker.State().String()
-	}
-	e.cfg.Metrics.gcPause.ObserveExemplar(float64(g.Stages[span.StageService])/1e6, g.ID)
 }

@@ -4,7 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"odbgc/internal/core"
+	"odbgc/internal/gc"
+	"odbgc/internal/objstore"
 	"odbgc/internal/simerr"
+	"odbgc/internal/storage"
 )
 
 // TestApplyAllocatesNothing: an access, an update and a pointer store step
@@ -63,5 +67,50 @@ func TestAbsentObjectIsOtherError(t *testing.T) {
 	}
 	if got := errs[simerr.ClassCorruptTrace].Value(); got != 0 {
 		t.Errorf("odbgc_server_errors_corrupt_trace_total = %v, want 0", got)
+	}
+}
+
+// TestGCPauseObservedWithoutRecorder: every collection is an
+// odbgc_server_gc_pause_ms sample whether or not a flight recorder is
+// attached. Churn under fixed(4) with a nil recorder, as odbgcd
+// -trace-buffer 0 runs, must record exactly one sample per collection.
+func TestGCPauseObservedWithoutRecorder(t *testing.T) {
+	mgr, err := storage.NewManager(storage.Config{PageSize: 1024, PagesPerPartition: 4, BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := core.NewFixedRate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(gc.NewHeap(objstore.NewStore(), mgr), EngineConfig{Policy: pol, Selection: gc.UpdatedPointer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(req Request) uint64 {
+		t.Helper()
+		c := &call{req: req, done: make(chan Response, 1)}
+		eng.process(c)
+		resp := <-c.done
+		if resp.Status != StatusOK {
+			t.Fatalf("%s answered %+v", req.Op, resp)
+		}
+		return resp.OID
+	}
+	hub, prev := do(Request{Op: OpCreate, Size: 256, Slots: 1}), uint64(0)
+	for i := 0; i < 40; i++ {
+		child := do(Request{Op: OpCreate, Size: 128})
+		do(Request{Op: OpSet, OID: hub, Slot: 0, Dst: child})
+		if prev != 0 {
+			do(Request{Op: OpUnroot, OID: prev})
+		}
+		prev = child
+	}
+	collections := eng.Snapshot().Collections
+	if collections == 0 {
+		t.Fatal("churn at fixed(4) ran no collection")
+	}
+	if n, _ := eng.cfg.Metrics.gcPause.Value(); uint64(n) != uint64(collections) {
+		t.Errorf("odbgc_server_gc_pause_ms holds %d samples for %d collections", n, collections)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"odbgc/internal/obs/span"
+	"odbgc/internal/obs"
 	"odbgc/internal/simerr"
 )
 
@@ -297,29 +297,29 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 			return
 		}
 		seq++
-		sp := rec.Start(span.KindRequest, req.Op, span.RequestID(sess, seq), 0, arrival)
+		sp := rec.Start(obs.KindRequest, req.Op, obs.RequestID(sess, seq), 0, arrival)
 		if sp != nil {
 			sp.Session, sp.Seq = sess, seq
 		}
 		if seq == 1 {
 			// Accept-to-first-frame is charged once per session; it precedes
 			// the span's own window, so it lives outside the stage-sum check.
-			sp.SetStage(span.StageAccept, arrival-acceptTick)
+			sp.SetStage(obs.StageAccept, arrival-acceptTick)
 			s.m.stageAccept.ObserveExemplar(float64(arrival-acceptTick)/1e6, sp.SpanID())
 		}
-		sp.SetStage(span.StageDecode, decoded-arrival)
+		sp.SetStage(obs.StageDecode, decoded-arrival)
 		s.m.stageDecode.ObserveExemplar(float64(decoded-arrival)/1e6, sp.SpanID())
 		resp = wait.submit(ctx, req, sp)
 		// Queue and service stages come back as response metadata: the
 		// engine never touches the session's span, only its ID, so there is
 		// no write to race with an abandoned waiter's Finish.
-		sp.SetStage(span.StageQueue, resp.QueueUs*1000)
-		sp.SetStage(span.StageService, resp.ServiceUs*1000)
+		sp.SetStage(obs.StageQueue, resp.QueueUs*1000)
+		sp.SetStage(obs.StageService, resp.ServiceUs*1000)
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
 		wStart := s.engine.Now()
 		werr := fr.write(&resp)
 		wEnd := s.engine.Now()
-		sp.SetStage(span.StageWrite, wEnd-wStart)
+		sp.SetStage(obs.StageWrite, wEnd-wStart)
 		s.m.stageWrite.ObserveExemplar(float64(wEnd-wStart)/1e6, sp.SpanID())
 		rec.Finish(sp, wEnd, outcomeOf(resp))
 		if werr != nil {
@@ -332,15 +332,15 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 func outcomeOf(resp Response) string {
 	switch {
 	case resp.Expired:
-		return span.OutcomeExpired
+		return obs.OutcomeExpired
 	case resp.Status == StatusOK:
-		return span.OutcomeOK
+		return obs.OutcomeOK
 	case resp.Status == StatusShed:
-		return span.OutcomeShed
+		return obs.OutcomeShed
 	case resp.Status == StatusClosed:
-		return span.OutcomeClosed
+		return obs.OutcomeClosed
 	default:
-		return span.OutcomeError
+		return obs.OutcomeError
 	}
 }
 

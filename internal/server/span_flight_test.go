@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"odbgc/internal/obs"
 	"odbgc/internal/obs/span"
 )
 
@@ -102,7 +103,7 @@ func TestFlightRecorderUnderFlood(t *testing.T) {
 	ts.waitFinished(t)
 
 	snap := rec.Snapshot()
-	ptrs := make([]*span.Span, 0, len(snap))
+	ptrs := make([]*obs.Span, 0, len(snap))
 	shedSpans, gcSpans, gcAttributed := 0, 0, 0
 	for i := range snap {
 		sp := &snap[i]
@@ -111,20 +112,20 @@ func TestFlightRecorderUnderFlood(t *testing.T) {
 			t.Errorf("post-drain snapshot: %v", err)
 		}
 		switch {
-		case sp.Kind == span.KindGC:
+		case sp.Kind == obs.KindGC:
 			gcSpans++
 			if sp.Parent != 0 {
 				gcAttributed++
 			}
-		case sp.Outcome == span.OutcomeShed:
+		case sp.Outcome == obs.OutcomeShed:
 			shedSpans++
-		case sp.Outcome == span.OutcomeOK:
-			if sp.Stages[span.StageService] <= 0 {
+		case sp.Outcome == obs.OutcomeOK:
+			if sp.Stages[obs.StageService] <= 0 {
 				t.Errorf("ok span %#x without a service stage: %+v", sp.ID, sp.Stages)
 			}
 		}
 	}
-	dangling, err := span.CheckAll(ptrs)
+	dangling, err := obs.CheckAll(ptrs)
 	if err != nil {
 		t.Fatalf("CheckAll: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestExpiredInQueueSpan(t *testing.T) {
 	rec := span.NewRecorder(span.Config{})
 	ts := startServer(t, Config{}, EngineConfig{Recorder: rec})
 
-	sp := rec.Start(span.KindRequest, OpPing, span.RequestID(99, 1), 0, ts.eng.Now())
+	sp := rec.Start(obs.KindRequest, OpPing, obs.RequestID(99, 1), 0, ts.eng.Now())
 	c := &call{
 		req:      Request{Op: OpPing},
 		deadline: time.Now().Add(-time.Second),
@@ -194,16 +195,16 @@ func TestExpiredInQueueSpan(t *testing.T) {
 	if !resp.Expired || resp.Status != StatusError {
 		t.Fatalf("expired call answered %+v", resp)
 	}
-	if out := outcomeOf(resp); out != span.OutcomeExpired {
+	if out := outcomeOf(resp); out != obs.OutcomeExpired {
 		t.Fatalf("outcomeOf(expired) = %q", out)
 	}
-	sp.SetStage(span.StageQueue, resp.QueueUs*1000)
+	sp.SetStage(obs.StageQueue, resp.QueueUs*1000)
 	rec.Finish(sp, ts.eng.Now(), outcomeOf(resp))
 	found := false
 	for _, s := range rec.Snapshot() {
-		if s.ID == span.RequestID(99, 1) {
+		if s.ID == obs.RequestID(99, 1) {
 			found = true
-			if s.Outcome != span.OutcomeExpired {
+			if s.Outcome != obs.OutcomeExpired {
 				t.Fatalf("expired span retained with outcome %q", s.Outcome)
 			}
 		}

@@ -102,8 +102,6 @@ func Resume(cfg Config, img []byte) (*Simulator, error) {
 	if err := core.RestoreComponent(cfg.Selection, recs[2]); err != nil {
 		return nil, fmt.Errorf("sim: restoring selection state: %w", err)
 	}
-	// GC span IDs go on from the collection the checkpoint had reached.
-	s.loop.spans = heap.Collections()
 	if n := len(s.res.Collections); n > 0 {
 		s.loop.Cycle.LastOverwrites = s.res.Collections[n-1].After.Overwrites
 	}

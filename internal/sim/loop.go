@@ -6,7 +6,6 @@ import (
 	"odbgc/internal/core"
 	"odbgc/internal/objstore"
 	"odbgc/internal/obs"
-	"odbgc/internal/obs/span"
 	"odbgc/internal/trace"
 )
 
@@ -16,21 +15,15 @@ const progressEvery = 1000
 
 // Loop is the control loop both drivers run: the one mapping of trace events
 // onto the heap, the collect-safe rule, and the one turn of core.Cycle that
-// reports as the decision and collection events and the GC span. The server
-// engine steps the events a replay of each request would hold, so the same
-// ops make the same collections in both.
+// reports as the decision and collection events. The server engine steps the
+// events a replay of each request would hold, so the same ops make the same
+// collections in both.
 type Loop struct {
 	Cycle core.Cycle
-	// Observer and Spans receive what Collect reports (nil for none).
+	// Observer receives what Collect reports (nil for none).
 	Observer obs.Observer
-	Spans    *span.Recorder
-	// Now reads the GC span's clock; it must be set when Spans is.
-	Now func() int64
-	// OnSpan, when non-nil, adds the driver's fields to a GC span.
-	OnSpan func(g *span.Span, failed error)
 
 	midBuild    bool           // the last event built (trace.Event.Builds)
-	spans       uint64         // GC spans recorded, the sequence of their IDs
 	deadScratch []objstore.OID // reused for RecordOracleDead, which copies it
 }
 
@@ -72,34 +65,12 @@ func (l *Loop) Apply(e *trace.Event) error {
 func (l *Loop) Due() bool { return !l.midBuild && l.Cycle.Due() }
 
 // Collect takes one turn of the control loop and reports it: the decision
-// event, and for a collection the collection event and a GC span, the child
-// of span parent. step and phase are the driver's position, and the record
-// carries phase; idle marks a turn at a quiescence tick. A failed turn
-// reports only an error span.
-func (l *Loop) Collect(parent uint64, step int, phase string, idle bool) (core.Collection, error) {
-	var start int64
-	if l.Spans != nil {
-		start = l.Now()
-	}
+// event, and for a collection the collection event. step and phase are the
+// driver's position, and the record carries phase; idle marks a turn at a
+// quiescence tick. A failed turn reports nothing.
+func (l *Loop) Collect(step int, phase string, idle bool) (core.Collection, error) {
 	c, err := l.Cycle.Run()
 	c.Phase = phase
-	if l.Spans != nil && (err != nil || c.Collected) {
-		l.spans++
-		g := l.Spans.Start(span.KindGC, "collect", span.GCID(l.spans), parent, start)
-		g.Seq = l.spans
-		g.SetCollection(c)
-		end := l.Now()
-		g.SetStage(span.StageService, end-start)
-		if l.OnSpan != nil {
-			l.OnSpan(g, err)
-		}
-		l.Spans.PinID(parent)
-		outcome := span.OutcomeOK
-		if err != nil {
-			outcome = span.OutcomeError
-		}
-		l.Spans.Finish(g, end, outcome)
-	}
 	if err != nil || l.Observer == nil {
 		return c, err
 	}

@@ -330,7 +330,7 @@ func (s *Simulator) idle(ticks int) error {
 // collect takes one turn of the control loop and books it: the loop's record
 // for the time-varying figures and the phase accumulators.
 func (s *Simulator) collect(idle bool) error {
-	c, err := s.loop.Collect(0, s.step, s.curPhase, idle)
+	c, err := s.loop.Collect(s.step, s.curPhase, idle)
 	if err != nil || !c.Collected {
 		return err
 	}

@@ -73,7 +73,7 @@ curl -fsS "http://$http/debug/traces" -o "$work/traces_live.jsonl"
 test -s "$work/traces_live.jsonl"
 grep -q '"outcome":"shed"' "$work/traces_live.jsonl"
 grep -q '"stages"' "$work/traces_live.jsonl"
-"$work/obsdump" -spans -check "$work/traces_live.jsonl"
+"$work/obsdump" -check "$work/traces_live.jsonl"
 echo "server-smoke: live /debug/traces scrape holds shed spans"
 
 # Wait for the first online collection before draining, so the trace
@@ -114,8 +114,8 @@ test -s "$work/events.jsonl"
 grep -q '"summary_sha256"' "$work/run.manifest.json" || grep -q '"sha256"' "$work/run.manifest.json"
 test -s "$work/traces.jsonl"
 grep -q '"outcome":"shed"' "$work/traces.jsonl"
-"$work/obsdump" -spans -check "$work/traces.jsonl"
-if ! "$work/obsdump" -spans -check "$work/traces.jsonl" | grep -q ' 0 dangling parents'; then
+"$work/obsdump" -check "$work/traces.jsonl"
+if ! "$work/obsdump" -check "$work/traces.jsonl" | grep -q ' 0 dangling parents'; then
   echo "server-smoke: post-drain trace dump has dangling GC parents" >&2
   exit 1
 fi
@@ -128,7 +128,7 @@ grep -Eq '"parent":[1-9][0-9]*,"kind":"gc"' "$work/traces.jsonl" || {
   exit 1
 }
 echo "server-smoke: GC pause spans attributed to overlapping requests"
-echo "server-smoke: drain-path trace dump validates (obsdump -spans -check)"
+echo "server-smoke: drain-path trace dump validates (obsdump -check)"
 
 # Restart phase: the drained daemon checkpointed its durable store; a
 # fresh boot on the same data dir must recover the surviving objects and
