@@ -14,7 +14,7 @@ import (
 func main() {
 	fmt.Println("connectivity sensitivity (requested vs achieved)")
 	fmt.Println()
-	fmt.Printf("%-5s %-22s %-11s %-10s %-12s\n", "conn", "policy", "requested", "achieved", "collections")
+	fmt.Printf("%-5s %-22s %-11s %-10s %s\n", "conn", "policy", "requested", "achieved", "collections")
 
 	for _, conn := range []int{3, 6, 9} {
 		tr, err := odbgc.GenerateOO7Trace(odbgc.OO7Options{Connectivity: conn, Seed: 11})

@@ -105,18 +105,24 @@ type Store struct {
 	// Object memory (DESIGN.md §3): headers and slot arrays are carved from
 	// slabs, and Remove pushes a header, slot array attached, onto the free
 	// list of its slot count; free[pooledSlots+1] holds headers of wider
-	// objects, whose slot arrays are plain allocations.
-	headers []Object
-	slots   []OID
-	free    [pooledSlots + 2][]*Object
+	// objects, whose slot arrays are plain allocations. A carve advances a
+	// count, not the slab's slice, so it stores no pointer into the Store
+	// and takes no write barrier while the runtime's collector marks.
+	headers     []Object
+	headersUsed int
+	slots       []OID
+	slotsUsed   int
+	free        [pooledSlots + 2][]*Object
 }
 
-// Each slab fills the runtime's 8192-byte size class exactly: 170 48-byte
-// headers plus the 8-byte malloc header a pointer-bearing allocation over
-// 512 bytes carries, and 1024 pointer-free OIDs, which carry none.
+// Each slab is a large allocation of eight 8 KiB pages, 64 KiB: 1365 48-byte
+// headers (65 520 bytes; a large object carries no malloc header) and 8192
+// OIDs. A growing store pays per span, not per byte, so a slab this size
+// costs a restart one span per 1365 objects where the 8 KiB size class cost
+// one per 170.
 const (
-	headerSlab  = 170
-	slotSlab    = 1024
+	headerSlab  = 1365
+	slotSlab    = 8192
 	pooledSlots = 32 // every generator's widest object has 21
 )
 
@@ -231,16 +237,17 @@ func (s *Store) alloc(nslots int) *Object {
 		clear(f[len(f)-1].Slots)
 		return f[len(f)-1]
 	}
-	if len(s.headers) == 0 {
-		s.headers = make([]Object, headerSlab)
+	if s.headersUsed == len(s.headers) {
+		s.headers, s.headersUsed = make([]Object, headerSlab), 0
 	}
-	o := &s.headers[0]
-	s.headers = s.headers[1:]
+	o := &s.headers[s.headersUsed]
+	s.headersUsed++
 	if nslots > 0 && k <= pooledSlots {
-		if len(s.slots) < nslots {
-			s.slots = make([]OID, slotSlab)
+		if s.slotsUsed+nslots > len(s.slots) {
+			s.slots, s.slotsUsed = make([]OID, slotSlab), 0
 		}
-		o.Slots, s.slots = s.slots[:nslots:nslots], s.slots[nslots:]
+		end := s.slotsUsed + nslots
+		o.Slots, s.slotsUsed = s.slots[s.slotsUsed:end:end], end
 	}
 	return o
 }

@@ -236,8 +236,8 @@ func TestChurnAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFreshCreatesAllocateBySlab: growing a store costs a slab per 170
-// headers and per 1024 slots (plus the Table's chunks), not the two
+// TestFreshCreatesAllocateBySlab: growing a store costs a slab per 1365
+// headers and per 8192 slots (plus the Table's chunks), not the two
 // allocations per object it cost before: at most 1 % of that.
 func TestFreshCreatesAllocateBySlab(t *testing.T) {
 	const n = 10_000

@@ -206,21 +206,27 @@ func TestRequestLatencyIsQueuePlusService(t *testing.T) {
 // TestMetricNamesTakeOneNamespace scrapes a registry holding every metric
 // a server declares, each failure class's counter included: every family
 // has a valid name under odbgc_{server,control,heap,gc}_ and is declared
-// once.
+// once, and it holds every family obs.NewLive declares on a registry of its
+// own, so it holds at least as many.
 func TestMetricNamesTakeOneNamespace(t *testing.T) {
+	families := func(reg *obs.Registry) []string {
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "# TYPE ") {
+				names = append(names, strings.Fields(line)[2])
+			}
+		}
+		return names
+	}
 	live := obs.NewLive()
 	NewMetrics(live.Registry())
-	var sb strings.Builder
-	if err := live.Registry().WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
 	valid := regexp.MustCompile(`^odbgc_(server|control|heap|gc)_[a-z0-9_]+$`)
 	seen := make(map[string]int)
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if !strings.HasPrefix(line, "# TYPE ") {
-			continue
-		}
-		name := strings.Fields(line)[2]
+	for _, name := range families(live.Registry()) {
 		seen[name]++
 		if !valid.MatchString(name) || strings.HasPrefix(name, "odbgc_sim_") {
 			t.Errorf("family %q is outside the namespace", name)
@@ -234,8 +240,14 @@ func TestMetricNamesTakeOneNamespace(t *testing.T) {
 			t.Errorf("failure class %s: %s declared %d times, want once", class, name, seen[name])
 		}
 	}
-	if len(seen) < 18 {
-		t.Errorf("scrape holds %d families; the control loop alone declares 18", len(seen))
+	own := families(obs.NewLive().Registry())
+	if len(own) == 0 {
+		t.Fatal("obs.NewLive declares no family")
+	}
+	for _, name := range own {
+		if seen[name] != 1 {
+			t.Errorf("obs.NewLive declares %s, which the server's scrape holds %d times", name, seen[name])
+		}
 	}
 }
 

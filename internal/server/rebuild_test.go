@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"odbgc/internal/gc"
@@ -309,5 +310,102 @@ func testLoadRefusals(t *testing.T) {
 		if tc.sentinel != nil && !(errors.Is(lerr, tc.sentinel) && errors.Is(rerr, tc.sentinel)) {
 			t.Errorf("%s: load says %v, the mutation path %v; want both to carry %v", tc.name, lerr, rerr, tc.sentinel)
 		}
+	}
+}
+
+// restartShapedDB writes the restart workload's shape at about n objects into
+// a fresh directory: rooted 8-slot hubs each followed by its 8 slotless
+// leaves, one committed batch per group, checkpointed, then a WAL tail of
+// n/100 batches that each allocate a leaf and store it into a hub.
+func restartShapedDB(t *testing.T, n int) disk.FS {
+	t.Helper()
+	fs := disk.OSFS{Dir: t.TempDir()}
+	st, _, err := disk.Open(disk.Options{FS: fs, Fsync: disk.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Helper()
+			t.Fatal(err)
+		}
+	}
+	tail := n / 100
+	next := objstore.OID(1)
+	for int(next)-1+9 <= n-tail {
+		hub := next
+		must(st.LogAlloc(hub, objstore.ClassUnknown, 200, 8))
+		must(st.LogRoot(hub, true))
+		for k := 0; k < 8; k++ {
+			must(st.LogAlloc(hub+1+objstore.OID(k), objstore.ClassUnknown, 100, 0))
+			must(st.LogSet(hub, k, hub+1+objstore.OID(k)))
+		}
+		must(st.Commit())
+		next += 9
+	}
+	must(st.Checkpoint())
+	hubs := int(next-1) / 9
+	for b := 0; b < tail; b++ {
+		hub := objstore.OID(1 + 9*((b*7919)%hubs))
+		must(st.LogAlloc(next, objstore.ClassUnknown, 100, 0))
+		must(st.LogSet(hub, b%8, next))
+		must(st.Commit())
+		next++
+	}
+	must(st.Close())
+	return fs
+}
+
+// TestBootAllocatesInBulk pins what a restart allocates per 1 000 objects at
+// the restart workload's shape: disk.Open carves the recovered headers and
+// slot arrays from 64 KiB slabs, and RebuildHeap sizes each partition's member
+// list once, from the partition before it. Each bound is the measurement
+// (7.6 and 5.2) plus about a fifth; 8 KiB slabs read 13.5 for the open, and
+// member lists grown from empty by doubling read 16.6 for the rebuild. Each
+// figure is the least of three boots, so an allocation elsewhere in the
+// process cannot fail it.
+func TestBootAllocatesInBulk(t *testing.T) {
+	const n = 20_000
+	const openLimit, rebuildLimit = 9.0, 6.5
+	fs := restartShapedDB(t, n)
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	var open, rebuild uint64
+	objects := 0
+	for i := 0; i < 3; i++ {
+		var st *disk.Store
+		var err error
+		o := mallocs(func() { st, _, err = disk.Open(disk.Options{FS: fs, Fsync: disk.FsyncNever}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := newTestHeap(t, storage.DefaultConfig())
+		r := mallocs(func() { err = RebuildHeap(heap, st) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects = heap.Store().Len()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || o < open {
+			open = o
+		}
+		if i == 0 || r < rebuild {
+			rebuild = r
+		}
+	}
+	perK := func(allocs uint64) float64 { return 1000 * float64(allocs) / float64(objects) }
+	t.Logf("%d objects: disk.Open %.1f, RebuildHeap %.1f allocations per 1 000 objects", objects, perK(open), perK(rebuild))
+	if got := perK(open); got > openLimit {
+		t.Errorf("disk.Open: %.1f allocations per 1 000 objects, want at most %.1f", got, openLimit)
+	}
+	if got := perK(rebuild); got > rebuildLimit {
+		t.Errorf("RebuildHeap: %.1f allocations per 1 000 objects, want at most %.1f", got, rebuildLimit)
 	}
 }

@@ -438,6 +438,17 @@ func FuzzDigestStream(f *testing.F) {
 	f.Add(digestSpec(6, objstore.ClassModule, math.MaxUint32, 1, false), uint64(9))              // the largest size
 	f.Add(append(digestSpec(0, objstore.ClassAssembly, 100, MaxSlots, true), bytes.Repeat([]byte{0xa5}, 8*MaxSlots)...), uint64(0))
 	f.Add(digestSpec(2, 255, 128, 0, false), uint64(0)) // the largest class
+	// Each varint of a record's head on both sides of a length step: OID gaps
+	// of 127 and 128, sizes of 127, 128, 16 383 and 16 384, packed counts of
+	// 127 (63 slots and the root bit) and 128 (64 slots). A record's slot
+	// values are the spec bytes after it, so only the last two have slots.
+	f.Add(slices.Concat(
+		digestSpec(126, 1, 127, 0, false), digestSpec(127, 2, 100, 0, false),
+		digestSpec(0, 3, 128, 0, false), digestSpec(0, 4, 16383, 0, false),
+		digestSpec(0, 5, 16384, 0, true), digestSpec(0, 6, 100, 63, true),
+		bytes.Repeat([]byte{1}, 8*63), digestSpec(0, 7, 100, 64, false),
+	), uint64(0))
+	f.Add(digestSpec(299, objstore.ClassAssembly, 70_000, 100, true), uint64(0)) // gap, size and packed count all multi-byte
 	f.Fuzz(func(t *testing.T, spec []byte, horizon uint64) {
 		objs := objstore.NewStore()
 		oid := objstore.OID(0)

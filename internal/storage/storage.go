@@ -277,9 +277,15 @@ func (m *Manager) pin(pg PageID, dirty, fresh bool) {
 	}
 }
 
-// newPartition appends an empty partition.
+// newPartition appends an empty partition whose member list has room for as
+// many objects as the last one lists: partitions fill to about the same
+// count, so a growing database sizes each list once instead of doubling it
+// from empty.
 func (m *Manager) newPartition() *partition {
 	p := &partition{id: PartitionID(len(m.parts))}
+	if n := len(m.parts); n > 0 && len(m.parts[n-1].objects) > 0 {
+		p.objects = make([]objstore.OID, 0, len(m.parts[n-1].objects))
+	}
 	m.parts = append(m.parts, p)
 	return p
 }
