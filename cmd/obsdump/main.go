@@ -136,11 +136,7 @@ func render(e *obs.Envelope) string {
 	switch e.Type {
 	case obs.TypeRunStart:
 		s := *e.RunStart
-		line := fmt.Sprintf("run_start   policy=%s selection=%s preamble=%d", s.Policy, s.Selection, s.Preamble)
-		if s.Resumed > 0 {
-			line += fmt.Sprintf(" resumed@%d", s.Resumed)
-		}
-		return line
+		return fmt.Sprintf("run_start   policy=%s selection=%s preamble=%d", s.Policy, s.Selection, s.Preamble)
 	case obs.TypePhase:
 		p := *e.Phase
 		return fmt.Sprintf("phase       @%d %q collections=%d overwrites=%d", p.Step, p.Label, p.Collections, p.Overwrites)
@@ -156,9 +152,6 @@ func render(e *obs.Envelope) string {
 		c := *e.Collection
 		return fmt.Sprintf("collection  #%d @%d %s part=%d reclaimed=%dB (%d objs) live=%dB garbage=%.3f interval=%d",
 			c.Index, c.Step, c.Phase, c.Partition, c.ReclaimedBytes, c.ReclaimedObjects, c.LiveBytes, float64(c.GarbageFrac), c.Interval)
-	case obs.TypeCheckpoint:
-		c := *e.Checkpoint
-		return fmt.Sprintf("checkpoint  @%d %s", c.Step, c.Op)
 	case obs.TypeProgress:
 		p := *e.Progress
 		return fmt.Sprintf("progress    @%d collections=%d phase=%s appio=%d gcio=%d",

@@ -23,7 +23,6 @@ func writeLog(t *testing.T) string {
 	w.Observe(obs.Envelope{Phase: &obs.PhaseChange{Step: 0, Label: "GenDB"}})
 	w.Observe(obs.Envelope{Decision: &obs.Decision{Step: 40, Collected: true, DBBytes: 1000, GarbageBytes: 100}})
 	w.Observe(obs.Envelope{Collection: &obs.Collection{Index: 1, Step: 40, Phase: "GenDB", ReclaimedBytes: 90}})
-	w.Observe(obs.Envelope{Checkpoint: &obs.CheckpointMark{Step: 50, Op: "save"}})
 	w.Observe(obs.Envelope{Progress: &obs.Progress{Step: 1000, Collections: 1, Phase: "GenDB"}})
 	w.Observe(obs.Envelope{RunEnd: &obs.RunEnd{Events: 1200, Collections: 1, Reclaimed: 90}})
 	if err := w.Close(); err != nil {
@@ -43,7 +42,6 @@ func TestObsdumpPrettyPrint(t *testing.T) {
 		"run_start   policy=saio(10%)",
 		`phase       @0 "GenDB"`,
 		"collection  #1 @40 GenDB",
-		"checkpoint  @50 save",
 		"run_end     events=1200",
 	} {
 		if !strings.Contains(out, want) {
@@ -78,7 +76,7 @@ func TestObsdumpStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "events: 7") || !strings.Contains(out, "summary: 1200 trace events") {
+	if !strings.Contains(out, "events: 6") || !strings.Contains(out, "summary: 1200 trace events") {
 		t.Errorf("stats output wrong:\n%s", out)
 	}
 	// One collection: no distribution lines for a single sample.
@@ -126,13 +124,13 @@ func TestObsdumpCheck(t *testing.T) {
 	if err := run([]string{"-check", path}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stdout.String(), "ok: 7 events") {
+	if !strings.Contains(stdout.String(), "ok: 6 events") {
 		t.Errorf("check verdict wrong: %s", stdout.String())
 	}
 
 	// A corrupt log must fail the check.
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(bad, []byte(`{"v":1,"seq":3,"type":"checkpoint","checkpoint":{"step":1,"op":"save"}}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"v":1,"seq":3,"type":"progress","progress":{"step":1000}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-check", bad}, &stdout, &stderr); err == nil {

@@ -2,8 +2,8 @@
 // randomness, wall-clock reads, environment-driven behavior — inside the
 // packages whose output the simulator promises to reproduce bit for bit.
 //
-// The trace-driven simulation is only replayable (and PR 1's checkpoint
-// resume only bit-identical) because every random choice flows from a seed
+// The trace-driven simulation is only replayable (and a restored snapshot
+// only bit-identical) because every random choice flows from a seed
 // threaded through a constructor and nothing consults the clock or the
 // process environment. detrand turns that convention into a build-time
 // error: inside the deterministic packages, calls to the global math/rand

@@ -3,7 +3,7 @@
 // hashes, or encoders, and string accumulation. Go randomizes map iteration
 // per run, so any of these turns bit-identical replay and reproducible
 // experiment CSVs into a coin flip — exactly the class of bug that breaks
-// checkpoint/resume equivalence silently.
+// snapshot round trips silently.
 //
 // The check is heuristic in the direction of safety: a loop that appends to
 // a slice is fine when the slice is later passed to a sort (sort.Slice,

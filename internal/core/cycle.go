@@ -73,8 +73,8 @@ type Cycle struct {
 	// there. Not called when nothing was collected or Collect failed.
 	AfterCollect func()
 	// LastOverwrites is the overwrite clock at the previous collection, the
-	// base of the next record's Interval. A driver resuming a saved run seeds
-	// it; otherwise it starts at zero.
+	// base of the next record's Interval. It starts at zero; a driver that
+	// restores the controller's state would seed it.
 	LastOverwrites uint64
 }
 

@@ -10,13 +10,14 @@ import (
 )
 
 // Snapshotter is implemented by policies and estimators whose scheduling
-// state must survive a checkpoint/resume cycle. Stateless components
-// (NeverCollect, OracleEstimator) simply do not implement it.
+// state a restart must carry (a state image's records, disk.WriteImage).
+// Stateless components (NeverCollect, OracleEstimator) simply do not
+// implement it.
 //
 // SnapshotState returns an opaque, self-contained encoding; RestoreState
 // accepts exactly what SnapshotState produced for a component constructed
 // with the same configuration. Configuration itself is not part of the
-// state — the resuming caller reconstructs components from configuration and
+// state — the restoring caller reconstructs components from configuration and
 // then feeds them their state.
 //
 // Every Snapshotter here keeps its mutable fields in one state struct

@@ -18,15 +18,9 @@ type ChaosEstimator struct {
 	inner       core.Estimator
 	nanProb     float64
 	garbageProb float64
-	st          chaosState
-}
-
-// chaosState is ChaosEstimator's mutable state; the wrapped estimator's
-// rides after it in a snapshot.
-type chaosState struct {
-	RNG     rng
-	Dropped uint64 // estimates replaced with NaN
-	Garbled uint64 // estimates replaced with garbage values
+	rng         rng
+	dropped     uint64 // estimates replaced with NaN
+	garbled     uint64 // estimates replaced with garbage values
 }
 
 // NewChaosEstimator wraps inner with the profile's estimator-fault rates.
@@ -39,7 +33,7 @@ func NewChaosEstimator(inner core.Estimator, p Profile, seed int64) (*ChaosEstim
 		inner:       inner,
 		nanProb:     p.EstNaNProb,
 		garbageProb: p.EstGarbageProb,
-		st:          chaosState{RNG: newRNG(seed)},
+		rng:         newRNG(seed),
 	}, nil
 }
 
@@ -56,30 +50,21 @@ func (c *ChaosEstimator) ObserveCollection(h core.HeapState, res gc.CollectionRe
 
 // EstimateGarbage implements core.Estimator.
 func (c *ChaosEstimator) EstimateGarbage(h core.HeapState) float64 {
-	r := c.st.RNG.float64()
+	r := c.rng.float64()
 	switch {
 	case r < c.nanProb:
-		c.st.Dropped++
+		c.dropped++
 		return math.NaN()
 	case r < c.nanProb+c.garbageProb:
-		c.st.Garbled++
-		return c.st.RNG.float64() * 4 * float64(h.DatabaseBytes())
+		c.garbled++
+		return c.rng.float64() * 4 * float64(h.DatabaseBytes())
 	default:
 		return c.inner.EstimateGarbage(h)
 	}
 }
 
 // Dropped returns how many estimates were replaced with NaN.
-func (c *ChaosEstimator) Dropped() uint64 { return c.st.Dropped }
+func (c *ChaosEstimator) Dropped() uint64 { return c.dropped }
 
 // Garbled returns how many estimates were replaced with garbage values.
-func (c *ChaosEstimator) Garbled() uint64 { return c.st.Garbled }
-
-// SnapshotState implements core.Snapshotter so chaos runs checkpoint/resume
-// with a bit-identical fault stream.
-func (c *ChaosEstimator) SnapshotState() ([]byte, error) { return core.EncodeState(c.st, c.inner) }
-
-// RestoreState implements core.Snapshotter.
-func (c *ChaosEstimator) RestoreState(data []byte) error {
-	return core.DecodeState(data, &c.st, c.inner)
-}
+func (c *ChaosEstimator) Garbled() uint64 { return c.garbled }

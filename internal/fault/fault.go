@@ -13,15 +13,12 @@
 // The simulated storage manager does no I/O, so it gets no faults.
 //
 // Everything is driven by a splitmix64 generator whose entire state is one
-// uint64, so fault schedules are reproducible from a seed and
-// checkpoint/resume restores the exact fault stream. The same profile +
+// uint64, so fault schedules are reproducible from a seed. The same profile +
 // seed always yields the same faults, which is what makes chaos runs
 // regression-testable.
 package fault
 
-// rng is a splitmix64 generator. It is its own state, so it sits in a
-// component's state struct and resumed runs replay the identical fault
-// stream.
+// rng is a splitmix64 generator; it is its own state.
 type rng uint64
 
 func newRNG(seed int64) rng {

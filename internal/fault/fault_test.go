@@ -162,41 +162,6 @@ func TestChaosEstimatorDropout(t *testing.T) {
 	}
 }
 
-func TestChaosEstimatorSnapshotRoundTrip(t *testing.T) {
-	profile, err := LookupProfile("estimator-dropout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &fakeHeapState{db: 100000}
-	ce, err := NewChaosEstimator(&scriptedEst{val: 500}, profile, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		ce.EstimateGarbage(h)
-	}
-	state, err := ce.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := NewChaosEstimator(&scriptedEst{val: 500}, profile, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := twin.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		a, b := ce.EstimateGarbage(h), twin.EstimateGarbage(h)
-		if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-			t.Fatalf("step %d: diverged %v vs %v", i, a, b)
-		}
-	}
-	if ce.Dropped() != twin.Dropped() || ce.Garbled() != twin.Garbled() {
-		t.Fatal("counters diverged after restore")
-	}
-}
-
 func TestChaosEstimatorRejectsBadProbabilities(t *testing.T) {
 	if _, err := NewChaosEstimator(&scriptedEst{}, Profile{EstNaNProb: 0.7, EstGarbageProb: 0.7}, 1); err == nil {
 		t.Fatal("accepted probabilities summing over 1")

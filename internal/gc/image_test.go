@@ -42,12 +42,13 @@ func imageWith(t *testing.T, h *Heap, counters []byte) []byte {
 	return img
 }
 
-// image is h's checkpoint image as a simulator's holds it, without the
-// policies' and the run's records. Two heaps with equal images hold the same
+// image is h's state image: its objects, the storage manager's state and its
+// counters (disk.WriteImage). Two heaps with equal images hold the same
 // objects, flags, placements, buffer, I/O counts and counters.
 func image(t *testing.T, h *Heap) []byte { return imageWith(t, h, h.AppendState(nil)) }
 
-// restore loads img into a heap of its own, as sim.Resume does.
+// restore loads img into a heap of its own: disk.ReadImage, gc.Heap.Load,
+// then the counters.
 func restore(img []byte) (*Heap, error) {
 	objs, m, recs, err := disk.ReadImage(img)
 	if err != nil {

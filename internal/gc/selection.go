@@ -215,7 +215,7 @@ func NewSelectionPolicy(name string, seed int64) (SelectionPolicy, error) {
 
 // The stateful selection policies keep their mutable fields in the state
 // structs below and implement core.Snapshotter structurally (gc cannot import
-// core), so a checkpoint carries where a sweep or a random sequence stood.
+// core), so a snapshot carries where a sweep or a random sequence stood.
 
 // roundRobinState is RoundRobin's mutable state.
 type roundRobinState struct {

@@ -61,31 +61,6 @@ func (m *Mean) Max() float64 {
 	return m.max
 }
 
-// MeanState is a Mean's complete state in exported form, so checkpoints can
-// capture accumulators and resume them bit-identically.
-type MeanState struct {
-	N   int
-	Sum float64
-	Min float64
-	Max float64
-}
-
-// State exports the accumulator's state.
-func (m *Mean) State() MeanState {
-	return MeanState{N: m.n, Sum: m.sum, Min: m.min, Max: m.max}
-}
-
-// MeanFromState rebuilds an accumulator from exported state.
-func MeanFromState(st MeanState) (Mean, error) {
-	if st.N < 0 {
-		return Mean{}, fmt.Errorf("metrics: negative sample count %d", st.N)
-	}
-	if st.N > 0 && st.Min > st.Max {
-		return Mean{}, fmt.Errorf("metrics: min %v exceeds max %v", st.Min, st.Max)
-	}
-	return Mean{n: st.N, sum: st.Sum, min: st.Min, max: st.Max}, nil
-}
-
 // Merge folds another accumulator into m, as if m had seen o's samples.
 func (m *Mean) Merge(o Mean) {
 	if o.n == 0 {

@@ -41,6 +41,9 @@ func FuzzEventLog(f *testing.F) {
 	}
 	f.Add([]byte(`{"v":1,"seq":0,"type":"phase","phase":{"step":1.0,"label":"<é\xff>"},"extra":[1]}` + "\n\n"))
 	f.Add([]byte(`{"v":1,"seq":0,"type":"run_end","run_end":{"gc_io_frac":"+Inf","garbage_frac":null}}`))
+	// A checkpoint line, which logs written by older builds may hold: refused
+	// as an unknown type.
+	f.Add([]byte(`{"v":1,"seq":0,"type":"checkpoint","checkpoint":{"step":1,"op":"save"}}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		envs, err := obs.ReadAll(bytes.NewReader(data))
 		if err != nil {

@@ -58,7 +58,6 @@ const (
 	TypePhase      = "phase"
 	TypeDecision   = "decision"
 	TypeCollection = "collection"
-	TypeCheckpoint = "checkpoint"
 	TypeProgress   = "progress"
 	TypeRunEnd     = "run_end"
 	// TypeSpan tags a flight-recorder span; span dumps carry only these,
@@ -69,7 +68,7 @@ const (
 // EventTypes lists every type tag an event log carries.
 func EventTypes() []string {
 	return []string{TypeRunStart, TypePhase, TypeDecision, TypeCollection,
-		TypeCheckpoint, TypeProgress, TypeRunEnd}
+		TypeProgress, TypeRunEnd}
 }
 
 // Envelope is one event: the schema version, a sequence number assigned in
@@ -80,14 +79,13 @@ type Envelope struct {
 	Seq  uint64 `json:"seq"`
 	Type string `json:"type"`
 
-	RunStart   *RunStart       `json:"run_start,omitempty"`
-	Phase      *PhaseChange    `json:"phase,omitempty"`
-	Decision   *Decision       `json:"decision,omitempty"`
-	Collection *Collection     `json:"collection,omitempty"`
-	Checkpoint *CheckpointMark `json:"checkpoint,omitempty"`
-	Progress   *Progress       `json:"progress,omitempty"`
-	RunEnd     *RunEnd         `json:"run_end,omitempty"`
-	Span       *Span           `json:"span,omitempty"`
+	RunStart   *RunStart    `json:"run_start,omitempty"`
+	Phase      *PhaseChange `json:"phase,omitempty"`
+	Decision   *Decision    `json:"decision,omitempty"`
+	Collection *Collection  `json:"collection,omitempty"`
+	Progress   *Progress    `json:"progress,omitempty"`
+	RunEnd     *RunEnd      `json:"run_end,omitempty"`
+	Span       *Span        `json:"span,omitempty"`
 }
 
 // payloadType returns the tag of the payload the envelope carries and how
@@ -101,7 +99,6 @@ func (e *Envelope) payloadType() (tag string, n int) {
 		{TypePhase, e.Phase != nil},
 		{TypeDecision, e.Decision != nil},
 		{TypeCollection, e.Collection != nil},
-		{TypeCheckpoint, e.Checkpoint != nil},
 		{TypeProgress, e.Progress != nil},
 		{TypeRunEnd, e.RunEnd != nil},
 		{TypeSpan, e.Span != nil},

@@ -138,8 +138,6 @@ func (l *Live) Observe(e Envelope) {
 		l.st.Running = true
 		l.st.Policy = e.RunStart.Policy
 		l.st.Selection = e.RunStart.Selection
-		l.lastStep = e.RunStart.Resumed
-		l.st.Step = e.RunStart.Resumed
 	case e.Decision != nil:
 		d := e.Decision
 		l.advanceStep(d.Step)

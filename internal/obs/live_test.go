@@ -12,9 +12,9 @@ import (
 )
 
 // TestLiveFromLogMatchesLive: Live folds nothing the event log does not
-// carry. A replay that is checkpointed and resumed mid-run feeds a Live and
-// a JSONLWriter through one obs.Multi; a fresh Live fed the log back,
-// envelope by envelope, must expose the same metrics text and status.
+// carry. A replay feeds a Live and a JSONLWriter through one obs.Multi; a
+// fresh Live fed the log back, envelope by envelope, must expose the same
+// metrics text and status.
 func TestLiveFromLogMatchesLive(t *testing.T) {
 	tr, err := oo7.FullTrace(oo7.SmallPrime(3), 19)
 	if err != nil {
@@ -27,38 +27,15 @@ func TestLiveFromLogMatchesLive(t *testing.T) {
 	if _, ok := o.(obs.Multi); !ok {
 		t.Fatalf("NewMulti of two observers is a %T, want obs.Multi", o)
 	}
-	config := func() sim.Config {
-		pol, err := core.NewSAIO(core.SAIOConfig{Frac: 0.10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim.Config{Policy: pol, Observer: o}
-	}
-
-	s, err := sim.New(config())
+	pol, err := core.NewSAIO(core.SAIOConfig{Frac: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	var img []byte
-	for ; img == nil; i++ {
-		if err := s.Step(&tr.Events[i]); err != nil {
-			t.Fatal(err)
-		}
-		if i >= len(tr.Events)/2 {
-			// Refused mid-construction; the next event may end it.
-			img, _ = s.Checkpoint()
-		}
-	}
-	if s, err = sim.Resume(config(), img); err != nil {
+	s, err := sim.New(sim.Config{Policy: pol, Observer: o})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for ; i < len(tr.Events); i++ {
-		if err := s.Step(&tr.Events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Finish(); err != nil {
+	if _, err := s.Run(tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -79,9 +56,6 @@ func TestLiveFromLogMatchesLive(t *testing.T) {
 		if seen[typ] == 0 {
 			t.Errorf("the run logged no %q event", typ)
 		}
-	}
-	if seen[obs.TypeCheckpoint] != 2 || seen[obs.TypeRunStart] != 2 {
-		t.Errorf("logged %d checkpoint and %d run_start events, want a save and a resume", seen[obs.TypeCheckpoint], seen[obs.TypeRunStart])
 	}
 
 	metrics := func(l *obs.Live) string {

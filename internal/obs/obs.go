@@ -1,10 +1,10 @@
 // Package obs is the simulator's zero-dependency observability layer: one
 // observer method the drivers call at their structural moments (run
-// start/end, policy decisions, collections, phase transitions, checkpoint
-// save/resume, progress), each event an Envelope carrying one typed payload;
-// a structured JSONL event emitter that writes those envelopes with a
-// versioned byte-deterministic encoding, an in-process metrics
-// registry with Prometheus text-format exposition, and run provenance
+// start/end, policy decisions, collections, phase transitions, progress),
+// each event an Envelope carrying one typed payload; a structured JSONL event
+// emitter that writes those envelopes with a versioned byte-deterministic
+// encoding, an in-process metrics registry with Prometheus text-format
+// exposition, and run provenance
 // manifests that make every persisted result attributable to the exact
 // configuration, seeds, and trace that produced it. The serving stack's
 // request and GC spans (Span) are one more envelope payload: the flight
@@ -34,7 +34,11 @@ import (
 // reader now refuses was written only by the deleted storage-fault profiles.
 // It stayed 1 when the span payload joined: span dumps already carried
 // "v":1 in an envelope of this shape, so a dump written before reads back
-// unchanged, and no event-log line changed.
+// unchanged, and no event-log line changed. It stayed 1 when the checkpoint
+// event and run_start's optional resumed cursor left the schema: only the
+// simulator's checkpoint and resume wrote them, no tool has called either
+// since gcsim lost -checkpoint, and a reader now refuses a `checkpoint` line
+// as an unknown event type.
 const SchemaVersion = 1
 
 // ToolVersion names the emitting build in manifests. It is a hand-bumped
@@ -47,9 +51,6 @@ type RunStart struct {
 	Policy    string `json:"policy"`
 	Selection string `json:"selection"`
 	Preamble  int    `json:"preamble"`
-	// Resumed is the checkpoint cursor when the run continues a prior one;
-	// zero for fresh runs.
-	Resumed int `json:"resumed,omitempty"`
 }
 
 // PhaseChange marks an application phase transition.
@@ -150,12 +151,6 @@ func (sp *Span) SetCollection(c core.Collection) {
 	sp.TracedObjects = c.Result.LiveObjects
 	sp.EstimateFrac = Float(c.EstimatedFrac())
 	sp.TargetFrac = Float(c.TargetFrac())
-}
-
-// CheckpointMark records a checkpoint capture or a resume from one.
-type CheckpointMark struct {
-	Step int    `json:"step"`
-	Op   string `json:"op"` // "save" or "resume"
 }
 
 // Progress is a coarse heartbeat both drivers emit every 1000 steps (trace

@@ -3,8 +3,6 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,11 +14,12 @@ import (
 	"odbgc/internal/trace"
 )
 
-// runForArtifacts steps tr through a fresh simulator, serializing a
-// checkpoint at the first collection-safe point past the midpoint and
-// rendering the per-collection series as CSV at the end. These are the two
-// artifacts users persist (checkpoint files, experiment CSVs), so both must
-// be byte-deterministic.
+// runForArtifacts steps tr through a fresh simulator, writing the state
+// image of its heap (disk.WriteImage: the objects, the storage manager's
+// state and the heap's counters) at the first collection-safe point past the
+// midpoint and rendering the per-collection series as CSV at the end. Both
+// must be byte-deterministic: the image is what a checkpoint's state chain
+// holds, and the CSV is what the experiments persist.
 func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckpt []byte, csv string) {
 	t.Helper()
 	s, err := New(mkConfig())
@@ -34,7 +33,7 @@ func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckp
 			t.Fatal(err)
 		}
 	}
-	ckpt, err = s.Checkpoint()
+	ckpt, err = disk.WriteImage(s.heap.Store(), s.disk, s.heap.AppendState(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +56,10 @@ func runForArtifacts(t *testing.T, tr *trace.Trace, mkConfig func() Config) (ckp
 }
 
 // TestRepeatedRunByteIdentical runs the identical trace through identically
-// configured simulators twice and asserts the serialized checkpoint and the
-// rendered CSV are byte-for-byte equal. Any map-iteration-order dependence
+// configured simulators twice and asserts the state image and the rendered
+// CSV are byte-for-byte equal. Any map-iteration-order dependence
 // or unseeded randomness anywhere in the pipeline (heap, policy, metrics,
-// snapshot encoders) shows up here as a flaky diff — this is the runtime
+// the state image's encoder) shows up here as a flaky diff — this is the runtime
 // counterpart of the maporder and detrand analyzers.
 func TestRepeatedRunByteIdentical(t *testing.T) {
 	tr := smallTrace(t, 3, 19)
@@ -79,14 +78,14 @@ func TestRepeatedRunByteIdentical(t *testing.T) {
 	ckptB, csvB := runForArtifacts(t, tr, mkConfig)
 
 	if !bytes.Equal(ckptA, ckptB) {
-		t.Error("identical runs serialized different checkpoint bytes")
+		t.Error("identical runs wrote different state images")
 	}
 	if csvA != csvB {
 		t.Errorf("identical runs rendered different CSVs:\n--- A ---\n%s--- B ---\n%s", csvA, csvB)
 	}
 	// The artifacts must be substantive, not trivially equal empties.
 	if len(ckptA) == 0 {
-		t.Error("empty checkpoint")
+		t.Error("empty state image")
 	}
 	if lines := strings.Count(csvA, "\n"); lines < 2 {
 		t.Errorf("CSV has %d lines; want a header plus at least one collection row", lines)
@@ -96,7 +95,7 @@ func TestRepeatedRunByteIdentical(t *testing.T) {
 // TestObserverPathDeterministic covers the observability layer's two
 // determinism promises: identical-seed runs with events enabled write
 // byte-identical JSONL logs, and attaching an observer leaves the simulation's
-// persisted artifacts (checkpoint bytes, CSV) byte-identical to a run with a
+// artifacts (state image, CSV) byte-identical to a run with a
 // nil observer — the hooks are pure taps, never inputs.
 func TestObserverPathDeterministic(t *testing.T) {
 	tr := smallTrace(t, 3, 19)
@@ -142,7 +141,7 @@ func TestObserverPathDeterministic(t *testing.T) {
 		seen[e.Type] = true
 	}
 	for _, want := range []string{obs.TypeRunStart, obs.TypePhase, obs.TypeDecision,
-		obs.TypeCollection, obs.TypeCheckpoint, obs.TypeProgress} {
+		obs.TypeCollection, obs.TypeProgress} {
 		if !seen[want] {
 			t.Errorf("event log has no %q event", want)
 		}
@@ -150,7 +149,7 @@ func TestObserverPathDeterministic(t *testing.T) {
 
 	ckptPlain, csvPlain := runForArtifacts(t, tr, mkConfig)
 	if !bytes.Equal(ckptA, ckptPlain) || !bytes.Equal(ckptA, ckptB) {
-		t.Error("observer changed the serialized checkpoint bytes")
+		t.Error("observer changed the state image")
 	}
 	if csvA != csvPlain || csvA != csvB {
 		t.Error("observer changed the rendered CSV")
@@ -158,22 +157,17 @@ func TestObserverPathDeterministic(t *testing.T) {
 }
 
 // goldenArtifacts are the SHA-256 digests of the artifacts a seed-1 OO7
-// Small' connectivity-3 replay persists: the mid-run checkpoint, the
+// Small' connectivity-3 replay writes: the mid-run state image, the
 // per-collection CSV and the observer's JSONL event log.
 type goldenArtifacts struct{ ckpt, csv, events string }
 
 // TestGoldenArtifactDigests pins those digests for the two replay workloads of
-// the repository benchmark (SAIO 10 % and fixed-rate 50). The csv and events
-// digests were recorded before the object tables replaced the hash maps under
+// the repository benchmark (SAIO 10 % and fixed-rate 50). The csv digests
+// were recorded before the object tables replaced the hash maps under
 // gc.Heap, storage.Manager and objstore.Store: a data-layout change must
 // reproduce every byte, so a digest may only change together with a
-// deliberate change to the simulated behaviour or to the checkpoint image.
-//
-// The checkpoint is digested as its image rewritten without the policy and
-// selection records and with the run record as JSON: those three are gob
-// streams, and gob numbers types in the order a process first encodes them,
-// so their bytes depend on which tests ran earlier
-// (TestRepeatedRunByteIdentical covers them within one process).
+// deliberate change to the simulated behaviour, to the event log or to the
+// state image.
 func TestGoldenArtifactDigests(t *testing.T) {
 	tr := smallTrace(t, 3, 1)
 	for _, tc := range []struct {
@@ -182,14 +176,14 @@ func TestGoldenArtifactDigests(t *testing.T) {
 		want   goldenArtifacts
 	}{
 		{"saio-10", func() (core.RatePolicy, error) { return core.NewSAIO(core.SAIOConfig{Frac: 0.10}) }, goldenArtifacts{
-			ckpt:   "1b7c627f6ee9e3921a04a5d6eca69a5d850afc4ed64cce568ab899f9a92f34b1",
+			ckpt:   "7bd9cc7e47ed378851d45c4eb0a9155e4f39063e437b64ad9bbd0c62e76cdd05",
 			csv:    "c58d3453b1f1344f7b90754f8980107ff263df90670abedef968f19e1133524f",
-			events: "a3c7e34d334a75cf9bf180697fce80089d180c92ef6da0ec33ef1232233fe153",
+			events: "702cbc0c75c838488499f9cc87214611ec34f50c615fd4bd6b826c619c90bd36",
 		}},
 		{"fixed-50", func() (core.RatePolicy, error) { return core.NewFixedRate(50) }, goldenArtifacts{
-			ckpt:   "94167344de1b2138ede87fcd424cdc6380466b43c927810e8175b98e5acb10aa",
+			ckpt:   "9c48b7dd2a1caf217ff98784cee5abca1afaed2af921bae4864b6235c475d1a2",
 			csv:    "3caee188ee996aa39da5c765c70094d8ec8e56bad9f210545636d5cca59ca827",
-			events: "0b8f5f27dedb0df29a10152914d1aa1ae4ab86dd7f6f6ce1e8ccdc06c1e65af5",
+			events: "1618d7165b6e1ea06d1bfbb9ac0131a4b2c80ef8e1ad6bea7a1f433fad4b959b",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,24 +199,8 @@ func TestGoldenArtifactDigests(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			objs, mgr, recs, err := disk.ReadImage(ckpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var r run
-			if err := gob.NewDecoder(bytes.NewReader(recs[3])).Decode(&r); err != nil {
-				t.Fatal(err)
-			}
-			runJSON, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			canonical, err := disk.WriteImage(objs, mgr, recs[0], nil, nil, runJSON)
-			if err != nil {
-				t.Fatal(err)
-			}
 			digest := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
-			got := goldenArtifacts{ckpt: digest(canonical), csv: digest([]byte(csv)), events: digest(events.Bytes())}
+			got := goldenArtifacts{ckpt: digest(ckpt), csv: digest([]byte(csv)), events: digest(events.Bytes())}
 			if got != tc.want {
 				t.Errorf("artifact digests changed:\n got %+v\nwant %+v", got, tc.want)
 			}

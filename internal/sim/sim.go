@@ -44,7 +44,7 @@ type Config struct {
 	// indirection. Used by the fixup-cost ablation.
 	PhysicalFixups bool
 	// Observer, when non-nil, receives lifecycle events (run start/end,
-	// decisions, collections, phase transitions, checkpoints). The
+	// decisions, collections, phase transitions, progress). The
 	// simulator never reads observer state: runs with and without an
 	// observer produce bit-identical results, and a nil observer costs a
 	// single pointer test per event site.
@@ -158,27 +158,17 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	heap := gc.NewHeap(objstore.NewStore(), disk)
 	heap.SetPhysicalFixups(cfg.PhysicalFixups)
-	s := assemble(cfg, heap, &Result{PolicyName: cfg.Policy.Name(), SelectionName: cfg.Selection.Name()})
+	s := &Simulator{cfg: cfg, disk: disk, heap: heap,
+		res:  &Result{PolicyName: cfg.Policy.Name(), SelectionName: cfg.Selection.Name()},
+		loop: Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection}, Observer: cfg.Observer}}
 	if cfg.Observer != nil {
-		cfg.Observer.Observe(obs.Envelope{RunStart: s.runStart(0)})
+		cfg.Observer.Observe(obs.Envelope{RunStart: &obs.RunStart{
+			Policy:    cfg.Policy.Name(),
+			Selection: cfg.Selection.Name(),
+			Preamble:  cfg.PreambleCollections,
+		}})
 	}
 	return s, nil
-}
-
-// assemble builds a simulator over heap with its control loop.
-func assemble(cfg Config, heap *gc.Heap, res *Result) *Simulator {
-	return &Simulator{cfg: cfg, disk: heap.Disk(), heap: heap, res: res,
-		loop: Loop{Cycle: core.Cycle{Heap: heap, Policy: cfg.Policy, Selection: cfg.Selection}, Observer: cfg.Observer}}
-}
-
-// runStart assembles the RunStart event.
-func (s *Simulator) runStart(resumed int) *obs.RunStart {
-	return &obs.RunStart{
-		Policy:    s.cfg.Policy.Name(),
-		Selection: s.cfg.Selection.Name(),
-		Preamble:  s.cfg.PreambleCollections,
-		Resumed:   resumed,
-	}
 }
 
 // Heap exposes the simulator's heap for inspection in tests.

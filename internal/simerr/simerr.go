@@ -26,9 +26,6 @@ import (
 //     SIGINT drain). Not a defect; partial results and checkpoints are valid.
 //   - ErrTimeout: a deadline elapsed — the caller's context expired before
 //     the work finished. The run's partial state must be discarded.
-//   - ErrCorruptCheckpoint: persisted state — a simulator's checkpoint
-//     image (sim.Resume) — failed validation on load. Safe handling is to
-//     discard it and recompute.
 //   - ErrPolicyFailure: a rate policy, estimator, or selection policy could
 //     not be built or misbehaved; retrying without a config change is futile.
 //   - ErrCorruptTrace: an input event stream is truncated or damaged.
@@ -50,15 +47,14 @@ import (
 //     transient I/O failure: retry logic must not re-run recovery against
 //     an unrecoverable store.
 var (
-	ErrCanceled          = errors.New("simerr: canceled")
-	ErrTimeout           = errors.New("simerr: timeout")
-	ErrCorruptCheckpoint = errors.New("simerr: corrupt checkpoint")
-	ErrPolicyFailure     = errors.New("simerr: policy failure")
-	ErrCorruptTrace      = errors.New("simerr: corrupt trace")
-	ErrOverloaded        = errors.New("simerr: overloaded")
-	ErrSessionClosed     = errors.New("simerr: session closed")
-	ErrTornWrite         = errors.New("simerr: torn write")
-	ErrRecoveryFailed    = errors.New("simerr: recovery failed")
+	ErrCanceled       = errors.New("simerr: canceled")
+	ErrTimeout        = errors.New("simerr: timeout")
+	ErrPolicyFailure  = errors.New("simerr: policy failure")
+	ErrCorruptTrace   = errors.New("simerr: corrupt trace")
+	ErrOverloaded     = errors.New("simerr: overloaded")
+	ErrSessionClosed  = errors.New("simerr: session closed")
+	ErrTornWrite      = errors.New("simerr: torn write")
+	ErrRecoveryFailed = errors.New("simerr: recovery failed")
 )
 
 // Class is a failure bucket for counters and reports. The zero value is
@@ -67,17 +63,16 @@ type Class string
 
 // The classes, one per sentinel plus OK and Other.
 const (
-	ClassOK                Class = "ok"
-	ClassCanceled          Class = "canceled"
-	ClassTimeout           Class = "timeout"
-	ClassCorruptCheckpoint Class = "corrupt_checkpoint"
-	ClassPolicyFailure     Class = "policy_failure"
-	ClassCorruptTrace      Class = "corrupt_trace"
-	ClassOverloaded        Class = "overloaded"
-	ClassSessionClosed     Class = "session_closed"
-	ClassTornWrite         Class = "torn_write"
-	ClassRecoveryFailed    Class = "recovery_failed"
-	ClassOther             Class = "other"
+	ClassOK             Class = "ok"
+	ClassCanceled       Class = "canceled"
+	ClassTimeout        Class = "timeout"
+	ClassPolicyFailure  Class = "policy_failure"
+	ClassCorruptTrace   Class = "corrupt_trace"
+	ClassOverloaded     Class = "overloaded"
+	ClassSessionClosed  Class = "session_closed"
+	ClassTornWrite      Class = "torn_write"
+	ClassRecoveryFailed Class = "recovery_failed"
+	ClassOther          Class = "other"
 )
 
 // FailureClasses lists every failure class (everything except ClassOK), in
@@ -85,7 +80,7 @@ const (
 func FailureClasses() []Class {
 	return []Class{
 		ClassCanceled, ClassTimeout,
-		ClassCorruptCheckpoint, ClassPolicyFailure, ClassCorruptTrace,
+		ClassPolicyFailure, ClassCorruptTrace,
 		ClassOverloaded, ClassSessionClosed,
 		ClassTornWrite, ClassRecoveryFailed,
 		ClassOther,
@@ -105,7 +100,6 @@ var classOf = []struct {
 	// could not absorb is reported as the unrecoverable store it produced.
 	{ErrRecoveryFailed, ClassRecoveryFailed},
 	{ErrTornWrite, ClassTornWrite},
-	{ErrCorruptCheckpoint, ClassCorruptCheckpoint},
 	{ErrCorruptTrace, ClassCorruptTrace},
 	{ErrOverloaded, ClassOverloaded},
 	{ErrSessionClosed, ClassSessionClosed},
@@ -153,15 +147,6 @@ func FromContext(err error) error {
 // Canceledf builds an ErrCanceled-classified error.
 func Canceledf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCanceled, fmt.Sprintf(format, args...))
-}
-
-// WrapCorruptCheckpoint marks err as a corrupt-checkpoint failure, keeping
-// the cause in the chain. A nil cause returns a bare classified error.
-func WrapCorruptCheckpoint(detail string, cause error) error {
-	if cause == nil {
-		return fmt.Errorf("%w: %s", ErrCorruptCheckpoint, detail)
-	}
-	return fmt.Errorf("%w: %s: %w", ErrCorruptCheckpoint, detail, cause)
 }
 
 // WrapPolicyFailure marks err as a policy failure, keeping the cause in the

@@ -10,7 +10,7 @@ import (
 func TestSentinelsAreDistinct(t *testing.T) {
 	sentinels := []error{
 		ErrCanceled, ErrTimeout,
-		ErrCorruptCheckpoint, ErrPolicyFailure, ErrCorruptTrace,
+		ErrPolicyFailure, ErrCorruptTrace,
 		ErrOverloaded, ErrSessionClosed,
 		ErrTornWrite, ErrRecoveryFailed,
 	}
@@ -31,7 +31,6 @@ func TestClassify(t *testing.T) {
 		{nil, ClassOK},
 		{ErrCanceled, ClassCanceled},
 		{fmt.Errorf("run 3: %w", ErrTimeout), ClassTimeout},
-		{WrapCorruptCheckpoint("run-003.gob", errors.New("bad checksum")), ClassCorruptCheckpoint},
 		{WrapPolicyFailure("building saga", errors.New("bad frac")), ClassPolicyFailure},
 		{fmt.Errorf("trace: %w", ErrCorruptTrace), ClassCorruptTrace},
 		{ErrOverloaded, ClassOverloaded},

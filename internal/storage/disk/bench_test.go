@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"odbgc/internal/gc"
 	"odbgc/internal/objstore"
+	"odbgc/internal/storage"
 )
 
 // memFS keeps the files in memory, so the layer benchmarks time the backend's
@@ -139,30 +141,65 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // for it and pages/op the pages they carry, the meta page's among them. The
 // file is presized to the two alternating images it settles at, so no
 // iteration pays for growing it.
+//
+// The chain variant runs a heap on the recovered store, as a serving engine
+// does, and its timed loop also assembles a state chain — the storage
+// manager's state, then the heap's counters as one record — into a buffer it
+// keeps, and writes it with the image: what a checkpoint that carried the
+// controller's state would add. state_B/op is the chain's size.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
-			mem := memFS{}
-			buildBenchDB(b, mem, n)
-			heap := mem[heapFile]
-			heap.data = slices.Grow(heap.data, 2*len(heap.data))
-			fs := &flakyFS{FS: mem, name: heapFile}
-			s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(s.NumObjects())*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
-			b.ReportMetric(float64(fs.writes)/float64(b.N), "writes/op")
-			b.ReportMetric(float64(fs.written)/PageSize/float64(b.N), "pages/op")
-		})
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) { benchCheckpoint(b, n, false) })
+	}
+	b.Run("chain", func(b *testing.B) {
+		for _, n := range benchSizes {
+			b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) { benchCheckpoint(b, n, true) })
+		}
+	})
+}
+
+func benchCheckpoint(b *testing.B, n int, chain bool) {
+	mem := memFS{}
+	buildBenchDB(b, mem, n)
+	heap := mem[heapFile]
+	heap.data = slices.Grow(heap.data, 2*len(heap.data))
+	fs := &flakyFS{FS: mem, name: heapFile}
+	s, _, err := Open(Options{FS: fs, Fsync: FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	var h *gc.Heap
+	if chain {
+		m, err := storage.NewManager(storage.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		h = gc.NewHeap(objstore.NewStore(), m)
+		if err := h.Load(s.Objects()); err != nil {
+			b.Fatal(err)
+		}
+		s.Adopt(h.Store())
+	}
+	var state []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if chain {
+			state = h.Disk().AppendState(state[:0])
+			at := len(state)
+			state = h.AppendState(le.AppendUint32(state, 0))
+			le.PutUint32(state[at:], uint32(len(state)-at-4))
+		}
+		if err := s.checkpoint(state); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.NumObjects())*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
+	b.ReportMetric(float64(fs.writes)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(fs.written)/PageSize/float64(b.N), "pages/op")
+	if chain {
+		b.ReportMetric(float64(len(state)), "state_B/op")
 	}
 }
 

@@ -162,7 +162,8 @@ func (s *Store) Digest() [sha256.Size]byte { return digest(s.objs) }
 // carries a state chain: m's state (storage.Manager.AppendState), then each
 // record, a uint32 length and its bytes; its object records then also carry
 // each object's oracle-dead flag. Without m it is the image Checkpoint writes.
-// A simulator's checkpoint is such an image (sim.Simulator.Checkpoint).
+// No program writes a state chain yet: it is the planned carrier of the
+// controller and placement state a warm restart restores.
 func WriteImage(objs *objstore.Store, m *storage.Manager, records ...[]byte) ([]byte, error) {
 	// A store with no WAL: with no batch awaiting a sync, the checkpoint syncs
 	// none, and it writes pages from 2 on, after the two meta slots.
